@@ -10,7 +10,7 @@
 
 use crate::classgraph::ClassGraph;
 use crate::model::build_model;
-use crate::reducer::reduce_program;
+use crate::reducer::Materializer;
 use crate::{program_byte_size, read_program, verify_program, write_program, Program};
 use lbr_core::{CoarseModel, Input, InputModel};
 use lbr_logic::VarSet;
@@ -34,11 +34,12 @@ impl Input for Program {
                 _ => 1,
             })
             .collect();
+        let materializer = Materializer::new(self, &registry);
         Ok(InputModel {
             cnf: model.cnf,
             stats,
             levels,
-            materialize: Box::new(move |keep: &VarSet| reduce_program(self, &registry, keep)),
+            materialize: Box::new(move |keep: &VarSet| materializer.materialize(keep)),
         })
     }
 
@@ -59,7 +60,8 @@ impl Input for Program {
     }
 
     fn byte_size(&self) -> usize {
-        program_byte_size(self)
+        self.cached_byte_size()
+            .unwrap_or_else(|| program_byte_size(self))
     }
 
     fn unit_count(&self) -> usize {
@@ -77,7 +79,7 @@ impl Input for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClassFile, Code, Insn, MethodDescriptor, MethodInfo};
+    use crate::{reduce_program, ClassFile, Code, Insn, MethodDescriptor, MethodInfo};
 
     fn sample() -> Program {
         let mut a = ClassFile::new_class("A");

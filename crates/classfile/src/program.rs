@@ -10,6 +10,7 @@
 use crate::{ClassFile, FieldInfo, MethodDescriptor, MethodInfo, OBJECT};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 /// One step of a subtype derivation or member resolution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -69,11 +70,42 @@ pub struct Resolution {
 /// assert!(p.get("Object").is_some()); // built-in
 /// assert!(p.is_subtype("A", "Object"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Classes are shared: cloning a program, or materializing many candidate
+/// programs from one reduction, shares unchanged class files, and
+/// [`Program::get_mut`] copies a class only when another program still
+/// holds it.
+#[derive(Debug, Clone)]
 pub struct Program {
-    classes: BTreeMap<String, ClassFile>,
-    object: ClassFile,
+    classes: BTreeMap<Arc<str>, Arc<ClassFile>>,
+    object: Arc<ClassFile>,
+    /// `program_byte_size` of this program when already known: the
+    /// reduction materializer fills it from its per-class sizes, and every
+    /// mutation clears it.
+    byte_size: Option<usize>,
 }
+
+/// The built-in `Object`, which provides the no-argument constructor every
+/// class chain bottoms out in.
+static BUILTIN_OBJECT: LazyLock<Arc<ClassFile>> = LazyLock::new(|| {
+    let mut object = ClassFile::new_class(OBJECT);
+    object.superclass = None;
+    object.methods.push(crate::MethodInfo::new(
+        "<init>",
+        crate::MethodDescriptor::void(),
+        crate::Code::new(0, 1, vec![crate::Insn::Return]),
+    ));
+    Arc::new(object)
+});
+
+/// Equality is over the classes; the cached size is derived from them.
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.classes == other.classes
+    }
+}
+
+impl Eq for Program {}
 
 impl Default for Program {
     fn default() -> Self {
@@ -82,21 +114,35 @@ impl Default for Program {
 }
 
 impl Program {
-    /// An empty program (containing only the built-in `Object`, which
-    /// provides the no-argument constructor every class chain bottoms out
-    /// in).
+    /// An empty program (containing only the built-in `Object`).
     pub fn new() -> Self {
-        let mut object = ClassFile::new_class(OBJECT);
-        object.superclass = None;
-        object.methods.push(crate::MethodInfo::new(
-            "<init>",
-            crate::MethodDescriptor::void(),
-            crate::Code::new(0, 1, vec![crate::Insn::Return]),
-        ));
         Program {
             classes: BTreeMap::new(),
-            object,
+            object: Arc::clone(&BUILTIN_OBJECT),
+            byte_size: None,
         }
+    }
+
+    /// A program of already-shared classes whose total byte size is known.
+    pub(crate) fn from_shared(
+        classes: impl IntoIterator<Item = (Arc<str>, Arc<ClassFile>)>,
+        byte_size: usize,
+    ) -> Self {
+        Program {
+            classes: classes.into_iter().collect(),
+            byte_size: Some(byte_size),
+            ..Program::new()
+        }
+    }
+
+    /// Iterates user classes in name order with their shared handles.
+    pub(crate) fn shared_classes(&self) -> impl Iterator<Item = (&Arc<str>, &ClassFile)> {
+        self.classes.iter().map(|(name, class)| (name, &**class))
+    }
+
+    /// The cached serialized size, if a materializer recorded one.
+    pub(crate) fn cached_byte_size(&self) -> Option<usize> {
+        self.byte_size
     }
 
     /// Inserts (or replaces) a class. Returns the previous one, if any.
@@ -106,12 +152,16 @@ impl Program {
     /// Panics on an attempt to redefine `Object`.
     pub fn insert(&mut self, class: ClassFile) -> Option<ClassFile> {
         assert_ne!(class.name, OBJECT, "Object is built in");
-        self.classes.insert(class.name.clone(), class)
+        self.byte_size = None;
+        self.classes
+            .insert(Arc::from(class.name.as_str()), Arc::new(class))
+            .map(Arc::unwrap_or_clone)
     }
 
     /// Removes a class by name.
     pub fn remove(&mut self, name: &str) -> Option<ClassFile> {
-        self.classes.remove(name)
+        self.byte_size = None;
+        self.classes.remove(name).map(Arc::unwrap_or_clone)
     }
 
     /// Looks up a class (the built-in `Object` included).
@@ -119,13 +169,15 @@ impl Program {
         if name == OBJECT {
             Some(&self.object)
         } else {
-            self.classes.get(name)
+            self.classes.get(name).map(|c| &**c)
         }
     }
 
-    /// Mutable lookup of a user class.
+    /// Mutable lookup of a user class. The class is copied first if
+    /// another program shares it, so the edit stays local to `self`.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut ClassFile> {
-        self.classes.get_mut(name)
+        self.byte_size = None;
+        self.classes.get_mut(name).map(Arc::make_mut)
     }
 
     /// Whether the program declares (or builds in) `name`.
@@ -145,12 +197,12 @@ impl Program {
 
     /// Iterates user classes in name order.
     pub fn classes(&self) -> impl Iterator<Item = &ClassFile> {
-        self.classes.values()
+        self.classes.values().map(|c| &**c)
     }
 
     /// Iterates user class names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.classes.keys().map(String::as_str)
+        self.classes.keys().map(|name| &**name)
     }
 
     // ------------------------------------------------------------------
@@ -556,6 +608,63 @@ mod tests {
     fn cannot_redefine_object() {
         let mut p = Program::new();
         p.insert(ClassFile::new_class(OBJECT));
+    }
+
+    fn sized_sample() -> Program {
+        let p = sample();
+        let size = crate::program_byte_size(&p);
+        let shared: Vec<_> = p
+            .classes
+            .iter()
+            .map(|(name, class)| (Arc::clone(name), Arc::clone(class)))
+            .collect();
+        Program::from_shared(shared, size)
+    }
+
+    #[test]
+    fn equality_ignores_the_cached_size() {
+        let sized = sized_sample();
+        assert!(sized.cached_byte_size().is_some());
+        let plain = sample();
+        assert_eq!(plain.cached_byte_size(), None);
+        assert_eq!(sized, plain);
+        assert_eq!(plain, sized);
+    }
+
+    #[test]
+    fn mutations_clear_the_cached_size() {
+        let mut p = sized_sample();
+        p.insert(ClassFile::new_class("C"));
+        assert_eq!(p.cached_byte_size(), None);
+
+        let mut p = sized_sample();
+        assert!(p.remove("B").is_some());
+        assert_eq!(p.cached_byte_size(), None);
+
+        let mut p = sized_sample();
+        p.get_mut("A").expect("declared").fields.clear();
+        assert_eq!(p.cached_byte_size(), None);
+    }
+
+    #[test]
+    fn get_mut_copies_a_shared_class() {
+        let original = sized_sample();
+        let mut edited = original.clone();
+        assert!(Arc::ptr_eq(&original.classes["A"], &edited.classes["A"]));
+        edited
+            .get_mut("A")
+            .expect("declared")
+            .fields
+            .push(FieldInfo::new("g", Type::Int));
+        assert_eq!(edited.get("A").unwrap().fields.len(), 2);
+        assert_eq!(original.get("A").unwrap().fields.len(), 1);
+        assert_eq!(original, sample());
+        assert_eq!(
+            original.cached_byte_size(),
+            Some(crate::program_byte_size(&original))
+        );
+        // Classes the edit did not touch stay shared.
+        assert!(Arc::ptr_eq(&original.classes["B"], &edited.classes["B"]));
     }
 
     #[test]

@@ -42,29 +42,38 @@ impl<'a> Cursor<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
-        if self.at + n > self.bytes.len() {
-            return Err(self.err(format!("unexpected end of file (need {n} bytes)")));
-        }
-        let s = &self.bytes[self.at..self.at + n];
+        let (s, _) = self
+            .bytes
+            .get(self.at..)
+            .and_then(|rest| rest.split_at_checked(n))
+            .ok_or_else(|| self.err(format!("unexpected end of file (need {n} bytes)")))?;
         self.at += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        let s = be_at(self.bytes, self.at)
+            .ok_or_else(|| self.err(format!("unexpected end of file (need {N} bytes)")))?;
+        self.at += N;
+        Ok(s)
+    }
+
     fn u8(&mut self) -> Result<u8, ReadError> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_be_bytes)
     }
 
     fn u16(&mut self) -> Result<u16, ReadError> {
-        Ok(u16::from_be_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        self.array().map(u16::from_be_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, ReadError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_be_bytes)
     }
+}
+
+/// The `N` bytes of `bytes` starting at `at`, if there are that many.
+fn be_at<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..)?.first_chunk().copied()
 }
 
 /// Decodes a single class file.

@@ -1,8 +1,19 @@
 //! The item-level program reducer (the bytecode analog of Figure 5).
+//!
+//! A reduced class depends only on the keep-set's bits over the items its
+//! class owns, and [`ItemRegistry::from_program`] gives those items one
+//! contiguous variable range per class. [`ClassPlan`] resolves each
+//! member's variable once; [`Materializer`] memoizes every reduced class
+//! and its exact byte size by (class, bits over its range), so the probes
+//! of one reduction, which keep re-deriving the same few class shapes,
+//! rebuild and re-measure only the shapes they have not seen.
 
 use crate::item::{Item, ItemRegistry};
-use crate::{ClassFile, Code, Program, OBJECT};
-use lbr_logic::VarSet;
+use crate::{class_byte_size, ClassFile, Code, MethodInfo, Program, OBJECT};
+use lbr_logic::{Var, VarSet};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Applies a solution: keeps exactly the items in `keep` (plus built-ins),
 /// rewiring removed relations and stubbing removed bodies.
@@ -10,86 +21,245 @@ use lbr_logic::VarSet;
 /// If `keep` satisfies the dependency model of
 /// [`LogicalModel`](crate::LogicalModel), the result verifies — the
 /// bytecode analog of Theorem 3.1, property-tested in this crate.
+///
+/// This is the memo-free reference for the reduction materializer behind
+/// [`Input::model`](lbr_core::Input::model), which runs the same plans.
 pub fn reduce_program(program: &Program, reg: &ItemRegistry, keep: &VarSet) -> Program {
     let mut out = Program::new();
-    for class in program.classes() {
-        let class_item = if class.is_interface() {
-            Item::Interface(class.name.clone())
-        } else {
-            Item::Class(class.name.clone())
-        };
-        if !reg.kept(&class_item, keep) {
-            continue;
+    for plan in ClassPlan::all(program, reg) {
+        if plan.kept(keep) {
+            out.insert(plan.reduce(keep));
         }
-        out.insert(reduce_class(class, reg, keep));
     }
     out
 }
 
-fn reduce_class(class: &ClassFile, reg: &ItemRegistry, keep: &VarSet) -> ClassFile {
-    let name = &class.name;
-    let mut reduced = class.clone();
-
-    // Superclass relation.
-    if !class.is_interface() {
-        if let Some(sup) = &class.superclass {
-            if sup != OBJECT && !reg.kept(&Item::SuperClass(name.clone(), sup.clone()), keep) {
-                reduced.superclass = Some(OBJECT.to_owned());
-            }
-        }
-    }
-    // Interface relations.
-    reduced.interfaces.retain(|iface| {
-        let item = if class.is_interface() {
-            Item::InterfaceExtends(name.clone(), iface.clone())
-        } else {
-            Item::Implements(name.clone(), iface.clone())
-        };
-        reg.kept(&item, keep)
-    });
-    // Fields.
-    reduced
-        .fields
-        .retain(|f| reg.kept(&Item::Field(name.clone(), f.name.clone()), keep));
-    // Methods.
-    let mut methods = Vec::new();
-    for m in &class.methods {
-        let desc = m.desc.descriptor();
-        if m.is_init() {
-            if !reg.kept(&Item::Constructor(name.clone(), desc.clone()), keep) {
-                continue;
-            }
-            let mut kept_method = m.clone();
-            if !reg.kept(&Item::ConstructorCode(name.clone(), desc), keep) {
-                kept_method.code = Some(Code::trivial(locals_for(m)));
-            }
-            methods.push(kept_method);
-        } else if m.code.is_some() {
-            if !reg.kept(
-                &Item::Method(name.clone(), m.name.clone(), desc.clone()),
-                keep,
-            ) {
-                continue;
-            }
-            let mut kept_method = m.clone();
-            if !reg.kept(&Item::MethodCode(name.clone(), m.name.clone(), desc), keep) {
-                kept_method.code = Some(Code::trivial(locals_for(m)));
-            }
-            methods.push(kept_method);
-        } else {
-            if !reg.kept(&Item::Signature(name.clone(), m.name.clone(), desc), keep) {
-                continue;
-            }
-            methods.push(m.clone());
-        }
-    }
-    reduced.methods = methods;
-    reduced
+/// One class's reduction with every item resolved to its variable. A
+/// `None` variable is an unregistered item, which is always kept.
+struct ClassPlan<'p> {
+    name: Arc<str>,
+    class: &'p ClassFile,
+    var: Option<Var>,
+    /// The superclass relation, absent for interfaces and `Object`.
+    superclass: Option<Var>,
+    interfaces: Vec<Option<Var>>,
+    fields: Vec<Option<Var>>,
+    /// Per method: the declaration, then the body (`None` for abstract
+    /// methods, whose signature is the only item).
+    methods: Vec<(Option<Var>, Option<Var>)>,
+    /// The variables the plan reads lie in this range: the memo key.
+    span: Range<usize>,
 }
 
-fn locals_for(m: &crate::MethodInfo) -> u16 {
+impl<'p> ClassPlan<'p> {
+    fn all(program: &'p Program, reg: &ItemRegistry) -> Vec<Self> {
+        program
+            .shared_classes()
+            .map(|(name, class)| Self::new(name, class, reg))
+            .collect()
+    }
+
+    fn new(name: &Arc<str>, class: &'p ClassFile, reg: &ItemRegistry) -> Self {
+        let owner = &class.name;
+        let interface = class.is_interface();
+        let var = reg.var(&if interface {
+            Item::Interface(owner.clone())
+        } else {
+            Item::Class(owner.clone())
+        });
+        let superclass = match &class.superclass {
+            Some(sup) if !interface && sup != OBJECT => {
+                reg.var(&Item::SuperClass(owner.clone(), sup.clone()))
+            }
+            _ => None,
+        };
+        let interfaces = class
+            .interfaces
+            .iter()
+            .map(|iface| {
+                reg.var(&if interface {
+                    Item::InterfaceExtends(owner.clone(), iface.clone())
+                } else {
+                    Item::Implements(owner.clone(), iface.clone())
+                })
+            })
+            .collect();
+        let fields = class
+            .fields
+            .iter()
+            .map(|f| reg.var(&Item::Field(owner.clone(), f.name.clone())))
+            .collect();
+        let methods: Vec<_> = class
+            .methods
+            .iter()
+            .map(|m| {
+                let desc = m.desc.descriptor();
+                if m.is_init() {
+                    (
+                        reg.var(&Item::Constructor(owner.clone(), desc.clone())),
+                        reg.var(&Item::ConstructorCode(owner.clone(), desc)),
+                    )
+                } else if m.code.is_some() {
+                    (
+                        reg.var(&Item::Method(owner.clone(), m.name.clone(), desc.clone())),
+                        reg.var(&Item::MethodCode(owner.clone(), m.name.clone(), desc)),
+                    )
+                } else {
+                    let sig = Item::Signature(owner.clone(), m.name.clone(), desc);
+                    (reg.var(&sig), None)
+                }
+            })
+            .collect();
+        let mut plan = ClassPlan {
+            name: Arc::clone(name),
+            class,
+            var,
+            superclass,
+            interfaces,
+            fields,
+            methods,
+            span: 0..0,
+        };
+        let lo = plan.read_vars().map(Var::index).min();
+        let hi = plan.read_vars().map(Var::index).max();
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            plan.span = lo..hi + 1;
+        }
+        plan
+    }
+
+    fn read_vars(&self) -> impl Iterator<Item = Var> + '_ {
+        let methods = self.methods.iter().flat_map(|&(decl, body)| [decl, body]);
+        [self.var, self.superclass]
+            .into_iter()
+            .chain(self.interfaces.iter().copied())
+            .chain(self.fields.iter().copied())
+            .chain(methods)
+            .flatten()
+    }
+
+    /// Whether the class itself survives `keep`.
+    fn kept(&self, keep: &VarSet) -> bool {
+        kept(self.var, keep)
+    }
+
+    /// The keep-set's bits over [`ClassPlan::span`], packed into `key`.
+    fn key(&self, keep: &VarSet, key: &mut Vec<u64>) {
+        key.clear();
+        key.resize(self.span.len().div_ceil(64), 0);
+        for (bit, i) in self.span.clone().enumerate() {
+            if keep.contains(Var::new(i as u32)) {
+                key[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+    }
+
+    /// The class with the items outside `keep` removed.
+    fn reduce(&self, keep: &VarSet) -> ClassFile {
+        let class = self.class;
+        let superclass = if kept(self.superclass, keep) {
+            class.superclass.clone()
+        } else {
+            Some(OBJECT.to_owned())
+        };
+        let interfaces = class
+            .interfaces
+            .iter()
+            .zip(&self.interfaces)
+            .filter(|&(_, &v)| kept(v, keep))
+            .map(|(iface, _)| iface.clone())
+            .collect();
+        let fields = class
+            .fields
+            .iter()
+            .zip(&self.fields)
+            .filter(|&(_, &v)| kept(v, keep))
+            .map(|(f, _)| f.clone())
+            .collect();
+        let methods = class
+            .methods
+            .iter()
+            .zip(&self.methods)
+            .filter(|&(_, &(decl, _))| kept(decl, keep))
+            .map(|(m, &(_, body))| {
+                if kept(body, keep) {
+                    m.clone()
+                } else {
+                    MethodInfo {
+                        flags: m.flags,
+                        name: m.name.clone(),
+                        desc: m.desc.clone(),
+                        code: Some(Code::trivial(locals_for(m))),
+                    }
+                }
+            })
+            .collect();
+        ClassFile {
+            name: class.name.clone(),
+            flags: class.flags,
+            superclass,
+            interfaces,
+            fields,
+            methods,
+        }
+    }
+}
+
+fn kept(var: Option<Var>, keep: &VarSet) -> bool {
+    var.is_none_or(|v| keep.contains(v))
+}
+
+fn locals_for(m: &MethodInfo) -> u16 {
     let this = u16::from(!m.flags.is_static());
     this + m.desc.params.len() as u16
+}
+
+/// A reduced class and its exact [`class_byte_size`].
+type Reduced = (Arc<ClassFile>, usize);
+
+/// The memoizing keep-set → program map of one reduction.
+///
+/// Safe to call from concurrent probe threads: each class's memo is its
+/// own lock, and a class is built outside it (two threads racing on one
+/// new shape both build it; the first insert wins, so every program
+/// shares one copy).
+pub(crate) struct Materializer<'p> {
+    plans: Vec<ClassPlan<'p>>,
+    memo: Vec<Mutex<HashMap<Box<[u64]>, Reduced>>>,
+}
+
+impl<'p> Materializer<'p> {
+    pub(crate) fn new(program: &'p Program, reg: &ItemRegistry) -> Self {
+        let plans = ClassPlan::all(program, reg);
+        let memo = plans.iter().map(|_| Mutex::default()).collect();
+        Materializer { plans, memo }
+    }
+
+    /// `reduce_program(program, reg, keep)`, with its byte size cached.
+    pub(crate) fn materialize(&self, keep: &VarSet) -> Program {
+        let mut key = Vec::new();
+        let mut total = 0;
+        let mut classes = Vec::new();
+        for (plan, memo) in self.plans.iter().zip(&self.memo) {
+            if !plan.kept(keep) {
+                continue;
+            }
+            plan.key(keep, &mut key);
+            let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+            let hit = lock().get(&key[..]).cloned();
+            let (class, size) = hit.unwrap_or_else(|| {
+                let class = plan.reduce(keep);
+                let size = class_byte_size(&class);
+                lock()
+                    .entry(key.as_slice().into())
+                    .or_insert((Arc::new(class), size))
+                    .clone()
+            });
+            total += size;
+            classes.push((Arc::clone(&plan.name), class));
+        }
+        Program::from_shared(classes, total)
+    }
 }
 
 #[cfg(test)]
