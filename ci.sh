@@ -46,7 +46,7 @@ echo "== strategy registry smoke (--list-strategies enumerates the zoo) =="
 # The CLI's strategy table is generated from the registry, not a hardcoded
 # list: the baseline zoo and the trace-guided mode must show up with their
 # capability flags, and trace-guided must not claim the engine capability
-# (it runs the scan-based MSA only).
+# (its progression engine is fixed to DPLL).
 strategies=$(./target/release/reduce --list-strategies)
 for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "transform" "logical/trace-guided"; do
     echo "$strategies" | grep -q "^$s " || {

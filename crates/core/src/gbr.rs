@@ -302,7 +302,7 @@ fn gbr_loop<D: ProbeDriver>(
     control: &mut GbrControl<'_>,
 ) -> Result<GbrOutcome, GbrError> {
     let universe = instance.vars.universe();
-    let mut propagator = Propagator::new(config, instance, universe)?;
+    let mut builder = ProgressionBuilder::new(&instance.cnf, universe, config);
     // Resuming replays nothing: the progression below is rebuilt from the
     // checkpoint's (learned, search_space), which determines it uniquely.
     let (mut learned, mut search_space, start_iteration) = match control.resume.take() {
@@ -315,13 +315,7 @@ fn gbr_loop<D: ProbeDriver>(
         }
         None => (Vec::new(), instance.vars.clone(), 0),
     };
-    let mut progression = propagator.progression(
-        instance,
-        order,
-        config.msa_strategy,
-        &learned,
-        &search_space,
-    )?;
+    let mut progression = builder.progression(order, &learned, &search_space)?;
     let mut progression_lengths = vec![progression.len()];
     let max_iterations = config
         .max_iterations
@@ -423,13 +417,7 @@ fn gbr_loop<D: ProbeDriver>(
         let r = hi;
         learned.push(progression[r].clone());
         search_space = prefix_unions[r].clone();
-        progression = propagator.progression(
-            instance,
-            order,
-            config.msa_strategy,
-            &learned,
-            &search_space,
-        )?;
+        progression = builder.progression(order, &learned, &search_space)?;
         progression_lengths.push(progression.len());
         // Checkpoint only after the rebuild succeeds, so every snapshot is
         // a state a resumed run can actually continue from.
@@ -947,9 +935,53 @@ fn speculation_frontier(lo: usize, hi: usize, width: usize) -> Vec<usize> {
     out
 }
 
-/// The progression-building state for one reduction run: either a
-/// persistent incremental engine, or the stateless legacy rebuild.
-enum Propagator {
+/// The progression builder for one reduction run: computes
+/// `PROGRESSION_{R_I,<}(L, J)` for a sequence of `(L, J)` pairs over one
+/// model `R_I`, the way GBR's main loop demands them.
+///
+/// With [`PropagationMode::Incremental`] the builder keeps one persistent
+/// watched-literal [`Engine`] (and, for [`EngineChoice::Cdcl`], a CDCL
+/// backend) for its whole life: learned sets become permanent level-0
+/// clauses, `J` and each progression prefix are assumption levels, and
+/// no formula is ever cloned. With [`PropagationMode::LegacyScan`] every
+/// call is the stateless [`build_progression`], the differential
+/// reference. Both produce identical progressions (and identical errors).
+///
+/// # Contract
+///
+/// Each call's `learned` must extend the previous call's: the sets
+/// already passed stay in place, in order, and new ones are only
+/// appended — exactly how GBR learns. The engine installs each learned
+/// set once and never retracts it. Debug builds assert the contract.
+///
+/// # Examples
+///
+/// ```
+/// use lbr_core::{build_progression, GbrConfig, ProgressionBuilder};
+/// use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarOrder, VarSet};
+///
+/// // Model: 0 ⇒ 1 ⇒ 2.
+/// let mut cnf = Cnf::new(3);
+/// cnf.add_clause(Clause::edge(Var::new(0), Var::new(1)));
+/// cnf.add_clause(Clause::edge(Var::new(1), Var::new(2)));
+/// let order = VarOrder::natural(3);
+/// let mut builder = ProgressionBuilder::new(&cnf, 3, &GbrConfig::default());
+/// let all = VarSet::full(3);
+/// let learned = vec![VarSet::from_iter_with_universe(3, [Var::new(1)])];
+/// let prog = builder.progression(&order, &learned, &all).unwrap();
+/// let scan = build_progression(&cnf, &order, MsaStrategy::GreedyClosure, &learned, &all);
+/// assert_eq!(Ok(prog), scan);
+/// ```
+pub struct ProgressionBuilder<'c> {
+    cnf: &'c Cnf,
+    strategy: MsaStrategy,
+    state: BuilderState,
+    /// The learned sets passed so far, to assert the contract.
+    #[cfg(debug_assertions)]
+    seen: Vec<VarSet>,
+}
+
+enum BuilderState {
     Incremental {
         engine: Engine,
         /// The persistent CDCL complete-search backend, when
@@ -961,58 +993,76 @@ enum Propagator {
         /// level-0 clauses (learned sets only ever grow, in order).
         learned_added: usize,
     },
-    Legacy,
+    Scan,
 }
 
-impl Propagator {
-    fn new(config: &GbrConfig, instance: &Instance, universe: usize) -> Result<Self, GbrError> {
-        match config.propagation {
-            PropagationMode::Incremental => {
-                let engine = Engine::new(&instance.cnf, universe);
-                if !engine.is_ok() {
-                    // Refuted by unit propagation alone; the legacy path
-                    // reports the same through its first failed MSA.
-                    return Err(GbrError::ModelUnsatisfiable);
-                }
-                let cdcl = match config.engine {
+impl<'c> ProgressionBuilder<'c> {
+    /// A builder over `cnf` for search spaces over `universe` variables,
+    /// using `config`'s MSA strategy, propagation mode and engine.
+    pub fn new(cnf: &'c Cnf, universe: usize, config: &GbrConfig) -> Self {
+        let state = match config.propagation {
+            PropagationMode::Incremental => BuilderState::Incremental {
+                engine: Engine::new(cnf, universe),
+                cdcl: match config.engine {
                     EngineChoice::Dpll => None,
-                    EngineChoice::Cdcl => Some(Box::new(CdclEngine::new(&instance.cnf, universe))),
-                };
-                Ok(Propagator::Incremental {
-                    engine,
-                    cdcl,
-                    learned_added: 0,
-                })
-            }
-            PropagationMode::LegacyScan => Ok(Propagator::Legacy),
+                    EngineChoice::Cdcl => Some(Box::new(CdclEngine::new(cnf, universe))),
+                },
+                learned_added: 0,
+            },
+            PropagationMode::LegacyScan => BuilderState::Scan,
+        };
+        ProgressionBuilder {
+            cnf,
+            strategy: config.msa_strategy,
+            state,
+            #[cfg(debug_assertions)]
+            seen: Vec::new(),
         }
     }
 
-    fn progression(
+    /// `PROGRESSION_{R_I,<}(L, J)` with `L = learned` and `J =
+    /// search_space`; see [`build_progression`] for what it returns.
+    ///
+    /// # Errors
+    ///
+    /// [`GbrError::ModelUnsatisfiable`] when `R_I` restricted to `J` with
+    /// one clause per learned set has no model — e.g. a learned set
+    /// disjoint from `J`.
+    pub fn progression(
         &mut self,
-        instance: &Instance,
         order: &VarOrder,
-        strategy: MsaStrategy,
         learned: &[VarSet],
         search_space: &VarSet,
     ) -> Result<Vec<VarSet>, GbrError> {
-        match self {
-            Propagator::Incremental {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                learned.starts_with(&self.seen),
+                "ProgressionBuilder: each call's learned sets must extend the previous call's"
+            );
+            self.seen.extend_from_slice(&learned[self.seen.len()..]);
+        }
+        match &mut self.state {
+            BuilderState::Scan => {
+                build_progression(self.cnf, order, self.strategy, learned, search_space)
+            }
+            BuilderState::Incremental {
                 engine,
                 cdcl,
                 learned_added,
-            } => build_progression_incremental(
-                engine,
-                cdcl,
-                learned_added,
-                &instance.cnf,
-                order,
-                strategy,
-                learned,
-                search_space,
-            ),
-            Propagator::Legacy => {
-                build_progression(&instance.cnf, order, strategy, learned, search_space)
+            } => {
+                let progression = incremental_progression(
+                    engine,
+                    cdcl,
+                    learned_added,
+                    order,
+                    self.strategy,
+                    learned,
+                    search_space,
+                )?;
+                #[cfg(debug_assertions)]
+                check_progression_invariants(self.cnf, learned, search_space, &progression);
+                Ok(progression)
             }
         }
     }
@@ -1030,19 +1080,21 @@ impl Propagator {
 /// Unit propagation is confluent, so every step sees exactly the state the
 /// legacy rebuild would recompute, and the produced progressions are
 /// identical — differentially tested in `tests/gbr_differential.rs`.
-#[allow(clippy::too_many_arguments)]
-fn build_progression_incremental(
+fn incremental_progression(
     engine: &mut Engine,
     cdcl: &mut Option<Box<CdclEngine>>,
     learned_added: &mut usize,
-    cnf: &Cnf,
     order: &VarOrder,
     strategy: MsaStrategy,
     learned: &[VarSet],
     search_space: &VarSet,
 ) -> Result<Vec<VarSet>, GbrError> {
-    let _ = cnf; // only consumed by the debug-mode invariant check below
     engine.backtrack(0);
+    if !engine.is_ok() {
+        // Refuted by unit propagation alone; the legacy path reports the
+        // same through its first failed MSA.
+        return Err(GbrError::ModelUnsatisfiable);
+    }
     // Learned sets are positive clauses over their full member list; under
     // the restriction level below, members outside `J` are false, so the
     // engine clause behaves exactly like the legacy `l ∩ J` clause (and a
@@ -1117,8 +1169,6 @@ fn build_progression_incremental(
     }
     engine.backtrack(0);
     debug_assert_eq!(covered, *search_space, "progression must cover J");
-    #[cfg(debug_assertions)]
-    check_progression_invariants(cnf, learned, search_space, &progression);
     Ok(progression)
 }
 
@@ -1131,9 +1181,10 @@ fn build_progression_incremental(
 /// Entry 0 is `MSA_<(R⁺)`; entry `k+1` is built by picking the `<`-least
 /// uncovered variable `x` and computing `MSA_<(R⁺ ∧ x | D^∪_k = 1)`.
 /// Rebuilds restricted formulas at every step with the scan-based
-/// [`msa_scan`]; [`PropagationMode::Incremental`] (the default inside
-/// [`generalized_binary_reduction`]) produces identical progressions
-/// without the clones.
+/// [`msa_scan`]. This is the stateless reference implementation: the
+/// reducers build their progressions with a [`ProgressionBuilder`], whose
+/// default incremental engine produces identical progressions without the
+/// clones.
 pub fn build_progression(
     cnf: &Cnf,
     order: &VarOrder,
@@ -1280,6 +1331,20 @@ mod tests {
         // D0 must contain v4 (and therefore v5 by the chain).
         assert!(prog[0].contains(v(4)));
         assert!(prog[0].contains(v(5)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must extend the previous call's")]
+    fn progression_builder_asserts_that_learned_sets_only_grow() {
+        let inst = chain_instance(6);
+        let order = VarOrder::natural(6);
+        let mut builder = ProgressionBuilder::new(&inst.cnf, 6, &GbrConfig::default());
+        let learned = vec![VarSet::from_iter_with_universe(6, [v(4)])];
+        builder
+            .progression(&order, &learned, &inst.vars)
+            .expect("progression");
+        let _ = builder.progression(&order, &[], &inst.vars);
     }
 
     #[test]

@@ -77,7 +77,8 @@ pub use gbr::{
     generalized_binary_reduction_portfolio, generalized_binary_reduction_portfolio_controlled,
     generalized_binary_reduction_speculative, generalized_binary_reduction_speculative_controlled,
     generalized_binary_reduction_with_source, EngineChoice, GbrCheckpoint, GbrConfig, GbrControl,
-    GbrError, GbrOutcome, PortfolioRun, PropagationMode, SpeculationConfig, SpeculativeRun,
+    GbrError, GbrOutcome, PortfolioRun, ProgressionBuilder, PropagationMode, SpeculationConfig,
+    SpeculativeRun,
 };
 pub use graph::{Closure, DepGraph};
 pub use hitting::{reduction_is_faithful, HittingSet};

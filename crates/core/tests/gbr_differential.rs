@@ -3,11 +3,13 @@
 //! to the scan-based baseline (`PropagationMode::LegacyScan`) — same
 //! solution, same iteration count, same learned sets, same progression
 //! lengths, and exactly the same number of predicate calls. The speedup
-//! must be free.
+//! must be free. Below the whole-run level, every [`ProgressionBuilder`]
+//! call must return exactly what the stateless `build_progression`
+//! returns for the same `(L, J)`.
 
 use lbr_core::{
-    build_progression, closure_size_order, generalized_binary_reduction, GbrConfig, Instance,
-    Oracle, PropagationMode,
+    build_progression, closure_size_order, generalized_binary_reduction, history_order,
+    EngineChoice, GbrConfig, GbrError, Instance, Oracle, ProgressionBuilder, PropagationMode,
 };
 use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarOrder, VarSet};
 use lbr_prng::SplitMix64;
@@ -149,4 +151,99 @@ fn legacy_build_progression_still_matches_paper_shape() {
         assert!(inst.cnf.eval(&acc));
     }
     assert_eq!(acc, inst.vars);
+}
+
+/// The prefix union of `progression` up to and including entry `r`.
+fn prefix_union(progression: &[VarSet], r: usize, universe: usize) -> VarSet {
+    let mut acc = VarSet::empty(universe);
+    for d in &progression[..=r] {
+        acc.union_with(d);
+    }
+    acc
+}
+
+/// A random permutation order over `n` variables.
+fn random_order(rng: &mut SplitMix64, n: usize) -> VarOrder {
+    let mut perm: Vec<Var> = (0..n as u32).map(Var::new).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..=i));
+    }
+    VarOrder::from_permutation(perm)
+}
+
+#[test]
+fn progression_builder_matches_build_progression() {
+    // A GBR-shaped walk per draw: the search space starts as a valid
+    // strict subset of the variables (a prefix union of some other
+    // progression, as trace-guided GBR seeds it), and each step learns a
+    // random progression entry and shrinks `J` to its prefix union. At
+    // every step the builder — one instance for the whole walk, fed a
+    // growing learned list — must agree with the stateless scan exactly.
+    let mut steps = 0;
+    let mut seeded = 0;
+    let mut disjoint = 0;
+    for seed in 0..30u64 {
+        let mut rng = SplitMix64::seed_from_u64(9100 + seed);
+        let n = rng.gen_range(8..40usize);
+        let cnf = random_model(&mut rng, n);
+        let full = VarSet::full(n);
+        if !cnf.eval(&full) {
+            continue;
+        }
+        let weights: Vec<u64> = (0..n).map(|_| rng.gen_range(1..50u64)).collect();
+        let order = history_order(&cnf, &weights);
+        // The seed: a random prefix union of a progression under an
+        // unrelated order, so it is valid but shaped differently from
+        // what `order` itself would produce.
+        let other = random_order(&mut rng, n);
+        let seed_space =
+            match build_progression(&cnf, &other, MsaStrategy::GreedyClosure, &[], &full) {
+                Ok(p) if p.len() > 1 => {
+                    seeded += 1;
+                    let r = rng.gen_range(0..p.len() - 1);
+                    prefix_union(&p, r, n)
+                }
+                _ => full.clone(),
+            };
+        for strategy in MsaStrategy::ALL {
+            for engine in [EngineChoice::Dpll, EngineChoice::Cdcl] {
+                let config = GbrConfig {
+                    msa_strategy: strategy,
+                    engine,
+                    ..GbrConfig::default()
+                };
+                let mut builder = ProgressionBuilder::new(&cnf, n, &config);
+                let mut learned: Vec<VarSet> = Vec::new();
+                let mut search_space = seed_space.clone();
+                let tag = format!("seed {seed} {strategy:?} {engine:?}");
+                loop {
+                    let got = builder.progression(&order, &learned, &search_space);
+                    let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
+                    assert_eq!(got, want, "{tag}: step {}", learned.len());
+                    steps += 1;
+                    let Ok(progression) = got else { break };
+                    if progression.len() < 2 {
+                        break;
+                    }
+                    let r = rng.gen_range(1..progression.len());
+                    learned.push(progression[r].clone());
+                    search_space = prefix_union(&progression, r, n);
+                }
+                // A learned set disjoint from `J` leaves `R⁺` without a
+                // model: both paths must refuse it the same way.
+                let outside = full.difference(&search_space);
+                if !outside.is_empty() {
+                    learned.push(outside);
+                    let got = builder.progression(&order, &learned, &search_space);
+                    let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
+                    assert_eq!(got, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
+                    assert_eq!(want, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
+                    disjoint += 1;
+                }
+            }
+        }
+    }
+    assert!(steps >= 1000, "too few progression steps compared: {steps}");
+    assert!(seeded >= 15, "too few seeded search spaces: {seeded}");
+    assert!(disjoint >= 90, "too few disjoint learned sets: {disjoint}");
 }

@@ -285,7 +285,15 @@ impl Harness {
             ),
         ];
         for (tag, options) in identical {
-            self.identical_to(input, oracle, &reference, tag, &options, &mut out);
+            self.identical_to(
+                input,
+                oracle,
+                &reference,
+                "logical/greedy",
+                tag,
+                &options,
+                &mut out,
+            );
         }
 
         // P10 (I8): the CDCL engine — bit-identical session replay plus
@@ -307,7 +315,9 @@ impl Harness {
         // P13–P15: the baseline zoo from the strategy registry — HDD over
         // the containment tree, transformation passes before GBR, and the
         // trace-guided GBR mode. Each is its own search (no bit-identity
-        // with the reference), checked for soundness (I1–I3).
+        // with the reference), checked for soundness (I1–I3). Trace-guided
+        // also replays under the legacy options, whose scan-based
+        // progressions its Phase B must match exactly (I4).
         for (tag, name) in [
             ("hdd", "hdd"),
             ("transform", "transform"),
@@ -317,6 +327,17 @@ impl Harness {
                 Ok(report) => {
                     out.progressions += 1;
                     soundness(&format!("I1-I3 {tag}"), &report, &mut out.violations);
+                    if tag == "trace-guided" {
+                        self.identical_to(
+                            input,
+                            oracle,
+                            &report,
+                            name,
+                            "trace-guided-legacy-scan",
+                            &RunOptions::legacy(),
+                            &mut out,
+                        );
+                    }
                 }
                 Err(e) => out.violations.push(format!("{tag} run failed: {e}")),
             }
@@ -387,13 +408,15 @@ impl Harness {
         out
     }
 
-    /// Re-runs the reference strategy under different `options` and
-    /// asserts bit-identity (I4).
+    /// Re-runs `strategy` under different `options` and asserts
+    /// bit-identity (I4) with `reference`, its run under the defaults.
+    #[allow(clippy::too_many_arguments)]
     fn identical_to<I, O>(
         &self,
         input: &I,
         oracle: &O,
         reference: &ReductionReport<I>,
+        strategy: &str,
         tag: &str,
         options: &RunOptions,
         out: &mut CaseOutcome,
@@ -401,7 +424,11 @@ impl Harness {
         I: Input,
         O: InputOracle<I>,
     {
-        match session(input, oracle).options(*options).run() {
+        match session(input, oracle)
+            .strategy(strategy)
+            .options(*options)
+            .run()
+        {
             Ok(report) => {
                 out.progressions += 1;
                 diff_reports("I4", tag, reference, &report, &mut out.violations);

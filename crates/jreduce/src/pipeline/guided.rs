@@ -22,10 +22,10 @@
 use crate::pipeline::probe::{wrap_oracle, CandidateProbe};
 use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
-    build_progression, closure_size_order, ddmin, generalized_binary_reduction_controlled,
-    history_order, ConcurrentPredicate, DepGraph, GbrCheckpoint, GbrConfig, GbrControl, GbrError,
-    Input, InputOracle, Instance, LatencyLayer, OracleStack, Predicate, ProbeStats, ReductionTrace,
-    StrategyOutput, TestOutcome, TraceLayer,
+    closure_size_order, ddmin, generalized_binary_reduction_controlled, history_order,
+    ConcurrentPredicate, DepGraph, EngineChoice, GbrCheckpoint, GbrConfig, GbrControl, GbrError,
+    Input, InputOracle, Instance, LatencyLayer, OracleStack, Predicate, ProbeStats,
+    ProgressionBuilder, ReductionTrace, StrategyOutput, TestOutcome, TraceLayer,
 };
 use lbr_logic::{ClauseShape, Cnf, MsaStrategy, Var, VarSet};
 use std::cell::Cell;
@@ -378,6 +378,20 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
         _ => VarSet::full(n),
     };
     let order_b = history_order(cnf, coverage.frequencies());
+    // One builder for the whole phase: the learned sets only grow, so the
+    // incremental engine installs each once and every progression is
+    // assumption levels over the same clause set. The engine stays DPLL;
+    // `RunOptions::legacy()` selects the scan-based reference.
+    let mut builder = ProgressionBuilder::new(
+        cnf,
+        n,
+        &GbrConfig {
+            msa_strategy: MsaStrategy::GreedyClosure,
+            propagation: options.propagation,
+            engine: EngineChoice::Dpll,
+            ..GbrConfig::default()
+        },
+    );
     let last_bytes_b = Cell::new(0u64);
     let mut predicate_b = |k: &VarSet| {
         let probe = stack.probe(k);
@@ -398,13 +412,7 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
             return Err(GbrError::Cancelled.into());
         }
         iteration += 1;
-        let progression = build_progression(
-            cnf,
-            &order_b,
-            MsaStrategy::GreedyClosure,
-            &learned,
-            &search_space,
-        )?;
+        let progression = builder.progression(&order_b, &learned, &search_space)?;
         let mut prefix_unions: Vec<VarSet> = Vec::with_capacity(progression.len());
         let mut acc = VarSet::empty(n);
         for d in &progression {

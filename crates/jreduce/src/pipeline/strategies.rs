@@ -274,8 +274,10 @@ impl<I: Input> ReductionStrategy<I> for TransformStrategy {
 /// The trace-guided GBR mode: a coverage sweep of deletion probes seeds
 /// GBR's search space with the covered set, orders its progression by
 /// trace frequency, and guides each iteration's boundary search with the
-/// previously recorded boundary gap. Runs the scan-based MSA only, so it
-/// does not honor the engine choice.
+/// previously recorded boundary gap. Its progressions come from the same
+/// [`ProgressionBuilder`](lbr_core::ProgressionBuilder) as plain GBR's and
+/// honor the propagation mode, but the engine is fixed to DPLL, so it
+/// does not claim the engine capability.
 pub(crate) struct TraceGuidedStrategy;
 
 impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {

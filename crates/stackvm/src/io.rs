@@ -190,20 +190,30 @@ impl<'b> Cursor<'b> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array; truncation is a [`ReadError`],
+    /// never a panic.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        let Some(&array) = self.bytes[self.pos..].first_chunk::<N>() else {
+            return Err(self.err(format!("truncated: wanted {N} bytes")));
+        };
+        self.pos += N;
+        Ok(array)
+    }
+
     fn u8(&mut self) -> Result<u8, ReadError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_be_bytes(self.take_array()?))
     }
 
     fn u16(&mut self) -> Result<u16, ReadError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_be_bytes(self.take_array()?))
     }
 
     fn u32(&mut self) -> Result<u32, ReadError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.take_array()?))
     }
 
     fn i64(&mut self) -> Result<i64, ReadError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_be_bytes(self.take_array()?))
     }
 
     fn str(&mut self) -> Result<String, ReadError> {
@@ -409,10 +419,41 @@ mod tests {
     }
 
     #[test]
+    fn truncated_operands_are_read_errors() {
+        // One function whose body is a single operand-carrying op, cut
+        // inside its operand: every cut is a `ReadError` at the operand.
+        for (op, operand_len) in [
+            (Op::PushInt(-5), 8),
+            (Op::LocalGet(3), 4),
+            (Op::Jump(1), 4),
+            (Op::Call("f".into()), 3),
+        ] {
+            let mut f = Function::new("f", vec![], None);
+            f.body = vec![op.clone()];
+            let m: Module = [f].into_iter().collect();
+            let bytes = write_module(&m);
+            let operand_at = bytes.len() - operand_len;
+            for cut in operand_at..bytes.len() {
+                let err = read_module(&bytes[..cut]).expect_err("truncated operand");
+                assert!(
+                    err.detail.starts_with("truncated"),
+                    "{op:?} cut at {cut}: {err}"
+                );
+                assert!(
+                    err.offset >= operand_at && err.offset <= cut,
+                    "{op:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn rejects_bad_magic_and_truncation() {
         let m = sample();
         let mut bytes = write_module(&m);
-        assert!(read_module(&bytes[..bytes.len() - 1]).is_err());
+        for cut in 0..bytes.len() {
+            assert!(read_module(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
         bytes[0] = b'X';
         assert!(read_module(&bytes).is_err());
     }
