@@ -45,49 +45,15 @@ grep -q '"format": "stackvm"' "$smoke_dir/seq.json"
 echo "== strategy registry smoke (--list-strategies enumerates the zoo) =="
 # The CLI's strategy table is generated from the registry, not a hardcoded
 # list: the baseline zoo and the trace-guided mode must show up with their
-# capability flags, and trace-guided must not claim the engine capability
-# (its progression engine is fixed to DPLL).
+# capability flags.
 strategies=$(./target/release/reduce --list-strategies)
-for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "transform" "logical/trace-guided"; do
+for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "logical/trace-guided"; do
     echo "$strategies" | grep -q "^$s " || {
         echo "--list-strategies is missing $s" >&2
         exit 1
     }
 done
-echo "$strategies" | grep "^logical/trace-guided " | grep -qv "engine"
 echo "$strategies" | grep "^logical/trace-guided " | grep -q "model"
-
-echo "== CDCL/DPLL differential smoke (bit-identical engines) =="
-# --engine is a pure solver swap: the CDCL run must produce byte-identical
-# output and the same probe-trace digest as the DPLL reference.
-./target/release/gen --seed 9 --decompiler a --out "$smoke_dir/engine.lbrc" 2>/dev/null
-./target/release/reduce --input "$smoke_dir/engine.lbrc" --decompiler a \
-    --engine dpll --out "$smoke_dir/engine-dpll.lbrc" \
-    --json "$smoke_dir/engine-dpll.json" >/dev/null 2>&1
-./target/release/reduce --input "$smoke_dir/engine.lbrc" --decompiler a \
-    --engine cdcl --out "$smoke_dir/engine-cdcl.lbrc" \
-    --json "$smoke_dir/engine-cdcl.json" >/dev/null 2>&1
-cmp "$smoke_dir/engine-dpll.lbrc" "$smoke_dir/engine-cdcl.lbrc"
-dpll_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/engine-dpll.json")
-cdcl_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/engine-cdcl.json")
-[ -n "$dpll_digest" ] && [ "$dpll_digest" = "$cdcl_digest" ]
-
-echo "== cross-format differential smoke (stackvm frontend, same pipeline) =="
-# The stackvm frontend rides the same Input-generic pipeline: both engines
-# must agree bit for bit on a stackvm module, exactly as they do on the
-# classfile container above.
-./target/release/gen --format stackvm --seed 9 --decompiler a \
-    --out "$smoke_dir/svm.lbrs" 2>/dev/null
-./target/release/reduce --format stackvm --input "$smoke_dir/svm.lbrs" \
-    --decompiler a --engine dpll --out "$smoke_dir/svm-dpll.lbrs" \
-    --json "$smoke_dir/svm-dpll.json" >/dev/null 2>&1
-./target/release/reduce --format stackvm --input "$smoke_dir/svm.lbrs" \
-    --decompiler a --engine cdcl --out "$smoke_dir/svm-cdcl.lbrs" \
-    --json "$smoke_dir/svm-cdcl.json" >/dev/null 2>&1
-cmp "$smoke_dir/svm-dpll.lbrs" "$smoke_dir/svm-cdcl.lbrs"
-svm_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-dpll.json")
-svm_cdcl=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-cdcl.json")
-[ -n "$svm_digest" ] && [ "$svm_digest" = "$svm_cdcl" ]
 
 echo "== reduction daemon smoke (identical results, kill -9 resume) =="
 # A daemon job must be bit-identical to an in-process `reduce` run, and a
@@ -117,11 +83,19 @@ ref_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/ref.json")
 got_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/daemon-result.json")
 [ -n "$ref_digest" ] && [ "$ref_digest" = "$got_digest" ]
 # A stackvm job through the same daemon must match the in-process stackvm
-# reduction from the cross-format smoke above, bit for bit.
+# reduction, bit for bit: the second frontend rides the same Input-generic
+# pipeline.
+./target/release/gen --format stackvm --seed 9 --decompiler a \
+    --out "$smoke_dir/svm.lbrs" 2>/dev/null
+./target/release/reduce --format stackvm --input "$smoke_dir/svm.lbrs" \
+    --decompiler a --out "$smoke_dir/svm-ref.lbrs" \
+    --json "$smoke_dir/svm-ref.json" >/dev/null 2>&1
+svm_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-ref.json")
+[ -n "$svm_digest" ]
 ./target/release/reduce-client --state-dir "$svc" submit \
     --input "$smoke_dir/svm.lbrs" --format stackvm --decompiler a \
     --out "$smoke_dir/svm-daemon.lbrs" --wait >"$smoke_dir/svm-daemon.json"
-cmp "$smoke_dir/svm-dpll.lbrs" "$smoke_dir/svm-daemon.lbrs"
+cmp "$smoke_dir/svm-ref.lbrs" "$smoke_dir/svm-daemon.lbrs"
 svm_daemon=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-daemon.json")
 [ "$svm_digest" = "$svm_daemon" ]
 grep -q '"format":"stackvm"' "$smoke_dir/svm-daemon.json"
@@ -294,9 +268,8 @@ echo "== saturation smoke (fixed seed, queue-full must shed, not hang) =="
 ./target/release/loadgen --smoke --seed 1
 
 echo "== differential fuzzing gate (fixed seed, every progression) =="
-# A fixed-seed campaign across every progression — including the I8
-# CDCL-vs-DPLL agreement checks and the P13–P15 baseline-zoo runs (HDD,
-# transformation passes, trace-guided GBR) — must come back clean. The
+# A fixed-seed campaign across every progression — including the P13 and
+# P15 baseline-zoo runs (HDD, trace-guided GBR) — must come back clean. The
 # case stream mixes both frontends and samples the adversarial workload
 # shapes (constraint-dense, wide-flat, deep-chain, multi-error) one case
 # in four; the
@@ -330,11 +303,10 @@ fi
 # under the same conditions the gate later runs in (an idle-machine baseline
 # makes every sub-second row read 10-20% slow inside a full CI run).
 if [ "${BENCH_GATE:-0}" = "1" ] || [ "${BENCH_REBASELINE:-0}" = "1" ]; then
-    # The engine/order grid covers the headline strategies plus the CDCL
-    # and learned/portfolio rows; the compare experiment covers the full
-    # baseline zoo — jreduce, logical/greedy, ddmin-items, hdd, transform,
-    # logical/trace-guided. Both run over both frontends, and the baseline
-    # holds one aggregate entry per (strategy, format) pair, so each
+    # The compare experiment covers the full baseline zoo — jreduce,
+    # logical/greedy, ddmin-items, hdd, logical/trace-guided — over both
+    # frontends, and the baseline holds one aggregate entry per
+    # (strategy, format) pair, so each
     # strategy is gated at its own level rather than hiding behind a
     # suite-wide total. Predicate calls are deterministic, so any increase
     # on any row fails the gate outright. Wall numbers are taken
@@ -347,24 +319,18 @@ if [ "${BENCH_GATE:-0}" = "1" ] || [ "${BENCH_REBASELINE:-0}" = "1" ]; then
     # both attempts, and the predicate-call gate is deterministic either
     # way.
     measure_suites() {
-        ./target/release/eval --experiment ablate-engine --format both \
-            --programs 2 --scale 0.6 \
-            --threads 1 --repeats 9 --json "$smoke_dir/current.json" >/dev/null
         ./target/release/eval --experiment compare --format both \
             --programs 2 --scale 0.6 \
-            --threads 1 --repeats 9 --json "$smoke_dir/current-zoo.json" >/dev/null
+            --threads 1 --repeats 9 --json "$smoke_dir/current.json" >/dev/null
     }
     compare_suites() {
         echo "== bench gate (<=10% wall, 0% predicate-call regression vs BENCH_baseline.json) =="
-        ./target/release/bench_compare BENCH_baseline.json "$smoke_dir/current.json" &&
-            echo "== strategy-zoo gate (per-strategy, per-format, same thresholds) ==" &&
-            ./target/release/bench_compare BENCH_baseline.json "$smoke_dir/current-zoo.json"
+        ./target/release/bench_compare BENCH_baseline.json "$smoke_dir/current.json"
     }
     measure_suites
     if [ "${BENCH_REBASELINE:-0}" = "1" ]; then
         echo "== rebaseline (BENCH_baseline.json from this machine, under CI load) =="
-        ./target/release/bench_compare "$smoke_dir/current.json" \
-            "$smoke_dir/current-zoo.json" --merge-baseline BENCH_baseline.json
+        cp "$smoke_dir/current.json" BENCH_baseline.json
     else
         if ! compare_suites; then
             echo "-- wall gate tripped; re-measuring once (calls are deterministic, wall is not) --"

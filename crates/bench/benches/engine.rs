@@ -1,21 +1,17 @@
-//! Incremental propagation engine vs the scan baseline, and the CDCL
-//! solver vs DPLL.
+//! Incremental propagation engine vs the scan baseline.
 //!
-//! Four levels: raw MSA (engine-backed `msa` vs the preserved
-//! `msa_scan`), repeated assumption probes (one warm CDCL engine reusing
-//! learned clauses vs cold DPLL per probe), one full GBR reduction
-//! (`PropagationMode::Incremental` under DPLL vs CDCL vs `LegacyScan`),
-//! and the end-to-end pipeline (`RunOptions::default()` vs CDCL vs
-//! `RunOptions::legacy()`). The speedup ratios back the numbers quoted
-//! in `EXPERIMENTS.md`.
+//! Three levels: raw MSA (engine-backed `msa` vs the preserved
+//! `msa_scan`), one full GBR reduction (`PropagationMode::Incremental`
+//! vs `LegacyScan`), and the end-to-end pipeline (`RunOptions::default()`
+//! vs `RunOptions::legacy()`). The speedup ratios back the numbers
+//! quoted in `EXPERIMENTS.md`.
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
-    closure_size_order, generalized_binary_reduction, EngineChoice, GbrConfig, Instance, Oracle,
-    PropagationMode,
+    closure_size_order, generalized_binary_reduction, GbrConfig, Instance, Oracle, PropagationMode,
 };
 use lbr_jreduce::{build_model, run_reduction_with, RunOptions};
-use lbr_logic::{dpll, msa, msa_scan, CdclEngine, Lit, MsaStrategy, VarSet};
+use lbr_logic::{msa, msa_scan, MsaStrategy, VarSet};
 use lbr_workload::{generate, WorkloadConfig};
 
 fn main() {
@@ -46,67 +42,20 @@ fn main() {
         fmt_duration(engine)
     );
 
-    // Repeated assumption probes — the solver workload of a reduction
-    // run. DPLL restarts from scratch on every probe; one warm CDCL
-    // engine carries its learned clauses from probe to probe.
-    let probe_vars: Vec<Lit> = (0..model.cnf.num_vars())
-        .map(|i| Lit::pos(lbr_logic::Var::new(i as u32)))
-        .step_by(3)
-        .collect();
-    let dpll_probes = bench("solve/dpll-probes", || {
-        let mut models = 0usize;
-        for &l in &probe_vars {
-            if dpll::solve_with_assumptions(&model.cnf, &order, &[l]).is_some() {
-                models += 1;
-            }
-        }
-        models
-    });
-    let cdcl_probes = bench("solve/cdcl-probes", || {
-        let mut engine = CdclEngine::new(&model.cnf, model.cnf.num_vars());
-        let mut models = 0usize;
-        for &l in &probe_vars {
-            if engine.solve(&order, &[l]).is_some() {
-                models += 1;
-            }
-        }
-        models
-    });
-    println!(
-        "  -> probe speedup (cdcl vs dpll): {:.1}x ({} vs {})",
-        dpll_probes.as_secs_f64() / cdcl_probes.as_secs_f64().max(1e-12),
-        fmt_duration(dpll_probes),
-        fmt_duration(cdcl_probes)
-    );
-
     // One GBR search against a fixed (cheap) predicate: incremental
-    // propagation backed by DPLL, by CDCL, and the legacy scan baseline.
+    // propagation and the legacy scan baseline.
     let instance = Instance::new(VarSet::full(model.cnf.num_vars()), model.cnf.clone());
     let needed = instance.vars.iter().take(3).collect::<Vec<_>>();
     let mut gbr_times = Vec::new();
-    for (name, mode, engine_choice) in [
-        (
-            "incremental-dpll",
-            PropagationMode::Incremental,
-            EngineChoice::Dpll,
-        ),
-        (
-            "incremental-cdcl",
-            PropagationMode::Incremental,
-            EngineChoice::Cdcl,
-        ),
-        (
-            "legacy-scan",
-            PropagationMode::LegacyScan,
-            EngineChoice::Dpll,
-        ),
+    for (name, mode) in [
+        ("incremental", PropagationMode::Incremental),
+        ("legacy-scan", PropagationMode::LegacyScan),
     ] {
         let t = bench(&format!("gbr/{name}"), || {
             let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
             let mut oracle = Oracle::new(&mut bug, 0.0);
             let config = GbrConfig {
                 propagation: mode,
-                engine: engine_choice,
                 ..GbrConfig::default()
             };
             generalized_binary_reduction(&instance, &order, &mut oracle, &config)
@@ -117,9 +66,8 @@ fn main() {
         gbr_times.push(t);
     }
     println!(
-        "  -> gbr speedup vs scan: dpll {:.1}x, cdcl {:.1}x",
-        gbr_times[2].as_secs_f64() / gbr_times[0].as_secs_f64().max(1e-12),
-        gbr_times[2].as_secs_f64() / gbr_times[1].as_secs_f64().max(1e-12)
+        "  -> gbr speedup vs scan: {:.1}x",
+        gbr_times[1].as_secs_f64() / gbr_times[0].as_secs_f64().max(1e-12)
     );
 
     // Probe-cost breakdown: what one oracle probe is made of.
@@ -144,13 +92,6 @@ fn main() {
     let mut pipeline_times = Vec::new();
     for (name, options) in [
         ("default", RunOptions::default()),
-        (
-            "cdcl",
-            RunOptions {
-                engine: EngineChoice::Cdcl,
-                ..RunOptions::default()
-            },
-        ),
         ("legacy", RunOptions::legacy()),
     ] {
         let t = bench(&format!("pipeline/logical-greedy/{name}"), || {
@@ -162,8 +103,7 @@ fn main() {
         pipeline_times.push(t);
     }
     println!(
-        "  -> end-to-end speedup vs legacy: dpll {:.1}x, cdcl {:.1}x",
-        pipeline_times[2].as_secs_f64() / pipeline_times[0].as_secs_f64().max(1e-12),
-        pipeline_times[2].as_secs_f64() / pipeline_times[1].as_secs_f64().max(1e-12)
+        "  -> end-to-end speedup vs legacy: {:.1}x",
+        pipeline_times[1].as_secs_f64() / pipeline_times[0].as_secs_f64().max(1e-12)
     );
 }

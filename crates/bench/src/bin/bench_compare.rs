@@ -13,13 +13,6 @@
 //! time with extra tool runs). Any worse regression makes the process
 //! exit non-zero, so the comparison can gate CI.
 //!
-//! `--merge-baseline OUT.json` mode: instead of comparing, splice the
-//! two files into one baseline (first file verbatim, second file's
-//! new-keyed entries appended per section) — the rebaseline path behind
-//! `BENCH_REBASELINE=1 ./ci.sh`, which regenerates `BENCH_baseline.json`
-//! at the gate's own position in the script so wall numbers are measured
-//! under the same machine conditions the gate later runs in.
-//!
 //! `--identical` mode: ignores wall times entirely and instead asserts
 //! that the two files describe *the same computation* — identical
 //! per-run `predicate_calls`, `final_bytes`, `cache_hits` and
@@ -269,104 +262,6 @@ fn parse_file(path: &str) -> Json {
     let v = p.value();
     p.skip_ws();
     v
-}
-
-// ----------------------------------------------------------------------
-// Baseline merge.
-// ----------------------------------------------------------------------
-
-/// `--merge-baseline OUT.json`: splice two results files (as written by
-/// `eval --json`, one run/aggregate object per line) into one baseline.
-/// The primary file is kept verbatim; the secondary contributes only the
-/// entries whose key — (benchmark, format, strategy) for `"runs"`,
-/// (format, strategy) for `"strategies"` — the primary does not already
-/// hold, so overlapping strategies (the zoo's `jreduce`/`logical/greedy`
-/// rows also appear in the engine grid) are recorded exactly once. The
-/// merge is text-level to preserve the renderer's formatting and key
-/// order byte for byte.
-fn merge_baselines(primary: &str, secondary: &str, out_path: &str) -> ExitCode {
-    fn read(path: &str) -> Vec<String> {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench_compare: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        text.lines().map(str::to_owned).collect()
-    }
-    fn section_lines(lines: &[String], section: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut inside = false;
-        for ln in lines {
-            let t = ln.trim();
-            if t == format!("\"{section}\": [") {
-                inside = true;
-            } else if inside && (t == "]" || t == "],") {
-                break;
-            } else if inside {
-                out.push(ln.trim_end_matches(',').to_owned());
-            }
-        }
-        out
-    }
-    fn key_of(line: &str, with_benchmark: bool) -> String {
-        let mut p = Parser::new(line);
-        let v = p.value();
-        let mut key = format!("{}/{}", v.format_field(), v.str_field("strategy"));
-        if with_benchmark {
-            key = format!("{}/{}", v.str_field("benchmark"), key);
-        }
-        key
-    }
-
-    let primary_lines = read(primary);
-    let secondary_lines = read(secondary);
-    let mut merged: Vec<String> = Vec::new();
-    let mut i = 0;
-    let mut added = 0usize;
-    while i < primary_lines.len() {
-        let ln = &primary_lines[i];
-        merged.push(ln.clone());
-        let section = match ln.trim() {
-            "\"runs\": [" => Some(("runs", true)),
-            "\"strategies\": [" => Some(("strategies", false)),
-            _ => None,
-        };
-        if let Some((section, with_benchmark)) = section {
-            i += 1;
-            while !matches!(primary_lines[i].trim(), "]" | "],") {
-                merged.push(primary_lines[i].clone());
-                i += 1;
-            }
-            let have: std::collections::BTreeSet<String> = section_lines(&primary_lines, section)
-                .iter()
-                .map(|l| key_of(l, with_benchmark))
-                .collect();
-            let extras: Vec<String> = section_lines(&secondary_lines, section)
-                .into_iter()
-                .filter(|l| !have.contains(&key_of(l, with_benchmark)))
-                .collect();
-            if !extras.is_empty() {
-                let last = merged.len() - 1;
-                if !merged[last].trim_end().ends_with(',') {
-                    merged[last].push(',');
-                }
-                added += extras.len();
-                for (j, extra) in extras.iter().enumerate() {
-                    let comma = if j + 1 < extras.len() { "," } else { "" };
-                    merged.push(format!("{extra}{comma}"));
-                }
-            }
-            merged.push(primary_lines[i].clone());
-        }
-        i += 1;
-    }
-    let mut text = merged.join("\n");
-    text.push('\n');
-    if let Err(e) = std::fs::write(out_path, text) {
-        eprintln!("bench_compare: cannot write {out_path}: {e}");
-        return ExitCode::from(2);
-    }
-    println!("merged {primary} + {secondary} ({added} entries added) -> {out_path}");
-    ExitCode::SUCCESS
 }
 
 // ----------------------------------------------------------------------
@@ -645,7 +540,6 @@ fn main() -> ExitCode {
     let mut identical = false;
     let mut service = false;
     let mut cluster = false;
-    let mut merge_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -683,13 +577,6 @@ fn main() -> ExitCode {
                 identical = true;
                 i += 1;
             }
-            "--merge-baseline" => {
-                merge_out = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--merge-baseline takes an output path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
             "--service" => {
                 service = true;
                 i += 1;
@@ -712,12 +599,6 @@ fn main() -> ExitCode {
                     "               or predicate-call regression > --calls-threshold% (default 0)"
                 );
                 println!("  --identical  fail unless per-run calls, sizes and cache totals match");
-                println!("  --merge-baseline OUT.json");
-                println!("               write OUT.json = first file + the second file's entries");
-                println!("               whose (benchmark, format, strategy) key is new; used by");
-                println!(
-                    "               BENCH_REBASELINE=1 ./ci.sh to refresh BENCH_baseline.json"
-                );
                 println!(
                     "  --service    gate BENCH_service.json: warm jobs/sec and p95 within PCT%"
                 );
@@ -741,9 +622,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    if let Some(out) = merge_out {
-        return merge_baselines(baseline, current, &out);
-    }
     let baseline = parse_file(baseline);
     let current = parse_file(current);
     if identical {

@@ -2,11 +2,10 @@
 //! paper's Section 5 on the synthetic NJR-like suite.
 //!
 //! ```text
-//! eval [--experiment all|stats|fig8a|fig8b|lossy|compare|ablate-msa|ablate-order|ablate-engine|ddmin|csv]
+//! eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-msa|ablate-order|ddmin|csv]
 //!      [--format classfile|stackvm|both]
 //!      [--programs N] [--scale F] [--seed N] [--cost SECS]
 //!      [--threads N] [--repeats N] [--probe-threads N] [--legacy] [--json [PATH]]
-//!      [--engine dpll|cdcl] [--order baseline|learned|portfolio]
 //! ```
 //!
 //! `--format` selects which frontend's suite the experiment runs over:
@@ -17,22 +16,17 @@
 //! `--legacy` disables the incremental propagation engine and oracle
 //! memoization (the scan-BCP baseline); `--probe-threads` enables
 //! speculative parallel probing inside each GBR search (bit-identical
-//! results at any setting); `--engine cdcl` backs the logical strategies
-//! with the CDCL solver (bit-identical results, different solver effort);
-//! `--order` picks the GBR variable order of the logical strategies;
-//! `--json` writes machine-readable results (default path
-//! `BENCH_results.json`). The `ablate-engine` experiment runs the
-//! engine/order variant grid in one shot (rows suffixed `+cdcl`,
-//! `+order-learned`, `+order-portfolio`) — the source of the committed
+//! results at any setting); `--json` writes machine-readable results
+//! (default path `BENCH_results.json`). The `compare` experiment runs the
+//! strategy zoo over both formats — the source of the committed
 //! `BENCH_baseline.json`.
 
 use lbr_bench::{
     compare_strategies, compute_stats, headline_strategies, lossy_strategies, render_ablation,
     render_compare, render_csv, render_fig8a, render_fig8b, render_json, render_lossy,
-    render_stats, run_engine_grid, run_grid, EvalBenchmark, EvalConfig, RunRecord,
+    render_stats, run_grid, EvalBenchmark, EvalConfig, RunRecord,
 };
-use lbr_core::EngineChoice;
-use lbr_jreduce::{OrderChoice, RunOptions};
+use lbr_jreduce::RunOptions;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,29 +92,6 @@ fn main() {
                 config.options = RunOptions::legacy();
                 i += 1;
             }
-            "--engine" => {
-                config.options.engine = match value(i).as_str() {
-                    "dpll" => EngineChoice::Dpll,
-                    "cdcl" => EngineChoice::Cdcl,
-                    other => {
-                        eprintln!("unknown engine {other} (dpll|cdcl)");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--order" => {
-                config.options.order = match value(i).as_str() {
-                    "baseline" => OrderChoice::Baseline,
-                    "learned" => OrderChoice::Learned,
-                    "portfolio" => OrderChoice::Portfolio,
-                    other => {
-                        eprintln!("unknown order {other} (baseline|learned|portfolio)");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
             "--slot-dir" => {
                 config.slot_dir = Some(value(i).into());
                 i += 2;
@@ -140,14 +111,13 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-msa|ablate-order|ablate-engine|ddmin|csv]"
+                    "usage: eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-msa|ablate-order|ddmin|csv]"
                 );
                 println!("            [--format classfile|stackvm|both]");
                 println!("            [--programs N] [--scale F] [--seed N] [--cost SECS]");
                 println!(
                     "            [--threads N] [--repeats N] [--probe-threads N] [--legacy] [--json [PATH]]"
                 );
-                println!("            [--engine dpll|cdcl] [--order baseline|learned|portfolio]");
                 println!();
                 println!("  --format F    which frontend's suite to evaluate: classfile");
                 println!("                (default), stackvm, or both; every record is");
@@ -163,11 +133,6 @@ fn main() {
                 println!("                paper's real probes by sleeping inside each tool run");
                 println!("                (for wall-clock speedup measurements; default 0)");
                 println!("  --legacy      scan-BCP baseline: no incremental engine, no memo");
-                println!("  --engine E    complete-search solver behind the logical strategies:");
-                println!("                dpll (default) or cdcl (bit-identical results)");
-                println!("  --order O     GBR variable order for the logical strategies: baseline");
-                println!("                (closure-size, default), learned (activity-refined),");
-                println!("                or portfolio (race baseline/learned/history orders)");
                 println!("  --slot-dir DIR  persist each finished run as DIR/slot-NNNN.json");
                 println!("                the moment it completes (atomic temp+rename writes)");
                 println!(
@@ -182,7 +147,7 @@ fn main() {
         }
     }
 
-    const EXPERIMENTS: [&str; 12] = [
+    const EXPERIMENTS: [&str; 11] = [
         "all",
         "stats",
         "fig8a",
@@ -192,7 +157,6 @@ fn main() {
         "per-error",
         "ablate-msa",
         "ablate-order",
-        "ablate-engine",
         "ddmin",
         "csv",
     ];
@@ -328,16 +292,6 @@ fn drive<B: EvalBenchmark>(
         "ddmin" => {
             let records = run(&["logical/greedy", "ddmin-items"]);
             print!("{}", render_ablation(&records, "A3: ddmin baseline"));
-            records
-        }
-        "ablate-engine" => {
-            let records = run_engine_grid(config, benchmarks);
-            let expected = benchmarks.len() * 5;
-            failed_jobs.set(failed_jobs.get() + (expected - records.len()));
-            print!(
-                "{}",
-                render_ablation(&records, "A4: engine/order ablation (CDCL, learned orders)")
-            );
             records
         }
         "per-error" => {

@@ -7,7 +7,6 @@
 //!        [--strategy NAME] [--list-strategies]
 //!        [--out reduced.lbrc] [--json report.json] [--disasm]
 //!        [--per-error] [--cost SECS] [--probe-threads N]
-//!        [--engine dpll|cdcl] [--order baseline|learned|portfolio]
 //! ```
 //!
 //! `--strategy` takes any name in the strategy registry (see
@@ -16,15 +15,11 @@
 //! `logical-min`, `lossy1`, `lossy2`, `ddmin`) still resolve.
 //!
 //! `--format` selects the frontend; everything downstream of the parse —
-//! strategies, probe threading, engines, validation, the JSON report —
-//! is the same [`Input`]-generic pipeline for both formats.
+//! strategies, probe threading, validation, the JSON report — is the
+//! same [`Input`]-generic pipeline for both formats.
 //! `--probe-threads N` runs N speculative probe threads inside the GBR
 //! search (and N concurrent searches in `--per-error` mode); the reduced
-//! output is bit-identical at every setting. `--engine cdcl` backs the
-//! logical strategies' complete searches with the CDCL solver — same
-//! output, different solver effort — and `--order` picks the GBR variable
-//! order of the `logical` strategy (each choice is deterministic, but
-//! different choices may commit different sound results). `--json` writes a small
+//! output is bit-identical at every setting. `--json` writes a small
 //! machine-readable report (sizes, predicate calls, trace digest) for
 //! comparing runs — the CI daemon smoke test diffs it against the
 //! service's result document.
@@ -34,9 +29,9 @@
 //! fails, `2` on usage errors.
 
 use lbr_classfile::{disassemble_program, read_program, write_class_directory};
-use lbr_core::{EngineChoice, Input, InputOracle};
+use lbr_core::{Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};
-use lbr_jreduce::{check_report, OrderChoice, ReductionSession, RunOptions};
+use lbr_jreduce::{check_report, ReductionSession, RunOptions};
 use lbr_service::{atomic_write, atomic_write_str, Json};
 use lbr_stackvm::{Module as StackModule, StackBugSet, StackOracle};
 
@@ -102,27 +97,6 @@ fn main() {
                     .parse()
                     .expect("--probe-latency-micros takes a number")
             }
-            "--engine" => {
-                run.options.engine = match value().as_str() {
-                    "dpll" => EngineChoice::Dpll,
-                    "cdcl" => EngineChoice::Cdcl,
-                    other => {
-                        eprintln!("unknown engine {other} (dpll|cdcl)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--order" => {
-                run.options.order = match value().as_str() {
-                    "baseline" => OrderChoice::Baseline,
-                    "learned" => OrderChoice::Learned,
-                    "portfolio" => OrderChoice::Portfolio,
-                    other => {
-                        eprintln!("unknown order {other} (baseline|learned|portfolio)");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--disasm" => run.disasm = true,
             "--per-error" => run.per_error = true,
             "--list-strategies" => {
@@ -138,7 +112,6 @@ fn main() {
                 );
                 println!("              [--disasm] [--per-error] [--cost SECS]");
                 println!("              [--probe-threads N] [--probe-latency-micros N]");
-                println!("              [--engine dpll|cdcl] [--order baseline|learned|portfolio]");
                 return;
             }
             other => {
@@ -215,8 +188,6 @@ fn list_strategies() {
             (caps.resumable, "resumable"),
             (caps.speculative, "speculative"),
             (caps.per_error, "per-error"),
-            (caps.honors_engine, "engine"),
-            (caps.honors_order, "order"),
             (caps.uses_model, "model"),
         ]
         .iter()

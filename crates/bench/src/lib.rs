@@ -15,8 +15,8 @@
 
 pub mod microbench;
 
-use lbr_core::{EngineChoice, Input, InputOracle, ProbeStats, ReductionTrace};
-use lbr_jreduce::{OrderChoice, ReductionSession, RunOptions};
+use lbr_core::{Input, InputOracle, ProbeStats, ReductionTrace};
+use lbr_jreduce::{ReductionSession, RunOptions};
 use lbr_service::{atomic_write_str, Json};
 use lbr_workload::{
     geometric_mean, stack_suite, suite, suite_stats, Benchmark, StackBenchmark, SuiteConfig,
@@ -382,65 +382,16 @@ pub fn headline_strategies() -> Vec<&'static str> {
 }
 
 /// E7 — the baseline-zoo comparison: the headline pair plus the
-/// validity-filtered ddmin, HDD, transformation-pass, and trace-guided
-/// strategies, run over both frontends' suites by the `compare`
-/// experiment.
+/// validity-filtered ddmin, HDD, and trace-guided strategies, run over
+/// both frontends' suites by the `compare` experiment.
 pub fn compare_strategies() -> Vec<&'static str> {
     vec![
         "jreduce",
         "logical/greedy",
         "ddmin-items",
         "hdd",
-        "transform",
         "logical/trace-guided",
     ]
-}
-
-/// A4 — the engine/order ablation grid: the headline strategies plus the
-/// CDCL engine and the learned/portfolio probe-order variants of the
-/// logical reducer. The rows are distinguished by the strategy label,
-/// which the pipeline suffixes with every non-default option (`+cdcl`,
-/// `+order-learned`, `+order-portfolio`), so one results file can gate
-/// all of them at once. The caller's `slot_dir` is ignored — the variant
-/// grids would otherwise overwrite each other's slot files.
-pub fn run_engine_grid<B: EvalBenchmark>(config: &EvalConfig, benchmarks: &[B]) -> Vec<RunRecord> {
-    let logical = "logical/greedy";
-    let variants: [(&str, RunOptions); 5] = [
-        ("jreduce", config.options),
-        (logical, config.options),
-        (
-            logical,
-            RunOptions {
-                engine: EngineChoice::Cdcl,
-                ..config.options
-            },
-        ),
-        (
-            logical,
-            RunOptions {
-                engine: EngineChoice::Cdcl,
-                order: OrderChoice::Learned,
-                ..config.options
-            },
-        ),
-        (
-            logical,
-            RunOptions {
-                order: OrderChoice::Portfolio,
-                ..config.options
-            },
-        ),
-    ];
-    let mut records = Vec::new();
-    for (strategy, options) in variants {
-        let cfg = EvalConfig {
-            options,
-            slot_dir: None,
-            ..config.clone()
-        };
-        records.extend(run_grid(&cfg, benchmarks, &[strategy]));
-    }
-    records
 }
 
 /// The strategies of the lossy-encoding comparison.

@@ -227,8 +227,8 @@ fn decode_code(raw: &[u8], pool: &ConstantPool) -> Result<Vec<Insn>, String> {
     let mut insns: Vec<(usize, Insn)> = Vec::new();
     let mut at = 0usize;
     let u16_at = |at: usize| -> Result<u16, String> {
-        raw.get(at..at + 2)
-            .map(|s| u16::from_be_bytes(s.try_into().expect("2 bytes")))
+        be_at(raw, at)
+            .map(u16::from_be_bytes)
             .ok_or_else(|| "truncated operand".to_owned())
     };
     while at < raw.len() {
@@ -248,9 +248,8 @@ fn decode_code(raw: &[u8], pool: &ConstantPool) -> Result<Vec<Insn>, String> {
             0x00 => Insn::Nop,
             0x01 => Insn::AConstNull,
             0x12 => {
-                let v = raw
-                    .get(at + 1..at + 5)
-                    .map(|s| i32::from_be_bytes(s.try_into().expect("4 bytes")))
+                let v = be_at(raw, at + 1)
+                    .map(i32::from_be_bytes)
                     .ok_or("truncated iconst")?;
                 Insn::IConst(v)
             }
@@ -449,6 +448,56 @@ mod tests {
             .expect("return opcode present");
         bytes[pos] = 0xfe;
         assert!(read_class(&bytes).is_err());
+    }
+
+    /// A one-method class whose code is `code` with its last `cut` bytes
+    /// dropped. The code length and the Code attribute length shrink to
+    /// match, so the container stays self-consistent and only the
+    /// instruction decoder can notice the missing operand bytes.
+    fn class_with_short_code(code: Vec<Insn>, encoded: &[u8], cut: usize) -> Vec<u8> {
+        let mut c = ClassFile::new_class("A");
+        c.methods.push(MethodInfo::new(
+            "m",
+            MethodDescriptor::void(),
+            Code::new(1, 2, code),
+        ));
+        let mut bytes = write_class(&c);
+        let mut needle = (encoded.len() as u32).to_be_bytes().to_vec();
+        needle.extend_from_slice(encoded);
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("code bytes present");
+        let code_end = at + needle.len();
+        bytes.drain(code_end - cut..code_end);
+        bytes[at..at + 4].copy_from_slice(&((encoded.len() - cut) as u32).to_be_bytes());
+        // attribute length: u32 right before max_stack and max_locals.
+        let len_at = at - 8;
+        let attr_len = u32::from_be_bytes(be_at(&bytes, len_at).expect("attr length"));
+        bytes[len_at..len_at + 4].copy_from_slice(&(attr_len - cut as u32).to_be_bytes());
+        bytes
+    }
+
+    #[test]
+    fn rejects_operands_cut_short_inside_a_consistent_code_attribute() {
+        let iconst = (
+            vec![Insn::Nop, Insn::IConst(0x0102_0304)],
+            vec![0x00, 0x12, 1, 2, 3, 4],
+        );
+        let iload = (vec![Insn::Nop, Insn::ILoad(0x0102)], vec![0x00, 0x15, 1, 2]);
+        for (code, encoded) in [iconst, iload] {
+            let intact = class_with_short_code(code.clone(), &encoded, 0);
+            let back = read_class(&intact).expect("uncut code decodes");
+            assert_eq!(back.methods[0].code.as_ref().unwrap().insns, code);
+            // Every strict prefix of the last operand must be a typed
+            // error, not a panic.
+            let operand = encoded.len() - 2;
+            for cut in 1..=operand {
+                let bytes = class_with_short_code(code.clone(), &encoded, cut);
+                let err = read_class(&bytes).expect_err("short operand must be rejected");
+                assert!(err.message.contains("truncated"), "{cut}: {err}");
+            }
+        }
     }
 
     #[test]

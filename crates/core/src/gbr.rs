@@ -17,10 +17,7 @@ use crate::concurrent::{ConcurrentPredicate, DemandKind, MemoScan, ProbeSchedule
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
 use crate::{Instance, Predicate};
-use lbr_logic::{
-    engine, msa_scan, CdclEngine, Clause, Cnf, Engine, Lit, MsaStrategy, SearchBackend, Var,
-    VarOrder, VarSet,
-};
+use lbr_logic::{engine, msa_scan, Clause, Cnf, Engine, Lit, MsaStrategy, Var, VarOrder, VarSet};
 use std::time::Instant;
 
 /// How GBR evaluates the dependency model while building progressions.
@@ -41,26 +38,6 @@ pub enum PropagationMode {
     LegacyScan,
 }
 
-/// Which complete-search solver backs the MSA computations inside GBR.
-///
-/// Only [`PropagationMode::Incremental`] consults this choice; the legacy
-/// scan path has no persistent engine to attach a CDCL solver to and
-/// always uses the chronological DPLL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineChoice {
-    /// The recursive chronological DPLL search. The historical default.
-    #[default]
-    Dpll,
-    /// A persistent CDCL solver sharing the run's clause set: 1UIP learned
-    /// clauses accumulate across every MSA dead-end and complete search
-    /// within the run, so later probes of the same hard sub-space are
-    /// refuted without re-deriving the conflict. Results are bit-identical
-    /// to [`EngineChoice::Dpll`] — both return the lexicographically least
-    /// model under the branching order (see
-    /// [`CdclEngine::solve`](lbr_logic::CdclEngine::solve)).
-    Cdcl,
-}
-
 /// Configuration for [`generalized_binary_reduction`].
 #[derive(Debug, Clone)]
 pub struct GbrConfig {
@@ -79,9 +56,6 @@ pub struct GbrConfig {
     /// How the dependency model is propagated (incremental engine vs the
     /// scan-based baseline). Does not affect results, only speed.
     pub propagation: PropagationMode,
-    /// Which complete-search solver backs the MSA computations. Does not
-    /// affect results, only solver effort per progression.
-    pub engine: EngineChoice,
 }
 
 impl Default for GbrConfig {
@@ -91,7 +65,6 @@ impl Default for GbrConfig {
             max_iterations: None,
             max_predicate_calls: None,
             propagation: PropagationMode::default(),
-            engine: EngineChoice::default(),
         }
     }
 }
@@ -672,140 +645,6 @@ fn assemble_run(
     }
 }
 
-/// The outcome of a portfolio race over several variable orders.
-#[derive(Debug, Clone)]
-pub struct PortfolioRun {
-    /// Index into the `orders` slice of the committed member: the one with
-    /// the smallest solution, lowest index winning ties.
-    pub winner: usize,
-    /// Each member's solution size, in portfolio order (diagnostics).
-    pub member_sizes: Vec<usize>,
-    /// The committed member's run: its (bit-identical) outcome and trace,
-    /// with probe accounting aggregated over the *whole* portfolio —
-    /// `useful_calls` sums every member's demanded probes, and repeated
-    /// probes across members show up as `memo_hits`.
-    pub run: SpeculativeRun,
-}
-
-/// Races a fixed portfolio of variable orders over **one shared**
-/// [`ProbeScheduler`] and commits the best result deterministically.
-///
-/// Members run in portfolio order against the same probe memo, so any
-/// probe two orders agree on is paid for once; each member's probe
-/// sequence is a deterministic function of `(instance, order, config)`
-/// alone — the shared memo changes only *where* an answer comes from,
-/// never what it is — so every member reproduces its standalone
-/// [`generalized_binary_reduction_speculative`] outcome bit for bit.
-/// The committed member is the one with the smallest solution, with the
-/// **lowest portfolio index winning ties**; output is therefore
-/// bit-identical for a given configuration regardless of thread count or
-/// timing.
-///
-/// The anytime `max_predicate_calls` budget applies to each member
-/// separately (a shared budget would let member `k`'s spending change
-/// member `k+1`'s answers).
-///
-/// # Errors
-///
-/// The cases of [`generalized_binary_reduction`]; the first failing
-/// member aborts the race.
-///
-/// # Panics
-///
-/// Panics if `orders` is empty.
-pub fn generalized_binary_reduction_portfolio(
-    instance: &Instance,
-    orders: &[VarOrder],
-    predicate: &dyn ConcurrentPredicate,
-    config: &GbrConfig,
-    spec: &SpeculationConfig,
-) -> Result<PortfolioRun, GbrError> {
-    generalized_binary_reduction_portfolio_controlled(
-        instance,
-        orders,
-        predicate,
-        config,
-        spec,
-        &mut GbrControl::default(),
-    )
-}
-
-/// [`generalized_binary_reduction_portfolio`] honoring a cancellation
-/// hook. Checkpoint/resume hooks are per-member state and do not compose
-/// with a portfolio; they are ignored (debug builds assert they are
-/// absent).
-pub fn generalized_binary_reduction_portfolio_controlled(
-    instance: &Instance,
-    orders: &[VarOrder],
-    predicate: &dyn ConcurrentPredicate,
-    config: &GbrConfig,
-    spec: &SpeculationConfig,
-    control: &mut GbrControl<'_>,
-) -> Result<PortfolioRun, GbrError> {
-    assert!(!orders.is_empty(), "a portfolio needs at least one order");
-    debug_assert!(
-        control.checkpoint.is_none() && control.resume.is_none(),
-        "portfolio races do not support checkpoint/resume"
-    );
-    let cancel = control.cancel;
-    let workers = spec.threads.max(1);
-    let scheduler = ProbeScheduler::new(predicate, 4 * workers);
-    let loop_result = std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| scheduler.worker());
-        }
-        let mut members = Vec::with_capacity(orders.len());
-        for order in orders {
-            let mut driver = SpeculativeDriver::new(&scheduler, config, spec);
-            let mut member_control = GbrControl {
-                cancel,
-                ..GbrControl::default()
-            };
-            match gbr_loop(instance, order, config, &mut driver, &mut member_control) {
-                Ok(outcome) => members.push((outcome, driver)),
-                Err(e) => {
-                    scheduler.shutdown();
-                    return Err(e);
-                }
-            }
-        }
-        scheduler.shutdown();
-        Ok(members)
-    });
-    let members = loop_result?;
-    let winner = members
-        .iter()
-        .enumerate()
-        .min_by_key(|(i, (o, _))| (o.solution.len(), *i))
-        .map(|(i, _)| i)
-        .expect("non-empty portfolio");
-    let member_sizes = members.iter().map(|(o, _)| o.solution.len()).collect();
-    let total_calls: u64 = members.iter().map(|(_, d)| d.calls).sum();
-    let total_distinct: u64 = members.iter().map(|(_, d)| d.distinct).sum();
-    let total_critical: u64 = members.iter().map(|(_, d)| d.critical).sum();
-    let scan = scheduler.scan();
-    let stats = ProbeStats {
-        useful_calls: total_calls,
-        speculative_calls: scan.entries - scan.demanded,
-        critical_path_calls: total_critical,
-        memo_hits: total_calls - total_distinct,
-        memo_misses: total_distinct,
-    };
-    let (outcome, driver) = members
-        .into_iter()
-        .nth(winner)
-        .expect("winner index in range");
-    Ok(PortfolioRun {
-        winner,
-        member_sizes,
-        run: SpeculativeRun {
-            outcome,
-            stats,
-            trace: driver.trace,
-        },
-    })
-}
-
 /// The driver behind [`generalized_binary_reduction_speculative`]: same
 /// budget/best bookkeeping as [`Budgeted`], but probes are demanded from a
 /// [`VerdictSource`] (the local [`ProbeScheduler`] or a remote cluster
@@ -940,10 +779,9 @@ fn speculation_frontier(lo: usize, hi: usize, width: usize) -> Vec<usize> {
 /// model `R_I`, the way GBR's main loop demands them.
 ///
 /// With [`PropagationMode::Incremental`] the builder keeps one persistent
-/// watched-literal [`Engine`] (and, for [`EngineChoice::Cdcl`], a CDCL
-/// backend) for its whole life: learned sets become permanent level-0
-/// clauses, `J` and each progression prefix are assumption levels, and
-/// no formula is ever cloned. With [`PropagationMode::LegacyScan`] every
+/// watched-literal [`Engine`] for its whole life: learned sets become
+/// permanent level-0 clauses, `J` and each progression prefix are
+/// assumption levels, and no formula is ever cloned. With [`PropagationMode::LegacyScan`] every
 /// call is the stateless [`build_progression`], the differential
 /// reference. Both produce identical progressions (and identical errors).
 ///
@@ -984,11 +822,6 @@ pub struct ProgressionBuilder<'c> {
 enum BuilderState {
     Incremental {
         engine: Engine,
-        /// The persistent CDCL complete-search backend, when
-        /// [`EngineChoice::Cdcl`] is configured. Mirrors the base engine's
-        /// clause set (base CNF plus installed learned sets) and keeps its
-        /// 1UIP learned clauses for the whole run.
-        cdcl: Option<Box<CdclEngine>>,
         /// How many learned sets have already been installed as permanent
         /// level-0 clauses (learned sets only ever grow, in order).
         learned_added: usize,
@@ -998,15 +831,11 @@ enum BuilderState {
 
 impl<'c> ProgressionBuilder<'c> {
     /// A builder over `cnf` for search spaces over `universe` variables,
-    /// using `config`'s MSA strategy, propagation mode and engine.
+    /// using `config`'s MSA strategy and propagation mode.
     pub fn new(cnf: &'c Cnf, universe: usize, config: &GbrConfig) -> Self {
         let state = match config.propagation {
             PropagationMode::Incremental => BuilderState::Incremental {
                 engine: Engine::new(cnf, universe),
-                cdcl: match config.engine {
-                    EngineChoice::Dpll => None,
-                    EngineChoice::Cdcl => Some(Box::new(CdclEngine::new(cnf, universe))),
-                },
                 learned_added: 0,
             },
             PropagationMode::LegacyScan => BuilderState::Scan,
@@ -1048,12 +877,10 @@ impl<'c> ProgressionBuilder<'c> {
             }
             BuilderState::Incremental {
                 engine,
-                cdcl,
                 learned_added,
             } => {
                 let progression = incremental_progression(
                     engine,
-                    cdcl,
                     learned_added,
                     order,
                     self.strategy,
@@ -1082,7 +909,6 @@ impl<'c> ProgressionBuilder<'c> {
 /// identical — differentially tested in `tests/gbr_differential.rs`.
 fn incremental_progression(
     engine: &mut Engine,
-    cdcl: &mut Option<Box<CdclEngine>>,
     learned_added: &mut usize,
     order: &VarOrder,
     strategy: MsaStrategy,
@@ -1103,11 +929,6 @@ fn incremental_progression(
     while *learned_added < learned.len() {
         let lits: Vec<Lit> = learned[*learned_added].iter().map(Lit::pos).collect();
         engine.add_clause(&lits);
-        // The CDCL backend mirrors the base engine's clause set; its own
-        // 1UIP clauses stay sound because the formula only ever grows.
-        if let Some(c) = cdcl.as_deref_mut() {
-            c.add_clause(&lits);
-        }
         *learned_added += 1;
         if !engine.is_ok() {
             return Err(GbrError::ModelUnsatisfiable);
@@ -1124,12 +945,7 @@ fn incremental_progression(
     if !engine.assume_all(&restriction) {
         return Err(GbrError::ModelUnsatisfiable);
     }
-    let mut backend = match cdcl.as_deref_mut() {
-        Some(c) => SearchBackend::Cdcl(c),
-        None => SearchBackend::Dpll,
-    };
-    let d0 = engine::msa_from_state_with(engine, order, strategy, &mut backend)
-        .ok_or(GbrError::ModelUnsatisfiable)?;
+    let d0 = engine::msa_from_state(engine, order, strategy).ok_or(GbrError::ModelUnsatisfiable)?;
     let mut covered = d0.clone();
     let asserted: Vec<Lit> = covered.iter().map(Lit::pos).collect();
     let ok = engine.assume_all(&asserted);
@@ -1139,7 +955,7 @@ fn incremental_progression(
     while let Some(x) = order.min_in_difference(search_space, &covered) {
         let before = engine.decision_level();
         let entry = if engine.assume(Lit::pos(x)) {
-            engine::msa_from_state_with(engine, order, strategy, &mut backend).map(|s_abs| {
+            engine::msa_from_state(engine, order, strategy).map(|s_abs| {
                 // `s_abs` is the absolute true-set; strip the prefix that is
                 // already covered to get this progression entry (⊇ {x}).
                 s_abs.difference(&covered)
@@ -1761,186 +1577,6 @@ mod tests {
         let mut c = ReductionTrace::new();
         c.record(1, 0.5, 33.0, 101, true);
         assert_ne!(a.digest(), c.digest());
-    }
-
-    #[test]
-    fn cdcl_engine_choice_is_bit_identical_to_dpll() {
-        // A model mixing edges, a general implication, and a negative
-        // clause, so MSA hits dead-ends and the complete search actually
-        // runs. DpllMinimize exercises the backend on every single MSA.
-        let mut cnf = Cnf::new(8);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::implication([v(2), v(3)], [v(4)]));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(5)), Lit::neg(v(6))]));
-        cnf.add_clause(Clause::edge(v(6), v(7)));
-        let inst = Instance::over_all_vars(cnf);
-        let order = crate::closure_size_order(&inst.cnf);
-        for strategy in MsaStrategy::ALL {
-            let base = GbrConfig {
-                msa_strategy: strategy,
-                ..GbrConfig::default()
-            };
-            let cdcl = GbrConfig {
-                engine: EngineChoice::Cdcl,
-                ..base.clone()
-            };
-            let mut bug_a = |s: &VarSet| s.contains(v(4)) && s.contains(v(7));
-            let mut bug_b = |s: &VarSet| s.contains(v(4)) && s.contains(v(7));
-            let a = generalized_binary_reduction(&inst, &order, &mut bug_a, &base).unwrap();
-            let b = generalized_binary_reduction(&inst, &order, &mut bug_b, &cdcl).unwrap();
-            assert_eq!(a.solution, b.solution, "{strategy:?}");
-            assert_eq!(a.learned, b.learned, "{strategy:?}");
-            assert_eq!(a.iterations, b.iterations, "{strategy:?}");
-            assert_eq!(a.progression_lengths, b.progression_lengths, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn cdcl_engine_choice_matches_on_chains() {
-        let inst = chain_instance(24);
-        let order = crate::closure_size_order(&inst.cnf);
-        let cdcl = GbrConfig {
-            engine: EngineChoice::Cdcl,
-            ..GbrConfig::default()
-        };
-        let mut bug_a = |s: &VarSet| s.contains(v(13)) && s.contains(v(4));
-        let mut bug_b = |s: &VarSet| s.contains(v(13)) && s.contains(v(4));
-        let a =
-            generalized_binary_reduction(&inst, &order, &mut bug_a, &GbrConfig::default()).unwrap();
-        let b = generalized_binary_reduction(&inst, &order, &mut bug_b, &cdcl).unwrap();
-        assert_eq!(a.solution, b.solution);
-        assert_eq!(a.learned, b.learned);
-        assert_eq!(a.progression_lengths, b.progression_lengths);
-    }
-
-    #[test]
-    fn cdcl_engine_choice_is_inert_under_legacy_scan() {
-        let inst = chain_instance(12);
-        let order = crate::closure_size_order(&inst.cnf);
-        let legacy_cdcl = GbrConfig {
-            propagation: PropagationMode::LegacyScan,
-            engine: EngineChoice::Cdcl,
-            ..GbrConfig::default()
-        };
-        let mut bug_a = |s: &VarSet| s.contains(v(7));
-        let mut bug_b = |s: &VarSet| s.contains(v(7));
-        let a =
-            generalized_binary_reduction(&inst, &order, &mut bug_a, &GbrConfig::default()).unwrap();
-        let b = generalized_binary_reduction(&inst, &order, &mut bug_b, &legacy_cdcl).unwrap();
-        assert_eq!(a.solution, b.solution);
-    }
-
-    #[test]
-    fn portfolio_commits_smallest_solution() {
-        let inst = chain_instance(8);
-        let natural = VarOrder::natural(8);
-        let good = crate::closure_size_order(&inst.cnf);
-        let predicate = |s: &VarSet| s.contains(v(5));
-        // The natural order keeps the whole chain (size 8); the closure
-        // order recovers the minimal suffix {5, 6, 7}.
-        let run = generalized_binary_reduction_portfolio(
-            &inst,
-            &[natural.clone(), good.clone()],
-            &predicate,
-            &GbrConfig::default(),
-            &SpeculationConfig::new(2),
-        )
-        .expect("portfolio");
-        assert_eq!(run.member_sizes, vec![8, 3]);
-        assert_eq!(run.winner, 1);
-        assert_eq!(run.run.outcome.solution.len(), 3);
-        assert!(run.run.outcome.solution.contains(v(5)));
-    }
-
-    #[test]
-    fn portfolio_breaks_ties_toward_the_lowest_index() {
-        let inst = chain_instance(8);
-        let good = crate::closure_size_order(&inst.cnf);
-        let predicate = |s: &VarSet| s.contains(v(5));
-        let run = generalized_binary_reduction_portfolio(
-            &inst,
-            &[good.clone(), good.clone()],
-            &predicate,
-            &GbrConfig::default(),
-            &SpeculationConfig::new(2),
-        )
-        .expect("portfolio");
-        assert_eq!(run.winner, 0, "ties must commit the lowest index");
-        assert_eq!(run.member_sizes[0], run.member_sizes[1]);
-        // The duplicate member demanded the identical probe sequence, so
-        // the shared memo answered all of it.
-        assert!(run.run.stats.memo_hits >= run.run.stats.useful_calls / 2);
-    }
-
-    #[test]
-    fn portfolio_winner_matches_standalone_run() {
-        let inst = chain_instance(16);
-        let natural = VarOrder::natural(16);
-        let good = crate::closure_size_order(&inst.cnf);
-        let predicate = |s: &VarSet| s.contains(v(9));
-        let standalone = generalized_binary_reduction_speculative(
-            &inst,
-            &good,
-            &predicate,
-            &GbrConfig::default(),
-            &SpeculationConfig::new(2),
-        )
-        .expect("standalone");
-        let run = generalized_binary_reduction_portfolio(
-            &inst,
-            &[natural, good],
-            &predicate,
-            &GbrConfig::default(),
-            &SpeculationConfig::new(2),
-        )
-        .expect("portfolio");
-        assert_eq!(run.winner, 1);
-        assert_eq!(run.run.outcome.solution, standalone.outcome.solution);
-        assert_eq!(run.run.outcome.learned, standalone.outcome.learned);
-        assert_eq!(run.run.outcome.iterations, standalone.outcome.iterations);
-        assert_eq!(run.run.trace.digest(), standalone.trace.digest());
-    }
-
-    #[test]
-    fn portfolio_is_deterministic_across_repeats_and_threads() {
-        let inst = chain_instance(20);
-        let orders = [
-            VarOrder::natural(20),
-            crate::closure_size_order(&inst.cnf),
-            crate::closure_size_order(&inst.cnf).reversed(),
-        ];
-        let predicate = |s: &VarSet| s.contains(v(11));
-        let mut seen: Option<(usize, Vec<usize>, VarSet)> = None;
-        for threads in [1usize, 2, 4, 2] {
-            let run = generalized_binary_reduction_portfolio(
-                &inst,
-                &orders,
-                &predicate,
-                &GbrConfig::default(),
-                &SpeculationConfig::new(threads),
-            )
-            .expect("portfolio");
-            let key = (run.winner, run.member_sizes, run.run.outcome.solution);
-            match &seen {
-                None => seen = Some(key),
-                Some(prev) => assert_eq!(*prev, key, "threads={threads}"),
-            }
-        }
-    }
-
-    #[test]
-    fn portfolio_propagates_errors() {
-        let inst = Instance::over_all_vars(Cnf::new(4));
-        let orders = [VarOrder::natural(4)];
-        let err = generalized_binary_reduction_portfolio(
-            &inst,
-            &orders,
-            &|_: &VarSet| false,
-            &GbrConfig::default(),
-            &SpeculationConfig::new(2),
-        )
-        .unwrap_err();
-        assert_eq!(err, GbrError::PredicateNotMonotone);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub struct InputModel<'i, I> {
     pub stats: ModelStats,
     /// Containment depth of each item variable (index = variable index):
     /// `0` for top-level units (classes, functions), increasing with
-    /// nesting. Hierarchical strategies (HDD, transformation passes)
-    /// sweep the tree level by level through this map; flat strategies
+    /// nesting. Hierarchical strategies (HDD) sweep the tree level by
+    /// level through this map; flat strategies
     /// ignore it. A frontend without hierarchy reports all zeros.
     pub levels: Vec<u8>,
     /// Keep-set → reduced input.

@@ -74,11 +74,9 @@ pub use ddmin::{ddmin, DdminStats, TestOutcome};
 pub use fault::{FaultInjector, FaultPlan};
 pub use gbr::{
     build_progression, generalized_binary_reduction, generalized_binary_reduction_controlled,
-    generalized_binary_reduction_portfolio, generalized_binary_reduction_portfolio_controlled,
     generalized_binary_reduction_speculative, generalized_binary_reduction_speculative_controlled,
-    generalized_binary_reduction_with_source, EngineChoice, GbrCheckpoint, GbrConfig, GbrControl,
-    GbrError, GbrOutcome, PortfolioRun, ProgressionBuilder, PropagationMode, SpeculationConfig,
-    SpeculativeRun,
+    generalized_binary_reduction_with_source, GbrCheckpoint, GbrConfig, GbrControl, GbrError,
+    GbrOutcome, ProgressionBuilder, PropagationMode, SpeculationConfig, SpeculativeRun,
 };
 pub use graph::{Closure, DepGraph};
 pub use hitting::{reduction_is_faithful, HittingSet};
@@ -87,8 +85,7 @@ pub use keyed::KeyedMap;
 pub use lossy::{lossy_encode, lossy_graph, lossy_is_sound, LossyGraph, LossyPick};
 pub use minimize::{minimize_solution, MinimizeStats};
 pub use orders::{
-    activity_order, closure_size_order, closure_sizes, closure_sizes_of_graph, history_order,
-    natural_order, probe_activity,
+    closure_size_order, closure_sizes, closure_sizes_of_graph, history_order, natural_order,
 };
 pub use problem::{Instance, Oracle, Predicate};
 pub use stack::{
@@ -97,7 +94,7 @@ pub use stack::{
 };
 pub use stats::{CacheStats, ProbeStats};
 pub use strategy::{
-    OrderChoice, PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps,
-    StrategyOutput, StrategyRegistry,
+    PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps, StrategyOutput,
+    StrategyRegistry,
 };
 pub use trace::{ReductionTrace, TracePoint};

@@ -9,7 +9,7 @@
 //! progression collapses to `[D₀, everything]` and nothing is learned.)
 
 use crate::DepGraph;
-use lbr_logic::{CdclEngine, ClauseShape, Cnf, Lit, Var, VarActivity, VarOrder};
+use lbr_logic::{ClauseShape, Cnf, VarOrder};
 
 /// Orders variables by ascending size of their dependency closure, computed
 /// over the *edge-shaped* clauses of `cnf` (general clauses do not pin a
@@ -102,49 +102,6 @@ pub fn natural_order(cnf: &Cnf) -> VarOrder {
     VarOrder::natural(cnf.num_vars())
 }
 
-/// Refines [`closure_size_order`] with CDCL conflict-activity statistics:
-/// within one closure-size class, variables that participated in more
-/// recent conflicts come first. The intuition is that conflict-heavy
-/// variables sit on the constrained core of the model, so pulling them
-/// into early progression entries makes the binary search learn about the
-/// hard part of the search space sooner.
-///
-/// With flat (all-zero) activity this is exactly [`closure_size_order`],
-/// so the order degrades gracefully on conflict-free (Horn-like) models.
-/// The result is a deterministic function of `(cnf, activity)`.
-pub fn activity_order(cnf: &Cnf, activity: &VarActivity) -> VarOrder {
-    let n = cnf.num_vars();
-    let sizes = closure_sizes(cnf);
-    let ranks = activity.ranks_descending();
-    VarOrder::by_key(n, |v| {
-        let i = v.index();
-        (sizes[i], ranks.get(i).copied().unwrap_or(u32::MAX), i)
-    })
-}
-
-/// Harvests conflict-activity statistics from `cnf` with a bounded,
-/// deterministic CDCL probe — **zero predicate calls**, pure solver work.
-///
-/// One baseline solve warms the engine, then the `probes` variables with
-/// the deepest dependency closures are each assumed true in turn; general
-/// clauses with negative literals conflict under such assumptions, and
-/// every conflict bumps the variables resolved through. On purely
-/// edge-shaped (conflict-free) models the returned activity is flat and
-/// [`activity_order`] falls back to [`closure_size_order`].
-pub fn probe_activity(cnf: &Cnf, probes: usize) -> VarActivity {
-    let n = cnf.num_vars();
-    let mut engine = CdclEngine::new(cnf, n);
-    let order = closure_size_order(cnf);
-    engine.solve(&order, &[]);
-    let mut deepest: Vec<usize> = (0..n).collect();
-    let sizes = closure_sizes(cnf);
-    deepest.sort_by_key(|&i| (std::cmp::Reverse(sizes[i]), i));
-    for &i in deepest.iter().take(probes) {
-        engine.solve(&order, &[Lit::pos(Var::new(i as u32))]);
-    }
-    engine.activity().clone()
-}
-
 /// Orders variables by descending *history weight* — e.g. how often each
 /// variable appeared in committed solutions or learned sets of earlier
 /// reduction runs (harvested from the persistent probe cache) — breaking
@@ -218,67 +175,6 @@ mod tests {
         let order = closure_size_order(&cnf);
         let perm: Vec<Var> = order.iter().collect();
         assert_eq!(perm, vec![v(2), v(1), v(0)]);
-    }
-
-    #[test]
-    fn activity_order_with_flat_activity_matches_closure_order() {
-        let mut cnf = Cnf::new(5);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::edge(v(1), v(2)));
-        let flat = VarActivity::new(5);
-        let learned = activity_order(&cnf, &flat);
-        let baseline = closure_size_order(&cnf);
-        assert_eq!(
-            learned.iter().collect::<Vec<_>>(),
-            baseline.iter().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn activity_order_breaks_closure_ties_by_activity() {
-        // 0..=3 all have closure size 1; bump 2 then 3, so within the tie
-        // class the order is 2, 3 (most active first), then 0, 1 by index.
-        let cnf = Cnf::new(4);
-        let mut act = VarActivity::new(4);
-        act.bump(v(3));
-        act.bump(v(2));
-        act.bump(v(2));
-        let order = activity_order(&cnf, &act);
-        assert_eq!(
-            order.iter().collect::<Vec<_>>(),
-            vec![v(2), v(3), v(0), v(1)]
-        );
-    }
-
-    #[test]
-    fn probe_activity_is_deterministic_and_finds_conflicts() {
-        // Deciding ¬0 propagates 1 (from 0∨1) and then both 2 and ¬2 — a
-        // conflict below the assumption level, which conflict analysis
-        // resolves (bumping activity) rather than refuting outright.
-        let mut cnf = Cnf::new(3);
-        cnf.add_clause(Clause::new(vec![Lit::pos(v(0)), Lit::pos(v(1))]));
-        cnf.add_clause(Clause::edge(v(1), v(2)));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(1)), Lit::neg(v(2))]));
-        let a = probe_activity(&cnf, 2);
-        let b = probe_activity(&cnf, 2);
-        assert!((0..3).all(|i| a.score(v(i)) == b.score(v(i))));
-        assert!(
-            (0..3).any(|i| a.score(v(i)) > 0.0),
-            "the contradictory probe must bump activity"
-        );
-        // And the derived orders are identical across calls.
-        let oa = activity_order(&cnf, &a);
-        let ob = activity_order(&cnf, &b);
-        assert_eq!(oa.iter().collect::<Vec<_>>(), ob.iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn probe_activity_is_flat_on_edge_models() {
-        let mut cnf = Cnf::new(4);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::edge(v(1), v(2)));
-        let act = probe_activity(&cnf, 4);
-        assert!((0..4).all(|i| act.score(v(i)) == 0.0));
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The paper's evaluation (§6) is a *strategy comparison* — GBR against
 //! J-Reduce, lossy encodings, and ddmin — and this reproduction keeps
-//! growing the comparison (HDD, transformation passes, trace-guided
-//! modes). A closed enum made every addition a six-crate edit: the
-//! session builder, the pipeline dispatch, daemon job specs, cluster
-//! jobs, fuzz progressions, and the eval/bench name tables all pattern-
-//! matched on it. This module replaces the enum with an open trait:
+//! growing the comparison (HDD, trace-guided modes). A closed enum made
+//! every addition a six-crate edit: the session builder, the pipeline
+//! dispatch, daemon job specs, cluster jobs, fuzz progressions, and the
+//! eval/bench name tables all pattern-matched on it. This module replaces the enum with an open trait:
 //!
 //! * a strategy is a value implementing [`ReductionStrategy`] — it owns
 //!   its [`name`](ReductionStrategy::name), its capability flags
@@ -15,53 +14,26 @@
 //! * a [`StrategyRegistry`] maps names (plus historical aliases) to
 //!   strategies, so every layer that used to spell an enum variant now
 //!   looks a string up — one registration serves all six crates,
-//! * the shared run vocabulary ([`RunOptions`], [`OrderChoice`],
-//!   [`ServiceHooks`], [`StrategyOutput`], [`PipelineError`]) lives here
+//! * the shared run vocabulary ([`RunOptions`], [`ServiceHooks`],
+//!   [`StrategyOutput`], [`PipelineError`]) lives here
 //!   so that both the trait and its callers can be format- and
 //!   crate-agnostic.
 //!
-//! The report assembler (label suffixes like `+cdcl`), the session
-//! builder, and the entry points stay in `lbr-jreduce`; they are thin
-//! shims over this seam.
+//! The report assembler, the session builder, and the entry points stay
+//! in `lbr-jreduce`; they are thin shims over this seam.
 
 use crate::binary::BinaryReductionError;
 use crate::concurrent::{ProbeCache, ProbeDistributor};
-use crate::gbr::{EngineChoice, GbrCheckpoint, GbrError, PropagationMode};
+use crate::gbr::{GbrCheckpoint, GbrError, PropagationMode};
 use crate::input::{Input, InputOracle, ModelStats};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Which GBR variable order a logical run uses. Strategies that do not
-/// run GBR over the closure-size order — including the natural-order
-/// ablation, which *is* an order ablation — ignore this knob.
-///
-/// Unlike the other [`RunOptions`] knobs, a non-default order choice *is*
-/// allowed to change what a run computes (a better order finds smaller
-/// solutions in fewer probes); each choice remains bit-identical across
-/// repeats, thread counts, and the other knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OrderChoice {
-    /// The closure-size order Theorem 4.5 wants (the historical default).
-    #[default]
-    Baseline,
-    /// The closure-size order refined by conflict-activity statistics from
-    /// a bounded, deterministic CDCL probe of the dependency model (zero
-    /// predicate calls; see [`crate::activity_order`]).
-    Learned,
-    /// A fixed three-member portfolio — baseline, activity-learned, and
-    /// cache-history orders — raced over one shared probe scheduler, the
-    /// smallest solution committed with the lowest portfolio index winning
-    /// ties (see [`crate::generalized_binary_reduction_portfolio`]).
-    Portfolio,
-}
-
 /// Performance knobs for a reduction run. They change how fast a run is,
 /// never what it computes: results, predicate-call counts, and traces are
-/// identical across all settings. (The one documented exception is
-/// [`order`](Self::order), which may trade extra probes for a smaller
-/// result — still deterministically.)
+/// identical across all settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// How GBR propagates the dependency model (incremental watched-literal
@@ -92,16 +64,6 @@ pub struct RunOptions {
     /// measurements. Results, call counts, traces and modeled times are
     /// unaffected.
     pub probe_latency_micros: u64,
-    /// Which complete-search solver backs the MSA computations of the
-    /// GBR-based logical strategies (DPLL vs CDCL with learned clauses).
-    /// Bit-identical results; only solver effort differs. Requires
-    /// [`PropagationMode::Incremental`] to take effect (the legacy scan
-    /// has no persistent engine).
-    pub engine: EngineChoice,
-    /// Which GBR variable order a closure-size logical run uses (see
-    /// [`OrderChoice`]). Non-default choices suffix the report's strategy
-    /// name (`+order-learned`, `+order-portfolio`).
-    pub order: OrderChoice,
 }
 
 impl Default for RunOptions {
@@ -111,8 +73,6 @@ impl Default for RunOptions {
             memoize: true,
             probe_threads: 1,
             probe_latency_micros: 0,
-            engine: EngineChoice::default(),
-            order: OrderChoice::default(),
         }
     }
 }
@@ -126,8 +86,6 @@ impl RunOptions {
             memoize: false,
             probe_threads: 1,
             probe_latency_micros: 0,
-            engine: EngineChoice::Dpll,
-            order: OrderChoice::Baseline,
         }
     }
 }
@@ -164,9 +122,7 @@ pub struct ServiceHooks<'h> {
     /// evaluators (the cluster's worker nodes): GBR consumes the
     /// distributor's [`VerdictSource`](crate::VerdictSource) instead
     /// of the local probe scheduler. Results stay bit-identical — the
-    /// driver demands the exact sequential probe order either way. A
-    /// [`OrderChoice::Portfolio`] run ignores the distributor (the race
-    /// shares one local scheduler across its members).
+    /// driver demands the exact sequential probe order either way.
     pub distributor: Option<&'h dyn ProbeDistributor>,
 }
 
@@ -258,11 +214,6 @@ pub struct StrategyCaps {
     /// The per-error sweep can drive this strategy's search once per
     /// distinct baseline error.
     pub per_error: bool,
-    /// Runs a complete-search MSA engine, so [`RunOptions::engine`]
-    /// selects its solver (and `+cdcl` suffixes the report label).
-    pub honors_engine: bool,
-    /// Honors [`RunOptions::order`] (and `+order-*` suffixes the label).
-    pub honors_order: bool,
     /// Builds the fine-grained logical model (as opposed to the coarse
     /// unit graph only).
     pub uses_model: bool,
@@ -279,28 +230,6 @@ pub trait ReductionStrategy<I: Input>: Send + Sync {
 
     /// Capability flags.
     fn caps(&self) -> StrategyCaps;
-
-    /// The report label: the canonical name, suffixed for every
-    /// non-default option the strategy actually honors, so rows from
-    /// different configurations stay distinguishable in comparisons.
-    fn label(&self, options: &RunOptions) -> String {
-        let caps = self.caps();
-        let mut name = self.name().to_owned();
-        if caps.honors_engine
-            && options.propagation == PropagationMode::Incremental
-            && options.engine == EngineChoice::Cdcl
-        {
-            name.push_str("+cdcl");
-        }
-        if caps.honors_order {
-            match options.order {
-                OrderChoice::Baseline => {}
-                OrderChoice::Learned => name.push_str("+order-learned"),
-                OrderChoice::Portfolio => name.push_str("+order-portfolio"),
-            }
-        }
-        name
-    }
 
     /// Runs the strategy. The caller has already verified the input
     /// fails; hooks a strategy does not support (per its caps) are
@@ -462,10 +391,7 @@ mod tests {
         }
 
         fn caps(&self) -> StrategyCaps {
-            StrategyCaps {
-                honors_engine: true,
-                ..StrategyCaps::default()
-            }
+            StrategyCaps::default()
         }
 
         fn run(
@@ -515,29 +441,6 @@ mod tests {
             registry.get("id").unwrap().name(),
             registry.get("identity").unwrap().name()
         );
-    }
-
-    #[test]
-    fn default_label_suffixes_follow_caps() {
-        let strategy = Identity;
-        assert_eq!(strategy.label(&RunOptions::default()), "identity");
-        let cdcl = RunOptions {
-            engine: EngineChoice::Cdcl,
-            ..RunOptions::default()
-        };
-        assert_eq!(strategy.label(&cdcl), "identity+cdcl");
-        // Legacy propagation has no persistent engine: no suffix.
-        let legacy_cdcl = RunOptions {
-            engine: EngineChoice::Cdcl,
-            ..RunOptions::legacy()
-        };
-        assert_eq!(strategy.label(&legacy_cdcl), "identity");
-        // Order suffixes are gated on the honors_order cap (unset here).
-        let portfolio = RunOptions {
-            order: OrderChoice::Portfolio,
-            ..RunOptions::default()
-        };
-        assert_eq!(strategy.label(&portfolio), "identity");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! returns for the same `(L, J)`.
 
 use lbr_core::{
-    build_progression, closure_size_order, generalized_binary_reduction, history_order,
-    EngineChoice, GbrConfig, GbrError, Instance, Oracle, ProgressionBuilder, PropagationMode,
+    build_progression, closure_size_order, generalized_binary_reduction, history_order, GbrConfig,
+    GbrError, Instance, Oracle, ProgressionBuilder, PropagationMode,
 };
 use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarOrder, VarSet};
 use lbr_prng::SplitMix64;
@@ -206,40 +206,37 @@ fn progression_builder_matches_build_progression() {
                 _ => full.clone(),
             };
         for strategy in MsaStrategy::ALL {
-            for engine in [EngineChoice::Dpll, EngineChoice::Cdcl] {
-                let config = GbrConfig {
-                    msa_strategy: strategy,
-                    engine,
-                    ..GbrConfig::default()
-                };
-                let mut builder = ProgressionBuilder::new(&cnf, n, &config);
-                let mut learned: Vec<VarSet> = Vec::new();
-                let mut search_space = seed_space.clone();
-                let tag = format!("seed {seed} {strategy:?} {engine:?}");
-                loop {
-                    let got = builder.progression(&order, &learned, &search_space);
-                    let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
-                    assert_eq!(got, want, "{tag}: step {}", learned.len());
-                    steps += 1;
-                    let Ok(progression) = got else { break };
-                    if progression.len() < 2 {
-                        break;
-                    }
-                    let r = rng.gen_range(1..progression.len());
-                    learned.push(progression[r].clone());
-                    search_space = prefix_union(&progression, r, n);
+            let config = GbrConfig {
+                msa_strategy: strategy,
+                ..GbrConfig::default()
+            };
+            let mut builder = ProgressionBuilder::new(&cnf, n, &config);
+            let mut learned: Vec<VarSet> = Vec::new();
+            let mut search_space = seed_space.clone();
+            let tag = format!("seed {seed} {strategy:?}");
+            loop {
+                let got = builder.progression(&order, &learned, &search_space);
+                let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
+                assert_eq!(got, want, "{tag}: step {}", learned.len());
+                steps += 1;
+                let Ok(progression) = got else { break };
+                if progression.len() < 2 {
+                    break;
                 }
-                // A learned set disjoint from `J` leaves `R⁺` without a
-                // model: both paths must refuse it the same way.
-                let outside = full.difference(&search_space);
-                if !outside.is_empty() {
-                    learned.push(outside);
-                    let got = builder.progression(&order, &learned, &search_space);
-                    let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
-                    assert_eq!(got, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
-                    assert_eq!(want, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
-                    disjoint += 1;
-                }
+                let r = rng.gen_range(1..progression.len());
+                learned.push(progression[r].clone());
+                search_space = prefix_union(&progression, r, n);
+            }
+            // A learned set disjoint from `J` leaves `R⁺` without a
+            // model: both paths must refuse it the same way.
+            let outside = full.difference(&search_space);
+            if !outside.is_empty() {
+                learned.push(outside);
+                let got = builder.progression(&order, &learned, &search_space);
+                let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
+                assert_eq!(got, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
+                assert_eq!(want, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
+                disjoint += 1;
             }
         }
     }

@@ -19,11 +19,9 @@
 //! - **I6** a warm cache actually answers probes (warm hits observed);
 //! - **I7** cache faults only ever cost re-runs (subsumed by I4: the
 //!   faulty run must equal the fault-free one);
-//! - **I8** the CDCL engine agrees with legacy DPLL: the CDCL-backed
-//!   session replays the reference search bit-identically (same reduced
-//!   bytes, calls, trace), and on the case's logical model the two
-//!   solvers return the same SAT verdict, the same lex-least model, and
-//!   the same model count.
+//! - **I8** retired together with the CDCL engine it checked (DPLL is the
+//!   one complete solver left). The number stays reserved so I1–I7 keep
+//!   their meaning in recorded case files and reports.
 //!
 //! The progression suite itself is generic over [`Input`], so the stackvm
 //! frontend (progression P12) runs the exact same body — only the
@@ -33,14 +31,14 @@
 use crate::case::FuzzCase;
 use lbr_classfile::{verify_program, Program};
 use lbr_cluster::{run_worker, ClusterServer, WorkerOptions};
-use lbr_core::{EngineChoice, Input, InputOracle, TestOutcome};
+use lbr_core::{Input, InputOracle, TestOutcome};
 use lbr_decompiler::DecompilerOracle;
-use lbr_jreduce::{build_model, check_report, ReductionReport, ReductionSession, RunOptions};
-use lbr_logic::{count_models, CdclEngine, Cnf, CountSession, Var, VarSet};
+use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
+use lbr_logic::{Var, VarSet};
 use lbr_service::{
     namespace_digest, Client, Daemon, DaemonConfig, FaultPlan, Json, PersistentOracleCache,
 };
-use lbr_stackvm::{build_stack_model, StackOracle};
+use lbr_stackvm::StackOracle;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -203,10 +201,7 @@ impl Harness {
             if !oracle.is_failing() {
                 return CaseOutcome::skipped();
             }
-            let cnf = build_stack_model(&module)
-                .map(|m| m.cnf)
-                .map_err(|e| e.to_string());
-            return self.run_progressions(case, &module, &oracle, cnf, with_daemon);
+            return self.run_progressions(case, &module, &oracle, with_daemon);
         }
 
         let program = case.program();
@@ -217,10 +212,7 @@ impl Harness {
         if !oracle.is_failing() {
             return CaseOutcome::skipped();
         }
-        let cnf = build_model(&program)
-            .map(|m| m.cnf)
-            .map_err(|e| e.to_string());
-        let mut out = self.run_progressions(case, &program, &oracle, cnf, with_daemon);
+        let mut out = self.run_progressions(case, &program, &oracle, with_daemon);
 
         // P9 (armed by `fuzz --break-oracle`): a deliberately lying
         // predicate that accepts any verifying subprogram. The harness
@@ -240,17 +232,13 @@ impl Harness {
         out
     }
 
-    /// The format-generic progression body: P0–P8 plus the CDCL (P10)
-    /// and cluster (P11) replays, cross-checked under I1–I8. `cnf` is
-    /// the frontend's logical model for the direct solver-agreement leg
-    /// of I8 (an `Err` is itself a violation — the input verified, so
-    /// the model must build).
+    /// The format-generic progression body: P0–P8 plus the cluster (P11)
+    /// replay and the baseline zoo (P13, P15), cross-checked under I1–I7.
     fn run_progressions<I, O>(
         &self,
         case: &FuzzCase,
         input: &I,
         oracle: &O,
-        cnf: Result<Cnf, String>,
         with_daemon: bool,
     ) -> CaseOutcome
     where
@@ -296,10 +284,6 @@ impl Harness {
             );
         }
 
-        // P10 (I8): the CDCL engine — bit-identical session replay plus
-        // direct solver agreement on the case's logical model.
-        self.cdcl_progression(input, oracle, &cnf, &reference, &mut out);
-
         // P3: the DPLL-conditioned MSA strategy — its own sound result
         // (a different search, so no bit-identity with the reference).
         match session(input, oracle).strategy("logical/dpll+min").run() {
@@ -312,17 +296,13 @@ impl Harness {
                 .push(format!("dpll-minimize run failed: {e}")),
         }
 
-        // P13–P15: the baseline zoo from the strategy registry — HDD over
-        // the containment tree, transformation passes before GBR, and the
-        // trace-guided GBR mode. Each is its own search (no bit-identity
-        // with the reference), checked for soundness (I1–I3). Trace-guided
-        // also replays under the legacy options, whose scan-based
-        // progressions its Phase B must match exactly (I4).
-        for (tag, name) in [
-            ("hdd", "hdd"),
-            ("transform", "transform"),
-            ("trace-guided", "logical/trace-guided"),
-        ] {
+        // P13 and P15: the baseline zoo from the strategy registry — HDD
+        // over the containment tree and the trace-guided GBR mode. Each is
+        // its own search (no bit-identity with the reference), checked for
+        // soundness (I1–I3). Trace-guided also replays under the legacy
+        // options, whose scan-based progressions its Phase B must match
+        // exactly (I4).
+        for (tag, name) in [("hdd", "hdd"), ("trace-guided", "logical/trace-guided")] {
             match session(input, oracle).strategy(name).run() {
                 Ok(report) => {
                     out.progressions += 1;
@@ -390,7 +370,7 @@ impl Harness {
             // P11: the distributed cluster — the same container through a
             // clustered coordinator with a TCP worker node must replay
             // the reference bit-identically; this is the ordered-verdict
-            // merge (and the shared cache tier) under the same I1–I8
+            // merge (and the shared cache tier) under the same I1–I7
             // cross-checks as the single-host daemon.
             if let Some(cluster) = &self.cluster {
                 self.service_progression(
@@ -431,74 +411,9 @@ impl Harness {
         {
             Ok(report) => {
                 out.progressions += 1;
-                diff_reports("I4", tag, reference, &report, &mut out.violations);
+                diff_reports(tag, reference, &report, &mut out.violations);
             }
             Err(e) => out.violations.push(format!("{tag} run failed: {e}")),
-        }
-    }
-
-    /// I8: the CDCL progression. The CDCL-backed session must replay the
-    /// DPLL reference bit-identically (both engines compute the same
-    /// lex-least model, so only solver effort may differ), and on the
-    /// case's logical model the two solvers must agree directly — same
-    /// SAT verdict, same model, same model count (with and without CDCL
-    /// component probes).
-    fn cdcl_progression<I, O>(
-        &self,
-        input: &I,
-        oracle: &O,
-        cnf: &Result<Cnf, String>,
-        reference: &ReductionReport<I>,
-        out: &mut CaseOutcome,
-    ) where
-        I: Input,
-        O: InputOracle<I>,
-    {
-        let options = RunOptions {
-            engine: EngineChoice::Cdcl,
-            ..RunOptions::default()
-        };
-        match session(input, oracle).options(options).run() {
-            Ok(report) => {
-                out.progressions += 1;
-                if !report.strategy.ends_with("+cdcl") {
-                    out.violations.push(format!(
-                        "I8 cdcl-engine: strategy label {:?} is missing +cdcl",
-                        report.strategy
-                    ));
-                }
-                diff_reports("I8", "cdcl-engine", reference, &report, &mut out.violations);
-            }
-            Err(e) => out.violations.push(format!("cdcl-engine run failed: {e}")),
-        }
-        let cnf = match cnf {
-            Ok(cnf) => cnf,
-            Err(e) => {
-                out.violations.push(format!("I8: model build failed: {e}"));
-                return;
-            }
-        };
-        let order = lbr_core::closure_size_order(cnf);
-        let dpll = lbr_logic::dpll::solve(cnf, &order);
-        let mut engine = CdclEngine::new(cnf, cnf.num_vars());
-        let cdcl = engine.solve(&order, &[]);
-        if dpll != cdcl {
-            out.violations.push(format!(
-                "I8: solvers disagree on the model (dpll {:?}, cdcl {:?})",
-                dpll, cdcl
-            ));
-        }
-        // Model-count agreement only on small formulas: the counter's u128
-        // total overflows past 2^128 models, and counting is exponential in
-        // the worst case, so large cases would also blow the time budget.
-        if cnf.num_vars() <= 64 {
-            let plain = count_models(cnf);
-            let probed = CountSession::new().with_cdcl_probes(true).count(cnf);
-            if plain != probed {
-                out.violations.push(format!(
-                    "I8: model counts disagree (plain {plain}, cdcl-probed {probed})"
-                ));
-            }
         }
     }
 
@@ -531,7 +446,7 @@ impl Harness {
         match run_with_cache(&cold_cache) {
             Ok(report) => {
                 out.progressions += 1;
-                diff_reports("I4", "cold-cache", reference, &report, &mut out.violations);
+                diff_reports("cold-cache", reference, &report, &mut out.violations);
             }
             Err(e) => out.violations.push(format!("cold-cache run failed: {e}")),
         }
@@ -549,7 +464,7 @@ impl Harness {
         match run_with_cache(&warm_cache) {
             Ok(report) => {
                 out.progressions += 1;
-                diff_reports("I4", "warm-cache", reference, &report, &mut out.violations);
+                diff_reports("warm-cache", reference, &report, &mut out.violations);
                 if warm_cache.stats().warm_hits == 0 {
                     out.violations
                         .push("I6 warm-cache: no probe was answered from disk".to_string());
@@ -591,13 +506,7 @@ impl Harness {
         match session(input, oracle).cache(&scoped).run() {
             Ok(report) => {
                 out.progressions += 1;
-                diff_reports(
-                    "I4",
-                    "faulty-cache",
-                    reference,
-                    &report,
-                    &mut out.violations,
-                );
+                diff_reports("faulty-cache", reference, &report, &mut out.violations);
             }
             Err(e) => out.violations.push(format!("faulty-cache run failed: {e}")),
         }
@@ -767,31 +676,24 @@ fn soundness<I: Input>(tag: &str, report: &ReductionReport<I>, violations: &mut 
     }
 }
 
-/// Appends violations under invariant `inv` (I4 for the replay
-/// progressions, I8 for the CDCL engine) wherever `report` differs from
-/// `reference` in result bytes, predicate calls, or the deterministic
-/// probe trace.
+/// Appends I4 violations wherever `report` differs from `reference` in
+/// result bytes, predicate calls, or the deterministic probe trace.
 fn diff_reports<I: Input>(
-    inv: &str,
     tag: &str,
     reference: &ReductionReport<I>,
     report: &ReductionReport<I>,
     violations: &mut Vec<String>,
 ) {
     if report.reduced.to_bytes() != reference.reduced.to_bytes() {
-        violations.push(format!(
-            "{inv} {tag}: reduced bytes differ from the reference"
-        ));
+        violations.push(format!("I4 {tag}: reduced bytes differ from the reference"));
     }
     if report.predicate_calls != reference.predicate_calls {
         violations.push(format!(
-            "{inv} {tag}: {} predicate calls, reference made {}",
+            "I4 {tag}: {} predicate calls, reference made {}",
             report.predicate_calls, reference.predicate_calls
         ));
     }
     if !report.trace.same_probe_sequence(&reference.trace) {
-        violations.push(format!(
-            "{inv} {tag}: probe trace diverges from the reference"
-        ));
+        violations.push(format!("I4 {tag}: probe trace diverges from the reference"));
     }
 }

@@ -48,7 +48,7 @@ pub use lbr_core::ModelStats;
 pub use pipeline::{
     check_report, known_strategy, run_logical_resumable, run_per_error, run_per_error_with,
     run_reduction, run_reduction_with, strategy_caps, strategy_catalog, strategy_registry,
-    CandidateProbe, OrderChoice, PerErrorReport, PipelineError, ReductionReport, ReductionStrategy,
-    RunOptions, ServiceHooks, SizeMetrics, StrategyCaps, StrategyOutput, StrategyRegistry,
+    CandidateProbe, PerErrorReport, PipelineError, ReductionReport, ReductionStrategy, RunOptions,
+    ServiceHooks, SizeMetrics, StrategyCaps, StrategyOutput, StrategyRegistry,
 };
 pub use session::ReductionSession;

@@ -9,14 +9,13 @@
 //! (`logical/greedy` and its MSA variants), the J-Reduce baseline
 //! (`jreduce`), the lossy encodings (`lossy-1`, `lossy-2`), validity-
 //! filtered ddmin (`ddmin-items`), hierarchical delta debugging (`hdd`),
-//! transformation passes (`transform`), and the trace-guided GBR mode
-//! (`logical/trace-guided`).
+//! and the trace-guided GBR mode (`logical/trace-guided`).
 //!
 //! Every driver is generic over the input format: an [`Input`] frontend
 //! supplies the logical and coarse models, and an [`InputOracle`]
 //! supplies the failure predicate. The stages live in submodules —
 //! [`logical`] (GBR with service hooks), [`baselines`] (J-Reduce, lossy,
-//! ddmin), [`guided`] (HDD, transform, trace-guided), [`per_error`] (the
+//! ddmin), [`guided`] (HDD, trace-guided), [`per_error`] (the
 //! per-error sweep) — all built on the [`probe`] module's candidate
 //! probe and the `lbr-core` oracle middleware stack. This module owns
 //! the dispatch and the report; the shared run vocabulary
@@ -34,8 +33,8 @@ mod strategies;
 mod tests;
 
 pub use lbr_core::{
-    OrderChoice, PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps,
-    StrategyOutput, StrategyRegistry,
+    PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps, StrategyOutput,
+    StrategyRegistry,
 };
 pub use per_error::PerErrorReport;
 pub use probe::CandidateProbe;
@@ -69,9 +68,8 @@ impl SizeMetrics {
 /// The outcome of one reduction run.
 #[derive(Debug, Clone)]
 pub struct ReductionReport<I = Program> {
-    /// Strategy label (the registry name, suffixed for non-default
-    /// options the strategy honors — see
-    /// [`ReductionStrategy::label`]).
+    /// The strategy's canonical registry name
+    /// ([`ReductionStrategy::name`]).
     pub strategy: String,
     /// Input sizes.
     pub initial: SizeMetrics,
@@ -256,7 +254,7 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
     let errors_preserved = oracle.preserves_failure(&reduced);
     let still_valid = reduced.validate().is_empty();
     Ok(ReductionReport {
-        strategy: strat.label(options),
+        strategy: strat.name().to_owned(),
         initial,
         final_metrics: SizeMetrics::of(&reduced),
         predicate_calls: calls,

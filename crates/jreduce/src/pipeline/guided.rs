@@ -1,18 +1,13 @@
 //! The baseline zoo's new members: hierarchical delta debugging over the
-//! item containment tree, ReduKtor-style transformation passes before
-//! logical reduction, and the trace-guided GBR mode fed by the
+//! item containment tree and the trace-guided GBR mode fed by the
 //! [`TraceLayer`]'s coverage recorder.
 //!
-//! All three run over the same fine logical model as the paper's
+//! Both run over the same fine logical model as the paper's
 //! reducer, differing only in *which candidates* they probe:
 //!
 //! * **HDD** sweeps the containment tree level by level
 //!   ([`InputModel::levels`]), running validity-filtered ddmin over each
 //!   level's items with deeper items pruned to their dependencies,
-//! * **transform** first tries bulk simplifying rewrites (drop a whole
-//!   containment level at once, deepest first — the "replace bodies with
-//!   stubs" pass of the ReduKtor lineage), then hands the shrunken
-//!   search space to GBR as a synthetic resume checkpoint,
 //! * **trace-guided** runs a cheap coverage sweep of deletion probes
 //!   *under a trace recorder*, then seeds GBR's search space with the
 //!   covered set (the intersection of the failure-preserving probes'
@@ -22,19 +17,18 @@
 use crate::pipeline::probe::{wrap_oracle, CandidateProbe};
 use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
-    closure_size_order, ddmin, generalized_binary_reduction_controlled, history_order,
-    ConcurrentPredicate, DepGraph, EngineChoice, GbrCheckpoint, GbrConfig, GbrControl, GbrError,
-    Input, InputOracle, Instance, LatencyLayer, OracleStack, Predicate, ProbeStats,
-    ProgressionBuilder, ReductionTrace, StrategyOutput, TestOutcome, TraceLayer,
+    ddmin, history_order, ConcurrentPredicate, DepGraph, GbrConfig, GbrError, Input, InputOracle,
+    LatencyLayer, OracleStack, Predicate, ProbeStats, ProgressionBuilder, ReductionTrace,
+    StrategyOutput, TestOutcome, TraceLayer,
 };
 use lbr_logic::{ClauseShape, Cnf, MsaStrategy, Var, VarSet};
 use std::cell::Cell;
 use std::time::Instant;
 
 /// Per-variable dependency closures over the edge-shaped clauses of the
-/// model (the same edges [`closure_size_order`] ranks by). Used to prune
-/// hierarchical candidates: removing an item also removes everything
-/// whose edge-dependencies it breaks.
+/// model (the same edges [`lbr_core::closure_size_order`] ranks by). Used
+/// to prune hierarchical candidates: removing an item also removes
+/// everything whose edge-dependencies it breaks.
 fn edge_closures(cnf: &Cnf) -> Vec<VarSet> {
     let n = cnf.num_vars();
     let mut graph = DepGraph::new(n);
@@ -141,105 +135,6 @@ pub(crate) fn run_hdd<I: Input, O: InputOracle<I> + ?Sized>(
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(calls, 0, 0),
-    })
-}
-
-/// Transformation passes before logical reduction: try dropping each
-/// whole containment level (deepest first — "stub every body" before
-/// "drop every member"), keep the rewrites that preserve the failure,
-/// then run GBR with the transformed input as a synthetic resume
-/// checkpoint so the search starts from the already-shrunken space.
-pub(crate) fn run_transform<I: Input, O: InputOracle<I> + ?Sized>(
-    input: &I,
-    oracle: &O,
-    cost: f64,
-    options: &RunOptions,
-) -> Result<StrategyOutput<I>, PipelineError> {
-    let model = input.model().map_err(PipelineError::Model)?;
-    let stats = model.stats;
-    let cnf = &model.cnf;
-    let n = cnf.num_vars();
-    let levels = model_levels(&model.levels, n);
-    let closures = edge_closures(cnf);
-    let base = CandidateProbe {
-        materialize: &*model.materialize,
-        oracle,
-    };
-    let latency = LatencyLayer::new(options.probe_latency_micros);
-    let stack = OracleStack::new(&base).with(&latency);
-    let mut trace = ReductionTrace::new();
-    let mut calls = 0u64;
-    let start = Instant::now();
-    let mut keep = VarSet::full(n);
-    let max_level = levels.iter().copied().max().unwrap_or(0);
-    for level in (1..=max_level).rev() {
-        let mut candidate = keep.clone();
-        for v in keep.iter() {
-            if levels[v.index()] == level {
-                candidate.remove(v);
-            }
-        }
-        let candidate = prune_to_deps(&candidate, &closures);
-        if candidate == keep || !cnf.eval(&candidate) {
-            continue;
-        }
-        calls += 1;
-        let probe = stack.probe(&candidate);
-        trace.record(
-            calls,
-            start.elapsed().as_secs_f64(),
-            calls as f64 * cost,
-            probe.size,
-            probe.outcome,
-        );
-        if probe.outcome {
-            keep = candidate;
-        }
-    }
-    // The logical pass: GBR over the full model, resumed from the
-    // transformed keep-set (a valid failing input by construction — every
-    // adopted rewrite was probed).
-    let order = closure_size_order(cnf);
-    let instance = Instance::over_all_vars(model.cnf.clone());
-    let config = GbrConfig {
-        propagation: options.propagation,
-        engine: options.engine,
-        ..GbrConfig::default()
-    };
-    let mut control = GbrControl::default();
-    if keep.len() < n {
-        control.resume = Some(GbrCheckpoint {
-            iterations: 0,
-            learned: Vec::new(),
-            search_space: keep.clone(),
-            best: Some(keep),
-        });
-    }
-    let last_bytes = Cell::new(0u64);
-    let mut predicate = |k: &VarSet| {
-        let probe = stack.probe(k);
-        last_bytes.set(probe.size);
-        probe.outcome
-    };
-    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
-    let outcome = generalized_binary_reduction_controlled(
-        &instance,
-        &order,
-        &mut wrapped,
-        &config,
-        &mut control,
-    )?;
-    let gbr_calls = wrapped.calls();
-    let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
-    trace.append_sequential(&wrapped.into_trace());
-    let total = calls + gbr_calls;
-    let reduced = (model.materialize)(&outcome.solution);
-    Ok(StrategyOutput {
-        reduced,
-        calls: total,
-        trace,
-        model_stats: Some(stats),
-        probe_stats: ProbeStats::sequential(total, cache_hits, cache_misses),
     })
 }
 
@@ -380,15 +275,14 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
     let order_b = history_order(cnf, coverage.frequencies());
     // One builder for the whole phase: the learned sets only grow, so the
     // incremental engine installs each once and every progression is
-    // assumption levels over the same clause set. The engine stays DPLL;
-    // `RunOptions::legacy()` selects the scan-based reference.
+    // assumption levels over the same clause set. `RunOptions::legacy()`
+    // selects the scan-based reference.
     let mut builder = ProgressionBuilder::new(
         cnf,
         n,
         &GbrConfig {
             msa_strategy: MsaStrategy::GreedyClosure,
             propagation: options.propagation,
-            engine: EngineChoice::Dpll,
             ..GbrConfig::default()
         },
     );

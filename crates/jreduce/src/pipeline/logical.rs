@@ -5,23 +5,15 @@
 //! CNF and the solution applier.
 
 use crate::pipeline::probe::{wrap_oracle, CandidateProbe, OrderKind};
-use crate::pipeline::{OrderChoice, PipelineError, RunOptions, ServiceHooks};
+use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
-    activity_order, closure_size_order, generalized_binary_reduction,
-    generalized_binary_reduction_controlled, generalized_binary_reduction_portfolio_controlled,
+    closure_size_order, generalized_binary_reduction, generalized_binary_reduction_controlled,
     generalized_binary_reduction_speculative_controlled, generalized_binary_reduction_with_source,
-    history_order, probe_activity, CacheLayer, ConcurrentPredicate, GbrConfig, GbrControl, Input,
-    InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats, SpeculationConfig,
-    StrategyOutput,
+    CacheLayer, ConcurrentPredicate, GbrConfig, GbrControl, Input, InputOracle, Instance,
+    LatencyLayer, OracleStack, ProbeStats, SpeculationConfig, StrategyOutput,
 };
 use lbr_logic::{MsaStrategy, VarSet};
 use std::cell::Cell;
-
-/// Conflict-budget for the deterministic activity probe behind
-/// [`OrderChoice::Learned`] and the portfolio's activity member: how many
-/// deepest-closure variables are stress-assumed. Solver-only work — zero
-/// predicate calls.
-const ACTIVITY_PROBES: usize = 8;
 
 /// GBR over the logical model. The oracle middleware is assembled here:
 /// `[cache?, latency]` over the base candidate probe, beneath the per-run
@@ -40,19 +32,13 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
     let model = input.model().map_err(PipelineError::Model)?;
     let stats = model.stats;
     let order = match order_kind {
-        OrderKind::ClosureSize => match options.order {
-            OrderChoice::Learned => {
-                activity_order(&model.cnf, &probe_activity(&model.cnf, ACTIVITY_PROBES))
-            }
-            OrderChoice::Baseline | OrderChoice::Portfolio => closure_size_order(&model.cnf),
-        },
+        OrderKind::ClosureSize => closure_size_order(&model.cnf),
         OrderKind::Natural => lbr_core::natural_order(&model.cnf),
     };
     let instance = Instance::over_all_vars(model.cnf.clone());
     let config = GbrConfig {
         msa_strategy: msa,
         propagation: options.propagation,
-        engine: options.engine,
         ..GbrConfig::default()
     };
     let mut control = GbrControl {
@@ -71,57 +57,6 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
         stack.push(layer);
     }
     stack.push(&latency);
-    if options.order == OrderChoice::Portfolio && matches!(order_kind, OrderKind::ClosureSize) {
-        // Checkpoint/resume snapshots are per-order state and do not
-        // compose with a portfolio race; a resume snapshot instead feeds
-        // the cache-history member's weights (variables that earlier
-        // progress kept are likely required again), and the checkpoint
-        // hook is not called. Cancellation is honored.
-        let history = control.resume.take();
-        let mut weights = vec![0u64; model.cnf.num_vars()];
-        if let Some(ck) = &history {
-            for l in &ck.learned {
-                for v in l.iter() {
-                    weights[v.index()] += 1;
-                }
-            }
-            if let Some(best) = &ck.best {
-                for v in best.iter() {
-                    weights[v.index()] += 1;
-                }
-            }
-        }
-        let orders = [
-            order.clone(),
-            activity_order(&model.cnf, &probe_activity(&model.cnf, ACTIVITY_PROBES)),
-            history_order(&model.cnf, &weights),
-        ];
-        let spec = SpeculationConfig {
-            threads: options.probe_threads.max(1),
-            width: 0,
-            cost_per_call_secs: cost,
-        };
-        let mut race_control = GbrControl {
-            cancel: control.cancel,
-            ..GbrControl::default()
-        };
-        let race = generalized_binary_reduction_portfolio_controlled(
-            &instance,
-            &orders,
-            &stack,
-            &config,
-            &spec,
-            &mut race_control,
-        )?;
-        let reduced = (model.materialize)(&race.run.outcome.solution);
-        return Ok(StrategyOutput {
-            reduced,
-            calls: race.run.stats.useful_calls,
-            trace: race.run.trace,
-            model_stats: Some(stats),
-            probe_stats: race.run.stats,
-        });
-    }
     if let Some(dist) = hooks.distributor {
         // Cluster backend: GBR demands verdicts from the distributor's
         // remote frontier instead of a local scheduler. The driving
@@ -232,7 +167,6 @@ pub(crate) fn run_minimized<I: Input, O: InputOracle<I> + ?Sized>(
     let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
     let config = GbrConfig {
         propagation: options.propagation,
-        engine: options.engine,
         ..GbrConfig::default()
     };
     let outcome = generalized_binary_reduction(&instance, &order, &mut wrapped, &config)?;

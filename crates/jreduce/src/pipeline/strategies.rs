@@ -42,8 +42,6 @@ impl<I: Input> ReductionStrategy<I> for LogicalStrategy {
             resumable: true,
             speculative: true,
             per_error: true,
-            honors_engine: true,
-            honors_order: true,
             uses_model: true,
         }
     }
@@ -81,7 +79,6 @@ impl<I: Input> ReductionStrategy<I> for NaturalOrderStrategy {
         StrategyCaps {
             resumable: true,
             speculative: true,
-            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -119,7 +116,6 @@ impl<I: Input> ReductionStrategy<I> for MinimizedStrategy {
 
     fn caps(&self) -> StrategyCaps {
         StrategyCaps {
-            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -242,42 +238,12 @@ impl<I: Input> ReductionStrategy<I> for HddStrategy {
     }
 }
 
-/// Transformation passes (drop whole containment levels, deepest first)
-/// before the logical GBR pass.
-pub(crate) struct TransformStrategy;
-
-impl<I: Input> ReductionStrategy<I> for TransformStrategy {
-    fn name(&self) -> &str {
-        "transform"
-    }
-
-    fn caps(&self) -> StrategyCaps {
-        StrategyCaps {
-            honors_engine: true,
-            uses_model: true,
-            ..StrategyCaps::default()
-        }
-    }
-
-    fn run(
-        &self,
-        input: &I,
-        oracle: &dyn InputOracle<I>,
-        cost: f64,
-        options: &RunOptions,
-        _hooks: ServiceHooks<'_>,
-    ) -> Result<StrategyOutput<I>, PipelineError> {
-        guided::run_transform(input, oracle, cost, options)
-    }
-}
-
 /// The trace-guided GBR mode: a coverage sweep of deletion probes seeds
 /// GBR's search space with the covered set, orders its progression by
 /// trace frequency, and guides each iteration's boundary search with the
 /// previously recorded boundary gap. Its progressions come from the same
 /// [`ProgressionBuilder`](lbr_core::ProgressionBuilder) as plain GBR's and
-/// honor the propagation mode, but the engine is fixed to DPLL, so it
-/// does not claim the engine capability.
+/// honor the propagation mode.
 pub(crate) struct TraceGuidedStrategy;
 
 impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
@@ -325,7 +291,6 @@ pub fn strategy_registry<I: Input>() -> StrategyRegistry<I> {
     registry.register(Arc::new(LossyStrategy(LossyPick::LastLast)));
     registry.register(Arc::new(DdminStrategy));
     registry.register(Arc::new(HddStrategy));
-    registry.register(Arc::new(TransformStrategy));
     registry.register(Arc::new(TraceGuidedStrategy));
     registry.alias("logical", "logical/greedy");
     registry.alias("logical-min", "logical/minimized");
@@ -432,7 +397,6 @@ mod tests {
                 "lossy-2",
                 "ddmin-items",
                 "hdd",
-                "transform",
                 "logical/trace-guided",
             ]
         );
@@ -463,12 +427,12 @@ mod tests {
         assert!(caps_of("logical/greedy").resumable);
         assert!(caps_of("logical/greedy").per_error);
         assert!(caps_of("logical/natural-order").speculative);
-        assert!(!caps_of("logical/natural-order").honors_order);
+        assert!(!caps_of("logical/natural-order").per_error);
+        assert!(!caps_of("logical/minimized").resumable);
         assert!(!caps_of("jreduce").uses_model);
         assert!(caps_of("hdd").uses_model);
         assert!(!caps_of("hdd").resumable);
         assert!(caps_of("logical/trace-guided").uses_model);
-        assert!(!caps_of("logical/trace-guided").honors_engine);
-        assert!(caps_of("transform").honors_engine);
+        assert!(!caps_of("logical/trace-guided").speculative);
     }
 }

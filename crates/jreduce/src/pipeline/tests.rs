@@ -440,21 +440,6 @@ fn hdd_runs_and_is_sound() {
 }
 
 #[test]
-fn transform_runs_and_is_sound() {
-    let p = benchmark();
-    let oracle = DecompilerOracle::new(&p, BugSet::of(&[BugKind::CastToObject]));
-    let report = run_reduction(&p, &oracle, "transform", 0.0).expect("transform runs");
-    check_report(&report).unwrap_or_else(|e| panic!("{e}"));
-    let again = run_reduction(&p, &oracle, "transform", 0.0).expect("transform repeats");
-    assert_eq!(again.predicate_calls, report.predicate_calls);
-    assert_eq!(again.trace.digest(), report.trace.digest());
-    assert_eq!(
-        lbr_classfile::write_program(&again.reduced),
-        lbr_classfile::write_program(&report.reduced)
-    );
-}
-
-#[test]
 fn trace_guided_runs_sound_and_no_worse_than_plain_gbr_here() {
     let p = benchmark();
     let oracle = DecompilerOracle::new(&p, BugSet::of(&[BugKind::CastToObject]));

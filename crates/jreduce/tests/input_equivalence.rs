@@ -10,13 +10,14 @@
 //! (the same fixtures `session_matrix.rs` pins).
 //!
 //! The same driver then runs the stackvm frontend, pinning its own
-//! digests and cross-checking that every engine (DPLL reference, legacy
-//! scan, CDCL) replays bit-identically on both formats — the
+//! digests and cross-checking that every engine configuration (the
+//! incremental reference, legacy scan, speculative probing) replays
+//! bit-identically on both formats — the
 //! cross-format differential guarantee: one generic pipeline, two
 //! frontends, zero behavioral divergence.
 
 use lbr_classfile::Program;
-use lbr_core::{EngineChoice, Input, InputOracle};
+use lbr_core::{Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_stackvm::{Module, StackBugSet, StackOracle};
@@ -144,13 +145,6 @@ fn engines_agree<I: Input, O: InputOracle<I>>(input: &I, oracle: &O) -> Reductio
     let reference = reduce_via_trait(input, oracle, RunOptions::default());
     let engines = [
         ("legacy-scan", RunOptions::legacy()),
-        (
-            "cdcl",
-            RunOptions {
-                engine: EngineChoice::Cdcl,
-                ..RunOptions::default()
-            },
-        ),
         (
             "probe-threads-2",
             RunOptions {

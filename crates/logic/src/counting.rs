@@ -399,25 +399,16 @@ fn components(clauses: &[Clause], vars: &[Var]) -> Vec<(Vec<Clause>, Vec<Var>)> 
 /// A canonical, renaming-invariant key for a component: variables are
 /// renumbered by first occurrence in the sorted clause list.
 fn canonical_key(clauses: &[Clause], vars: &[Var]) -> Vec<u64> {
-    canonical_key_and_order(clauses, vars).0
-}
-
-/// [`canonical_key`] plus the concrete variables in canonical order, so
-/// callers can translate between this occurrence of the component and its
-/// canonical renaming (position `i` of the returned vec = the concrete
-/// variable with canonical id `i`). Free variables of the component do not
-/// occur in any clause and get no canonical id.
-fn canonical_key_and_order(clauses: &[Clause], vars: &[Var]) -> (Vec<u64>, Vec<Var>) {
     let mut sorted: Vec<&Clause> = clauses.iter().collect();
     sorted.sort();
     let mut rename: HashMap<Var, u32> = HashMap::new();
-    let mut canon: Vec<Var> = Vec::new();
+    let mut next = 0u32;
     let mut key = Vec::with_capacity(clauses.len() * 4 + 1);
     for c in &sorted {
         for l in c.lits() {
             let id = *rename.entry(l.var()).or_insert_with(|| {
-                let id = canon.len() as u32;
-                canon.push(l.var());
+                let id = next;
+                next += 1;
                 id
             });
             key.push(((id as u64) << 1) | (l.is_positive() as u64));
@@ -426,209 +417,7 @@ fn canonical_key_and_order(clauses: &[Clause], vars: &[Var]) -> (Vec<u64>, Vec<V
     }
     // Free-variable count must be part of the identity.
     key.push(vars.len() as u64);
-    (key, canon)
-}
-
-/// An exact (not renaming-invariant) identity of a clause set, used to
-/// memoize whole-probe decompositions across a [`CountSession`].
-fn exact_key(clauses: &[Clause], extra: u64) -> Vec<u64> {
-    let mut sorted: Vec<&Clause> = clauses.iter().collect();
-    sorted.sort();
-    let mut key = Vec::with_capacity(clauses.len() * 4 + 1);
-    for c in &sorted {
-        for l in c.lits() {
-            key.push(l.code() as u64);
-        }
-        key.push(u64::MAX);
-    }
-    key.push(extra);
     key
-}
-
-/// A persistent model-counting session for repeated probes over the same
-/// underlying model.
-///
-/// GBR-style reduction counts restrictions of one fixed dependency CNF
-/// over and over; the standalone [`count_models_restricted`] rebuilds the
-/// component cache and re-runs the full top-level simplification (BCP +
-/// decomposition) on every call, even when the restricted clause set is
-/// byte-identical to a previous probe. A session keeps three layers of
-/// state across probes:
-///
-/// 1. the renaming-invariant **component-count cache** (as in
-///    [`count_models`], but surviving between calls),
-/// 2. a **whole-probe memo** keyed by the exact clause set, skipping BCP
-///    and decomposition entirely for repeated restrictions,
-/// 3. optionally, a component-keyed [`SharedClauseStore`]
-///    (crate::learned::SharedClauseStore): on a component-cache miss, a
-///    [`CdclEngine`](crate::CdclEngine) warm-started with clauses learned
-///    on isomorphic components decides satisfiability first — an UNSAT
-///    verdict short-circuits the exponential branching with a 0 count —
-///    and the clauses it learns are recorded for later components and
-///    probes.
-///
-/// Results are bit-identical to [`count_models_restricted`] for every
-/// probe: all three layers are caches of deterministic sub-computations.
-pub struct CountSession {
-    counter: Counter,
-    tops: HashMap<Vec<u64>, u128>,
-    top_hits: u64,
-    store: crate::learned::SharedClauseStore,
-    cdcl_probes: bool,
-}
-
-impl Default for CountSession {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CountSession {
-    /// A fresh session with empty caches and CDCL probes disabled.
-    pub fn new() -> Self {
-        CountSession {
-            counter: Counter::default(),
-            tops: HashMap::new(),
-            top_hits: 0,
-            store: crate::learned::SharedClauseStore::new(),
-            cdcl_probes: false,
-        }
-    }
-
-    /// Enables (or disables) the CDCL satisfiability pre-probe with the
-    /// shared learned-clause store.
-    pub fn with_cdcl_probes(mut self, on: bool) -> Self {
-        self.cdcl_probes = on;
-        self
-    }
-
-    /// Seeds the session with an existing store (e.g. one populated by the
-    /// MSA solver of the same run), so component probes start warm.
-    pub fn with_store(mut self, store: crate::learned::SharedClauseStore) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Takes the store out of the session (leaving an empty one), so it
-    /// can be handed to the next consumer of the run.
-    pub fn take_store(&mut self) -> crate::learned::SharedClauseStore {
-        std::mem::take(&mut self.store)
-    }
-
-    /// Counting statistics accumulated over the whole session.
-    pub fn stats(&self) -> CountingStats {
-        self.counter.stats
-    }
-
-    /// Whole-probe memo hits so far.
-    pub fn top_hits(&self) -> u64 {
-        self.top_hits
-    }
-
-    /// The shared learned-clause store (empty unless CDCL probes are on).
-    pub fn store(&self) -> &crate::learned::SharedClauseStore {
-        &self.store
-    }
-
-    /// [`count_models`] against the session caches.
-    pub fn count(&mut self, cnf: &Cnf) -> u128 {
-        let clauses: Vec<Clause> = cnf.clauses().to_vec();
-        if clauses.iter().any(|c| c.is_empty()) {
-            return 0;
-        }
-        let mut vars: Vec<Var> = cnf.occurring_vars().iter().collect();
-        vars.sort();
-        let free = cnf.num_vars() - vars.len();
-        let core = self.count_top(clauses, vars);
-        core.checked_mul(pow2(free)).expect("model count overflow")
-    }
-
-    /// [`count_models_restricted`] against the session caches.
-    pub fn count_restricted(&mut self, cnf: &Cnf, keep: &crate::VarSet) -> u128 {
-        let empty = crate::VarSet::empty(cnf.num_vars());
-        let restricted = cnf.restrict(keep, &empty);
-        let clauses: Vec<Clause> = restricted.clauses().to_vec();
-        if clauses.iter().any(|c| c.is_empty()) {
-            return 0;
-        }
-        let mut vars: Vec<Var> = restricted.occurring_vars().iter().collect();
-        vars.sort();
-        let free = keep.len().saturating_sub(vars.len());
-        let core = self.count_top(clauses, vars);
-        core.checked_mul(pow2(free)).expect("model count overflow")
-    }
-
-    /// The memoized equivalent of `Counter::count` at the probe top level.
-    fn count_top(&mut self, clauses: Vec<Clause>, vars: Vec<Var>) -> u128 {
-        let top = exact_key(&clauses, vars.len() as u64);
-        if let Some(&c) = self.tops.get(&top) {
-            self.top_hits += 1;
-            return c;
-        }
-        let result = (|| {
-            let Some((clauses, forced)) = bcp(clauses) else {
-                return 0;
-            };
-            let mut mentioned: Vec<Var> = Vec::new();
-            {
-                let mut seen = std::collections::HashSet::new();
-                for c in &clauses {
-                    for l in c.lits() {
-                        if seen.insert(l.var()) {
-                            mentioned.push(l.var());
-                        }
-                    }
-                }
-            }
-            mentioned.sort();
-            let free = vars.len() - mentioned.len() - forced.len();
-            let mult = pow2(free);
-            if clauses.is_empty() {
-                return mult;
-            }
-            let mut total = mult;
-            for (comp_clauses, comp_vars) in components(&clauses, &mentioned) {
-                let sub = self.count_component(comp_clauses, comp_vars);
-                if sub == 0 {
-                    return 0;
-                }
-                total = total.checked_mul(sub).expect("model count overflow");
-            }
-            total
-        })();
-        self.tops.insert(top, result);
-        result
-    }
-
-    /// `Counter::count_component` with the optional CDCL pre-probe.
-    fn count_component(&mut self, clauses: Vec<Clause>, vars: Vec<Var>) -> u128 {
-        if !self.cdcl_probes {
-            return self.counter.count_component(clauses, vars);
-        }
-        let (key, canon) = canonical_key_and_order(&clauses, &vars);
-        if let Some(&c) = self.counter.cache.get(&key) {
-            self.counter.stats.cache_hits += 1;
-            return c;
-        }
-        // Unknown component: decide satisfiability first, warm-started
-        // with clauses learned on isomorphic components. An UNSAT verdict
-        // makes the count 0 without any branching.
-        let universe = canon.iter().map(|v| v.index() + 1).max().unwrap_or(0);
-        let mut sub = Cnf::new(universe);
-        for c in &clauses {
-            sub.add_clause(c.clone());
-        }
-        let mut cdcl = crate::CdclEngine::new(&sub, universe);
-        cdcl.import_clauses(&self.store.lookup(&key, &canon));
-        let order = crate::VarOrder::natural(universe);
-        let verdict = cdcl.solve(&order, &[]);
-        self.store.record(&key, &canon, &cdcl.export_learned());
-        if verdict.is_none() {
-            self.counter.cache.insert(key, 0);
-            return 0;
-        }
-        self.counter.count_component(clauses, vars)
-    }
 }
 
 #[cfg(test)]
@@ -778,73 +567,6 @@ mod tests {
         unsat.add_clause(Clause::unit(Lit::pos(v(0))));
         unsat.add_clause(Clause::unit(Lit::neg(v(0))));
         assert_eq!(count_models_parallel(&unsat, 4), 0);
-    }
-
-    #[test]
-    fn session_matches_one_shot_counts() {
-        let mut cnf = Cnf::new(6);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::implication([], [v(2), v(3)]));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(4)), Lit::neg(v(5))]));
-        for probes in [false, true] {
-            let mut session = CountSession::new().with_cdcl_probes(probes);
-            assert_eq!(session.count(&cnf), count_models(&cnf), "probes={probes}");
-            assert_eq!(session.count(&cnf), brute(&cnf));
-            let keep = crate::VarSet::from_iter_with_universe(6, [v(0), v(1), v(4)]);
-            assert_eq!(
-                session.count_restricted(&cnf, &keep),
-                count_models_restricted(&cnf, &keep),
-                "probes={probes}"
-            );
-        }
-    }
-
-    #[test]
-    fn session_memoizes_repeated_probes() {
-        let mut cnf = Cnf::new(5);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::edge(v(2), v(3)));
-        let mut session = CountSession::new();
-        let keep = crate::VarSet::from_iter_with_universe(5, (0..4).map(v));
-        let first = session.count_restricted(&cnf, &keep);
-        assert_eq!(session.top_hits(), 0);
-        // The identical probe skips BCP and decomposition entirely.
-        assert_eq!(session.count_restricted(&cnf, &keep), first);
-        assert_eq!(session.top_hits(), 1);
-        // A different restriction is a fresh top but shares the component
-        // cache (the chain over {2,3} is isomorphic to the one over {0,1}).
-        let keep2 = crate::VarSet::from_iter_with_universe(5, [v(0), v(1)]);
-        let other = session.count_restricted(&cnf, &keep2);
-        assert_eq!(other, count_models_restricted(&cnf, &keep2));
-        assert_eq!(session.top_hits(), 1);
-    }
-
-    #[test]
-    fn session_cdcl_probe_short_circuits_unsat_components() {
-        // An unsatisfiable component embedded next to a satisfiable one.
-        let mut cnf = Cnf::new(4);
-        cnf.add_clause(Clause::unit(Lit::pos(v(0))));
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(1))]));
-        cnf.add_clause(Clause::implication([], [v(2), v(3)]));
-        let mut session = CountSession::new().with_cdcl_probes(true);
-        assert_eq!(session.count(&cnf), 0);
-        assert_eq!(session.count(&cnf), 0);
-    }
-
-    #[test]
-    fn session_store_shares_across_isomorphic_components() {
-        // Two isomorphic positive-clause components: the second component's
-        // probe must hit the store populated by the first.
-        let mut cnf = Cnf::new(6);
-        cnf.add_clause(Clause::implication([], [v(0), v(1), v(2)]));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(0)), Lit::neg(v(1))]));
-        cnf.add_clause(Clause::implication([], [v(3), v(4), v(5)]));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(3)), Lit::neg(v(4))]));
-        let mut session = CountSession::new().with_cdcl_probes(true);
-        let got = session.count(&cnf);
-        assert_eq!(got, brute(&cnf));
-        assert_eq!(got, count_models(&cnf));
     }
 
     #[test]

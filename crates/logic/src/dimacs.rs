@@ -120,96 +120,6 @@ pub fn from_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
     Ok(cnf)
 }
 
-/// Marker comment separating base clauses from learned clauses in
-/// [`to_dimacs_with_learned`] output.
-const LEARNED_MARKER: &str = "c learned";
-
-/// Renders a CDCL engine state — base CNF plus learned clauses — as DIMACS
-/// text an external solver can replay.
-///
-/// All clauses count toward the header (external solvers need no special
-/// handling: learned clauses are implied, so the formula is equivalent),
-/// and the learned section is prefixed with a `c learned` marker comment so
-/// [`from_dimacs_with_learned`] can split the two groups back apart.
-///
-/// # Examples
-///
-/// ```
-/// use lbr_logic::{dimacs, CdclEngine, Clause, Cnf, Var, VarOrder};
-/// let mut cnf = Cnf::new(2);
-/// cnf.add_clause(Clause::edge(Var::new(0), Var::new(1)));
-/// let engine = CdclEngine::new(&cnf, 2);
-/// let text = dimacs::to_dimacs_with_learned(&cnf, &engine.export_learned());
-/// let (base, learned) = dimacs::from_dimacs_with_learned(&text).unwrap();
-/// assert_eq!(base.clauses(), cnf.clauses());
-/// assert!(learned.is_empty());
-/// ```
-pub fn to_dimacs_with_learned(cnf: &Cnf, learned: &[Vec<Lit>]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "p cnf {} {}",
-        cnf.num_vars(),
-        cnf.len() + learned.len()
-    );
-    for c in cnf.clauses() {
-        write_clause(&mut out, c.lits());
-    }
-    if !learned.is_empty() {
-        out.push_str(LEARNED_MARKER);
-        out.push('\n');
-        for c in learned {
-            write_clause(&mut out, c);
-        }
-    }
-    out
-}
-
-fn write_clause(out: &mut String, lits: &[Lit]) {
-    for l in lits {
-        let n = l.var().index() as i64 + 1;
-        let _ = write!(out, "{} ", if l.is_positive() { n } else { -n });
-    }
-    out.push_str("0\n");
-}
-
-/// Parses DIMACS text produced by [`to_dimacs_with_learned`], returning the
-/// base CNF and the learned clauses separately. Text without a `c learned`
-/// marker parses as a base CNF with no learned clauses, so plain
-/// [`to_dimacs`] output round-trips too.
-///
-/// # Errors
-///
-/// Returns [`ParseDimacsError`] under the same conditions as
-/// [`from_dimacs`].
-pub fn from_dimacs_with_learned(text: &str) -> Result<(Cnf, Vec<Vec<Lit>>), ParseDimacsError> {
-    // Split at the marker line; each half is plain DIMACS (the learned half
-    // gets a synthetic header so the shared parser accepts it).
-    let marker = text.lines().position(|l| l.trim() == LEARNED_MARKER);
-    let Some(marker) = marker else {
-        return Ok((from_dimacs(text)?, Vec::new()));
-    };
-    let base_text: String = text
-        .lines()
-        .take(marker)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let base = from_dimacs(&base_text)?;
-    let learned_text: String = std::iter::once(format!("p cnf {} 0\n", base.num_vars()))
-        .chain(text.lines().skip(marker + 1).map(|l| format!("{l}\n")))
-        .collect();
-    let learned_cnf = from_dimacs(&learned_text).map_err(|mut e| {
-        e.line += marker; // report positions in the original text
-        e
-    })?;
-    let learned = learned_cnf
-        .clauses()
-        .iter()
-        .map(|c| c.lits().to_vec())
-        .collect();
-    Ok((base, learned))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,52 +172,5 @@ mod tests {
         let cnf = from_dimacs("p cnf 3 1\n1 2\n3 0\n").expect("parse");
         assert_eq!(cnf.len(), 1);
         assert_eq!(cnf.clauses()[0].len(), 3);
-    }
-
-    #[test]
-    fn learned_round_trip_from_real_engine_state() {
-        // An unsatisfiable pigeonhole forces the engine to learn clauses;
-        // the exported state must round-trip exactly.
-        let (pigeons, holes) = (4u32, 3u32);
-        let mut cnf = Cnf::new((pigeons * holes) as usize);
-        let x = |i: u32, j: u32| v(i * holes + j);
-        for i in 0..pigeons {
-            cnf.add_clause(Clause::implication([], (0..holes).map(|j| x(i, j))));
-        }
-        for j in 0..holes {
-            for i in 0..pigeons {
-                for k in i + 1..pigeons {
-                    cnf.add_clause(Clause::new(vec![Lit::neg(x(i, j)), Lit::neg(x(k, j))]));
-                }
-            }
-        }
-        let mut engine = crate::CdclEngine::new(&cnf, 12);
-        assert_eq!(engine.solve(&crate::VarOrder::natural(12), &[]), None);
-        let learned = engine.export_learned();
-        assert!(!learned.is_empty(), "refutation must learn clauses");
-
-        let text = to_dimacs_with_learned(&cnf, &learned);
-        let (base_back, learned_back) = from_dimacs_with_learned(&text).expect("parse");
-        assert_eq!(base_back.clauses(), cnf.clauses());
-        assert_eq!(learned_back, learned);
-        // The header counts both groups, so external solvers that ignore
-        // the marker still read a well-formed equivalent formula.
-        let merged = from_dimacs(&text).expect("parse as plain dimacs");
-        assert_eq!(merged.len(), cnf.len() + learned.len());
-    }
-
-    #[test]
-    fn learned_round_trip_without_learned_section() {
-        let mut cnf = Cnf::new(2);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        let text = to_dimacs_with_learned(&cnf, &[]);
-        assert!(!text.contains("c learned"));
-        let (base, learned) = from_dimacs_with_learned(&text).expect("parse");
-        assert_eq!(base.clauses(), cnf.clauses());
-        assert!(learned.is_empty());
-        // Plain to_dimacs output parses through the learned-aware reader.
-        let (base2, learned2) = from_dimacs_with_learned(&to_dimacs(&cnf)).expect("parse");
-        assert_eq!(base2.clauses(), cnf.clauses());
-        assert!(learned2.is_empty());
     }
 }

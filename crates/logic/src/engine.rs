@@ -343,607 +343,6 @@ impl Engine {
     }
 }
 
-/// Sentinel for "assigned by decision or assumption, not propagation".
-const NO_REASON: u32 = u32::MAX;
-
-/// Restart interval unit: the Luby sequence is scaled by this many
-/// conflicts.
-const RESTART_UNIT: u64 = 64;
-
-/// A conflict-driven clause-learning solver over the same clause
-/// representation as [`Engine`].
-///
-/// The engine keeps its own watches, trail, reasons and decision levels,
-/// so learned clauses never leak into a base [`Engine`] (whose stored
-/// clause list feeds the greedy closure's violated-clause scan and the
-/// minimization passes — extra clauses there would change *which* probes
-/// GBR runs). It is built once per reduction run and persists across
-/// probes: the learned-clause database is the shared state that makes
-/// later probes cheaper.
-///
-/// # Determinism and DPLL agreement
-///
-/// [`CdclEngine::solve`] branches exactly like the chronological search
-/// ([`solve_from_state`] / [`dpll::solve`](crate::dpll::solve)): the
-/// `<`-least unassigned variable, polarity false first. Clause learning
-/// (1UIP), non-chronological backjumping and Luby restarts only ever
-/// prune assignments that extend *refuted* prefixes:
-///
-/// * every learned clause is a resolvent of stored clauses (strengthened
-///   by level-0 facts), so it is implied by the formula and excludes no
-///   model;
-/// * if the found model `M` were not lexicographically least, take a
-///   model `M' < M` and the first trail literal disagreeing with `M'`.
-///   It cannot be a propagation (its reason clause is implied and all
-///   its other literals are false under the agreeing prefix), so it is a
-///   decision `¬v` with `M'(v) = true`. At that point `v` was the
-///   `<`-least unassigned variable, so `M` and `M'` agree on everything
-///   `<`-before `v` — and `M(v) = false < M'(v)` contradicts `M' < M`.
-///
-/// Hence `solve` returns *the same model* as the DPLL search for every
-/// input and assumption set (fuzz invariant I8), while typically visiting
-/// far fewer conflicts. VSIDS activity is recorded for order learning but
-/// never consulted for branching, keeping the result independent of it.
-#[derive(Debug, Clone)]
-pub struct CdclEngine {
-    /// Clause literal arrays; positions 0 and 1 are watched.
-    clauses: Vec<Vec<Lit>>,
-    /// Whether clause `ci` is learned (subject to database aging).
-    is_learned: Vec<bool>,
-    /// Literal block distance of clause `ci` (0 for base clauses).
-    lbd: Vec<u32>,
-    /// `watches[l.code()]` = indices of clauses watching `l`.
-    watches: Vec<Vec<u32>>,
-    values: Vec<Option<bool>>,
-    /// Per-variable reason clause index (`NO_REASON` for decisions,
-    /// assumptions and facts).
-    reason: Vec<u32>,
-    /// Per-variable decision level at assignment time.
-    level: Vec<u32>,
-    trail: Vec<Lit>,
-    trail_lim: Vec<usize>,
-    qhead: usize,
-    num_vars: usize,
-    universe: usize,
-    ok: bool,
-    /// Conflict-participation scores, exported for learned probe orders.
-    activity: crate::order::VarActivity,
-    /// Scratch marks for conflict analysis.
-    seen: Vec<bool>,
-    /// Learned clauses currently stored.
-    num_learned: usize,
-    /// Aging threshold: exceeding it triggers [`CdclEngine::reduce_db`]
-    /// at the next restart.
-    learned_budget: usize,
-    /// Unit clauses learned under assumptions, re-asserted permanently at
-    /// level 0 when the solve finishes (they are implied by the formula
-    /// alone — see `record_learnt`).
-    pending_units: Vec<Lit>,
-    stats: crate::learned::CdclStats,
-}
-
-impl CdclEngine {
-    /// Builds a CDCL engine for `cnf` over a universe of at least
-    /// `universe` variables, propagating unit clauses at level 0.
-    pub fn new(cnf: &Cnf, universe: usize) -> Self {
-        let universe = universe.max(cnf.num_vars());
-        let mut engine = CdclEngine {
-            clauses: Vec::with_capacity(cnf.len()),
-            is_learned: Vec::with_capacity(cnf.len()),
-            lbd: Vec::with_capacity(cnf.len()),
-            watches: vec![Vec::new(); 2 * universe],
-            values: vec![None; universe],
-            reason: vec![NO_REASON; universe],
-            level: vec![0; universe],
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
-            qhead: 0,
-            num_vars: cnf.num_vars(),
-            universe,
-            ok: true,
-            activity: crate::order::VarActivity::new(universe),
-            seen: vec![false; universe],
-            num_learned: 0,
-            learned_budget: (cnf.len() / 2).max(256),
-            pending_units: Vec::new(),
-            stats: crate::learned::CdclStats::default(),
-        };
-        for clause in cnf.clauses() {
-            engine.add_clause(clause.lits());
-            if !engine.ok {
-                break;
-            }
-        }
-        engine
-    }
-
-    /// Whether the stored formula is still possibly satisfiable.
-    pub fn is_ok(&self) -> bool {
-        self.ok
-    }
-
-    /// The variable universe size.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Number of variables of the base CNF (the branching bound).
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of stored clauses, base and learned.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Number of currently stored learned clauses.
-    pub fn num_learned(&self) -> usize {
-        self.num_learned
-    }
-
-    /// Search statistics so far.
-    pub fn stats(&self) -> crate::learned::CdclStats {
-        self.stats
-    }
-
-    /// The conflict-activity scores accumulated so far.
-    pub fn activity(&self) -> &crate::order::VarActivity {
-        &self.activity
-    }
-
-    /// Overrides the learned-database aging threshold (mainly for tests;
-    /// the default scales with the base formula).
-    pub fn set_learned_budget(&mut self, budget: usize) {
-        self.learned_budget = budget.max(1);
-    }
-
-    fn decision_level(&self) -> usize {
-        self.trail_lim.len()
-    }
-
-    fn lit_value(&self, l: Lit) -> Option<bool> {
-        self.values[l.var().index()].map(|b| l.eval(b))
-    }
-
-    /// The set of currently-true variables over the universe.
-    fn true_set(&self) -> VarSet {
-        let mut s = VarSet::empty(self.universe);
-        for &l in &self.trail {
-            if l.is_positive() {
-                s.insert(l.var());
-            }
-        }
-        s
-    }
-
-    /// Adds a base clause at decision level 0 (same semantics as
-    /// [`Engine::add_clause`]). Returns [`CdclEngine::is_ok`] afterwards.
-    pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tagged(lits, false)
-    }
-
-    /// Imports clauses learned elsewhere (a [`SharedClauseStore`]
-    /// (crate::learned::SharedClauseStore) or a peer engine) at level 0.
-    /// Imported clauses are tagged learned, so database aging may drop
-    /// them again. Returns [`CdclEngine::is_ok`] afterwards.
-    pub fn import_clauses(&mut self, clauses: &[Vec<Lit>]) -> bool {
-        for c in clauses {
-            self.stats.imported += 1;
-            if !self.add_clause_tagged(c, true) {
-                return false;
-            }
-        }
-        self.ok
-    }
-
-    /// Copies of all currently stored learned clauses, literals sorted.
-    pub fn export_learned(&self) -> Vec<Vec<Lit>> {
-        self.clauses
-            .iter()
-            .zip(&self.is_learned)
-            .filter(|&(_, &learned)| learned)
-            .map(|(c, _)| {
-                let mut c = c.clone();
-                c.sort_unstable();
-                c
-            })
-            .collect()
-    }
-
-    fn add_clause_tagged(&mut self, lits: &[Lit], learned: bool) -> bool {
-        debug_assert_eq!(self.decision_level(), 0, "add_clause above level 0");
-        if !self.ok {
-            return false;
-        }
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            match self.lit_value(l) {
-                Some(true) => return true, // satisfied forever
-                Some(false) => {}          // falsified forever
-                None => kept.push(l),
-            }
-        }
-        match kept.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                if !self.enqueue(kept[0], NO_REASON) || self.propagate().is_some() {
-                    self.ok = false;
-                }
-                self.ok
-            }
-            _ => {
-                let ci = self.clauses.len() as u32;
-                self.watches[kept[0].code()].push(ci);
-                self.watches[kept[1].code()].push(ci);
-                self.lbd.push(if learned { kept.len() as u32 } else { 0 });
-                self.is_learned.push(learned);
-                if learned {
-                    self.num_learned += 1;
-                }
-                self.clauses.push(kept);
-                true
-            }
-        }
-    }
-
-    fn enqueue(&mut self, l: Lit, reason: u32) -> bool {
-        match self.lit_value(l) {
-            Some(true) => true,
-            Some(false) => false,
-            None => {
-                let vi = l.var().index();
-                self.values[vi] = Some(l.is_positive());
-                self.level[vi] = self.decision_level() as u32;
-                self.reason[vi] = reason;
-                self.trail.push(l);
-                true
-            }
-        }
-    }
-
-    fn backtrack(&mut self, level: usize) {
-        if level >= self.decision_level() {
-            return;
-        }
-        let limit = self.trail_lim[level];
-        for &l in &self.trail[limit..] {
-            self.values[l.var().index()] = None;
-        }
-        self.trail.truncate(limit);
-        self.trail_lim.truncate(level);
-        self.qhead = limit;
-    }
-
-    /// Watched-literal propagation recording reasons; returns the index
-    /// of a conflicting clause, or `None` at fixpoint.
-    fn propagate(&mut self) -> Option<u32> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            let false_lit = p.negated();
-            let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut i = 0;
-            let mut conflict = None;
-            'clauses: while i < ws.len() {
-                let ci = ws[i] as usize;
-                let lits = &mut self.clauses[ci];
-                if lits[0] == false_lit {
-                    lits.swap(0, 1);
-                }
-                debug_assert_eq!(lits[1], false_lit, "watch list out of sync");
-                let first = lits[0];
-                if self.values[first.var().index()].map(|b| first.eval(b)) == Some(true) {
-                    i += 1;
-                    continue;
-                }
-                for k in 2..lits.len() {
-                    let cand = lits[k];
-                    if self.values[cand.var().index()].map(|b| cand.eval(b)) != Some(false) {
-                        lits.swap(1, k);
-                        self.watches[cand.code()].push(ci as u32);
-                        ws.swap_remove(i);
-                        continue 'clauses;
-                    }
-                }
-                if !self.enqueue(first, ci as u32) {
-                    conflict = Some(ci as u32);
-                    // Fast-forward the frontier; the caller backtracks.
-                    self.qhead = self.trail.len();
-                    break;
-                }
-                self.stats.propagations += 1;
-                i += 1;
-            }
-            self.watches[false_lit.code()] = ws;
-            if conflict.is_some() {
-                return conflict;
-            }
-        }
-        None
-    }
-
-    /// 1UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first), the backjump level, and the clause's LBD. Bumps
-    /// the activity of every variable on the conflict side.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, usize, u32) {
-        let current = self.decision_level() as u32;
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var::new(0))]; // placeholder for the UIP
-        let mut open = 0usize; // unresolved current-level literals
-        let mut idx = self.trail.len();
-        let mut confl = confl as usize;
-        let mut resolving = false;
-        loop {
-            // Skip position 0 of a reason clause: that is the literal
-            // whose reason it is, already being resolved.
-            for k in usize::from(resolving)..self.clauses[confl].len() {
-                let q = self.clauses[confl][k];
-                let vi = q.var().index();
-                if !self.seen[vi] && self.level[vi] > 0 {
-                    self.seen[vi] = true;
-                    self.activity.bump(q.var());
-                    if self.level[vi] >= current {
-                        open += 1;
-                    } else {
-                        learnt.push(q);
-                    }
-                }
-            }
-            // Walk the trail backwards to the next marked literal.
-            loop {
-                idx -= 1;
-                if self.seen[self.trail[idx].var().index()] {
-                    break;
-                }
-            }
-            let pl = self.trail[idx];
-            let vi = pl.var().index();
-            self.seen[vi] = false;
-            open -= 1;
-            if open == 0 {
-                learnt[0] = pl.negated(); // the first unique implication point
-                break;
-            }
-            confl = self.reason[vi] as usize;
-            debug_assert!(self.reason[vi] != NO_REASON, "resolved a decision");
-            debug_assert_eq!(self.clauses[confl][0], pl, "reason invariant");
-            resolving = true;
-        }
-        let mut bt = 0usize;
-        for &l in &learnt[1..] {
-            bt = bt.max(self.level[l.var().index()] as usize);
-        }
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
-        for &l in &learnt {
-            self.seen[l.var().index()] = false;
-        }
-        (learnt, bt, lbd)
-    }
-
-    /// Attaches a learned clause after the backjump and enqueues its
-    /// asserting literal. Returns false when the assertion conflicts at
-    /// the root (the formula is unsatisfiable under the assumptions).
-    fn record_learnt(&mut self, mut learnt: Vec<Lit>, lbd: u32) -> bool {
-        self.stats.learned += 1;
-        if learnt.len() == 1 {
-            // Implied by the formula + level-0 facts alone; re-asserted
-            // permanently once the solve unwinds.
-            self.pending_units.push(learnt[0]);
-            return self.enqueue(learnt[0], NO_REASON);
-        }
-        // Watch the asserting literal and a literal of the backjump
-        // level, so the watch discipline holds as soon as we continue.
-        let mut deepest = 1;
-        for k in 2..learnt.len() {
-            if self.level[learnt[k].var().index()] > self.level[learnt[deepest].var().index()] {
-                deepest = k;
-            }
-        }
-        learnt.swap(1, deepest);
-        let ci = self.clauses.len() as u32;
-        self.watches[learnt[0].code()].push(ci);
-        self.watches[learnt[1].code()].push(ci);
-        let assert_lit = learnt[0];
-        self.lbd.push(lbd);
-        self.is_learned.push(true);
-        self.num_learned += 1;
-        self.clauses.push(learnt);
-        self.enqueue(assert_lit, ci)
-    }
-
-    /// Ages the learned database: candidates (learned, not locked as a
-    /// reason, LBD > 2) are ranked by `(lbd, len)` and the worst half is
-    /// dropped; the budget then grows by 50%. Called at a restart, so the
-    /// trail holds only root-level assignments.
-    fn reduce_db(&mut self) {
-        let n = self.clauses.len();
-        let mut locked = vec![false; n];
-        for &l in &self.trail {
-            let r = self.reason[l.var().index()];
-            if r != NO_REASON {
-                locked[r as usize] = true;
-            }
-        }
-        let mut cands: Vec<u32> = (0..n as u32)
-            .filter(|&ci| {
-                let ci = ci as usize;
-                self.is_learned[ci] && !locked[ci] && self.lbd[ci] > 2
-            })
-            .collect();
-        self.learned_budget = self.learned_budget.saturating_mul(3) / 2;
-        if cands.len() < 2 {
-            return;
-        }
-        cands.sort_by_key(|&ci| {
-            let ci = ci as usize;
-            (self.lbd[ci], self.clauses[ci].len(), ci)
-        });
-        let keep_best = cands.len() / 2;
-        let mut dropped = vec![false; n];
-        for &ci in &cands[keep_best..] {
-            dropped[ci as usize] = true;
-        }
-        let removed = cands.len() - keep_best;
-        self.stats.deleted += removed as u64;
-        self.num_learned -= removed;
-        // Compact in place, remapping clause indices.
-        let mut remap = vec![NO_REASON; n];
-        let mut w = 0usize;
-        for ci in 0..n {
-            if dropped[ci] {
-                continue;
-            }
-            remap[ci] = w as u32;
-            if w != ci {
-                self.clauses.swap(w, ci);
-                self.lbd.swap(w, ci);
-                self.is_learned.swap(w, ci);
-            }
-            w += 1;
-        }
-        self.clauses.truncate(w);
-        self.lbd.truncate(w);
-        self.is_learned.truncate(w);
-        for list in &mut self.watches {
-            list.clear();
-        }
-        for ci in 0..self.clauses.len() {
-            let (a, b) = (self.clauses[ci][0], self.clauses[ci][1]);
-            self.watches[a.code()].push(ci as u32);
-            self.watches[b.code()].push(ci as u32);
-        }
-        for i in 0..self.trail.len() {
-            let vi = self.trail[i].var().index();
-            let r = self.reason[vi];
-            if r != NO_REASON {
-                debug_assert!(remap[r as usize] != NO_REASON, "dropped a locked reason");
-                self.reason[vi] = remap[r as usize];
-            }
-        }
-    }
-
-    /// Whether the stored formula is satisfiable under `assumptions`.
-    pub fn is_satisfiable(&mut self, order: &VarOrder, assumptions: &[Lit]) -> bool {
-        self.solve(order, assumptions).is_some()
-    }
-
-    /// Finds the lexicographically least (under `order`, false-first)
-    /// model extending `assumptions`, or `None` if there is none — the
-    /// same model [`solve_from_state`] and
-    /// [`dpll::solve_with_assumptions`](crate::dpll::solve_with_assumptions)
-    /// return (see the type docs for the argument).
-    ///
-    /// The engine is returned to decision level 0 afterwards; learned
-    /// clauses persist and speed up later calls.
-    pub fn solve(&mut self, order: &VarOrder, assumptions: &[Lit]) -> Option<VarSet> {
-        if !self.ok {
-            return None;
-        }
-        debug_assert_eq!(self.decision_level(), 0, "solve re-entered");
-        if self.propagate().is_some() {
-            self.ok = false;
-            return None;
-        }
-        let root_level = if assumptions.is_empty() {
-            0
-        } else {
-            // One decision level for all assumptions; backjumps never
-            // cross it, so a conflict at (or below) it means UNSAT under
-            // the assumptions.
-            self.trail_lim.push(self.trail.len());
-            let mut feasible = true;
-            for &a in assumptions {
-                if !self.enqueue(a, NO_REASON) {
-                    feasible = false;
-                    break;
-                }
-            }
-            if !feasible || self.propagate().is_some() {
-                self.finish_solve();
-                return None;
-            }
-            1
-        };
-        let result = self.search(order, root_level);
-        self.finish_solve();
-        result
-    }
-
-    /// Unwinds to level 0 and permanently re-asserts units learned under
-    /// assumptions (sound: they are implied by the formula + level-0
-    /// facts, not by the assumptions — see `analyze`, which only ever
-    /// resolves over stored clauses).
-    fn finish_solve(&mut self) {
-        self.backtrack(0);
-        let units = std::mem::take(&mut self.pending_units);
-        for l in units {
-            if !self.add_clause_tagged(&[l], false) {
-                break; // formula itself is unsatisfiable
-            }
-        }
-    }
-
-    fn search(&mut self, order: &VarOrder, root_level: usize) -> Option<VarSet> {
-        let mut restart_idx: u64 = 1;
-        let mut budget = RESTART_UNIT * crate::learned::luby(restart_idx);
-        let mut conflicts_here: u64 = 0;
-        loop {
-            if let Some(confl) = self.propagate() {
-                self.stats.conflicts += 1;
-                conflicts_here += 1;
-                if self.decision_level() <= root_level {
-                    // A root conflict refutes the formula outright (level 0)
-                    // or the assumptions (level 1). Mark the former sticky,
-                    // the consumed conflict is not re-discoverable.
-                    if self.decision_level() == 0 {
-                        self.ok = false;
-                    }
-                    return None;
-                }
-                let (learnt, bt, lbd) = self.analyze(confl);
-                self.backtrack(bt.max(root_level));
-                if !self.record_learnt(learnt, lbd) {
-                    if self.decision_level() == 0 {
-                        self.ok = false;
-                    }
-                    return None;
-                }
-                self.activity.decay();
-            } else if conflicts_here >= budget {
-                // Luby restart; also the safe point to age the database
-                // (only root-level reasons can be locked here).
-                conflicts_here = 0;
-                restart_idx += 1;
-                budget = RESTART_UNIT * crate::learned::luby(restart_idx);
-                self.stats.restarts += 1;
-                self.backtrack(root_level);
-                if self.num_learned > self.learned_budget {
-                    self.reduce_db();
-                }
-            } else {
-                let next = order
-                    .iter()
-                    .find(|&v| v.index() < self.num_vars && self.values[v.index()].is_none());
-                match next {
-                    None => return Some(self.true_set()),
-                    Some(v) => {
-                        self.stats.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        let fresh = self.enqueue(Lit::neg(v), NO_REASON);
-                        debug_assert!(fresh, "decision on an assigned variable");
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Runs the MSA procedure of [`msa`](crate::msa) *from the engine's
 /// current state*: the current assignment plays the role of the
 /// conditioning in the scan-based implementation.
@@ -961,55 +360,14 @@ pub fn msa_from_state(
     order: &VarOrder,
     strategy: MsaStrategy,
 ) -> Option<VarSet> {
-    msa_from_state_with(engine, order, strategy, &mut SearchBackend::Dpll)
-}
-
-/// The complete-search backend used by [`msa_from_state_with`] when the
-/// greedy closure dead-ends (and by [`MsaStrategy::DpllMinimize`]).
-///
-/// Both backends return the *same* model — the lexicographically least
-/// one under the branching order (see [`CdclEngine::solve`] for why
-/// clause learning preserves this) — so the choice is a pure performance
-/// knob: results, and everything derived from them, stay bit-identical.
-#[derive(Debug)]
-pub enum SearchBackend<'a> {
-    /// The recursive chronological search of [`solve_from_state`].
-    Dpll,
-    /// A persistent CDCL solver holding the same clause set as the base
-    /// engine; learned clauses accumulate across calls.
-    Cdcl(&'a mut CdclEngine),
-}
-
-/// [`msa_from_state`] with an explicit complete-search backend.
-pub fn msa_from_state_with(
-    engine: &mut Engine,
-    order: &VarOrder,
-    strategy: MsaStrategy,
-    backend: &mut SearchBackend<'_>,
-) -> Option<VarSet> {
     match strategy {
-        MsaStrategy::GreedyClosure => greedy_from_state(engine, order, backend),
+        MsaStrategy::GreedyClosure => greedy_from_state(engine, order),
         MsaStrategy::GreedyMinimize => {
-            greedy_from_state(engine, order, backend).map(|s| minimize_from_state(engine, order, s))
+            greedy_from_state(engine, order).map(|s| minimize_from_state(engine, order, s))
         }
         MsaStrategy::DpllMinimize => {
-            complete_search(engine, order, backend).map(|s| minimize_from_state(engine, order, s))
+            solve_from_state(engine, order).map(|s| minimize_from_state(engine, order, s))
         }
-    }
-}
-
-/// Runs the backend's complete search from the base engine's current
-/// state. The CDCL backend is conditioned by passing the engine's trail
-/// as assumptions; both engines hold the same clause set, so propagation
-/// closes the same state.
-fn complete_search(
-    engine: &mut Engine,
-    order: &VarOrder,
-    backend: &mut SearchBackend<'_>,
-) -> Option<VarSet> {
-    match backend {
-        SearchBackend::Dpll => solve_from_state(engine, order),
-        SearchBackend::Cdcl(cdcl) => cdcl.solve(order, engine.trail()),
     }
 }
 
@@ -1018,11 +376,7 @@ fn complete_search(
 /// in-order passes satisfying each violated clause (violated under
 /// "unassigned = false") by assuming its `<`-least eligible positive
 /// literal, falling back to [`solve_from_state`] on a dead end.
-fn greedy_from_state(
-    engine: &mut Engine,
-    order: &VarOrder,
-    backend: &mut SearchBackend<'_>,
-) -> Option<VarSet> {
+fn greedy_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
     let mark = engine.decision_level();
     loop {
         let mut fixed_any = false;
@@ -1050,7 +404,7 @@ fn greedy_from_state(
             // Greedy painted itself into a corner (or no model exists):
             // discard the greedy picks and let the complete search decide.
             engine.backtrack(mark);
-            return complete_search(engine, order, backend);
+            return solve_from_state(engine, order);
         }
         if !fixed_any {
             let s = engine.true_set();
@@ -1307,196 +661,6 @@ mod tests {
         engine.backtrack(1);
         let m = solve_from_state(&mut engine, &order).expect("still sat");
         assert!(m.contains(v(2)));
-    }
-
-    /// PHP(pigeons, holes): variable `i * holes + j` = "pigeon i in hole
-    /// j". Unsatisfiable whenever `pigeons > holes`.
-    fn pigeonhole(pigeons: u32, holes: u32) -> Cnf {
-        let mut cnf = Cnf::new((pigeons * holes) as usize);
-        let x = |i: u32, j: u32| v(i * holes + j);
-        for i in 0..pigeons {
-            cnf.add_clause(Clause::implication([], (0..holes).map(|j| x(i, j))));
-        }
-        for j in 0..holes {
-            for i in 0..pigeons {
-                for k in i + 1..pigeons {
-                    cnf.add_clause(Clause::new(vec![Lit::neg(x(i, j)), Lit::neg(x(k, j))]));
-                }
-            }
-        }
-        cnf
-    }
-
-    /// Deterministic structured formulas: implication chains, fan-ins and
-    /// disjunctions seeded by a tiny LCG (no RNG deps).
-    fn structured(seed: u64, n: u32) -> Cnf {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move |m: u32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as u32) % m
-        };
-        let mut cnf = Cnf::new(n as usize);
-        for _ in 0..2 * n {
-            let (a, b, c) = (next(n), next(n), next(n));
-            let clause = match next(4) {
-                0 => Clause::edge(v(a), v(b)),
-                1 => Clause::implication([v(a), v(b)], [v(c)]),
-                2 => Clause::implication([], [v(a), v(b), v(c)]),
-                _ => Clause::new(vec![Lit::neg(v(a)), Lit::pos(v(b))]),
-            };
-            cnf.add_clause(clause);
-        }
-        cnf.add_clause(Clause::unit(Lit::pos(v(next(n)))));
-        cnf
-    }
-
-    #[test]
-    fn cdcl_matches_dpll_on_structured_formulas() {
-        for seed in 0..24u64 {
-            let cnf = structured(seed, 12);
-            let order = VarOrder::natural(12);
-            let expect = crate::dpll::solve(&cnf, &order);
-            let mut cdcl = CdclEngine::new(&cnf, 12);
-            let got = cdcl.solve(&order, &[]);
-            assert_eq!(got, expect, "seed {seed}");
-            // A second solve on the warm engine is identical.
-            assert_eq!(cdcl.solve(&order, &[]), expect, "seed {seed} (warm)");
-        }
-    }
-
-    #[test]
-    fn cdcl_matches_dpll_on_permuted_orders() {
-        let cnf = structured(7, 10);
-        let mut perm: Vec<Var> = (0..10).map(v).collect();
-        perm.reverse();
-        let orders = [VarOrder::natural(10), VarOrder::from_permutation(perm)];
-        for order in &orders {
-            let expect = crate::dpll::solve(&cnf, order);
-            let mut cdcl = CdclEngine::new(&cnf, 10);
-            assert_eq!(cdcl.solve(order, &[]), expect);
-        }
-    }
-
-    #[test]
-    fn cdcl_matches_dpll_under_assumptions() {
-        for seed in 0..12u64 {
-            let cnf = structured(seed, 10);
-            let order = VarOrder::natural(10);
-            let mut cdcl = CdclEngine::new(&cnf, 10);
-            for a in 0..4u32 {
-                let assumptions = [Lit::neg(v(a)), Lit::pos(v(a + 4))];
-                let expect =
-                    crate::dpll::solve_with_assumptions(&cnf, &order, &assumptions).map(|(m, _)| m);
-                // The warm engine answers every assumption set correctly.
-                assert_eq!(cdcl.solve(&order, &assumptions), expect, "seed {seed} a{a}");
-            }
-        }
-    }
-
-    #[test]
-    fn cdcl_refutes_pigeonhole() {
-        let cnf = pigeonhole(4, 3);
-        let order = VarOrder::natural(12);
-        let mut cdcl = CdclEngine::new(&cnf, 12);
-        assert_eq!(cdcl.solve(&order, &[]), None);
-        let stats = cdcl.stats();
-        assert!(stats.conflicts > 0);
-        assert!(stats.learned > 0);
-        // UNSAT persists on re-solve and under any assumptions.
-        assert_eq!(cdcl.solve(&order, &[Lit::pos(v(0))]), None);
-    }
-
-    #[test]
-    fn cdcl_refutation_is_short() {
-        // On PHP(5, 4) clause learning keeps the refutation small; a
-        // chronological search visits orders of magnitude more branches.
-        let cnf = pigeonhole(5, 4);
-        let order = VarOrder::natural(20);
-        let mut cdcl = CdclEngine::new(&cnf, 20);
-        assert_eq!(cdcl.solve(&order, &[]), None);
-        assert!(
-            cdcl.stats().conflicts < 2000,
-            "CDCL refutation should be short, got {:?}",
-            cdcl.stats()
-        );
-    }
-
-    #[test]
-    fn cdcl_db_reduction_keeps_answers_correct() {
-        let cnf = pigeonhole(5, 4);
-        let order = VarOrder::natural(20);
-        let mut cdcl = CdclEngine::new(&cnf, 20);
-        cdcl.set_learned_budget(4); // force aggressive aging
-        assert_eq!(cdcl.solve(&order, &[]), None);
-        // Reduction happened, and the warm engine still answers correctly
-        // on a satisfiable restriction-style query of the same universe.
-        let mut sat = CdclEngine::new(&structured(3, 10), 10);
-        sat.set_learned_budget(1);
-        let order10 = VarOrder::natural(10);
-        let expect = crate::dpll::solve(&structured(3, 10), &order10);
-        assert_eq!(sat.solve(&order10, &[]), expect);
-    }
-
-    #[test]
-    fn cdcl_export_import_round_trip() {
-        let cnf = pigeonhole(4, 3);
-        let order = VarOrder::natural(12);
-        let mut first = CdclEngine::new(&cnf, 12);
-        assert_eq!(first.solve(&order, &[]), None);
-        let learned = first.export_learned();
-        assert!(!learned.is_empty());
-        // Importing the learned clauses into a fresh engine is sound: the
-        // answer is unchanged and the import is counted.
-        let mut second = CdclEngine::new(&cnf, 12);
-        second.import_clauses(&learned);
-        assert_eq!(second.stats().imported, learned.len() as u64);
-        assert_eq!(second.solve(&order, &[]), None);
-    }
-
-    #[test]
-    fn cdcl_backend_matches_dpll_backend_in_msa() {
-        for seed in 0..8u64 {
-            let cnf = structured(seed, 10);
-            let order = VarOrder::natural(10);
-            let mut cdcl = CdclEngine::new(&cnf, 10);
-            for strategy in MsaStrategy::ALL {
-                let mut e1 = Engine::new(&cnf, 10);
-                let mut e2 = Engine::new(&cnf, 10);
-                let plain = if e1.is_ok() {
-                    msa_from_state(&mut e1, &order, strategy)
-                } else {
-                    None
-                };
-                let with_cdcl = if e2.is_ok() {
-                    msa_from_state_with(
-                        &mut e2,
-                        &order,
-                        strategy,
-                        &mut SearchBackend::Cdcl(&mut cdcl),
-                    )
-                } else {
-                    None
-                };
-                assert_eq!(with_cdcl, plain, "seed {seed} {strategy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn cdcl_assumption_units_persist_soundly() {
-        // Learned units under assumptions are formula-implied, so keeping
-        // them must not change any later answer.
-        let cnf = structured(11, 10);
-        let order = VarOrder::natural(10);
-        let mut cdcl = CdclEngine::new(&cnf, 10);
-        for a in 0..8u32 {
-            let assumptions = [Lit::with_polarity(v(a % 10), a % 2 == 0)];
-            let expect =
-                crate::dpll::solve_with_assumptions(&cnf, &order, &assumptions).map(|(m, _)| m);
-            assert_eq!(cdcl.solve(&order, &assumptions), expect, "round {a}");
-        }
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod dimacs;
 pub mod dpll;
 pub mod engine;
 mod formula;
-pub mod learned;
 mod lit;
 mod msa;
 mod order;
@@ -66,16 +65,13 @@ pub use clause::{Clause, ClauseShape};
 pub use cnf::{Cnf, ShapeHistogram};
 pub use counting::{
     count_models, count_models_parallel, count_models_restricted, count_models_with_stats,
-    CountSession, CountingStats,
+    CountingStats,
 };
-pub use engine::{
-    msa_from_state, msa_from_state_with, solve_from_state, CdclEngine, Engine, SearchBackend,
-};
+pub use engine::{msa_from_state, solve_from_state, Engine};
 pub use formula::Formula;
-pub use learned::{luby, CdclStats, SharedClauseStore};
 pub use lit::Lit;
-pub use msa::{msa, msa_scan, msa_with_solver, MsaStrategy};
-pub use order::{VarActivity, VarOrder};
+pub use msa::{msa, msa_scan, MsaStrategy};
+pub use order::VarOrder;
 pub use propagate::{propagate, PartialAssignment, Propagation};
 pub use set::VarSet;
 pub use simplify::{backbone, bcp_simplify, remove_subsumed, BcpSimplified};

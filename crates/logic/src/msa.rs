@@ -85,39 +85,6 @@ pub fn msa(cnf: &Cnf, order: &VarOrder, strategy: MsaStrategy) -> Option<VarSet>
     result
 }
 
-/// [`msa`] with complete searches delegated to a caller-owned
-/// [`CdclEngine`](crate::CdclEngine) instead of the chronological DPLL.
-///
-/// `solver` must hold (at least) the clauses of `cnf`; it keeps its learned
-/// clauses across calls, so repeated MSA probes over the same model get
-/// cheaper. The result is identical to [`msa`] for every input — the CDCL
-/// engine returns the same lexicographically-least model as the DPLL search
-/// (see [`CdclEngine::solve`](crate::CdclEngine::solve)).
-pub fn msa_with_solver(
-    cnf: &Cnf,
-    order: &VarOrder,
-    strategy: MsaStrategy,
-    solver: &mut crate::CdclEngine,
-) -> Option<VarSet> {
-    let universe = order.len().max(cnf.num_vars());
-    let mut engine = crate::Engine::new(cnf, universe);
-    let result = if engine.is_ok() {
-        crate::engine::msa_from_state_with(
-            &mut engine,
-            order,
-            strategy,
-            &mut crate::engine::SearchBackend::Cdcl(solver),
-        )
-    } else {
-        None
-    };
-    debug_assert!(
-        result.as_ref().is_none_or(|s| cnf.eval(s)),
-        "msa returned a non-model"
-    );
-    result
-}
-
 /// The original scan-based MSA: rescans the whole clause list to a
 /// propagation fixpoint at every step.
 ///

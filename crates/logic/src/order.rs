@@ -113,128 +113,12 @@ impl VarOrder {
     }
 }
 
-/// VSIDS-style variable activity: bump-on-conflict with exponential decay.
-///
-/// The CDCL engine bumps every variable that participates in a conflict
-/// and decays all activities after each conflict (implemented as the usual
-/// inverse-increment trick: instead of multiplying every score by `d < 1`,
-/// the increment is divided by `d`, and everything is rescaled when the
-/// increment threatens to overflow). Scores are pure statistics here — the
-/// reduction engine branches in the fixed order `<`, so activity never
-/// influences a search result; it only informs *learned probe orders*
-/// (see `lbr_core::orders`).
-///
-/// All operations are deterministic: the same conflict sequence produces
-/// bit-identical scores and hence identical derived orders.
-#[derive(Debug, Clone)]
-pub struct VarActivity {
-    score: Vec<f64>,
-    inc: f64,
-}
-
-/// Decay factor applied after every conflict.
-const ACTIVITY_DECAY: f64 = 0.95;
-/// Rescale threshold (MiniSat's 1e100).
-const ACTIVITY_LIMIT: f64 = 1e100;
-
-impl VarActivity {
-    /// Zeroed activity over `n` variables.
-    pub fn new(n: usize) -> Self {
-        VarActivity {
-            score: vec![0.0; n],
-            inc: 1.0,
-        }
-    }
-
-    /// Number of variables tracked.
-    pub fn len(&self) -> usize {
-        self.score.len()
-    }
-
-    /// Whether the tracker is over an empty universe.
-    pub fn is_empty(&self) -> bool {
-        self.score.is_empty()
-    }
-
-    /// The current activity score of `v` (0.0 if out of range).
-    pub fn score(&self, v: Var) -> f64 {
-        self.score.get(v.index()).copied().unwrap_or(0.0)
-    }
-
-    /// Bumps the activity of `v` by the current increment.
-    pub fn bump(&mut self, v: Var) {
-        if let Some(s) = self.score.get_mut(v.index()) {
-            *s += self.inc;
-            if *s > ACTIVITY_LIMIT {
-                self.rescale();
-            }
-        }
-    }
-
-    /// Decays all activities (called once per conflict).
-    pub fn decay(&mut self) {
-        self.inc /= ACTIVITY_DECAY;
-        if self.inc > ACTIVITY_LIMIT {
-            self.rescale();
-        }
-    }
-
-    fn rescale(&mut self) {
-        for s in &mut self.score {
-            *s *= 1.0 / ACTIVITY_LIMIT;
-        }
-        self.inc *= 1.0 / ACTIVITY_LIMIT;
-    }
-
-    /// Ranks every variable by descending activity (rank 0 = most active),
-    /// ties broken by ascending variable index. `f64::total_cmp` keeps the
-    /// ranking deterministic.
-    pub fn ranks_descending(&self) -> Vec<u32> {
-        let mut by_activity: Vec<usize> = (0..self.score.len()).collect();
-        by_activity.sort_by(|&a, &b| self.score[b].total_cmp(&self.score[a]).then(a.cmp(&b)));
-        let mut rank = vec![0u32; self.score.len()];
-        for (k, &i) in by_activity.iter().enumerate() {
-            rank[i] = k as u32;
-        }
-        rank
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn v(i: u32) -> Var {
         Var::new(i)
-    }
-
-    #[test]
-    fn activity_bump_decay_and_ranks() {
-        let mut act = VarActivity::new(4);
-        act.bump(v(2));
-        act.decay();
-        act.bump(v(1)); // later bump is larger after decay
-        assert!(act.score(v(1)) > act.score(v(2)));
-        assert_eq!(act.score(v(3)), 0.0);
-        let ranks = act.ranks_descending();
-        assert_eq!(ranks[1], 0, "most active first");
-        assert_eq!(ranks[2], 1);
-        // Untouched variables tie and fall back to index order.
-        assert!(ranks[0] < ranks[3]);
-    }
-
-    #[test]
-    fn activity_rescale_preserves_ranking() {
-        let mut act = VarActivity::new(2);
-        for _ in 0..20_000 {
-            act.bump(v(0));
-            act.decay();
-        }
-        act.bump(v(1));
-        assert!(act.score(v(0)).is_finite());
-        assert!(act.score(v(1)).is_finite());
-        let ranks = act.ranks_descending();
-        assert_eq!(ranks.len(), 2);
     }
 
     #[test]

@@ -1055,8 +1055,6 @@ fn handle_stats(state: &ServiceState) -> Json {
                             ("resumable", Json::Bool(caps.resumable)),
                             ("speculative", Json::Bool(caps.speculative)),
                             ("per_error", Json::Bool(caps.per_error)),
-                            ("honors_engine", Json::Bool(caps.honors_engine)),
-                            ("honors_order", Json::Bool(caps.honors_order)),
                             ("uses_model", Json::Bool(caps.uses_model)),
                         ])
                     })

@@ -188,7 +188,7 @@ mod tests {
         // Registry names and historical aliases both validate.
         for name in [
             "hdd",
-            "transform",
+            "logical/natural-order",
             "logical/trace-guided",
             "ddmin",
             "lossy2",

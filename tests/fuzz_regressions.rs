@@ -101,12 +101,12 @@ fn v1_regression_files_parse_as_classfile() {
 
 /// The Input-trait equivalence leg: each pinned case's program, driven
 /// by a reducer written against nothing but the trait, replays
-/// bit-identically across engines — same reduced bytes, same predicate
-/// calls, same probe-trace digest. This re-proves the classfile port on
+/// bit-identically under the legacy scan — same reduced bytes, same
+/// predicate calls, same probe-trace digest. This re-proves the classfile port on
 /// exactly the inputs fuzzing once found interesting.
 #[test]
 fn regression_programs_replay_identically_through_the_input_trait() {
-    use lbr_core::{EngineChoice, Input, InputOracle};
+    use lbr_core::{Input, InputOracle};
     use lbr_decompiler::DecompilerOracle;
     use lbr_jreduce::{ReductionReport, ReductionSession, RunOptions};
 
@@ -132,31 +132,20 @@ fn regression_programs_replay_identically_through_the_input_trait() {
         let program = case.program();
         let oracle = DecompilerOracle::new(&program, case.bugs());
         let reference = reduce_via_trait(&program, &oracle, RunOptions::default());
-        for (tag, options) in [
-            ("legacy-scan", RunOptions::legacy()),
-            (
-                "cdcl",
-                RunOptions {
-                    engine: EngineChoice::Cdcl,
-                    ..RunOptions::default()
-                },
-            ),
-        ] {
-            let report = reduce_via_trait(&program, &oracle, options);
-            assert_eq!(
-                report.reduced.to_bytes(),
-                reference.reduced.to_bytes(),
-                "{name} {tag}: reduced bytes diverge"
-            );
-            assert_eq!(
-                report.predicate_calls, reference.predicate_calls,
-                "{name} {tag}: predicate calls diverge"
-            );
-            assert_eq!(
-                report.trace.digest(),
-                reference.trace.digest(),
-                "{name} {tag}: trace digest diverges"
-            );
-        }
+        let report = reduce_via_trait(&program, &oracle, RunOptions::legacy());
+        assert_eq!(
+            report.reduced.to_bytes(),
+            reference.reduced.to_bytes(),
+            "{name} legacy-scan: reduced bytes diverge"
+        );
+        assert_eq!(
+            report.predicate_calls, reference.predicate_calls,
+            "{name} legacy-scan: predicate calls diverge"
+        );
+        assert_eq!(
+            report.trace.digest(),
+            reference.trace.digest(),
+            "{name} legacy-scan: trace digest diverges"
+        );
     }
 }
