@@ -11,6 +11,13 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release) =="
 cargo build --release --workspace --offline
 
+echo "== perfbench (compile check) =="
+# The benchmark package is a workspace of its own, so the build above never
+# compiles it; an API change that breaks it must fail here, not at the
+# benchmark run. --locked fails instead of rewriting perfbench/Cargo.lock.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== test (workspace) =="
 cargo test --workspace -q --offline
 

@@ -1,6 +1,7 @@
 //! Incremental propagation engine vs the scan baseline.
 //!
-//! Three levels: raw MSA (engine-backed `msa` vs the preserved
+//! Four levels: one progression (`ProgressionBuilder` vs the preserved
+//! `build_progression`), raw MSA (engine-backed `msa` vs the preserved
 //! `msa_scan`), one full GBR reduction (`PropagationMode::Incremental`
 //! vs `LegacyScan`), and the end-to-end pipeline (`RunOptions::default()`
 //! vs `RunOptions::legacy()`). The speedup ratios back the numbers
@@ -8,13 +9,16 @@
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
-    closure_size_order, generalized_binary_reduction, GbrConfig, Instance, Oracle, PropagationMode,
+    build_progression, closure_size_order, generalized_binary_reduction, GbrConfig, Input,
+    Instance, Oracle, ProgressionBuilder, PropagationMode,
 };
 use lbr_jreduce::{build_model, run_reduction_with, RunOptions};
 use lbr_logic::{msa, msa_scan, MsaStrategy, VarSet};
-use lbr_workload::{generate, WorkloadConfig};
+use lbr_workload::{generate, generate_stack, StackShape, StackWorkloadConfig, WorkloadConfig};
 
 fn main() {
+    progressions();
+
     let program = generate(&WorkloadConfig {
         seed: 5,
         classes: 36,
@@ -105,5 +109,43 @@ fn main() {
     println!(
         "  -> end-to-end speedup vs legacy: {:.1}x",
         pipeline_times[1].as_secs_f64() / pipeline_times[0].as_secs_f64().max(1e-12)
+    );
+}
+
+/// One progression over the full search space of a 300-function stackvm
+/// module — the solver's share of a GBR step, without any oracle.
+fn progressions() {
+    let module = generate_stack(&StackWorkloadConfig {
+        seed: 1,
+        functions: 300,
+        globals: 12,
+        shape: StackShape::ConstraintDense,
+        ..StackWorkloadConfig::default()
+    });
+    let model = module.model().expect("generated modules verify");
+    let cnf = &model.cnf;
+    let n = cnf.num_vars();
+    let order = closure_size_order(cnf);
+    let all = VarSet::full(n);
+    let entries = build_progression(cnf, &order, MsaStrategy::GreedyClosure, &[], &all)
+        .expect("satisfiable")
+        .len();
+    let mut builder = ProgressionBuilder::new(cnf, n, &GbrConfig::default());
+    let engine = bench("progression/engine", || {
+        builder
+            .progression(&order, &[], &all)
+            .expect("satisfiable")
+            .len()
+    });
+    let scan = bench("progression/scan", || {
+        build_progression(cnf, &order, MsaStrategy::GreedyClosure, &[], &all)
+            .expect("satisfiable")
+            .len()
+    });
+    let per_entry = |d: std::time::Duration| fmt_duration(d / entries as u32);
+    println!(
+        "  -> {entries} entries: {} per entry (engine), {} per entry (scan)",
+        per_entry(engine),
+        per_entry(scan)
     );
 }

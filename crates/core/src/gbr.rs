@@ -821,7 +821,7 @@ pub struct ProgressionBuilder<'c> {
 
 enum BuilderState {
     Incremental {
-        engine: Engine,
+        engine: Box<Engine>,
         /// How many learned sets have already been installed as permanent
         /// level-0 clauses (learned sets only ever grow, in order).
         learned_added: usize,
@@ -835,7 +835,7 @@ impl<'c> ProgressionBuilder<'c> {
     pub fn new(cnf: &'c Cnf, universe: usize, config: &GbrConfig) -> Self {
         let state = match config.propagation {
             PropagationMode::Incremental => BuilderState::Incremental {
-                engine: Engine::new(cnf, universe),
+                engine: Box::new(Engine::new(cnf, universe)),
                 learned_added: 0,
             },
             PropagationMode::LegacyScan => BuilderState::Scan,
@@ -952,7 +952,19 @@ fn incremental_progression(
     debug_assert!(ok, "asserting the MSA model must not conflict");
     let mut progression = vec![d0];
 
-    while let Some(x) = order.min_in_difference(search_space, &covered) {
+    // The `<`-least uncovered variable, found by resuming from `cursor`:
+    // `covered` only grows, so no position before the last pick can become
+    // eligible again, and the whole build walks the order once.
+    let mut cursor = 0;
+    while let Some((k, x)) = order
+        .iter()
+        .enumerate()
+        .skip(cursor)
+        .find(|&(_, v)| search_space.contains(v) && !covered.contains(v))
+    {
+        // `x` is covered below either way: the entry contains it, or the
+        // remainder closes the progression.
+        cursor = k + 1;
         let before = engine.decision_level();
         let entry = if engine.assume(Lit::pos(x)) {
             engine::msa_from_state(engine, order, strategy).map(|s_abs| {

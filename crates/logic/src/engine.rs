@@ -16,6 +16,14 @@
 //!   [`Engine::backtrack`] pops levels in O(undone assignments). GBR
 //!   conditions the shared engine on restriction/progression literals by
 //!   assuming them instead of cloning restricted CNFs.
+//! * **True set on the trail.** A bitset of the currently-true variables
+//!   is updated as literals are pushed and popped, so
+//!   [`Engine::true_set`] copies O(universe / 64) words instead of walking
+//!   the trail.
+//! * **Violable-clause list.** [`Engine::add_clause`] records which stored
+//!   clauses have ≥ 2 positive literals. Only those can be violated under
+//!   "unassigned = false" in a propagated state, so the greedy closure of
+//!   [`msa_from_state`] scans only them.
 //!
 //! # Invariants
 //!
@@ -32,7 +40,8 @@
 //!    list is visited.
 //!
 //! *Trail* — `trail` lists assigned literals in assignment order;
-//! `values[v]` is `Some(b)` iff some literal of `v` is on the trail.
+//! `values[v]` is `Some(b)` iff some literal of `v` is on the trail, and
+//! `trues` holds exactly the variables of its positive literals.
 //! `trail_lim[k]` is the trail height when decision level `k + 1` was
 //! opened, so `backtrack(l)` unassigns exactly the literals above
 //! `trail_lim[l]`. `qhead` marks the propagation frontier: literals below
@@ -86,6 +95,13 @@ pub struct Engine {
     trail_lim: Vec<usize>,
     /// Propagation frontier into `trail`.
     qhead: usize,
+    /// The variables currently assigned true — the positive literals of
+    /// `trail`, kept in step by `enqueue` and `backtrack`.
+    trues: VarSet,
+    /// Indices, ascending, of the stored clauses with ≥ 2 positive
+    /// literals: the only clauses the greedy closure can find violated
+    /// (see [`greedy_from_state`]).
+    violable: Vec<u32>,
     /// `cnf.num_vars()` of the base formula — the DPLL branching bound.
     num_vars: usize,
     /// Size of the variable universe (`≥ num_vars`; extra variables are
@@ -111,6 +127,8 @@ impl Engine {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            trues: VarSet::empty(universe),
+            violable: Vec::new(),
             num_vars: cnf.num_vars(),
             universe,
             ok: true,
@@ -175,15 +193,11 @@ impl Engine {
         &self.clauses[ci]
     }
 
-    /// The set of currently-true variables, over the engine's universe.
+    /// The set of currently-true variables, over the engine's universe:
+    /// the positive literals of [`Engine::trail`]. The engine maintains it
+    /// alongside the trail, so this is a copy of a bitset, not a trail walk.
     pub fn true_set(&self) -> VarSet {
-        let mut s = VarSet::empty(self.universe);
-        for &l in &self.trail {
-            if l.is_positive() {
-                s.insert(l.var());
-            }
-        }
-        s
+        self.trues.clone()
     }
 
     /// Whether every stored clause is satisfied by membership in `s`
@@ -233,6 +247,9 @@ impl Engine {
                 let ci = self.clauses.len() as u32;
                 self.watches[kept[0].code()].push(ci);
                 self.watches[kept[1].code()].push(ci);
+                if kept.iter().filter(|l| l.is_positive()).count() >= 2 {
+                    self.violable.push(ci);
+                }
                 self.clauses.push(kept);
                 true
             }
@@ -247,6 +264,9 @@ impl Engine {
             Some(false) => false,
             None => {
                 self.values[l.var().index()] = Some(l.is_positive());
+                if l.is_positive() {
+                    self.trues.insert(l.var());
+                }
                 self.trail.push(l);
                 true
             }
@@ -284,6 +304,9 @@ impl Engine {
         let limit = self.trail_lim[level];
         for &l in &self.trail[limit..] {
             self.values[l.var().index()] = None;
+            if l.is_positive() {
+                self.trues.remove(l.var());
+            }
         }
         self.trail.truncate(limit);
         self.trail_lim.truncate(level);
@@ -371,18 +394,27 @@ pub fn msa_from_state(
     }
 }
 
-/// The order-driven greedy closure, scanning the stored clauses exactly
-/// like the legacy implementation scans the conditioned CNF: repeated
-/// in-order passes satisfying each violated clause (violated under
-/// "unassigned = false") by assuming its `<`-least eligible positive
-/// literal, falling back to [`solve_from_state`] on a dead end.
+/// The order-driven greedy closure: repeated in-order passes satisfying
+/// each violated clause (violated under "unassigned = false") by assuming
+/// its `<`-least eligible positive literal, falling back to
+/// [`solve_from_state`] on a dead end.
+///
+/// A pass visits only the clauses with ≥ 2 positive literals, in index
+/// order. Every pass starts from a propagated, conflict-free state, and
+/// in such a state a clause with ≤ 1 positive literal is never violated:
+/// violating it needs all its negative literals false, and then unit
+/// propagation has already made its positive literal true (or, with no
+/// positive literal, reported a conflict). So skipping those clauses
+/// changes neither the picks nor their order, and the result equals the
+/// scan-based [`msa_scan`](crate::msa_scan) on the conditioned formula.
 fn greedy_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
     let mark = engine.decision_level();
     loop {
         let mut fixed_any = false;
         let mut dead_end = false;
-        let mut ci = 0;
-        while ci < engine.num_clauses() {
+        let mut k = 0;
+        while k < engine.violable.len() {
+            let ci = engine.violable[k] as usize;
             if let Some(pick) = violated_pick(engine, order, ci) {
                 match pick {
                     Some(v) => {
@@ -398,7 +430,7 @@ fn greedy_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
                     }
                 }
             }
-            ci += 1;
+            k += 1;
         }
         if dead_end {
             // Greedy painted itself into a corner (or no model exists):

@@ -118,6 +118,72 @@ fn engine_msa_under_assumptions_matches_restricted_scan() {
     }
 }
 
+/// Clauses added with [`Engine::add_clause`] after construction — GBR's
+/// learned sets, and clauses that level-0 facts shrink — must take part in
+/// MSA exactly like clauses present at construction: under a restriction
+/// level and a prefix level, the engine must agree with the scan over the
+/// conjoined, restricted CNF.
+#[test]
+fn engine_msa_with_added_clauses_matches_conjoined_scan() {
+    for seed in 0..200u64 {
+        let mut rng = SplitMix64::seed_from_u64(5000 + seed);
+        let nvars = rng.gen_range(4..18usize);
+        let mut cnf = random_cnf(&mut rng, nvars);
+        let order = random_order(&mut rng, nvars);
+        let mut eng = Engine::new(&cnf, nvars);
+        let add = |cnf: &mut Cnf, eng: &mut Engine, lits: Vec<Lit>| {
+            eng.add_clause(&lits);
+            cnf.add_clause(Clause::new(lits));
+        };
+        let pick = |rng: &mut SplitMix64| v(rng.gen_range(0..nvars as u32));
+        // A level-0 fact, so that later clauses over its variable shrink:
+        // `f ∨ a ∨ b` keeps two positives, `f ∨ a ∨ ¬b` only one.
+        let f = pick(&mut rng);
+        add(&mut cnf, &mut eng, vec![Lit::neg(f)]);
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let (a, b) = (pick(&mut rng), pick(&mut rng));
+            let last = Lit::with_polarity(b, rng.gen_bool(0.5));
+            add(&mut cnf, &mut eng, vec![Lit::pos(f), Lit::pos(a), last]);
+        }
+        // Learned sets: all-positive clauses of ≥ 2 members.
+        for _ in 0..rng.gen_range(1..=4usize) {
+            let len = rng.gen_range(2..=4usize);
+            let lits = (0..len).map(|_| Lit::pos(pick(&mut rng))).collect();
+            add(&mut cnf, &mut eng, lits);
+        }
+        // A restriction keeping ~3/4 of the variables, and a prefix of a
+        // few kept variables forced true.
+        let keep = VarSet::from_iter_with_universe(
+            nvars,
+            (0..nvars as u32).map(v).filter(|_| rng.gen_bool(0.75)),
+        );
+        let prefix =
+            VarSet::from_iter_with_universe(nvars, keep.iter().filter(|_| rng.gen_bool(0.2)));
+        let conditioned = cnf.restrict(&keep, &prefix);
+        let restriction: Vec<Lit> = (0..nvars as u32)
+            .map(v)
+            .filter(|x| !keep.contains(*x))
+            .map(Lit::neg)
+            .collect();
+        let asserted: Vec<Lit> = prefix.iter().map(Lit::pos).collect();
+        for strategy in MsaStrategy::ALL {
+            // The scan's set omits the forced prefix; the engine reports
+            // absolute trues.
+            let scan = msa_scan(&conditioned, &order, strategy).map(|mut s| {
+                s.union_with(&prefix);
+                s
+            });
+            let fast = if eng.is_ok() && eng.assume_all(&restriction) && eng.assume_all(&asserted) {
+                engine::msa_from_state(&mut eng, &order, strategy)
+            } else {
+                None
+            };
+            eng.backtrack(0);
+            assert_eq!(fast, scan, "seed {seed} {strategy:?}");
+        }
+    }
+}
+
 #[test]
 fn engine_dpll_matches_scan_dpll() {
     for seed in 0..200u64 {
@@ -134,6 +200,23 @@ fn engine_dpll_matches_scan_dpll() {
         };
         assert_eq!(fast, scan, "seed {seed}");
     }
+}
+
+/// `true_set()` is maintained beside the trail; it must always equal the
+/// positive literals on it.
+fn assert_true_set_matches_trail(eng: &Engine, seed: u64) {
+    let from_trail = VarSet::from_iter_with_universe(
+        eng.universe(),
+        eng.trail()
+            .iter()
+            .filter(|l| l.is_positive())
+            .map(|l| l.var()),
+    );
+    assert_eq!(
+        eng.true_set(),
+        from_trail,
+        "seed {seed}: true set off the trail"
+    );
 }
 
 #[test]
@@ -153,11 +236,14 @@ fn assume_backtrack_roundtrip_preserves_state() {
             for _ in 0..depth {
                 let var = v(rng.gen_range(0..nvars as u32));
                 let lit = Lit::with_polarity(var, rng.gen_bool(0.5));
-                if !eng.assume(lit) {
+                let ok = eng.assume(lit);
+                assert_true_set_matches_trail(&eng, seed);
+                if !ok {
                     break; // conflict: state above the failed level is junk
                 }
             }
             eng.backtrack(0);
+            assert_true_set_matches_trail(&eng, seed);
             let now: Vec<Option<bool>> = (0..nvars as u32).map(|i| eng.value(v(i))).collect();
             assert_eq!(now, baseline, "seed {seed}: level-0 state corrupted");
             assert!(eng.trail().len() <= nvars);
