@@ -49,6 +49,16 @@ trap cleanup EXIT
 grep -q '"format": "stackvm"' "$smoke_dir/seq.json"
 ./target/release/bench_compare --identical "$smoke_dir/seq.json" "$smoke_dir/par.json"
 
+echo "== exact pin (the compare suite reproduces BENCH_baseline.json) =="
+# Predicate calls, sizes, classes and cache totals are deterministic, so
+# every (format, benchmark, strategy) row of the committed baseline must
+# come back exactly: a change that moves any of them changed what the
+# reducer computes, not just how fast. Wall times are not compared here;
+# BENCH_GATE=1 below gates those.
+./target/release/eval --experiment compare --format both --programs 2 --scale 0.6 \
+    --threads 2 --repeats 1 --json "$smoke_dir/pin.json" >/dev/null
+./target/release/bench_compare --identical BENCH_baseline.json "$smoke_dir/pin.json"
+
 echo "== strategy registry smoke (--list-strategies enumerates the zoo) =="
 # The CLI's strategy table is generated from the registry, not a hardcoded
 # list: the baseline zoo and the trace-guided mode must show up with their

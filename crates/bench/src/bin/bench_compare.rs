@@ -15,10 +15,11 @@
 //!
 //! `--identical` mode: ignores wall times entirely and instead asserts
 //! that the two files describe *the same computation* — identical
-//! per-run `predicate_calls`, `final_bytes`, `cache_hits` and
-//! `cache_misses` for every (benchmark, strategy) pair. This is the
-//! determinism smoke used by `ci.sh` to pin `--probe-threads N` runs to
-//! the sequential results.
+//! per-run `predicate_calls`, `initial_bytes`, `final_bytes`,
+//! `final_classes`, `cache_hits` and `cache_misses` for every
+//! (format, benchmark, strategy) triple. `ci.sh` uses it to pin
+//! `--probe-threads N` runs to the sequential results, and every run of
+//! the compare suite to the committed `BENCH_baseline.json`.
 //!
 //! The parser below is a minimal recursive-descent JSON reader for the
 //! subset our own renderer emits (objects, arrays, strings, numbers,
@@ -341,11 +342,13 @@ fn compare_wall(
 }
 
 /// Determinism smoke: the two files must describe the same computation
-/// (per-run calls, sizes and cache totals), wall times excepted.
+/// (per-run calls, sizes, classes and cache totals), wall times excepted.
 fn compare_identical(baseline: &Json, current: &Json) -> ExitCode {
-    const FIELDS: [&str; 4] = [
+    const FIELDS: [&str; 6] = [
         "predicate_calls",
+        "initial_bytes",
         "final_bytes",
+        "final_classes",
         "cache_hits",
         "cache_misses",
     ];
@@ -394,7 +397,7 @@ fn compare_identical(baseline: &Json, current: &Json) -> ExitCode {
         eprintln!("bench_compare: {mismatches} mismatches — runs are NOT identical");
         ExitCode::FAILURE
     } else {
-        println!("bench_compare: {compared} runs identical (calls, sizes, cache totals)");
+        println!("bench_compare: {compared} runs identical (calls, sizes, classes, cache totals)");
         ExitCode::SUCCESS
     }
 }
@@ -598,7 +601,7 @@ fn main() -> ExitCode {
                 println!(
                     "               or predicate-call regression > --calls-threshold% (default 0)"
                 );
-                println!("  --identical  fail unless per-run calls, sizes and cache totals match");
+                println!("  --identical  fail unless per-run calls, sizes, classes and cache totals match");
                 println!(
                     "  --service    gate BENCH_service.json: warm jobs/sec and p95 within PCT%"
                 );

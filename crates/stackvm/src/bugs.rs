@@ -192,6 +192,7 @@ impl StackBugSet {
 mod tests {
     use super::*;
     use crate::module::{Function, Global, Sig, Ty};
+    use std::sync::Arc;
 
     #[test]
     fn pair_bugs_need_both_items() {
@@ -199,15 +200,15 @@ mod tests {
         m.globals.push(Global::new("g", Ty::Int));
         let mut writer = Function::new("writer", vec![], None);
         writer.body = vec![Op::PushInt(1), Op::GlobalSet("g".into()), Op::Return];
-        m.functions.push(writer);
+        m.functions.push(writer.into());
         let mut reader = Function::new("reader", vec![], None);
         reader.body = vec![Op::GlobalGet("g".into()), Op::Drop, Op::Return];
-        m.functions.push(reader);
+        m.functions.push(reader.into());
         let bugs = StackBugSet::of(&[StackBugKind::GlobalAliasConfusion]);
         assert_eq!(bugs.error_messages(&m).len(), 1);
         // Stubbing the reader's body removes the error.
         let mut stubbed = m.clone();
-        stubbed.functions[1].body = vec![Op::Trap];
+        Arc::make_mut(&mut stubbed.functions[1]).body = vec![Op::Trap];
         assert!(bugs.error_messages(&stubbed).is_empty());
     }
 
@@ -240,7 +241,7 @@ mod tests {
         let mut bigger = m.clone();
         let mut extra = Function::new("extra", vec![], None);
         extra.body = vec![Op::Return];
-        bigger.functions.push(extra);
+        bigger.functions.push(extra.into());
         assert!(bugs.error_messages(&bigger).is_superset(&base));
     }
 }

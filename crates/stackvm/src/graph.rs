@@ -100,10 +100,10 @@ mod tests {
         m.globals.push(Global::new("g", Ty::Int));
         let mut main = Function::new("main", vec![], None);
         main.body = vec![Op::Call("helper".into()), Op::Return];
-        m.functions.push(main);
+        m.functions.push(main.into());
         let mut helper = Function::new("helper", vec![], None);
         helper.body = vec![Op::GlobalGet("g".into()), Op::Drop, Op::Return];
-        m.functions.push(helper);
+        m.functions.push(helper.into());
         let ug = UnitGraph::new(&m);
         assert_eq!(ug.graph.len(), 3);
         // The closure of {main} pulls in helper and the global.

@@ -1,8 +1,9 @@
 //! The stackvm frontend behind the format-agnostic [`Input`] trait.
 //!
 //! Same adapter shape as the classfile frontend: the logical model is
-//! [`build_stack_model`]'s CNF with [`reduce_module`] as the solution
-//! applier, the coarse model is [`UnitGraph`]'s unit graph, and
+//! [`build_stack_model`]'s CNF with [`reduce_module`](crate::reduce_module)
+//! as the solution applier (run by a materializer that shares functions
+//! across candidates), the coarse model is [`UnitGraph`]'s unit graph, and
 //! serialization/validation delegate to the binary format and the
 //! verifier. With this impl in place, every pipeline entry point —
 //! sessions, the daemon, the fuzzer — runs stackvm modules unchanged.
@@ -11,7 +12,7 @@ use crate::graph::UnitGraph;
 use crate::io::{module_byte_size, read_module, write_module};
 use crate::model::build_stack_model;
 use crate::module::Module;
-use crate::reducer::reduce_module;
+use crate::reducer::Materializer;
 use crate::verify::verify_module;
 use lbr_core::{CoarseModel, Input, InputModel};
 use lbr_logic::VarSet;
@@ -36,7 +37,10 @@ impl Input for Module {
             cnf: model.cnf,
             stats,
             levels,
-            materialize: Box::new(move |keep: &VarSet| reduce_module(self, &registry, keep)),
+            materialize: {
+                let materializer = Materializer::new(self, registry);
+                Box::new(move |keep: &VarSet| materializer.materialize(keep))
+            },
         })
     }
 
@@ -76,16 +80,17 @@ impl Input for Module {
 mod tests {
     use super::*;
     use crate::module::{Function, Global, Op, Ty};
+    use crate::reducer::reduce_module;
 
     fn sample() -> Module {
         let mut m = Module::new();
         m.globals.push(Global::new("g", Ty::Int));
         let mut main = Function::new("main", vec![], None);
         main.body = vec![Op::Call("helper".into()), Op::Return];
-        m.functions.push(main);
+        m.functions.push(main.into());
         let mut helper = Function::new("helper", vec![], None);
         helper.body = vec![Op::GlobalGet("g".into()), Op::Drop, Op::Return];
-        m.functions.push(helper);
+        m.functions.push(helper.into());
         m
     }
 

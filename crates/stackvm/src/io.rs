@@ -7,6 +7,7 @@
 //! format-agnostic `check_report` validation relies on.
 
 use crate::module::{Function, Global, Module, Op, Sig, Ty};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"LBRS";
 const VERSION: u8 = 1;
@@ -28,10 +29,41 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
+/// Where the writers put bytes: a `Vec<u8>` for [`write_module`], or a
+/// [`ByteCount`] that only adds up lengths for [`module_byte_size`]. One
+/// encoder serves both, so the size metric is the encoding's exact length.
+trait ByteSink {
+    fn put(&mut self, byte: u8);
+    fn put_slice(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, byte: u8) {
+        self.push(byte);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A sink that counts the bytes written to it and keeps none.
+struct ByteCount(usize);
+
+impl ByteSink for ByteCount {
+    fn put(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn write_str(out: &mut impl ByteSink, s: &str) {
     let bytes = s.as_bytes();
-    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-    out.extend_from_slice(bytes);
+    out.put_slice(&(bytes.len() as u16).to_be_bytes());
+    out.put_slice(bytes);
 }
 
 fn ty_byte(ty: Ty) -> u8 {
@@ -41,100 +73,100 @@ fn ty_byte(ty: Ty) -> u8 {
     }
 }
 
-fn write_ret(out: &mut Vec<u8>, ret: Option<Ty>) {
+fn write_ret(out: &mut impl ByteSink, ret: Option<Ty>) {
     match ret {
-        None => out.push(0),
+        None => out.put(0),
         Some(t) => {
-            out.push(1);
-            out.push(ty_byte(t));
+            out.put(1);
+            out.put(ty_byte(t));
         }
     }
 }
 
-fn write_sig(out: &mut Vec<u8>, sig: &Sig) {
-    out.extend_from_slice(&(sig.params.len() as u16).to_be_bytes());
+fn write_sig(out: &mut impl ByteSink, sig: &Sig) {
+    out.put_slice(&(sig.params.len() as u16).to_be_bytes());
     for p in &sig.params {
-        out.push(ty_byte(*p));
+        out.put(ty_byte(*p));
     }
     write_ret(out, sig.ret);
 }
 
-fn write_op(out: &mut Vec<u8>, op: &Op) {
+fn write_op(out: &mut impl ByteSink, op: &Op) {
     match op {
         Op::PushInt(v) => {
-            out.push(0x01);
-            out.extend_from_slice(&v.to_be_bytes());
+            out.put(0x01);
+            out.put_slice(&v.to_be_bytes());
         }
         Op::PushBool(b) => {
-            out.push(0x02);
-            out.push(*b as u8);
+            out.put(0x02);
+            out.put(*b as u8);
         }
-        Op::Add => out.push(0x03),
-        Op::Sub => out.push(0x04),
-        Op::Mul => out.push(0x05),
-        Op::Eq => out.push(0x06),
-        Op::Lt => out.push(0x07),
-        Op::Not => out.push(0x08),
-        Op::Dup => out.push(0x09),
-        Op::Drop => out.push(0x0A),
+        Op::Add => out.put(0x03),
+        Op::Sub => out.put(0x04),
+        Op::Mul => out.put(0x05),
+        Op::Eq => out.put(0x06),
+        Op::Lt => out.put(0x07),
+        Op::Not => out.put(0x08),
+        Op::Dup => out.put(0x09),
+        Op::Drop => out.put(0x0A),
         Op::LocalGet(n) => {
-            out.push(0x0B);
-            out.extend_from_slice(&n.to_be_bytes());
+            out.put(0x0B);
+            out.put_slice(&n.to_be_bytes());
         }
         Op::LocalSet(n) => {
-            out.push(0x0C);
-            out.extend_from_slice(&n.to_be_bytes());
+            out.put(0x0C);
+            out.put_slice(&n.to_be_bytes());
         }
         Op::GlobalGet(name) => {
-            out.push(0x0D);
+            out.put(0x0D);
             write_str(out, name);
         }
         Op::GlobalSet(name) => {
-            out.push(0x0E);
+            out.put(0x0E);
             write_str(out, name);
         }
         Op::Call(name) => {
-            out.push(0x0F);
+            out.put(0x0F);
             write_str(out, name);
         }
         Op::CallIndirect(sig) => {
-            out.push(0x10);
+            out.put(0x10);
             write_sig(out, sig);
         }
         Op::Jump(t) => {
-            out.push(0x11);
-            out.extend_from_slice(&t.to_be_bytes());
+            out.put(0x11);
+            out.put_slice(&t.to_be_bytes());
         }
         Op::JumpIf(t) => {
-            out.push(0x12);
-            out.extend_from_slice(&t.to_be_bytes());
+            out.put(0x12);
+            out.put_slice(&t.to_be_bytes());
         }
-        Op::Return => out.push(0x13),
-        Op::Trap => out.push(0x14),
+        Op::Return => out.put(0x13),
+        Op::Trap => out.put(0x14),
     }
 }
 
-fn write_function(out: &mut Vec<u8>, f: &Function) {
+fn write_function(out: &mut impl ByteSink, f: &Function) {
     write_str(out, &f.name);
-    out.extend_from_slice(&(f.params.len() as u16).to_be_bytes());
+    out.put_slice(&(f.params.len() as u16).to_be_bytes());
     for p in &f.params {
-        out.push(ty_byte(*p));
+        out.put(ty_byte(*p));
     }
     write_ret(out, f.ret);
-    out.extend_from_slice(&(f.locals.len() as u16).to_be_bytes());
+    out.put_slice(&(f.locals.len() as u16).to_be_bytes());
     for l in &f.locals {
-        out.push(ty_byte(*l));
+        out.put(ty_byte(*l));
     }
-    out.extend_from_slice(&f.max_stack.to_be_bytes());
-    out.extend_from_slice(&(f.body.len() as u32).to_be_bytes());
+    out.put_slice(&f.max_stack.to_be_bytes());
+    out.put_slice(&(f.body.len() as u32).to_be_bytes());
     for op in &f.body {
         write_op(out, op);
     }
 }
 
-fn write_global(out: &mut Vec<u8>, g: &Global) {
+fn write_global(out: &mut impl ByteSink, g: &Global) {
     write_str(out, &g.name);
-    out.push(ty_byte(g.ty));
+    out.put(ty_byte(g.ty));
 }
 
 /// Serializes a module: magic `LBRS`, version, counts, globals, functions.
@@ -144,28 +176,30 @@ pub fn write_module(module: &Module) -> Vec<u8> {
     out.push(VERSION);
     out.extend_from_slice(&(module.globals.len() as u32).to_be_bytes());
     out.extend_from_slice(&(module.functions.len() as u32).to_be_bytes());
+    write_units(&mut out, module);
+    out
+}
+
+/// The units in module order: globals, then functions.
+fn write_units(out: &mut impl ByteSink, module: &Module) {
     for g in &module.globals {
-        write_global(&mut out, g);
+        write_global(out, g);
     }
     for f in &module.functions {
-        write_function(&mut out, f);
+        write_function(out, f);
     }
-    out
 }
 
 /// The byte-size cost metric: the encoded size of the units alone,
 /// excluding the fixed 13-byte container header — the same convention as
 /// the classfile frontend's `program_byte_size`, so cross-format size
 /// tables compare unit payloads, not framing.
+///
+/// Runs the writer into a byte counter, so no bytes are produced.
 pub fn module_byte_size(module: &Module) -> usize {
-    let mut out = Vec::new();
-    for g in &module.globals {
-        write_global(&mut out, g);
-    }
-    for f in &module.functions {
-        write_function(&mut out, f);
-    }
-    out.len()
+    let mut out = ByteCount(0);
+    write_units(&mut out, module);
+    out.0
 }
 
 struct Cursor<'b> {
@@ -334,7 +368,7 @@ pub fn read_module(bytes: &[u8]) -> Result<Module, ReadError> {
         module.globals.push(Global { name, ty });
     }
     for _ in 0..nf {
-        module.functions.push(c.function()?);
+        module.functions.push(Arc::new(c.function()?));
     }
     if c.pos != bytes.len() {
         return Err(c.err("trailing bytes after module"));
@@ -361,7 +395,7 @@ mod tests {
             Op::GlobalGet("counter".into()),
             Op::Return,
         ];
-        m.functions.push(f);
+        m.functions.push(f.into());
         let mut g = Function::new("helper", vec![Ty::Int, Ty::Int], Some(Ty::Bool));
         g.body = vec![
             Op::LocalGet(0),
@@ -370,7 +404,7 @@ mod tests {
             Op::Not,
             Op::Return,
         ];
-        m.functions.push(g);
+        m.functions.push(g.into());
         m
     }
 
@@ -382,8 +416,8 @@ mod tests {
         assert_eq!(read_module(&bytes), Ok(m));
     }
 
-    #[test]
-    fn round_trips_every_opcode() {
+    /// One function whose body holds every opcode.
+    fn every_opcode() -> Module {
         let mut f = Function::new("all", vec![Ty::Int], None);
         f.body = vec![
             Op::PushInt(-5),
@@ -407,15 +441,41 @@ mod tests {
             Op::Return,
             Op::Trap,
         ];
-        let m: Module = [f].into_iter().collect();
+        [f].into_iter().collect()
+    }
+
+    #[test]
+    fn round_trips_every_opcode() {
+        let m = every_opcode();
         assert_eq!(read_module(&write_module(&m)), Ok(m));
+    }
+
+    /// A module of `n` functions cycling through names, signatures,
+    /// locals and every opcode, plus globals, so sizes vary per unit.
+    fn generated(n: usize) -> Module {
+        let ops = every_opcode().functions[0].body.clone();
+        let mut m = Module::new();
+        for g in 0..n / 4 {
+            m.globals.push(Global::new(format!("global_{g}"), Ty::Bool));
+        }
+        for i in 0..n {
+            let params = vec![Ty::Int; i % 3];
+            let ret = [None, Some(Ty::Int), Some(Ty::Bool)][i % 3];
+            let mut f = Function::new("f".repeat(1 + i % 7) + &i.to_string(), params, ret);
+            f.locals = vec![Ty::Bool; i % 5];
+            f.max_stack = i as u32;
+            f.body = ops.iter().cycle().skip(i).take(i % 40).cloned().collect();
+            m.functions.push(f.into());
+        }
+        m
     }
 
     #[test]
     fn byte_size_excludes_container_header() {
-        let m = sample();
         // magic(4) + version(1) + globals(4) + functions(4) = 13.
-        assert_eq!(module_byte_size(&m), write_module(&m).len() - 13);
+        for m in [sample(), every_opcode(), generated(120), Module::new()] {
+            assert_eq!(module_byte_size(&m), write_module(&m).len() - 13);
+        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ mod tests {
     #[test]
     fn numbering_is_functions_then_globals() {
         let mut m = Module::new();
-        m.functions.push(Function::new("a", vec![], None));
-        m.functions.push(Function::new("b", vec![], None));
+        m.functions.push(Function::new("a", vec![], None).into());
+        m.functions.push(Function::new("b", vec![], None).into());
         m.globals.push(Global::new("g", Ty::Int));
         let reg = StackRegistry::from_module(&m);
         assert_eq!(reg.len(), 5);

@@ -167,17 +167,17 @@ mod tests {
             Op::Call("right".into()),
             Op::Return,
         ];
-        m.functions.push(main);
+        m.functions.push(main.into());
         let mut left = Function::new("left", vec![], None);
         left.body = vec![Op::GlobalGet("g".into()), Op::Drop, Op::Return];
-        m.functions.push(left);
+        m.functions.push(left.into());
         let mut right = Function::new("right", vec![], None);
         right.body = vec![
             Op::PushInt(0),
             Op::CallIndirect(Sig::new(vec![], None)),
             Op::Return,
         ];
-        m.functions.push(right);
+        m.functions.push(right.into());
         m
     }
 
@@ -224,13 +224,13 @@ mod tests {
             Op::CallIndirect(Sig::new(vec![], None)),
             Op::Return,
         ];
-        m.functions.push(main);
+        m.functions.push(main.into());
         let mut a = Function::new("a", vec![], None);
         a.body = vec![Op::Return];
-        m.functions.push(a);
+        m.functions.push(a.into());
         let mut b = Function::new("b", vec![], None);
         b.body = vec![Op::Return];
-        m.functions.push(b);
+        m.functions.push(b.into());
         let model = build_stack_model(&m).expect("verifies");
         // With a 3-way Or clause present, the CNF is not pure-graph.
         assert!(model.stats().graph_fraction < 1.0);

@@ -9,6 +9,7 @@
 //! whose resolution callbacks generate the reduction constraints.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A value type on the operand stack, in locals, and in globals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -176,9 +177,14 @@ impl Function {
 /// A module: an ordered list of functions and globals. Order is part of
 /// the format (serialization round-trips it), and the item registry
 /// derives variable numbering from it, so reduction is deterministic.
+///
+/// Functions are shared: the candidates of one reduction hold the
+/// original module's unchanged functions (and each stubbed function's
+/// one stub) by reference count instead of copying them. Edit one in
+/// place with `Arc::make_mut`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Module {
-    pub functions: Vec<Function>,
+    pub functions: Vec<Arc<Function>>,
     pub globals: Vec<Global>,
 }
 
@@ -189,7 +195,7 @@ impl Module {
 
     /// Look up a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.iter().find(|f| f.name == name)
+        self.functions.iter().map(|f| &**f).find(|f| f.name == name)
     }
 
     /// Look up a global by name.
@@ -207,7 +213,7 @@ impl Module {
 impl FromIterator<Function> for Module {
     fn from_iter<I: IntoIterator<Item = Function>>(iter: I) -> Self {
         Module {
-            functions: iter.into_iter().collect(),
+            functions: iter.into_iter().map(Arc::new).collect(),
             globals: Vec::new(),
         }
     }

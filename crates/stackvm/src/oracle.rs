@@ -70,6 +70,7 @@ mod tests {
     use super::*;
     use crate::bugs::StackBugKind;
     use crate::module::{Function, Op, Sig};
+    use std::sync::Arc;
 
     fn failing_module() -> Module {
         let mut main = Function::new("main", vec![], None);
@@ -94,7 +95,7 @@ mod tests {
         assert!(oracle.preserves_failure(&m));
         // Stubbing main's body removes the failure.
         let mut smaller = m.clone();
-        smaller.functions[0].body = vec![Op::Trap];
+        Arc::make_mut(&mut smaller.functions[0]).body = vec![Op::Trap];
         assert!(!oracle.preserves_failure(&smaller));
     }
 

@@ -605,10 +605,10 @@ mod tests {
             Op::CallIndirect(Sig::new(vec![], None)),
             Op::Return,
         ];
-        m.functions.push(main);
+        m.functions.push(main.into());
         let mut helper = Function::new("helper", vec![], None);
         helper.body = vec![Op::Return];
-        m.functions.push(helper);
+        m.functions.push(helper.into());
         let mut log = Log::default();
         assert!(verify_module_with(&m, &mut log).is_empty());
         assert_eq!(

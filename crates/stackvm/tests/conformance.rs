@@ -102,8 +102,8 @@ fn cases() -> Vec<Case> {
     // R0006: call targets must name an existing function.
     let mut pos = Module::new();
     pos.functions
-        .push(func("main", vec![Op::Call("helper".into()), Op::Return]));
-    pos.functions.push(func("helper", vec![Op::Return]));
+        .push(func("main", vec![Op::Call("helper".into()), Op::Return]).into());
+    pos.functions.push(func("helper", vec![Op::Return]).into());
     table.push(Case {
         rule: "R0006",
         positive: pos,
@@ -117,17 +117,23 @@ fn cases() -> Vec<Case> {
         c
     };
     let mut pos = Module::new();
-    pos.functions.push(func(
-        "main",
-        vec![Op::PushInt(1), Op::Call("callee".into()), Op::Return],
-    ));
-    pos.functions.push(callee());
+    pos.functions.push(
+        func(
+            "main",
+            vec![Op::PushInt(1), Op::Call("callee".into()), Op::Return],
+        )
+        .into(),
+    );
+    pos.functions.push(callee().into());
     let mut neg = Module::new();
-    neg.functions.push(func(
-        "main",
-        vec![Op::PushBool(true), Op::Call("callee".into()), Op::Return],
-    ));
-    neg.functions.push(callee());
+    neg.functions.push(
+        func(
+            "main",
+            vec![Op::PushBool(true), Op::Call("callee".into()), Op::Return],
+        )
+        .into(),
+    );
+    neg.functions.push(callee().into());
     table.push(Case {
         rule: "R0007",
         positive: pos,
@@ -146,10 +152,8 @@ fn cases() -> Vec<Case> {
     // R0009: global accesses must name an existing global.
     let mut pos = Module::new();
     pos.globals.push(Global::new("g", Ty::Int));
-    pos.functions.push(func(
-        "f",
-        vec![Op::GlobalGet("g".into()), Op::Drop, Op::Return],
-    ));
+    pos.functions
+        .push(func("f", vec![Op::GlobalGet("g".into()), Op::Drop, Op::Return]).into());
     table.push(Case {
         rule: "R0009",
         positive: pos,

@@ -19,6 +19,7 @@
 
 use lbr_prng::SplitMix64;
 use lbr_stackvm::{Function, Global, Module, Op, Sig, StackBugKind, StackBugSet, StackOracle, Ty};
+use std::sync::Arc;
 
 /// The call-topology shape of a generated module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +127,7 @@ pub fn generate_stack(config: &StackWorkloadConfig) -> Module {
         let mut f = Function::new(format!("f{i}"), sig.params.clone(), sig.ret);
         f.max_stack = 16;
         f.body = body;
-        module.functions.push(f);
+        module.functions.push(f.into());
     }
     plant_bugs(&mut module, config, &mut rng);
     module
@@ -216,6 +217,11 @@ impl StackWorkloadConfig {
     }
 }
 
+/// Function `i`'s body, for in-place edits while the module is built.
+fn body_mut(module: &mut Module, i: usize) -> &mut Vec<Op> {
+    &mut Arc::make_mut(&mut module.functions[i]).body
+}
+
 /// Plants the trigger patterns of the requested bug kinds into the
 /// early functions (and early globals), mirroring the classfile
 /// generator's bug-cluster discipline: a good reducer keeps only the
@@ -234,19 +240,19 @@ fn plant_bugs(module: &mut Module, config: &StackWorkloadConfig, rng: &mut Split
                 StackBugKind::IndirectDispatchMiscompile => {
                     let h = next_host(rng);
                     let sig = Sig::new(vec![], None);
-                    let body = &mut module.functions[h].body;
+                    let body = body_mut(module, h);
                     let at = body.len() - 1;
                     body.splice(at..at, [Op::PushInt(0), Op::CallIndirect(sig)]);
                 }
                 StackBugKind::NegativeConstantLowering => {
                     let h = next_host(rng);
-                    let body = &mut module.functions[h].body;
+                    let body = body_mut(module, h);
                     let at = body.len() - 1;
                     body.splice(at..at, [Op::PushInt(-(plant as i64 + 1)), Op::Drop]);
                 }
                 StackBugKind::LoopUnrollOverflow => {
                     let h = next_host(rng);
-                    let body = &mut module.functions[h].body;
+                    let body = body_mut(module, h);
                     let at = body.len() - 1;
                     // `push false; jump_if <self>` — a degenerate loop
                     // whose merge states agree.
@@ -258,25 +264,25 @@ fn plant_bugs(module: &mut Module, config: &StackWorkloadConfig, rng: &mut Split
                     }
                     let gname = module.globals[plant % module.globals.len()].name.clone();
                     let w = next_host(rng);
-                    let body = &mut module.functions[w].body;
+                    let body = body_mut(module, w);
                     let at = body.len() - 1;
                     body.splice(at..at, [Op::PushInt(1), Op::GlobalSet(gname.clone())]);
                     let r = next_host(rng);
-                    let body = &mut module.functions[r].body;
+                    let body = body_mut(module, r);
                     let at = body.len() - 1;
                     body.splice(at..at, [Op::GlobalGet(gname), Op::Drop]);
                 }
                 StackBugKind::CrossCallInliner => {
                     // Callee with a Mul body, plus a caller.
                     let callee = (n / 2 + plant) % n;
-                    let body = &mut module.functions[callee].body;
+                    let body = body_mut(module, callee);
                     let at = body.len() - 1;
                     body.splice(at..at, [Op::PushInt(3), Op::PushInt(5), Op::Mul, Op::Drop]);
                     let callee_name = module.functions[callee].name.clone();
                     let callee_params = module.functions[callee].params.clone();
                     let caller = next_host(rng);
                     if caller != callee {
-                        let body = &mut module.functions[caller].body;
+                        let body = body_mut(module, caller);
                         let at = body.len() - 1;
                         let mut call = Vec::new();
                         for _ in &callee_params {
