@@ -33,12 +33,8 @@ echo "== speculative probing determinism smoke =="
 # the sequential one.
 smoke_dir=$(mktemp -d)
 svc_pid=""
-coord_pid=""
-worker_pids=""
 cleanup() {
     [ -z "$svc_pid" ] || kill -9 "$svc_pid" 2>/dev/null || true
-    [ -z "$coord_pid" ] || kill -9 "$coord_pid" 2>/dev/null || true
-    for p in $worker_pids; do kill -9 "$p" 2>/dev/null || true; done
     rm -rf "$smoke_dir"
 }
 trap cleanup EXIT
@@ -172,113 +168,6 @@ cmp "$smoke_dir/ref.lbrc" "$smoke_dir/binary.lbrc"
 wait "$svc_pid" 2>/dev/null || true
 svc_pid=""
 
-echo "== cluster smoke (1/2/4 workers byte-identical to single host) =="
-# The distributed cluster is a wall-clock optimisation, never a semantic
-# one: the coordinator demands verdicts in exact sequential probe order,
-# so any worker count must reproduce the single-host reference bit for
-# bit. The modeled probe latency gives the TCP workers time to win
-# batches; the stats check proves they really participated.
-wait_coordinator() {
-    i=0
-    while ! ./target/release/reduce-client --state-dir "$1" ping >/dev/null 2>&1; do
-        i=$((i + 1))
-        [ "$i" -lt 100 ] || { echo "coordinator did not come up" >&2; exit 1; }
-        sleep 0.1
-    done
-}
-start_workers() { # state-dir count name-prefix
-    w=0
-    while [ "$w" -lt "$2" ]; do
-        ./target/release/lbr-workerd --state-dir "$1" --name "$3-$w" \
-            >/dev/null 2>&1 &
-        worker_pids="$worker_pids $!"
-        w=$((w + 1))
-    done
-}
-stop_workers() {
-    for p in $worker_pids; do kill -9 "$p" 2>/dev/null || true; done
-    worker_pids=""
-}
-for n in 1 2 4; do
-    cl="$smoke_dir/cluster-$n"
-    ./target/release/lbr-coordinatord --state-dir "$cl" --workers 2 \
-        >/dev/null 2>&1 &
-    coord_pid=$!
-    wait_coordinator "$cl"
-    start_workers "$cl" "$n" "w$n"
-    ./target/release/reduce-client --state-dir "$cl" submit \
-        --input "$smoke_dir/daemon.lbrc" --decompiler a \
-        --probe-latency-micros 2000 \
-        --out "$cl/out.lbrc" --wait >"$cl/result.json"
-    cmp "$smoke_dir/ref.lbrc" "$cl/out.lbrc"
-    n_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$cl/result.json")
-    [ -n "$n_digest" ] && [ "$ref_digest" = "$n_digest" ]
-    ./target/release/reduce-client --state-dir "$cl" stats --cluster \
-        >"$cl/stats.json"
-    grep -o '"verdicts":[0-9]*' "$cl/stats.json" | grep -qv ':0$'
-    ./target/release/reduce-client --state-dir "$cl" shutdown >/dev/null
-    wait "$coord_pid" 2>/dev/null || true
-    coord_pid=""
-    stop_workers
-done
-
-echo "== cluster chaos smoke (kill -9 worker mid-batch, then coordinator) =="
-# Robustness must not cost determinism: a worker SIGKILLed mid-batch has
-# its slice requeued, and a coordinator SIGKILLed mid-job resumes from
-# its checkpoint — both disturbed runs must stay byte-identical to the
-# undisturbed single-host reference.
-cl="$smoke_dir/cluster-chaos"
-./target/release/lbr-coordinatord --state-dir "$cl" --workers 2 \
-    >/dev/null 2>&1 &
-coord_pid=$!
-wait_coordinator "$cl"
-start_workers "$cl" 1 chaos
-./target/release/lbr-workerd --state-dir "$cl" --name chaos-victim \
-    >/dev/null 2>&1 &
-victim_pid=$!
-job_id=$(./target/release/reduce-client --state-dir "$cl" submit \
-    --input "$smoke_dir/slow.lbrc" --decompiler a \
-    --probe-latency-micros 20000 \
-    --out "$cl/worker-chaos.lbrc" | grep -o '[0-9]*')
-sleep 0.5
-kill -9 "$victim_pid"
-wait "$victim_pid" 2>/dev/null || true
-./target/release/reduce-client --state-dir "$cl" result --id "$job_id" --wait \
-    >"$cl/worker-chaos.json"
-cmp "$smoke_dir/ref2.lbrc" "$cl/worker-chaos.lbrc"
-# Now the coordinator: a fresh cold container so probes really sleep,
-# SIGKILL after the first checkpoint, restart over the same state dir
-# (fresh workers — the old ones hold the dead listener's address).
-./target/release/gen --seed 10 --decompiler a --out "$smoke_dir/chaos.lbrc" 2>/dev/null
-./target/release/reduce --input "$smoke_dir/chaos.lbrc" --decompiler a \
-    --out "$smoke_dir/ref3.lbrc" >/dev/null 2>&1
-job_id=$(./target/release/reduce-client --state-dir "$cl" submit \
-    --input "$smoke_dir/chaos.lbrc" --decompiler a \
-    --probe-latency-micros 20000 \
-    --out "$cl/coord-chaos.lbrc" | grep -o '[0-9]*')
-i=0
-while [ ! -f "$cl/job-$job_id.ckpt" ]; do
-    i=$((i + 1))
-    [ "$i" -lt 300 ] || { echo "job $job_id never checkpointed" >&2; exit 1; }
-    sleep 0.1
-done
-kill -9 "$coord_pid"
-wait "$coord_pid" 2>/dev/null || true
-stop_workers
-./target/release/lbr-coordinatord --state-dir "$cl" --workers 2 \
-    >/dev/null 2>&1 &
-coord_pid=$!
-wait_coordinator "$cl"
-start_workers "$cl" 2 chaos2
-./target/release/reduce-client --state-dir "$cl" result --id "$job_id" --wait \
-    >"$cl/coord-chaos.json"
-grep -q '"resumed":true' "$cl/coord-chaos.json"
-cmp "$smoke_dir/ref3.lbrc" "$cl/coord-chaos.lbrc"
-./target/release/reduce-client --state-dir "$cl" shutdown >/dev/null
-wait "$coord_pid" 2>/dev/null || true
-coord_pid=""
-stop_workers
-
 echo "== saturation smoke (fixed seed, queue-full must shed, not hang) =="
 # Offered load far above a tiny queue's capacity: every arrival must either
 # complete or be shed with an explicit retry_after_ms — never time out.
@@ -315,7 +204,7 @@ fi
 
 # Optional wall-time gates against the committed baselines: BENCH_GATE=1 ./ci.sh
 # BENCH_REBASELINE=1 ./ci.sh instead REGENERATES BENCH_baseline.json at this
-# exact point in the script — after the fuzz campaign and the service/cluster
+# exact point in the script — after the fuzz campaign and the service
 # smokes have loaded the machine — so the committed wall numbers are measured
 # under the same conditions the gate later runs in (an idle-machine baseline
 # makes every sub-second row read 10-20% slow inside a full CI run).
@@ -368,23 +257,6 @@ if [ "${BENCH_GATE:-0}" = "1" ] || [ "${BENCH_REBASELINE:-0}" = "1" ]; then
     if ! service_gate; then
         echo "-- service gate tripped; re-measuring once --"
         service_gate
-    fi
-
-    # The 1/2/4-worker-node sweep; on top of the throughput/p95 drift
-    # gates, every run must show non-zero worker verdicts — a cluster
-    # where the coordinator computed everything inline is inert, however
-    # fast it looks. The drift threshold is looser than the plain service
-    # gate: every round runs real TCP worker nodes, so wall numbers are
-    # noisier than the in-process paths.
-    cluster_gate() {
-        echo "== cluster gate (warm >=30 jobs/s at 4 nodes, <=50% drift vs BENCH_cluster.json) =="
-        ./target/release/loadgen --cluster --out "$smoke_dir/cluster.json" >/dev/null
-        ./target/release/bench_compare BENCH_cluster.json "$smoke_dir/cluster.json" \
-            --cluster --threshold 50 --min-warm-jps 30
-    }
-    if ! cluster_gate; then
-        echo "-- cluster gate tripped; re-measuring once --"
-        cluster_gate
     fi
 fi
 

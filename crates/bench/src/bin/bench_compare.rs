@@ -413,30 +413,6 @@ fn compare_service(
     threshold_pct: f64,
     min_warm_jps: f64,
 ) -> ExitCode {
-    match service_gate(baseline, current, threshold_pct, min_warm_jps) {
-        None => ExitCode::from(2),
-        Some(true) => {
-            eprintln!(
-                "bench_compare: service gate failed (threshold {threshold_pct:.0}%, floor {min_warm_jps:.0} jobs/s)"
-            );
-            ExitCode::FAILURE
-        }
-        Some(false) => {
-            println!("bench_compare: service throughput and p95 within gates");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-/// The shared per-worker-count gate body for `--service` and
-/// `--cluster`. Returns `None` when nothing was comparable, otherwise
-/// whether any gate failed.
-fn service_gate(
-    baseline: &Json,
-    current: &Json,
-    threshold_pct: f64,
-    min_warm_jps: f64,
-) -> Option<bool> {
     let runs_of = |doc: &Json| -> BTreeMap<u64, Json> {
         doc.get("runs")
             .map(Json::as_arr)
@@ -474,7 +450,7 @@ fn service_gate(
     }
     if compared == 0 {
         eprintln!("bench_compare: no common worker counts to compare");
-        return None;
+        return ExitCode::from(2);
     }
     if min_warm_jps > 0.0 {
         match runs.iter().next_back() {
@@ -493,43 +469,13 @@ fn service_gate(
             None => unreachable!("compared > 0"),
         }
     }
-    Some(failed)
-}
-
-/// Cluster gate over two `BENCH_service.json` files written by
-/// `loadgen --cluster`: the per-worker-node-count throughput/p95/floor
-/// gates of `--service`, plus a participation check — every current run's
-/// coordinator must have accepted worker verdicts, otherwise the cluster
-/// measured nothing but the coordinator's own inline path.
-fn compare_cluster(
-    baseline: &Json,
-    current: &Json,
-    threshold_pct: f64,
-    min_warm_jps: f64,
-) -> ExitCode {
-    let Some(mut failed) = service_gate(baseline, current, threshold_pct, min_warm_jps) else {
-        return ExitCode::from(2);
-    };
-    for run in current.get("runs").map(Json::as_arr).unwrap_or(&[]) {
-        let workers = run.num_field("workers");
-        let verdicts = run
-            .get("cluster")
-            .map(|c| c.num_field("verdicts"))
-            .unwrap_or(f64::NAN);
-        if verdicts.is_nan() || verdicts <= 0.0 {
-            eprintln!(
-                "{workers:>2} workers  coordinator accepted no worker verdicts — cluster inert"
-            );
-            failed = true;
-        }
-    }
     if failed {
         eprintln!(
-            "bench_compare: cluster gate failed (threshold {threshold_pct:.0}%, floor {min_warm_jps:.0} jobs/s)"
+            "bench_compare: service gate failed (threshold {threshold_pct:.0}%, floor {min_warm_jps:.0} jobs/s)"
         );
         ExitCode::FAILURE
     } else {
-        println!("bench_compare: cluster throughput, p95 and participation within gates");
+        println!("bench_compare: service throughput and p95 within gates");
         ExitCode::SUCCESS
     }
 }
@@ -542,7 +488,6 @@ fn main() -> ExitCode {
     let mut min_warm_jps = 0.0f64;
     let mut identical = false;
     let mut service = false;
-    let mut cluster = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -584,16 +529,10 @@ fn main() -> ExitCode {
                 service = true;
                 i += 1;
             }
-            "--cluster" => {
-                cluster = true;
-                i += 1;
-            }
             "--help" | "-h" => {
                 println!("usage: bench_compare BASELINE.json CURRENT.json [--threshold PCT]");
                 println!("                     [--calls-threshold PCT]");
-                println!(
-                    "                     [--identical | --service | --cluster [--min-warm-jps N]]"
-                );
+                println!("                     [--identical | --service [--min-warm-jps N]]");
                 println!();
                 println!(
                     "  default      fail on per-strategy wall-time regression > PCT% (default 10)"
@@ -607,10 +546,6 @@ fn main() -> ExitCode {
                 );
                 println!("               of baseline per worker count; with --min-warm-jps, the");
                 println!("               highest-worker run must also sustain that absolute floor");
-                println!(
-                    "  --cluster    the --service gates over loadgen --cluster output, plus a"
-                );
-                println!("               check that worker nodes actually answered probes");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -629,8 +564,6 @@ fn main() -> ExitCode {
     let current = parse_file(current);
     if identical {
         compare_identical(&baseline, &current)
-    } else if cluster {
-        compare_cluster(&baseline, &current, threshold_pct, min_warm_jps)
     } else if service {
         compare_service(&baseline, &current, threshold_pct, min_warm_jps)
     } else {

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! fuzz [--budget-secs N] [--seed N|0xHEX] [--min-cases N] [--max-cases N]
-//!      [--out-dir DIR] [--break-oracle] [--no-daemon] [--no-cluster]
-//!      [--no-stackvm]
+//!      [--out-dir DIR] [--break-oracle] [--no-daemon] [--no-stackvm]
 //! fuzz --replay FUZZ_CASE_*.json
 //! ```
 //!
@@ -45,7 +44,6 @@ fn main() {
     let mut replay: Option<String> = None;
     let mut break_oracle = false;
     let mut daemon = true;
-    let mut cluster = true;
     let mut stackvm = true;
     let mut i = 0;
     while i < args.len() {
@@ -73,14 +71,13 @@ fn main() {
             "--replay" => replay = Some(value()),
             "--break-oracle" => break_oracle = true,
             "--no-daemon" => daemon = false,
-            "--no-cluster" => cluster = false,
             "--no-stackvm" => stackvm = false,
             "--help" | "-h" => {
                 println!("usage: fuzz [--budget-secs N] [--seed N|0xHEX] [--min-cases N]");
                 println!(
                     "            [--max-cases N] [--out-dir DIR] [--break-oracle] [--no-daemon]"
                 );
-                println!("            [--no-cluster] [--no-stackvm]");
+                println!("            [--no-stackvm]");
                 println!("       fuzz --replay FUZZ_CASE_N.json");
                 return;
             }
@@ -98,13 +95,6 @@ fn main() {
         harness
             .with_daemon()
             .unwrap_or_else(|e| fail(format!("cannot start in-process daemon: {e}")))
-    } else {
-        harness
-    };
-    let harness = if daemon && cluster {
-        harness
-            .with_cluster()
-            .unwrap_or_else(|e| fail(format!("cannot start in-process cluster: {e}")))
     } else {
         harness
     };

@@ -5,7 +5,6 @@
 //! loadgen [--out BENCH_service.json] [--jobs N] [--workers 4,8]
 //!         [--classes N] [--seed N] [--warm-repeat N] [--rates 100,200,400,800]
 //!         [--sweep-secs F] [--json] [--smoke]
-//!         [--cluster [--cluster-workers 1,2,4]]
 //! ```
 //!
 //! For each worker count, loadgen hosts a fresh daemon over a scratch
@@ -24,14 +23,6 @@
 //!   the daemon sheds with `retry_after_ms` — sheds are counted, never
 //!   retried, and a shed response missing `retry_after_ms` fails the run.
 //!
-//! `--cluster` sweeps a clustered coordinator over worker-**node** counts
-//! instead: for each count in `--cluster-workers` it hosts a coordinator
-//! (daemon + cluster listener + shared oracle-cache tier) plus that many
-//! in-process worker nodes over TCP, runs the same cold and warm rounds
-//! under a modeled probe latency, and records the coordinator's cluster
-//! stats (worker verdicts, tier hits) beside the throughput numbers —
-//! the file `bench_compare --cluster` gates.
-//!
 //! All percentiles (p50/p95/p99) come from the full recorded latency set.
 //! `--smoke` runs a fixed-seed burst against a tiny queue instead: it
 //! asserts the daemon sheds rather than stalls, that every shed carries
@@ -40,16 +31,11 @@
 //! `BENCH_service.json`), written atomically.
 
 use lbr_classfile::write_program;
-use lbr_cluster::{run_worker, ClusterServer, WorkerOptions};
 use lbr_decompiler::BugSet;
-use lbr_service::{
-    atomic_write_str, Client, Connection, Daemon, DaemonConfig, Json, PersistentOracleCache,
-};
+use lbr_service::{atomic_write_str, Client, Connection, Daemon, DaemonConfig, Json};
 use lbr_workload::{generate, WorkloadConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn fail(message: String) -> ! {
@@ -431,15 +417,6 @@ fn generate_inputs(scratch: &Path, jobs: usize, classes: usize, seed: u64) -> Ve
 }
 
 fn submit_request(input: &Path, output: Option<PathBuf>, tag: String) -> Json {
-    submit_request_latency(input, output, tag, 0)
-}
-
-fn submit_request_latency(
-    input: &Path,
-    output: Option<PathBuf>,
-    tag: String,
-    latency_micros: u64,
-) -> Json {
     let mut fields = vec![
         ("op".to_owned(), Json::str("submit")),
         ("input".to_owned(), Json::str(input.display().to_string())),
@@ -447,153 +424,10 @@ fn submit_request_latency(
         ("events".to_owned(), Json::Bool(true)),
         ("tag".to_owned(), Json::str(tag)),
     ];
-    if latency_micros > 0 {
-        fields.push((
-            "probe_latency_micros".to_owned(),
-            Json::count(latency_micros),
-        ));
-    }
     if let Some(output) = output {
         fields.push(("output".to_owned(), Json::str(output.display().to_string())));
     }
     Json::Obj(fields.into_iter().collect())
-}
-
-/// Modeled probe latency for the cluster rounds: expensive enough that
-/// distributing probes to worker nodes is worth the wire trip, as with a
-/// real decompiler toolchain.
-const CLUSTER_PROBE_LATENCY_MICROS: u64 = 1_500;
-
-/// The `--cluster` sweep: for each worker-node count, host a clustered
-/// coordinator plus that many in-process worker nodes, run the same cold
-/// and warm closed-loop rounds, and record the coordinator's cluster
-/// stats beside the throughput numbers.
-fn run_cluster_bench(
-    scratch: &Path,
-    inputs: &[PathBuf],
-    node_counts: &[usize],
-    warm_repeat: usize,
-    binary: bool,
-    out: &str,
-    classes: usize,
-) {
-    let jobs = inputs.len();
-    let warm_jobs = jobs * warm_repeat.max(1);
-    let mut runs = Vec::new();
-    for &nodes in node_counts {
-        eprintln!(
-            "loadgen: cluster round with {nodes} worker node(s), {jobs} jobs ({warm_jobs} warm) …"
-        );
-        let state = scratch.join(format!("cluster-{nodes}"));
-        std::fs::create_dir_all(&state).unwrap_or_else(|e| fail(format!("state dir: {e}")));
-        let cache = Arc::new(
-            PersistentOracleCache::open(state.join("oracle.cache"))
-                .unwrap_or_else(|e| fail(format!("open cache: {e}"))),
-        );
-        let server = ClusterServer::start(&state, Arc::clone(&cache), 8)
-            .unwrap_or_else(|e| fail(format!("cluster server: {e}")));
-        let mut config = DaemonConfig::new(&state, 2);
-        config.queue_capacity = (warm_jobs + 16).max(64);
-        let daemon = Daemon::start_clustered(config, cache, Arc::clone(&server) as _)
-            .unwrap_or_else(|e| fail(format!("start daemon: {e}")));
-        let addr = daemon.local_addr().to_string();
-        let client = Client::connect(addr.clone());
-        let handle = std::thread::spawn(move || daemon.run());
-        if !client.wait_ready(Duration::from_secs(5)) {
-            fail("clustered daemon did not come up".to_owned());
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let coordinator = server.local_addr().to_string();
-        let workers: Vec<_> = (0..nodes)
-            .map(|i| {
-                let mut options = WorkerOptions::new(&coordinator, format!("loadgen-{i}"));
-                options.stop = Some(Arc::clone(&stop));
-                std::thread::spawn(move || run_worker(&options))
-            })
-            .collect();
-
-        let out_dir = scratch.join(format!("cluster-out-{nodes}"));
-        std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(format!("out dir: {e}")));
-        let cold_specs: Vec<Json> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| {
-                submit_request_latency(
-                    input,
-                    Some(out_dir.join(format!("cold-{i}.lbrc"))),
-                    format!("cold-{i}"),
-                    CLUSTER_PROBE_LATENCY_MICROS,
-                )
-            })
-            .collect();
-        let cold = run_round(&client, &addr, binary, cold_specs);
-        let warm_specs: Vec<Json> = (0..warm_jobs)
-            .map(|k| {
-                submit_request_latency(
-                    &inputs[k % inputs.len()],
-                    None,
-                    format!("warm-{k}"),
-                    CLUSTER_PROBE_LATENCY_MICROS,
-                )
-            })
-            .collect();
-        let warm = run_round(&client, &addr, binary, warm_specs);
-        if !(cold.all_done && warm.all_done) {
-            fail(format!("{nodes}-node cluster round left jobs unfinished"));
-        }
-        let stats = client
-            .stats()
-            .unwrap_or_else(|e| fail(format!("stats: {e}")));
-        let cluster_stats = stats
-            .get("cluster")
-            .cloned()
-            .unwrap_or_else(|| fail("clustered daemon reported no cluster stats".to_owned()));
-        eprintln!(
-            "  cold: {:6.2} jobs/s  p95 {:7.1} ms   warm: {:6.2} jobs/s  p95 {:7.1} ms   worker verdicts {}",
-            cold.jobs_per_sec,
-            cold.p95_ms,
-            warm.jobs_per_sec,
-            warm.p95_ms,
-            cluster_stats.u64_field("verdicts").unwrap_or(0)
-        );
-
-        runs.push(Json::obj([
-            ("workers", Json::count(nodes as u64)),
-            ("jobs", Json::count(jobs as u64)),
-            ("warm_jobs", Json::count(warm_jobs as u64)),
-            ("cold", round_doc(&cold)),
-            ("warm", round_doc(&warm)),
-            ("cluster", cluster_stats),
-        ]));
-
-        stop.store(true, Ordering::SeqCst);
-        client
-            .shutdown()
-            .unwrap_or_else(|e| fail(format!("shutdown: {e}")));
-        for worker in workers {
-            let _ = worker.join().expect("worker thread");
-        }
-        server.shutdown();
-        handle
-            .join()
-            .expect("daemon thread")
-            .unwrap_or_else(|e| fail(format!("daemon: {e}")));
-    }
-
-    let doc = Json::obj([
-        ("benchmark", Json::str("service-loadgen-cluster")),
-        ("job_classes", Json::count(classes as u64)),
-        ("warm_repeat", Json::count(warm_repeat as u64)),
-        (
-            "probe_latency_micros",
-            Json::count(CLUSTER_PROBE_LATENCY_MICROS),
-        ),
-        ("framing", Json::str(if binary { "binary" } else { "json" })),
-        ("runs", Json::Arr(runs)),
-    ]);
-    atomic_write_str(Path::new(out), &doc.render())
-        .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
-    eprintln!("wrote {out}");
 }
 
 /// Fixed-seed saturation smoke for CI: a burst far past a deliberately
@@ -662,8 +496,6 @@ fn main() {
     let mut sweep_secs = 2.0f64;
     let mut binary = true;
     let mut smoke = false;
-    let mut cluster = false;
-    let mut cluster_workers = vec![1usize, 2, 4];
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -696,23 +528,12 @@ fn main() {
             }
             "--json" => binary = false,
             "--smoke" => smoke = true,
-            "--cluster" => cluster = true,
-            "--cluster-workers" => {
-                cluster_workers = value()
-                    .split(',')
-                    .map(|w| w.trim().parse().expect("--cluster-workers takes numbers"))
-                    .collect();
-            }
             "--help" | "-h" => {
                 println!("usage: loadgen [--out BENCH_service.json] [--jobs N] [--workers 4,8]");
                 println!("               [--classes N] [--seed N] [--warm-repeat N]");
                 println!(
                     "               [--rates 100,200,400,800] [--sweep-secs F] [--json] [--smoke]"
                 );
-                println!("               [--cluster [--cluster-workers 1,2,4]]");
-                println!();
-                println!("  --cluster  sweep a clustered coordinator over worker-node counts");
-                println!("             instead of the plain daemon over shard counts");
                 return;
             }
             other => {
@@ -734,20 +555,6 @@ fn main() {
     }
 
     let inputs = generate_inputs(&scratch, jobs, classes, seed);
-
-    if cluster {
-        run_cluster_bench(
-            &scratch,
-            &inputs,
-            &cluster_workers,
-            warm_repeat,
-            binary,
-            &out,
-            classes,
-        );
-        let _ = std::fs::remove_dir_all(&scratch);
-        return;
-    }
 
     let warm_jobs = jobs * warm_repeat.max(1);
 

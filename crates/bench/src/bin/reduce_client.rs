@@ -11,7 +11,7 @@
 //!   status --id N
 //!   result --id N [--wait]
 //!   cancel --id N
-//!   stats [--cluster]
+//!   stats
 //!   shutdown
 //!   ping
 //! ```
@@ -57,21 +57,6 @@ fn shed_exit(message: &str, retry_after_ms: u64, suggest_flag: bool) -> ! {
          retry after {retry_after_ms}ms{suggestion}"
     );
     std::process::exit(3);
-}
-
-/// Renders a stats document, narrowed to the coordinator's cluster
-/// section under `--cluster` (an error if the daemon has none).
-fn print_stats(doc: &Json, cluster: bool) {
-    if !cluster {
-        println!("{}", doc.render());
-        return;
-    }
-    match doc.get("cluster") {
-        Some(section) => println!("{}", section.render()),
-        None => {
-            fail("daemon is not a cluster coordinator (stats has no cluster section)".to_owned())
-        }
-    }
 }
 
 /// Resolves a submit outcome, honouring `--retry-shed`: on a shed
@@ -123,9 +108,6 @@ fn main() {
         println!("  --binary               negotiate compact binary framing");
         println!("  --events               stream job progress events to stderr");
         println!("  --retry-shed           on a shed submit, sleep the hinted delay, retry once");
-        println!(
-            "  --cluster              with stats: print only the coordinator's cluster section"
-        );
         println!();
         println!("exit status: 0 ok, 1 error, 2 usage, 3 submit shed (hint on stderr)");
         return;
@@ -139,7 +121,6 @@ fn main() {
     let mut binary = false;
     let mut events = false;
     let mut retry_shed = false;
-    let mut cluster = false;
     // submit fields, passed through as the job spec.
     let mut spec: Vec<(&'static str, Json)> = Vec::new();
     let mut i = 0;
@@ -166,7 +147,6 @@ fn main() {
             "--binary" => binary = true,
             "--events" => events = true,
             "--retry-shed" => retry_shed = true,
-            "--cluster" => cluster = true,
             "--input" => spec.push(("input", Json::str(value()))),
             "--format" | "-f" => spec.push(("format", Json::str(value()))),
             "--decompiler" | "-d" => spec.push(("decompiler", Json::str(value()))),
@@ -226,9 +206,7 @@ fn main() {
     let need_id = || id.unwrap_or_else(|| usage());
 
     if binary || events {
-        run_over_connection(
-            &client, &op, spec, id, wait, binary, events, retry_shed, cluster,
-        );
+        run_over_connection(&client, &op, spec, id, wait, binary, events, retry_shed);
         return;
     }
 
@@ -289,7 +267,7 @@ fn main() {
             let doc = client
                 .stats()
                 .unwrap_or_else(|e| fail(format!("stats: {e}")));
-            print_stats(&doc, cluster);
+            println!("{}", doc.render());
         }
         "shutdown" => {
             client
@@ -316,7 +294,6 @@ fn run_over_connection(
     binary: bool,
     events: bool,
     retry_shed: bool,
-    cluster: bool,
 ) {
     let mut conn = Connection::negotiate(client.addr(), binary)
         .unwrap_or_else(|e| fail(format!("cannot connect to {}: {e}", client.addr())));
@@ -401,7 +378,7 @@ fn run_over_connection(
         }
         "stats" => {
             let doc = expect(conn.stats(), "stats");
-            print_stats(&doc, cluster);
+            println!("{}", doc.render());
         }
         "shutdown" => {
             expect(

@@ -425,80 +425,6 @@ impl<'p> ProbeScheduler<'p> {
     }
 }
 
-/// Where a GBR run's probe verdicts come from.
-///
-/// The speculative driver behind
-/// [`generalized_binary_reduction_with_source`](crate::generalized_binary_reduction_with_source)
-/// only ever *demands* probes in the exact sequential order and
-/// *retargets* a speculation frontier; it does not care whether the
-/// answers are computed by local worker threads ([`ProbeScheduler`]) or
-/// by remote worker nodes pulling slices of the frontier over the wire.
-/// Any implementation must uphold the scheduler's contract:
-///
-/// * `demand` is keyed by subset and run-once — repeat demands of the
-///   same subset return the identical [`Probe`] with
-///   `first_demand == false`;
-/// * `demand` must make progress even with zero background workers
-///   (compute inline when nobody has claimed the probe);
-/// * `speculate` replaces the pending frontier; an empty list cancels
-///   all speculation that has not been claimed yet.
-///
-/// Under that contract the demanded probe sequence — and therefore the
-/// reduction's output, predicate-call count, and trace digest — is
-/// bit-identical for every implementation.
-pub trait VerdictSource: Sync {
-    /// Demands the probe of `input` for the search itself (blocking).
-    fn demand(&self, input: &VarSet) -> Demanded;
-    /// Replaces the speculation frontier (front of the list runs first).
-    fn speculate(&self, candidates: Vec<VarSet>);
-    /// Total predicate executions so far (useful + speculative).
-    fn executed(&self) -> u64;
-    /// Entry/demand totals of the verdict memo.
-    fn scan(&self) -> MemoScan;
-}
-
-impl VerdictSource for ProbeScheduler<'_> {
-    fn demand(&self, input: &VarSet) -> Demanded {
-        ProbeScheduler::demand(self, input)
-    }
-
-    fn speculate(&self, candidates: Vec<VarSet>) {
-        ProbeScheduler::speculate(self, candidates)
-    }
-
-    fn executed(&self) -> u64 {
-        ProbeScheduler::executed(self)
-    }
-
-    fn scan(&self) -> MemoScan {
-        ProbeScheduler::scan(self)
-    }
-}
-
-/// A factory for remote (or otherwise externally scheduled)
-/// [`VerdictSource`]s, one per reduction run.
-///
-/// The cluster coordinator implements this: `open_frontier` registers a
-/// job's shared probe frontier with the worker fan-out and returns the
-/// driver-facing handle. The `local` predicate is the run's own oracle
-/// stack — the source must fall back to it so a run makes progress with
-/// zero connected workers and can take over probes from dead ones.
-pub trait ProbeDistributor: Sync {
-    /// Opens the verdict source for one reduction run. Dropping the
-    /// returned source ends the run's distribution (workers pulling from
-    /// it see an empty frontier).
-    fn open_frontier<'a>(
-        &'a self,
-        local: &'a dyn ConcurrentPredicate,
-    ) -> Box<dyn VerdictSource + 'a>;
-
-    /// A hint for how wide the speculation frontier should be (0 = let
-    /// the caller pick; typically `connected_workers × batch`).
-    fn frontier_width(&self) -> usize {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //! the current search space), and rebuild the progression over the smaller
 //! search space `D^∪_r` with the learned clause conjoined.
 
-use crate::concurrent::{ConcurrentPredicate, DemandKind, MemoScan, ProbeScheduler, VerdictSource};
+use crate::concurrent::{ConcurrentPredicate, DemandKind, ProbeScheduler};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
 use crate::{Instance, Predicate};
@@ -466,13 +466,6 @@ pub struct SpeculationConfig {
     /// degenerates to sequential probing plus scheduler overhead — use
     /// [`generalized_binary_reduction`] instead in that case.
     pub threads: usize,
-    /// Maximum number of candidates enqueued per retarget of the
-    /// speculation frontier. `0` picks `threads`: one candidate per
-    /// worker. Deeper queues do not help — an entry beyond the worker
-    /// count is only claimed once a worker frees up, which is exactly
-    /// when the frontier is about to be retargeted past it, so it tends
-    /// to burn CPU on stale speculation instead.
-    pub width: usize,
     /// Synthetic cost of one tool invocation for the modeled-time column
     /// of the trace. Modeled time follows the paper's *sequential* cost
     /// model — `useful_calls × cost` — so wasted speculative probes are
@@ -485,16 +478,7 @@ impl SpeculationConfig {
     pub fn new(threads: usize) -> Self {
         SpeculationConfig {
             threads,
-            width: 0,
             cost_per_call_secs: 0.0,
-        }
-    }
-
-    fn effective_width(&self) -> usize {
-        if self.width == 0 {
-            self.threads.max(1)
-        } else {
-            self.width
         }
     }
 }
@@ -580,57 +564,9 @@ pub fn generalized_binary_reduction_speculative_controlled(
     let (outcome, driver) = loop_result?;
     // All workers have joined: the memo is quiescent and every claimed
     // entry was executed exactly once, so entries − demanded is precisely
-    // the wasted speculation.
+    // the wasted speculation. The memo-hit split mirrors the sequential
+    // oracle's first-demand accounting.
     let scan = scheduler.scan();
-    Ok(assemble_run(outcome, driver, scan))
-}
-
-/// Runs GBR against an arbitrary [`VerdictSource`] — the entry point the
-/// cluster backend uses to consume a *remote* speculation frontier
-/// instead of the local [`ProbeScheduler`].
-///
-/// The driver demands exactly the sequential probe sequence and retargets
-/// the source's frontier as the search narrows, so as long as the source
-/// honors the [`VerdictSource`] contract the result is **bit-identical**
-/// to [`generalized_binary_reduction`] with the same predicate — at any
-/// worker count, local or remote. Only wall time,
-/// [`ProbeStats::speculative_calls`] and
-/// [`ProbeStats::critical_path_calls`] vary with scheduling.
-///
-/// The source's lifecycle belongs to the caller: this function cancels
-/// pending speculation when the search finishes (also on error paths) but
-/// never shuts the source down.
-///
-/// # Errors
-///
-/// Exactly the cases of [`generalized_binary_reduction`]; see
-/// [`GbrError`].
-pub fn generalized_binary_reduction_with_source(
-    instance: &Instance,
-    order: &VarOrder,
-    source: &dyn VerdictSource,
-    config: &GbrConfig,
-    spec: &SpeculationConfig,
-    control: &mut GbrControl<'_>,
-) -> Result<SpeculativeRun, GbrError> {
-    let mut driver = SpeculativeDriver::new(source, config, spec);
-    let outcome = gbr_loop(instance, order, config, &mut driver, control);
-    // Cancel whatever the frontier still holds, also on error paths —
-    // remote workers must not keep probing a finished run.
-    source.speculate(Vec::new());
-    let outcome = outcome?;
-    let scan = source.scan();
-    Ok(assemble_run(outcome, driver, scan))
-}
-
-/// The shared stats/trace assembly of every speculative entry point.
-/// `entries − demanded` is the wasted speculation; the memo-hit split
-/// mirrors the sequential oracle's first-demand accounting.
-fn assemble_run(
-    outcome: GbrOutcome,
-    driver: SpeculativeDriver<'_>,
-    scan: MemoScan,
-) -> SpeculativeRun {
     let stats = ProbeStats {
         useful_calls: driver.calls,
         speculative_calls: scan.entries - scan.demanded,
@@ -638,22 +574,27 @@ fn assemble_run(
         memo_hits: driver.calls - driver.distinct,
         memo_misses: driver.distinct,
     };
-    SpeculativeRun {
+    Ok(SpeculativeRun {
         outcome,
         stats,
         trace: driver.trace,
-    }
+    })
 }
 
 /// The driver behind [`generalized_binary_reduction_speculative`]: same
-/// budget/best bookkeeping as [`Budgeted`], but probes are demanded from a
-/// [`VerdictSource`] (the local [`ProbeScheduler`] or a remote cluster
-/// frontier) and the narrowing hooks retarget speculation.
+/// budget/best bookkeeping as [`Budgeted`], but probes are demanded from
+/// the [`ProbeScheduler`] and the narrowing hooks retarget its speculation
+/// frontier.
 struct SpeculativeDriver<'s> {
-    source: &'s dyn VerdictSource,
+    scheduler: &'s ProbeScheduler<'s>,
     calls: u64,
     limit: Option<u64>,
     best: Option<VarSet>,
+    /// Candidates enqueued per retarget: one per worker thread. Deeper
+    /// queues do not help — an entry beyond the worker count is only
+    /// claimed once a worker frees up, which is exactly when the frontier
+    /// is about to be retargeted past it, so it would burn CPU on stale
+    /// speculation instead.
     width: usize,
     cost_per_call_secs: f64,
     start: Instant,
@@ -665,13 +606,17 @@ struct SpeculativeDriver<'s> {
 }
 
 impl<'s> SpeculativeDriver<'s> {
-    fn new(source: &'s dyn VerdictSource, config: &GbrConfig, spec: &SpeculationConfig) -> Self {
+    fn new(
+        scheduler: &'s ProbeScheduler<'s>,
+        config: &GbrConfig,
+        spec: &SpeculationConfig,
+    ) -> Self {
         SpeculativeDriver {
-            source,
+            scheduler,
             calls: 0,
             limit: config.max_predicate_calls,
             best: None,
-            width: spec.effective_width(),
+            width: spec.threads.max(1),
             cost_per_call_secs: spec.cost_per_call_secs,
             start: Instant::now(),
             trace: ReductionTrace::new(),
@@ -687,7 +632,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
             return None;
         }
         self.calls += 1;
-        let demanded = self.source.demand(input);
+        let demanded = self.scheduler.demand(input);
         if demanded.first_demand {
             self.distinct += 1;
         }
@@ -727,7 +672,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
         // never contains, so the full frontier — including the first
         // `mid` — is speculated during `D₀`.)
         let frontier = speculation_frontier(lo, hi, self.width);
-        self.source.speculate(
+        self.scheduler.speculate(
             frontier
                 .into_iter()
                 .filter(|&i| i != next)
@@ -737,7 +682,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
     }
 
     fn search_done(&mut self) {
-        self.source.speculate(Vec::new());
+        self.scheduler.speculate(Vec::new());
     }
 }
 

@@ -7,7 +7,7 @@
 //! as a trait: a frontend supplies items mapped to logic variables, a CNF
 //! dependency model, a coarse dependency graph (the J-Reduce baseline's
 //! view), serialization, a validity check, and a byte-size cost. The
-//! reduction pipeline, daemon, cluster, fuzzer, and eval tables are all
+//! reduction pipeline, daemon, fuzzer, and eval tables are all
 //! generic over [`Input`], so every frontend gets every harness for free.
 
 use crate::graph::DepGraph;

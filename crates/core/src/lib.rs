@@ -68,15 +68,15 @@ mod trace;
 pub use binary::{binary_reduction, BinaryReductionError, BinaryReductionOutcome};
 pub use concurrent::{
     ClaimResult, ConcurrentPredicate, DemandKind, Demanded, MemoScan, Probe, ProbeCache,
-    ProbeDistributor, ProbeScheduler, ShardedMemo, VerdictSource,
+    ProbeScheduler, ShardedMemo,
 };
 pub use ddmin::{ddmin, DdminStats, TestOutcome};
 pub use fault::{FaultInjector, FaultPlan};
 pub use gbr::{
     build_progression, generalized_binary_reduction, generalized_binary_reduction_controlled,
     generalized_binary_reduction_speculative, generalized_binary_reduction_speculative_controlled,
-    generalized_binary_reduction_with_source, GbrCheckpoint, GbrConfig, GbrControl, GbrError,
-    GbrOutcome, ProgressionBuilder, PropagationMode, SpeculationConfig, SpeculativeRun,
+    GbrCheckpoint, GbrConfig, GbrControl, GbrError, GbrOutcome, ProgressionBuilder,
+    PropagationMode, SpeculationConfig, SpeculativeRun,
 };
 pub use graph::{Closure, DepGraph};
 pub use hitting::{reduction_is_faithful, HittingSet};

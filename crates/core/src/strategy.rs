@@ -3,9 +3,9 @@
 //! The paper's evaluation (§6) is a *strategy comparison* — GBR against
 //! J-Reduce, lossy encodings, and ddmin — and this reproduction keeps
 //! growing the comparison (HDD, trace-guided modes). A closed enum made
-//! every addition a six-crate edit: the session builder, the pipeline
-//! dispatch, daemon job specs, cluster jobs, fuzz progressions, and the
-//! eval/bench name tables all pattern-matched on it. This module replaces the enum with an open trait:
+//! every addition a multi-crate edit: the session builder, the pipeline
+//! dispatch, daemon job specs, fuzz progressions, and the eval/bench name
+//! tables all pattern-matched on it. This module replaces the enum with an open trait:
 //!
 //! * a strategy is a value implementing [`ReductionStrategy`] — it owns
 //!   its [`name`](ReductionStrategy::name), its capability flags
@@ -13,7 +13,7 @@
 //!   input format,
 //! * a [`StrategyRegistry`] maps names (plus historical aliases) to
 //!   strategies, so every layer that used to spell an enum variant now
-//!   looks a string up — one registration serves all six crates,
+//!   looks a string up — one registration serves every crate,
 //! * the shared run vocabulary ([`RunOptions`], [`ServiceHooks`],
 //!   [`StrategyOutput`], [`PipelineError`]) lives here
 //!   so that both the trait and its callers can be format- and
@@ -23,7 +23,7 @@
 //! in `lbr-jreduce`; they are thin shims over this seam.
 
 use crate::binary::BinaryReductionError;
-use crate::concurrent::{ProbeCache, ProbeDistributor};
+use crate::concurrent::ProbeCache;
 use crate::gbr::{GbrCheckpoint, GbrError, PropagationMode};
 use crate::input::{Input, InputOracle, ModelStats};
 use crate::stats::ProbeStats;
@@ -118,12 +118,6 @@ pub struct ServiceHooks<'h> {
     pub checkpoint: Option<&'h mut dyn FnMut(&GbrCheckpoint)>,
     /// Continue a previous run from its last checkpoint.
     pub resume: Option<GbrCheckpoint>,
-    /// Distributes the run's speculative probe frontier to external
-    /// evaluators (the cluster's worker nodes): GBR consumes the
-    /// distributor's [`VerdictSource`](crate::VerdictSource) instead
-    /// of the local probe scheduler. Results stay bit-identical — the
-    /// driver demands the exact sequential probe order either way.
-    pub distributor: Option<&'h dyn ProbeDistributor>,
 }
 
 impl std::fmt::Debug for ServiceHooks<'_> {
@@ -133,7 +127,6 @@ impl std::fmt::Debug for ServiceHooks<'_> {
             .field("cancel", &self.cancel.is_some())
             .field("checkpoint", &self.checkpoint.is_some())
             .field("resume", &self.resume)
-            .field("distributor", &self.distributor.is_some())
             .finish()
     }
 }
@@ -205,8 +198,7 @@ pub struct StrategyOutput<I> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StrategyCaps {
     /// Honors every [`ServiceHooks`] field: external probe cache,
-    /// cancellation, checkpoint/resume, and the cluster's probe
-    /// distributor.
+    /// cancellation, and checkpoint/resume.
     pub resumable: bool,
     /// Honors `probe_threads > 1` with speculative parallel probing
     /// (bit-identical results, shorter wall time).

@@ -30,7 +30,6 @@
 
 use crate::case::FuzzCase;
 use lbr_classfile::{verify_program, Program};
-use lbr_cluster::{run_worker, ClusterServer, WorkerOptions};
 use lbr_core::{Input, InputOracle, TestOutcome};
 use lbr_decompiler::DecompilerOracle;
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
@@ -41,8 +40,6 @@ use lbr_service::{
 use lbr_stackvm::StackOracle;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -91,27 +88,11 @@ struct DaemonHandle {
     thread: JoinHandle<io::Result<()>>,
 }
 
-/// An in-process reduction cluster: a clustered coordinator daemon, its
-/// worker-facing listener, and one worker node over loopback TCP.
-struct ClusterHandle {
-    client: Client,
-    thread: JoinHandle<io::Result<()>>,
-    server: Arc<ClusterServer>,
-    stop: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<io::Result<()>>>,
-}
-
-/// Modeled probe latency for the cluster progression: just enough that
-/// the worker node wins probe batches from the coordinator's inline
-/// path, so the distributed merge is genuinely exercised.
-const CLUSTER_LATENCY_MICROS: u64 = 500;
-
 /// Owns the scratch directory and the optional in-process daemon the
 /// progressions run against. One harness serves a whole fuzz run.
 pub struct Harness {
     scratch: PathBuf,
     daemon: Option<DaemonHandle>,
-    cluster: Option<ClusterHandle>,
     job_counter: std::cell::Cell<u64>,
 }
 
@@ -122,7 +103,6 @@ impl Harness {
         Ok(Harness {
             scratch,
             daemon: None,
-            cluster: None,
             job_counter: std::cell::Cell::new(0),
         })
     }
@@ -144,43 +124,6 @@ impl Harness {
     /// Whether the daemon progression is available.
     pub fn has_daemon(&self) -> bool {
         self.daemon.is_some()
-    }
-
-    /// Starts an in-process reduction cluster (clustered coordinator plus
-    /// one worker node over loopback TCP) so `run_case` can exercise the
-    /// distributed path.
-    pub fn with_cluster(mut self) -> io::Result<Harness> {
-        let state_dir = self.scratch.join("cluster");
-        std::fs::create_dir_all(&state_dir)?;
-        let cache = Arc::new(PersistentOracleCache::open(state_dir.join("oracle.cache"))?);
-        let server = ClusterServer::start(&state_dir, Arc::clone(&cache), 4)?;
-        let daemon = Daemon::start_clustered(
-            DaemonConfig::new(state_dir, 1),
-            cache,
-            Arc::clone(&server) as _,
-        )?;
-        let client = Client::connect(daemon.local_addr().to_string());
-        let thread = std::thread::spawn(move || daemon.run());
-        if !client.wait_ready(Duration::from_secs(5)) {
-            return Err(io::Error::other("clustered daemon did not become ready"));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut options = WorkerOptions::new(server.local_addr().to_string(), "fuzz-worker");
-        options.stop = Some(Arc::clone(&stop));
-        let workers = vec![std::thread::spawn(move || run_worker(&options))];
-        self.cluster = Some(ClusterHandle {
-            client,
-            thread,
-            server,
-            stop,
-            workers,
-        });
-        Ok(self)
-    }
-
-    /// Whether the cluster progression is available.
-    pub fn has_cluster(&self) -> bool {
-        self.cluster.is_some()
     }
 
     /// Runs `case` through every progression and cross-checks the
@@ -232,8 +175,8 @@ impl Harness {
         out
     }
 
-    /// The format-generic progression body: P0–P8 plus the cluster (P11)
-    /// replay and the baseline zoo (P13, P15), cross-checked under I1–I7.
+    /// The format-generic progression body: P0–P8 plus the baseline zoo
+    /// (P13, P15), cross-checked under I1–I7.
     fn run_progressions<I, O>(
         &self,
         case: &FuzzCase,
@@ -357,31 +300,7 @@ impl Harness {
         // file bit for bit.
         if with_daemon {
             if let Some(daemon) = &self.daemon {
-                self.service_progression(
-                    &daemon.client,
-                    "daemon",
-                    0,
-                    case,
-                    input,
-                    &reference,
-                    &mut out,
-                );
-            }
-            // P11: the distributed cluster — the same container through a
-            // clustered coordinator with a TCP worker node must replay
-            // the reference bit-identically; this is the ordered-verdict
-            // merge (and the shared cache tier) under the same I1–I7
-            // cross-checks as the single-host daemon.
-            if let Some(cluster) = &self.cluster {
-                self.service_progression(
-                    &cluster.client,
-                    "cluster",
-                    CLUSTER_LATENCY_MICROS,
-                    case,
-                    input,
-                    &reference,
-                    &mut out,
-                );
+                self.daemon_progression(&daemon.client, case, input, &reference, &mut out);
             }
         }
 
@@ -513,20 +432,14 @@ impl Harness {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Runs `case` through a service front door (`client`) and compares
-    /// the job result against the in-process `reference` run: exact
-    /// predicate-call count, trace digest, and output bytes (I4). Both
-    /// the single-host daemon (`tag = "daemon"`, zero latency) and the
-    /// clustered coordinator (`tag = "cluster"`, enough modeled probe
-    /// latency that the TCP worker actually participates) go through
-    /// here; the job spec carries the case's format tag so the daemon
-    /// picks the matching frontend.
-    #[allow(clippy::too_many_arguments)]
-    fn service_progression<I: Input>(
+    /// Runs `case` through the daemon (`client`) and compares the job
+    /// result against the in-process `reference` run: exact
+    /// predicate-call count, trace digest, and output bytes (I4). The job
+    /// spec carries the case's format tag so the daemon picks the
+    /// matching frontend.
+    fn daemon_progression<I: Input>(
         &self,
         client: &Client,
-        tag: &str,
-        latency_micros: u64,
         case: &FuzzCase,
         input: &I,
         reference: &ReductionReport<I>,
@@ -538,24 +451,20 @@ impl Harness {
         let output = self.scratch.join(format!("job-{job}-out.lbrc"));
         if let Err(e) = std::fs::write(&input_path, input.to_bytes()) {
             out.violations
-                .push(format!("{tag} input write failed: {e}"));
+                .push(format!("daemon input write failed: {e}"));
             return;
         }
-        let mut fields = vec![
+        let spec = Json::obj([
             ("input", Json::str(input_path.display().to_string())),
             ("output", Json::str(output.display().to_string())),
             ("decompiler", Json::str(&case.decompiler)),
             ("format", Json::str(I::FORMAT)),
-        ];
-        if latency_micros > 0 {
-            fields.push(("probe_latency_micros", Json::count(latency_micros)));
-        }
-        let spec = Json::obj_from(fields);
+        ]);
         let result = client.submit(&spec).and_then(|id| client.wait_result(id));
         let result = match result {
             Ok(result) => result,
             Err(e) => {
-                out.violations.push(format!("{tag} job failed: {e}"));
+                out.violations.push(format!("daemon job failed: {e}"));
                 return;
             }
         };
@@ -563,7 +472,7 @@ impl Harness {
         let v = &mut out.violations;
         if result.str_field("status") != Some("done") {
             v.push(format!(
-                "{tag}: job ended {:?} ({:?})",
+                "daemon: job ended {:?} ({:?})",
                 result.str_field("status"),
                 result.str_field("error")
             ));
@@ -571,7 +480,7 @@ impl Harness {
         }
         if result.u64_field("predicate_calls") != Some(reference.predicate_calls) {
             v.push(format!(
-                "I4 {tag}: {:?} predicate calls, reference made {}",
+                "I4 daemon: {:?} predicate calls, reference made {}",
                 result.u64_field("predicate_calls"),
                 reference.predicate_calls
             ));
@@ -579,14 +488,14 @@ impl Harness {
         let expected_digest = format!("{:016x}", reference.trace.digest());
         if result.str_field("trace_digest") != Some(expected_digest.as_str()) {
             v.push(format!(
-                "I4 {tag}: trace digest {:?}, reference {expected_digest}",
+                "I4 daemon: trace digest {:?}, reference {expected_digest}",
                 result.str_field("trace_digest")
             ));
         }
         match std::fs::read(&output) {
             Ok(bytes) if bytes == reference.reduced.to_bytes() => {}
-            Ok(_) => v.push(format!("I4 {tag}: output bytes differ from the reference")),
-            Err(e) => v.push(format!("{tag} output unreadable: {e}")),
+            Ok(_) => v.push("I4 daemon: output bytes differ from the reference".to_owned()),
+            Err(e) => v.push(format!("daemon output unreadable: {e}")),
         }
         let _ = std::fs::remove_file(&input_path);
         let _ = std::fs::remove_file(&output);
@@ -598,15 +507,6 @@ impl Drop for Harness {
         if let Some(daemon) = self.daemon.take() {
             let _ = daemon.client.shutdown();
             let _ = daemon.thread.join();
-        }
-        if let Some(cluster) = self.cluster.take() {
-            cluster.stop.store(true, Ordering::SeqCst);
-            let _ = cluster.client.shutdown();
-            for worker in cluster.workers {
-                let _ = worker.join();
-            }
-            cluster.server.shutdown();
-            let _ = cluster.thread.join();
         }
         let _ = std::fs::remove_dir_all(&self.scratch);
     }

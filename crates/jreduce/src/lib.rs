@@ -9,8 +9,8 @@
 //! * [`run_reduction`] — drivers for the evaluated strategies, looked up
 //!   by name in the open [`strategy_registry`], all generic over the
 //!   input format,
-//! * [`ReductionSession`] — the builder the daemon, cluster, bins, and
-//!   fuzzer configure runs through.
+//! * [`ReductionSession`] — the builder the daemon, bins, and fuzzer
+//!   configure runs through.
 //!
 //! The classfile frontend's model pieces ([`Item`] / [`ItemRegistry`],
 //! [`build_model`], [`reduce_program`], [`ClassGraph`]) now live in
@@ -47,8 +47,8 @@ pub use lbr_classfile::{
 pub use lbr_core::ModelStats;
 pub use pipeline::{
     check_report, known_strategy, run_logical_resumable, run_per_error, run_per_error_with,
-    run_reduction, run_reduction_with, strategy_caps, strategy_catalog, strategy_registry,
-    CandidateProbe, PerErrorReport, PipelineError, ReductionReport, ReductionStrategy, RunOptions,
-    ServiceHooks, SizeMetrics, StrategyCaps, StrategyOutput, StrategyRegistry,
+    run_reduction, run_reduction_with, strategy_catalog, strategy_registry, PerErrorReport,
+    PipelineError, ReductionReport, ReductionStrategy, RunOptions, ServiceHooks, SizeMetrics,
+    StrategyCaps, StrategyOutput, StrategyRegistry,
 };
 pub use session::ReductionSession;

@@ -37,8 +37,7 @@ pub use lbr_core::{
     StrategyRegistry,
 };
 pub use per_error::PerErrorReport;
-pub use probe::CandidateProbe;
-pub use strategies::{known_strategy, strategy_caps, strategy_catalog, strategy_registry};
+pub use strategies::{known_strategy, strategy_catalog, strategy_registry};
 
 use lbr_classfile::Program;
 use lbr_core::{Input, InputOracle, ModelStats, ProbeStats, ReductionTrace};

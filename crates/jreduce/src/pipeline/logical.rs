@@ -8,9 +8,9 @@ use crate::pipeline::probe::{wrap_oracle, CandidateProbe, OrderKind};
 use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
     closure_size_order, generalized_binary_reduction, generalized_binary_reduction_controlled,
-    generalized_binary_reduction_speculative_controlled, generalized_binary_reduction_with_source,
-    CacheLayer, ConcurrentPredicate, GbrConfig, GbrControl, Input, InputOracle, Instance,
-    LatencyLayer, OracleStack, ProbeStats, SpeculationConfig, StrategyOutput,
+    generalized_binary_reduction_speculative_controlled, CacheLayer, ConcurrentPredicate,
+    GbrConfig, GbrControl, Input, InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats,
+    SpeculationConfig, StrategyOutput,
 };
 use lbr_logic::{MsaStrategy, VarSet};
 use std::cell::Cell;
@@ -57,35 +57,6 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
         stack.push(layer);
     }
     stack.push(&latency);
-    if let Some(dist) = hooks.distributor {
-        // Cluster backend: GBR demands verdicts from the distributor's
-        // remote frontier instead of a local scheduler. The driving
-        // thread computes unclaimed probes inline against the local
-        // stack (through `open_frontier`'s fallback), so the run makes
-        // progress at any worker count — including zero.
-        let spec = SpeculationConfig {
-            threads: 1,
-            width: dist.frontier_width().max(options.probe_threads.max(1)),
-            cost_per_call_secs: cost,
-        };
-        let source = dist.open_frontier(&stack);
-        let run = generalized_binary_reduction_with_source(
-            &instance,
-            &order,
-            &*source,
-            &config,
-            &spec,
-            &mut control,
-        )?;
-        let reduced = (model.materialize)(&run.outcome.solution);
-        return Ok(StrategyOutput {
-            reduced,
-            calls: run.stats.useful_calls,
-            trace: run.trace,
-            model_stats: Some(stats),
-            probe_stats: run.stats,
-        });
-    }
     if options.probe_threads > 1 {
         // Speculative parallel probing: the scheduler's concurrent memo
         // subsumes the oracle memo (distinct demanded subsets run the tool
@@ -93,7 +64,6 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
         // back in the stats.
         let spec = SpeculationConfig {
             threads: options.probe_threads,
-            width: 0,
             cost_per_call_secs: cost,
         };
         let run = generalized_binary_reduction_speculative_controlled(

@@ -18,17 +18,12 @@ use lbr_logic::VarSet;
 /// keep-set, tests it against the tool oracle, and measures its bytes —
 /// all from borrowed shared state, pure per probe, so many workers can
 /// probe one instance concurrently. Generic over the input format.
-///
-/// Public so out-of-process probe evaluators (the cluster's worker
-/// nodes) can assemble the *exact* predicate the pipeline uses — same
-/// materialization, same oracle check, same byte-size metric — which is
-/// what keeps remotely computed verdicts bit-identical to local ones.
-pub struct CandidateProbe<'a, I, O: ?Sized> {
+pub(crate) struct CandidateProbe<'a, I, O: ?Sized> {
     /// Keep-set → candidate input (item-level reducer or coarse-graph
     /// subset, depending on the stage).
-    pub materialize: &'a (dyn Fn(&VarSet) -> I + Sync),
+    pub(crate) materialize: &'a (dyn Fn(&VarSet) -> I + Sync),
     /// The tool oracle the candidate is tested against.
-    pub oracle: &'a O,
+    pub(crate) oracle: &'a O,
 }
 
 impl<I: Input, O: InputOracle<I> + ?Sized> ConcurrentPredicate for CandidateProbe<'_, I, O> {

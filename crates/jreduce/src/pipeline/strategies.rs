@@ -1,8 +1,7 @@
 //! The strategy registrations: every evaluated reducer as a
 //! [`ReductionStrategy`] value, assembled into the
 //! [`StrategyRegistry`] the pipeline dispatch, the daemon's job specs,
-//! the cluster, the fuzzer, and the eval/bench tables all look names up
-//! in. One registration here serves all of them — strategy-name strings
+//! the fuzzer, and the eval/bench tables all look names up in. One registration here serves all of them — strategy-name strings
 //! have exactly one source of truth: each strategy's
 //! [`name`](ReductionStrategy::name).
 //!
@@ -353,18 +352,9 @@ impl Input for NullInput {
 }
 
 /// Whether `name` resolves in the built-in registry (canonically or via
-/// an alias) — the validation the daemon's job parser and the cluster's
-/// job submission use.
+/// an alias) — the validation the daemon's job parser uses.
 pub fn known_strategy(name: &str) -> bool {
     strategy_registry::<NullInput>().contains(name)
-}
-
-/// The capability flags of the strategy `name` resolves to (canonically
-/// or via an alias), or `None` for unknown names — how the daemon and
-/// the cluster dispatch decide whether a job gets the checkpointed,
-/// distributable service path.
-pub fn strategy_caps(name: &str) -> Option<StrategyCaps> {
-    strategy_registry::<NullInput>().get(name).map(|s| s.caps())
 }
 
 /// Every built-in strategy's canonical name and capability flags, in

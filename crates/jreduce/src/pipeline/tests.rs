@@ -360,7 +360,6 @@ fn resumable_checkpoint_resume_matches_uninterrupted() {
             cancel: Some(&cancel),
             checkpoint: Some(&mut hook),
             resume: None,
-            distributor: None,
         },
     )
     .expect_err("cancelled");

@@ -28,7 +28,7 @@
 use crate::pipeline::{
     self, PerErrorReport, PipelineError, ReductionReport, RunOptions, ServiceHooks,
 };
-use lbr_core::{GbrCheckpoint, Input, InputOracle, ProbeCache, ProbeDistributor, PropagationMode};
+use lbr_core::{GbrCheckpoint, Input, InputOracle, ProbeCache, PropagationMode};
 
 /// A configured reduction run waiting to happen, generic over the input
 /// format (classfile programs, stackvm modules, any [`Input`]). Build
@@ -146,16 +146,6 @@ impl<'s, I: Input, O: InputOracle<I> + ?Sized> ReductionSession<'s, I, O> {
     /// starting fresh.
     pub fn resume(mut self, checkpoint: GbrCheckpoint) -> Self {
         self.hooks.resume = Some(checkpoint);
-        self
-    }
-
-    /// Distributes the run's speculative probe frontier to external
-    /// evaluators — the cluster backend. GBR demands verdicts from the
-    /// distributor's frontier in the exact sequential probe order, so the
-    /// result is bit-identical to a local run at any worker count (see
-    /// [`ServiceHooks::distributor`]).
-    pub fn distributor(mut self, distributor: &'s dyn ProbeDistributor) -> Self {
-        self.hooks.distributor = Some(distributor);
         self
     }
 

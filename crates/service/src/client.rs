@@ -128,7 +128,7 @@ impl Client {
     }
 
     /// Submits a job described by `spec` (the fields of
-    /// [`JobSpec`](crate::JobSpec), minus `id`) and returns the assigned
+    /// [`JobSpec`](crate::job::JobSpec), minus `id`) and returns the assigned
     /// job id. A shed submit comes back as an error mentioning the
     /// daemon's retry hint; use [`try_submit`](Self::try_submit) to
     /// handle shedding programmatically.

@@ -49,7 +49,7 @@ use crate::json::Json;
 use crate::queue::JobQueue;
 use crate::shard::{run_shard, ShardHandle, ShardMsg};
 use lbr_classfile::read_program;
-use lbr_core::{GbrError, Input, InputOracle, ProbeDistributor};
+use lbr_core::{GbrError, Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{
     strategy_catalog, strategy_registry, PipelineError, ReductionReport, ReductionSession,
@@ -169,12 +169,7 @@ struct JobRecord {
 /// Shared daemon state: everything workers, handlers, and shards touch.
 pub(crate) struct ServiceState {
     pub(crate) config: DaemonConfig,
-    /// Shared with the cluster server (the coordinator-hosted cache tier
-    /// workers query over the wire) when one is attached.
     cache: Arc<PersistentOracleCache>,
-    /// Attached reduction cluster, if the daemon was started with
-    /// [`Daemon::start_clustered`].
-    cluster: Option<Arc<dyn ClusterDispatch>>,
     queue: JobQueue,
     jobs: Mutex<HashMap<u64, JobRecord>>,
     next_id: AtomicU64,
@@ -226,28 +221,6 @@ impl ServiceState {
     }
 }
 
-/// The daemon's hook into a reduction cluster: a coordinator-side
-/// component (the `lbr-cluster` crate's server) that can hand a running
-/// job a [`ProbeDistributor`] fanning its speculative probe frontier out
-/// to connected worker nodes.
-///
-/// The daemon itself stays cluster-agnostic — it asks the dispatch for a
-/// distributor per job and threads it into the
-/// [`ReductionSession`](lbr_jreduce::ReductionSession); `None` (strategy
-/// not distributable, or no cluster attached) falls back to the ordinary
-/// single-host paths. Determinism is owned by the distributor: the GBR
-/// driver demands verdicts in the exact sequential probe order, so the
-/// reduction is bit-identical at any worker count.
-pub trait ClusterDispatch: Send + Sync {
-    /// A distributor for one job, or `None` if this job should run on the
-    /// single-host path. `input` is the job's container bytes (already
-    /// read); implementations use them to describe the job to workers.
-    fn job_distributor(&self, spec: &JobSpec, input: &[u8]) -> Option<Box<dyn ProbeDistributor>>;
-    /// A JSON document of cluster counters, merged into the daemon's
-    /// `stats` response under `"cluster"`.
-    fn stats(&self) -> Json;
-}
-
 /// Why [`execute_job`] did not produce a report.
 enum JobStop {
     /// The cancel hook fired: user cancel, deadline, or daemon shutdown.
@@ -272,27 +245,6 @@ impl Daemon {
         let cache = Arc::new(PersistentOracleCache::open(
             config.state_dir.join("oracle.cache"),
         )?);
-        Daemon::start_inner(config, cache, None)
-    }
-
-    /// Like [`start`](Self::start), but with an externally opened oracle
-    /// cache (shared with the cluster's coordinator-hosted cache tier)
-    /// and a [`ClusterDispatch`] that offers each logical job a probe
-    /// distributor over the connected worker nodes.
-    pub fn start_clustered(
-        config: DaemonConfig,
-        cache: Arc<PersistentOracleCache>,
-        cluster: Arc<dyn ClusterDispatch>,
-    ) -> io::Result<Daemon> {
-        std::fs::create_dir_all(&config.state_dir)?;
-        Daemon::start_inner(config, cache, Some(cluster))
-    }
-
-    fn start_inner(
-        config: DaemonConfig,
-        cache: Arc<PersistentOracleCache>,
-        cluster: Option<Arc<dyn ClusterDispatch>>,
-    ) -> io::Result<Daemon> {
         let queue = JobQueue::new(config.queue_capacity);
         let mut jobs = HashMap::new();
         let mut max_id = 0u64;
@@ -376,7 +328,6 @@ impl Daemon {
             state: Arc::new(ServiceState {
                 config,
                 cache,
-                cluster,
                 queue,
                 jobs: Mutex::new(jobs),
                 next_id: AtomicU64::new(max_id + 1),
@@ -985,7 +936,7 @@ fn handle_stats(state: &ServiceState) -> Json {
             .map(|s| f(s).load(Ordering::Relaxed))
             .sum::<u64>()
     };
-    let mut response = ok_response([
+    ok_response([
         ("uptime_secs", Json::Num(uptime)),
         ("workers", Json::count(state.config.workers as u64)),
         ("queue_depth", Json::count(state.queue.depth() as u64)),
@@ -1076,13 +1027,7 @@ fn handle_stats(state: &ServiceState) -> Json {
             ),
         ),
         ("per_job", per_job),
-    ]);
-    if let Some(cluster) = &state.cluster {
-        if let Json::Obj(fields) = &mut response {
-            fields.insert("cluster".to_owned(), cluster.stats());
-        }
-    }
-    response
+    ])
 }
 
 // ----------------------------------------------------------------------
@@ -1383,7 +1328,7 @@ fn execute_job(
 }
 
 /// The format-generic body of [`execute_job`]: identical caching,
-/// checkpointing, cancellation, and cluster plumbing for every frontend
+/// checkpointing, and cancellation plumbing for every frontend
 /// behind the [`Input`] trait.
 fn run_reduction<I: Input, O: InputOracle<I>>(
     state: &ServiceState,
@@ -1407,7 +1352,7 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
     };
     let deadline = (spec.deadline_secs > 0.0).then(|| Duration::from_secs_f64(spec.deadline_secs));
     // The registry's capability flags decide the service path: resumable
-    // strategies get checkpoint/resume and the cluster distributor; every
+    // strategies get checkpoint/resume; every
     // job shares the persistent probe cache (strategies that have no use
     // for it — per their caps — simply ignore the hook; the trace-guided
     // mode uses it as its cross-run trace store).
@@ -1423,14 +1368,6 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
     };
     let report = if resumable {
         // The service path: persistent cache + checkpoint/resume + cancel.
-        // With a cluster attached, the job's speculative frontier is
-        // served by worker nodes; the session output stays bit-identical
-        // (the distributor's contract), so checkpoints, caching, and
-        // resume compose unchanged.
-        let distributor = state
-            .cluster
-            .as_ref()
-            .and_then(|cluster| cluster.job_distributor(spec, bytes));
         let ckpt_path = state.job_file(spec.id, "ckpt");
         // A checkpoint torn mid-write (truncated file, garbage bytes) is
         // discarded and the search restarts from scratch: determinism
@@ -1468,9 +1405,6 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
             .checkpoint(&mut checkpoint_hook);
         if let Some(ck) = resume {
             session = session.resume(ck);
-        }
-        if let Some(dist) = &distributor {
-            session = session.distributor(&**dist);
         }
         let report = session.run().map_err(map_pipeline_error)?;
         (report, resumed)

@@ -44,11 +44,6 @@ pub const MAGIC: u8 = 0xBF;
 pub const OP_DOC: u8 = 0x01;
 /// Binary opcode: a server-pushed event document.
 pub const OP_EVENT: u8 = 0x02;
-/// Binary opcode: a cluster coordinator/worker message. Cluster peers
-/// speak binary frames exclusively (no JSON interleaving) on the
-/// coordinator's dedicated listener; the distinct opcode keeps a worker
-/// that mistakenly dials the client port from being misread as a client.
-pub const OP_CLUSTER: u8 = 0x03;
 /// Nesting ceiling for decoded values (stack-overflow guard).
 const MAX_DEPTH: u32 = 64;
 
@@ -393,56 +388,6 @@ impl FrameDecoder {
     }
 }
 
-// ----------------------------------------------------------------------
-// Blocking frame I/O (cluster wire).
-// ----------------------------------------------------------------------
-
-fn wire_to_io(e: WireError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-}
-
-/// Writes one binary frame to a blocking stream.
-pub fn write_binary_frame(
-    writer: &mut dyn std::io::Write,
-    opcode: u8,
-    doc: &Json,
-) -> std::io::Result<()> {
-    writer.write_all(&encode_binary_frame(opcode, doc))?;
-    writer.flush()
-}
-
-/// Reads one binary frame `(opcode, doc)` from a blocking stream.
-///
-/// The declared payload length is validated against `max_frame` straight
-/// off the 6-byte header — **before** the payload buffer is allocated or
-/// a single payload byte is read — so a hostile or corrupt length field
-/// can never force a giant allocation. A stream that ends mid-header or
-/// mid-payload fails with [`std::io::ErrorKind::UnexpectedEof`] (a torn
-/// frame), a wrong magic byte with
-/// [`std::io::ErrorKind::InvalidData`].
-pub fn read_binary_frame(
-    reader: &mut dyn std::io::Read,
-    max_frame: usize,
-) -> std::io::Result<(u8, Json)> {
-    let mut header = [0u8; 6];
-    reader.read_exact(&mut header)?;
-    if header[0] != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad frame magic {:#04x}", header[0]),
-        ));
-    }
-    let opcode = header[1];
-    let len = u32::from_le_bytes(header[2..6].try_into().unwrap()) as usize;
-    if len > max_frame {
-        return Err(wire_to_io(WireError::TooLarge { limit: max_frame }));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    let doc = decode_value(&payload).map_err(wire_to_io)?;
-    Ok((opcode, doc))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,70 +511,6 @@ mod tests {
                 doc
             })
         );
-    }
-
-    #[test]
-    fn blocking_reader_round_trips_cluster_frames() {
-        let doc = sample_doc();
-        let mut stream = Vec::new();
-        write_binary_frame(&mut stream, OP_CLUSTER, &doc).unwrap();
-        write_binary_frame(&mut stream, OP_DOC, &Json::obj([("ok", Json::Bool(true))])).unwrap();
-        let mut reader = &stream[..];
-        assert_eq!(
-            read_binary_frame(&mut reader, 1 << 20).unwrap(),
-            (OP_CLUSTER, doc)
-        );
-        let (opcode, _) = read_binary_frame(&mut reader, 1 << 20).unwrap();
-        assert_eq!(opcode, OP_DOC);
-        assert!(reader.is_empty());
-    }
-
-    /// A reader that hands out the prefix and then fails the test if the
-    /// caller asks for more — proof the oversize check happens before any
-    /// payload read (and thus before the payload allocation).
-    struct HeaderOnly<'a>(&'a [u8]);
-
-    impl std::io::Read for HeaderOnly<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            assert!(
-                !self.0.is_empty(),
-                "payload bytes were requested for a frame whose header already \
-                 declared an oversize length"
-            );
-            let n = self.0.len().min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn blocking_reader_rejects_oversize_length_before_allocating() {
-        // Header declares u32::MAX bytes; only the header is readable.
-        let mut header = vec![MAGIC, OP_CLUSTER];
-        header.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_binary_frame(&mut HeaderOnly(&header), 1024).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("1024"), "got: {err}");
-    }
-
-    #[test]
-    fn blocking_reader_reports_torn_frames_as_unexpected_eof() {
-        let doc = sample_doc();
-        let mut frame = Vec::new();
-        write_binary_frame(&mut frame, OP_CLUSTER, &doc).unwrap();
-        // Torn mid-payload: declared length survives, the stream does not.
-        let torn = &frame[..frame.len() - 3];
-        let err = read_binary_frame(&mut &torn[..], 1 << 20).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-        // Torn mid-header.
-        let err = read_binary_frame(&mut &frame[..4], 1 << 20).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-        // Wrong magic byte is data corruption, not EOF.
-        let mut bad = frame.clone();
-        bad[0] = 0x7b;
-        let err = read_binary_frame(&mut &bad[..], 1 << 20).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

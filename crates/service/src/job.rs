@@ -17,7 +17,7 @@ pub struct JobSpec {
     /// Reduction strategy: any name or alias in the pipeline's strategy
     /// registry (`logical`, the default, resolves to `logical/greedy`).
     /// Strategies whose capability flags mark them resumable get
-    /// checkpoint/resume and the distributor; every job shares the
+    /// checkpoint/resume; every job shares the
     /// persistent probe cache.
     pub strategy: String,
     /// Queue priority, 0–255; higher pops first.

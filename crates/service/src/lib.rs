@@ -7,7 +7,7 @@
 //! or CI fleet would deploy it —
 //!
 //! * [`Daemon`] listens on localhost TCP and runs jobs from a bounded
-//!   priority [`JobQueue`] on a pool of worker threads;
+//!   priority [`JobQueue`](queue::JobQueue) on a pool of worker threads;
 //! * a [`PersistentOracleCache`] shares probe verdicts across jobs *and
 //!   across restarts*: entries are content-addressed by a digest of the
 //!   input container and oracle configuration plus the candidate keep-set,
@@ -46,14 +46,10 @@ pub mod queue;
 mod reactor;
 mod shard;
 
-pub use cache::{namespace_digest, CacheStats, FaultPlan, NamespacedCache, PersistentOracleCache};
-pub use checkpoint::{load_checkpoint, save_checkpoint};
+pub use cache::{namespace_digest, FaultPlan, PersistentOracleCache};
+pub use checkpoint::load_checkpoint;
 pub use client::{Client, Connection, Submitted};
-pub use daemon::{ClusterDispatch, Daemon, DaemonConfig};
-pub use frame::{
-    read_binary_frame, write_binary_frame, FrameDecoder, Framing, WireError, WireFrame, OP_CLUSTER,
-};
+pub use daemon::{Daemon, DaemonConfig};
+pub use frame::{FrameDecoder, Framing, WireFrame};
 pub use fsio::{atomic_write, atomic_write_str};
-pub use job::{JobPhase, JobSpec};
 pub use json::Json;
-pub use queue::{JobQueue, QueueFull};
