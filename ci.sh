@@ -71,7 +71,8 @@ echo "$strategies" | grep "^logical/trace-guided " | grep -q "model"
 echo "== reduction daemon smoke (identical results, kill -9 resume) =="
 # A daemon job must be bit-identical to an in-process `reduce` run, and a
 # daemon killed with SIGKILL mid-job must resume the job from its checkpoint
-# after restart, with the persistent oracle cache serving warm hits.
+# after restart, past a torn cache batch, with the persistent oracle cache
+# serving warm hits.
 svc="$smoke_dir/service"
 wait_daemon() {
     i=0
@@ -130,6 +131,12 @@ while [ ! -f "$svc/job-$job_id.ckpt" ]; do
 done
 kill -9 "$svc_pid"
 wait "$svc_pid" 2>/dev/null || true
+# A save killed mid-append leaves a batch without its commit line behind the
+# last committed one; the restarted daemon must discard that torn tail, not
+# load it or refuse to start.
+[ -f "$svc/oracle.cache" ]
+printf '00000000000000ab 40 1 7 1,2,3\n00000000000000ab 40 0 9 4,1' \
+    >>"$svc/oracle.cache"
 ./target/release/lbr-serviced --state-dir "$svc" --workers 2 >/dev/null &
 svc_pid=$!
 wait_daemon

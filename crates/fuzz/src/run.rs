@@ -369,7 +369,7 @@ impl Harness {
             }
             Err(e) => out.violations.push(format!("cold-cache run failed: {e}")),
         }
-        if let Err(e) = cold_cache.save_if_dirty() {
+        if let Err(e) = cold_cache.save() {
             out.violations.push(format!("cache save failed: {e}"));
             return;
         }

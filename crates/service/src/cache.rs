@@ -9,26 +9,53 @@
 //! is the probe verdict and candidate size, exactly what a tool run
 //! produces.
 //!
-//! Persistence is a single text file written via
-//! [`atomic_write`](crate::fsio::atomic_write): a reader never observes a
-//! torn cache, and a `kill -9` at any instant loses at most the entries
-//! added since the last save. Correctness never depends on the cache —
-//! it sits beneath every per-run counter (see
-//! [`ProbeCache`](lbr_core::ProbeCache)), so a lost entry merely costs
-//! one tool re-run.
+//! # The log
+//!
+//! Persistence is one append-only text file. After the header line come
+//! *batches*: each [`save`](PersistentOracleCache::save) appends the
+//! entries stored since the previous save, then a commit line holding the
+//! batch's line count and the FNV-1a checksum of its bytes, and fsyncs.
+//! A save therefore costs what it adds, not what the cache holds, and it
+//! renders and writes outside the cache lock, so probes never wait on the
+//! disk.
+//!
+//! ```text
+//! lbr-oracle-cache v2
+//! <ns hex> <universe> <outcome> <size> <idx,idx,…|->    one line per entry
+//! commit <lines> <fnv-1a hex>                           ends each batch
+//! ```
+//!
+//! [`open`](PersistentOracleCache::open) loads committed batches only. A
+//! `kill -9` mid-save leaves a prefix of one batch behind its last commit
+//! line; that tail is discarded and the file compacted once through
+//! [`atomic_write`](crate::fsio::atomic_write), so a crash loses at most
+//! the entries added since the last save. The commit line is what makes
+//! the discard sound: without it a torn member list such as `3,4,15` →
+//! `3,4,1` would parse as a valid but different key. Damage inside a
+//! committed batch is an [`InvalidData`](io::ErrorKind::InvalidData)
+//! error, never silently dropped. A `v1` file (the whole cache rewritten
+//! on every save) loads unchanged and is compacted to `v2` once.
+//!
+//! Correctness never depends on the cache — it sits beneath every
+//! per-run counter (see [`ProbeCache`](lbr_core::ProbeCache)), so a lost
+//! entry merely costs one tool re-run.
 
+use crate::checkpoint::{persisted_varset, MAX_UNIVERSE};
 use crate::fsio::atomic_write_str;
 use lbr_core::{FaultInjector, Probe, ProbeCache};
-use lbr_logic::{Var, VarSet};
+use lbr_logic::VarSet;
 use std::collections::HashMap;
-use std::io;
+use std::fs::OpenOptions;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use lbr_core::{CacheStats, FaultPlan};
 
-const HEADER: &str = "lbr-oracle-cache v1";
+const HEADER: &str = "lbr-oracle-cache v2";
+const HEADER_V1: &str = "lbr-oracle-cache v1";
+const COMMIT: &str = "commit";
 
 /// One remembered probe.
 #[derive(Debug, Clone)]
@@ -40,12 +67,15 @@ struct CacheEntry {
     warm: bool,
 }
 
+/// One entry as the log holds it: (namespace, key, probe).
+type LogEntry = (u64, VarSet, Probe);
+
 #[derive(Default)]
 struct CacheInner {
     /// (namespace, key fingerprint) → entries with that fingerprint.
     buckets: HashMap<(u64, u64), Vec<CacheEntry>>,
-    /// Entries added since the last save.
-    dirty: usize,
+    /// Entries stored since the last save, in store order.
+    pending: Vec<LogEntry>,
     len: usize,
 }
 
@@ -53,49 +83,43 @@ struct CacheInner {
 pub struct PersistentOracleCache {
     path: PathBuf,
     inner: Mutex<CacheInner>,
+    /// Length of the file's committed prefix (`0`: no file yet). Held
+    /// while appending, so two savers never interleave their batches.
+    log: Mutex<u64>,
     hits: AtomicU64,
     misses: AtomicU64,
     warm_hits: AtomicU64,
+    saves: AtomicU64,
+    appended_bytes: AtomicU64,
     faults: FaultInjector,
 }
 
 impl PersistentOracleCache {
-    /// Opens the cache at `path`, loading any existing entries (which are
-    /// marked *warm*). A missing file is an empty cache; a file with an
-    /// unknown header is an error (never silently dropped).
+    /// Opens the cache at `path`, loading the entries of every committed
+    /// batch (which are marked *warm*). A missing file is an empty cache;
+    /// a file with an unknown header or a damaged committed batch is an
+    /// [`InvalidData`](io::ErrorKind::InvalidData) error (never silently
+    /// dropped). A torn tail or a `v1` file is compacted before returning.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let mut inner = CacheInner::default();
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                if lines.next() != Some(HEADER) {
-                    return Err(io::Error::new(
+        let mut log_len = 0;
+        match std::fs::read(&path) {
+            Ok(bytes) => {
+                let loaded = read_log(&bytes).map_err(|msg| {
+                    io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("{}: not a {HEADER} file", path.display()),
-                    ));
+                        format!("{}: {msg}", path.display()),
+                    )
+                })?;
+                for (ns, key, probe) in loaded.entries {
+                    insert(&mut inner, ns, key, probe, true);
                 }
-                for (lineno, line) in lines.enumerate() {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let entry = parse_line(line).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("{}: bad cache line {}", path.display(), lineno + 2),
-                        )
-                    })?;
-                    let (ns, key, probe) = entry;
-                    inner
-                        .buckets
-                        .entry((ns, key.fingerprint()))
-                        .or_default()
-                        .push(CacheEntry {
-                            key,
-                            probe,
-                            warm: true,
-                        });
-                    inner.len += 1;
+                log_len = loaded.committed as u64;
+                if loaded.compact {
+                    let text = render_log(&inner);
+                    atomic_write_str(&path, &text)?;
+                    log_len = text.len() as u64;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -104,9 +128,12 @@ impl PersistentOracleCache {
         Ok(PersistentOracleCache {
             path,
             inner: Mutex::new(inner),
+            log: Mutex::new(log_len),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
+            saves: AtomicU64::new(0),
+            appended_bytes: AtomicU64::new(0),
             faults: FaultInjector::new(),
         })
     }
@@ -153,7 +180,10 @@ impl PersistentOracleCache {
     }
 
     /// Remembers a probe under the namespace (first write wins — the
-    /// predicate is pure, so duplicates are necessarily equal).
+    /// predicate is pure, so duplicates are necessarily equal) and queues
+    /// it for the next [`save`](Self::save). A key whose universe is above
+    /// [`MAX_UNIVERSE`] is kept in memory only: the log could not load it
+    /// back.
     ///
     /// Under an armed [`FaultPlan`] a faulted store is silently dropped:
     /// the entry is simply lost and a later probe recomputes it.
@@ -162,47 +192,63 @@ impl PersistentOracleCache {
             return;
         }
         let mut inner = self.inner.lock().expect("cache lock");
-        let bucket = inner
-            .buckets
-            .entry((namespace, key.fingerprint()))
-            .or_default();
-        if bucket.iter().any(|e| e.key == *key) {
-            return;
+        if insert(&mut inner, namespace, key.clone(), probe, false)
+            && key.universe() <= MAX_UNIVERSE
+        {
+            inner.pending.push((namespace, key.clone(), probe));
         }
-        bucket.push(CacheEntry {
-            key: key.clone(),
-            probe,
-            warm: false,
-        });
-        inner.len += 1;
-        inner.dirty += 1;
     }
 
-    /// Serializes every entry and atomically replaces the cache file.
+    /// Appends the entries stored since the last save to the log as one
+    /// committed batch and fsyncs it; a no-op when nothing is pending.
+    ///
+    /// The cache lock is held only to take the pending list; rendering and
+    /// writing happen under the separate log lock. On a failed write the
+    /// file is cut back to its committed prefix and the batch is queued
+    /// again, so a later save retries it.
     pub fn save(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        let mut out = String::with_capacity(64 * inner.len + HEADER.len() + 1);
-        out.push_str(HEADER);
-        out.push('\n');
-        // Deterministic line order: sort by (namespace, fingerprint, key).
-        let mut keys: Vec<&(u64, u64)> = inner.buckets.keys().collect();
-        keys.sort();
-        for k in keys {
-            for entry in &inner.buckets[k] {
-                render_line(k.0, &entry.key, entry.probe, &mut out);
+        let batch = std::mem::take(&mut self.inner.lock().expect("cache lock").pending);
+        if batch.is_empty() {
+            return Ok(());
+        }
+        match self.append(&render_batch(&batch)) {
+            Ok(written) => {
+                self.saves.fetch_add(1, Ordering::Relaxed);
+                self.appended_bytes.fetch_add(written, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => {
+                let mut inner = self.inner.lock().expect("cache lock");
+                let newer = std::mem::replace(&mut inner.pending, batch);
+                inner.pending.extend(newer);
+                Err(e)
             }
         }
-        atomic_write_str(&self.path, &out)?;
-        inner.dirty = 0;
-        Ok(())
     }
 
-    /// [`save`](Self::save) only if entries were added since the last one.
-    pub fn save_if_dirty(&self) -> io::Result<()> {
-        if self.inner.lock().expect("cache lock").dirty > 0 {
-            self.save()?;
+    /// Writes one rendered batch after the committed prefix and returns
+    /// the bytes written. The first batch of a new file goes through
+    /// `atomic_write` with the header, so the file never exists without
+    /// one.
+    fn append(&self, batch: &str) -> io::Result<u64> {
+        let mut committed = self.log.lock().expect("log lock");
+        if *committed == 0 {
+            let text = format!("{HEADER}\n{batch}");
+            atomic_write_str(&self.path, &text)?;
+            *committed = text.len() as u64;
+            return Ok(*committed);
         }
-        Ok(())
+        let mut file = OpenOptions::new().write(true).open(&self.path)?;
+        let written = file
+            .seek(SeekFrom::Start(*committed))
+            .and_then(|_| file.write_all(batch.as_bytes()))
+            .and_then(|()| file.sync_data());
+        if let Err(e) = written {
+            let _ = file.set_len(*committed);
+            return Err(e);
+        }
+        *committed += batch.len() as u64;
+        Ok(batch.len() as u64)
     }
 
     /// Total entries currently held.
@@ -225,6 +271,17 @@ impl PersistentOracleCache {
         }
     }
 
+    /// Saves that wrote a batch since this cache was opened.
+    pub fn saves(&self) -> u64 {
+        self.saves.load(Ordering::Relaxed)
+    }
+
+    /// Bytes those saves wrote (batches with their commit lines, and the
+    /// header of a new file).
+    pub fn appended_bytes(&self) -> u64 {
+        self.appended_bytes.load(Ordering::Relaxed)
+    }
+
     /// The file this cache persists to.
     pub fn path(&self) -> &Path {
         &self.path
@@ -238,6 +295,18 @@ impl PersistentOracleCache {
             namespace,
         }
     }
+}
+
+/// Adds an entry unless its key is already present; reports whether it
+/// was added.
+fn insert(inner: &mut CacheInner, ns: u64, key: VarSet, probe: Probe, warm: bool) -> bool {
+    let bucket = inner.buckets.entry((ns, key.fingerprint())).or_default();
+    if bucket.iter().any(|e| e.key == key) {
+        return false;
+    }
+    bucket.push(CacheEntry { key, probe, warm });
+    inner.len += 1;
+    true
 }
 
 /// A [`PersistentOracleCache`] scoped to one namespace.
@@ -256,22 +325,164 @@ impl ProbeCache for NamespacedCache<'_> {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a digest `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// FNV-1a digest of `salt` and `data` — the namespace for probes of one
 /// (input container, oracle configuration) pair.
 pub fn namespace_digest(salt: &str, data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let h = fnv1a(FNV_OFFSET, salt.as_bytes());
+    // Separator: namespace("ab", b"c") ≠ namespace("a", b"bc").
+    let h = fnv1a(h, &[0xff]);
+    fnv1a(h, data)
+}
+
+/// Renders entries as one batch: their lines, then the commit line.
+fn render_batch<'e>(entries: impl IntoIterator<Item = &'e LogEntry>) -> String {
+    let mut out = String::new();
+    let mut lines = 0;
+    for (ns, key, probe) in entries {
+        render_line(*ns, key, *probe, &mut out);
+        lines += 1;
+    }
+    let checksum = fnv1a(FNV_OFFSET, out.as_bytes());
+    out.push_str(&format!("{COMMIT} {lines} {checksum:016x}\n"));
+    out
+}
+
+/// The whole cache as a fresh log: the header and one batch, in a
+/// deterministic (namespace, fingerprint, insertion) order.
+fn render_log(inner: &CacheInner) -> String {
+    let mut keys: Vec<&(u64, u64)> = inner.buckets.keys().collect();
+    keys.sort();
+    let entries: Vec<LogEntry> = keys
+        .into_iter()
+        .flat_map(|k| {
+            inner.buckets[k]
+                .iter()
+                .map(|e| (k.0, e.key.clone(), e.probe))
+        })
+        .collect();
+    format!("{HEADER}\n{}", render_batch(&entries))
+}
+
+/// What [`read_log`] recovered from a cache file.
+struct Loaded {
+    entries: Vec<LogEntry>,
+    /// Bytes up to the end of the last commit line.
+    committed: usize,
+    /// Whether the file must be rewritten: a `v1` file, or a `v2` file
+    /// with an uncommitted tail.
+    compact: bool,
+}
+
+/// Parses a cache file of either version (see the module docs).
+fn read_log(bytes: &[u8]) -> Result<Loaded, String> {
+    let bad = |lineno: usize| format!("bad cache line {lineno}");
+    let not_a_cache = || format!("not a {HEADER} file");
+    let header_end = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(not_a_cache)?;
+    let header = &bytes[..header_end];
+    let mut pos = header_end + 1;
+    let mut entries = Vec::new();
+    if header == HEADER_V1.as_bytes() {
+        let text = std::str::from_utf8(&bytes[pos..]).map_err(|_| "not UTF-8".to_owned())?;
+        for (i, line) in text.lines().enumerate() {
+            if !line.is_empty() {
+                entries.push(parse_line(line.as_bytes()).ok_or_else(|| bad(i + 2))?);
+            }
+        }
+        return Ok(Loaded {
+            entries,
+            committed: bytes.len(),
+            compact: true,
+        });
+    }
+    if header != HEADER.as_bytes() {
+        return Err(not_a_cache());
+    }
+    let mut lineno = 1;
+    let mut committed = pos;
+    // Lines since the last commit line, with their line numbers.
+    let mut open: Vec<(usize, &[u8])> = Vec::new();
+    while let Some(len) = bytes[pos..].iter().position(|&b| b == b'\n') {
+        let line = &bytes[pos..pos + len];
+        lineno += 1;
+        if let Some(rest) = line.strip_prefix(COMMIT.as_bytes()) {
+            let (lines, checksum) = parse_commit(rest).ok_or_else(|| bad(lineno))?;
+            if lines != open.len() || checksum != fnv1a(FNV_OFFSET, &bytes[committed..pos]) {
+                return Err(bad(lineno));
+            }
+            for (n, entry) in open.drain(..) {
+                entries.push(parse_line(entry).ok_or_else(|| bad(n))?);
+            }
+            committed = pos + len + 1;
+        } else {
+            open.push((lineno, line));
+        }
+        pos += len + 1;
+    }
+    // What follows the last commit line must look like what a killed
+    // append leaves: whole entry lines, then a prefix of one more line.
+    // A commit line torn there must still be a prefix of a well-formed
+    // one, so a damaged final commit line is an error, not a torn tail.
+    for (n, entry) in open {
+        parse_line(entry).ok_or_else(|| bad(n))?;
+    }
+    if let Some(rest) = bytes[pos..].strip_prefix(COMMIT.as_bytes()) {
+        if !is_commit_prefix(rest) {
+            return Err(bad(lineno + 1));
+        }
+    }
+    Ok(Loaded {
+        entries,
+        committed,
+        compact: committed < bytes.len(),
+    })
+}
+
+/// ` <lines> <checksum>` after the `commit` keyword.
+fn parse_commit(rest: &[u8]) -> Option<(usize, u64)> {
+    let rest = std::str::from_utf8(rest).ok()?.strip_prefix(' ')?;
+    let (lines, checksum) = rest.split_once(' ')?;
+    // Exactly the rendered digits: a `+` sign or an upper-case hex digit
+    // would parse to the same number from different bytes.
+    let canonical = !lines.is_empty()
+        && lines.bytes().all(|b| b.is_ascii_digit())
+        && checksum.len() == 16
+        && checksum.bytes().all(is_lower_hex);
+    if !canonical {
+        return None;
+    }
+    Some((lines.parse().ok()?, u64::from_str_radix(checksum, 16).ok()?))
+}
+
+/// Whether `rest` (after `commit`) can be cut from a well-formed commit
+/// line: ` <digits> <up to 16 hex digits>`, truncated anywhere.
+fn is_commit_prefix(rest: &[u8]) -> bool {
+    let Some(rest) = rest.strip_prefix(b" ") else {
+        return rest.is_empty();
     };
-    for b in salt.bytes() {
-        mix(b);
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    match &rest[digits..] {
+        [] => true,
+        [b' ', hex @ ..] => hex.len() <= 16 && hex.iter().copied().all(is_lower_hex),
+        _ => false,
     }
-    mix(0xff); // separator: namespace("ab", b"c") ≠ namespace("a", b"bc")
-    for &b in data {
-        mix(b);
-    }
-    h
+}
+
+fn is_lower_hex(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'a'..=b'f')
 }
 
 /// `<ns hex> <universe> <outcome> <size> <idx,idx,…|->`
@@ -298,10 +509,10 @@ fn render_line(ns: u64, key: &VarSet, probe: Probe, out: &mut String) {
     out.push('\n');
 }
 
-fn parse_line(line: &str) -> Option<(u64, VarSet, Probe)> {
-    let mut fields = line.split(' ');
+fn parse_line(line: &[u8]) -> Option<LogEntry> {
+    let mut fields = std::str::from_utf8(line).ok()?.split(' ');
     let ns = u64::from_str_radix(fields.next()?, 16).ok()?;
-    let universe: usize = fields.next()?.parse().ok()?;
+    let universe: u64 = fields.next()?.parse().ok()?;
     let outcome = match fields.next()? {
         "0" => false,
         "1" => true,
@@ -312,25 +523,22 @@ fn parse_line(line: &str) -> Option<(u64, VarSet, Probe)> {
     if fields.next().is_some() {
         return None;
     }
-    let key = if members == "-" {
-        VarSet::empty(universe)
+    let indices = if members == "-" {
+        Vec::new()
     } else {
-        let mut indices = Vec::new();
-        for part in members.split(',') {
-            let idx: u32 = part.parse().ok()?;
-            if idx as usize >= universe {
-                return None;
-            }
-            indices.push(Var::new(idx));
-        }
-        VarSet::from_iter_with_universe(universe, indices)
+        members
+            .split(',')
+            .map(|part| part.parse().ok())
+            .collect::<Option<Vec<u64>>>()?
     };
+    let key = persisted_varset(universe, indices).ok()?;
     Some((ns, key, Probe { outcome, size }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbr_logic::Var;
 
     fn set(universe: usize, members: &[u32]) -> VarSet {
         VarSet::from_iter_with_universe(universe, members.iter().copied().map(Var::new))
@@ -399,7 +607,7 @@ mod tests {
                     size: 11,
                 },
             );
-            cache.save_if_dirty().unwrap();
+            cache.save().unwrap();
         }
         let cache = PersistentOracleCache::open(&path).unwrap();
         assert_eq!(cache.len(), 3);

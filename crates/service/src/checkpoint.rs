@@ -3,10 +3,9 @@
 //! The checkpoint format (see DESIGN.md §Service architecture) is a small
 //! JSON document; `VarSet`s are stored as `{ "universe": N, "members":
 //! [indices…] }`, the only stable public view of a set. Checkpoints go
-//! through [`atomic_write`](crate::fsio::atomic_write) like every other
-//! state file, so a killed writer leaves either the previous checkpoint or
-//! the new one — a resumed job merely restarts from one iteration earlier
-//! in the worst case.
+//! through [`atomic_write`](crate::fsio::atomic_write), so a killed writer
+//! leaves either the previous checkpoint or the new one — a resumed job
+//! merely restarts from an earlier iteration in the worst case.
 
 use crate::fsio::atomic_write_str;
 use crate::json::Json;
@@ -29,22 +28,49 @@ pub fn varset_to_json(set: &VarSet) -> Json {
     ])
 }
 
+/// Largest universe a persisted set may declare: 2^24 variables, a 2 MiB
+/// bitset. Real models have hundreds of variables; the ceiling exists so
+/// that a corrupt number in a state file is rejected as bad data instead
+/// of sizing an allocation that aborts the daemon.
+pub const MAX_UNIVERSE: usize = 1 << 24;
+
+/// Rebuilds a persisted set from its universe and member indices. Both
+/// state formats (checkpoints and the oracle cache) come through here, so
+/// neither can allocate for a universe above [`MAX_UNIVERSE`] or accept a
+/// member outside its universe.
+pub(crate) fn persisted_varset(
+    universe: u64,
+    members: impl IntoIterator<Item = u64>,
+) -> Result<VarSet, String> {
+    if universe > MAX_UNIVERSE as u64 {
+        return Err(format!(
+            "varset: universe {universe} above the {MAX_UNIVERSE} ceiling"
+        ));
+    }
+    let vars = members
+        .into_iter()
+        .map(|idx| {
+            if idx < universe {
+                Ok(Var::new(idx as u32))
+            } else {
+                Err(format!("varset: member {idx} outside universe {universe}"))
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(VarSet::from_iter_with_universe(universe as usize, vars))
+}
+
 /// Parses a `VarSet` rendered by [`varset_to_json`].
 pub fn varset_from_json(j: &Json) -> Result<VarSet, String> {
-    let universe = j.u64_field("universe").ok_or("varset: missing universe")? as usize;
+    let universe = j.u64_field("universe").ok_or("varset: missing universe")?;
     let members = j
         .get("members")
         .and_then(Json::as_arr)
-        .ok_or("varset: missing members")?;
-    let mut vars = Vec::with_capacity(members.len());
-    for m in members {
-        let idx = m.as_u64().ok_or("varset: bad member")?;
-        if idx as usize >= universe {
-            return Err(format!("varset: member {idx} outside universe {universe}"));
-        }
-        vars.push(Var::new(idx as u32));
-    }
-    Ok(VarSet::from_iter_with_universe(universe, vars))
+        .ok_or("varset: missing members")?
+        .iter()
+        .map(|m| m.as_u64().ok_or("varset: bad member"))
+        .collect::<Result<Vec<_>, _>>()?;
+    persisted_varset(universe, members)
 }
 
 /// Renders a checkpoint as its JSON document.
@@ -174,5 +200,9 @@ mod tests {
         assert!(
             varset_from_json(&Json::parse(r#"{"universe":2,"members":[5]}"#).unwrap()).is_err()
         );
+        let ceiling = format!(r#"{{"universe":{},"members":[]}}"#, MAX_UNIVERSE);
+        assert!(varset_from_json(&Json::parse(&ceiling).unwrap()).is_ok());
+        let above = format!(r#"{{"universe":{},"members":[]}}"#, MAX_UNIVERSE + 1);
+        assert!(varset_from_json(&Json::parse(&above).unwrap()).is_err());
     }
 }

@@ -12,7 +12,9 @@
 //!   job-7.result.json  job 7's terminal outcome (done / failed / cancelled)
 //! ```
 //!
-//! Every file is written via [`atomic_write`](crate::fsio::atomic_write).
+//! Every file but the cache is written via
+//! [`atomic_write`](crate::fsio::atomic_write); the cache is an
+//! append-only log of committed batches (see [`crate::cache`]).
 //! On startup the daemon rescans the directory: specs with a result file
 //! become terminal records, specs without one are re-enqueued — with a
 //! checkpoint file, the job resumes mid-search instead of starting over,
@@ -415,7 +417,7 @@ impl Daemon {
             // their cancel hook and checkpoint out.
             state.queue.close();
         });
-        state.cache.save_if_dirty()?;
+        state.cache.save()?;
         let _ = std::fs::remove_file(state.config.state_dir.join("daemon.addr"));
         Ok(())
     }
@@ -1022,7 +1024,14 @@ fn handle_stats(state: &ServiceState) -> Json {
                     .fields()
                     .iter()
                     .map(|&(k, v)| (k.to_owned(), Json::count(v)))
-                    .chain([("hit_rate".to_owned(), Json::Num(cache.hit_rate()))])
+                    .chain([
+                        ("hit_rate".to_owned(), Json::Num(cache.hit_rate())),
+                        ("saves".to_owned(), Json::count(state.cache.saves())),
+                        (
+                            "appended_bytes".to_owned(),
+                            Json::count(state.cache.appended_bytes()),
+                        ),
+                    ])
                     .collect(),
             ),
         ),
@@ -1234,7 +1243,7 @@ fn run_job(state: &ServiceState, id: u64) {
     let outcome = execute_job(state, &spec, &cancel, started);
     let elapsed = started.elapsed().as_nanos() as u64;
     state.busy_nanos.fetch_add(elapsed, Ordering::Relaxed);
-    let _ = state.cache.save_if_dirty();
+    let _ = state.cache.save();
     match outcome {
         Ok((report, resumed)) => {
             state.net.job_nanos.fetch_add(elapsed, Ordering::Relaxed);
@@ -1369,7 +1378,8 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
     let report = if resumable {
         // The service path: persistent cache + checkpoint/resume + cancel.
         let ckpt_path = state.job_file(spec.id, "ckpt");
-        // A checkpoint torn mid-write (truncated file, garbage bytes) is
+        // A checkpoint torn mid-write (truncated file, garbage bytes) or
+        // otherwise unreadable (a universe above `MAX_UNIVERSE`) is
         // discarded and the search restarts from scratch: determinism
         // guarantees the restarted run lands on the identical result, so
         // the only thing a corrupt checkpoint may ever cost is time.
@@ -1392,7 +1402,7 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
             publish_progress(state, spec.id, ck);
             if last_saved.is_none_or(|at| at.elapsed() >= interval) {
                 let _ = save_checkpoint(&ckpt_path, ck);
-                let _ = state.cache.save_if_dirty();
+                let _ = state.cache.save();
                 last_saved = Some(Instant::now());
             }
         };

@@ -1,10 +1,14 @@
 //! Crash-safe file writes: temp file + `fsync` + atomic rename.
 //!
-//! Every file the daemon persists — job specs, checkpoints, results, the
-//! oracle cache — goes through [`atomic_write`], so a reader (including a
-//! restarted daemon) only ever observes either the old complete contents
-//! or the new complete contents, never a torn file. A `kill -9` between
-//! any two instructions leaves the state directory consistent.
+//! Every file the daemon persists whole — job specs, checkpoints, results,
+//! the address file — goes through [`atomic_write`], so a reader
+//! (including a restarted daemon) only ever observes either the old
+//! complete contents or the new complete contents, never a torn file. The
+//! oracle cache is the exception: it is an append-only log that uses
+//! [`atomic_write`] only to create and compact itself, and its commit
+//! lines let a reader discard a torn tail (see [`crate::cache`]). A
+//! `kill -9` between any two instructions leaves the state directory
+//! consistent.
 
 use std::fs::{self, File};
 use std::io::{self, Write};

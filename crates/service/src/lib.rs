@@ -11,10 +11,12 @@
 //! * a [`PersistentOracleCache`] shares probe verdicts across jobs *and
 //!   across restarts*: entries are content-addressed by a digest of the
 //!   input container and oracle configuration plus the candidate keep-set,
-//!   so only genuinely identical probes are shared, and the whole file is
-//!   replaced atomically so a crash can never corrupt it;
+//!   so only genuinely identical probes are shared, and each save appends
+//!   only the new entries as one committed batch, so a crash loses at most
+//!   the entries added since the last save and never corrupts the rest;
 //! * running jobs checkpoint their GBR state
-//!   ([`GbrCheckpoint`](lbr_core::GbrCheckpoint)) after every iteration;
+//!   ([`GbrCheckpoint`](lbr_core::GbrCheckpoint)) at their first
+//!   iteration and then at most every `checkpoint_interval`;
 //!   a killed daemon restarts, re-enqueues unfinished jobs, and resumes
 //!   them from the snapshot — converging to the *same* reduced program an
 //!   uninterrupted run produces;
@@ -29,7 +31,7 @@
 //!
 //! Everything is built on `std` alone — the wire format is the minimal
 //! [`Json`] document model in [`json`], persistence is plain files under
-//! a state directory written crash-safely by [`fsio`].
+//! a state directory written crash-safely by [`fsio`] and the cache log.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -47,7 +49,7 @@ mod reactor;
 mod shard;
 
 pub use cache::{namespace_digest, FaultPlan, PersistentOracleCache};
-pub use checkpoint::load_checkpoint;
+pub use checkpoint::{load_checkpoint, MAX_UNIVERSE};
 pub use client::{Client, Connection, Submitted};
 pub use daemon::{Daemon, DaemonConfig};
 pub use frame::{FrameDecoder, Framing, WireFrame};

@@ -117,7 +117,7 @@ fn property_persistent_cache_is_invisible_to_results() {
                 },
             )
             .unwrap();
-            cache.save_if_dirty().unwrap();
+            cache.save().unwrap();
             assert!(cache.stats().warm_hits == 0, "cold cache cannot be warm");
             report
         };

@@ -1,0 +1,143 @@
+//! A persisted set's universe sizes an allocation, so both state formats
+//! that store sets — the oracle cache and job checkpoints — reject one
+//! above `MAX_UNIVERSE` as bad data. Without the ceiling a single corrupt
+//! number aborts the process on a failed multi-terabyte allocation: at
+//! startup for the cache, on a worker (taking the daemon down) for a
+//! checkpoint.
+
+use lbr_classfile::write_program;
+use lbr_decompiler::{BugSet, DecompilerOracle};
+use lbr_jreduce::{run_reduction_with, RunOptions};
+use lbr_service::{
+    load_checkpoint, Client, Daemon, DaemonConfig, Json, PersistentOracleCache, MAX_UNIVERSE,
+};
+use lbr_workload::{generate, WorkloadConfig};
+use std::io;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lbr-bound-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// A `v2` cache file holding `lines` as one correctly committed batch.
+fn committed_log(lines: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in lines.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!(
+        "lbr-oracle-cache v2\n{lines}commit {} {h:016x}\n",
+        lines.lines().count()
+    )
+}
+
+#[test]
+fn a_cache_line_above_the_universe_ceiling_is_invalid_data() {
+    let dir = scratch("cache");
+    let path = dir.join("oracle.cache");
+    let huge = "0000000000000001 99999999999999 1 5 -\n";
+    let above = format!("0000000000000001 {} 1 5 -\n", MAX_UNIVERSE + 1);
+    for text in [
+        format!("lbr-oracle-cache v1\n{huge}"),
+        committed_log(huge),
+        committed_log(&above),
+    ] {
+        std::fs::write(&path, &text).unwrap();
+        match PersistentOracleCache::open(&path) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{text}: {e}"),
+            Ok(_) => panic!("{text}: a universe above the ceiling loaded"),
+        }
+    }
+    // The ceiling itself is a valid universe.
+    let at = format!("0000000000000001 {MAX_UNIVERSE} 1 5 -\n");
+    std::fs::write(&path, committed_log(&at)).unwrap();
+    assert_eq!(PersistentOracleCache::open(&path).unwrap().len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint naming a huge universe is discarded like a torn one: the
+/// job restarts from scratch and converges to the in-process result.
+#[test]
+fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
+    let dir = scratch("ckpt");
+    let program = generate(&WorkloadConfig {
+        seed: 29,
+        classes: 18,
+        interfaces: 6,
+        plant: BugSet::decompiler_a().kinds().to_vec(),
+        ..WorkloadConfig::default()
+    });
+    let bytes = write_program(&program);
+    let input = dir.join("input.lbrc");
+    std::fs::write(&input, &bytes).unwrap();
+    let oracle = DecompilerOracle::new(&program, BugSet::decompiler_a());
+    let reference = run_reduction_with(
+        &program,
+        &oracle,
+        "logical/greedy",
+        33.0,
+        &RunOptions::default(),
+    )
+    .expect("reference reduction");
+
+    let state = dir.join("state");
+    let start = || {
+        let daemon = Daemon::start(DaemonConfig::new(&state, 1)).expect("start daemon");
+        let client = Client::connect(daemon.local_addr().to_string());
+        let handle = std::thread::spawn(move || daemon.run());
+        assert!(
+            client.wait_ready(Duration::from_secs(5)),
+            "daemon never came up"
+        );
+        (client, handle)
+    };
+    let (client, handle) = start();
+    let out = dir.join("out.lbrc");
+    let id = client
+        .submit(&Json::obj_from(vec![
+            ("input", Json::str(input.display().to_string())),
+            ("decompiler", Json::str("a")),
+            ("output", Json::str(out.display().to_string())),
+            ("probe_latency_micros", Json::count(1_500)),
+        ]))
+        .unwrap();
+    let ckpt = state.join(format!("job-{id}.ckpt"));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ckpt.exists() {
+        assert!(Instant::now() < deadline, "no checkpoint appeared");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    assert!(!out.exists(), "the interrupted job must not have finished");
+
+    std::fs::write(
+        &ckpt,
+        r#"{"version":1,"iterations":0,"learned":[],
+            "search_space":{"universe":99999999999999,"members":[]}}"#,
+    )
+    .unwrap();
+    let err = load_checkpoint(&ckpt).expect_err("a huge universe must not load");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+    let (client, handle) = start();
+    let result = client.wait_result(id).unwrap();
+    assert_eq!(result.str_field("status"), Some("done"));
+    assert_eq!(result.bool_field("resumed"), Some(false));
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        write_program(&reference.reduced)
+    );
+    assert_eq!(
+        result.u64_field("predicate_calls"),
+        Some(reference.predicate_calls)
+    );
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
