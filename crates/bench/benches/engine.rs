@@ -4,8 +4,11 @@
 //! `build_progression`), raw MSA (engine-backed `msa` vs the preserved
 //! `msa_scan`), one full GBR reduction (`PropagationMode::Incremental`
 //! vs `LegacyScan`), and the end-to-end pipeline (`RunOptions::default()`
-//! vs `RunOptions::legacy()`). The speedup ratios back the numbers
-//! quoted in `EXPERIMENTS.md`.
+//! vs `RunOptions::legacy()`). Between the last two, the cost of one probe
+//! by part, with the decompiler oracle both cold (`probe/decompile-errors`)
+//! and over a recorded greedy probe sequence of one reduction scope
+//! (`probe/decompile-errors-sequence`). The speedup ratios back the
+//! numbers quoted in `EXPERIMENTS.md`.
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
@@ -86,9 +89,34 @@ fn main() {
     bench("probe/byte-size", || {
         lbr_classfile::program_byte_size(&candidate)
     });
-    bench("probe/decompile-errors", || {
+    let cold = bench("probe/decompile-errors", || {
         probe_oracle.errors(&candidate).len()
     });
+
+    // The same oracle over a recorded greedy probe sequence, replayed
+    // through a fresh reduction scope per iteration: what a probe costs
+    // once the oracle reuses the decompiles and checks of earlier probes.
+    let probe_model = program.model().expect("valid input");
+    let mut probes: Vec<VarSet> = Vec::new();
+    let mut record = |keep: &VarSet| {
+        probes.push(keep.clone());
+        probe_oracle.preserves_failure(&(probe_model.materialize)(keep))
+    };
+    generalized_binary_reduction(&instance, &order, &mut record, &GbrConfig::default())
+        .expect("reduces");
+    let sequence = bench("probe/decompile-errors-sequence", || {
+        let model = program.model().expect("valid input");
+        probes
+            .iter()
+            .map(|keep| probe_oracle.errors(&(model.materialize)(keep)).len())
+            .sum::<usize>()
+    });
+    println!(
+        "  -> {} probes: {} per probe in sequence, {} cold",
+        probes.len(),
+        fmt_duration(sequence / probes.len() as u32),
+        fmt_duration(cold)
+    );
 
     // End-to-end pipeline: real decompiler predicate, memo on vs off.
     let oracle =

@@ -7,10 +7,12 @@
 //! items *within* classes — the motivation for the paper's finer-grained
 //! model.
 
+use crate::scope::Scope;
 use crate::Program;
 use lbr_core::DepGraph;
 use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A class-level dependency graph with its node naming.
 #[derive(Debug, Clone)]
@@ -75,15 +77,17 @@ impl ClassGraph {
         self.index.get(name).copied()
     }
 
-    /// Materializes the sub-program keeping exactly the classes in `keep`.
-    pub fn subset_program(&self, program: &Program, keep: &VarSet) -> Program {
-        let mut out = Program::new();
-        for v in keep.iter() {
-            if let Some(class) = program.get(&self.names[v.index()]) {
-                out.insert(class.clone());
-            }
-        }
-        out
+    /// Materializes the sub-program keeping exactly the classes in `keep`
+    /// as a candidate of `scope`'s reduction, sharing `program`'s class
+    /// handles.
+    pub(crate) fn subset_program(
+        &self,
+        program: &Program,
+        keep: &VarSet,
+        scope: &Arc<Scope>,
+    ) -> Program {
+        let names = keep.iter().map(|v| self.names[v.index()].as_str());
+        program.share_subset(names, scope)
     }
 }
 
@@ -140,10 +144,19 @@ mod tests {
         let mut keep = VarSet::empty(cg.names.len());
         keep.insert(cg.node("B").unwrap());
         keep.insert(cg.node("C").unwrap());
-        let sub = cg.subset_program(&p, &keep);
+        let sub = cg.subset_program(&p, &keep, &Arc::default());
         assert_eq!(sub.len(), 2);
         assert!(sub.get("B").is_some() && sub.get("C").is_some());
         assert!(sub.get("A").is_none());
+        let handle = |program: &Program, name: &str| {
+            Arc::clone(program.handles().find(|c| c.name == name).expect("present"))
+        };
+        for name in ["B", "C"] {
+            assert!(
+                Arc::ptr_eq(&handle(&p, name), &handle(&sub, name)),
+                "{name} is shared"
+            );
+        }
     }
 
     #[test]

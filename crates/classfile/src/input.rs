@@ -14,6 +14,7 @@ use crate::reducer::Materializer;
 use crate::{program_byte_size, read_program, verify_program, write_program, Program};
 use lbr_core::{CoarseModel, Input, InputModel};
 use lbr_logic::VarSet;
+use std::sync::Arc;
 
 impl Input for Program {
     const FORMAT: &'static str = "classfile";
@@ -45,9 +46,10 @@ impl Input for Program {
 
     fn coarse_model(&self) -> CoarseModel<'_, Self> {
         let cg = ClassGraph::new(self);
+        let scope = Arc::default();
         CoarseModel {
             graph: cg.graph.clone(),
-            materialize: Box::new(move |keep: &VarSet| cg.subset_program(self, keep)),
+            materialize: Box::new(move |keep: &VarSet| cg.subset_program(self, keep, &scope)),
         }
     }
 

@@ -49,6 +49,7 @@ mod program;
 mod read;
 mod reducer;
 mod roundtrip;
+mod scope;
 mod ty;
 mod verify;
 mod write;

@@ -7,7 +7,9 @@
 //! the logical constraint generator needs: keeping a use of subtyping means
 //! keeping every relation on its derivation path.
 
+use crate::scope::Scope;
 use crate::{ClassFile, FieldInfo, MethodDescriptor, MethodInfo, OBJECT};
+use std::any::Any;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, LazyLock};
@@ -75,6 +77,10 @@ pub struct Resolution {
 /// programs from one reduction, shares unchanged class files, and
 /// [`Program::get_mut`] copies a class only when another program still
 /// holds it.
+///
+/// The candidates of one reduction also share a *reduction scope*, a typed
+/// side table ([`Program::scoped`]) in which a tool can memoize work across
+/// the reduction's probes. Equality and serialization ignore it.
 #[derive(Debug, Clone)]
 pub struct Program {
     classes: BTreeMap<Arc<str>, Arc<ClassFile>>,
@@ -83,6 +89,10 @@ pub struct Program {
     /// reduction materializer fills it from its per-class sizes, and every
     /// mutation clears it.
     byte_size: Option<usize>,
+    /// The reduction scope, when a reduction's materializer built this
+    /// program. Edits keep it: the scope's memos key on class handles, and
+    /// an edited class is a new handle.
+    scope: Option<Arc<Scope>>,
 }
 
 /// The built-in `Object`, which provides the no-argument constructor every
@@ -120,19 +130,57 @@ impl Program {
             classes: BTreeMap::new(),
             object: Arc::clone(&BUILTIN_OBJECT),
             byte_size: None,
+            scope: None,
         }
     }
 
-    /// A program of already-shared classes whose total byte size is known.
+    /// A candidate of the reduction `scope` belongs to, made of
+    /// already-shared classes, with its total byte size when known.
     pub(crate) fn from_shared(
         classes: impl IntoIterator<Item = (Arc<str>, Arc<ClassFile>)>,
-        byte_size: usize,
+        byte_size: Option<usize>,
+        scope: &Arc<Scope>,
     ) -> Self {
         Program {
             classes: classes.into_iter().collect(),
-            byte_size: Some(byte_size),
+            byte_size,
+            scope: Some(Arc::clone(scope)),
             ..Program::new()
         }
+    }
+
+    /// The classes named by `names` (unknown names skipped), sharing this
+    /// program's handles, as a candidate of `scope`'s reduction.
+    pub(crate) fn share_subset<'n>(
+        &self,
+        names: impl IntoIterator<Item = &'n str>,
+        scope: &Arc<Scope>,
+    ) -> Program {
+        let classes = names.into_iter().filter_map(|name| {
+            let (name, class) = self.classes.get_key_value(name)?;
+            Some((Arc::clone(name), Arc::clone(class)))
+        });
+        Program::from_shared(classes, None, scope)
+    }
+
+    /// This program's table of type `T` in its reduction scope (see
+    /// [`Program`]). Every candidate of one reduction gets the same table,
+    /// which is dropped with the reduction's materializer and last
+    /// candidate. A program that no reduction built gets a fresh, empty
+    /// table on every call, so a tool has one code path either way.
+    pub fn scoped<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
+        match &self.scope {
+            Some(scope) => scope.table(),
+            None => Arc::default(),
+        }
+    }
+
+    /// The shared handles of the user classes, in name order. A handle's
+    /// contents never change while anything else holds it too
+    /// ([`Program::get_mut`] copies a shared class first), so a memo that
+    /// holds a handle may key on its address.
+    pub fn handles(&self) -> impl Iterator<Item = &Arc<ClassFile>> {
+        self.classes.values()
     }
 
     /// Iterates user classes in name order with their shared handles.
@@ -618,7 +666,7 @@ mod tests {
             .iter()
             .map(|(name, class)| (Arc::clone(name), Arc::clone(class)))
             .collect();
-        Program::from_shared(shared, size)
+        Program::from_shared(shared, Some(size), &Arc::default())
     }
 
     #[test]
@@ -665,6 +713,32 @@ mod tests {
         );
         // Classes the edit did not touch stay shared.
         assert!(Arc::ptr_eq(&original.classes["B"], &edited.classes["B"]));
+    }
+
+    #[test]
+    fn candidates_of_one_reduction_share_its_scope() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let candidate = sized_sample();
+        let mut edited = candidate.clone();
+        edited.get_mut("A").expect("declared").fields.clear();
+        candidate
+            .scoped::<AtomicUsize>()
+            .fetch_add(1, Ordering::Relaxed);
+        assert_eq!(edited.scoped::<AtomicUsize>().load(Ordering::Relaxed), 1);
+        // Another reduction's candidate, and a program no reduction built,
+        // see empty tables.
+        assert_eq!(
+            sized_sample()
+                .scoped::<AtomicUsize>()
+                .load(Ordering::Relaxed),
+            0
+        );
+        let plain = sample();
+        plain
+            .scoped::<AtomicUsize>()
+            .fetch_add(1, Ordering::Relaxed);
+        assert_eq!(plain.scoped::<AtomicUsize>().load(Ordering::Relaxed), 0);
+        assert_eq!(plain, candidate);
     }
 
     #[test]

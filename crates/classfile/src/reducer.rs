@@ -6,9 +6,12 @@
 //! member's variable once; [`Materializer`] memoizes every reduced class
 //! and its exact byte size by (class, bits over its range), so the probes
 //! of one reduction, which keep re-deriving the same few class shapes,
-//! rebuild and re-measure only the shapes they have not seen.
+//! rebuild and re-measure only the shapes they have not seen. Every
+//! candidate carries the reduction's scope (see [`Program::scoped`]), so
+//! the oracle can memoize per reduction too.
 
 use crate::item::{Item, ItemRegistry};
+use crate::scope::Scope;
 use crate::{class_byte_size, ClassFile, Code, MethodInfo, Program, OBJECT};
 use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
@@ -226,13 +229,19 @@ type Reduced = (Arc<ClassFile>, usize);
 pub(crate) struct Materializer<'p> {
     plans: Vec<ClassPlan<'p>>,
     memo: Vec<Mutex<HashMap<Box<[u64]>, Reduced>>>,
+    /// The reduction scope stamped on every candidate.
+    scope: Arc<Scope>,
 }
 
 impl<'p> Materializer<'p> {
     pub(crate) fn new(program: &'p Program, reg: &ItemRegistry) -> Self {
         let plans = ClassPlan::all(program, reg);
         let memo = plans.iter().map(|_| Mutex::default()).collect();
-        Materializer { plans, memo }
+        Materializer {
+            plans,
+            memo,
+            scope: Arc::default(),
+        }
     }
 
     /// `reduce_program(program, reg, keep)`, with its byte size cached.
@@ -258,7 +267,7 @@ impl<'p> Materializer<'p> {
             total += size;
             classes.push((Arc::clone(&plan.name), class));
         }
-        Program::from_shared(classes, total)
+        Program::from_shared(classes, Some(total), &self.scope)
     }
 }
 

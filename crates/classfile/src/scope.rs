@@ -1,0 +1,53 @@
+//! Reduction scopes: side tables that live exactly as long as the
+//! candidates of one reduction.
+//!
+//! A reduction's materializer creates one [`Scope`] and stamps it on every
+//! candidate [`Program`](crate::Program) it builds. Tools that probe those
+//! candidates keep per-reduction memos in it through
+//! [`Program::scoped`](crate::Program::scoped), so a memo can hold class
+//! handles and derived data without outliving the reduction: it is
+//! dropped with the materializer and the last candidate.
+
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// One table per type, created on first use.
+#[derive(Default)]
+pub(crate) struct Scope {
+    tables: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
+}
+
+impl Scope {
+    /// The table of type `T`, created empty on first use.
+    pub(crate) fn table<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
+        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables.iter().find_map(|t| Arc::clone(t).downcast().ok()) {
+            return table;
+        }
+        let table = Arc::new(T::default());
+        tables.push(Arc::clone(&table) as Arc<dyn Any + Send + Sync>);
+        table
+    }
+}
+
+impl fmt::Debug for Scope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Scope").finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn one_table_per_type() {
+        let scope = Scope::default();
+        scope.table::<AtomicUsize>().fetch_add(3, Ordering::Relaxed);
+        scope.table::<Mutex<Vec<u8>>>().lock().unwrap().push(1);
+        assert_eq!(scope.table::<AtomicUsize>().load(Ordering::Relaxed), 3);
+        assert_eq!(*scope.table::<Mutex<Vec<u8>>>().lock().unwrap(), [1]);
+    }
+}

@@ -7,6 +7,7 @@
 //! identities, and are rendered deterministically.
 
 use crate::source::{SExpr, SourceClass, SourceSet, SrcType, Stmt};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -32,7 +33,22 @@ impl fmt::Display for Diagnostic {
 
 /// Compiles a source set, returning all diagnostics (empty = compiles).
 pub fn compile(set: &SourceSet) -> Vec<Diagnostic> {
-    Compiler::new(set).run()
+    let index: ClassIndex<'_> = set.classes.iter().map(|c| (c.name.as_str(), c)).collect();
+    let mut diags: Vec<Diagnostic> = set
+        .classes
+        .iter()
+        .flat_map(|class| {
+            let bodies: Vec<&[Stmt]> = class
+                .methods
+                .iter()
+                .map(|m| m.body.as_deref().unwrap_or_default())
+                .collect();
+            check_class(&index, class, &bodies).diags
+        })
+        .collect();
+    diags.sort();
+    diags.dedup();
+    diags
 }
 
 /// The rendered, deduplicated, sorted error messages — the oracle compares
@@ -41,34 +57,68 @@ pub fn error_messages(set: &SourceSet) -> BTreeSet<String> {
     compile(set).into_iter().map(|d| d.to_string()).collect()
 }
 
+/// The classes a check resolves names against, by name.
+pub(crate) type ClassIndex<'s> = HashMap<&'s str, &'s SourceClass>;
+
+/// One class's diagnostics and what they depend on besides the class.
+///
+/// The check reads only the signature of a class it finds in the index
+/// (never a body), so an index that resolves every name looked up to the
+/// same signatures, and misses the same names, yields the same diagnostics.
+pub(crate) struct Checked<'s> {
+    /// The diagnostics, all attributed to the checked class.
+    pub(crate) diags: Vec<Diagnostic>,
+    /// The names looked up and found: index keys, sorted and deduplicated.
+    pub(crate) found: Vec<&'s str>,
+    /// The names looked up and not found, each once.
+    pub(crate) missing: Vec<String>,
+}
+
+/// Type-checks one class against `index`, which must cover the whole
+/// program (the class itself included). `class` gives the declarations and
+/// `bodies[i]` the statements of its `i`-th method (empty without a body).
+pub(crate) fn check_class<'s>(
+    index: &ClassIndex<'s>,
+    class: &SourceClass,
+    bodies: &[&[Stmt]],
+) -> Checked<'s> {
+    let mut compiler = Compiler {
+        index,
+        found: RefCell::default(),
+        missing: RefCell::default(),
+        diags: Vec::new(),
+    };
+    compiler.check_class(class, bodies);
+    let mut found = compiler.found.into_inner();
+    found.sort_unstable();
+    found.dedup();
+    Checked {
+        diags: compiler.diags,
+        found,
+        missing: compiler.missing.into_inner(),
+    }
+}
+
 /// The poisoned type used to stop cascading diagnostics.
 const ERROR_TYPE: &str = "<error>";
 
-struct Compiler<'s> {
-    set: &'s SourceSet,
-    index: HashMap<&'s str, &'s SourceClass>,
+/// The variables in scope and their types.
+type Env<'b> = HashMap<&'b str, SrcType>;
+
+fn poison() -> SrcType {
+    SrcType::Class(ERROR_TYPE.to_owned())
+}
+
+struct Compiler<'i, 's> {
+    index: &'i ClassIndex<'s>,
+    /// Names found in the index, in lookup order (runs collapsed).
+    found: RefCell<Vec<&'s str>>,
+    /// Names missing from the index, each once.
+    missing: RefCell<Vec<String>>,
     diags: Vec<Diagnostic>,
 }
 
-impl<'s> Compiler<'s> {
-    fn new(set: &'s SourceSet) -> Self {
-        let index = set.classes.iter().map(|c| (c.name.as_str(), c)).collect();
-        Compiler {
-            set,
-            index,
-            diags: Vec::new(),
-        }
-    }
-
-    fn run(mut self) -> Vec<Diagnostic> {
-        for class in &self.set.classes {
-            self.check_class(class);
-        }
-        self.diags.sort();
-        self.diags.dedup();
-        self.diags
-    }
-
+impl<'s> Compiler<'_, 's> {
     fn diag(&mut self, class: &str, member: Option<&str>, message: String) {
         self.diags.push(Diagnostic {
             class: class.to_owned(),
@@ -77,8 +127,24 @@ impl<'s> Compiler<'s> {
         });
     }
 
+    /// Resolves a class name, recording the lookup.
     fn lookup(&self, name: &str) -> Option<&'s SourceClass> {
-        self.index.get(name).copied()
+        match self.index.get_key_value(name) {
+            Some((&key, &class)) => {
+                let mut found = self.found.borrow_mut();
+                if found.last() != Some(&key) {
+                    found.push(key);
+                }
+                Some(class)
+            }
+            None => {
+                let mut missing = self.missing.borrow_mut();
+                if !missing.iter().any(|m| m == name) {
+                    missing.push(name.to_owned());
+                }
+                None
+            }
+        }
     }
 
     fn is_known(&self, name: &str) -> bool {
@@ -86,17 +152,20 @@ impl<'s> Compiler<'s> {
     }
 
     /// The superclass chain (names), cycle-guarded.
-    fn chain(&self, name: &str) -> Vec<String> {
+    fn chain<'a>(&self, name: &'a str) -> Vec<&'a str>
+    where
+        's: 'a,
+    {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        let mut cur = name.to_owned();
-        while seen.insert(cur.clone()) {
-            out.push(cur.clone());
-            match self.lookup(&cur).and_then(|c| c.superclass.clone()) {
+        let mut cur = name;
+        while seen.insert(cur) {
+            out.push(cur);
+            match self.lookup(cur).and_then(|c| c.superclass.as_deref()) {
                 Some(s) => cur = s,
                 None => {
                     if cur != "Object" {
-                        out.push("Object".to_owned());
+                        out.push("Object");
                     }
                     break;
                 }
@@ -106,23 +175,26 @@ impl<'s> Compiler<'s> {
     }
 
     /// All interfaces transitively reachable from `name`.
-    fn interface_closure(&self, name: &str) -> Vec<String> {
+    fn interface_closure<'a>(&self, name: &'a str) -> Vec<&'a str>
+    where
+        's: 'a,
+    {
         let mut out = Vec::new();
-        let mut queue = vec![name.to_owned()];
-        let mut seen: HashSet<String> = queue.iter().cloned().collect();
+        let mut queue = vec![name];
+        let mut seen = HashSet::from([name]);
         while let Some(cur) = queue.pop() {
-            if let Some(c) = self.lookup(&cur) {
+            if let Some(c) = self.lookup(cur) {
                 if c.is_interface && cur != name {
-                    out.push(cur.clone());
+                    out.push(cur);
                 }
-                for s in c.superclass.iter().chain(c.interfaces.iter()) {
-                    if seen.insert(s.clone()) {
-                        queue.push(s.clone());
+                for s in c.superclass.iter().chain(&c.interfaces) {
+                    if seen.insert(s) {
+                        queue.push(s);
                     }
                 }
             }
         }
-        out.sort();
+        out.sort_unstable();
         out
     }
 
@@ -130,8 +202,7 @@ impl<'s> Compiler<'s> {
         if sub == sup || sub == ERROR_TYPE || sup == ERROR_TYPE || sup == "Object" {
             return true;
         }
-        self.chain(sub).iter().any(|c| c == sup)
-            || self.interface_closure(sub).iter().any(|i| i == sup)
+        self.chain(sub).contains(&sup) || self.interface_closure(sub).contains(&sup)
     }
 
     fn assignable(&self, from: &SrcType, to: &SrcType) -> bool {
@@ -146,7 +217,7 @@ impl<'s> Compiler<'s> {
         }
     }
 
-    fn check_class(&mut self, class: &'s SourceClass) {
+    fn check_class<'b>(&mut self, class: &'b SourceClass, bodies: &[&'b [Stmt]]) {
         // Supertype resolution.
         if let Some(s) = &class.superclass {
             match self.lookup(s) {
@@ -185,7 +256,7 @@ impl<'s> Compiler<'s> {
         // Interface-implementation obligations.
         if !class.is_interface && !class.is_abstract {
             for iface in self.interface_closure(&class.name) {
-                let Some(ic) = self.lookup(&iface) else {
+                let Some(ic) = self.lookup(iface) else {
                     continue;
                 };
                 for im in &ic.methods {
@@ -215,48 +286,46 @@ impl<'s> Compiler<'s> {
             }
         }
         // Method bodies.
-        for m in &class.methods {
-            let member = m.name.clone();
+        for (m, body) in class.methods.iter().zip(bodies) {
+            let member = m.name.as_str();
             if let Some(c) = m.ret.class_name() {
                 if !self.is_known(c) {
                     self.diag(
                         &class.name,
-                        Some(&member),
+                        Some(member),
                         format!("cannot find symbol: class {c}"),
                     );
                 }
             }
-            let mut env: HashMap<String, SrcType> = HashMap::new();
+            let mut env = Env::new();
             for (ty, name) in &m.params {
                 if let Some(c) = ty.class_name() {
                     if !self.is_known(c) {
                         self.diag(
                             &class.name,
-                            Some(&member),
+                            Some(member),
                             format!("cannot find symbol: class {c}"),
                         );
                     }
                 }
-                env.insert(name.clone(), ty.clone());
+                env.insert(name, ty.clone());
             }
             if !class.is_interface {
-                env.insert("this".to_owned(), SrcType::Class(class.name.clone()));
+                env.insert("this", SrcType::Class(class.name.clone()));
             }
-            if let Some(body) = &m.body {
-                for stmt in body {
-                    self.check_stmt(class, &member, &m.ret, &mut env, stmt);
-                }
+            for stmt in *body {
+                self.check_stmt(class, member, &m.ret, &mut env, stmt);
             }
         }
     }
 
-    fn check_stmt(
+    fn check_stmt<'b>(
         &mut self,
         class: &SourceClass,
         member: &str,
         ret: &SrcType,
-        env: &mut HashMap<String, SrcType>,
-        stmt: &Stmt,
+        env: &mut Env<'b>,
+        stmt: &'b Stmt,
     ) {
         match stmt {
             Stmt::Local(ty, name, init) => {
@@ -277,7 +346,7 @@ impl<'s> Compiler<'s> {
                         format!("incompatible types: {got} cannot be converted to {ty}"),
                     );
                 }
-                env.insert(name.clone(), ty.clone());
+                env.insert(name, ty.clone());
             }
             Stmt::Expr(e) => {
                 self.type_expr(class, member, env, e);
@@ -343,10 +412,9 @@ impl<'s> Compiler<'s> {
         &mut self,
         class: &SourceClass,
         member: &str,
-        env: &HashMap<String, SrcType>,
+        env: &Env<'_>,
         e: &SExpr,
     ) -> SrcType {
-        let poison = SrcType::Class(ERROR_TYPE.to_owned());
         match e {
             SExpr::Null => SrcType::Class("null".to_owned()),
             SExpr::Int(_) => SrcType::Int,
@@ -354,7 +422,7 @@ impl<'s> Compiler<'s> {
                 .get("this")
                 .cloned()
                 .unwrap_or_else(|| SrcType::Class(class.name.clone())),
-            SExpr::Var(v) => match env.get(v) {
+            SExpr::Var(v) => match env.get(v.as_str()) {
                 Some(t) => t.clone(),
                 None => {
                     self.diag(
@@ -362,7 +430,7 @@ impl<'s> Compiler<'s> {
                         Some(member),
                         format!("cannot find symbol: variable {v}"),
                     );
-                    poison
+                    poison()
                 }
             },
             SExpr::Field(recv, fname) => {
@@ -373,13 +441,13 @@ impl<'s> Compiler<'s> {
                         Some(member),
                         format!("{rt} cannot be dereferenced"),
                     );
-                    return poison;
+                    return poison();
                 };
                 if owner == ERROR_TYPE {
-                    return poison;
+                    return poison();
                 }
                 for cn in self.chain(&owner) {
-                    if let Some(c) = self.lookup(&cn) {
+                    if let Some(c) = self.lookup(cn) {
                         if let Some((ty, _)) = c.fields.iter().find(|(_, n)| n == fname) {
                             return ty.clone();
                         }
@@ -390,7 +458,7 @@ impl<'s> Compiler<'s> {
                     Some(member),
                     format!("cannot find symbol: variable {fname} in {owner}"),
                 );
-                poison
+                poison()
             }
             SExpr::Call(recv, mname, args) => {
                 let owner = match recv {
@@ -404,7 +472,7 @@ impl<'s> Compiler<'s> {
                                     Some(member),
                                     format!("{rt} cannot be dereferenced"),
                                 );
-                                return poison;
+                                return poison();
                             }
                         }
                     }
@@ -415,7 +483,7 @@ impl<'s> Compiler<'s> {
                     .map(|a| self.type_expr(class, member, env, a))
                     .collect();
                 if owner == ERROR_TYPE || owner == "null" {
-                    return poison;
+                    return poison();
                 }
                 self.resolve_call(class, member, &owner, mname, &arg_tys)
             }
@@ -430,7 +498,7 @@ impl<'s> Compiler<'s> {
                         Some(member),
                         format!("cannot find symbol: class {owner}"),
                     );
-                    return poison;
+                    return poison();
                 }
                 self.resolve_call(class, member, owner, mname, &arg_tys)
             }
@@ -445,7 +513,7 @@ impl<'s> Compiler<'s> {
                         Some(member),
                         format!("cannot find symbol: class {cname}"),
                     );
-                    return poison;
+                    return poison();
                 };
                 if c.is_interface || c.is_abstract {
                     self.diag(
@@ -453,7 +521,7 @@ impl<'s> Compiler<'s> {
                         Some(member),
                         format!("{cname} is abstract; cannot be instantiated"),
                     );
-                    return poison;
+                    return poison();
                 }
                 let fits = c.methods.iter().any(|m| {
                     m.is_ctor
@@ -488,7 +556,7 @@ impl<'s> Compiler<'s> {
                             Some(member),
                             format!("cannot find symbol: class {c}"),
                         );
-                        return poison;
+                        return poison();
                     }
                 }
                 if let (SrcType::Class(from), Some(to)) = (&it, ty.class_name()) {
@@ -552,7 +620,7 @@ impl<'s> Compiler<'s> {
         arg_tys: &[SrcType],
     ) -> SrcType {
         // Search class chain then interface closure.
-        let mut search: Vec<String> = self.chain(owner);
+        let mut search = self.chain(owner);
         search.extend(self.interface_closure(owner));
         for cn in &search {
             if let Some(c) = self.lookup(cn) {

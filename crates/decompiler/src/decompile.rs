@@ -21,6 +21,21 @@ pub fn decompile_program(program: &Program, bugs: &BugSet) -> SourceSet {
 
 /// Decompiles one class.
 pub fn decompile_class(program: &Program, class: &ClassFile, bugs: &BugSet) -> SourceClass {
+    decompile_class_with(class, bugs, &mut |target| {
+        program.get(target).is_some_and(ClassFile::is_interface)
+    })
+}
+
+/// [`decompile_class`] with the one question it asks about the rest of the
+/// program — is this `checkcast` target a present interface? — answered
+/// by `is_interface`. The question is asked only where the answer changes
+/// the output, and which targets are asked about depends on the class and
+/// the bugs alone.
+pub(crate) fn decompile_class_with(
+    class: &ClassFile,
+    bugs: &BugSet,
+    is_interface: &mut dyn FnMut(&str) -> bool,
+) -> SourceClass {
     let mut interfaces = class.interfaces.clone();
     if bugs.contains(BugKind::SuperInterfaceAmnesia) && class.is_interface() {
         interfaces.clear();
@@ -34,7 +49,7 @@ pub fn decompile_class(program: &Program, class: &ClassFile, bugs: &BugSet) -> S
                 }
             }
         }
-        methods.push(decompile_method(program, class, m, bugs));
+        methods.push(decompile_method(class, m, bugs, is_interface));
     }
     SourceClass {
         name: class.name.clone(),
@@ -67,10 +82,10 @@ fn ret_type(t: &Option<Type>) -> SrcType {
 }
 
 fn decompile_method(
-    program: &Program,
     class: &ClassFile,
     method: &MethodInfo,
     bugs: &BugSet,
+    is_interface: &mut dyn FnMut(&str) -> bool,
 ) -> SourceMethod {
     let is_ctor = method.is_init();
     let name = if is_ctor {
@@ -85,7 +100,7 @@ fn decompile_method(
     let body = method
         .code
         .as_ref()
-        .map(|code| decompile_code(program, class, method, code, bugs));
+        .map(|code| decompile_code(class, method, code, bugs, is_interface));
     SourceMethod {
         name,
         is_ctor,
@@ -103,11 +118,11 @@ fn decompile_method(
 type Entry = (SExpr, SrcType);
 
 fn decompile_code(
-    program: &Program,
     class: &ClassFile,
     method: &MethodInfo,
     code: &Code,
     bugs: &BugSet,
+    is_interface: &mut dyn FnMut(&str) -> bool,
 ) -> Vec<Stmt> {
     let mut stmts: Vec<Stmt> = Vec::new();
     let mut stack: Vec<Entry> = Vec::new();
@@ -139,16 +154,15 @@ fn decompile_code(
             Insn::IConst(v) => stack.push((SExpr::Int(*v), SrcType::Int)),
             Insn::AConstNull => stack.push((SExpr::Null, SrcType::Class("null".to_owned()))),
             Insn::ILoad(s) | Insn::ALoad(s) => {
-                let (name, ty) = match locals.get(*s as usize).and_then(|o| o.as_ref()) {
-                    Some((n, t)) => (n.clone(), t.clone()),
-                    None => (format!("v{s}"), SrcType::Class("Object".to_owned())),
+                let entry = match locals.get(*s as usize).and_then(|o| o.as_ref()) {
+                    Some((n, t)) if n == "this" => (SExpr::This, t.clone()),
+                    Some((n, t)) => (SExpr::Var(n.clone()), t.clone()),
+                    None => (
+                        SExpr::Var(format!("v{s}")),
+                        SrcType::Class("Object".to_owned()),
+                    ),
                 };
-                let expr = if name == "this" {
-                    SExpr::This
-                } else {
-                    SExpr::Var(name)
-                };
-                stack.push((expr, ty));
+                stack.push(entry);
             }
             Insn::IStore(s) | Insn::AStore(s) => {
                 let (e, t) = pop(&mut stack);
@@ -288,14 +302,13 @@ fn decompile_code(
             }
             Insn::CheckCast(t) => {
                 let (inner, _) = pop(&mut stack);
-                let is_iface_cast = program.get(t).is_some_and(ClassFile::is_interface);
                 let followed_by_invoke = matches!(
                     code.insns.get(pc + 1),
                     Some(Insn::InvokeVirtual(_)) | Some(Insn::InvokeInterface(_))
                 );
                 let target = if bugs.contains(BugKind::CastToObject)
-                    && is_iface_cast
                     && followed_by_invoke
+                    && is_interface(t)
                 {
                     "Object".to_owned()
                 } else {

@@ -39,6 +39,7 @@
 mod bugs;
 mod compile;
 mod decompile;
+mod incremental;
 mod oracle;
 mod source;
 

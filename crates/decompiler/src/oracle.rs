@@ -15,21 +15,26 @@
 use crate::bugs::BugSet;
 use crate::compile::error_messages;
 use crate::decompile::decompile_program;
+use crate::incremental::ScopeMemo;
 use lbr_classfile::Program;
 use std::collections::BTreeSet;
 
 /// A decompile-and-recompile oracle for one (buggy) decompiler and one
 /// original input program.
 ///
-/// The oracle is *pure per probe*: every method takes `&self`, each probe
-/// decompiles and recompiles its own candidate program, and nothing is
-/// mutated — there is no interior mutability anywhere below
-/// (`decompile_program` and `error_messages` are pure functions of their
-/// inputs). That makes one oracle instance safely shareable across the
-/// speculative probe workers of `lbr-core`'s `ProbeScheduler`, and the
-/// `Clone` impl cheap enough to hand each per-error search its own copy.
-/// The static assertion below pins the `Send + Sync` guarantee at compile
-/// time.
+/// The oracle is *pure per probe*: every method takes `&self`, and a
+/// probe's answer is `error_messages(&decompile_program(p, bugs))` for the
+/// candidate `p` alone, bit for bit. The oracle itself holds nothing
+/// mutable. What it memoizes lives in the candidate's reduction scope
+/// ([`Program::scoped`]): each class is decompiled once per reduction, and
+/// a class is type-checked again only when a class it looked up changed.
+/// The memo is dropped with the reduction's last candidate; a program no
+/// reduction built gets a fresh one. That makes one oracle instance safely
+/// shareable across the speculative probe workers of `lbr-core`'s
+/// `ProbeScheduler` (the memo locks like the materializer: look up under
+/// the lock, build outside it, first insert wins), and the `Clone` impl
+/// cheap enough to hand each per-error search its own copy. The static
+/// assertion below pins the `Send + Sync` guarantee at compile time.
 #[derive(Debug, Clone)]
 pub struct DecompilerOracle {
     bugs: BugSet,
@@ -44,15 +49,11 @@ const _: fn() = || {
 
 impl DecompilerOracle {
     /// Builds the oracle, running the tool once on the original input to
-    /// record the baseline error messages.
+    /// record the baseline error messages. That one run takes the memo-free
+    /// reference: nothing in a reduction scope is gained from it.
     pub fn new(original: &Program, bugs: BugSet) -> Self {
-        let baseline = Self::errors_with(original, &bugs);
+        let baseline = error_messages(&decompile_program(original, &bugs));
         DecompilerOracle { bugs, baseline }
-    }
-
-    fn errors_with(program: &Program, bugs: &BugSet) -> BTreeSet<String> {
-        let source = decompile_program(program, bugs);
-        error_messages(&source)
     }
 
     /// The error messages of the original input. Empty means the
@@ -72,9 +73,14 @@ impl DecompilerOracle {
         self.baseline.len()
     }
 
-    /// Runs the tool on a sub-program, returning its error messages.
+    /// Runs the tool on a sub-program, returning its error messages:
+    /// `error_messages(&decompile_program(program, bugs))`, through the
+    /// memo in `program`'s reduction scope.
     pub fn errors(&self, program: &Program) -> BTreeSet<String> {
-        Self::errors_with(program, &self.bugs)
+        program
+            .scoped::<ScopeMemo>()
+            .for_bugs(&self.bugs)
+            .errors(program)
     }
 
     /// The black-box predicate `P`: does the sub-program still produce

@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 /// A source-level type name: `int`, `void` (returns only) or a class name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,6 +57,36 @@ pub struct SourceClass {
     pub fields: Vec<(SrcType, String)>,
     /// Methods (constructors have the class name and `Void` return).
     pub methods: Vec<SourceMethod>,
+}
+
+/// Hashes the class's outline — name, supertypes, and how many fields and
+/// methods it declares — not every member: equal classes hash equal, and a
+/// hash set compares classes with an equal outline in full. Hashing whole
+/// method lists would cost more than the comparisons it saves.
+impl Hash for SourceClass {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.is_interface.hash(state);
+        self.superclass.hash(state);
+        self.interfaces.hash(state);
+        self.fields.len().hash(state);
+        self.methods.len().hash(state);
+    }
+}
+
+impl SourceClass {
+    /// Splits the class into its signature — the class with every method
+    /// body emptied (abstract methods stay bodiless), all that checking
+    /// *another* class reads of it — and the bodies, one per method (empty
+    /// for abstract methods).
+    pub(crate) fn into_signature(mut self) -> (SourceClass, Vec<Vec<Stmt>>) {
+        let bodies = self
+            .methods
+            .iter_mut()
+            .map(|m| m.body.as_mut().map(std::mem::take).unwrap_or_default())
+            .collect();
+        (self, bodies)
+    }
 }
 
 /// A source method.

@@ -12,16 +12,22 @@
 //!   threads, a cold persistent cache, that cache re-opened warm, a cache
 //!   with injected I/O faults, and the service daemon;
 //! - **I5** the logical reducer's result is never more than 25% larger
-//!   than the ddmin baseline's (a regression tripwire: both reducers are
-//!   heuristics and ddmin occasionally wins small cases by a few bytes,
-//!   but GBR losing badly means the logical model stopped guiding the
-//!   search);
+//!   than the ddmin baseline's unless it is a local minimum, one the
+//!   minimize pass cannot shrink (a regression tripwire: both reducers are
+//!   heuristics, and GBR's local minimum depends on its variable order, so
+//!   ddmin sometimes wins small cases; but a result that is both far
+//!   behind and still shrinkable means the logical model stopped guiding
+//!   the search);
 //! - **I6** a warm cache actually answers probes (warm hits observed);
 //! - **I7** cache faults only ever cost re-runs (subsumed by I4: the
 //!   faulty run must equal the fault-free one);
 //! - **I8** retired together with the CDCL engine it checked (DPLL is the
 //!   one complete solver left). The number stays reserved so I1–I7 keep
-//!   their meaning in recorded case files and reports.
+//!   their meaning in recorded case files and reports;
+//! - **I9** the decompiler oracle's answer for a candidate, memoized in
+//!   its reduction scope or computed outside any scope, is exactly the
+//!   reference `error_messages(&decompile_program(..))` (progression P16,
+//!   classfile cases).
 //!
 //! The progression suite itself is generic over [`Input`], so the stackvm
 //! frontend (progression P12) runs the exact same body — only the
@@ -31,9 +37,10 @@
 use crate::case::FuzzCase;
 use lbr_classfile::{verify_program, Program};
 use lbr_core::{Input, InputOracle, TestOutcome};
-use lbr_decompiler::DecompilerOracle;
+use lbr_decompiler::{decompile_program, error_messages, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_logic::{Var, VarSet};
+use lbr_prng::SplitMix64;
 use lbr_service::{
     namespace_digest, Client, Daemon, DaemonConfig, FaultPlan, Json, PersistentOracleCache,
 };
@@ -157,6 +164,10 @@ impl Harness {
         }
         let mut out = self.run_progressions(case, &program, &oracle, with_daemon);
 
+        // P16: the incremental oracle against its reference (I9).
+        out.progressions += 1;
+        incremental_oracle(case, &program, &oracle, &mut out.violations);
+
         // P9 (armed by `fuzz --break-oracle`): a deliberately lying
         // predicate that accepts any verifying subprogram. The harness
         // must catch its result losing the error message — this is the
@@ -266,24 +277,39 @@ impl Harness {
             }
         }
 
-        // P4: the ddmin baseline — sound, and never beaten by GBR (I5).
+        // P4: the ddmin baseline — sound, and not far ahead of GBR (I5).
         match session(input, oracle).strategy("ddmin-items").run() {
             Ok(report) => {
                 out.progressions += 1;
                 soundness("I1-I3 ddmin-items", &report, &mut out.violations);
-                // I5 is a regression tripwire, not a theorem: both
-                // reducers are heuristics, and on tiny programs ddmin
-                // occasionally wins by a handful of bytes (fuzzing found
-                // such cases immediately — see tests/fuzz_regressions/).
-                // What must never happen is GBR losing *badly*: that
-                // would mean the logical model stopped guiding the
-                // search.
-                let bound = report.final_metrics.bytes + report.final_metrics.bytes / 4;
-                if reference.final_metrics.bytes > bound {
-                    out.violations.push(format!(
-                        "I5: GBR result ({} bytes) more than 25% above the ddmin baseline ({} bytes)",
-                        reference.final_metrics.bytes, report.final_metrics.bytes
-                    ));
+                // I5 is a regression tripwire, not a dominance theorem.
+                // Both reducers are heuristics: GBR ends in a local
+                // minimum whose size depends on its variable order (paper
+                // §4.4), and on small inputs ddmin sometimes finds a
+                // smaller one (tests/fuzz_regressions/). So GBR may trail
+                // ddmin by up to 25%, and by more only when the minimize
+                // pass (`logical/minimized`) cannot shrink its result:
+                // then the gap is a different witness, not a broken
+                // search. A result more than 25% above ddmin's that the
+                // pass still shrinks means the logical model stopped
+                // guiding the search.
+                let (gbr, ddmin) = (reference.final_metrics.bytes, report.final_metrics.bytes);
+                if gbr > ddmin + ddmin / 4 {
+                    match session(input, oracle).strategy("logical/minimized").run() {
+                        Ok(minimized) => {
+                            out.progressions += 1;
+                            soundness("I1-I3 minimized", &minimized, &mut out.violations);
+                            let min = minimized.final_metrics.bytes;
+                            if min < gbr {
+                                out.violations.push(format!(
+                                    "I5: GBR result ({gbr} bytes) more than 25% above the ddmin \
+                                     baseline ({ddmin} bytes) and not a local minimum (the \
+                                     minimize pass reaches {min} bytes)"
+                                ));
+                            }
+                        }
+                        Err(e) => out.violations.push(format!("minimized run failed: {e}")),
+                    }
                 }
             }
             Err(e) => out.violations.push(format!("ddmin-items run failed: {e}")),
@@ -565,6 +591,48 @@ fn broken_oracle_reduce(program: &Program) -> Program {
         }
     });
     subprogram(program, &names, &kept)
+}
+
+/// How many random candidates P16 probes per case.
+const ORACLE_CANDIDATES: usize = 12;
+
+/// P16 (I9): walks random candidates of one reduction scope, a few items
+/// toggled per step so that most classes repeat, and checks the oracle's
+/// answer for each, inside the scope and outside it, against the memo-free
+/// reference.
+fn incremental_oracle(
+    case: &FuzzCase,
+    program: &Program,
+    oracle: &DecompilerOracle,
+    violations: &mut Vec<String>,
+) {
+    let model = match program.model() {
+        Ok(model) => model,
+        Err(e) => return violations.push(format!("I9: the model does not build: {e}")),
+    };
+    let vars = model.cnf.num_vars();
+    let bugs = case.bugs();
+    let mut rng = SplitMix64::seed_from_u64(FuzzCase::case_seed(case.master_seed, case.index));
+    let mut keep = VarSet::full(vars);
+    for i in 0..ORACLE_CANDIDATES {
+        let candidate = (model.materialize)(&keep);
+        let unscoped: Program = candidate.classes().cloned().collect();
+        let expected = error_messages(&decompile_program(&candidate, &bugs));
+        for (tag, probe) in [("scoped", &candidate), ("unscoped", &unscoped)] {
+            if oracle.errors(probe) != expected {
+                return violations.push(format!(
+                    "I9 {tag}: candidate {i} ({} classes) differs from the reference oracle",
+                    candidate.len()
+                ));
+            }
+        }
+        for _ in 0..rng.gen_range(1..=3usize).min(vars) {
+            let v = Var::new(rng.gen_range(0..vars) as u32);
+            if !keep.remove(v) {
+                keep.insert(v);
+            }
+        }
+    }
 }
 
 /// Appends a violation for every invariant of [`check_report`] the report

@@ -7,6 +7,12 @@
 //! - `i5_ddmin_beats_gbr.json` — the case that proved strict "GBR ≤ ddmin"
 //!   is not a theorem (ddmin won by 38 bytes), which demoted invariant I5
 //!   to a 25% regression tripwire. It must replay clean.
+//! - `stackvm/i5_local_minimum.json` — a stackvm case where ddmin beats
+//!   GBR by more than 25% (140 against 210 bytes) because the two end in
+//!   different local minima: GBR keeps the reader `f3`, ddmin the smaller
+//!   reader `f4`. I5 allows that gap for a result the minimize pass cannot
+//!   shrink, so it must replay clean. It sits in a subdirectory because
+//!   the file checks below cover the classfile (v1) cases.
 //! - `broken_oracle_catch_{a,b}.json` — shrunk cases with the deliberately
 //!   lying oracle armed (`break_oracle: true`). The harness must still
 //!   *catch* the planted I1 violation on them; if these ever replay clean,
@@ -25,7 +31,11 @@ fn regression_dir() -> PathBuf {
 fn replay(name: &str) -> lbr_fuzz::CaseOutcome {
     let path = regression_dir().join(name);
     let case = FuzzCase::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let scratch = std::env::temp_dir().join(format!("lbr-fuzz-regr-{}-{name}", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!(
+        "lbr-fuzz-regr-{}-{}",
+        std::process::id(),
+        name.replace('/', "-")
+    ));
     let harness = Harness::new(scratch).expect("scratch dir");
     let outcome = harness.run_case(&case, false);
     assert!(
@@ -46,6 +56,39 @@ fn i5_tripwire_case_replays_clean() {
     assert!(
         outcome.progressions >= 5,
         "all in-process progressions must run"
+    );
+}
+
+#[test]
+fn i5_local_minimum_case_replays_clean() {
+    use lbr_jreduce::ReductionSession;
+    use lbr_stackvm::StackOracle;
+
+    let name = "stackvm/i5_local_minimum.json";
+    let case = FuzzCase::load(&regression_dir().join(name)).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(case.format, "stackvm");
+    assert!(case.violation.is_some() && case.keep_classes.is_some());
+    // The case still exercises the local-minimum allowance: GBR trails
+    // ddmin by more than 25%, and the minimize pass leaves it unchanged.
+    let module = case.module();
+    let oracle = StackOracle::new(&module, case.stack_bugs());
+    let bytes = |strategy: &str| {
+        ReductionSession::new(&module, &oracle)
+            .strategy(strategy)
+            .run()
+            .unwrap_or_else(|e| panic!("{strategy}: {e}"))
+            .final_metrics
+            .bytes
+    };
+    let (gbr, ddmin) = (bytes("logical/greedy"), bytes("ddmin-items"));
+    assert!(gbr > ddmin + ddmin / 4, "GBR {gbr} bytes, ddmin {ddmin}");
+    assert_eq!(bytes("logical/minimized"), gbr);
+
+    let outcome = replay(name);
+    assert!(
+        outcome.violations.is_empty(),
+        "a local minimum within I5: {:?}",
+        outcome.violations
     );
 }
 
