@@ -44,6 +44,25 @@ trap cleanup EXIT
     --probe-threads 2 --json "$smoke_dir/par.json" >/dev/null
 grep -q '"format": "stackvm"' "$smoke_dir/seq.json"
 ./target/release/bench_compare --identical "$smoke_dir/seq.json" "$smoke_dir/par.json"
+# Trace-guided runs plain GBR's loop with a gallop boundary search, so it
+# speculates too: its 2-thread reduction must match the sequential one's
+# bytes and trace digest on both formats.
+./target/release/gen --seed 7 --decompiler a --out "$smoke_dir/tg.lbrc" 2>/dev/null
+./target/release/gen --format stackvm --seed 9 --decompiler a \
+    --out "$smoke_dir/tg.lbrs" 2>/dev/null
+for tg in classfile:tg.lbrc stackvm:tg.lbrs; do
+    fmt=${tg%%:*}
+    tg_in="$smoke_dir/${tg#*:}"
+    for t in 1 2; do
+        ./target/release/reduce --format "$fmt" --input "$tg_in" --decompiler a \
+            --strategy logical/trace-guided --probe-threads "$t" \
+            --out "$tg_in.$t" --json "$tg_in.$t.json" >/dev/null 2>&1
+    done
+    cmp "$tg_in.1" "$tg_in.2"
+    tg_seq=$(grep -o '"trace_digest":"[0-9a-f]*"' "$tg_in.1.json")
+    tg_par=$(grep -o '"trace_digest":"[0-9a-f]*"' "$tg_in.2.json")
+    [ -n "$tg_seq" ] && [ "$tg_seq" = "$tg_par" ]
+done
 
 echo "== exact pin (the compare suite reproduces BENCH_baseline.json) =="
 # Predicate calls, sizes, classes and cache totals are deterministic, so
@@ -66,7 +85,9 @@ for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "logical/trace-guided"; 
         exit 1
     }
 done
-echo "$strategies" | grep "^logical/trace-guided " | grep -q "model"
+for cap in model resumable speculative; do
+    echo "$strategies" | grep "^logical/trace-guided " | grep -q "$cap"
+done
 
 echo "== reduction daemon smoke (identical results, kill -9 resume) =="
 # A daemon job must be bit-identical to an in-process `reduce` run, and a

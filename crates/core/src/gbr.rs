@@ -38,6 +38,21 @@ pub enum PropagationMode {
     LegacyScan,
 }
 
+/// How GBR's main loop finds the minimal failing prefix of a progression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum BoundarySearch {
+    /// Binary search over the whole progression — Algorithm 1 as written.
+    #[default]
+    Bisect,
+    /// A backward gallop from the end of the progression, started at the
+    /// boundary gap the previous iteration recorded (its distance from the
+    /// end): probe `last - gap`, `last - 2·gap`, … until a prefix passes,
+    /// then bisect the bracket. Leaves-first orders put the boundary a
+    /// handful of entries from the end, where the gallop brackets it in
+    /// ~2·log2(gap) probes instead of log2(len).
+    Gallop,
+}
+
 /// Configuration for [`generalized_binary_reduction`].
 #[derive(Debug, Clone)]
 pub struct GbrConfig {
@@ -56,6 +71,8 @@ pub struct GbrConfig {
     /// How the dependency model is propagated (incremental engine vs the
     /// scan-based baseline). Does not affect results, only speed.
     pub propagation: PropagationMode,
+    /// How each iteration searches its progression for the boundary.
+    pub boundary: BoundarySearch,
 }
 
 impl Default for GbrConfig {
@@ -65,6 +82,7 @@ impl Default for GbrConfig {
             max_iterations: None,
             max_predicate_calls: None,
             propagation: PropagationMode::default(),
+            boundary: BoundarySearch::default(),
         }
     }
 }
@@ -84,6 +102,10 @@ pub enum GbrError {
     /// The run stopped between probes; any checkpoint written through
     /// [`GbrControl::checkpoint`] remains valid for a later resume.
     Cancelled,
+    /// The resumed checkpoint does not fit the instance: a set over another
+    /// universe, a learned-set count that disagrees with its iteration
+    /// count, or a search space outside the instance's variables.
+    CheckpointMismatch,
 }
 
 impl std::fmt::Display for GbrError {
@@ -98,6 +120,9 @@ impl std::fmt::Display for GbrError {
             }
             GbrError::IterationLimit => write!(f, "iteration safety bound exceeded"),
             GbrError::Cancelled => write!(f, "reduction cancelled by its control hook"),
+            GbrError::CheckpointMismatch => {
+                write!(f, "resumed checkpoint does not belong to this instance")
+            }
         }
     }
 }
@@ -109,7 +134,8 @@ impl std::error::Error for GbrError {}
 /// Everything else the loop needs — the progression and its prefix
 /// unions — is a deterministic function of `(learned, search_space)` and
 /// is rebuilt on resume, so a checkpoint is exactly the learned sets, the
-/// current search space, and the anytime best. Probes re-demanded by a
+/// current search space, the anytime best, and the boundary gap a
+/// [`BoundarySearch::Gallop`] starts from. Probes re-demanded by a
 /// resumed run repeat the tail of the interrupted iteration; a persistent
 /// probe cache (see `ProbeCache` in the concurrent module) makes those
 /// replays free.
@@ -123,6 +149,10 @@ pub struct GbrCheckpoint {
     pub search_space: VarSet,
     /// The smallest failing input demanded so far, if any.
     pub best: Option<VarSet>,
+    /// The last iteration's boundary distance from the end of its
+    /// progression (at least 1): where the next gallop starts. Bisection
+    /// ignores it.
+    pub gap: usize,
 }
 
 /// Cooperative control hooks for a GBR run: cancellation, checkpointing,
@@ -256,12 +286,12 @@ trait ProbeDriver {
     fn best_so_far(&self) -> Option<&VarSet>;
     /// Seeds `best` from a resumed checkpoint before the loop starts.
     fn seed_best(&mut self, best: VarSet);
-    /// The binary search now targets `prefix_unions[lo..=hi]`, and the
-    /// loop's next [`test`](ProbeDriver::test) will demand index `next`.
-    /// A speculative driver leaves `next` to the demanding thread itself
-    /// (it pays the probe's latency either way) and spends every worker
-    /// on the probes *after* it.
-    fn retarget(&mut self, _prefix_unions: &[VarSet], _lo: usize, _hi: usize, _next: usize) {}
+    /// The boundary search now stands at `bracket`, and the loop's next
+    /// [`test`](ProbeDriver::test) will demand index `next`. A speculative
+    /// driver leaves `next` to the demanding thread itself (it pays the
+    /// probe's latency either way) and spends every worker on the probes
+    /// *after* it.
+    fn retarget(&mut self, _prefix_unions: &[VarSet], _bracket: &Bracket, _next: usize) {}
     /// This iteration's search is over (learning and rebuilding follow).
     fn search_done(&mut self) {}
 }
@@ -275,19 +305,19 @@ fn gbr_loop<D: ProbeDriver>(
     control: &mut GbrControl<'_>,
 ) -> Result<GbrOutcome, GbrError> {
     let universe = instance.vars.universe();
-    let mut builder = ProgressionBuilder::new(&instance.cnf, universe, config);
     // Resuming replays nothing: the progression below is rebuilt from the
     // checkpoint's (learned, search_space), which determines it uniquely.
-    let (mut learned, mut search_space, start_iteration) = match control.resume.take() {
+    let (mut learned, mut search_space, mut iteration, mut gap) = match control.resume.take() {
         Some(ck) => {
-            debug_assert_eq!(ck.search_space.universe(), universe, "checkpoint universe");
+            check_resume(&ck, instance)?;
             if let Some(best) = ck.best {
                 driver.seed_best(best);
             }
-            (ck.learned, ck.search_space, ck.iterations)
+            (ck.learned, ck.search_space, ck.iterations, ck.gap)
         }
-        None => (Vec::new(), instance.vars.clone(), 0),
+        None => (Vec::new(), instance.vars.clone(), 0, 1),
     };
+    let mut builder = ProgressionBuilder::new(&instance.cnf, universe, config);
     let mut progression = builder.progression(order, &learned, &search_space)?;
     let mut progression_lengths = vec![progression.len()];
     let max_iterations = config
@@ -295,15 +325,15 @@ fn gbr_loop<D: ProbeDriver>(
         .unwrap_or_else(|| 4 * instance.vars.len() + 16);
     let cancelled = |control: &GbrControl<'_>| control.cancel.is_some_and(|c| c());
 
-    for iteration in start_iteration..=max_iterations {
-        if iteration == max_iterations {
+    loop {
+        if iteration >= max_iterations {
             return Err(GbrError::IterationLimit);
         }
         if cancelled(control) {
             return Err(GbrError::Cancelled);
         }
         // Prefix unions D^∪_r for r in 0..len, computed *before* the D₀
-        // probe so a speculative driver can dispatch binary-search probes
+        // probe so a speculative driver can dispatch boundary-search probes
         // while D₀ itself is still running (`prefix_unions[0]` == `D₀`).
         let mut prefix_unions: Vec<VarSet> = Vec::with_capacity(progression.len());
         let mut acc = VarSet::empty(universe);
@@ -311,7 +341,9 @@ fn gbr_loop<D: ProbeDriver>(
             acc.union_with(d);
             prefix_unions.push(acc.clone());
         }
-        driver.retarget(&prefix_unions, 0, progression.len() - 1, 0);
+        let last = progression.len() - 1;
+        let mut bracket = Bracket::new(last, config.boundary, gap);
+        driver.retarget(&prefix_unions, &bracket, 0);
         // Anytime stop: the current search space is itself a valid failing
         // input (invariant), so a best-so-far answer always exists.
         let Some(d0_fails) = driver.test(&prefix_unions[0]) else {
@@ -333,24 +365,19 @@ fn gbr_loop<D: ProbeDriver>(
                 budget_exhausted: false,
             });
         }
-        if progression.len() == 1 {
+        if last == 0 {
             // D^∪ = D₀ and P(D₀) failed: the invariant P(D^∪) is broken.
             driver.search_done();
             return Err(GbrError::PredicateNotMonotone);
         }
-        // Binary search for the minimal r with P(D^∪_r). Invariant
-        // (INV-PRO) guarantees P holds at the full progression; lo is
-        // always a failing index, hi a (presumed) succeeding one.
-        let mut lo = 0usize;
-        let mut hi = progression.len() - 1;
-        let mut hi_verified = false;
-        while hi - lo > 1 {
+        // Search for the minimal r with P(D^∪_r). Invariant (INV-PRO)
+        // guarantees P holds at the full progression.
+        while let Some(index) = bracket.next() {
             if cancelled(control) {
                 driver.search_done();
                 return Err(GbrError::Cancelled);
             }
-            let mid = lo + (hi - lo) / 2;
-            let Some(mid_fails) = driver.test(&prefix_unions[mid]) else {
+            let Some(fails) = driver.test(&prefix_unions[index]) else {
                 return Ok(anytime_outcome(
                     driver,
                     search_space,
@@ -359,51 +386,142 @@ fn gbr_loop<D: ProbeDriver>(
                     progression_lengths,
                 ));
             };
-            if mid_fails {
-                hi = mid;
-                hi_verified = true;
-            } else {
-                lo = mid;
+            if !bracket.record(index, fails) {
+                driver.search_done();
+                return Err(GbrError::PredicateNotMonotone);
             }
-            let next = if hi - lo > 1 { lo + (hi - lo) / 2 } else { hi };
-            driver.retarget(&prefix_unions, lo, hi, next);
-        }
-        if !hi_verified {
-            match driver.test(&prefix_unions[hi]) {
-                None => {
-                    return Ok(anytime_outcome(
-                        driver,
-                        search_space,
-                        iteration,
-                        learned,
-                        progression_lengths,
-                    ))
-                }
-                Some(false) => {
-                    driver.search_done();
-                    return Err(GbrError::PredicateNotMonotone);
-                }
-                Some(true) => {}
+            if let Some(next) = bracket.next() {
+                driver.retarget(&prefix_unions, &bracket, next);
             }
         }
         driver.search_done();
-        let r = hi;
+        let r = bracket.hi;
+        gap = (last - r).max(1);
         learned.push(progression[r].clone());
         search_space = prefix_unions[r].clone();
+        iteration += 1;
         progression = builder.progression(order, &learned, &search_space)?;
         progression_lengths.push(progression.len());
         // Checkpoint only after the rebuild succeeds, so every snapshot is
         // a state a resumed run can actually continue from.
         if let Some(hook) = control.checkpoint.as_mut() {
             hook(&GbrCheckpoint {
-                iterations: iteration + 1,
+                iterations: iteration,
                 learned: learned.clone(),
                 search_space: search_space.clone(),
                 best: driver.best_so_far().cloned(),
+                gap,
             });
         }
     }
-    unreachable!("loop returns or errors before exhausting the range");
+}
+
+/// Rejects a checkpoint that cannot belong to `instance`: every set must
+/// range over the instance's universe (a larger one indexes past the
+/// engine's variables), the learned sets must match the iteration count,
+/// and the search space must lie inside the instance's variables.
+fn check_resume(ck: &GbrCheckpoint, instance: &Instance) -> Result<(), GbrError> {
+    let universe = instance.vars.universe();
+    let mut sets = ck.learned.iter().chain([&ck.search_space]).chain(&ck.best);
+    if sets.any(|s| s.universe() != universe)
+        || ck.learned.len() != ck.iterations
+        || !ck.search_space.is_subset(&instance.vars)
+    {
+        return Err(GbrError::CheckpointMismatch);
+    }
+    Ok(())
+}
+
+/// One iteration's boundary search over the prefix unions
+/// `D^∪_0..=D^∪_last`, entered after `D₀` passed. `lo` is the largest
+/// index known to pass; `hi` the smallest known — or, until
+/// `hi_verified`, presumed by (INV-PRO) — to fail. The loop asks
+/// [`next`](Bracket::next) which index to probe and hands the verdict to
+/// [`record`](Bracket::record); the speculation frontier expands clones.
+#[derive(Debug, Clone)]
+struct Bracket {
+    lo: usize,
+    hi: usize,
+    hi_verified: bool,
+    last: usize,
+    /// The pending gallop offset (probe `last - offset`), while galloping.
+    gallop: Option<usize>,
+}
+
+impl Bracket {
+    fn new(last: usize, search: BoundarySearch, gap: usize) -> Self {
+        let gallop = match search {
+            BoundarySearch::Bisect => None,
+            BoundarySearch::Gallop => Some(gap.max(1)).filter(|&o| o < last),
+        };
+        Bracket {
+            lo: 0,
+            hi: last,
+            hi_verified: false,
+            last,
+            gallop,
+        }
+    }
+
+    /// The index to probe next; `None` once the boundary is `hi`.
+    fn next(&self) -> Option<usize> {
+        if let Some(offset) = self.gallop {
+            Some(self.last - offset)
+        } else if self.hi - self.lo > 1 {
+            Some(self.lo + (self.hi - self.lo) / 2)
+        } else if !self.hi_verified {
+            Some(self.hi)
+        } else {
+            None
+        }
+    }
+
+    /// Records the verdict of probing `index`, the bracket's
+    /// [`next`](Bracket::next). Returns `false` when `hi` itself passes:
+    /// the predicate is not monotone.
+    fn record(&mut self, index: usize, fails: bool) -> bool {
+        if fails {
+            self.hi = index;
+            self.hi_verified = true;
+            self.gallop = self
+                .gallop
+                .map(|o| o.saturating_mul(2))
+                .filter(|&o| o < self.last);
+        } else if index == self.hi {
+            return false;
+        } else {
+            self.lo = index;
+            self.gallop = None;
+        }
+        true
+    }
+
+    /// The BFS speculation frontier: the probes this search may demand
+    /// next, covering *both* outcomes of each pending probe, nearest
+    /// first, at most `width` of them. Index 0 (the `D₀` probe) is
+    /// demanded directly by the main loop and never appears.
+    fn frontier(&self, width: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        let mut queue = std::collections::VecDeque::from([self.clone()]);
+        while out.len() < width {
+            let Some(bracket) = queue.pop_front() else {
+                break;
+            };
+            let Some(index) = bracket.next() else {
+                continue;
+            };
+            if !out.contains(&index) {
+                out.push(index);
+            }
+            for fails in [true, false] {
+                let mut child = bracket.clone();
+                if child.record(index, fails) {
+                    queue.push_back(child);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// A predicate wrapper enforcing the anytime call budget and remembering
@@ -664,16 +782,16 @@ impl ProbeDriver for SpeculativeDriver<'_> {
         self.best = Some(best);
     }
 
-    fn retarget(&mut self, prefix_unions: &[VarSet], lo: usize, hi: usize, next: usize) {
+    fn retarget(&mut self, prefix_unions: &[VarSet], bracket: &Bracket, next: usize) {
         // Skip `next`: this thread demands it immediately and computes it
         // inline if nobody beat it to it, so a worker claiming it would
         // only duplicate the wait — every worker goes one level deeper
         // instead. (Before the `D₀` probe `next` is 0, which the frontier
         // never contains, so the full frontier — including the first
-        // `mid` — is speculated during `D₀`.)
-        let frontier = speculation_frontier(lo, hi, self.width);
+        // boundary probe — is speculated during `D₀`.)
         self.scheduler.speculate(
-            frontier
+            bracket
+                .frontier(self.width)
                 .into_iter()
                 .filter(|&i| i != next)
                 .map(|i| prefix_unions[i].clone())
@@ -684,39 +802,6 @@ impl ProbeDriver for SpeculativeDriver<'_> {
     fn search_done(&mut self) {
         self.scheduler.speculate(Vec::new());
     }
-}
-
-/// The BFS speculation frontier for the binary-search interval
-/// `(lo, hi)`: the probes the search may demand next, covering *both*
-/// outcomes of each pending probe, nearest-first. An interval wider than
-/// one probes `mid` next and splits into `(lo, mid)` / `(mid, hi)` for
-/// its two outcomes; an interval of width one has a single possible
-/// remaining probe, the `hi` verification. Index 0 (the `D₀` probe) is
-/// demanded directly by the main loop and never appears.
-fn speculation_frontier(lo: usize, hi: usize, width: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = Vec::new();
-    let mut intervals = std::collections::VecDeque::from([(lo, hi)]);
-    while out.len() < width {
-        let Some((l, h)) = intervals.pop_front() else {
-            break;
-        };
-        if h <= l {
-            continue;
-        }
-        if h - l == 1 {
-            if !out.contains(&h) {
-                out.push(h);
-            }
-            continue;
-        }
-        let mid = l + (h - l) / 2;
-        if !out.contains(&mid) {
-            out.push(mid);
-        }
-        intervals.push_back((l, mid));
-        intervals.push_back((mid, h));
-    }
-    out
 }
 
 /// The progression builder for one reduction run: computes
@@ -1310,17 +1395,70 @@ mod tests {
 
     #[test]
     fn speculation_frontier_covers_probe_tree() {
+        let bisect = |lo, hi| Bracket {
+            lo,
+            ..Bracket::new(hi, BoundarySearch::Bisect, 1)
+        };
         // Interval (0, 8): next probe is 4; its children are 2 and 6, then
         // 1, 3, 5, 7, then the width-1 verification probes.
-        assert_eq!(speculation_frontier(0, 8, 16), vec![4, 2, 6, 1, 3, 5, 7, 8]);
-        assert_eq!(speculation_frontier(0, 8, 3), vec![4, 2, 6]);
+        assert_eq!(bisect(0, 8).frontier(16), vec![4, 2, 6, 1, 3, 5, 7, 8]);
+        assert_eq!(bisect(0, 8).frontier(3), vec![4, 2, 6]);
         // Width-1 interval: only the hi-verification probe remains.
-        assert_eq!(speculation_frontier(3, 4, 8), vec![4]);
-        // Degenerate interval: nothing to probe.
-        assert!(speculation_frontier(2, 2, 8).is_empty());
+        assert_eq!(bisect(3, 4).frontier(8), vec![4]);
+        // A verified width-1 interval: nothing to probe.
+        let mut done = bisect(3, 4);
+        assert!(done.record(4, true));
+        assert!(done.frontier(8).is_empty());
+        // Gallop from gap 1 over (0, 8): 7 first; if it fails, 6 (offset 2),
+        // if it passes, the verification of 8; then 4 (offset 4), and the
+        // bisections of the brackets the gallop left.
+        let gallop = Bracket::new(8, BoundarySearch::Gallop, 1);
+        assert_eq!(gallop.frontier(16), vec![7, 6, 8, 4, 2, 5, 1, 3]);
+        // A gap of 3 starts the gallop at 5; then 2 (offset 6) if it
+        // fails, the bisection of (5, 8) if it passes.
+        let gallop = Bracket::new(8, BoundarySearch::Gallop, 3);
+        assert_eq!(gallop.frontier(3), vec![5, 2, 6]);
         // Index 0 never appears (the main loop demands D₀ itself).
         for hi in 1..40 {
-            assert!(!speculation_frontier(0, hi, 64).contains(&0), "hi={hi}");
+            for gap in 1..6 {
+                for search in [BoundarySearch::Bisect, BoundarySearch::Gallop] {
+                    let frontier = Bracket::new(hi, search, gap).frontier(64);
+                    assert!(!frontier.contains(&0), "hi={hi} {search:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_finds_the_bisection_boundary() {
+        // Both boundary searches learn the same sets: each finds the
+        // minimal failing prefix, only the probes differ.
+        let inst = chain_instance(40);
+        let order = crate::closure_size_order(&inst.cnf);
+        let bug = |s: &VarSet| s.contains(v(7)) && s.contains(v(30));
+        let mut bisect_bug = bug;
+        let bisect =
+            generalized_binary_reduction(&inst, &order, &mut bisect_bug, &GbrConfig::default())
+                .expect("bisect");
+        let config = GbrConfig {
+            boundary: BoundarySearch::Gallop,
+            ..GbrConfig::default()
+        };
+        let mut gallop_bug = bug;
+        let gallop =
+            generalized_binary_reduction(&inst, &order, &mut gallop_bug, &config).expect("gallop");
+        assert_eq!(gallop.solution, bisect.solution);
+        assert_eq!(gallop.learned, bisect.learned);
+        for threads in [2usize, 4] {
+            let run = generalized_binary_reduction_speculative(
+                &inst,
+                &order,
+                &bug,
+                &config,
+                &SpeculationConfig::new(threads),
+            )
+            .expect("speculative gallop");
+            assert_eq!(run.outcome.solution, gallop.solution, "threads={threads}");
         }
     }
 
@@ -1501,6 +1639,156 @@ mod tests {
                 "stop_after={stop_after}"
             );
         }
+    }
+
+    #[test]
+    fn gallop_checkpoint_resume_probes_what_an_uninterrupted_run_does() {
+        let inst = Instance::over_all_vars(Cnf::new(32));
+        let order = VarOrder::natural(32);
+        let bug = |s: &VarSet| [3, 11, 19, 30].iter().all(|&i| s.contains(v(i)));
+        let config = GbrConfig {
+            boundary: BoundarySearch::Gallop,
+            ..GbrConfig::default()
+        };
+        let probes = |resume: Option<GbrCheckpoint>| {
+            let mut seen: Vec<VarSet> = Vec::new();
+            let mut record = |s: &VarSet| {
+                seen.push(s.clone());
+                bug(s)
+            };
+            let mut control = GbrControl {
+                resume,
+                ..GbrControl::default()
+            };
+            let out = generalized_binary_reduction_controlled(
+                &inst,
+                &order,
+                &mut record,
+                &config,
+                &mut control,
+            )
+            .expect("converges");
+            (out, seen)
+        };
+        let mut checkpoints: Vec<GbrCheckpoint> = Vec::new();
+        let mut hook = |ck: &GbrCheckpoint| checkpoints.push(ck.clone());
+        let mut control = GbrControl {
+            checkpoint: Some(&mut hook),
+            ..GbrControl::default()
+        };
+        let mut full_bug = bug;
+        generalized_binary_reduction_controlled(
+            &inst,
+            &order,
+            &mut full_bug,
+            &config,
+            &mut control,
+        )
+        .expect("uninterrupted");
+        let (full, full_probes) = probes(None);
+        assert!(checkpoints.len() >= 3, "test needs a multi-iteration run");
+        assert!(checkpoints.iter().any(|ck| ck.gap > 1), "a gap must carry");
+        for ck in checkpoints {
+            // A resumed run demands exactly the uninterrupted run's tail.
+            let (resumed, tail) = probes(Some(ck));
+            assert_eq!(resumed.solution, full.solution);
+            assert!(full_probes.ends_with(&tail));
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_instance_is_a_typed_error() {
+        let inst = chain_instance(6);
+        let order = VarOrder::natural(6);
+        let set = |universe, members: &[u32]| {
+            VarSet::from_iter_with_universe(universe, members.iter().map(|&i| v(i)))
+        };
+        let good = GbrCheckpoint {
+            iterations: 1,
+            learned: vec![set(6, &[4])],
+            search_space: set(6, &[3, 4, 5]),
+            best: Some(set(6, &[3, 4, 5])),
+            gap: 1,
+        };
+        let bad = [
+            // A learned set over a larger universe: it indexes past the
+            // model's variables.
+            GbrCheckpoint {
+                learned: vec![set(9, &[7])],
+                ..good.clone()
+            },
+            GbrCheckpoint {
+                search_space: set(10, &[3, 4, 5]),
+                ..good.clone()
+            },
+            GbrCheckpoint {
+                best: Some(set(7, &[4])),
+                ..good.clone()
+            },
+            GbrCheckpoint {
+                iterations: 2,
+                ..good.clone()
+            },
+            // Far more iterations than the run may take.
+            GbrCheckpoint {
+                iterations: 1_000,
+                learned: vec![set(6, &[4]); 1_000],
+                ..good.clone()
+            },
+        ];
+        for (i, ck) in bad.into_iter().enumerate() {
+            let mut bug = |s: &VarSet| s.contains(v(4));
+            let mut control = GbrControl {
+                resume: Some(ck.clone()),
+                ..GbrControl::default()
+            };
+            let got = generalized_binary_reduction_controlled(
+                &inst,
+                &order,
+                &mut bug,
+                &GbrConfig::default(),
+                &mut control,
+            );
+            let want = if i == 4 {
+                GbrError::IterationLimit
+            } else {
+                GbrError::CheckpointMismatch
+            };
+            assert_eq!(got.unwrap_err(), want, "case {i}: {ck:?}");
+        }
+        // A search space outside the instance's variables.
+        let narrow = Instance::new(set(6, &[2, 3, 4, 5]), inst.cnf.clone());
+        let mut bug = |s: &VarSet| s.contains(v(4));
+        let mut control = GbrControl {
+            resume: Some(GbrCheckpoint {
+                search_space: set(6, &[1, 3, 4, 5]),
+                ..good.clone()
+            }),
+            ..GbrControl::default()
+        };
+        let got = generalized_binary_reduction_controlled(
+            &narrow,
+            &order,
+            &mut bug,
+            &GbrConfig::default(),
+            &mut control,
+        );
+        assert_eq!(got.unwrap_err(), GbrError::CheckpointMismatch);
+        // The matching checkpoint resumes.
+        let mut bug = |s: &VarSet| s.contains(v(4));
+        let mut control = GbrControl {
+            resume: Some(good),
+            ..GbrControl::default()
+        };
+        let out = generalized_binary_reduction_controlled(
+            &inst,
+            &order,
+            &mut bug,
+            &GbrConfig::default(),
+            &mut control,
+        )
+        .expect("resumes");
+        assert!(out.solution.contains(v(4)));
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use fault::{FaultInjector, FaultPlan};
 pub use gbr::{
     build_progression, generalized_binary_reduction, generalized_binary_reduction_controlled,
     generalized_binary_reduction_speculative, generalized_binary_reduction_speculative_controlled,
-    GbrCheckpoint, GbrConfig, GbrControl, GbrError, GbrOutcome, ProgressionBuilder,
+    BoundarySearch, GbrCheckpoint, GbrConfig, GbrControl, GbrError, GbrOutcome, ProgressionBuilder,
     PropagationMode, SpeculationConfig, SpeculativeRun,
 };
 pub use graph::{Closure, DepGraph};

@@ -47,7 +47,9 @@ pub struct RunOptions {
     /// set speculate on the binary search's pending probe with `n`-way
     /// parallel tool runs, and the per-error sweep runs up to `n` error
     /// searches concurrently — both with bit-identical results and
-    /// identical logical call counts. The other strategies ignore the knob
+    /// identical logical call counts. The speculative strategies are the
+    /// ones that run GBR's loop: the `logical/*` GBR variants and
+    /// `logical/trace-guided`. The other strategies ignore the knob
     /// (Binary Reduction's closure sweep and ddmin consume each probe
     /// result before choosing the next candidate, so there is no
     /// pending-probe tree to speculate on).
@@ -92,9 +94,12 @@ impl RunOptions {
 
 /// Long-running-service hooks for a reduction run: an external probe
 /// cache, cooperative cancellation, and checkpoint/resume. The default
-/// value is inert. Strategies whose [`StrategyCaps::resumable`] flag is
-/// unset ignore the hooks (their loops have no resumable snapshot or
-/// pending-probe frontier).
+/// value is inert. The resumable strategies are the ones that run GBR's
+/// loop — the `logical/*` GBR variants and `logical/trace-guided`, whose
+/// resumed run re-runs its coverage sweep and then continues GBR from
+/// the checkpoint. Strategies whose [`StrategyCaps::resumable`] flag is
+/// unset ignore `checkpoint` and `resume` (their loops have no
+/// resumable snapshot), and most of them the other hooks too.
 ///
 /// All four hooks preserve the pipeline's determinism contract:
 ///

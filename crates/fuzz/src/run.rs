@@ -255,22 +255,27 @@ impl Harness {
         // its own search (no bit-identity with the reference), checked for
         // soundness (I1–I3). Trace-guided also replays under the legacy
         // options, whose scan-based progressions its Phase B must match
-        // exactly (I4).
+        // exactly, and with speculative probing (I4).
         for (tag, name) in [("hdd", "hdd"), ("trace-guided", "logical/trace-guided")] {
             match session(input, oracle).strategy(name).run() {
                 Ok(report) => {
                     out.progressions += 1;
                     soundness(&format!("I1-I3 {tag}"), &report, &mut out.violations);
                     if tag == "trace-guided" {
-                        self.identical_to(
-                            input,
-                            oracle,
-                            &report,
-                            name,
-                            "trace-guided-legacy-scan",
-                            &RunOptions::legacy(),
-                            &mut out,
-                        );
+                        for (replay, options) in [
+                            ("trace-guided-legacy-scan", RunOptions::legacy()),
+                            (
+                                "trace-guided-probe-threads-2",
+                                RunOptions {
+                                    probe_threads: 2,
+                                    ..RunOptions::default()
+                                },
+                            ),
+                        ] {
+                            self.identical_to(
+                                input, oracle, &report, name, replay, &options, &mut out,
+                            );
+                        }
                     }
                 }
                 Err(e) => out.violations.push(format!("{tag} run failed: {e}")),

@@ -9,20 +9,23 @@
 //!   ([`InputModel::levels`]), running validity-filtered ddmin over each
 //!   level's items with deeper items pruned to their dependencies,
 //! * **trace-guided** runs a cheap coverage sweep of deletion probes
-//!   *under a trace recorder*, then seeds GBR's search space with the
-//!   covered set (the intersection of the failure-preserving probes'
-//!   keep-sets) and orders its progression by per-item trace frequency
-//!   ([`history_order`]).
+//!   *under a trace recorder*, then runs plain GBR's loop — the same
+//!   `lbr-core` entry points `logical/greedy` calls — with the covered
+//!   set (the intersection of the failure-preserving probes' keep-sets)
+//!   as its search space, per-item trace frequency ([`history_order`]) as
+//!   its order, and [`BoundarySearch::Gallop`] as its boundary search.
+//!   It therefore checkpoints, resumes, cancels and speculates like plain
+//!   GBR.
 
-use crate::pipeline::probe::{wrap_oracle, CandidateProbe};
+use crate::pipeline::logical::run_gbr;
+use crate::pipeline::probe::CandidateProbe;
 use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
-    ddmin, history_order, ConcurrentPredicate, DepGraph, GbrConfig, GbrError, Input, InputOracle,
-    LatencyLayer, OracleStack, Predicate, ProbeStats, ProgressionBuilder, ReductionTrace,
+    ddmin, history_order, BoundarySearch, ConcurrentPredicate, DepGraph, GbrConfig, GbrControl,
+    Input, InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats, ReductionTrace,
     StrategyOutput, TestOutcome, TraceLayer,
 };
-use lbr_logic::{ClauseShape, Cnf, MsaStrategy, Var, VarSet};
-use std::cell::Cell;
+use lbr_logic::{ClauseShape, Cnf, Var, VarSet};
 use std::time::Instant;
 
 /// Per-variable dependency closures over the edge-shaped clauses of the
@@ -138,14 +141,14 @@ pub(crate) fn run_hdd<I: Input, O: InputOracle<I> + ?Sized>(
     })
 }
 
-/// The trace-guided GBR mode. Phase A runs Binary Reduction over the
-/// lossy-1 graph encoding — cheap, and sound for our models — with a
-/// [`TraceLayer`] recording per-probe coverage (optionally backed by the
-/// service cache as a cross-run trace store). Phase B runs GBR with its
-/// search space seeded from the covered set and its progression ordered
-/// by trace frequency: items that most failing probes kept are probably
-/// required, so they surface in early progression entries and the binary
-/// search localizes the rest in fewer probes.
+/// The trace-guided GBR mode. Phase A runs a coverage sweep of
+/// dependency-pruned deletion probes with a [`TraceLayer`] recording
+/// per-probe coverage (optionally backed by the service cache as a
+/// cross-run trace store). Phase B runs GBR with its search space seeded
+/// from the covered set, its progression ordered by trace frequency and
+/// its boundary found by a gallop: items that most failing probes kept
+/// are probably required, so they surface in early progression entries
+/// and the boundary search localizes the rest in fewer probes.
 pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
     input: &I,
     oracle: &O,
@@ -258,119 +261,54 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
             survivor = candidate;
         }
     }
-    // Phase B: GBR with a trace-guided boundary search. The sweep's
-    // covered set seeds the search space, its frequencies order the
-    // progression, and — the trace's second dividend — each iteration's
-    // binary search is replaced by a backward gallop from the end of the
-    // progression, started at the boundary gap the previous iteration's
-    // probes recorded. Leaves-first orders put the failure boundary at
-    // the top of the dependency tree, so the minimal failing prefix sits
-    // a handful of entries from the end and the gallop brackets it in
-    // ~2·log2(gap) probes instead of log2(len).
+    // Phase B: GBR with a trace-guided boundary search — the same
+    // `run_gbr` call plain GBR makes, so it checkpoints, resumes,
+    // speculates and cancels like `logical/greedy`. The sweep's covered
+    // set seeds the search space, its frequencies order the progression,
+    // and each iteration gallops backward from the boundary gap the
+    // previous one recorded ([`BoundarySearch::Gallop`]). A resumed run
+    // re-runs the sweep above (the trace store answers its probes) to
+    // rebuild the seed and order the checkpoint was taken with.
     let coverage = trace_layer.snapshot();
     let seed = match coverage.covered() {
         Some(covered) if cnf.eval(covered) => covered.clone(),
         _ => VarSet::full(n),
     };
-    let order_b = history_order(cnf, coverage.frequencies());
-    // One builder for the whole phase: the learned sets only grow, so the
-    // incremental engine installs each once and every progression is
-    // assumption levels over the same clause set. `RunOptions::legacy()`
-    // selects the scan-based reference.
-    let mut builder = ProgressionBuilder::new(
-        cnf,
-        n,
-        &GbrConfig {
-            msa_strategy: MsaStrategy::GreedyClosure,
-            propagation: options.propagation,
-            ..GbrConfig::default()
-        },
-    );
-    let last_bytes_b = Cell::new(0u64);
-    let mut predicate_b = |k: &VarSet| {
-        let probe = stack.probe(k);
-        last_bytes_b.set(probe.size);
-        probe.outcome
+    let order = history_order(cnf, coverage.frequencies());
+    let instance = Instance::new(seed, cnf.clone());
+    let config = GbrConfig {
+        propagation: options.propagation,
+        boundary: BoundarySearch::Gallop,
+        ..GbrConfig::default()
     };
-    let mut wrapped_b = wrap_oracle(&mut predicate_b, cost, |_| last_bytes_b.get(), options);
-    let mut learned: Vec<VarSet> = Vec::new();
-    let mut search_space = seed;
-    let mut prev_gap = 1usize;
-    let max_iterations = 4 * n + 16;
-    let mut iteration = 0usize;
-    let solution = loop {
-        if iteration == max_iterations {
-            return Err(GbrError::IterationLimit.into());
-        }
-        if cancelled() {
-            return Err(GbrError::Cancelled.into());
-        }
-        iteration += 1;
-        let progression = builder.progression(&order_b, &learned, &search_space)?;
-        let mut prefix_unions: Vec<VarSet> = Vec::with_capacity(progression.len());
-        let mut acc = VarSet::empty(n);
-        for d in &progression {
-            acc.union_with(d);
-            prefix_unions.push(acc.clone());
-        }
-        // D₀: the minimal valid candidate. Failing means done.
-        if wrapped_b.test(&prefix_unions[0]) {
-            break prefix_unions[0].clone();
-        }
-        if progression.len() == 1 {
-            return Err(GbrError::PredicateNotMonotone.into());
-        }
-        let last = progression.len() - 1;
-        let mut lo = 0usize; // D₀ just passed
-        let mut hi = last; // fails by INV-PRO (it is the search space)
-        let mut hi_verified = false;
-        // Backward gallop: probe last-gap, last-2·gap, ... until a prefix
-        // passes (or the range is exhausted), then bisect the bracket.
-        let mut offset = prev_gap.max(1);
-        while offset < last {
-            if cancelled() {
-                return Err(GbrError::Cancelled.into());
-            }
-            let idx = last - offset;
-            if wrapped_b.test(&prefix_unions[idx]) {
-                hi = idx;
-                hi_verified = true;
-                offset = offset.saturating_mul(2);
-            } else {
-                lo = idx;
-                break;
-            }
-        }
-        while hi - lo > 1 {
-            if cancelled() {
-                return Err(GbrError::Cancelled.into());
-            }
-            let mid = lo + (hi - lo) / 2;
-            if wrapped_b.test(&prefix_unions[mid]) {
-                hi = mid;
-                hi_verified = true;
-            } else {
-                lo = mid;
-            }
-        }
-        if !hi_verified && !wrapped_b.test(&prefix_unions[hi]) {
-            return Err(GbrError::PredicateNotMonotone.into());
-        }
-        let r = hi;
-        prev_gap = (last - r).max(1);
-        learned.push(progression[r].clone());
-        search_space = prefix_unions[r].clone();
+    let mut control = GbrControl {
+        cancel: hooks.cancel,
+        checkpoint: hooks.checkpoint,
+        resume: hooks.resume,
     };
-    let calls_b = wrapped_b.calls();
-    let (hits_b, misses_b) = (wrapped_b.cache_hits(), wrapped_b.cache_misses());
-    trace.append_sequential(&wrapped_b.into_trace());
-    let total = calls_a + calls_b;
+    let (solution, trace_b, stats_b) = run_gbr(
+        &instance,
+        &order,
+        &config,
+        &stack,
+        cost,
+        options,
+        &mut control,
+    )?;
+    trace.append_sequential(&trace_b);
+    // Phase A's probes are distinct fresh tool runs on the critical path.
+    let probe_stats = ProbeStats {
+        useful_calls: calls_a + stats_b.useful_calls,
+        critical_path_calls: calls_a + stats_b.critical_path_calls,
+        memo_misses: calls_a + stats_b.memo_misses,
+        ..stats_b
+    };
     let reduced = (model.materialize)(&solution);
     Ok(StrategyOutput {
         reduced,
-        calls: total,
+        calls: probe_stats.useful_calls,
         trace,
         model_stats: Some(stats),
-        probe_stats: ProbeStats::sequential(total, hits_b, calls_a + misses_b),
+        probe_stats,
     })
 }

@@ -10,9 +10,9 @@ use lbr_core::{
     closure_size_order, generalized_binary_reduction, generalized_binary_reduction_controlled,
     generalized_binary_reduction_speculative_controlled, CacheLayer, ConcurrentPredicate,
     GbrConfig, GbrControl, Input, InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats,
-    SpeculationConfig, StrategyOutput,
+    ReductionTrace, SpeculationConfig, StrategyOutput,
 };
-use lbr_logic::{MsaStrategy, VarSet};
+use lbr_logic::{MsaStrategy, VarOrder, VarSet};
 use std::cell::Cell;
 
 /// GBR over the logical model. The oracle middleware is assembled here:
@@ -57,31 +57,50 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
         stack.push(layer);
     }
     stack.push(&latency);
+    let (solution, trace, probe_stats) = run_gbr(
+        &instance,
+        &order,
+        &config,
+        &stack,
+        cost,
+        options,
+        &mut control,
+    )?;
+    let reduced = (model.materialize)(&solution);
+    Ok(StrategyOutput {
+        reduced,
+        calls: probe_stats.useful_calls,
+        trace,
+        model_stats: Some(stats),
+        probe_stats,
+    })
+}
+
+/// One controlled GBR run over an assembled oracle stack — the call every
+/// GBR strategy's search makes. With `probe_threads > 1` it probes
+/// speculatively: the scheduler's concurrent memo subsumes the oracle memo
+/// (distinct demanded subsets run the tool once either way), so the same
+/// deterministic hit/miss counts come back in the stats. Otherwise the
+/// sequential [`lbr_core::Oracle`] wraps the stack. Returns the solution,
+/// the trace of demanded probes and their accounting.
+pub(crate) fn run_gbr(
+    instance: &Instance,
+    order: &VarOrder,
+    config: &GbrConfig,
+    stack: &dyn ConcurrentPredicate,
+    cost: f64,
+    options: &RunOptions,
+    control: &mut GbrControl<'_>,
+) -> Result<(VarSet, ReductionTrace, ProbeStats), PipelineError> {
     if options.probe_threads > 1 {
-        // Speculative parallel probing: the scheduler's concurrent memo
-        // subsumes the oracle memo (distinct demanded subsets run the tool
-        // once either way), so the same deterministic hit/miss counts come
-        // back in the stats.
         let spec = SpeculationConfig {
             threads: options.probe_threads,
             cost_per_call_secs: cost,
         };
         let run = generalized_binary_reduction_speculative_controlled(
-            &instance,
-            &order,
-            &stack,
-            &config,
-            &spec,
-            &mut control,
+            instance, order, stack, config, &spec, control,
         )?;
-        let reduced = (model.materialize)(&run.outcome.solution);
-        return Ok(StrategyOutput {
-            reduced,
-            calls: run.stats.useful_calls,
-            trace: run.trace,
-            model_stats: Some(stats),
-            probe_stats: run.stats,
-        });
+        return Ok((run.outcome.solution, run.trace, run.stats));
     }
     let last_bytes = Cell::new(0u64);
     let mut predicate = |keep: &VarSet| {
@@ -90,24 +109,14 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
         probe.outcome
     };
     let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
-    let outcome = generalized_binary_reduction_controlled(
-        &instance,
-        &order,
-        &mut wrapped,
-        &config,
-        &mut control,
-    )?;
-    let calls = wrapped.calls();
-    let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
-    let trace = wrapped.into_trace();
-    let reduced = (model.materialize)(&outcome.solution);
-    Ok(StrategyOutput {
-        reduced,
-        calls,
-        trace,
-        model_stats: Some(stats),
-        probe_stats: ProbeStats::sequential(calls, cache_hits, cache_misses),
-    })
+    let outcome =
+        generalized_binary_reduction_controlled(instance, order, &mut wrapped, config, control)?;
+    let stats = ProbeStats::sequential(
+        wrapped.calls(),
+        wrapped.cache_hits(),
+        wrapped.cache_misses(),
+    );
+    Ok((outcome.solution, wrapped.into_trace(), stats))
 }
 
 /// GBR followed by the local-minimization postpass: extra tool runs for a

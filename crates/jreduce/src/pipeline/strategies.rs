@@ -239,10 +239,11 @@ impl<I: Input> ReductionStrategy<I> for HddStrategy {
 
 /// The trace-guided GBR mode: a coverage sweep of deletion probes seeds
 /// GBR's search space with the covered set, orders its progression by
-/// trace frequency, and guides each iteration's boundary search with the
-/// previously recorded boundary gap. Its progressions come from the same
-/// [`ProgressionBuilder`](lbr_core::ProgressionBuilder) as plain GBR's and
-/// honor the propagation mode.
+/// trace frequency, and gallops each iteration's boundary search from the
+/// previously recorded boundary gap. Its GBR is plain GBR's loop with
+/// [`BoundarySearch::Gallop`](lbr_core::BoundarySearch::Gallop), so it
+/// resumes and speculates like `logical/greedy`; the per-error sweep is
+/// its own entry point and always runs plain GBR.
 pub(crate) struct TraceGuidedStrategy;
 
 impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
@@ -252,6 +253,8 @@ impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
 
     fn caps(&self) -> StrategyCaps {
         StrategyCaps {
+            resumable: true,
+            speculative: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -423,6 +426,8 @@ mod tests {
         assert!(caps_of("hdd").uses_model);
         assert!(!caps_of("hdd").resumable);
         assert!(caps_of("logical/trace-guided").uses_model);
-        assert!(!caps_of("logical/trace-guided").speculative);
+        assert!(caps_of("logical/trace-guided").speculative);
+        assert!(caps_of("logical/trace-guided").resumable);
+        assert!(!caps_of("logical/trace-guided").per_error);
     }
 }

@@ -387,6 +387,101 @@ fn resumable_checkpoint_resume_matches_uninterrupted() {
 }
 
 #[test]
+fn trace_guided_cancelled_mid_gallop_resumes_to_the_uninterrupted_run() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let p = lbr_workload::generate(&lbr_workload::WorkloadConfig {
+        seed: 29,
+        classes: 18,
+        interfaces: 6,
+        plant: BugSet::decompiler_a().kinds().to_vec(),
+        ..lbr_workload::WorkloadConfig::default()
+    });
+    let oracle = DecompilerOracle::new(&p, BugSet::decompiler_a());
+    let guided = |hooks: ServiceHooks<'_>, threads: usize| {
+        let options = RunOptions {
+            probe_threads: threads,
+            ..RunOptions::default()
+        };
+        dispatch(&p, &oracle, "logical/trace-guided", 33.0, &options, hooks)
+    };
+    let shape = |r: &ReductionReport| -> Vec<(u64, bool)> {
+        r.trace
+            .points()
+            .iter()
+            .map(|t| (t.size, t.success))
+            .collect()
+    };
+    let mut checkpoints: Vec<lbr_core::GbrCheckpoint> = Vec::new();
+    let mut collect = |ck: &lbr_core::GbrCheckpoint| checkpoints.push(ck.clone());
+    let plain = guided(
+        ServiceHooks {
+            checkpoint: Some(&mut collect),
+            ..ServiceHooks::default()
+        },
+        1,
+    )
+    .expect("uninterrupted");
+    // Interrupt the iteration that gallops from a recorded gap above 1,
+    // after its D₀ probe and first gallop probe.
+    let stop = checkpoints
+        .iter()
+        .find(|ck| ck.gap > 1)
+        .expect("a run whose gallop carries a gap")
+        .iterations;
+    let cache = MemoryCache::new();
+    let taken = AtomicUsize::new(0);
+    let polls = AtomicUsize::new(0);
+    let mut saved: Option<lbr_core::GbrCheckpoint> = None;
+    let mut hook = |ck: &lbr_core::GbrCheckpoint| {
+        taken.store(ck.iterations, Ordering::Relaxed);
+        saved = Some(ck.clone());
+    };
+    let cancel =
+        || taken.load(Ordering::Relaxed) >= stop && polls.fetch_add(1, Ordering::Relaxed) >= 2;
+    let err = guided(
+        ServiceHooks {
+            cache: Some(&cache),
+            cancel: Some(&cancel),
+            checkpoint: Some(&mut hook),
+            resume: None,
+        },
+        1,
+    )
+    .expect_err("cancelled");
+    assert!(matches!(err, PipelineError::Gbr(GbrError::Cancelled)));
+    let ck = saved.expect("checkpoint taken");
+    assert_eq!(ck.iterations, stop);
+    for threads in [1, 2] {
+        let resumed = guided(
+            ServiceHooks {
+                cache: Some(&cache),
+                resume: Some(ck.clone()),
+                ..ServiceHooks::default()
+            },
+            threads,
+        )
+        .expect("resumed run completes");
+        assert_eq!(
+            resumed.final_metrics, plain.final_metrics,
+            "threads={threads}"
+        );
+        assert_eq!(
+            lbr_classfile::write_program(&resumed.reduced),
+            lbr_classfile::write_program(&plain.reduced),
+            "threads={threads}"
+        );
+        // The resumed run re-runs the coverage sweep, then probes exactly
+        // the uninterrupted run's tail from the checkpoint on.
+        let (full, tail) = (shape(&plain), shape(&resumed));
+        assert!(tail.len() < full.len(), "threads={threads}");
+        assert!(
+            (1..tail.len()).any(|k| full[..k] == tail[..k] && full.ends_with(&tail[k..])),
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
 fn modeled_time_tracks_calls() {
     let p = benchmark();
     let oracle = DecompilerOracle::new(&p, BugSet::of(&[BugKind::CastToObject]));

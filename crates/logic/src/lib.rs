@@ -16,8 +16,7 @@
 //!   shared engine by assumption instead of cloning restricted CNFs,
 //! * [`dpll`] — a complete solver used as fallback and test oracle,
 //! * [`count_models`] — sharpSAT-style model counting (component
-//!   decomposition + caching + implicit BCP) to count valid sub-inputs,
-//! * [`dimacs`] — interchange with external SAT tooling.
+//!   decomposition + caching + implicit BCP) to count valid sub-inputs.
 //!
 //! # Quick example
 //!
@@ -49,7 +48,6 @@
 mod clause;
 mod cnf;
 pub mod counting;
-pub mod dimacs;
 pub mod dpll;
 pub mod engine;
 mod formula;
@@ -58,7 +56,6 @@ mod msa;
 mod order;
 mod propagate;
 mod set;
-mod simplify;
 mod var;
 
 pub use clause::{Clause, ClauseShape};
@@ -74,5 +71,4 @@ pub use msa::{msa, msa_scan, MsaStrategy};
 pub use order::VarOrder;
 pub use propagate::{propagate, PartialAssignment, Propagation};
 pub use set::VarSet;
-pub use simplify::{backbone, bcp_simplify, remove_subsumed, BcpSimplified};
 pub use var::{Var, VarPool};

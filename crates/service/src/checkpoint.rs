@@ -2,7 +2,10 @@
 //!
 //! The checkpoint format (see DESIGN.md §Service architecture) is a small
 //! JSON document; `VarSet`s are stored as `{ "universe": N, "members":
-//! [indices…] }`, the only stable public view of a set. Checkpoints go
+//! [indices…] }`, the only stable public view of a set. A checkpoint file
+//! is bound to the digest of the input it was taken on, so a job whose
+//! input file changed between runs restarts instead of resuming a search
+//! over another input's variables. Checkpoints go
 //! through [`atomic_write`](crate::fsio::atomic_write), so a killed writer
 //! leaves either the previous checkpoint or the new one — a resumed job
 //! merely restarts from an earlier iteration in the worst case.
@@ -14,8 +17,10 @@ use lbr_logic::{Var, VarSet};
 use std::io;
 use std::path::Path;
 
-/// Current checkpoint format version.
-const VERSION: f64 = 1.0;
+/// Current checkpoint format version. Version 2 added the gallop `gap`
+/// and the `input` binding; version 1 documents still load (gap 1,
+/// unbound).
+const VERSION: f64 = 2.0;
 
 /// Renders a `VarSet` as `{ "universe": N, "members": [..] }`.
 pub fn varset_to_json(set: &VarSet) -> Json {
@@ -83,6 +88,7 @@ pub fn checkpoint_to_json(ck: &GbrCheckpoint) -> Json {
             Json::Arr(ck.learned.iter().map(varset_to_json).collect()),
         ),
         ("search_space", varset_to_json(&ck.search_space)),
+        ("gap", Json::num(ck.gap as f64)),
     ];
     if let Some(best) = &ck.best {
         fields.push(("best", varset_to_json(best)));
@@ -92,10 +98,11 @@ pub fn checkpoint_to_json(ck: &GbrCheckpoint) -> Json {
 
 /// Parses a checkpoint document.
 pub fn checkpoint_from_json(j: &Json) -> Result<GbrCheckpoint, String> {
-    match j.f64_field("version") {
-        Some(v) if v == VERSION => {}
+    let gap = match j.f64_field("version") {
+        Some(1.0) => 1,
+        Some(v) if v == VERSION => j.u64_field("gap").ok_or("checkpoint: missing gap")? as usize,
         v => return Err(format!("checkpoint: unsupported version {v:?}")),
-    }
+    };
     let iterations = j
         .u64_field("iterations")
         .ok_or("checkpoint: missing iterations")? as usize;
@@ -122,25 +129,38 @@ pub fn checkpoint_from_json(j: &Json) -> Result<GbrCheckpoint, String> {
         learned,
         search_space,
         best,
+        gap,
     })
 }
 
-/// Atomically writes a checkpoint file.
-pub fn save_checkpoint(path: &Path, ck: &GbrCheckpoint) -> io::Result<()> {
-    atomic_write_str(path, &checkpoint_to_json(ck).render())
+/// Atomically writes a checkpoint file taken on the input whose digest is
+/// `input`.
+pub fn save_checkpoint(path: &Path, ck: &GbrCheckpoint, input: u64) -> io::Result<()> {
+    let mut doc = checkpoint_to_json(ck);
+    if let Json::Obj(fields) = &mut doc {
+        fields.insert("input".to_owned(), Json::str(format!("{input:016x}")));
+    }
+    atomic_write_str(path, &doc.render())
 }
 
-/// Loads a checkpoint file; `Ok(None)` when none exists, an error when one
-/// exists but does not parse (atomic writes make that a real fault, not a
-/// torn write).
-pub fn load_checkpoint(path: &Path) -> io::Result<Option<GbrCheckpoint>> {
+/// Loads a checkpoint file for the input whose digest is `input`;
+/// `Ok(None)` when none exists, an error when one exists but does not
+/// parse (atomic writes make that a real fault, not a torn write) or was
+/// taken on another input. A version 1 file carries no binding and loads.
+pub fn load_checkpoint(path: &Path, input: u64) -> io::Result<Option<GbrCheckpoint>> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
+    let bound = format!("{input:016x}");
     Json::parse(&text)
-        .and_then(|j| checkpoint_from_json(&j))
+        .and_then(|j| match j.str_field("input") {
+            Some(other) if other != bound => {
+                Err(format!("checkpoint of input {other}, not {bound}"))
+            }
+            _ => checkpoint_from_json(&j),
+        })
         .map(Some)
         .map_err(|e| {
             io::Error::new(
@@ -165,15 +185,32 @@ mod tests {
             learned: vec![set(10, &[1, 4]), set(10, &[7])],
             search_space: set(10, &[1, 2, 4, 7, 9]),
             best: Some(set(10, &[1, 4, 7])),
+            gap: 3,
         };
         let dir = std::env::temp_dir().join(format!("lbr-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job-1.ckpt");
-        save_checkpoint(&path, &ck).unwrap();
-        let loaded = load_checkpoint(&path).unwrap().expect("checkpoint exists");
+        save_checkpoint(&path, &ck, 0xfeed).unwrap();
+        let loaded = load_checkpoint(&path, 0xfeed)
+            .unwrap()
+            .expect("checkpoint exists");
         assert_eq!(loaded, ck);
-        assert_eq!(load_checkpoint(&dir.join("nope")).unwrap(), None);
+        assert_eq!(load_checkpoint(&dir.join("nope"), 0xfeed).unwrap(), None);
+        // Another input's checkpoint does not load.
+        let err = load_checkpoint(&path, 0xbeef).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_documents_load_with_gap_1() {
+        let v1 = r#"{"version":1,"iterations":1,"learned":[{"universe":4,"members":[2]}],
+            "search_space":{"universe":4,"members":[1,2]}}"#;
+        let ck = checkpoint_from_json(&Json::parse(v1).unwrap()).unwrap();
+        assert_eq!(ck.gap, 1);
+        assert_eq!(ck.learned, vec![set(4, &[2])]);
+        assert_eq!(ck.best, None);
+        assert!(checkpoint_from_json(&Json::parse(r#"{"version":3}"#).unwrap()).is_err());
     }
 
     #[test]
@@ -183,6 +220,7 @@ mod tests {
             learned: vec![],
             search_space: set(4, &[0, 1, 2, 3]),
             best: None,
+            gap: 1,
         };
         let j = checkpoint_to_json(&ck);
         assert_eq!(checkpoint_from_json(&j).unwrap(), ck);
@@ -195,6 +233,7 @@ mod tests {
             learned: vec![set(4, &[1])],
             search_space: set(4, &[1, 2]),
             best: None,
+            gap: 1,
         };
         assert!(checkpoint_from_json(&checkpoint_to_json(&ck)).is_err());
         assert!(

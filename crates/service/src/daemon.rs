@@ -1378,12 +1378,13 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
     let report = if resumable {
         // The service path: persistent cache + checkpoint/resume + cancel.
         let ckpt_path = state.job_file(spec.id, "ckpt");
-        // A checkpoint torn mid-write (truncated file, garbage bytes) or
-        // otherwise unreadable (a universe above `MAX_UNIVERSE`) is
-        // discarded and the search restarts from scratch: determinism
+        // A checkpoint torn mid-write (truncated file, garbage bytes),
+        // otherwise unreadable (a universe above `MAX_UNIVERSE`) or taken
+        // on another input (the file at `spec.input` was replaced since)
+        // is discarded and the search restarts from scratch: determinism
         // guarantees the restarted run lands on the identical result, so
-        // the only thing a corrupt checkpoint may ever cost is time.
-        let resume = match load_checkpoint(&ckpt_path) {
+        // the only thing a bad checkpoint may ever cost is time.
+        let resume = match load_checkpoint(&ckpt_path, namespace) {
             Ok(resume) => resume,
             Err(_) => {
                 let _ = std::fs::remove_file(&ckpt_path);
@@ -1401,7 +1402,7 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
         let mut checkpoint_hook = |ck: &lbr_core::GbrCheckpoint| {
             publish_progress(state, spec.id, ck);
             if last_saved.is_none_or(|at| at.elapsed() >= interval) {
-                let _ = save_checkpoint(&ckpt_path, ck);
+                let _ = save_checkpoint(&ckpt_path, ck, namespace);
                 let _ = state.cache.save();
                 last_saved = Some(Instant::now());
             }

@@ -7,7 +7,7 @@
 use lbr_classfile::write_program;
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{run_reduction_with, ReductionReport, RunOptions};
-use lbr_service::{load_checkpoint, Client, Daemon, DaemonConfig, Json};
+use lbr_service::{load_checkpoint, namespace_digest, Client, Daemon, DaemonConfig, Json};
 use lbr_workload::{generate, WorkloadConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -222,7 +222,7 @@ fn truncated_checkpoint_restarts_the_job_and_converges_to_the_same_bytes() {
     );
     std::fs::write(&ckpt, &full[..full.len() / 2]).unwrap();
     assert!(
-        load_checkpoint(&ckpt).is_err(),
+        load_checkpoint(&ckpt, namespace_digest("a", &bytes)).is_err(),
         "a half-written checkpoint must read as corrupt, not as data"
     );
 

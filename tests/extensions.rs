@@ -1,8 +1,7 @@
-//! Integration tests for the extension features: per-error reduction, the
-//! local-minimization postpass, and backbone diagnostics on real models.
+//! Integration tests for the extension features: per-error reduction and
+//! the local-minimization postpass.
 
-use lbr::jreduce::{build_model, check_report, run_per_error, run_reduction};
-use lbr::logic::{backbone, bcp_simplify, remove_subsumed};
+use lbr::jreduce::{check_report, run_per_error, run_reduction};
 use lbr::workload::{suite, SuiteConfig};
 
 fn one_benchmark() -> lbr::workload::Benchmark {
@@ -60,49 +59,5 @@ fn minimized_strategy_is_sound_and_not_larger() {
     assert!(
         minimized.predicate_calls >= plain.predicate_calls,
         "the postpass spends extra predicate calls"
-    );
-}
-
-#[test]
-fn model_simplification_preserves_satisfiability_structure() {
-    let b = one_benchmark();
-    let model = build_model(&b.program).expect("valid input");
-    let mut cnf = model.cnf.clone();
-    let before = cnf.len();
-    let removed = remove_subsumed(&mut cnf);
-    assert!(cnf.len() + removed == before);
-    // BCP on a freshly generated model: no forced literals (nothing is a
-    // unit until a root requirement is added), hence no conflict.
-    let simplified = bcp_simplify(&cnf).expect("satisfiable");
-    assert!(simplified.forced.is_empty(), "{:?}", simplified.forced);
-}
-
-#[test]
-fn backbone_of_model_with_requirement() {
-    // Forcing a method body into the model makes its syntactic ancestry
-    // backbone-true.
-    use lbr::jreduce::Item;
-    use lbr::logic::{Clause, Lit};
-    let b = one_benchmark();
-    let model = build_model(&b.program).expect("valid input");
-    // Pick any method-code item and require it.
-    let (code_var, owner) = model
-        .registry
-        .items()
-        .iter()
-        .enumerate()
-        .find_map(|(i, item)| match item {
-            Item::MethodCode(c, _, _) => Some((lbr::logic::Var::new(i as u32), c.clone())),
-            _ => None,
-        })
-        .expect("some method code exists");
-    let mut cnf = model.cnf.clone();
-    cnf.add_clause(Clause::unit(Lit::pos(code_var)));
-    let (forced_true, _) = backbone(&cnf).expect("satisfiable");
-    assert!(forced_true.contains(code_var));
-    let class_var = model.registry.var(&Item::Class(owner)).expect("class item");
-    assert!(
-        forced_true.contains(class_var),
-        "the enclosing class must be backbone"
     );
 }

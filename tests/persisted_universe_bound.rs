@@ -9,11 +9,12 @@ use lbr_classfile::write_program;
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{run_reduction_with, RunOptions};
 use lbr_service::{
-    load_checkpoint, Client, Daemon, DaemonConfig, Json, PersistentOracleCache, MAX_UNIVERSE,
+    load_checkpoint, namespace_digest, Client, Daemon, DaemonConfig, Json, PersistentOracleCache,
+    MAX_UNIVERSE,
 };
 use lbr_workload::{generate, WorkloadConfig};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> PathBuf {
@@ -61,33 +62,24 @@ fn a_cache_line_above_the_universe_ceiling_is_invalid_data() {
 }
 
 /// A checkpoint naming a huge universe is discarded like a torn one: the
-/// job restarts from scratch and converges to the in-process result.
+/// job restarts from scratch and converges to the in-process result. So
+/// is a checkpoint taken on another input — the job's input file was
+/// replaced between a kill and the restart — whose sets would otherwise
+/// index past the new model's variables on the worker.
 #[test]
 fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
     let dir = scratch("ckpt");
-    let program = generate(&WorkloadConfig {
-        seed: 29,
-        classes: 18,
-        interfaces: 6,
-        plant: BugSet::decompiler_a().kinds().to_vec(),
-        ..WorkloadConfig::default()
-    });
-    let bytes = write_program(&program);
-    let input = dir.join("input.lbrc");
-    std::fs::write(&input, &bytes).unwrap();
-    let oracle = DecompilerOracle::new(&program, BugSet::decompiler_a());
-    let reference = run_reduction_with(
-        &program,
-        &oracle,
-        "logical/greedy",
-        33.0,
-        &RunOptions::default(),
-    )
-    .expect("reference reduction");
-
-    let state = dir.join("state");
-    let start = || {
-        let daemon = Daemon::start(DaemonConfig::new(&state, 1)).expect("start daemon");
+    let program = |seed, classes| {
+        generate(&WorkloadConfig {
+            seed,
+            classes,
+            interfaces: 6,
+            plant: BugSet::decompiler_a().kinds().to_vec(),
+            ..WorkloadConfig::default()
+        })
+    };
+    let start = |state: &Path| {
+        let daemon = Daemon::start(DaemonConfig::new(state, 1)).expect("start daemon");
         let client = Client::connect(daemon.local_addr().to_string());
         let handle = std::thread::spawn(move || daemon.run());
         assert!(
@@ -96,48 +88,81 @@ fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
         );
         (client, handle)
     };
-    let (client, handle) = start();
+    let input = dir.join("input.lbrc");
     let out = dir.join("out.lbrc");
-    let id = client
-        .submit(&Json::obj_from(vec![
-            ("input", Json::str(input.display().to_string())),
-            ("decompiler", Json::str("a")),
-            ("output", Json::str(out.display().to_string())),
-            ("probe_latency_micros", Json::count(1_500)),
-        ]))
-        .unwrap();
-    let ckpt = state.join(format!("job-{id}.ckpt"));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !ckpt.exists() {
-        assert!(Instant::now() < deadline, "no checkpoint appeared");
-        std::thread::sleep(Duration::from_millis(5));
+    for changed_input in [false, true] {
+        // A fresh state directory per case: a warm cache would finish the
+        // job before it could be interrupted.
+        let state = dir.join(format!("state-{changed_input}"));
+        let original = program(29, 18);
+        std::fs::write(&input, write_program(&original)).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let (client, handle) = start(&state);
+        let id = client
+            .submit(&Json::obj_from(vec![
+                ("input", Json::str(input.display().to_string())),
+                ("decompiler", Json::str("a")),
+                ("output", Json::str(out.display().to_string())),
+                ("probe_latency_micros", Json::count(1_500)),
+            ]))
+            .unwrap();
+        let ckpt = state.join(format!("job-{id}.ckpt"));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !ckpt.exists() {
+            assert!(Instant::now() < deadline, "no checkpoint appeared");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        assert!(!out.exists(), "the interrupted job must not have finished");
+
+        let reduced = if changed_input {
+            // The checkpoint stays intact; the input under it changes to
+            // a program with a different variable count.
+            let replacement = program(31, 11);
+            let bytes = write_program(&replacement);
+            std::fs::write(&input, &bytes).unwrap();
+            let err = load_checkpoint(&ckpt, namespace_digest("a", &bytes))
+                .expect_err("another input's checkpoint must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            replacement
+        } else {
+            std::fs::write(
+                &ckpt,
+                r#"{"version":1,"iterations":0,"learned":[],
+                    "search_space":{"universe":99999999999999,"members":[]}}"#,
+            )
+            .unwrap();
+            let err = load_checkpoint(&ckpt, 0).expect_err("a huge universe must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            original
+        };
+        let oracle = DecompilerOracle::new(&reduced, BugSet::decompiler_a());
+        let reference = run_reduction_with(
+            &reduced,
+            &oracle,
+            "logical/greedy",
+            33.0,
+            &RunOptions::default(),
+        )
+        .expect("reference reduction");
+
+        let (client, handle) = start(&state);
+        let result = client.wait_result(id).unwrap();
+        assert_eq!(result.str_field("status"), Some("done"), "{changed_input}");
+        assert_eq!(result.bool_field("resumed"), Some(false), "{changed_input}");
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            write_program(&reference.reduced),
+            "{changed_input}"
+        );
+        assert_eq!(
+            result.u64_field("predicate_calls"),
+            Some(reference.predicate_calls),
+            "{changed_input}"
+        );
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
     }
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-    assert!(!out.exists(), "the interrupted job must not have finished");
-
-    std::fs::write(
-        &ckpt,
-        r#"{"version":1,"iterations":0,"learned":[],
-            "search_space":{"universe":99999999999999,"members":[]}}"#,
-    )
-    .unwrap();
-    let err = load_checkpoint(&ckpt).expect_err("a huge universe must not load");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-    let (client, handle) = start();
-    let result = client.wait_result(id).unwrap();
-    assert_eq!(result.str_field("status"), Some("done"));
-    assert_eq!(result.bool_field("resumed"), Some(false));
-    assert_eq!(
-        std::fs::read(&out).unwrap(),
-        write_program(&reference.reduced)
-    );
-    assert_eq!(
-        result.u64_field("predicate_calls"),
-        Some(reference.predicate_calls)
-    );
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -73,7 +73,7 @@ fn pipeline_probe_threads_is_bit_identical() {
         programs: 1,
         scale: 0.6,
     });
-    let strategies = ["logical/greedy", "lossy-1"];
+    let strategies = ["logical/greedy", "lossy-1", "logical/trace-guided"];
     for b in &benchmarks {
         let oracle = b.oracle();
         for &strategy in &strategies {
