@@ -209,8 +209,19 @@ echo "== differential fuzzing gate (fixed seed, every progression) =="
 # in four; the
 # seed pins the exact stream, so a violation here is reproducible with
 # the printed `fuzz --replay` command.
-./target/release/fuzz --budget-secs 60 --seed 0xC0FFEE --min-cases 200 \
-    --out-dir "$smoke_dir"
+fuzz_status=0
+fuzz_out=$(./target/release/fuzz --budget-secs 60 --seed 0xC0FFEE --min-cases 200 \
+    --out-dir "$smoke_dir") || fuzz_status=$?
+echo "$fuzz_out"
+[ "$fuzz_status" -eq 0 ] || exit "$fuzz_status"
+# Both oracles' memos must stay in the campaign: I9 has to have checked
+# candidates of each format.
+for format in classfile stackvm; do
+    if ! echo "$fuzz_out" | grep -Eq "I9 checks:.*$format [1-9]"; then
+        echo "fuzz campaign ran no I9 check on $format cases" >&2
+        exit 1
+    fi
+done
 
 echo "== fuzzing self-test (broken oracle must be caught and shrunk) =="
 # Prove the harness can still catch bugs: with the deliberately lying

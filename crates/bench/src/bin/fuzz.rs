@@ -157,6 +157,10 @@ fn main() {
         summary.predicate_calls,
         summary.violations
     );
+    println!(
+        "fuzz: I9 checks: classfile {}, stackvm {}",
+        summary.oracle_checks_classfile, summary.oracle_checks_stackvm
+    );
     for path in &summary.case_files {
         println!("replay with: fuzz --replay {}", path.display());
     }

@@ -7,9 +7,8 @@
 //! items *within* classes — the motivation for the paper's finer-grained
 //! model.
 
-use crate::scope::Scope;
 use crate::Program;
-use lbr_core::DepGraph;
+use lbr_core::{DepGraph, Scope};
 use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
 use std::sync::Arc;

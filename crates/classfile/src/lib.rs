@@ -49,7 +49,6 @@ mod program;
 mod read;
 mod reducer;
 mod roundtrip;
-mod scope;
 mod ty;
 mod verify;
 mod write;

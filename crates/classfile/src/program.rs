@@ -7,8 +7,8 @@
 //! the logical constraint generator needs: keeping a use of subtyping means
 //! keeping every relation on its derivation path.
 
-use crate::scope::Scope;
 use crate::{ClassFile, FieldInfo, MethodDescriptor, MethodInfo, OBJECT};
+use lbr_core::Scope;
 use std::any::Any;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
@@ -169,10 +169,7 @@ impl Program {
     /// candidate. A program that no reduction built gets a fresh, empty
     /// table on every call, so a tool has one code path either way.
     pub fn scoped<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
-        match &self.scope {
-            Some(scope) => scope.table(),
-            None => Arc::default(),
-        }
+        Scope::table_in(self.scope.as_deref())
     }
 
     /// The shared handles of the user classes, in name order. A handle's

@@ -11,8 +11,8 @@
 //! the oracle can memoize per reduction too.
 
 use crate::item::{Item, ItemRegistry};
-use crate::scope::Scope;
 use crate::{class_byte_size, ClassFile, Code, MethodInfo, Program, OBJECT};
+use lbr_core::Scope;
 use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
 use std::ops::Range;

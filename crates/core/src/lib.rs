@@ -25,7 +25,9 @@
 //! * [`closure_size_order`] — the "pick `<` well" heuristic Theorem 4.5
 //!   needs for locally minimal solutions,
 //! * [`HittingSet`] — the constructive NP-completeness mapping of
-//!   Theorem 4.2.
+//!   Theorem 4.2,
+//! * [`Scope`] — the reduction scope both frontends stamp on their
+//!   candidates, in which an oracle memoizes across one reduction's probes.
 //!
 //! # Quick example
 //!
@@ -60,6 +62,7 @@ mod lossy;
 mod minimize;
 mod orders;
 mod problem;
+mod scope;
 mod stack;
 mod stats;
 mod strategy;
@@ -88,6 +91,7 @@ pub use orders::{
     closure_size_order, closure_sizes, closure_sizes_of_graph, history_order, natural_order,
 };
 pub use problem::{Instance, Oracle, Predicate};
+pub use scope::Scope;
 pub use stack::{
     CacheLayer, CoverageTrace, FaultyCache, LatencyLayer, MemoryCache, OracleLayer, OracleStack,
     StatsLayer, TraceLayer, ValidationLayer,

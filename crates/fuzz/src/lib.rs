@@ -71,6 +71,10 @@ pub struct CampaignSummary {
     pub predicate_calls: u64,
     /// Cases that violated at least one invariant.
     pub violations: u64,
+    /// Candidates I9 checked on classfile cases.
+    pub oracle_checks_classfile: u64,
+    /// Candidates I9 checked on stackvm cases.
+    pub oracle_checks_stackvm: u64,
     /// Replayable case files written (one per violating case, capped).
     pub case_files: Vec<PathBuf>,
 }
@@ -110,6 +114,11 @@ pub fn run_campaign(config: &CampaignConfig, harness: &Harness) -> io::Result<Ca
         summary.cases_run += 1;
         summary.progressions += outcome.progressions as u64;
         summary.predicate_calls += outcome.predicate_calls;
+        if case.format == "stackvm" {
+            summary.oracle_checks_stackvm += outcome.oracle_checks;
+        } else {
+            summary.oracle_checks_classfile += outcome.oracle_checks;
+        }
         if !outcome.violations.is_empty() {
             summary.violations += 1;
             let violation = outcome.violations.join("; ");

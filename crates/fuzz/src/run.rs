@@ -24,10 +24,11 @@
 //! - **I8** retired together with the CDCL engine it checked (DPLL is the
 //!   one complete solver left). The number stays reserved so I1–I7 keep
 //!   their meaning in recorded case files and reports;
-//! - **I9** the decompiler oracle's answer for a candidate, memoized in
-//!   its reduction scope or computed outside any scope, is exactly the
-//!   reference `error_messages(&decompile_program(..))` (progression P16,
-//!   classfile cases).
+//! - **I9** the oracle's answer for a candidate, memoized in its
+//!   reduction scope or computed outside any scope, is exactly the
+//!   memo-free reference (progression P16): the decompiler's
+//!   `error_messages(&decompile_program(..))` on classfile cases, the
+//!   lowering pass's `StackBugSet::error_messages` on stackvm cases.
 //!
 //! The progression suite itself is generic over [`Input`], so the stackvm
 //! frontend (progression P12) runs the exact same body — only the
@@ -44,7 +45,8 @@ use lbr_prng::SplitMix64;
 use lbr_service::{
     namespace_digest, Client, Daemon, DaemonConfig, FaultPlan, Json, PersistentOracleCache,
 };
-use lbr_stackvm::StackOracle;
+use lbr_stackvm::{Module, StackOracle};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
@@ -79,6 +81,8 @@ pub struct CaseOutcome {
     pub progressions: usize,
     /// Predicate calls of the reference run (throughput reporting).
     pub predicate_calls: u64,
+    /// Candidates whose oracle answers I9 compared with the reference.
+    pub oracle_checks: u64,
 }
 
 impl CaseOutcome {
@@ -147,11 +151,27 @@ impl Harness {
             if !module.validate().is_empty() {
                 return CaseOutcome::skipped();
             }
-            let oracle = StackOracle::new(&module, case.stack_bugs());
+            let bugs = case.stack_bugs();
+            let oracle = StackOracle::new(&module, bugs.clone());
             if !oracle.is_failing() {
                 return CaseOutcome::skipped();
             }
-            return self.run_progressions(case, &module, &oracle, with_daemon);
+            let mut out = self.run_progressions(case, &module, &oracle, with_daemon);
+            // P16: the incremental oracle against its reference (I9).
+            incremental_oracle(
+                case,
+                &module,
+                &oracle,
+                |candidate| {
+                    let mut plain = Module::new();
+                    plain.functions = candidate.functions.clone();
+                    plain.globals = candidate.globals.clone();
+                    plain
+                },
+                |candidate| bugs.error_messages(candidate),
+                &mut out,
+            );
+            return out;
         }
 
         let program = case.program();
@@ -165,8 +185,15 @@ impl Harness {
         let mut out = self.run_progressions(case, &program, &oracle, with_daemon);
 
         // P16: the incremental oracle against its reference (I9).
-        out.progressions += 1;
-        incremental_oracle(case, &program, &oracle, &mut out.violations);
+        let bugs = case.bugs();
+        incremental_oracle(
+            case,
+            &program,
+            &oracle,
+            |candidate| candidate.classes().cloned().collect(),
+            |candidate| error_messages(&decompile_program(candidate, &bugs)),
+            &mut out,
+        );
 
         // P9 (armed by `fuzz --break-oracle`): a deliberately lying
         // predicate that accepts any verifying subprogram. The harness
@@ -602,32 +629,38 @@ fn broken_oracle_reduce(program: &Program) -> Program {
 const ORACLE_CANDIDATES: usize = 12;
 
 /// P16 (I9): walks random candidates of one reduction scope, a few items
-/// toggled per step so that most classes repeat, and checks the oracle's
-/// answer for each, inside the scope and outside it, against the memo-free
-/// reference.
-fn incremental_oracle(
+/// toggled per step so that most units repeat, and checks the oracle's
+/// answer for each, inside the scope and outside it (`unscoped` rebuilds a
+/// candidate that no reduction built), against the memo-free `reference`.
+fn incremental_oracle<I: Input, O: InputOracle<I>>(
     case: &FuzzCase,
-    program: &Program,
-    oracle: &DecompilerOracle,
-    violations: &mut Vec<String>,
+    input: &I,
+    oracle: &O,
+    unscoped: impl Fn(&I) -> I,
+    reference: impl Fn(&I) -> BTreeSet<String>,
+    out: &mut CaseOutcome,
 ) {
-    let model = match program.model() {
+    out.progressions += 1;
+    let model = match input.model() {
         Ok(model) => model,
-        Err(e) => return violations.push(format!("I9: the model does not build: {e}")),
+        Err(e) => {
+            return out
+                .violations
+                .push(format!("I9: the model does not build: {e}"))
+        }
     };
     let vars = model.cnf.num_vars();
-    let bugs = case.bugs();
     let mut rng = SplitMix64::seed_from_u64(FuzzCase::case_seed(case.master_seed, case.index));
     let mut keep = VarSet::full(vars);
     for i in 0..ORACLE_CANDIDATES {
         let candidate = (model.materialize)(&keep);
-        let unscoped: Program = candidate.classes().cloned().collect();
-        let expected = error_messages(&decompile_program(&candidate, &bugs));
-        for (tag, probe) in [("scoped", &candidate), ("unscoped", &unscoped)] {
+        let expected = reference(&candidate);
+        out.oracle_checks += 1;
+        for (tag, probe) in [("scoped", &candidate), ("unscoped", &unscoped(&candidate))] {
             if oracle.errors(probe) != expected {
-                return violations.push(format!(
-                    "I9 {tag}: candidate {i} ({} classes) differs from the reference oracle",
-                    candidate.len()
+                return out.violations.push(format!(
+                    "I9 {tag}: candidate {i} ({} units) differs from the reference oracle",
+                    candidate.unit_count()
                 ));
             }
         }

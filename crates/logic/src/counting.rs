@@ -61,91 +61,6 @@ pub fn count_models_restricted(cnf: &Cnf, keep: &crate::VarSet) -> u128 {
     core.checked_mul(pow2(free)).expect("model count overflow")
 }
 
-/// [`count_models`] with the top-level connected components counted in
-/// parallel on up to `threads` scoped worker threads.
-///
-/// Dependency models decompose well (disjoint classes share no clauses),
-/// and disjoint sub-formulas multiply independently, so each top-level
-/// component is counted by its own worker with a fresh component cache.
-/// The result is always identical to [`count_models`]: the decomposition
-/// is deterministic and multiplication is order-independent (slots are
-/// combined in component order either way). `threads <= 1`, or a formula
-/// with a single component, falls back to the sequential counter.
-pub fn count_models_parallel(cnf: &Cnf, threads: usize) -> u128 {
-    let clauses: Vec<Clause> = cnf.clauses().to_vec();
-    if clauses.iter().any(|c| c.is_empty()) {
-        return 0;
-    }
-    let mut vars: Vec<Var> = cnf.occurring_vars().iter().collect();
-    vars.sort();
-    let outer_free = cnf.num_vars() - vars.len();
-    // Replicate the top level of `Counter::count` so the components are in
-    // hand: BCP, then the free-variable multiplier, then decomposition.
-    let Some((clauses, forced)) = bcp(clauses) else {
-        return 0;
-    };
-    let mut mentioned: Vec<Var> = Vec::new();
-    {
-        let mut seen = std::collections::HashSet::new();
-        for c in &clauses {
-            for l in c.lits() {
-                if seen.insert(l.var()) {
-                    mentioned.push(l.var());
-                }
-            }
-        }
-    }
-    mentioned.sort();
-    let free = vars.len() - mentioned.len() - forced.len();
-    let mut total = pow2(outer_free)
-        .checked_mul(pow2(free))
-        .expect("model count overflow");
-    if clauses.is_empty() {
-        return total;
-    }
-    let jobs = components(&clauses, &mentioned);
-    let workers = threads.max(1).min(jobs.len());
-    let subtotals: Vec<u128> = if workers <= 1 {
-        jobs.into_iter()
-            .map(|(cc, cv)| Counter::default().count(cc, cv))
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        // Per-slot results (no shared result lock): workers claim component
-        // indices atomically and each writes its own slot.
-        let slots: Vec<Mutex<Option<u128>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((cc, cv)) = jobs.get(i) else {
-                        break;
-                    };
-                    let sub = Counter::default().count(cc.clone(), cv.clone());
-                    *slots[i].lock().expect("component slot") = Some(sub);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("component slot")
-                    .expect("worker wrote slot")
-            })
-            .collect()
-    };
-    for sub in subtotals {
-        if sub == 0 {
-            return 0;
-        }
-        total = total.checked_mul(sub).expect("model count overflow");
-    }
-    total
-}
-
 fn pow2(n: usize) -> u128 {
     assert!(n < 128, "model count overflow: 2^{n}");
     1u128 << n
@@ -543,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_count_matches_sequential() {
+    fn components_free_variables_and_units_count_like_brute_force() {
         // Several disjoint components plus free variables and forced units.
         let mut cnf = Cnf::new(14);
         cnf.add_clause(Clause::edge(v(0), v(1)));
@@ -552,21 +467,7 @@ mod tests {
         cnf.add_clause(Clause::implication([v(5), v(6)], [v(7)]));
         cnf.add_clause(Clause::unit(Lit::pos(v(8))));
         cnf.add_clause(Clause::new(vec![Lit::neg(v(9)), Lit::neg(v(10))]));
-        let expected = count_models(&cnf);
-        assert_eq!(expected, brute(&cnf));
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                count_models_parallel(&cnf, threads),
-                expected,
-                "threads={threads}"
-            );
-        }
-        // Degenerate cases.
-        assert_eq!(count_models_parallel(&Cnf::new(3), 4), 8);
-        let mut unsat = Cnf::new(2);
-        unsat.add_clause(Clause::unit(Lit::pos(v(0))));
-        unsat.add_clause(Clause::unit(Lit::neg(v(0))));
-        assert_eq!(count_models_parallel(&unsat, 4), 0);
+        assert_eq!(count_models(&cnf), brute(&cnf));
     }
 
     #[test]

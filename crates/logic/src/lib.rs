@@ -60,10 +60,7 @@ mod var;
 
 pub use clause::{Clause, ClauseShape};
 pub use cnf::{Cnf, ShapeHistogram};
-pub use counting::{
-    count_models, count_models_parallel, count_models_restricted, count_models_with_stats,
-    CountingStats,
-};
+pub use counting::{count_models, count_models_restricted, count_models_with_stats, CountingStats};
 pub use engine::{msa_from_state, solve_from_state, Engine};
 pub use formula::Formula;
 pub use lit::Lit;

@@ -61,6 +61,7 @@ use lbr_stackvm::{Module as StackModule, StackBugSet, StackOracle};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -395,7 +396,7 @@ impl Daemon {
                                 .net
                                 .queue_wait_max_nanos
                                 .fetch_max(nanos, Ordering::Relaxed);
-                            run_job(&state, id);
+                            run_job(&state, id, execute_job);
                         }
                     })
                     .expect("spawn worker");
@@ -1177,8 +1178,18 @@ fn drain_deferred_on_shutdown(state: &ServiceState) {
 // Job execution (runs on worker threads).
 // ----------------------------------------------------------------------
 
-/// A worker picked job `id` off the queue: run it and persist the outcome.
-fn run_job(state: &ServiceState, id: u64) {
+/// What a job runs: [`execute_job`], except in tests of the worker loop.
+type Execute = fn(
+    &ServiceState,
+    &JobSpec,
+    &AtomicBool,
+    Instant,
+) -> Result<(ReductionReport<Vec<u8>>, bool), JobStop>;
+
+/// A worker picked job `id` off the queue: run it through `execute` and
+/// persist the outcome. A panic inside the reduction fails the job like
+/// any other error, so the worker lives on to take the next one.
+fn run_job(state: &ServiceState, id: u64, execute: Execute) {
     let (spec, cancel) = {
         let mut jobs = state.jobs.lock().expect("jobs lock");
         let Some(job) = jobs.get_mut(&id) else { return };
@@ -1240,7 +1251,13 @@ fn run_job(state: &ServiceState, id: u64) {
             return;
         }
     }
-    let outcome = execute_job(state, &spec, &cancel, started);
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute(state, &spec, &cancel, started)))
+        .unwrap_or_else(|payload| {
+            let what = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Err(JobStop::Failed(format!("reduction panicked: {what}")))
+        });
     let elapsed = started.elapsed().as_nanos() as u64;
     state.busy_nanos.fetch_add(elapsed, Ordering::Relaxed);
     let _ = state.cache.save();
@@ -1407,18 +1424,35 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
                 last_saved = Some(Instant::now());
             }
         };
-        let mut session = ReductionSession::new(input, oracle)
-            .strategy(spec.strategy.clone())
-            .cost_per_call(spec.cost)
-            .options(options)
-            .cache(&scoped)
-            .cancel(&cancel_hook)
-            .checkpoint(&mut checkpoint_hook);
-        if let Some(ck) = resume {
-            session = session.resume(ck);
+        let mut run = |resume: Option<lbr_core::GbrCheckpoint>| {
+            let mut session = ReductionSession::new(input, oracle)
+                .strategy(spec.strategy.clone())
+                .cost_per_call(spec.cost)
+                .options(options)
+                .cache(&scoped)
+                .cancel(&cancel_hook)
+                .checkpoint(&mut checkpoint_hook);
+            if let Some(ck) = resume {
+                session = session.resume(ck);
+            }
+            session.run()
+        };
+        let mut report = run(resume);
+        // An unbound (v1) checkpoint cannot be told apart from one of this
+        // input until the search checks it against the instance: one that
+        // does not fit is discarded like a corrupt file.
+        let mut resumed = resumed;
+        if resumed
+            && matches!(
+                report,
+                Err(PipelineError::Gbr(GbrError::CheckpointMismatch))
+            )
+        {
+            let _ = std::fs::remove_file(&ckpt_path);
+            resumed = false;
+            report = run(None);
         }
-        let report = session.run().map_err(map_pipeline_error)?;
-        (report, resumed)
+        (report.map_err(map_pipeline_error)?, resumed)
     } else {
         // Non-resumable strategies run uncheckpointed, but still share
         // the persistent cache and honor cancellation where their caps
@@ -1571,4 +1605,105 @@ fn terminal_result_doc(id: u64, status: &str, error: Option<&str>) -> Json {
         fields.push(("error", Json::str(e)));
     }
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lbr_classfile::write_program;
+    use lbr_workload::{generate, WorkloadConfig};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicUsize;
+
+    /// The decompiler oracle, except that its tenth run panics.
+    struct PanicsMidSearch {
+        oracle: DecompilerOracle,
+        runs: AtomicUsize,
+    }
+
+    impl InputOracle<lbr_classfile::Program> for PanicsMidSearch {
+        fn baseline(&self) -> &BTreeSet<String> {
+            self.oracle.baseline()
+        }
+
+        fn errors(&self, program: &lbr_classfile::Program) -> BTreeSet<String> {
+            if self.runs.fetch_add(1, Ordering::Relaxed) == 9 {
+                panic!("boom");
+            }
+            self.oracle.errors(program)
+        }
+    }
+
+    /// A job body that runs the daemon's own reduction path (shared cache,
+    /// checkpoints, cancel hook) with an oracle that panics mid-search.
+    fn panicking_job(
+        state: &ServiceState,
+        spec: &JobSpec,
+        cancel: &AtomicBool,
+        started: Instant,
+    ) -> Result<(ReductionReport<Vec<u8>>, bool), JobStop> {
+        let bytes = std::fs::read(&spec.input).expect("input");
+        let program = read_program(&bytes).expect("container");
+        let oracle = PanicsMidSearch {
+            oracle: DecompilerOracle::new(&program, BugSet::decompiler_a()),
+            runs: AtomicUsize::new(0),
+        };
+        run_reduction(state, spec, cancel, started, &bytes, &program, &oracle)
+    }
+
+    fn result(state: &ServiceState, id: u64) -> Json {
+        let text = std::fs::read_to_string(state.job_file(id, "result.json")).expect("result");
+        Json::parse(&text).expect("result parses")
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_runs_the_next_job() {
+        let dir = std::env::temp_dir().join(format!("lbr-daemon-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("state dir");
+        let program = generate(&WorkloadConfig {
+            seed: 3,
+            classes: 10,
+            plant: BugSet::decompiler_a().kinds().to_vec(),
+            ..WorkloadConfig::default()
+        });
+        let input = dir.join("in.lbrc");
+        std::fs::write(&input, write_program(&program)).expect("input");
+        // Two persisted specs: the daemon recovers and enqueues both.
+        for id in [1, 2] {
+            let spec = Json::obj_from(vec![
+                ("id", Json::count(id)),
+                ("input", Json::str(input.display().to_string())),
+                ("decompiler", Json::str("a")),
+            ]);
+            let spec = JobSpec::from_json(&spec, id).expect("spec");
+            let path = dir.join(format!("job-{id}.spec.json"));
+            std::fs::write(path, spec.to_json().render()).expect("spec file");
+        }
+        let daemon = Daemon::start(DaemonConfig::new(&dir, 1)).expect("daemon starts");
+        let state = &daemon.state;
+
+        // This thread is the worker: it runs both jobs, one after the other.
+        let (first, _) = state.queue.pop().expect("first job");
+        run_job(state, first, panicking_job);
+        let doc = result(state, first);
+        assert_eq!(doc.str_field("status"), Some("failed"));
+        assert_eq!(doc.str_field("error"), Some("reduction panicked: boom"));
+        assert_eq!(state.jobs.lock().unwrap()[&first].phase, JobPhase::Failed);
+
+        // The next job reuses the cache the panicking one filled.
+        let (second, _) = state.queue.pop().expect("second job");
+        run_job(state, second, execute_job);
+        let doc = result(state, second);
+        assert_eq!(doc.str_field("status"), Some("done"), "{}", doc.render());
+        assert!(doc.u64_field("cache_hits").unwrap_or(0) > 0);
+        let jobs = handle_stats(state)
+            .get("jobs")
+            .cloned()
+            .expect("job counts");
+        assert_eq!(jobs.u64_field("failed"), Some(1), "{}", jobs.render());
+        assert_eq!(jobs.u64_field("done"), Some(1), "{}", jobs.render());
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -9,6 +9,11 @@
 //! *combinations* of items (a writer body plus a reader body, a caller
 //! body plus a callee body), the multi-item structure that defeats
 //! graph-based reduction.
+//!
+//! [`StackBugSet::error_messages`] is the readable, memo-free statement
+//! of the catalog. The oracle answers probes through a per-reduction
+//! memo of per-function facts instead (`facts.rs`), and is tested to
+//! give exactly this function's answer.
 
 use crate::module::{Module, Op};
 use std::collections::BTreeSet;
@@ -120,7 +125,8 @@ impl StackBugSet {
 
     /// Runs the simulated lowering pass: the set of error messages the
     /// enabled bugs produce on this module. Deterministic, pure, and
-    /// presence-monotone.
+    /// presence-monotone. This is the memo-free reference the oracle's
+    /// incremental answers are checked against.
     pub fn error_messages(&self, module: &Module) -> BTreeSet<String> {
         let mut errors = BTreeSet::new();
         for f in &module.functions {

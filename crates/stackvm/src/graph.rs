@@ -9,8 +9,9 @@
 //! the logical model removes.
 
 use crate::module::{Module, Op};
-use lbr_core::DepGraph;
+use lbr_core::{DepGraph, Scope};
 use lbr_logic::{Var, VarSet};
+use std::sync::Arc;
 
 /// A module's coarse dependency graph over whole units.
 #[derive(Debug, Clone)]
@@ -71,20 +72,23 @@ impl UnitGraph {
 
     /// Materializes the sub-module keeping exactly the units in `keep`
     /// (whole functions with their bodies — the coarse path has no
-    /// body-stubbing).
-    pub fn subset_module(&self, module: &Module, keep: &VarSet) -> Module {
-        let mut out = Module::new();
-        for (i, f) in module.functions.iter().enumerate() {
-            if keep.contains(Var::new(i as u32)) {
-                out.functions.push(f.clone());
-            }
-        }
-        for (j, g) in module.globals.iter().enumerate() {
-            if keep.contains(Var::new((self.functions + j) as u32)) {
-                out.globals.push(g.clone());
-            }
-        }
-        out
+    /// body-stubbing), as a candidate of `scope`'s reduction sharing
+    /// `module`'s function handles.
+    pub(crate) fn subset_module(
+        &self,
+        module: &Module,
+        keep: &VarSet,
+        scope: &Arc<Scope>,
+    ) -> Module {
+        let functions = (module.functions.iter().enumerate())
+            .filter(|&(i, _)| keep.contains(Var::new(i as u32)))
+            .map(|(_, f)| Arc::clone(f))
+            .collect();
+        let globals = (module.globals.iter().enumerate())
+            .filter(|&(j, _)| keep.contains(Var::new((self.functions + j) as u32)))
+            .map(|(_, g)| g.clone())
+            .collect();
+        Module::in_scope(functions, globals, Some(scope))
     }
 }
 
@@ -109,12 +113,12 @@ mod tests {
         // The closure of {main} pulls in helper and the global.
         let closure = ug.graph.closure_of([Var::new(0)]);
         assert_eq!(closure.len(), 3);
-        let sub = ug.subset_module(&m, &closure);
+        let sub = ug.subset_module(&m, &closure, &Arc::default());
         assert!(verify_module(&sub).is_empty());
         // The closure of {helper} needs only the global.
         let closure = ug.graph.closure_of([Var::new(1)]);
         assert_eq!(closure.len(), 2);
-        let sub = ug.subset_module(&m, &closure);
+        let sub = ug.subset_module(&m, &closure, &Arc::default());
         assert!(verify_module(&sub).is_empty());
         assert!(sub.function("main").is_none());
     }

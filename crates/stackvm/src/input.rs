@@ -16,6 +16,7 @@ use crate::reducer::Materializer;
 use crate::verify::verify_module;
 use lbr_core::{CoarseModel, Input, InputModel};
 use lbr_logic::VarSet;
+use std::sync::Arc;
 
 impl Input for Module {
     const FORMAT: &'static str = "stackvm";
@@ -46,9 +47,10 @@ impl Input for Module {
 
     fn coarse_model(&self) -> CoarseModel<'_, Self> {
         let ug = UnitGraph::new(self);
+        let scope = Arc::default();
         CoarseModel {
             graph: ug.graph.clone(),
-            materialize: Box::new(move |keep: &VarSet| ug.subset_module(self, keep)),
+            materialize: Box::new(move |keep: &VarSet| ug.subset_module(self, keep, &scope)),
         }
     }
 

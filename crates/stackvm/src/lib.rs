@@ -13,12 +13,16 @@
 //! | beyond-graph | interface `mAny` | `call_indirect` candidate Or |
 //! | stub | `aconst_null; athrow` | [`Op::Trap`] |
 //! | tool | buggy decompiler | buggy lowering pass ([`StackBugSet`]) |
+//! | oracle memo | decompiles + checks per class handle | facts per function handle |
 //!
 //! [`Module`] implements `lbr_core::Input` and [`StackOracle`]
 //! implements `lbr_core::InputOracle`, so every pipeline entry point
-//! runs this format unchanged.
+//! runs this format unchanged. Both frontends stamp the same
+//! `lbr_core::Scope` on the candidates of one reduction, and both oracles
+//! memoize per reduction in it.
 
 mod bugs;
+mod facts;
 mod graph;
 mod input;
 mod io;

@@ -8,6 +8,8 @@
 //! is a real abstract-interpretation verifier (see [`crate::verify`])
 //! whose resolution callbacks generate the reduction constraints.
 
+use lbr_core::Scope;
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -182,15 +184,54 @@ impl Function {
 /// original module's unchanged functions (and each stubbed function's
 /// one stub) by reference count instead of copying them. Edit one in
 /// place with `Arc::make_mut`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The candidates of one reduction also share a *reduction scope*, a typed
+/// side table ([`Module::scoped`]) in which a tool can memoize work across
+/// the reduction's probes. Equality ignores it.
+#[derive(Debug, Clone, Default)]
 pub struct Module {
     pub functions: Vec<Arc<Function>>,
     pub globals: Vec<Global>,
+    /// The reduction scope, when a reduction's materializer built this
+    /// module. Edits keep it: the scope's memos key on function handles,
+    /// and an edited function is a new handle.
+    scope: Option<Arc<Scope>>,
 }
+
+/// Equality is over the functions and globals.
+impl PartialEq for Module {
+    fn eq(&self, other: &Self) -> bool {
+        self.functions == other.functions && self.globals == other.globals
+    }
+}
+
+impl Eq for Module {}
 
 impl Module {
     pub fn new() -> Self {
         Module::default()
+    }
+
+    /// A candidate of the reduction `scope` belongs to.
+    pub(crate) fn in_scope(
+        functions: Vec<Arc<Function>>,
+        globals: Vec<Global>,
+        scope: Option<&Arc<Scope>>,
+    ) -> Self {
+        Module {
+            functions,
+            globals,
+            scope: scope.cloned(),
+        }
+    }
+
+    /// This module's table of type `T` in its reduction scope (see
+    /// [`Module`]). Every candidate of one reduction gets the same table,
+    /// which is dropped with the reduction's materializer and last
+    /// candidate. A module that no reduction built gets a fresh, empty
+    /// table on every call, so a tool has one code path either way.
+    pub fn scoped<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
+        Scope::table_in(self.scope.as_deref())
     }
 
     /// Look up a function by name.
@@ -214,7 +255,7 @@ impl FromIterator<Function> for Module {
     fn from_iter<I: IntoIterator<Item = Function>>(iter: I) -> Self {
         Module {
             functions: iter.into_iter().map(Arc::new).collect(),
-            globals: Vec::new(),
+            ..Module::default()
         }
     }
 }

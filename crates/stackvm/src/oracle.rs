@@ -1,11 +1,19 @@
 //! The stackvm black-box oracle: lower the module, compare error
 //! messages — the second-format analog of the decompile-and-recompile
 //! oracle. Records the original module's baseline errors and accepts a
-//! sub-module iff every baseline message is still produced. Pure per
-//! probe and `Send + Sync`, so one instance is shareable across probe
-//! workers.
+//! sub-module iff every baseline message is still produced.
+//!
+//! A probe's answer is `bugs.error_messages(module)` for the candidate
+//! alone, bit for bit. The oracle itself holds nothing mutable: what it
+//! memoizes lives in the candidate's reduction scope
+//! ([`Module::scoped`]), one facts record per function handle that a
+//! probe folds instead of re-scanning bodies (see `facts.rs`). The memo
+//! is dropped with the reduction's last candidate, and a module no
+//! reduction built gets a fresh one. So one instance is shareable across
+//! probe workers (`Send + Sync`, pinned below), and cheap to clone.
 
 use crate::bugs::StackBugSet;
+use crate::facts::FactsMemo;
 use crate::module::Module;
 use std::collections::BTreeSet;
 
@@ -24,7 +32,8 @@ const _: fn() = || {
 
 impl StackOracle {
     /// Builds the oracle, running the tool once on the original module
-    /// to record the baseline error messages.
+    /// to record the baseline error messages. That one run takes the
+    /// memo-free reference: nothing in a reduction scope is gained from it.
     pub fn new(original: &Module, bugs: StackBugSet) -> Self {
         let baseline = bugs.error_messages(original);
         StackOracle { bugs, baseline }
@@ -41,9 +50,11 @@ impl StackOracle {
         !self.baseline.is_empty()
     }
 
-    /// Runs the tool on a sub-module, returning its error messages.
+    /// Runs the tool on a sub-module, returning its error messages:
+    /// `bugs.error_messages(module)`, through the memo in `module`'s
+    /// reduction scope.
     pub fn errors(&self, module: &Module) -> BTreeSet<String> {
-        self.bugs.error_messages(module)
+        module.scoped::<FactsMemo>().errors(&self.bugs, module)
     }
 
     /// The black-box predicate `P`: does the sub-module still produce

@@ -13,6 +13,7 @@
 
 use crate::item::StackRegistry;
 use crate::module::{Function, Module, Op};
+use lbr_core::Scope;
 use lbr_logic::VarSet;
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use std::sync::Arc;
 /// [`Input::model`](lbr_core::Input::model), which shares one stub per
 /// function across all its candidates instead of building it anew.
 pub fn reduce_module(module: &Module, registry: &StackRegistry, keep: &VarSet) -> Module {
-    reduce_with(module, registry, keep, |i| {
+    reduce_with(module, registry, keep, None, |i| {
         Arc::new(stub(&module.functions[i]))
     })
 }
@@ -40,12 +41,14 @@ fn stub(f: &Function) -> Function {
     }
 }
 
-/// The reduction, with `stub(i)` supplying function `i` when its body is
-/// dropped. Kept globals are copied; kept bodies share the original.
+/// The reduction, as a candidate of `scope`'s reduction, with `stub(i)`
+/// supplying function `i` when its body is dropped. Kept globals are
+/// copied; kept bodies share the original.
 fn reduce_with(
     module: &Module,
     registry: &StackRegistry,
     keep: &VarSet,
+    scope: Option<&Arc<Scope>>,
     stub: impl Fn(usize) -> Arc<Function>,
 ) -> Module {
     let globals = module
@@ -68,16 +71,20 @@ fn reduce_with(
             }
         })
         .collect();
-    Module { functions, globals }
+    Module::in_scope(functions, globals, scope)
 }
 
 /// The keep-set → module map of one reduction: [`reduce_module`] with
 /// every function's stub built once, so a candidate costs one reference
-/// count per kept function plus its kept globals.
+/// count per kept function plus its kept globals. Every candidate carries
+/// the reduction's scope (see [`Module::scoped`]), so the oracle can
+/// memoize per reduction.
 pub(crate) struct Materializer<'m> {
     module: &'m Module,
     registry: StackRegistry,
     stubs: Vec<Arc<Function>>,
+    /// The reduction scope stamped on every candidate.
+    scope: Arc<Scope>,
 }
 
 impl<'m> Materializer<'m> {
@@ -87,12 +94,13 @@ impl<'m> Materializer<'m> {
             module,
             registry,
             stubs,
+            scope: Arc::default(),
         }
     }
 
     /// `reduce_module(module, registry, keep)`.
     pub(crate) fn materialize(&self, keep: &VarSet) -> Module {
-        reduce_with(self.module, &self.registry, keep, |i| {
+        reduce_with(self.module, &self.registry, keep, Some(&self.scope), |i| {
             Arc::clone(&self.stubs[i])
         })
     }

@@ -65,7 +65,9 @@ fn a_cache_line_above_the_universe_ceiling_is_invalid_data() {
 /// job restarts from scratch and converges to the in-process result. So
 /// is a checkpoint taken on another input — the job's input file was
 /// replaced between a kill and the restart — whose sets would otherwise
-/// index past the new model's variables on the worker.
+/// index past the new model's variables on the worker. A version 1 file
+/// carries no input binding, so it loads; the search then finds that it
+/// does not fit, and the job restarts all the same.
 #[test]
 fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
     let dir = scratch("ckpt");
@@ -90,10 +92,10 @@ fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
     };
     let input = dir.join("input.lbrc");
     let out = dir.join("out.lbrc");
-    for changed_input in [false, true] {
+    for case in ["huge universe", "another input", "v1 of another input"] {
         // A fresh state directory per case: a warm cache would finish the
         // job before it could be interrupted.
-        let state = dir.join(format!("state-{changed_input}"));
+        let state = dir.join(format!("state-{}", case.replace(' ', "-")));
         let original = program(29, 18);
         std::fs::write(&input, write_program(&original)).unwrap();
         let _ = std::fs::remove_file(&out);
@@ -116,15 +118,28 @@ fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
         handle.join().unwrap().unwrap();
         assert!(!out.exists(), "the interrupted job must not have finished");
 
-        let reduced = if changed_input {
+        let reduced = if case != "huge universe" {
             // The checkpoint stays intact; the input under it changes to
             // a program with a different variable count.
             let replacement = program(31, 11);
             let bytes = write_program(&replacement);
             std::fs::write(&input, &bytes).unwrap();
-            let err = load_checkpoint(&ckpt, namespace_digest("a", &bytes))
-                .expect_err("another input's checkpoint must not load");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let digest = namespace_digest("a", &bytes);
+            if case == "v1 of another input" {
+                let text = std::fs::read_to_string(&ckpt).unwrap();
+                let Ok(Json::Obj(mut fields)) = Json::parse(&text) else {
+                    panic!("checkpoint is not a JSON object: {text}");
+                };
+                fields.remove("input");
+                fields.remove("gap");
+                fields.insert("version".to_owned(), Json::count(1));
+                std::fs::write(&ckpt, Json::Obj(fields).render()).unwrap();
+                assert!(load_checkpoint(&ckpt, digest).unwrap().is_some());
+            } else {
+                let err = load_checkpoint(&ckpt, digest)
+                    .expect_err("another input's checkpoint must not load");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            }
             replacement
         } else {
             std::fs::write(
@@ -149,17 +164,17 @@ fn a_checkpoint_above_the_universe_ceiling_is_discarded_and_the_job_restarts() {
 
         let (client, handle) = start(&state);
         let result = client.wait_result(id).unwrap();
-        assert_eq!(result.str_field("status"), Some("done"), "{changed_input}");
-        assert_eq!(result.bool_field("resumed"), Some(false), "{changed_input}");
+        assert_eq!(result.str_field("status"), Some("done"), "{case}");
+        assert_eq!(result.bool_field("resumed"), Some(false), "{case}");
         assert_eq!(
             std::fs::read(&out).unwrap(),
             write_program(&reference.reduced),
-            "{changed_input}"
+            "{case}"
         );
         assert_eq!(
             result.u64_field("predicate_calls"),
             Some(reference.predicate_calls),
-            "{changed_input}"
+            "{case}"
         );
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();

@@ -10,7 +10,7 @@ use lbr::core::{
 };
 use lbr::fji::{figure1_program, figure1b_solution, figure2_cnf, figure2_var, ItemRegistry};
 use lbr::jreduce::{check_report, run_per_error_with, run_reduction_with, RunOptions};
-use lbr::logic::{count_models, count_models_parallel, VarSet};
+use lbr::logic::{count_models, VarSet};
 use lbr::workload::{suite, SuiteConfig};
 
 /// Everything a trace records except wall-clock timestamps, which are the
@@ -27,6 +27,8 @@ fn trace_shape(trace: &lbr::core::ReductionTrace) -> Vec<(u64, f64, u64, bool)> 
 fn figure1a_speculative_gbr_matches_sequential_at_all_thread_counts() {
     let program = figure1_program();
     let reg = ItemRegistry::from_program(&program);
+    // Figure 2's dependency model: 6,766 valid sub-inputs.
+    assert_eq!(count_models(&lbr::fji::figure2_dependency_cnf(&reg)), 6_766);
     let cnf = figure2_cnf(&reg);
     let order = closure_size_order(&cnf);
     let instance = Instance::over_all_vars(cnf);
@@ -136,25 +138,4 @@ fn per_error_parallel_is_deterministic() {
         assert_eq!(parallel.cache_hits, sequential.cache_hits);
         assert_eq!(parallel.cache_misses, sequential.cache_misses);
     }
-}
-
-#[test]
-fn parallel_model_counting_matches_sequential() {
-    // Figure 2's dependency model: 6,766 valid sub-inputs, regardless of
-    // how many counting threads split the work.
-    let program = figure1_program();
-    let reg = ItemRegistry::from_program(&program);
-    let dep = lbr::fji::figure2_dependency_cnf(&reg);
-    assert_eq!(count_models(&dep), 6_766);
-    for threads in [1usize, 2, 4, 8] {
-        assert_eq!(
-            count_models_parallel(&dep, threads),
-            6_766,
-            "threads {threads}"
-        );
-    }
-    // And on the full Figure 2 CNF with the root requirement.
-    let cnf = figure2_cnf(&reg);
-    let expected = count_models(&cnf);
-    assert_eq!(count_models_parallel(&cnf, 4), expected);
 }
