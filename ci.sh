@@ -27,6 +27,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== rustfmt (check) =="
 cargo fmt --all --check
 
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail here, including links left
+# dangling when an item they name is deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== speculative probing determinism smoke =="
 # --probe-threads must be a pure wall-clock optimisation: a 2-thread run of
 # the small suite has to be bit-identical (calls, sizes, cache totals) to

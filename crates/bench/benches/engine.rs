@@ -16,7 +16,7 @@ use lbr_core::{
     Instance, Oracle, ProgressionBuilder, PropagationMode,
 };
 use lbr_jreduce::{build_model, run_reduction_with, RunOptions};
-use lbr_logic::{msa, msa_scan, MsaStrategy, VarSet};
+use lbr_logic::{msa, msa_scan, VarSet};
 use lbr_workload::{generate, generate_stack, StackShape, StackWorkloadConfig, WorkloadConfig};
 
 fn main() {
@@ -33,14 +33,10 @@ fn main() {
     let order = closure_size_order(&model.cnf);
 
     let engine = bench("msa/engine", || {
-        msa(&model.cnf, &order, MsaStrategy::GreedyClosure)
-            .expect("satisfiable")
-            .len()
+        msa(&model.cnf, &order).expect("satisfiable").len()
     });
     let scan = bench("msa/scan", || {
-        msa_scan(&model.cnf, &order, MsaStrategy::GreedyClosure)
-            .expect("satisfiable")
-            .len()
+        msa_scan(&model.cnf, &order).expect("satisfiable").len()
     });
     println!(
         "  -> msa speedup: {:.1}x ({} vs {})",
@@ -155,7 +151,7 @@ fn progressions() {
     let n = cnf.num_vars();
     let order = closure_size_order(cnf);
     let all = VarSet::full(n);
-    let entries = build_progression(cnf, &order, MsaStrategy::GreedyClosure, &[], &all)
+    let entries = build_progression(cnf, &order, &[], &all)
         .expect("satisfiable")
         .len();
     let mut builder = ProgressionBuilder::new(cnf, n, &GbrConfig::default());
@@ -166,7 +162,7 @@ fn progressions() {
             .len()
     });
     let scan = bench("progression/scan", || {
-        build_progression(cnf, &order, MsaStrategy::GreedyClosure, &[], &all)
+        build_progression(cnf, &order, &[], &all)
             .expect("satisfiable")
             .len()
     });

@@ -1,9 +1,9 @@
-//! A1 — MSA strategy ablation: cost of the three approximate
-//! minimal-satisfying-assignment procedures on a real dependency model.
+//! Cost of the greedy-closure minimal-satisfying-assignment procedure on a
+//! real dependency model, under the closure-size and the natural order.
 
 use lbr_bench::microbench::bench;
 use lbr_jreduce::build_model;
-use lbr_logic::{msa, MsaStrategy, VarOrder};
+use lbr_logic::{msa, VarOrder};
 use lbr_workload::{generate, WorkloadConfig};
 
 fn main() {
@@ -18,16 +18,10 @@ fn main() {
     let order = lbr_core::closure_size_order(&model.cnf);
     let natural = VarOrder::natural(model.cnf.num_vars());
 
-    for strategy in MsaStrategy::ALL {
-        bench(&format!("msa/closure-order/{}", strategy.name()), || {
-            msa(&model.cnf, &order, strategy)
-                .expect("satisfiable")
-                .len()
-        });
-        bench(&format!("msa/natural-order/{}", strategy.name()), || {
-            msa(&model.cnf, &natural, strategy)
-                .expect("satisfiable")
-                .len()
-        });
-    }
+    bench("msa/closure-order/greedy", || {
+        msa(&model.cnf, &order).expect("satisfiable").len()
+    });
+    bench("msa/natural-order/greedy", || {
+        msa(&model.cnf, &natural).expect("satisfiable").len()
+    });
 }

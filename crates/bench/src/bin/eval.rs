@@ -2,7 +2,7 @@
 //! paper's Section 5 on the synthetic NJR-like suite.
 //!
 //! ```text
-//! eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-msa|ablate-order|ddmin|csv]
+//! eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-order|ddmin|csv]
 //!      [--format classfile|stackvm|both]
 //!      [--programs N] [--scale F] [--seed N] [--cost SECS]
 //!      [--threads N] [--repeats N] [--probe-threads N] [--legacy] [--json [PATH]]
@@ -111,7 +111,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-msa|ablate-order|ddmin|csv]"
+                    "usage: eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-order|ddmin|csv]"
                 );
                 println!("            [--format classfile|stackvm|both]");
                 println!("            [--programs N] [--scale F] [--seed N] [--cost SECS]");
@@ -147,7 +147,7 @@ fn main() {
         }
     }
 
-    const EXPERIMENTS: [&str; 11] = [
+    const EXPERIMENTS: [&str; 10] = [
         "all",
         "stats",
         "fig8a",
@@ -155,7 +155,6 @@ fn main() {
         "lossy",
         "compare",
         "per-error",
-        "ablate-msa",
         "ablate-order",
         "ddmin",
         "csv",
@@ -274,11 +273,6 @@ fn drive<B: EvalBenchmark>(
         "compare" => {
             let records = run(&compare_strategies());
             print!("{}", render_compare(&records));
-            records
-        }
-        "ablate-msa" => {
-            let records = run(&["logical/greedy", "logical/greedy+min", "logical/dpll+min"]);
-            print!("{}", render_ablation(&records, "A1: MSA strategy ablation"));
             records
         }
         "ablate-order" => {

@@ -8,7 +8,7 @@
 //! * `fig8a` — cumulative frequency of time and final relative sizes,
 //! * `fig8b` — mean reduction factor over (modeled) time,
 //! * `lossy` — the two lossy encodings vs the full reducer,
-//! * `ablate-msa`, `ablate-order`, `ddmin` — ablations.
+//! * `ablate-order`, `ddmin` — ablations.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -629,7 +629,7 @@ pub fn render_lossy(records: &[RunRecord]) -> String {
     out
 }
 
-/// A1/A2/A3 — ablation tables (one row per strategy).
+/// A2/A3 — ablation tables (one row per strategy).
 pub fn render_ablation(records: &[RunRecord], title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");

@@ -204,9 +204,9 @@ impl<V: Clone> ShardedMemo<V> {
     }
 
     /// Looks up `key` on behalf of the owning algorithm, marking it
-    /// demanded. The caller must compute and [`fulfill`] on
-    /// [`ClaimResult::Claimed`] and [`wait`](ShardedMemo::wait) on
-    /// [`ClaimResult::InFlight`].
+    /// demanded. The caller must compute and
+    /// [`fulfill`](ShardedMemo::fulfill) on [`ClaimResult::Claimed`] and
+    /// [`wait`](ShardedMemo::wait) on [`ClaimResult::InFlight`].
     pub fn claim_or_get(&self, key: &VarSet) -> ClaimResult<V> {
         let mut map = self
             .shard(key.fingerprint())

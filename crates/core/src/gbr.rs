@@ -17,7 +17,7 @@ use crate::concurrent::{ConcurrentPredicate, DemandKind, ProbeScheduler};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
 use crate::{Instance, Predicate};
-use lbr_logic::{engine, msa_scan, Clause, Cnf, Engine, Lit, MsaStrategy, Var, VarOrder, VarSet};
+use lbr_logic::{engine, msa_scan, Clause, Cnf, Engine, Lit, Var, VarOrder, VarSet};
 use std::time::Instant;
 
 /// How GBR evaluates the dependency model while building progressions.
@@ -54,10 +54,8 @@ pub enum BoundarySearch {
 }
 
 /// Configuration for [`generalized_binary_reduction`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GbrConfig {
-    /// Strategy for the approximate minimal-satisfying-assignment calls.
-    pub msa_strategy: MsaStrategy,
     /// Safety bound on main-loop iterations (defaults to a generous
     /// multiple of `|I|`; the paper proves at most `|I|` are needed when
     /// the predicate is monotone).
@@ -73,18 +71,6 @@ pub struct GbrConfig {
     pub propagation: PropagationMode,
     /// How each iteration searches its progression for the boundary.
     pub boundary: BoundarySearch,
-}
-
-impl Default for GbrConfig {
-    fn default() -> Self {
-        GbrConfig {
-            msa_strategy: MsaStrategy::GreedyClosure,
-            max_iterations: None,
-            max_predicate_calls: None,
-            propagation: PropagationMode::default(),
-            boundary: BoundarySearch::default(),
-        }
-    }
 }
 
 /// Why a GBR run failed.
@@ -826,7 +812,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
 ///
 /// ```
 /// use lbr_core::{build_progression, GbrConfig, ProgressionBuilder};
-/// use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarOrder, VarSet};
+/// use lbr_logic::{Clause, Cnf, Var, VarOrder, VarSet};
 ///
 /// // Model: 0 ⇒ 1 ⇒ 2.
 /// let mut cnf = Cnf::new(3);
@@ -837,12 +823,11 @@ impl ProbeDriver for SpeculativeDriver<'_> {
 /// let all = VarSet::full(3);
 /// let learned = vec![VarSet::from_iter_with_universe(3, [Var::new(1)])];
 /// let prog = builder.progression(&order, &learned, &all).unwrap();
-/// let scan = build_progression(&cnf, &order, MsaStrategy::GreedyClosure, &learned, &all);
+/// let scan = build_progression(&cnf, &order, &learned, &all);
 /// assert_eq!(Ok(prog), scan);
 /// ```
 pub struct ProgressionBuilder<'c> {
     cnf: &'c Cnf,
-    strategy: MsaStrategy,
     state: BuilderState,
     /// The learned sets passed so far, to assert the contract.
     #[cfg(debug_assertions)]
@@ -861,7 +846,7 @@ enum BuilderState {
 
 impl<'c> ProgressionBuilder<'c> {
     /// A builder over `cnf` for search spaces over `universe` variables,
-    /// using `config`'s MSA strategy and propagation mode.
+    /// using `config`'s propagation mode.
     pub fn new(cnf: &'c Cnf, universe: usize, config: &GbrConfig) -> Self {
         let state = match config.propagation {
             PropagationMode::Incremental => BuilderState::Incremental {
@@ -872,7 +857,6 @@ impl<'c> ProgressionBuilder<'c> {
         };
         ProgressionBuilder {
             cnf,
-            strategy: config.msa_strategy,
             state,
             #[cfg(debug_assertions)]
             seen: Vec::new(),
@@ -902,21 +886,13 @@ impl<'c> ProgressionBuilder<'c> {
             self.seen.extend_from_slice(&learned[self.seen.len()..]);
         }
         match &mut self.state {
-            BuilderState::Scan => {
-                build_progression(self.cnf, order, self.strategy, learned, search_space)
-            }
+            BuilderState::Scan => build_progression(self.cnf, order, learned, search_space),
             BuilderState::Incremental {
                 engine,
                 learned_added,
             } => {
-                let progression = incremental_progression(
-                    engine,
-                    learned_added,
-                    order,
-                    self.strategy,
-                    learned,
-                    search_space,
-                )?;
+                let progression =
+                    incremental_progression(engine, learned_added, order, learned, search_space)?;
                 #[cfg(debug_assertions)]
                 check_progression_invariants(self.cnf, learned, search_space, &progression);
                 Ok(progression)
@@ -941,7 +917,6 @@ fn incremental_progression(
     engine: &mut Engine,
     learned_added: &mut usize,
     order: &VarOrder,
-    strategy: MsaStrategy,
     learned: &[VarSet],
     search_space: &VarSet,
 ) -> Result<Vec<VarSet>, GbrError> {
@@ -975,7 +950,7 @@ fn incremental_progression(
     if !engine.assume_all(&restriction) {
         return Err(GbrError::ModelUnsatisfiable);
     }
-    let d0 = engine::msa_from_state(engine, order, strategy).ok_or(GbrError::ModelUnsatisfiable)?;
+    let d0 = engine::msa_from_state(engine, order).ok_or(GbrError::ModelUnsatisfiable)?;
     let mut covered = d0.clone();
     let asserted: Vec<Lit> = covered.iter().map(Lit::pos).collect();
     let ok = engine.assume_all(&asserted);
@@ -997,7 +972,7 @@ fn incremental_progression(
         cursor = k + 1;
         let before = engine.decision_level();
         let entry = if engine.assume(Lit::pos(x)) {
-            engine::msa_from_state(engine, order, strategy).map(|s_abs| {
+            engine::msa_from_state(engine, order).map(|s_abs| {
                 // `s_abs` is the absolute true-set; strip the prefix that is
                 // already covered to get this progression entry (⊇ {x}).
                 s_abs.difference(&covered)
@@ -1046,7 +1021,6 @@ fn incremental_progression(
 pub fn build_progression(
     cnf: &Cnf,
     order: &VarOrder,
-    strategy: MsaStrategy,
     learned: &[VarSet],
     search_space: &VarSet,
 ) -> Result<Vec<VarSet>, GbrError> {
@@ -1063,7 +1037,7 @@ pub fn build_progression(
         rplus.add_clause(Clause::implication([], members));
     }
 
-    let d0 = msa_scan(&rplus, order, strategy).ok_or(GbrError::ModelUnsatisfiable)?;
+    let d0 = msa_scan(&rplus, order).ok_or(GbrError::ModelUnsatisfiable)?;
     let mut covered = d0.clone();
     // Condition away what is already decided true; remaining clauses range
     // over J \ covered.
@@ -1074,7 +1048,7 @@ pub fn build_progression(
         let mut seed = VarSet::empty(universe);
         seed.insert(x);
         let conditioned = current.restrict(search_space, &seed);
-        match msa_scan(&conditioned, order, strategy) {
+        match msa_scan(&conditioned, order) {
             Some(extra) => {
                 let mut entry = extra;
                 entry.insert(x);
@@ -1156,14 +1130,7 @@ mod tests {
     fn progression_prefixes_are_valid_and_disjoint() {
         let inst = chain_instance(6);
         let order = VarOrder::natural(6);
-        let prog = build_progression(
-            &inst.cnf,
-            &order,
-            MsaStrategy::GreedyClosure,
-            &[],
-            &inst.vars,
-        )
-        .expect("progression");
+        let prog = build_progression(&inst.cnf, &order, &[], &inst.vars).expect("progression");
         let mut acc = VarSet::empty(6);
         for (i, d) in prog.iter().enumerate() {
             assert!(acc.is_disjoint(d), "entry {i} overlaps prefix");
@@ -1178,14 +1145,7 @@ mod tests {
         let inst = chain_instance(6);
         let order = VarOrder::natural(6);
         let learned = vec![VarSet::from_iter_with_universe(6, [v(4)])];
-        let prog = build_progression(
-            &inst.cnf,
-            &order,
-            MsaStrategy::GreedyClosure,
-            &learned,
-            &inst.vars,
-        )
-        .expect("progression");
+        let prog = build_progression(&inst.cnf, &order, &learned, &inst.vars).expect("progression");
         // D0 must contain v4 (and therefore v5 by the chain).
         assert!(prog[0].contains(v(4)));
         assert!(prog[0].contains(v(5)));
@@ -1822,21 +1782,5 @@ mod tests {
         let mut c = ReductionTrace::new();
         c.record(1, 0.5, 33.0, 101, true);
         assert_ne!(a.digest(), c.digest());
-    }
-
-    #[test]
-    fn all_msa_strategies_reduce() {
-        let inst = chain_instance(10);
-        let order = crate::closure_size_order(&inst.cnf);
-        for strategy in MsaStrategy::ALL {
-            let mut bug = |s: &VarSet| s.contains(v(7));
-            let config = GbrConfig {
-                msa_strategy: strategy,
-                ..GbrConfig::default()
-            };
-            let out = generalized_binary_reduction(&inst, &order, &mut bug, &config).unwrap();
-            assert!(out.solution.contains(v(7)), "{strategy:?}");
-            assert!(inst.cnf.eval(&out.solution), "{strategy:?}");
-        }
     }
 }

@@ -11,7 +11,7 @@ use lbr_core::{
     build_progression, closure_size_order, generalized_binary_reduction, history_order, GbrConfig,
     GbrError, Instance, Oracle, ProgressionBuilder, PropagationMode,
 };
-use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarOrder, VarSet};
+use lbr_logic::{Clause, Cnf, Var, VarOrder, VarSet};
 use lbr_prng::SplitMix64;
 
 /// A random mixed model: mostly edges, some general implications, a few
@@ -45,19 +45,13 @@ fn random_model(rng: &mut SplitMix64, n: usize) -> Cnf {
 /// learned sets and progression lengths (or the error).
 type GbrRun = Result<(VarSet, usize, Vec<VarSet>, Vec<usize>), lbr_core::GbrError>;
 
-fn run_both(
-    instance: &Instance,
-    order: &VarOrder,
-    strategy: MsaStrategy,
-    needed: &[Var],
-) -> (GbrRun, u64, GbrRun, u64) {
+fn run_both(instance: &Instance, order: &VarOrder, needed: &[Var]) -> (GbrRun, u64, GbrRun, u64) {
     let mut results = Vec::new();
     let mut calls = Vec::new();
     for mode in [PropagationMode::Incremental, PropagationMode::LegacyScan] {
         let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
         let mut oracle = Oracle::new(&mut bug, 0.0);
         let config = GbrConfig {
-            msa_strategy: strategy,
             propagation: mode,
             ..GbrConfig::default()
         };
@@ -74,7 +68,7 @@ fn run_both(
 #[test]
 fn incremental_gbr_is_bit_identical_to_legacy_scan() {
     let mut checked = 0;
-    for seed in 0..40u64 {
+    for seed in 0..120u64 {
         let mut rng = SplitMix64::seed_from_u64(7000 + seed);
         let n = rng.gen_range(8..40usize);
         let cnf = random_model(&mut rng, n);
@@ -86,16 +80,13 @@ fn incremental_gbr_is_bit_identical_to_legacy_scan() {
             .collect();
         let order = closure_size_order(&cnf);
         let instance = Instance::over_all_vars(cnf);
-        for strategy in MsaStrategy::ALL {
-            let (inc, inc_calls, legacy, legacy_calls) =
-                run_both(&instance, &order, strategy, &needed);
-            assert_eq!(inc, legacy, "seed {seed} {strategy:?}: outcomes diverge");
-            assert_eq!(
-                inc_calls, legacy_calls,
-                "seed {seed} {strategy:?}: predicate call counts diverge"
-            );
-            checked += 1;
-        }
+        let (inc, inc_calls, legacy, legacy_calls) = run_both(&instance, &order, &needed);
+        assert_eq!(inc, legacy, "seed {seed}: outcomes diverge");
+        assert_eq!(
+            inc_calls, legacy_calls,
+            "seed {seed}: predicate call counts diverge"
+        );
+        checked += 1;
     }
     assert!(checked >= 60, "too few non-degenerate draws: {checked}");
 }
@@ -115,13 +106,10 @@ fn incremental_matches_legacy_on_orders_that_defeat_the_greedy_pick() {
         let reversed =
             VarOrder::from_permutation((0..n as u32).rev().map(Var::new).collect::<Vec<_>>());
         for order in [&natural, &reversed] {
-            for strategy in MsaStrategy::ALL {
-                let needed = [Var::new(n as u32 / 2)];
-                let (inc, inc_calls, legacy, legacy_calls) =
-                    run_both(&instance, order, strategy, &needed);
-                assert_eq!(inc, legacy, "n {n} {strategy:?}");
-                assert_eq!(inc_calls, legacy_calls, "n {n} {strategy:?}");
-            }
+            let needed = [Var::new(n as u32 / 2)];
+            let (inc, inc_calls, legacy, legacy_calls) = run_both(&instance, order, &needed);
+            assert_eq!(inc, legacy, "n {n}");
+            assert_eq!(inc_calls, legacy_calls, "n {n}");
         }
     }
 }
@@ -136,14 +124,7 @@ fn legacy_build_progression_still_matches_paper_shape() {
     }
     let inst = Instance::over_all_vars(cnf);
     let order = closure_size_order(&inst.cnf);
-    let prog = build_progression(
-        &inst.cnf,
-        &order,
-        MsaStrategy::GreedyClosure,
-        &[],
-        &inst.vars,
-    )
-    .expect("progression");
+    let prog = build_progression(&inst.cnf, &order, &[], &inst.vars).expect("progression");
     let mut acc = VarSet::empty(6);
     for d in &prog {
         assert!(acc.is_disjoint(d));
@@ -182,7 +163,7 @@ fn progression_builder_matches_build_progression() {
     let mut steps = 0;
     let mut seeded = 0;
     let mut disjoint = 0;
-    for seed in 0..30u64 {
+    for seed in 0..400u64 {
         let mut rng = SplitMix64::seed_from_u64(9100 + seed);
         let n = rng.gen_range(8..40usize);
         let cnf = random_model(&mut rng, n);
@@ -196,48 +177,47 @@ fn progression_builder_matches_build_progression() {
         // unrelated order, so it is valid but shaped differently from
         // what `order` itself would produce.
         let other = random_order(&mut rng, n);
-        let seed_space =
-            match build_progression(&cnf, &other, MsaStrategy::GreedyClosure, &[], &full) {
-                Ok(p) if p.len() > 1 => {
-                    seeded += 1;
-                    let r = rng.gen_range(0..p.len() - 1);
-                    prefix_union(&p, r, n)
-                }
-                _ => full.clone(),
-            };
-        for strategy in MsaStrategy::ALL {
-            let config = GbrConfig {
-                msa_strategy: strategy,
-                ..GbrConfig::default()
-            };
-            let mut builder = ProgressionBuilder::new(&cnf, n, &config);
-            let mut learned: Vec<VarSet> = Vec::new();
-            let mut search_space = seed_space.clone();
-            let tag = format!("seed {seed} {strategy:?}");
-            loop {
-                let got = builder.progression(&order, &learned, &search_space);
-                let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
-                assert_eq!(got, want, "{tag}: step {}", learned.len());
-                steps += 1;
-                let Ok(progression) = got else { break };
-                if progression.len() < 2 {
-                    break;
-                }
-                let r = rng.gen_range(1..progression.len());
-                learned.push(progression[r].clone());
-                search_space = prefix_union(&progression, r, n);
+        let mut search_space = match build_progression(&cnf, &other, &[], &full) {
+            Ok(p) if p.len() > 1 => {
+                seeded += 1;
+                let r = rng.gen_range(0..p.len() - 1);
+                prefix_union(&p, r, n)
             }
-            // A learned set disjoint from `J` leaves `R⁺` without a
-            // model: both paths must refuse it the same way.
-            let outside = full.difference(&search_space);
-            if !outside.is_empty() {
-                learned.push(outside);
-                let got = builder.progression(&order, &learned, &search_space);
-                let want = build_progression(&cnf, &order, strategy, &learned, &search_space);
-                assert_eq!(got, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
-                assert_eq!(want, Err(GbrError::ModelUnsatisfiable), "{tag}: disjoint");
-                disjoint += 1;
+            _ => full.clone(),
+        };
+        let mut builder = ProgressionBuilder::new(&cnf, n, &GbrConfig::default());
+        let mut learned: Vec<VarSet> = Vec::new();
+        loop {
+            let got = builder.progression(&order, &learned, &search_space);
+            let want = build_progression(&cnf, &order, &learned, &search_space);
+            assert_eq!(got, want, "seed {seed}: step {}", learned.len());
+            steps += 1;
+            let Ok(progression) = got else { break };
+            if progression.len() < 2 {
+                break;
             }
+            let r = rng.gen_range(1..progression.len());
+            learned.push(progression[r].clone());
+            search_space = prefix_union(&progression, r, n);
+        }
+        // A learned set disjoint from `J` leaves `R⁺` without a model:
+        // both paths must refuse it the same way.
+        let outside = full.difference(&search_space);
+        if !outside.is_empty() {
+            learned.push(outside);
+            let got = builder.progression(&order, &learned, &search_space);
+            let want = build_progression(&cnf, &order, &learned, &search_space);
+            assert_eq!(
+                got,
+                Err(GbrError::ModelUnsatisfiable),
+                "seed {seed}: disjoint"
+            );
+            assert_eq!(
+                want,
+                Err(GbrError::ModelUnsatisfiable),
+                "seed {seed}: disjoint"
+            );
+            disjoint += 1;
         }
     }
     assert!(steps >= 1000, "too few progression steps compared: {steps}");

@@ -5,7 +5,7 @@
 use lbr_core::{
     closure_size_order, generalized_binary_reduction, minimize_solution, GbrConfig, Instance,
 };
-use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarSet};
+use lbr_logic::{Clause, Cnf, Var, VarSet};
 use lbr_prng::SplitMix64;
 
 /// A random mixed model: mostly edges, some mAny-style general clauses,
@@ -79,8 +79,8 @@ fn gbr_is_sound_on_random_models() {
 }
 
 #[test]
-fn gbr_all_msa_strategies_agree_on_random_models() {
-    for seed in 100..110u64 {
+fn gbr_reduces_random_models_to_valid_failing_solutions() {
+    for seed in 100..130u64 {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let n = 24;
         let cnf = random_model(&mut rng, n);
@@ -91,16 +91,10 @@ fn gbr_all_msa_strategies_agree_on_random_models() {
         let target = Var::new(rng.gen_range(0..n as u32));
         let order = closure_size_order(&cnf);
         let instance = Instance::over_all_vars(cnf.clone());
-        for strategy in MsaStrategy::ALL {
-            let mut bug = |s: &VarSet| s.contains(target);
-            let config = GbrConfig {
-                msa_strategy: strategy,
-                ..GbrConfig::default()
-            };
-            let out = generalized_binary_reduction(&instance, &order, &mut bug, &config)
-                .unwrap_or_else(|e| panic!("seed {seed} {strategy:?}: {e}"));
-            assert!(cnf.eval(&out.solution));
-            assert!(out.solution.contains(target));
-        }
+        let mut bug = |s: &VarSet| s.contains(target);
+        let out = generalized_binary_reduction(&instance, &order, &mut bug, &GbrConfig::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(cnf.eval(&out.solution));
+        assert!(out.solution.contains(target));
     }
 }

@@ -7,10 +7,11 @@
 //! inputs — classfile programs and (one case in three) stackvm modules,
 //! built on [`lbr_workload`]'s planners and [`lbr_prng`] — is pushed
 //! through every progression — the GBR engine, the legacy scan baseline,
-//! DPLL/MSA conditioning, the ddmin baseline, cold/warm/fault-injected
-//! persistent caches, and the service daemon — and the results are
-//! cross-checked against the invariants listed in [`run`] (and DESIGN.md
-//! §Fuzzing architecture).
+//! speculative probing, the ddmin, HDD and trace-guided strategies,
+//! cold/warm/fault-injected persistent caches, and the service daemon —
+//! and the results are cross-checked against the invariants I1–I9 listed
+//! in DESIGN.md §Fuzzing architecture (and in the docs of the private
+//! `run` module, beside the [`Harness`] that checks them).
 //!
 //! On a violation the case is shrunk with our own [`lbr_core::ddmin`] at
 //! item granularity and persisted as a replayable `FUZZ_CASE_*.json`
@@ -139,7 +140,7 @@ pub fn run_campaign(config: &CampaignConfig, harness: &Harness) -> io::Result<Ca
                 shrunk.save(&path)?;
                 if config.log {
                     eprintln!(
-                        "fuzz: shrunk to {} classes, wrote {}",
+                        "fuzz: shrunk to {} kept units, wrote {}",
                         shrunk.keep_classes.as_ref().map_or(0, Vec::len),
                         path.display()
                     );

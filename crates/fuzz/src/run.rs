@@ -265,17 +265,8 @@ impl Harness {
             );
         }
 
-        // P3: the DPLL-conditioned MSA strategy — its own sound result
-        // (a different search, so no bit-identity with the reference).
-        match session(input, oracle).strategy("logical/dpll+min").run() {
-            Ok(report) => {
-                out.progressions += 1;
-                soundness("I1-I3 dpll-minimize", &report, &mut out.violations);
-            }
-            Err(e) => out
-                .violations
-                .push(format!("dpll-minimize run failed: {e}")),
-        }
+        // P3 is retired with the DPLL+minimize MSA variant it ran; the
+        // number is not reused.
 
         // P13 and P15: the baseline zoo from the strategy registry — HDD
         // over the containment tree and the trace-guided GBR mode. Each is

@@ -46,9 +46,9 @@ pub use lbr_classfile::{
 };
 pub use lbr_core::ModelStats;
 pub use pipeline::{
-    check_report, known_strategy, run_logical_resumable, run_per_error, run_per_error_with,
-    run_reduction, run_reduction_with, strategy_catalog, strategy_registry, PerErrorReport,
-    PipelineError, ReductionReport, ReductionStrategy, RunOptions, ServiceHooks, SizeMetrics,
-    StrategyCaps, StrategyOutput, StrategyRegistry,
+    check_report, known_strategy, run_per_error, run_per_error_with, run_reduction,
+    run_reduction_with, strategy_catalog, strategy_registry, PerErrorReport, PipelineError,
+    ReductionReport, ReductionStrategy, RunOptions, ServiceHooks, SizeMetrics, StrategyCaps,
+    StrategyOutput, StrategyRegistry,
 };
 pub use session::ReductionSession;

@@ -6,10 +6,11 @@
 //! addition a six-crate edit. Strategies are now open values behind
 //! `lbr-core`'s [`ReductionStrategy`] trait, registered by name in a
 //! [`StrategyRegistry`] (see [`strategy_registry`]): the paper's tool
-//! (`logical/greedy` and its MSA variants), the J-Reduce baseline
-//! (`jreduce`), the lossy encodings (`lossy-1`, `lossy-2`), validity-
-//! filtered ddmin (`ddmin-items`), hierarchical delta debugging (`hdd`),
-//! and the trace-guided GBR mode (`logical/trace-guided`).
+//! (`logical/greedy`, with its `logical/natural-order` and
+//! `logical/minimized` variants), the J-Reduce baseline (`jreduce`), the
+//! lossy encodings (`lossy-1`, `lossy-2`), validity-filtered ddmin
+//! (`ddmin-items`), hierarchical delta debugging (`hdd`), and the
+//! trace-guided GBR mode (`logical/trace-guided`).
 //!
 //! Every driver is generic over the input format: an [`Input`] frontend
 //! supplies the logical and coarse models, and an [`InputOracle`]
@@ -41,7 +42,6 @@ pub use strategies::{known_strategy, strategy_catalog, strategy_registry};
 
 use lbr_classfile::Program;
 use lbr_core::{Input, InputOracle, ModelStats, ProbeStats, ReductionTrace};
-use lbr_logic::MsaStrategy;
 use std::time::Instant;
 
 /// Size metrics of an input.
@@ -189,33 +189,6 @@ pub fn run_reduction_with<I: Input, O: InputOracle<I> + ?Sized>(
         cost_per_call_secs,
         options,
         ServiceHooks::default(),
-    )
-}
-
-/// The logical strategy with [`ServiceHooks`]: the entry point the
-/// reduction daemon drives. Equivalent to [`run_reduction_with`] when the
-/// hooks are default; see [`ServiceHooks`] for the exact determinism and
-/// resume semantics.
-///
-/// # Errors
-///
-/// See [`PipelineError`]; a fired cancellation hook surfaces as
-/// [`PipelineError::Gbr`]([`lbr_core::GbrError::Cancelled`]).
-pub fn run_logical_resumable<I: Input, O: InputOracle<I> + ?Sized>(
-    input: &I,
-    oracle: &O,
-    msa: MsaStrategy,
-    cost_per_call_secs: f64,
-    options: &RunOptions,
-    hooks: ServiceHooks<'_>,
-) -> Result<ReductionReport<I>, PipelineError> {
-    dispatch(
-        input,
-        oracle,
-        &format!("logical/{}", msa.name()),
-        cost_per_call_secs,
-        options,
-        hooks,
     )
 }
 

@@ -12,7 +12,7 @@ use lbr_core::{
     GbrConfig, GbrControl, Input, InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats,
     ReductionTrace, SpeculationConfig, StrategyOutput,
 };
-use lbr_logic::{MsaStrategy, VarOrder, VarSet};
+use lbr_logic::{VarOrder, VarSet};
 use std::cell::Cell;
 
 /// GBR over the logical model. The oracle middleware is assembled here:
@@ -23,7 +23,6 @@ use std::cell::Cell;
 pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
     input: &I,
     oracle: &O,
-    msa: MsaStrategy,
     order_kind: OrderKind,
     cost: f64,
     options: &RunOptions,
@@ -37,7 +36,6 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
     };
     let instance = Instance::over_all_vars(model.cnf.clone());
     let config = GbrConfig {
-        msa_strategy: msa,
         propagation: options.propagation,
         ..GbrConfig::default()
     };

@@ -18,22 +18,16 @@ use lbr_core::{
     CoarseModel, DepGraph, Input, InputModel, InputOracle, LossyPick, ModelStats,
     ReductionStrategy, StrategyCaps, StrategyOutput, StrategyRegistry,
 };
-use lbr_logic::{Cnf, MsaStrategy, VarSet};
+use lbr_logic::{Cnf, VarSet};
 use std::sync::Arc;
 
-/// The paper's reducer: logical model + GBR with the given MSA strategy
+/// The paper's reducer: logical model + GBR with the greedy-closure MSA
 /// and the closure-size variable order.
-pub(crate) struct LogicalStrategy {
-    pub(crate) msa: MsaStrategy,
-}
+pub(crate) struct LogicalStrategy;
 
 impl<I: Input> ReductionStrategy<I> for LogicalStrategy {
     fn name(&self) -> &str {
-        match self.msa {
-            MsaStrategy::GreedyClosure => "logical/greedy",
-            MsaStrategy::GreedyMinimize => "logical/greedy+min",
-            MsaStrategy::DpllMinimize => "logical/dpll+min",
-        }
+        "logical/greedy"
     }
 
     fn caps(&self) -> StrategyCaps {
@@ -53,15 +47,7 @@ impl<I: Input> ReductionStrategy<I> for LogicalStrategy {
         options: &RunOptions,
         hooks: ServiceHooks<'_>,
     ) -> Result<StrategyOutput<I>, PipelineError> {
-        logical::run_hooked(
-            input,
-            oracle,
-            self.msa,
-            OrderKind::ClosureSize,
-            cost,
-            options,
-            hooks,
-        )
+        logical::run_hooked(input, oracle, OrderKind::ClosureSize, cost, options, hooks)
     }
 }
 
@@ -91,15 +77,7 @@ impl<I: Input> ReductionStrategy<I> for NaturalOrderStrategy {
         options: &RunOptions,
         hooks: ServiceHooks<'_>,
     ) -> Result<StrategyOutput<I>, PipelineError> {
-        logical::run_hooked(
-            input,
-            oracle,
-            MsaStrategy::GreedyClosure,
-            OrderKind::Natural,
-            cost,
-            options,
-            hooks,
-        )
+        logical::run_hooked(input, oracle, OrderKind::Natural, cost, options, hooks)
     }
 }
 
@@ -277,15 +255,7 @@ impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
 /// is a handful of `Arc` allocations.
 pub fn strategy_registry<I: Input>() -> StrategyRegistry<I> {
     let mut registry = StrategyRegistry::new();
-    registry.register(Arc::new(LogicalStrategy {
-        msa: MsaStrategy::GreedyClosure,
-    }));
-    registry.register(Arc::new(LogicalStrategy {
-        msa: MsaStrategy::GreedyMinimize,
-    }));
-    registry.register(Arc::new(LogicalStrategy {
-        msa: MsaStrategy::DpllMinimize,
-    }));
+    registry.register(Arc::new(LogicalStrategy));
     registry.register(Arc::new(NaturalOrderStrategy));
     registry.register(Arc::new(MinimizedStrategy));
     registry.register(Arc::new(JReduceStrategy));
@@ -381,8 +351,6 @@ mod tests {
             registry.names(),
             [
                 "logical/greedy",
-                "logical/greedy+min",
-                "logical/dpll+min",
                 "logical/natural-order",
                 "logical/minimized",
                 "jreduce",
@@ -404,7 +372,9 @@ mod tests {
             assert!(known_strategy(alias), "alias {alias} must resolve");
             assert_eq!(registry.get(alias).unwrap().name(), canonical);
         }
-        assert!(!known_strategy("no-such-strategy"));
+        for removed in ["no-such-strategy", "logical/greedy+min", "logical/dpll+min"] {
+            assert!(!known_strategy(removed), "{removed} must not resolve");
+        }
     }
 
     #[test]

@@ -303,19 +303,11 @@ fn resumable_matches_plain_run_and_warm_cache_is_invisible() {
     for round in 0..2 {
         // Round 0 fills the cache; round 1 is served warm. Both must be
         // bit-identical to the plain run in every observable.
-        let hooks = ServiceHooks {
-            cache: Some(&cache),
-            ..ServiceHooks::default()
-        };
-        let run = run_logical_resumable(
-            &p,
-            &oracle,
-            MsaStrategy::GreedyClosure,
-            33.0,
-            &RunOptions::default(),
-            hooks,
-        )
-        .expect("resumable");
+        let run = crate::ReductionSession::new(&p, &oracle)
+            .cost_per_call(33.0)
+            .cache(&cache)
+            .run()
+            .expect("resumable");
         assert_eq!(run.final_metrics, plain.final_metrics, "round={round}");
         assert_eq!(run.predicate_calls, plain.predicate_calls, "round={round}");
         assert_eq!(run.cache_hits(), plain.cache_hits(), "round={round}");
@@ -349,35 +341,21 @@ fn resumable_checkpoint_resume_matches_uninterrupted() {
         saved = Some(ck.clone());
     };
     let cancel = || taken.load(std::sync::atomic::Ordering::Relaxed) >= 1;
-    let err = run_logical_resumable(
-        &p,
-        &oracle,
-        MsaStrategy::GreedyClosure,
-        33.0,
-        &RunOptions::default(),
-        ServiceHooks {
-            cache: Some(&cache),
-            cancel: Some(&cancel),
-            checkpoint: Some(&mut hook),
-            resume: None,
-        },
-    )
-    .expect_err("cancelled");
+    let err = crate::ReductionSession::new(&p, &oracle)
+        .cost_per_call(33.0)
+        .cache(&cache)
+        .cancel(&cancel)
+        .checkpoint(&mut hook)
+        .run()
+        .expect_err("cancelled");
     assert!(matches!(err, PipelineError::Gbr(GbrError::Cancelled)));
     let ck = saved.expect("checkpoint taken");
-    let resumed = run_logical_resumable(
-        &p,
-        &oracle,
-        MsaStrategy::GreedyClosure,
-        33.0,
-        &RunOptions::default(),
-        ServiceHooks {
-            cache: Some(&cache),
-            resume: Some(ck),
-            ..ServiceHooks::default()
-        },
-    )
-    .expect("resumed run completes");
+    let resumed = crate::ReductionSession::new(&p, &oracle)
+        .cost_per_call(33.0)
+        .cache(&cache)
+        .resume(ck)
+        .run()
+        .expect("resumed run completes");
     assert_eq!(resumed.final_metrics, plain.final_metrics);
     assert_eq!(
         lbr_classfile::write_program(&resumed.reduced),

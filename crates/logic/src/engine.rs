@@ -59,7 +59,7 @@
 //! the correspondingly conditioned formula; `tests/engine_differential.rs`
 //! checks this on randomized inputs.
 
-use crate::{Cnf, Lit, MsaStrategy, Var, VarOrder, VarSet};
+use crate::{Cnf, Lit, Var, VarOrder, VarSet};
 
 /// An incremental unit-propagation engine over a CNF.
 ///
@@ -100,7 +100,7 @@ pub struct Engine {
     trues: VarSet,
     /// Indices, ascending, of the stored clauses with ≥ 2 positive
     /// literals: the only clauses the greedy closure can find violated
-    /// (see [`greedy_from_state`]).
+    /// (see [`msa_from_state`]).
     violable: Vec<u32>,
     /// `cnf.num_vars()` of the base formula — the DPLL branching bound.
     num_vars: usize,
@@ -200,20 +200,16 @@ impl Engine {
         self.trues.clone()
     }
 
-    /// Whether every stored clause is satisfied by membership in `s`
-    /// (variables in `s` true, all others false). Used by the minimization
-    /// passes, which reason about total assignments.
-    pub fn satisfied_by(&self, s: &VarSet) -> bool {
-        self.clauses
-            .iter()
-            .all(|c| c.iter().any(|l| l.eval(s.contains(l.var()))))
-    }
-
     /// Adds a clause at decision level 0, propagating any consequences.
     ///
     /// Literals false at level 0 are dropped and clauses already satisfied
     /// at level 0 are ignored — both are sound because level-0 assignments
-    /// are permanent. Returns [`Engine::is_ok`] afterwards.
+    /// are permanent. Like [`Cnf::add_clause`] after [`Clause::new`],
+    /// repeated literals count once and tautologies are ignored, so a
+    /// clause such as `a ∨ a` propagates as the unit it is. Returns
+    /// [`Engine::is_ok`] afterwards.
+    ///
+    /// [`Clause::new`]: crate::Clause::new
     ///
     /// # Panics
     ///
@@ -231,6 +227,14 @@ impl Engine {
                 Some(false) => {}          // falsified forever
                 None => kept.push(l),
             }
+        }
+        // Sorting puts a repeated literal, and a literal beside its
+        // negation, next to each other. Learned sets and `Cnf` clauses
+        // arrive sorted already, so their watch order is unchanged.
+        kept.sort_unstable();
+        kept.dedup();
+        if kept.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return true; // a tautology
         }
         match kept.len() {
             0 => {
@@ -378,25 +382,10 @@ impl Engine {
 /// The caller must ensure the current state is propagated and
 /// conflict-free (i.e. the last `assume*` returned true and
 /// [`Engine::is_ok`] holds).
-pub fn msa_from_state(
-    engine: &mut Engine,
-    order: &VarOrder,
-    strategy: MsaStrategy,
-) -> Option<VarSet> {
-    match strategy {
-        MsaStrategy::GreedyClosure => greedy_from_state(engine, order),
-        MsaStrategy::GreedyMinimize => {
-            greedy_from_state(engine, order).map(|s| minimize_from_state(engine, order, s))
-        }
-        MsaStrategy::DpllMinimize => {
-            solve_from_state(engine, order).map(|s| minimize_from_state(engine, order, s))
-        }
-    }
-}
-
-/// The order-driven greedy closure: repeated in-order passes satisfying
-/// each violated clause (violated under "unassigned = false") by assuming
-/// its `<`-least eligible positive literal, falling back to
+///
+/// This is the order-driven greedy closure: repeated in-order passes
+/// satisfying each violated clause (violated under "unassigned = false")
+/// by assuming its `<`-least eligible positive literal, falling back to
 /// [`solve_from_state`] on a dead end.
 ///
 /// A pass visits only the clauses with ≥ 2 positive literals, in index
@@ -407,7 +396,7 @@ pub fn msa_from_state(
 /// positive literal, reported a conflict). So skipping those clauses
 /// changes neither the picks nor their order, and the result equals the
 /// scan-based [`msa_scan`](crate::msa_scan) on the conditioned formula.
-fn greedy_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
+pub fn msa_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
     let mark = engine.decision_level();
     loop {
         let mut fixed_any = false;
@@ -493,42 +482,6 @@ fn search(engine: &mut Engine, order: &VarOrder) -> bool {
         engine.backtrack(lvl);
     }
     false
-}
-
-/// The reverse-`<`-order minimization sweep of
-/// [`MsaStrategy::GreedyMinimize`] on an absolute true set: tries to drop
-/// each variable not pinned by the current engine state, keeping the drop
-/// only if every stored clause stays satisfied under set membership. Like
-/// the scan-based `minimize`, the sweep repeats until it drops nothing —
-/// removing a variable can satisfy a clause through a negative literal and
-/// free an earlier-considered variable — and must iterate in exactly the
-/// same order so both implementations return identical sets.
-fn minimize_from_state(engine: &Engine, order: &VarOrder, mut s: VarSet) -> VarSet {
-    let members: Vec<Var> = {
-        // Variables assigned in the current state cannot be dropped (the
-        // scan-based minimize would try and always fail), so skip them.
-        let mut m: Vec<Var> = s.iter().filter(|&v| engine.value(v).is_none()).collect();
-        order.sort(&mut m);
-        m.reverse();
-        m
-    };
-    loop {
-        let mut dropped = false;
-        for &v in &members {
-            if !s.contains(v) {
-                continue;
-            }
-            s.remove(v);
-            if engine.satisfied_by(&s) {
-                dropped = true;
-            } else {
-                s.insert(v);
-            }
-        }
-        if !dropped {
-            return s;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -620,6 +573,19 @@ mod tests {
     }
 
     #[test]
+    fn added_clause_counts_repeated_literals_once() {
+        let cnf = Cnf::new(3);
+        let mut engine = Engine::new(&cnf, 3);
+        // `v0 ∨ v0` is the unit `v0`, and must propagate as one.
+        assert!(engine.add_clause(&[Lit::pos(v(0)), Lit::pos(v(0))]));
+        assert_eq!(engine.value(v(0)), Some(true));
+        // A tautology constrains nothing and is not stored.
+        let stored = engine.num_clauses();
+        assert!(engine.add_clause(&[Lit::pos(v(1)), Lit::pos(v(2)), Lit::neg(v(1))]));
+        assert_eq!(engine.num_clauses(), stored);
+    }
+
+    #[test]
     fn deep_assume_backtrack_to_middle_level() {
         let cnf = Cnf::new(6);
         let mut engine = Engine::new(&cnf, 6);
@@ -639,13 +605,11 @@ mod tests {
         let mut cnf = chain(6);
         cnf.add_clause(Clause::unit(Lit::pos(v(2))));
         let order = VarOrder::natural(6);
-        for strategy in MsaStrategy::ALL {
-            let legacy = crate::msa_scan(&cnf, &order, strategy).expect("sat");
-            let mut engine = Engine::new(&cnf, 6);
-            let got = msa_from_state(&mut engine, &order, strategy).expect("sat");
-            assert_eq!(got, legacy, "{strategy:?}");
-            assert_eq!(engine.decision_level(), 0, "state restored");
-        }
+        let legacy = crate::msa_scan(&cnf, &order).expect("sat");
+        let mut engine = Engine::new(&cnf, 6);
+        let got = msa_from_state(&mut engine, &order).expect("sat");
+        assert_eq!(got, legacy);
+        assert_eq!(engine.decision_level(), 0, "state restored");
     }
 
     #[test]
@@ -661,18 +625,16 @@ mod tests {
         let mut seed = VarSet::empty(universe);
         seed.insert(v(0));
         let conditioned = cnf.restrict(&keep, &seed);
-        for strategy in MsaStrategy::ALL {
-            let legacy = crate::msa_scan(&conditioned, &order, strategy).expect("sat");
-            let mut engine = Engine::new(&cnf, universe);
-            assert!(engine.assume_all(&[Lit::neg(v(4)), Lit::pos(v(0))]));
-            let got = msa_from_state(&mut engine, &order, strategy).expect("sat");
-            // The scan on the conditioned formula excludes the conditioned
-            // variable; the engine reports absolute trues.
-            let mut expected = legacy.clone();
-            expected.insert(v(0));
-            assert_eq!(got, expected, "{strategy:?}");
-            assert_eq!(engine.decision_level(), 1, "state restored");
-        }
+        let legacy = crate::msa_scan(&conditioned, &order).expect("sat");
+        let mut engine = Engine::new(&cnf, universe);
+        assert!(engine.assume_all(&[Lit::neg(v(4)), Lit::pos(v(0))]));
+        let got = msa_from_state(&mut engine, &order).expect("sat");
+        // The scan on the conditioned formula excludes the conditioned
+        // variable; the engine reports absolute trues.
+        let mut expected = legacy;
+        expected.insert(v(0));
+        assert_eq!(got, expected);
+        assert_eq!(engine.decision_level(), 1, "state restored");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `¬[A◁I] ∨ ¬[I.m()] ∨ [A.m()]`:
 //!
 //! ```
-//! use lbr_logic::{Clause, Cnf, VarPool, msa, MsaStrategy, VarOrder};
+//! use lbr_logic::{Clause, Cnf, VarPool, msa, VarOrder};
 //!
 //! let mut pool = VarPool::new();
 //! let a_impl_i = pool.var("[A<I]");
@@ -38,7 +38,7 @@
 //! model.add_clause(Clause::unit(lbr_logic::Lit::pos(i_m)));
 //!
 //! let order = VarOrder::natural(pool.len());
-//! let solution = msa(&model, &order, MsaStrategy::GreedyClosure).expect("satisfiable");
+//! let solution = msa(&model, &order).expect("satisfiable");
 //! assert!(solution.contains(a_m)); // A.m() must be kept
 //! ```
 
@@ -64,7 +64,7 @@ pub use counting::{count_models, count_models_restricted, count_models_with_stat
 pub use engine::{msa_from_state, solve_from_state, Engine};
 pub use formula::Formula;
 pub use lit::Lit;
-pub use msa::{msa, msa_scan, MsaStrategy};
+pub use msa::{msa, msa_scan};
 pub use order::VarOrder;
 pub use propagate::{propagate, PartialAssignment, Propagation};
 pub use set::VarSet;

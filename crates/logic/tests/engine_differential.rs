@@ -4,8 +4,8 @@
 //! conditioning and under random assumption sets.
 
 use lbr_logic::{
-    dpll, engine, msa, msa_scan, Clause, Cnf, Engine, Lit, MsaStrategy, PartialAssignment,
-    Propagation, Var, VarOrder, VarSet,
+    dpll, engine, msa, msa_scan, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation, Var,
+    VarOrder, VarSet,
 };
 use lbr_prng::{SliceChoose, SplitMix64};
 
@@ -71,22 +71,18 @@ fn engine_level0_bcp_matches_scan_bcp() {
 
 #[test]
 fn engine_msa_matches_scan_msa() {
-    for seed in 0..200u64 {
+    for seed in 0..600u64 {
         let mut rng = SplitMix64::seed_from_u64(1000 + seed);
         let nvars = rng.gen_range(2..20usize);
         let cnf = random_cnf(&mut rng, nvars);
         let order = random_order(&mut rng, nvars);
-        for strategy in MsaStrategy::ALL {
-            let scan = msa_scan(&cnf, &order, strategy);
-            let fast = msa(&cnf, &order, strategy);
-            assert_eq!(fast, scan, "seed {seed} {strategy:?}");
-        }
+        assert_eq!(msa(&cnf, &order), msa_scan(&cnf, &order), "seed {seed}");
     }
 }
 
 #[test]
 fn engine_msa_under_assumptions_matches_restricted_scan() {
-    for seed in 0..150u64 {
+    for seed in 0..450u64 {
         let mut rng = SplitMix64::seed_from_u64(2000 + seed);
         let nvars = rng.gen_range(4..18usize);
         let cnf = random_cnf(&mut rng, nvars);
@@ -103,18 +99,16 @@ fn engine_msa_under_assumptions_matches_restricted_scan() {
             .filter(|x| !keep.contains(*x))
             .map(Lit::neg)
             .collect();
-        for strategy in MsaStrategy::ALL {
-            let scan = msa_scan(&restricted, &order, strategy);
-            let mut eng = Engine::new(&cnf, nvars);
-            let fast = if eng.is_ok() && eng.assume_all(&assumptions) {
-                engine::msa_from_state(&mut eng, &order, strategy)
-            } else {
-                None
-            };
-            // The engine reports absolute trues; under a pure restriction
-            // (no forced-true seeds) the scan's set is already absolute.
-            assert_eq!(fast, scan, "seed {seed} {strategy:?}");
-        }
+        let scan = msa_scan(&restricted, &order);
+        let mut eng = Engine::new(&cnf, nvars);
+        let fast = if eng.is_ok() && eng.assume_all(&assumptions) {
+            engine::msa_from_state(&mut eng, &order)
+        } else {
+            None
+        };
+        // The engine reports absolute trues; under a pure restriction
+        // (no forced-true seeds) the scan's set is already absolute.
+        assert_eq!(fast, scan, "seed {seed}");
     }
 }
 
@@ -125,7 +119,7 @@ fn engine_msa_under_assumptions_matches_restricted_scan() {
 /// conjoined, restricted CNF.
 #[test]
 fn engine_msa_with_added_clauses_matches_conjoined_scan() {
-    for seed in 0..200u64 {
+    for seed in 0..600u64 {
         let mut rng = SplitMix64::seed_from_u64(5000 + seed);
         let nvars = rng.gen_range(4..18usize);
         let mut cnf = random_cnf(&mut rng, nvars);
@@ -166,21 +160,18 @@ fn engine_msa_with_added_clauses_matches_conjoined_scan() {
             .map(Lit::neg)
             .collect();
         let asserted: Vec<Lit> = prefix.iter().map(Lit::pos).collect();
-        for strategy in MsaStrategy::ALL {
-            // The scan's set omits the forced prefix; the engine reports
-            // absolute trues.
-            let scan = msa_scan(&conditioned, &order, strategy).map(|mut s| {
-                s.union_with(&prefix);
-                s
-            });
-            let fast = if eng.is_ok() && eng.assume_all(&restriction) && eng.assume_all(&asserted) {
-                engine::msa_from_state(&mut eng, &order, strategy)
-            } else {
-                None
-            };
-            eng.backtrack(0);
-            assert_eq!(fast, scan, "seed {seed} {strategy:?}");
-        }
+        // The scan's set omits the forced prefix; the engine reports
+        // absolute trues.
+        let scan = msa_scan(&conditioned, &order).map(|mut s| {
+            s.union_with(&prefix);
+            s
+        });
+        let fast = if eng.is_ok() && eng.assume_all(&restriction) && eng.assume_all(&asserted) {
+            engine::msa_from_state(&mut eng, &order)
+        } else {
+            None
+        };
+        assert_eq!(fast, scan, "seed {seed}");
     }
 }
 
@@ -250,8 +241,8 @@ fn assume_backtrack_roundtrip_preserves_state() {
         }
         // After the churn the engine still answers queries correctly.
         let order = VarOrder::natural(nvars);
-        let scan = msa_scan(&cnf, &order, MsaStrategy::GreedyClosure);
-        let fast = engine::msa_from_state(&mut eng, &order, MsaStrategy::GreedyClosure);
+        let scan = msa_scan(&cnf, &order);
+        let fast = engine::msa_from_state(&mut eng, &order);
         assert_eq!(fast, scan, "seed {seed}");
     }
 }

@@ -4,18 +4,16 @@
 //! checked against exhaustive or reference implementations:
 //!
 //! - `msa` (incremental engine) and `msa_scan` (rescan reference) return
-//!   identical sets for every strategy and order — the documented contract.
+//!   identical sets for every order — the documented contract.
 //! - Any returned assignment is a genuine model (member of the exhaustive
 //!   `all_models` enumeration), and `msa` finds one iff the formula is
 //!   satisfiable.
-//! - The minimizing strategies return sets that are minimal with respect to
-//!   single removals, checked by actually removing each member.
 //! - Unit propagation in the watched-literal `Engine` agrees with the naive
 //!   full-rescan `propagate`, both from scratch and under random assumptions.
 
 use lbr_logic::{
-    dpll, msa, msa_scan, propagate, Clause, Cnf, Engine, Lit, MsaStrategy, PartialAssignment,
-    Propagation, Var, VarOrder, VarSet,
+    dpll, msa, msa_scan, propagate, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation, Var,
+    VarOrder, VarSet,
 };
 use lbr_prng::SplitMix64;
 
@@ -50,22 +48,15 @@ fn models(cnf: &Cnf) -> Vec<VarSet> {
 }
 
 #[test]
-fn msa_engine_matches_scan_for_every_strategy_and_order() {
+fn msa_engine_matches_scan_for_every_order() {
     let mut rng = SplitMix64::seed_from_u64(0x1060_31C5);
-    for _ in 0..300 {
+    for _ in 0..900 {
         let cnf = random_cnf(&mut rng);
         let natural = VarOrder::natural(cnf.num_vars());
         for order in [natural.reversed(), natural] {
-            for strategy in MsaStrategy::ALL {
-                let fast = msa(&cnf, &order, strategy);
-                let scan = msa_scan(&cnf, &order, strategy);
-                assert_eq!(
-                    fast,
-                    scan,
-                    "{}: engine/scan disagree on {cnf:?}",
-                    strategy.name()
-                );
-            }
+            let fast = msa(&cnf, &order);
+            let scan = msa_scan(&cnf, &order);
+            assert_eq!(fast, scan, "engine/scan disagree on {cnf:?}");
         }
     }
 }
@@ -73,53 +64,23 @@ fn msa_engine_matches_scan_for_every_strategy_and_order() {
 #[test]
 fn msa_results_are_models_and_existence_matches_brute_force() {
     let mut rng = SplitMix64::seed_from_u64(0x5A7_15F1);
-    for _ in 0..300 {
+    for _ in 0..900 {
         let cnf = random_cnf(&mut rng);
         let order = VarOrder::natural(cnf.num_vars());
         let all = models(&cnf);
         let satisfiable = !all.is_empty();
         assert_eq!(dpll::is_satisfiable(&cnf), satisfiable);
         assert_eq!(dpll::solve(&cnf, &order).is_some(), satisfiable);
-        for strategy in MsaStrategy::ALL {
-            match msa(&cnf, &order, strategy) {
-                Some(m) => {
-                    assert!(satisfiable, "{}: model for unsat formula", strategy.name());
-                    assert!(
-                        all.contains(&m),
-                        "{}: {m:?} not among the {} brute-force models of {cnf:?}",
-                        strategy.name(),
-                        all.len()
-                    );
-                }
-                None => assert!(
-                    !satisfiable,
-                    "{}: missed a model of {cnf:?}",
-                    strategy.name()
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn minimizing_strategies_are_single_removal_minimal() {
-    let mut rng = SplitMix64::seed_from_u64(0x3141_5A1F);
-    for _ in 0..300 {
-        let cnf = random_cnf(&mut rng);
-        let order = VarOrder::natural(cnf.num_vars());
-        for strategy in [MsaStrategy::GreedyMinimize, MsaStrategy::DpllMinimize] {
-            let Some(m) = msa(&cnf, &order, strategy) else {
-                continue;
-            };
-            for v in m.iter().collect::<Vec<_>>() {
-                let mut smaller = m.clone();
-                smaller.remove(v);
+        match msa(&cnf, &order) {
+            Some(m) => {
+                assert!(satisfiable, "model for unsat formula {cnf:?}");
                 assert!(
-                    !cnf.eval(&smaller),
-                    "{}: {v:?} is removable from {m:?} for {cnf:?}",
-                    strategy.name()
+                    all.contains(&m),
+                    "{m:?} not among the {} brute-force models of {cnf:?}",
+                    all.len()
                 );
             }
+            None => assert!(!satisfiable, "missed a model of {cnf:?}"),
         }
     }
 }

@@ -37,7 +37,7 @@
 //! on every save) loads unchanged and is compacted to `v2` once.
 //!
 //! Correctness never depends on the cache — it sits beneath every
-//! per-run counter (see [`ProbeCache`](lbr_core::ProbeCache)), so a lost
+//! per-run counter (see [`ProbeCache`]), so a lost
 //! entry merely costs one tool re-run.
 
 use crate::checkpoint::{persisted_varset, MAX_UNIVERSE};

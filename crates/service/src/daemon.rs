@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Every file but the cache is written via
-//! [`atomic_write`](crate::fsio::atomic_write); the cache is an
+//! [`atomic_write`]; the cache is an
 //! append-only log of committed batches (see [`crate::cache`]).
 //! On startup the daemon rescans the directory: specs with a result file
 //! become terminal records, specs without one are re-enqueued — with a
@@ -24,7 +24,7 @@
 //! # I/O architecture
 //!
 //! The connection plane is a single acceptor plus N event-loop *shards*
-//! (see [`crate::shard`] and [`crate::reactor`]): every connection is
+//! (the private `shard` and `reactor` modules): every connection is
 //! non-blocking and owned by one shard, so thousands of clients cost no
 //! per-connection threads. Job execution stays on a separate worker pool
 //! draining the bounded priority [`JobQueue`].

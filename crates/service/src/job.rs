@@ -196,6 +196,12 @@ mod tests {
             let doc = Json::parse(&format!(r#"{{"input":"x","strategy":"{name}"}}"#)).unwrap();
             assert_eq!(JobSpec::from_json(&doc, 0).unwrap().strategy, name);
         }
+        // The retired MSA ablations are unknown names now.
+        for name in ["logical/greedy+min", "logical/dpll+min"] {
+            let doc = Json::parse(&format!(r#"{{"input":"x","strategy":"{name}"}}"#)).unwrap();
+            let err = JobSpec::from_json(&doc, 0).unwrap_err();
+            assert!(err.contains("unknown strategy"), "{name}: {err}");
+        }
         assert!(JobSpec::from_json(&Json::parse("{}").unwrap(), 0).is_err());
     }
 }

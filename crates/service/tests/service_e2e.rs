@@ -5,10 +5,7 @@
 
 use lbr_classfile::write_program;
 use lbr_decompiler::{BugSet, DecompilerOracle};
-use lbr_jreduce::{
-    run_logical_resumable, run_reduction_with, ReductionReport, RunOptions, ServiceHooks,
-};
-use lbr_logic::MsaStrategy;
+use lbr_jreduce::{run_reduction_with, ReductionReport, ReductionSession, RunOptions};
 use lbr_prng::SplitMix64;
 use lbr_service::{namespace_digest, Client, Daemon, DaemonConfig, Json, PersistentOracleCache};
 use lbr_workload::{generate, WorkloadConfig};
@@ -105,18 +102,11 @@ fn property_persistent_cache_is_invisible_to_results() {
         let cold_report = {
             let cache = PersistentOracleCache::open(&cache_path).unwrap();
             let scoped = cache.namespaced(ns);
-            let report = run_logical_resumable(
-                &program,
-                &oracle,
-                MsaStrategy::GreedyClosure,
-                33.0,
-                &RunOptions::default(),
-                ServiceHooks {
-                    cache: Some(&scoped),
-                    ..ServiceHooks::default()
-                },
-            )
-            .unwrap();
+            let report = ReductionSession::new(&program, &oracle)
+                .cost_per_call(33.0)
+                .cache(&scoped)
+                .run()
+                .unwrap();
             cache.save().unwrap();
             assert!(cache.stats().warm_hits == 0, "cold cache cannot be warm");
             report
@@ -125,18 +115,11 @@ fn property_persistent_cache_is_invisible_to_results() {
         let cache = PersistentOracleCache::open(&cache_path).unwrap();
         assert!(!cache.is_empty(), "saved cache must reload its entries");
         let scoped = cache.namespaced(ns);
-        let warm_report = run_logical_resumable(
-            &program,
-            &oracle,
-            MsaStrategy::GreedyClosure,
-            33.0,
-            &RunOptions::default(),
-            ServiceHooks {
-                cache: Some(&scoped),
-                ..ServiceHooks::default()
-            },
-        )
-        .unwrap();
+        let warm_report = ReductionSession::new(&program, &oracle)
+            .cost_per_call(33.0)
+            .cache(&scoped)
+            .run()
+            .unwrap();
         assert!(
             cache.stats().warm_hits > 0,
             "round {round}: reloaded entries must answer probes"

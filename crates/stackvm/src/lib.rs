@@ -7,7 +7,7 @@
 //!
 //! | layer | classfile | stackvm |
 //! |---|---|---|
-//! | format | [`lbr_classfile`-style] classes | [`Module`] of functions + globals |
+//! | format | `lbr_classfile` classes | [`Module`] of functions + globals |
 //! | verifier | structural + hierarchy checks | abstract interpretation, `R####` rules |
 //! | constraints | verify hooks → implications | [`verify::VerifyHooks`] → implications |
 //! | beyond-graph | interface `mAny` | `call_indirect` candidate Or |

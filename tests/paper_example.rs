@@ -126,14 +126,8 @@ fn progression_walkthrough_matches_section_4_5_shape() {
     let reg = ItemRegistry::from_program(&program);
     let cnf = figure2_cnf(&reg);
     let order = closure_size_order(&cnf);
-    let progression = lbr::core::build_progression(
-        &cnf,
-        &order,
-        lbr::logic::MsaStrategy::GreedyClosure,
-        &[],
-        &VarSet::full(reg.len()),
-    )
-    .expect("progression builds");
+    let progression = lbr::core::build_progression(&cnf, &order, &[], &VarSet::full(reg.len()))
+        .expect("progression builds");
     // D0 is the closure of [M.main()!code]: M's items plus [A], [A<I], [I]
     // and [I.m()]'s obligations — the paper's D0 has 11 entries… ours
     // contains at least the root chain.
@@ -161,18 +155,19 @@ fn figure1a_engine_and_scan_propagation_are_identical() {
     // scan-based reference and drive GBR to the same Figure 1b optimum
     // with exactly the same predicate-call count.
     use lbr::core::PropagationMode;
-    use lbr::logic::{msa, msa_scan, MsaStrategy};
+    use lbr::logic::{msa, msa_scan, VarOrder};
 
     let program = figure1_program();
     let reg = ItemRegistry::from_program(&program);
     let cnf = figure2_cnf(&reg);
     let order = closure_size_order(&cnf);
-    for strategy in MsaStrategy::ALL {
-        assert_eq!(
-            msa(&cnf, &order, strategy),
-            msa_scan(&cnf, &order, strategy),
-            "{strategy:?}"
-        );
+    let natural = VarOrder::natural(cnf.num_vars());
+    for (name, o) in [
+        ("closure-size", &order),
+        ("natural", &natural),
+        ("reversed", &natural.reversed()),
+    ] {
+        assert_eq!(msa(&cnf, o), msa_scan(&cnf, o), "{name} order");
     }
 
     let instance = Instance::over_all_vars(cnf);
