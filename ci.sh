@@ -18,6 +18,19 @@ echo "== perfbench (compile check) =="
 CARGO_TARGET_DIR=target/perfbench \
     cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== production crates do not link the scan reference =="
+# lbr-reference (msa_scan, build_progression) is the differential oracle
+# for the incremental engine: only test targets, benches and the fuzz
+# harness may depend on it.
+for crate in lbr-core lbr-logic lbr-jreduce lbr-service lbr-stackvm lbr-classfile \
+    lbr-decompiler; do
+    deps=$(cargo tree --offline -e normal -p "$crate")
+    if echo "$deps" | grep -q "lbr-reference"; then
+        echo "$crate links lbr-reference outside its tests" >&2
+        exit 1
+    fi
+done
+
 echo "== test (workspace) =="
 cargo test --workspace -q --offline
 
@@ -48,6 +61,14 @@ trap cleanup EXIT
 ./target/release/eval --experiment fig8a --format both --programs 1 --scale 0.5 \
     --probe-threads 2 --json "$smoke_dir/par.json" >/dev/null
 grep -q '"format": "stackvm"' "$smoke_dir/seq.json"
+# The scan baseline is a test oracle, not an option: eval rejects --legacy
+# as an unknown flag.
+legacy_status=0
+./target/release/eval --legacy >/dev/null 2>&1 || legacy_status=$?
+[ "$legacy_status" -eq 2 ] || {
+    echo "eval --legacy exited $legacy_status, expected 2 (unknown flag)" >&2
+    exit 1
+}
 ./target/release/bench_compare --identical "$smoke_dir/seq.json" "$smoke_dir/par.json"
 # Trace-guided runs plain GBR's loop with a gallop boundary search, so it
 # speculates too: its 2-thread reduction must match the sequential one's
@@ -220,10 +241,16 @@ fuzz_out=$(./target/release/fuzz --budget-secs 60 --seed 0xC0FFEE --min-cases 20
 echo "$fuzz_out"
 [ "$fuzz_status" -eq 0 ] || exit "$fuzz_status"
 # Both oracles' memos must stay in the campaign: I9 has to have checked
-# candidates of each format.
+# candidates of each format. Likewise the I4 chain check, which replays
+# the progressions of the reference and trace-guided runs through the scan
+# reference; it counts only chains that recorded at least one checkpoint.
 for format in classfile stackvm; do
     if ! echo "$fuzz_out" | grep -Eq "I9 checks:.*$format [1-9]"; then
         echo "fuzz campaign ran no I9 check on $format cases" >&2
+        exit 1
+    fi
+    if ! echo "$fuzz_out" | grep -Eq "I4 chain checks:.*$format [1-9]"; then
+        echo "fuzz campaign ran no I4 chain check on $format cases" >&2
         exit 1
     fi
 done

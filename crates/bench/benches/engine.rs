@@ -1,22 +1,21 @@
-//! Incremental propagation engine vs the scan baseline.
+//! Incremental propagation engine vs the scan reference.
 //!
-//! Four levels: one progression (`ProgressionBuilder` vs the preserved
-//! `build_progression`), raw MSA (engine-backed `msa` vs the preserved
-//! `msa_scan`), one full GBR reduction (`PropagationMode::Incremental`
-//! vs `LegacyScan`), and the end-to-end pipeline (`RunOptions::default()`
-//! vs `RunOptions::legacy()`). Between the last two, the cost of one probe
-//! by part, with the decompiler oracle both cold (`probe/decompile-errors`)
-//! and over a recorded greedy probe sequence of one reduction scope
+//! Two levels: one progression (`ProgressionBuilder` vs
+//! `lbr_reference::build_progression`) and raw MSA (engine-backed `msa`
+//! vs `lbr_reference::msa_scan`). Then the cost of one probe by part,
+//! with the decompiler oracle both cold (`probe/decompile-errors`) and
+//! over a recorded greedy probe sequence of one reduction scope
 //! (`probe/decompile-errors-sequence`). The speedup ratios back the
 //! numbers quoted in `EXPERIMENTS.md`.
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
-    build_progression, closure_size_order, generalized_binary_reduction, GbrConfig, Input,
-    Instance, Oracle, ProgressionBuilder, PropagationMode,
+    closure_size_order, generalized_binary_reduction, GbrConfig, Input, Instance,
+    ProgressionBuilder,
 };
-use lbr_jreduce::{build_model, run_reduction_with, RunOptions};
-use lbr_logic::{msa, msa_scan, VarSet};
+use lbr_jreduce::build_model;
+use lbr_logic::{msa, VarSet};
+use lbr_reference::{build_progression, msa_scan};
 use lbr_workload::{generate, generate_stack, StackShape, StackWorkloadConfig, WorkloadConfig};
 
 fn main() {
@@ -45,34 +44,6 @@ fn main() {
         fmt_duration(engine)
     );
 
-    // One GBR search against a fixed (cheap) predicate: incremental
-    // propagation and the legacy scan baseline.
-    let instance = Instance::new(VarSet::full(model.cnf.num_vars()), model.cnf.clone());
-    let needed = instance.vars.iter().take(3).collect::<Vec<_>>();
-    let mut gbr_times = Vec::new();
-    for (name, mode) in [
-        ("incremental", PropagationMode::Incremental),
-        ("legacy-scan", PropagationMode::LegacyScan),
-    ] {
-        let t = bench(&format!("gbr/{name}"), || {
-            let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
-            let mut oracle = Oracle::new(&mut bug, 0.0);
-            let config = GbrConfig {
-                propagation: mode,
-                ..GbrConfig::default()
-            };
-            generalized_binary_reduction(&instance, &order, &mut oracle, &config)
-                .expect("reduces")
-                .solution
-                .len()
-        });
-        gbr_times.push(t);
-    }
-    println!(
-        "  -> gbr speedup vs scan: {:.1}x",
-        gbr_times[1].as_secs_f64() / gbr_times[0].as_secs_f64().max(1e-12)
-    );
-
     // Probe-cost breakdown: what one oracle probe is made of.
     let registry = &model.registry;
     let keep = VarSet::full(model.cnf.num_vars());
@@ -93,6 +64,7 @@ fn main() {
     // through a fresh reduction scope per iteration: what a probe costs
     // once the oracle reuses the decompiles and checks of earlier probes.
     let probe_model = program.model().expect("valid input");
+    let instance = Instance::new(VarSet::full(model.cnf.num_vars()), model.cnf.clone());
     let mut probes: Vec<VarSet> = Vec::new();
     let mut record = |keep: &VarSet| {
         probes.push(keep.clone());
@@ -112,27 +84,6 @@ fn main() {
         probes.len(),
         fmt_duration(sequence / probes.len() as u32),
         fmt_duration(cold)
-    );
-
-    // End-to-end pipeline: real decompiler predicate, memo on vs off.
-    let oracle =
-        lbr_decompiler::DecompilerOracle::new(&program, lbr_decompiler::BugSet::decompiler_a());
-    let mut pipeline_times = Vec::new();
-    for (name, options) in [
-        ("default", RunOptions::default()),
-        ("legacy", RunOptions::legacy()),
-    ] {
-        let t = bench(&format!("pipeline/logical-greedy/{name}"), || {
-            run_reduction_with(&program, &oracle, "logical/greedy", 0.0, &options)
-                .expect("reduces")
-                .final_metrics
-                .bytes
-        });
-        pipeline_times.push(t);
-    }
-    println!(
-        "  -> end-to-end speedup vs legacy: {:.1}x",
-        pipeline_times[1].as_secs_f64() / pipeline_times[0].as_secs_f64().max(1e-12)
     );
 }
 
@@ -154,7 +105,7 @@ fn progressions() {
     let entries = build_progression(cnf, &order, &[], &all)
         .expect("satisfiable")
         .len();
-    let mut builder = ProgressionBuilder::new(cnf, n, &GbrConfig::default());
+    let mut builder = ProgressionBuilder::new(cnf, n);
     let engine = bench("progression/engine", || {
         builder
             .progression(&order, &[], &all)

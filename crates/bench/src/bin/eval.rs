@@ -5,7 +5,7 @@
 //! eval [--experiment all|stats|fig8a|fig8b|lossy|compare|per-error|ablate-order|ddmin|csv]
 //!      [--format classfile|stackvm|both]
 //!      [--programs N] [--scale F] [--seed N] [--cost SECS]
-//!      [--threads N] [--repeats N] [--probe-threads N] [--legacy] [--json [PATH]]
+//!      [--threads N] [--repeats N] [--probe-threads N] [--json [PATH]]
 //! ```
 //!
 //! `--format` selects which frontend's suite the experiment runs over:
@@ -13,20 +13,17 @@
 //! run record and JSON aggregate is tagged with its format, so one
 //! results file can gate both frontends at once.
 //!
-//! `--legacy` disables the incremental propagation engine and oracle
-//! memoization (the scan-BCP baseline); `--probe-threads` enables
-//! speculative parallel probing inside each GBR search (bit-identical
-//! results at any setting); `--json` writes machine-readable results
-//! (default path `BENCH_results.json`). The `compare` experiment runs the
-//! strategy zoo over both formats — the source of the committed
-//! `BENCH_baseline.json`.
+//! `--probe-threads` enables speculative parallel probing inside each GBR
+//! search (bit-identical results at any setting); `--json` writes
+//! machine-readable results (default path `BENCH_results.json`). The
+//! `compare` experiment runs the strategy zoo over both formats — the
+//! source of the committed `BENCH_baseline.json`.
 
 use lbr_bench::{
     compare_strategies, compute_stats, headline_strategies, lossy_strategies, render_ablation,
     render_compare, render_csv, render_fig8a, render_fig8b, render_json, render_lossy,
     render_stats, run_grid, EvalBenchmark, EvalConfig, RunRecord,
 };
-use lbr_jreduce::RunOptions;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,10 +85,6 @@ fn main() {
                 config.options.probe_latency_micros = (secs * 1e6) as u64;
                 i += 2;
             }
-            "--legacy" => {
-                config.options = RunOptions::legacy();
-                i += 1;
-            }
             "--slot-dir" => {
                 config.slot_dir = Some(value(i).into());
                 i += 2;
@@ -116,7 +109,7 @@ fn main() {
                 println!("            [--format classfile|stackvm|both]");
                 println!("            [--programs N] [--scale F] [--seed N] [--cost SECS]");
                 println!(
-                    "            [--threads N] [--repeats N] [--probe-threads N] [--legacy] [--json [PATH]]"
+                    "            [--threads N] [--repeats N] [--probe-threads N] [--json [PATH]]"
                 );
                 println!();
                 println!("  --format F    which frontend's suite to evaluate: classfile");
@@ -132,7 +125,6 @@ fn main() {
                 println!("  --probe-latency SECS  emulate the tool-invocation latency of the");
                 println!("                paper's real probes by sleeping inside each tool run");
                 println!("                (for wall-clock speedup measurements; default 0)");
-                println!("  --legacy      scan-BCP baseline: no incremental engine, no memo");
                 println!("  --slot-dir DIR  persist each finished run as DIR/slot-NNNN.json");
                 println!("                the moment it completes (atomic temp+rename writes)");
                 println!(

@@ -161,6 +161,10 @@ fn main() {
         "fuzz: I9 checks: classfile {}, stackvm {}",
         summary.oracle_checks_classfile, summary.oracle_checks_stackvm
     );
+    println!(
+        "fuzz: I4 chain checks: classfile {}, stackvm {}",
+        summary.chain_checks_classfile, summary.chain_checks_stackvm
+    );
     for path in &summary.case_files {
         println!("replay with: fuzz --replay {}", path.display());
     }

@@ -1000,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grid_matches_sequential_and_legacy_options() {
+    fn parallel_grid_matches_sequential_and_greedy_matches_the_scan_reference() {
         let base = EvalConfig {
             programs: 1,
             scale: 0.4,
@@ -1016,14 +1016,7 @@ mod tests {
             &benchmarks,
             &strategies,
         );
-        let parallel = run_grid(
-            &EvalConfig {
-                threads: 4,
-                ..base.clone()
-            },
-            &benchmarks,
-            &strategies,
-        );
+        let parallel = run_grid(&EvalConfig { threads: 4, ..base }, &benchmarks, &strategies);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.benchmark, p.benchmark);
@@ -1032,21 +1025,19 @@ mod tests {
             assert_eq!(s.final_classes, p.final_classes);
             assert_eq!(s.calls, p.calls);
         }
-        // The legacy (scan + no memo) options must give the same results.
-        let legacy = run_grid(
-            &EvalConfig {
-                threads: 1,
-                options: RunOptions::legacy(),
-                ..base
-            },
-            &benchmarks,
-            &strategies,
-        );
-        assert_eq!(sequential.len(), legacy.len());
-        for (s, l) in sequential.iter().zip(&legacy) {
-            assert_eq!(s.final_bytes, l.final_bytes);
-            assert_eq!(s.calls, l.calls);
-            assert_eq!(l.cache_hits() + l.cache_misses(), 0, "legacy runs no cache");
+        // Every progression `logical/greedy` built on the grid's inputs
+        // equals the scan reference's on the same (learned, search space)
+        // pairs, replayed from the run's checkpoint chain.
+        for b in &benchmarks {
+            let oracle = b.oracle();
+            let mut chain = Vec::new();
+            let mut record = |ck: &lbr_core::GbrCheckpoint| chain.push(ck.clone());
+            ReductionSession::new(&b.program, &oracle)
+                .checkpoint(&mut record)
+                .run()
+                .expect("greedy reduces");
+            lbr_reference::check_input_chain(&b.program, &chain)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         }
         let json = render_json(&sequential);
         assert!(json.contains("\"strategies\""));

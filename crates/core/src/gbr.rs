@@ -17,26 +17,8 @@ use crate::concurrent::{ConcurrentPredicate, DemandKind, ProbeScheduler};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
 use crate::{Instance, Predicate};
-use lbr_logic::{engine, msa_scan, Clause, Cnf, Engine, Lit, Var, VarOrder, VarSet};
+use lbr_logic::{engine, Cnf, Engine, Lit, Var, VarOrder, VarSet};
 use std::time::Instant;
-
-/// How GBR evaluates the dependency model while building progressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PropagationMode {
-    /// One persistent watched-literal [`Engine`] per reduction run: learned
-    /// sets become permanent level-0 clauses, the search-space restriction
-    /// and each progression prefix are pushed as assumption levels, and
-    /// every MSA runs from the engine's current state. No formula is ever
-    /// cloned. This is the default and produces bit-identical progressions
-    /// to [`LegacyScan`](PropagationMode::LegacyScan).
-    #[default]
-    Incremental,
-    /// The original implementation: every progression step clones a
-    /// restricted CNF and re-propagates it from scratch with the scanning
-    /// [`msa_scan`]. Kept as the measurable baseline and the reference the
-    /// incremental mode is differentially tested against.
-    LegacyScan,
-}
 
 /// How GBR's main loop finds the minimal failing prefix of a progression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -66,9 +48,6 @@ pub struct GbrConfig {
     /// at any point in the execution and use the smallest input until that
     /// point that preserves the error message."
     pub max_predicate_calls: Option<u64>,
-    /// How the dependency model is propagated (incremental engine vs the
-    /// scan-based baseline). Does not affect results, only speed.
-    pub propagation: PropagationMode,
     /// How each iteration searches its progression for the boundary.
     pub boundary: BoundarySearch,
 }
@@ -303,7 +282,7 @@ fn gbr_loop<D: ProbeDriver>(
         }
         None => (Vec::new(), instance.vars.clone(), 0, 1),
     };
-    let mut builder = ProgressionBuilder::new(&instance.cnf, universe, config);
+    let mut builder = ProgressionBuilder::new(&instance.cnf, universe);
     let mut progression = builder.progression(order, &learned, &search_space)?;
     let mut progression_lengths = vec![progression.len()];
     let max_iterations = config
@@ -794,12 +773,21 @@ impl ProbeDriver for SpeculativeDriver<'_> {
 /// `PROGRESSION_{R_I,<}(L, J)` for a sequence of `(L, J)` pairs over one
 /// model `R_I`, the way GBR's main loop demands them.
 ///
-/// With [`PropagationMode::Incremental`] the builder keeps one persistent
-/// watched-literal [`Engine`] for its whole life: learned sets become
-/// permanent level-0 clauses, `J` and each progression prefix are
-/// assumption levels, and no formula is ever cloned. With [`PropagationMode::LegacyScan`] every
-/// call is the stateless [`build_progression`], the differential
-/// reference. Both produce identical progressions (and identical errors).
+/// The progression is a non-empty list of disjoint subsets of `J` whose
+/// union is `J`, such that (a) every prefix union is a model of `R_I`
+/// restricted to `J` and (b) every prefix union overlaps every learned set
+/// in `L`. Entry 0 is `MSA_<(R⁺)`, where `R⁺` is `R_I` restricted to `J`
+/// with one positive clause per learned set; entry `k+1` is built by
+/// picking the `<`-least uncovered variable `x` and computing
+/// `MSA_<(R⁺ ∧ x | D^∪_k = 1)`.
+///
+/// The builder keeps one persistent watched-literal [`Engine`] for its
+/// whole life: learned sets become permanent level-0 clauses, `J` and
+/// each progression prefix are assumption levels, and no restricted
+/// formula is ever built. The stateless scan-based `build_progression`
+/// of the dev-only `lbr-reference` crate is the differential reference
+/// it is tested against; both produce identical progressions (and
+/// identical errors).
 ///
 /// # Contract
 ///
@@ -811,7 +799,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
 /// # Examples
 ///
 /// ```
-/// use lbr_core::{build_progression, GbrConfig, ProgressionBuilder};
+/// use lbr_core::ProgressionBuilder;
 /// use lbr_logic::{Clause, Cnf, Var, VarOrder, VarSet};
 ///
 /// // Model: 0 ⇒ 1 ⇒ 2.
@@ -819,52 +807,45 @@ impl ProbeDriver for SpeculativeDriver<'_> {
 /// cnf.add_clause(Clause::edge(Var::new(0), Var::new(1)));
 /// cnf.add_clause(Clause::edge(Var::new(1), Var::new(2)));
 /// let order = VarOrder::natural(3);
-/// let mut builder = ProgressionBuilder::new(&cnf, 3, &GbrConfig::default());
+/// let mut builder = ProgressionBuilder::new(&cnf, 3);
+/// let set = |v: &[u32]| VarSet::from_iter_with_universe(3, v.iter().map(|&i| Var::new(i)));
 /// let all = VarSet::full(3);
-/// let learned = vec![VarSet::from_iter_with_universe(3, [Var::new(1)])];
+/// // Nothing learned: the empty set is a model, then each variable's closure.
+/// let prog = builder.progression(&order, &[], &all).unwrap();
+/// assert_eq!(prog, vec![set(&[]), set(&[0, 1, 2])]);
+/// // Learning {1}: every prefix must keep 1, which forces 2.
+/// let learned = vec![set(&[1])];
 /// let prog = builder.progression(&order, &learned, &all).unwrap();
-/// let scan = build_progression(&cnf, &order, &learned, &all);
-/// assert_eq!(Ok(prog), scan);
+/// assert_eq!(prog, vec![set(&[1, 2]), set(&[0])]);
 /// ```
-pub struct ProgressionBuilder<'c> {
-    cnf: &'c Cnf,
-    state: BuilderState,
+pub struct ProgressionBuilder {
+    engine: Box<Engine>,
+    /// How many learned sets have already been installed as permanent
+    /// level-0 clauses (learned sets only ever grow, in order).
+    learned_added: usize,
+    /// The model, to check each progression's invariants.
+    #[cfg(debug_assertions)]
+    cnf: Cnf,
     /// The learned sets passed so far, to assert the contract.
     #[cfg(debug_assertions)]
     seen: Vec<VarSet>,
 }
 
-enum BuilderState {
-    Incremental {
-        engine: Box<Engine>,
-        /// How many learned sets have already been installed as permanent
-        /// level-0 clauses (learned sets only ever grow, in order).
-        learned_added: usize,
-    },
-    Scan,
-}
-
-impl<'c> ProgressionBuilder<'c> {
-    /// A builder over `cnf` for search spaces over `universe` variables,
-    /// using `config`'s propagation mode.
-    pub fn new(cnf: &'c Cnf, universe: usize, config: &GbrConfig) -> Self {
-        let state = match config.propagation {
-            PropagationMode::Incremental => BuilderState::Incremental {
-                engine: Box::new(Engine::new(cnf, universe)),
-                learned_added: 0,
-            },
-            PropagationMode::LegacyScan => BuilderState::Scan,
-        };
+impl ProgressionBuilder {
+    /// A builder over `cnf` for search spaces over `universe` variables.
+    pub fn new(cnf: &Cnf, universe: usize) -> Self {
         ProgressionBuilder {
-            cnf,
-            state,
+            engine: Box::new(Engine::new(cnf, universe)),
+            learned_added: 0,
+            #[cfg(debug_assertions)]
+            cnf: cnf.clone(),
             #[cfg(debug_assertions)]
             seen: Vec::new(),
         }
     }
 
     /// `PROGRESSION_{R_I,<}(L, J)` with `L = learned` and `J =
-    /// search_space`; see [`build_progression`] for what it returns.
+    /// search_space`.
     ///
     /// # Errors
     ///
@@ -885,24 +866,21 @@ impl<'c> ProgressionBuilder<'c> {
             );
             self.seen.extend_from_slice(&learned[self.seen.len()..]);
         }
-        match &mut self.state {
-            BuilderState::Scan => build_progression(self.cnf, order, learned, search_space),
-            BuilderState::Incremental {
-                engine,
-                learned_added,
-            } => {
-                let progression =
-                    incremental_progression(engine, learned_added, order, learned, search_space)?;
-                #[cfg(debug_assertions)]
-                check_progression_invariants(self.cnf, learned, search_space, &progression);
-                Ok(progression)
-            }
-        }
+        let progression = incremental_progression(
+            &mut self.engine,
+            &mut self.learned_added,
+            order,
+            learned,
+            search_space,
+        )?;
+        #[cfg(debug_assertions)]
+        check_progression_invariants(&self.cnf, learned, search_space, &progression);
+        Ok(progression)
     }
 }
 
-/// The incremental `PROGRESSION_{R_I,<}(L, J)`: same contract as
-/// [`build_progression`], but no formula is ever cloned. Newly learned sets
+/// The incremental `PROGRESSION_{R_I,<}(L, J)`: the scan reference's
+/// result, but no formula is ever cloned. Newly learned sets
 /// become permanent level-0 clauses; the restriction to `J` is one
 /// assumption level of negated out-of-`J` literals; each progression prefix
 /// is asserted as a further assumption level (by the progression invariant
@@ -911,8 +889,8 @@ impl<'c> ProgressionBuilder<'c> {
 /// `MSA` run from the engine's current state.
 ///
 /// Unit propagation is confluent, so every step sees exactly the state the
-/// legacy rebuild would recompute, and the produced progressions are
-/// identical — differentially tested in `tests/gbr_differential.rs`.
+/// scan reference's rebuild would recompute, and the produced progressions
+/// are identical — differentially tested in `tests/gbr_differential.rs`.
 fn incremental_progression(
     engine: &mut Engine,
     learned_added: &mut usize,
@@ -922,15 +900,15 @@ fn incremental_progression(
 ) -> Result<Vec<VarSet>, GbrError> {
     engine.backtrack(0);
     if !engine.is_ok() {
-        // Refuted by unit propagation alone; the legacy path reports the
-        // same through its first failed MSA.
+        // Refuted by unit propagation alone; the scan reference reports
+        // the same through its first failed MSA.
         return Err(GbrError::ModelUnsatisfiable);
     }
     // Learned sets are positive clauses over their full member list; under
     // the restriction level below, members outside `J` are false, so the
-    // engine clause behaves exactly like the legacy `l ∩ J` clause (and a
-    // learned set disjoint from `J` surfaces as a restriction conflict, the
-    // same `ModelUnsatisfiable` the legacy path reports).
+    // engine clause behaves exactly like the reference's `l ∩ J` clause
+    // (and a learned set disjoint from `J` surfaces as a restriction
+    // conflict, the same `ModelUnsatisfiable` the reference reports).
     while *learned_added < learned.len() {
         let lits: Vec<Lit> = learned[*learned_added].iter().map(Lit::pos).collect();
         engine.add_clause(&lits);
@@ -1005,74 +983,6 @@ fn incremental_progression(
     Ok(progression)
 }
 
-/// The `PROGRESSION_{R_I,<}(L, J)` subroutine.
-///
-/// Produces a non-empty list of disjoint subsets of `J` whose union is `J`,
-/// such that (a) every prefix union is a model of `R_I` restricted to `J`
-/// and (b) every prefix union overlaps every learned set in `L`.
-///
-/// Entry 0 is `MSA_<(R⁺)`; entry `k+1` is built by picking the `<`-least
-/// uncovered variable `x` and computing `MSA_<(R⁺ ∧ x | D^∪_k = 1)`.
-/// Rebuilds restricted formulas at every step with the scan-based
-/// [`msa_scan`]. This is the stateless reference implementation: the
-/// reducers build their progressions with a [`ProgressionBuilder`], whose
-/// default incremental engine produces identical progressions without the
-/// clones.
-pub fn build_progression(
-    cnf: &Cnf,
-    order: &VarOrder,
-    learned: &[VarSet],
-    search_space: &VarSet,
-) -> Result<Vec<VarSet>, GbrError> {
-    let universe = search_space.universe();
-    let no_force = VarSet::empty(universe);
-    // R⁺: conjoin one positive clause per learned set, then set variables
-    // outside J to false.
-    let mut rplus = cnf.restrict(search_space, &no_force);
-    for l in learned {
-        let members: Vec<_> = l.iter().filter(|v| search_space.contains(*v)).collect();
-        if members.is_empty() {
-            return Err(GbrError::ModelUnsatisfiable);
-        }
-        rplus.add_clause(Clause::implication([], members));
-    }
-
-    let d0 = msa_scan(&rplus, order).ok_or(GbrError::ModelUnsatisfiable)?;
-    let mut covered = d0.clone();
-    // Condition away what is already decided true; remaining clauses range
-    // over J \ covered.
-    let mut current = rplus.restrict(search_space, &covered);
-    let mut progression = vec![d0];
-
-    while let Some(x) = order.min_in_difference(search_space, &covered) {
-        let mut seed = VarSet::empty(universe);
-        seed.insert(x);
-        let conditioned = current.restrict(search_space, &seed);
-        match msa_scan(&conditioned, order) {
-            Some(extra) => {
-                let mut entry = extra;
-                entry.insert(x);
-                covered.union_with(&entry);
-                current = current.restrict(search_space, &entry);
-                progression.push(entry);
-            }
-            None => {
-                // `x` cannot be made true inside this search space. Close
-                // the progression with the whole remainder: its prefix is
-                // the full search space, which is valid by assumption.
-                let rest = search_space.difference(&covered);
-                covered.union_with(&rest);
-                progression.push(rest);
-                break;
-            }
-        }
-    }
-    debug_assert_eq!(covered, *search_space, "progression must cover J");
-    #[cfg(debug_assertions)]
-    check_progression_invariants(cnf, learned, search_space, &progression);
-    Ok(progression)
-}
-
 /// Debug-mode check of Lemma 4.3's progression invariants: entries are
 /// disjoint (INV-D), every prefix union is a model of `R_I` restricted to
 /// `J`, and every prefix overlaps every learned set (INV-PRO).
@@ -1111,7 +1021,7 @@ fn check_progression_invariants(
 mod tests {
     use super::*;
     use crate::Oracle;
-    use lbr_logic::{Lit, Var};
+    use lbr_logic::{Clause, Lit, Var};
 
     fn v(i: u32) -> Var {
         Var::new(i)
@@ -1127,37 +1037,12 @@ mod tests {
     }
 
     #[test]
-    fn progression_prefixes_are_valid_and_disjoint() {
-        let inst = chain_instance(6);
-        let order = VarOrder::natural(6);
-        let prog = build_progression(&inst.cnf, &order, &[], &inst.vars).expect("progression");
-        let mut acc = VarSet::empty(6);
-        for (i, d) in prog.iter().enumerate() {
-            assert!(acc.is_disjoint(d), "entry {i} overlaps prefix");
-            acc.union_with(d);
-            assert!(inst.cnf.eval(&acc), "prefix {i} invalid");
-        }
-        assert_eq!(acc, inst.vars);
-    }
-
-    #[test]
-    fn progression_overlaps_learned_sets() {
-        let inst = chain_instance(6);
-        let order = VarOrder::natural(6);
-        let learned = vec![VarSet::from_iter_with_universe(6, [v(4)])];
-        let prog = build_progression(&inst.cnf, &order, &learned, &inst.vars).expect("progression");
-        // D0 must contain v4 (and therefore v5 by the chain).
-        assert!(prog[0].contains(v(4)));
-        assert!(prog[0].contains(v(5)));
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "must extend the previous call's")]
     fn progression_builder_asserts_that_learned_sets_only_grow() {
         let inst = chain_instance(6);
         let order = VarOrder::natural(6);
-        let mut builder = ProgressionBuilder::new(&inst.cnf, 6, &GbrConfig::default());
+        let mut builder = ProgressionBuilder::new(&inst.cnf, 6);
         let learned = vec![VarSet::from_iter_with_universe(6, [v(4)])];
         builder
             .progression(&order, &learned, &inst.vars)

@@ -76,10 +76,10 @@ pub use concurrent::{
 pub use ddmin::{ddmin, DdminStats, TestOutcome};
 pub use fault::{FaultInjector, FaultPlan};
 pub use gbr::{
-    build_progression, generalized_binary_reduction, generalized_binary_reduction_controlled,
+    generalized_binary_reduction, generalized_binary_reduction_controlled,
     generalized_binary_reduction_speculative, generalized_binary_reduction_speculative_controlled,
     BoundarySearch, GbrCheckpoint, GbrConfig, GbrControl, GbrError, GbrOutcome, ProgressionBuilder,
-    PropagationMode, SpeculationConfig, SpeculativeRun,
+    SpeculationConfig, SpeculativeRun,
 };
 pub use graph::{Closure, DepGraph};
 pub use hitting::{reduction_is_faithful, HittingSet};
@@ -94,7 +94,7 @@ pub use problem::{Instance, Oracle, Predicate};
 pub use scope::Scope;
 pub use stack::{
     CacheLayer, CoverageTrace, FaultyCache, LatencyLayer, MemoryCache, OracleLayer, OracleStack,
-    StatsLayer, TraceLayer, ValidationLayer,
+    TraceLayer,
 };
 pub use stats::{CacheStats, ProbeStats};
 pub use strategy::{

@@ -2,7 +2,7 @@
 //!
 //! Every caller of the reduction algorithms wraps the same black-box
 //! predicate with the same few concerns — an external probe cache,
-//! emulated tool latency, fault injection, validation, counters — and
+//! emulated tool latency, fault injection, coverage recording — and
 //! before this module each caller hand-rolled its own wrapping. Here each
 //! concern is an [`OracleLayer`]: a decorator that receives the candidate
 //! subset and a `next` continuation, and may answer the probe itself
@@ -44,8 +44,6 @@ use std::sync::Mutex;
 /// result. Layers are probed through `&self` from many threads, so all
 /// internal state must be thread-safe.
 pub trait OracleLayer: Sync {
-    /// A short stable name, used in docs, logs and stat maps.
-    fn name(&self) -> &'static str;
     /// Handles one probe, delegating to `next` for the layers below.
     fn probe(&self, input: &VarSet, next: &dyn Fn(&VarSet) -> Probe) -> Probe;
 }
@@ -81,11 +79,6 @@ impl<'p> OracleStack<'p> {
     pub fn with(mut self, layer: &'p dyn OracleLayer) -> Self {
         self.layers.push(layer);
         self
-    }
-
-    /// The names of the layers, outermost first.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
     }
 
     fn probe_from(&self, depth: usize, input: &VarSet) -> Probe {
@@ -136,10 +129,6 @@ impl<'c> CacheLayer<'c> {
 }
 
 impl OracleLayer for CacheLayer<'_> {
-    fn name(&self) -> &'static str {
-        "cache"
-    }
-
     fn probe(&self, input: &VarSet, next: &dyn Fn(&VarSet) -> Probe) -> Probe {
         if let Some(probe) = self.cache.lookup(input) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -301,10 +290,6 @@ impl<'c> TraceLayer<'c> {
 }
 
 impl OracleLayer for TraceLayer<'_> {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
     fn probe(&self, input: &VarSet, next: &dyn Fn(&VarSet) -> Probe) -> Probe {
         let probe = match self.store {
             Some(store) => match store.lookup(input) {
@@ -344,122 +329,11 @@ impl LatencyLayer {
 }
 
 impl OracleLayer for LatencyLayer {
-    fn name(&self) -> &'static str {
-        "latency"
-    }
-
     fn probe(&self, input: &VarSet, next: &dyn Fn(&VarSet) -> Probe) -> Probe {
         if self.micros > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.micros));
         }
         next(input)
-    }
-}
-
-/// A pass-through layer that checks every probed candidate against a
-/// caller-supplied validity predicate, counting violations.
-///
-/// GBR promises to only probe *valid* sub-inputs (models of `R_I`);
-/// pinning that promise as a layer makes it observable per run instead
-/// of trusted. Counts rather than panics, because some baselines (ddmin)
-/// probe invalid candidates by design.
-pub struct ValidationLayer<F> {
-    is_valid: F,
-    checked: AtomicU64,
-    violations: AtomicU64,
-}
-
-impl<F: Fn(&VarSet) -> bool + Sync> ValidationLayer<F> {
-    /// A layer that checks candidates with `is_valid`.
-    pub fn new(is_valid: F) -> Self {
-        ValidationLayer {
-            is_valid,
-            checked: AtomicU64::new(0),
-            violations: AtomicU64::new(0),
-        }
-    }
-
-    /// Probes that passed through this layer.
-    pub fn checked(&self) -> u64 {
-        self.checked.load(Ordering::Relaxed)
-    }
-
-    /// Probed candidates that failed the validity check.
-    pub fn violations(&self) -> u64 {
-        self.violations.load(Ordering::Relaxed)
-    }
-}
-
-impl<F: Fn(&VarSet) -> bool + Sync> OracleLayer for ValidationLayer<F> {
-    fn name(&self) -> &'static str {
-        "validation"
-    }
-
-    fn probe(&self, input: &VarSet, next: &dyn Fn(&VarSet) -> Probe) -> Probe {
-        self.checked.fetch_add(1, Ordering::Relaxed);
-        if !(self.is_valid)(input) {
-            self.violations.fetch_add(1, Ordering::Relaxed);
-        }
-        next(input)
-    }
-}
-
-/// An observation layer: counts probes that reached it and tracks the
-/// smallest candidate that still induced the failure.
-pub struct StatsLayer {
-    probes: AtomicU64,
-    failures: AtomicU64,
-    best_failing: AtomicU64,
-}
-
-impl StatsLayer {
-    /// A fresh observer.
-    pub fn new() -> Self {
-        StatsLayer {
-            probes: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            best_failing: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Probes that reached this layer.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Probes whose outcome preserved the failure.
-    pub fn failures_preserved(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Size of the smallest failure-preserving candidate seen, if any.
-    pub fn best_failing_size(&self) -> Option<u64> {
-        match self.best_failing.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            s => Some(s),
-        }
-    }
-}
-
-impl Default for StatsLayer {
-    fn default() -> Self {
-        StatsLayer::new()
-    }
-}
-
-impl OracleLayer for StatsLayer {
-    fn name(&self) -> &'static str {
-        "stats"
-    }
-
-    fn probe(&self, input: &VarSet, next: &dyn Fn(&VarSet) -> Probe) -> Probe {
-        let probe = next(input);
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        if probe.outcome {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-            self.best_failing.fetch_min(probe.size, Ordering::Relaxed);
-        }
-        probe
     }
 }
 
@@ -601,42 +475,21 @@ mod tests {
 
     #[test]
     fn layer_order_is_outermost_first() {
-        // cache over stats: a cache hit must bypass the stats layer.
+        // cache over trace: a cache hit must bypass the trace layer.
         let base = |_: &VarSet| true;
         let cache = MemoryCache::new();
         let cache_layer = CacheLayer::new(&cache);
-        let stats = StatsLayer::new();
-        let stack = OracleStack::new(&base).with(&cache_layer).with(&stats);
-        assert_eq!(stack.layer_names(), ["cache", "stats"]);
+        let trace = TraceLayer::new(4);
+        let stack = OracleStack::new(&base).with(&cache_layer).with(&trace);
         let key = set(4, &[1]);
         stack.probe(&key);
         stack.probe(&key);
-        assert_eq!(stats.probes(), 1, "the hit never reached the stats layer");
+        assert_eq!(
+            trace.snapshot().probes(),
+            1,
+            "the hit never reached the trace layer"
+        );
         assert_eq!(cache_layer.hits(), 1);
-    }
-
-    #[test]
-    fn validation_layer_counts_but_does_not_block() {
-        let base = |_: &VarSet| true;
-        let validation = ValidationLayer::new(|s: &VarSet| s.len().is_multiple_of(2));
-        let stack = OracleStack::new(&base).with(&validation);
-        assert!(stack.probe(&set(4, &[0, 1])).outcome);
-        assert!(stack.probe(&set(4, &[0])).outcome, "violations still probe");
-        assert_eq!(validation.checked(), 2);
-        assert_eq!(validation.violations(), 1);
-    }
-
-    #[test]
-    fn stats_layer_tracks_best_failing_size() {
-        let base = |s: &VarSet| s.contains(Var::new(0));
-        let stats = StatsLayer::new();
-        let stack = OracleStack::new(&base).with(&stats);
-        stack.probe(&set(8, &[0, 1, 2]));
-        stack.probe(&set(8, &[0]));
-        stack.probe(&set(8, &[3]));
-        assert_eq!(stats.probes(), 3);
-        assert_eq!(stats.failures_preserved(), 2);
-        assert_eq!(stats.best_failing_size(), Some(1));
     }
 
     #[test]

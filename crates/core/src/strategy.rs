@@ -24,7 +24,7 @@
 
 use crate::binary::BinaryReductionError;
 use crate::concurrent::ProbeCache;
-use crate::gbr::{GbrCheckpoint, GbrError, PropagationMode};
+use crate::gbr::{GbrCheckpoint, GbrError};
 use crate::input::{Input, InputOracle, ModelStats};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
@@ -33,15 +33,10 @@ use std::sync::Arc;
 
 /// Performance knobs for a reduction run. They change how fast a run is,
 /// never what it computes: results, predicate-call counts, and traces are
-/// identical across all settings.
+/// identical across all settings. Every run memoizes probe outcomes by
+/// candidate subset, so a repeated probe never re-runs the tool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
-    /// How GBR propagates the dependency model (incremental watched-literal
-    /// engine vs the scan-based baseline).
-    pub propagation: PropagationMode,
-    /// Whether the oracle memoizes probe outcomes by candidate subset, so
-    /// repeated probes never re-run the tool.
-    pub memoize: bool,
     /// Intra-run probe parallelism. `1` (the default) probes sequentially.
     /// With `n > 1`, strategies whose [`StrategyCaps::speculative`] flag is
     /// set speculate on the binary search's pending probe with `n`-way
@@ -71,21 +66,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            propagation: PropagationMode::default(),
-            memoize: true,
-            probe_threads: 1,
-            probe_latency_micros: 0,
-        }
-    }
-}
-
-impl RunOptions {
-    /// The pre-engine configuration: scan-based propagation, no memo. Used
-    /// as the measurable baseline for the performance comparison.
-    pub fn legacy() -> Self {
-        RunOptions {
-            propagation: PropagationMode::LegacyScan,
-            memoize: false,
             probe_threads: 1,
             probe_latency_micros: 0,
         }
@@ -185,8 +165,9 @@ impl From<BinaryReductionError> for PipelineError {
 pub struct StrategyOutput<I> {
     /// The reduced input.
     pub reduced: I,
-    /// Black-box predicate invocations (memo hits excluded, cache hits
-    /// included — a cross-run cache hit replaces the tool only).
+    /// Black-box predicate invocations the search demanded, per-run memo
+    /// hits and cross-run cache hits included (a hit replaces the tool
+    /// run only, not the demand); see [`Oracle::calls`](crate::Oracle::calls).
     pub calls: u64,
     /// The reduction-over-time trace.
     pub trace: ReductionTrace,

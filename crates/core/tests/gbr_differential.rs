@@ -1,18 +1,18 @@
-//! Differential tests: GBR with the incremental watched-literal engine
-//! (`PropagationMode::Incremental`, the default) must be *bit-identical*
-//! to the scan-based baseline (`PropagationMode::LegacyScan`) — same
-//! solution, same iteration count, same learned sets, same progression
-//! lengths, and exactly the same number of predicate calls. The speedup
-//! must be free. Below the whole-run level, every [`ProgressionBuilder`]
-//! call must return exactly what the stateless `build_progression`
-//! returns for the same `(L, J)`.
+//! Differential tests: the incremental [`ProgressionBuilder`] behind GBR
+//! must be *bit-identical* to the stateless scan-based
+//! `lbr_reference::build_progression`. At the whole-run level every
+//! progression a GBR run builds is replayed through both from the run's
+//! checkpoint chain — the exact `(L, J)` pairs it built them from — and
+//! they must agree entry for entry, error for error. Below it, random
+//! GBR-shaped walks feed both the same growing learned list.
 
 use lbr_core::{
-    build_progression, closure_size_order, generalized_binary_reduction, history_order, GbrConfig,
-    GbrError, Instance, Oracle, ProgressionBuilder, PropagationMode,
+    closure_size_order, generalized_binary_reduction_controlled, history_order, GbrCheckpoint,
+    GbrConfig, GbrControl, GbrError, Instance, Oracle, ProgressionBuilder,
 };
 use lbr_logic::{Clause, Cnf, Var, VarOrder, VarSet};
 use lbr_prng::SplitMix64;
+use lbr_reference::{build_progression, check_chain};
 
 /// A random mixed model: mostly edges, some general implications, a few
 /// positive disjunctions — the clause mix of real bytecode models.
@@ -41,32 +41,42 @@ fn random_model(rng: &mut SplitMix64, n: usize) -> Cnf {
     cnf
 }
 
-/// Everything observable about a GBR run: solution, iteration count,
-/// learned sets and progression lengths (or the error).
-type GbrRun = Result<(VarSet, usize, Vec<VarSet>, Vec<usize>), lbr_core::GbrError>;
-
-fn run_both(instance: &Instance, order: &VarOrder, needed: &[Var]) -> (GbrRun, u64, GbrRun, u64) {
-    let mut results = Vec::new();
-    let mut calls = Vec::new();
-    for mode in [PropagationMode::Incremental, PropagationMode::LegacyScan] {
-        let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
-        let mut oracle = Oracle::new(&mut bug, 0.0);
-        let config = GbrConfig {
-            propagation: mode,
-            ..GbrConfig::default()
-        };
-        let out = generalized_binary_reduction(instance, order, &mut oracle, &config)
-            .map(|o| (o.solution, o.iterations, o.learned, o.progression_lengths));
-        calls.push(oracle.calls());
-        results.push(out);
-    }
-    let legacy = results.pop().expect("two runs");
-    let incremental = results.pop().expect("two runs");
-    (incremental, calls[0], legacy, calls[1])
+/// Runs GBR for a bug that needs every variable of `needed`, records its
+/// checkpoint chain, and replays the chain through the builder and the
+/// scan reference.
+fn chain_matches_reference(instance: &Instance, order: &VarOrder, needed: &[Var]) {
+    let mut chain: Vec<GbrCheckpoint> = Vec::new();
+    let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
+    let mut control = GbrControl {
+        checkpoint: Some(&mut record),
+        ..GbrControl::default()
+    };
+    let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
+    let mut oracle = Oracle::new(&mut bug, 0.0);
+    let outcome = generalized_binary_reduction_controlled(
+        instance,
+        order,
+        &mut oracle,
+        &GbrConfig::default(),
+        &mut control,
+    )
+    .expect("a monotone bug over a valid instance reduces");
+    assert_eq!(
+        chain.len(),
+        outcome.iterations,
+        "one checkpoint per rebuild"
+    );
+    let entries =
+        check_chain(&instance.cnf, order, &instance.vars, &chain).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        entries,
+        outcome.progression_lengths.iter().sum::<usize>(),
+        "the chain covers every progression the run built"
+    );
 }
 
 #[test]
-fn incremental_gbr_is_bit_identical_to_legacy_scan() {
+fn gbr_checkpoint_chains_match_the_scan_reference() {
     let mut checked = 0;
     for seed in 0..120u64 {
         let mut rng = SplitMix64::seed_from_u64(7000 + seed);
@@ -80,22 +90,17 @@ fn incremental_gbr_is_bit_identical_to_legacy_scan() {
             .collect();
         let order = closure_size_order(&cnf);
         let instance = Instance::over_all_vars(cnf);
-        let (inc, inc_calls, legacy, legacy_calls) = run_both(&instance, &order, &needed);
-        assert_eq!(inc, legacy, "seed {seed}: outcomes diverge");
-        assert_eq!(
-            inc_calls, legacy_calls,
-            "seed {seed}: predicate call counts diverge"
-        );
+        chain_matches_reference(&instance, &order, &needed);
         checked += 1;
     }
     assert!(checked >= 60, "too few non-degenerate draws: {checked}");
 }
 
 #[test]
-fn incremental_matches_legacy_on_orders_that_defeat_the_greedy_pick() {
+fn chains_match_the_reference_on_orders_that_defeat_the_greedy_pick() {
     // The natural order on a chain makes the first progression [∅, all]
     // and exercises the remainder fallback; reversed orders exercise the
-    // dead-end DPLL fallback. Both modes must still agree exactly.
+    // dead-end DPLL fallback. Builder and reference must still agree.
     for n in [6usize, 12, 20] {
         let mut cnf = Cnf::new(n);
         for i in 0..n - 1 {
@@ -106,32 +111,57 @@ fn incremental_matches_legacy_on_orders_that_defeat_the_greedy_pick() {
         let reversed =
             VarOrder::from_permutation((0..n as u32).rev().map(Var::new).collect::<Vec<_>>());
         for order in [&natural, &reversed] {
-            let needed = [Var::new(n as u32 / 2)];
-            let (inc, inc_calls, legacy, legacy_calls) = run_both(&instance, order, &needed);
-            assert_eq!(inc, legacy, "n {n}");
-            assert_eq!(inc_calls, legacy_calls, "n {n}");
+            chain_matches_reference(&instance, order, &[Var::new(n as u32 / 2)]);
         }
     }
 }
 
+/// The chain `0 ⇒ 1 ⇒ … ⇒ n-1` over all its variables.
+fn chain_instance(n: usize) -> Instance {
+    let mut cnf = Cnf::new(n);
+    for i in 0..n - 1 {
+        cnf.add_clause(Clause::edge(Var::new(i as u32), Var::new(i as u32 + 1)));
+    }
+    Instance::over_all_vars(cnf)
+}
+
 #[test]
-fn legacy_build_progression_still_matches_paper_shape() {
-    // The public scan-based subroutine stays available and agrees with
-    // what the engine-backed reduction learns internally.
-    let mut cnf = Cnf::new(6);
-    for i in 0..5 {
-        cnf.add_clause(Clause::edge(Var::new(i), Var::new(i + 1)));
+fn progression_prefixes_are_valid_and_disjoint() {
+    for order in [
+        VarOrder::natural(6),
+        closure_size_order(&chain_instance(6).cnf),
+    ] {
+        let inst = chain_instance(6);
+        let prog = build_progression(&inst.cnf, &order, &[], &inst.vars).expect("progression");
+        let mut builder = ProgressionBuilder::new(&inst.cnf, 6);
+        assert_eq!(
+            builder.progression(&order, &[], &inst.vars),
+            Ok(prog.clone())
+        );
+        let mut acc = VarSet::empty(6);
+        for (i, d) in prog.iter().enumerate() {
+            assert!(acc.is_disjoint(d), "entry {i} overlaps prefix");
+            acc.union_with(d);
+            assert!(inst.cnf.eval(&acc), "prefix {i} invalid");
+        }
+        assert_eq!(acc, inst.vars);
     }
-    let inst = Instance::over_all_vars(cnf);
-    let order = closure_size_order(&inst.cnf);
-    let prog = build_progression(&inst.cnf, &order, &[], &inst.vars).expect("progression");
-    let mut acc = VarSet::empty(6);
-    for d in &prog {
-        assert!(acc.is_disjoint(d));
-        acc.union_with(d);
-        assert!(inst.cnf.eval(&acc));
-    }
-    assert_eq!(acc, inst.vars);
+}
+
+#[test]
+fn progression_overlaps_learned_sets() {
+    let inst = chain_instance(6);
+    let order = VarOrder::natural(6);
+    let learned = vec![VarSet::from_iter_with_universe(6, [Var::new(4)])];
+    let prog = build_progression(&inst.cnf, &order, &learned, &inst.vars).expect("progression");
+    let mut builder = ProgressionBuilder::new(&inst.cnf, 6);
+    assert_eq!(
+        builder.progression(&order, &learned, &inst.vars),
+        Ok(prog.clone())
+    );
+    // D0 must contain v4 (and therefore v5 by the chain).
+    assert!(prog[0].contains(Var::new(4)));
+    assert!(prog[0].contains(Var::new(5)));
 }
 
 /// The prefix union of `progression` up to and including entry `r`.
@@ -185,7 +215,7 @@ fn progression_builder_matches_build_progression() {
             }
             _ => full.clone(),
         };
-        let mut builder = ProgressionBuilder::new(&cnf, n, &GbrConfig::default());
+        let mut builder = ProgressionBuilder::new(&cnf, n);
         let mut learned: Vec<VarSet> = Vec::new();
         loop {
             let got = builder.progression(&order, &learned, &search_space);

@@ -6,9 +6,10 @@
 //! a generative test. A seed-deterministic stream of random-but-valid
 //! inputs — classfile programs and (one case in three) stackvm modules,
 //! built on [`lbr_workload`]'s planners and [`lbr_prng`] — is pushed
-//! through every progression — the GBR engine, the legacy scan baseline,
-//! speculative probing, the ddmin, HDD and trace-guided strategies,
-//! cold/warm/fault-injected persistent caches, and the service daemon —
+//! through every progression — the GBR engine (its progressions checked
+//! against the scan reference of `lbr-reference`), speculative probing,
+//! the ddmin, HDD and trace-guided strategies, cold/warm/fault-injected
+//! persistent caches, and the service daemon —
 //! and the results are cross-checked against the invariants I1–I9 listed
 //! in DESIGN.md §Fuzzing architecture (and in the docs of the private
 //! `run` module, beside the [`Harness`] that checks them).
@@ -76,6 +77,12 @@ pub struct CampaignSummary {
     pub oracle_checks_classfile: u64,
     /// Candidates I9 checked on stackvm cases.
     pub oracle_checks_stackvm: u64,
+    /// I4 chain checks passed over non-empty checkpoint chains on
+    /// classfile cases.
+    pub chain_checks_classfile: u64,
+    /// I4 chain checks passed over non-empty checkpoint chains on stackvm
+    /// cases.
+    pub chain_checks_stackvm: u64,
     /// Replayable case files written (one per violating case, capped).
     pub case_files: Vec<PathBuf>,
 }
@@ -117,8 +124,10 @@ pub fn run_campaign(config: &CampaignConfig, harness: &Harness) -> io::Result<Ca
         summary.predicate_calls += outcome.predicate_calls;
         if case.format == "stackvm" {
             summary.oracle_checks_stackvm += outcome.oracle_checks;
+            summary.chain_checks_stackvm += outcome.chain_checks;
         } else {
             summary.oracle_checks_classfile += outcome.oracle_checks;
+            summary.chain_checks_classfile += outcome.chain_checks;
         }
         if !outcome.violations.is_empty() {
             summary.violations += 1;

@@ -8,9 +8,13 @@
 //!   (serialize → parse → equal → verify);
 //! - **I3** no result is larger than its input;
 //! - **I4** the GBR result, predicate-call count, and probe trace are
-//!   bit-identical across the legacy scan engine, speculative probe
-//!   threads, a cold persistent cache, that cache re-opened warm, a cache
-//!   with injected I/O faults, and the service daemon;
+//!   bit-identical across speculative probe threads, a cold persistent
+//!   cache, that cache re-opened warm, a cache with injected I/O faults,
+//!   and the service daemon; and every progression the reference run and
+//!   trace-guided Phase B built equals the scan reference's
+//!   (`lbr_reference::build_progression`) on the same `(learned,
+//!   search_space)` pairs, replayed from their checkpoint chains (the
+//!   chain check);
 //! - **I5** the logical reducer's result is never more than 25% larger
 //!   than the ddmin baseline's unless it is a local minimum, one the
 //!   minimize pass cannot shrink (a regression tripwire: both reducers are
@@ -37,7 +41,7 @@
 
 use crate::case::FuzzCase;
 use lbr_classfile::{verify_program, Program};
-use lbr_core::{Input, InputOracle, TestOutcome};
+use lbr_core::{GbrCheckpoint, Input, InputOracle, TestOutcome};
 use lbr_decompiler::{decompile_program, error_messages, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_logic::{Var, VarSet};
@@ -83,6 +87,10 @@ pub struct CaseOutcome {
     pub predicate_calls: u64,
     /// Candidates whose oracle answers I9 compared with the reference.
     pub oracle_checks: u64,
+    /// I4 chain checks passed over a non-empty checkpoint chain (one per
+    /// GBR run that learned at least once: the reference and
+    /// trace-guided).
+    pub chain_checks: u64,
 }
 
 impl CaseOutcome {
@@ -229,7 +237,10 @@ impl Harness {
         let mut out = CaseOutcome::default();
 
         // P0: the reference — GBR over the logical model, default options.
-        let reference = match session(input, oracle).run() {
+        // Its checkpoint chain feeds the I4 chain check below.
+        let mut chain: Vec<GbrCheckpoint> = Vec::new();
+        let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
+        let reference = match session(input, oracle).checkpoint(&mut record).run() {
             Ok(report) => report,
             Err(e) => {
                 out.violations.push(format!("reference run failed: {e}"));
@@ -240,30 +251,22 @@ impl Harness {
         out.predicate_calls = reference.predicate_calls;
         soundness("I1-I3 reference", &reference, &mut out.violations);
 
-        // P1+P2: sessions that must replay the identical search (I4) —
-        // the legacy scan engine, and speculative parallel probing (which
-        // may change nothing but speed).
-        let identical: [(&str, RunOptions); 2] = [
-            ("legacy-scan", RunOptions::legacy()),
-            (
-                "probe-threads-2",
-                RunOptions {
-                    probe_threads: 2,
-                    ..RunOptions::default()
-                },
-            ),
-        ];
-        for (tag, options) in identical {
-            self.identical_to(
-                input,
-                oracle,
-                &reference,
-                "logical/greedy",
-                tag,
-                &options,
-                &mut out,
-            );
-        }
+        // P2: speculative parallel probing must replay the identical
+        // search (I4); it may change nothing but speed. P1 is the chain
+        // check below.
+        let threaded = RunOptions {
+            probe_threads: 2,
+            ..RunOptions::default()
+        };
+        self.identical_to(
+            input,
+            oracle,
+            &reference,
+            "logical/greedy",
+            "probe-threads-2",
+            &threaded,
+            &mut out,
+        );
 
         // P3 is retired with the DPLL+minimize MSA variant it ran; the
         // number is not reused.
@@ -271,32 +274,60 @@ impl Harness {
         // P13 and P15: the baseline zoo from the strategy registry — HDD
         // over the containment tree and the trace-guided GBR mode. Each is
         // its own search (no bit-identity with the reference), checked for
-        // soundness (I1–I3). Trace-guided also replays under the legacy
-        // options, whose scan-based progressions its Phase B must match
-        // exactly, and with speculative probing (I4).
+        // soundness (I1–I3). Trace-guided also replays with speculative
+        // probing (I4), and its Phase B's checkpoint chain joins the chain
+        // check (HDD is not resumable and never calls the hook).
+        let mut guided_chain: Vec<GbrCheckpoint> = Vec::new();
         for (tag, name) in [("hdd", "hdd"), ("trace-guided", "logical/trace-guided")] {
-            match session(input, oracle).strategy(name).run() {
+            let mut record = |ck: &GbrCheckpoint| guided_chain.push(ck.clone());
+            match session(input, oracle)
+                .strategy(name)
+                .checkpoint(&mut record)
+                .run()
+            {
                 Ok(report) => {
                     out.progressions += 1;
                     soundness(&format!("I1-I3 {tag}"), &report, &mut out.violations);
                     if tag == "trace-guided" {
-                        for (replay, options) in [
-                            ("trace-guided-legacy-scan", RunOptions::legacy()),
-                            (
-                                "trace-guided-probe-threads-2",
-                                RunOptions {
-                                    probe_threads: 2,
-                                    ..RunOptions::default()
-                                },
-                            ),
-                        ] {
-                            self.identical_to(
-                                input, oracle, &report, name, replay, &options, &mut out,
-                            );
-                        }
+                        self.identical_to(
+                            input,
+                            oracle,
+                            &report,
+                            name,
+                            "trace-guided-probe-threads-2",
+                            &threaded,
+                            &mut out,
+                        );
                     }
                 }
                 Err(e) => out.violations.push(format!("{tag} run failed: {e}")),
+            }
+        }
+
+        // P1 (I4 chain check): every progression the two GBR runs above
+        // built, replayed from its checkpoint chain through a fresh
+        // progression builder and the scan reference, must agree entry for
+        // entry — each from its run's own start and under its own order:
+        // the whole input under the closure-size order for the reference
+        // run, the coverage sweep's seed under its history order for
+        // trace-guided's Phase B. A chain counts once it holds a recorded
+        // progression, not just the first one.
+        out.progressions += 1;
+        let greedy = lbr_reference::check_input_chain(input, &chain);
+        let guided = lbr_jreduce::trace_guided_start(input, oracle)
+            .map_err(|e| e.to_string())
+            .and_then(|(seed, order)| {
+                let model = input.model()?;
+                lbr_reference::check_chain(&model.cnf, &order, &seed, &guided_chain)
+            });
+        for (tag, chain, checked) in [
+            ("greedy", &chain, greedy),
+            ("trace-guided", &guided_chain, guided),
+        ] {
+            match checked {
+                Ok(_) if !chain.is_empty() => out.chain_checks += 1,
+                Ok(_) => {}
+                Err(e) => out.violations.push(format!("I4 chain {tag}: {e}")),
             }
         }
 

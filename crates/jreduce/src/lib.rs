@@ -47,8 +47,8 @@ pub use lbr_classfile::{
 pub use lbr_core::ModelStats;
 pub use pipeline::{
     check_report, known_strategy, run_per_error, run_per_error_with, run_reduction,
-    run_reduction_with, strategy_catalog, strategy_registry, PerErrorReport, PipelineError,
-    ReductionReport, ReductionStrategy, RunOptions, ServiceHooks, SizeMetrics, StrategyCaps,
-    StrategyOutput, StrategyRegistry,
+    run_reduction_with, strategy_catalog, strategy_registry, trace_guided_start, PerErrorReport,
+    PipelineError, ReductionReport, ReductionStrategy, RunOptions, ServiceHooks, SizeMetrics,
+    StrategyCaps, StrategyOutput, StrategyRegistry,
 };
 pub use session::ReductionSession;

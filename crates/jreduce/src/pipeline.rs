@@ -33,6 +33,7 @@ mod strategies;
 #[cfg(test)]
 mod tests;
 
+pub use guided::trace_guided_start;
 pub use lbr_core::{
     PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps, StrategyOutput,
     StrategyRegistry,

@@ -34,7 +34,7 @@ pub(crate) fn run_jreduce<I: Input, O: InputOracle<I> + ?Sized>(
         last_bytes.set(probe.size);
         probe.outcome
     };
-    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
+    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get());
     let outcome = binary_reduction(&coarse.graph, &mut wrapped)?;
     let calls = wrapped.calls();
     let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
@@ -79,7 +79,7 @@ pub(crate) fn run_lossy<I: Input, O: InputOracle<I> + ?Sized>(
         last_bytes.set(probe.size);
         probe.outcome
     };
-    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
+    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get());
     let outcome = binary_reduction(&graph, &mut wrapped)?;
     let calls = wrapped.calls();
     let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());

@@ -21,11 +21,11 @@ use crate::pipeline::logical::run_gbr;
 use crate::pipeline::probe::CandidateProbe;
 use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
-    ddmin, history_order, BoundarySearch, ConcurrentPredicate, DepGraph, GbrConfig, GbrControl,
-    Input, InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats, ReductionTrace,
-    StrategyOutput, TestOutcome, TraceLayer,
+    ddmin, history_order, BoundarySearch, ConcurrentPredicate, CoverageTrace, DepGraph, GbrConfig,
+    GbrControl, Input, InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats,
+    ReductionTrace, StrategyOutput, TestOutcome, TraceLayer,
 };
-use lbr_logic::{ClauseShape, Cnf, Var, VarSet};
+use lbr_logic::{ClauseShape, Cnf, Var, VarOrder, VarSet};
 use std::time::Instant;
 
 /// Per-variable dependency closures over the edge-shaped clauses of the
@@ -141,6 +141,140 @@ pub(crate) fn run_hdd<I: Input, O: InputOracle<I> + ?Sized>(
     })
 }
 
+/// Phase A of the trace-guided mode: a coverage sweep of deletion probes
+/// through `stack`, whose [`TraceLayer`] records each probe's coverage.
+/// Slice the remaining items into contiguous index runs (frontends number
+/// items unit by unit, so a slice is roughly a run of whole classes or
+/// functions), probe the dep-pruned complement of each slice, and
+/// intersect the failing complements: the items every failure-preserving
+/// probe kept are the covered set — coverage-based debloating's prior,
+/// recast over keep-sets — and become Phase B's search space. A handful
+/// of probes localizes the failure to a fraction of the items, so GBR's
+/// progressions and binary searches run over a far shorter list than a
+/// cold start's. Returns the sweep's trace and its probe count.
+fn coverage_sweep(
+    cnf: &Cnf,
+    stack: &OracleStack<'_>,
+    cost: f64,
+    cancelled: &dyn Fn() -> bool,
+) -> (ReductionTrace, u64) {
+    const SLICES: usize = 6;
+    const ROUNDS: usize = 2;
+    let closures = edge_closures(cnf);
+    let mut trace = ReductionTrace::new();
+    let start = Instant::now();
+    let mut calls = 0u64;
+    let mut survivor = VarSet::full(cnf.num_vars());
+    'sweep: for _round in 0..ROUNDS {
+        let vars: Vec<Var> = survivor.iter().collect();
+        if vars.len() < 2 * SLICES {
+            break;
+        }
+        let mut intersection = survivor.clone();
+        let mut smallest_failing: Option<VarSet> = None;
+        for slice in vars.chunks(vars.len().div_ceil(SLICES)) {
+            if cancelled() {
+                break 'sweep;
+            }
+            let mut candidate = survivor.clone();
+            for &v in slice {
+                candidate.remove(v);
+            }
+            let candidate = prune_to_deps(&candidate, &closures);
+            if candidate == survivor || candidate.is_empty() || !cnf.eval(&candidate) {
+                continue;
+            }
+            calls += 1;
+            let probe = stack.probe(&candidate);
+            trace.record(
+                calls,
+                start.elapsed().as_secs_f64(),
+                calls as f64 * cost,
+                probe.size,
+                probe.outcome,
+            );
+            if probe.outcome {
+                intersection.intersect_with(&candidate);
+                if smallest_failing
+                    .as_ref()
+                    .is_none_or(|s| candidate.len() < s.len())
+                {
+                    smallest_failing = Some(candidate);
+                }
+            }
+        }
+        let Some(smallest) = smallest_failing else {
+            break; // every complement passed — no localization signal
+        };
+        let candidate = prune_to_deps(&intersection, &closures);
+        if candidate == survivor || !cnf.eval(&candidate) {
+            break;
+        }
+        if candidate == smallest {
+            survivor = candidate; // already probed failing this round
+            continue;
+        }
+        // Distinct failing complements may each hold a different
+        // instance of the error, so verify the intersection still fails
+        // before recursing into it.
+        if cancelled() {
+            break;
+        }
+        calls += 1;
+        let probe = stack.probe(&candidate);
+        trace.record(
+            calls,
+            start.elapsed().as_secs_f64(),
+            calls as f64 * cost,
+            probe.size,
+            probe.outcome,
+        );
+        if !probe.outcome {
+            break;
+        }
+        survivor = candidate;
+    }
+    (trace, calls)
+}
+
+/// Phase B's start: the sweep's covered set seeds the search space (the
+/// whole input when the sweep found no failing probe, or its covered set
+/// is not a model) and its trace frequencies order the progression.
+fn phase_b_start(cnf: &Cnf, coverage: &CoverageTrace) -> (VarSet, VarOrder) {
+    let seed = match coverage.covered() {
+        Some(covered) if cnf.eval(covered) => covered.clone(),
+        _ => VarSet::full(cnf.num_vars()),
+    };
+    (seed, history_order(cnf, coverage.frequencies()))
+}
+
+/// The search space and variable order `logical/trace-guided`'s Phase B
+/// starts GBR from on `input`. Re-runs Phase A's coverage sweep against
+/// `oracle`; the sweep is deterministic, so these are exactly the seed and
+/// order a run of the strategy uses. Together with the `(learned,
+/// search_space)` pairs the run's checkpoint hook received they determine
+/// every progression Phase B built, which lets a test replay them.
+///
+/// # Errors
+///
+/// [`PipelineError::Model`] when the logical model does not build.
+pub fn trace_guided_start<I: Input, O: InputOracle<I> + ?Sized>(
+    input: &I,
+    oracle: &O,
+) -> Result<(VarSet, VarOrder), PipelineError> {
+    let model = input.model().map_err(PipelineError::Model)?;
+    let cnf = &model.cnf;
+    let base = CandidateProbe {
+        materialize: &*model.materialize,
+        oracle,
+    };
+    let trace_layer = TraceLayer::new(cnf.num_vars());
+    let mut stack = OracleStack::new(&base);
+    stack.push(&trace_layer);
+    coverage_sweep(cnf, &stack, 0.0, &|| false);
+    Ok(phase_b_start(cnf, &trace_layer.snapshot()))
+}
+
 /// The trace-guided GBR mode. Phase A runs a coverage sweep of
 /// dependency-pruned deletion probes with a [`TraceLayer`] recording
 /// per-probe coverage (optionally backed by the service cache as a
@@ -172,95 +306,8 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
     let mut stack = OracleStack::new(&base);
     stack.push(&trace_layer);
     stack.push(&latency);
-    // Phase A: a coverage sweep of deletion probes. Slice the remaining
-    // items into contiguous index runs (frontends number items unit by
-    // unit, so a slice is roughly a run of whole classes or functions),
-    // probe the dep-pruned complement of each slice, and intersect the
-    // failing complements: the items every failure-preserving probe kept
-    // are the covered set — coverage-based debloating's prior, recast
-    // over keep-sets — and become Phase B's search space. A handful of
-    // probes localizes the failure to a fraction of the items, so GBR's
-    // progressions and binary searches run over a far shorter list than
-    // a cold start's.
-    let closures = edge_closures(cnf);
-    let mut trace = ReductionTrace::new();
-    let start = Instant::now();
-    let mut calls_a = 0u64;
     let cancelled = || hooks.cancel.is_some_and(|c| c());
-    {
-        const SLICES: usize = 6;
-        const ROUNDS: usize = 2;
-        let mut survivor = VarSet::full(n);
-        'sweep: for _round in 0..ROUNDS {
-            let vars: Vec<Var> = survivor.iter().collect();
-            if vars.len() < 2 * SLICES {
-                break;
-            }
-            let mut intersection = survivor.clone();
-            let mut smallest_failing: Option<VarSet> = None;
-            for slice in vars.chunks(vars.len().div_ceil(SLICES)) {
-                if cancelled() {
-                    break 'sweep;
-                }
-                let mut candidate = survivor.clone();
-                for &v in slice {
-                    candidate.remove(v);
-                }
-                let candidate = prune_to_deps(&candidate, &closures);
-                if candidate == survivor || candidate.is_empty() || !cnf.eval(&candidate) {
-                    continue;
-                }
-                calls_a += 1;
-                let probe = stack.probe(&candidate);
-                trace.record(
-                    calls_a,
-                    start.elapsed().as_secs_f64(),
-                    calls_a as f64 * cost,
-                    probe.size,
-                    probe.outcome,
-                );
-                if probe.outcome {
-                    intersection.intersect_with(&candidate);
-                    if smallest_failing
-                        .as_ref()
-                        .is_none_or(|s| candidate.len() < s.len())
-                    {
-                        smallest_failing = Some(candidate);
-                    }
-                }
-            }
-            let Some(smallest) = smallest_failing else {
-                break; // every complement passed — no localization signal
-            };
-            let candidate = prune_to_deps(&intersection, &closures);
-            if candidate == survivor || !cnf.eval(&candidate) {
-                break;
-            }
-            if candidate == smallest {
-                survivor = candidate; // already probed failing this round
-                continue;
-            }
-            // Distinct failing complements may each hold a different
-            // instance of the error, so verify the intersection still
-            // fails before recursing into it.
-            if cancelled() {
-                break;
-            }
-            calls_a += 1;
-            let probe = stack.probe(&candidate);
-            trace.record(
-                calls_a,
-                start.elapsed().as_secs_f64(),
-                calls_a as f64 * cost,
-                probe.size,
-                probe.outcome,
-            );
-            if !probe.outcome {
-                break;
-            }
-            survivor = candidate;
-        }
-    }
+    let (mut trace, calls_a) = coverage_sweep(cnf, &stack, cost, &cancelled);
     // Phase B: GBR with a trace-guided boundary search — the same
     // `run_gbr` call plain GBR makes, so it checkpoints, resumes,
     // speculates and cancels like `logical/greedy`. The sweep's covered
@@ -269,15 +316,9 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
     // previous one recorded ([`BoundarySearch::Gallop`]). A resumed run
     // re-runs the sweep above (the trace store answers its probes) to
     // rebuild the seed and order the checkpoint was taken with.
-    let coverage = trace_layer.snapshot();
-    let seed = match coverage.covered() {
-        Some(covered) if cnf.eval(covered) => covered.clone(),
-        _ => VarSet::full(n),
-    };
-    let order = history_order(cnf, coverage.frequencies());
+    let (seed, order) = phase_b_start(cnf, &trace_layer.snapshot());
     let instance = Instance::new(seed, cnf.clone());
     let config = GbrConfig {
-        propagation: options.propagation,
         boundary: BoundarySearch::Gallop,
         ..GbrConfig::default()
     };

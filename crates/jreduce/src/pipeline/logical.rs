@@ -35,10 +35,7 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
         OrderKind::Natural => lbr_core::natural_order(&model.cnf),
     };
     let instance = Instance::over_all_vars(model.cnf.clone());
-    let config = GbrConfig {
-        propagation: options.propagation,
-        ..GbrConfig::default()
-    };
+    let config = GbrConfig::default();
     let mut control = GbrControl {
         cancel: hooks.cancel,
         checkpoint: hooks.checkpoint.take(),
@@ -106,7 +103,7 @@ pub(crate) fn run_gbr(
         last_bytes.set(probe.size);
         probe.outcome
     };
-    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
+    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get());
     let outcome =
         generalized_binary_reduction_controlled(instance, order, &mut wrapped, config, control)?;
     let stats = ProbeStats::sequential(
@@ -141,12 +138,9 @@ pub(crate) fn run_minimized<I: Input, O: InputOracle<I> + ?Sized>(
         last_bytes.set(probe.size);
         probe.outcome
     };
-    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
-    let config = GbrConfig {
-        propagation: options.propagation,
-        ..GbrConfig::default()
-    };
-    let outcome = generalized_binary_reduction(&instance, &order, &mut wrapped, &config)?;
+    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get());
+    let outcome =
+        generalized_binary_reduction(&instance, &order, &mut wrapped, &GbrConfig::default())?;
     let (minimized, _stats) =
         lbr_core::minimize_solution(&instance, &order, &mut wrapped, &outcome.solution);
     let calls = wrapped.calls();

@@ -31,7 +31,7 @@ pub struct PerErrorReport {
 }
 
 impl PerErrorReport {
-    /// Fraction of probes served from the cache (`0.0` when disabled).
+    /// Fraction of probes served from the cache (`0.0` before any probe).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -70,17 +70,12 @@ pub(crate) fn run_sweep<I: Input, O: InputOracle<I> + ?Sized>(
     // run-once claim discipline makes the hit/miss totals deterministic
     // (misses = distinct subsets probed) at any worker count: later
     // searches hit what earlier ones cached.
-    let shared: Option<ShardedMemo<(BTreeSet<String>, u64)>> = options
-        .memoize
-        .then(|| ShardedMemo::new(4 * options.probe_threads));
+    let shared: ShardedMemo<(BTreeSet<String>, u64)> = ShardedMemo::new(4 * options.probe_threads);
     type Slot = Result<((String, SizeMetrics), ReductionTrace, u64), PipelineError>;
     let slots: Vec<Mutex<Option<Slot>>> = errors.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = options.probe_threads.min(errors.len()).max(1);
-    let config = GbrConfig {
-        propagation: options.propagation,
-        ..GbrConfig::default()
-    };
+    let config = GbrConfig::default();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -88,20 +83,16 @@ pub(crate) fn run_sweep<I: Input, O: InputOracle<I> + ?Sized>(
                 let Some(error) = errors.get(i) else {
                     break;
                 };
-                let run_probe = |keep: &VarSet| {
-                    let candidate = materialize(keep);
-                    emulate_tool_latency(options.probe_latency_micros);
-                    (oracle.errors(&candidate), candidate.byte_size() as u64)
-                };
                 // The probe computes error set and size together; the size
                 // metric reads the bytes of the probe that just ran instead
                 // of probing again.
                 let last_bytes = Cell::new(0u64);
                 let mut predicate = |keep: &VarSet| {
-                    let (errs, bytes) = match &shared {
-                        Some(memo) => memo.get_or_compute(keep, || run_probe(keep)),
-                        None => run_probe(keep),
-                    };
+                    let (errs, bytes) = shared.get_or_compute(keep, || {
+                        let candidate = materialize(keep);
+                        emulate_tool_latency(options.probe_latency_micros);
+                        (oracle.errors(&candidate), candidate.byte_size() as u64)
+                    });
                     last_bytes.set(bytes);
                     errs.contains(error)
                 };
@@ -137,7 +128,7 @@ pub(crate) fn run_sweep<I: Input, O: InputOracle<I> + ?Sized>(
         errors: rows,
         combined_trace,
         total_calls,
-        cache_hits: shared.as_ref().map_or(0, |m| m.hits()),
-        cache_misses: shared.as_ref().map_or(0, |m| m.misses()),
+        cache_hits: shared.hits(),
+        cache_misses: shared.misses(),
     })
 }

@@ -10,7 +10,6 @@
 //! hand the stack to whichever driver they use (the sequential
 //! [`Oracle`], the speculative scheduler, or ddmin).
 
-use crate::pipeline::RunOptions;
 use lbr_core::{ConcurrentPredicate, Input, InputOracle, Oracle, Probe};
 use lbr_logic::VarSet;
 
@@ -46,20 +45,16 @@ pub(crate) fn emulate_tool_latency(micros: u64) {
     }
 }
 
-/// Builds the standard per-run oracle wrapper (size metric + optional
-/// memo) around a keep-set predicate.
+/// Builds the standard per-run oracle wrapper (size metric + memo) around
+/// a keep-set predicate.
 pub(crate) fn wrap_oracle<'p>(
     predicate: &'p mut dyn lbr_core::Predicate,
     cost: f64,
     size_of: impl Fn(&VarSet) -> u64 + 'p,
-    options: &RunOptions,
 ) -> Oracle<'p> {
-    let wrapped = Oracle::new(predicate, cost).with_size_metric(size_of);
-    if options.memoize {
-        wrapped.with_memo()
-    } else {
-        wrapped
-    }
+    Oracle::new(predicate, cost)
+        .with_size_metric(size_of)
+        .with_memo()
 }
 
 /// Which variable order GBR uses.

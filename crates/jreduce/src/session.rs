@@ -2,9 +2,8 @@
 //!
 //! Every caller of the reduction pipeline — the CLI binaries, the daemon,
 //! the fuzzing harness, tests — wants the same thing: a program, an
-//! oracle, a strategy, and a handful of knobs (memoization, probe
-//! parallelism, emulated latency, an external cache, cancellation,
-//! checkpoint/resume). Before the session API each of them re-plumbed
+//! oracle, a strategy, and a handful of knobs (probe parallelism,
+//! emulated latency, an external cache, cancellation, checkpoint/resume). Before the session API each of them re-plumbed
 //! those knobs by hand through `RunOptions` + `ServiceHooks` + the right
 //! one of three entry points. A session names the configuration once and
 //! picks the entry point for you:
@@ -28,7 +27,7 @@
 use crate::pipeline::{
     self, PerErrorReport, PipelineError, ReductionReport, RunOptions, ServiceHooks,
 };
-use lbr_core::{GbrCheckpoint, Input, InputOracle, ProbeCache, PropagationMode};
+use lbr_core::{GbrCheckpoint, Input, InputOracle, ProbeCache};
 
 /// A configured reduction run waiting to happen, generic over the input
 /// format (classfile programs, stackvm modules, any [`Input`]). Build
@@ -89,18 +88,6 @@ impl<'s, I: Input, O: InputOracle<I> + ?Sized> ReductionSession<'s, I, O> {
         self
     }
 
-    /// Switches to [`RunOptions::legacy`]: scan propagation, no memo.
-    pub fn legacy(mut self) -> Self {
-        self.options = RunOptions::legacy();
-        self
-    }
-
-    /// Whether the oracle memoizes probe outcomes per run (default on).
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.options.memoize = on;
-        self
-    }
-
     /// Intra-run probe parallelism (default 1; see
     /// [`RunOptions::probe_threads`]).
     pub fn probe_threads(mut self, threads: usize) -> Self {
@@ -112,12 +99,6 @@ impl<'s, I: Input, O: InputOracle<I> + ?Sized> ReductionSession<'s, I, O> {
     /// [`RunOptions::probe_latency_micros`]).
     pub fn probe_latency_micros(mut self, micros: u64) -> Self {
         self.options.probe_latency_micros = micros;
-        self
-    }
-
-    /// How GBR propagates the dependency model.
-    pub fn propagation(mut self, mode: PropagationMode) -> Self {
-        self.options.propagation = mode;
         self
     }
 
@@ -244,16 +225,21 @@ mod tests {
     fn session_knobs_reach_the_options() {
         let p = tiny();
         let oracle = DecompilerOracle::new(&p, BugSet::of(&[BugKind::CastToObject]));
-        let legacy = ReductionSession::new(&p, &oracle)
-            .legacy()
+        let sequential = ReductionSession::new(&p, &oracle)
             .run()
-            .expect("legacy session");
-        assert_eq!(legacy.cache_hits(), 0, "legacy disables the memo");
-        let threaded = ReductionSession::new(&p, &oracle)
+            .expect("sequential session");
+        let session = ReductionSession::new(&p, &oracle)
             .probe_threads(2)
-            .run()
-            .expect("threaded session");
-        assert_eq!(threaded.final_metrics, legacy.final_metrics);
-        assert_eq!(threaded.predicate_calls, legacy.predicate_calls);
+            .probe_latency_micros(10);
+        assert_eq!(
+            session.options,
+            RunOptions {
+                probe_threads: 2,
+                probe_latency_micros: 10
+            }
+        );
+        let threaded = session.run().expect("threaded session");
+        assert_eq!(threaded.final_metrics, sequential.final_metrics);
+        assert_eq!(threaded.predicate_calls, sequential.predicate_calls);
     }
 }

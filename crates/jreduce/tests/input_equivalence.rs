@@ -10,14 +10,14 @@
 //! (the same fixtures `session_matrix.rs` pins).
 //!
 //! The same driver then runs the stackvm frontend, pinning its own
-//! digests and cross-checking that every engine configuration (the
-//! incremental reference, legacy scan, speculative probing) replays
-//! bit-identically on both formats — the
-//! cross-format differential guarantee: one generic pipeline, two
-//! frontends, zero behavioral divergence.
+//! digests and cross-checking, on both formats, that the incremental
+//! progressions equal the scan reference's (replayed from each run's
+//! checkpoint chain) and that speculative probing replays the run
+//! bit-identically — the cross-format differential guarantee: one
+//! generic pipeline, two frontends, zero behavioral divergence.
 
 use lbr_classfile::Program;
-use lbr_core::{Input, InputOracle};
+use lbr_core::{GbrCheckpoint, Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_stackvm::{Module, StackBugSet, StackOracle};
@@ -137,42 +137,45 @@ fn assert_pinned<I: Input>(pin: &Pin, tag: &str, report: &ReductionReport<I>) {
     );
 }
 
-/// Runs one input through every engine configuration and asserts they
-/// all replay the DPLL reference bit-identically (bytes, calls, trace),
+/// Runs one input through the trait-generic driver, checks every
+/// progression the run built against the scan reference (replayed from
+/// its checkpoint chain), and asserts that every other engine
+/// configuration replays the run bit-identically (bytes, calls, trace),
 /// returning the reference. This is the differential core both formats
 /// share.
 fn engines_agree<I: Input, O: InputOracle<I>>(input: &I, oracle: &O) -> ReductionReport<I> {
-    let reference = reduce_via_trait(input, oracle, RunOptions::default());
-    let engines = [
-        ("legacy-scan", RunOptions::legacy()),
-        (
-            "probe-threads-2",
-            RunOptions {
-                probe_threads: 2,
-                ..RunOptions::default()
-            },
-        ),
-    ];
-    for (tag, options) in engines {
-        let report = reduce_via_trait(input, oracle, options);
-        assert_eq!(
-            report.reduced.to_bytes(),
-            reference.reduced.to_bytes(),
-            "{} {tag}: reduced bytes diverge from the DPLL reference",
-            I::FORMAT
-        );
-        assert_eq!(
-            report.predicate_calls,
-            reference.predicate_calls,
-            "{} {tag}: predicate calls diverge",
-            I::FORMAT
-        );
-        assert!(
-            report.trace.same_probe_sequence(&reference.trace),
-            "{} {tag}: probe trace diverges",
-            I::FORMAT
-        );
-    }
+    let mut chain: Vec<GbrCheckpoint> = Vec::new();
+    let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
+    let reference = ReductionSession::new(input, oracle)
+        .cost_per_call(COST_SECS)
+        .checkpoint(&mut record)
+        .run()
+        .expect("reduction through the Input trait");
+    check_report(&reference).expect("trait-driven reduction is sound");
+    lbr_reference::check_input_chain(input, &chain)
+        .unwrap_or_else(|e| panic!("{} scan reference: {e}", I::FORMAT));
+    let threaded = RunOptions {
+        probe_threads: 2,
+        ..RunOptions::default()
+    };
+    let report = reduce_via_trait(input, oracle, threaded);
+    assert_eq!(
+        report.reduced.to_bytes(),
+        reference.reduced.to_bytes(),
+        "{} probe-threads-2: reduced bytes diverge from the reference run",
+        I::FORMAT
+    );
+    assert_eq!(
+        report.predicate_calls,
+        reference.predicate_calls,
+        "{} probe-threads-2: predicate calls diverge",
+        I::FORMAT
+    );
+    assert!(
+        report.trace.same_probe_sequence(&reference.trace),
+        "{} probe-threads-2: probe trace diverges",
+        I::FORMAT
+    );
     reference
 }
 

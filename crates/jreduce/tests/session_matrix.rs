@@ -1,9 +1,10 @@
 //! The layer-ordering matrix: every oracle-middleware configuration a
-//! real caller uses (plain memo, legacy, speculative threads, cold and
-//! warm external cache, fault-injected cache, latency emulation, memo
-//! off) must produce **bit-identical** results — reduced bytes, call
-//! counts, memo totals, and the probe-trace digest — on inputs pinned
-//! from `main` before the middleware stack existed.
+//! real caller uses (plain memo, speculative threads, cold and warm
+//! external cache, fault-injected cache, latency emulation) must produce
+//! **bit-identical** results — reduced bytes, call counts, memo totals,
+//! and the probe-trace digest — on inputs pinned from `main` before the
+//! middleware stack existed. The reference run's progressions must also
+//! equal the scan reference's, replayed from its checkpoint chain.
 //!
 //! The pinned expectations were produced by `gen --seed N --decompiler a`
 //! piped through `reduce --json` on the pre-refactor pipeline; if any
@@ -11,7 +12,7 @@
 //! moves and the matrix fails.
 
 use lbr_classfile::{write_program, Program};
-use lbr_core::{FaultPlan, FaultyCache, MemoryCache};
+use lbr_core::{FaultPlan, FaultyCache, GbrCheckpoint, MemoryCache};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_workload::{generate, WorkloadConfig};
@@ -94,9 +95,18 @@ fn every_layer_ordering_matches_the_pinned_fixtures() {
         let oracle = DecompilerOracle::new(&program, BugSet::decompiler_a());
         let session = || ReductionSession::new(&program, &oracle).cost_per_call(COST_SECS);
 
-        // The reference configuration: per-run memo only.
-        let reference = session().run().expect("default session");
+        // The reference configuration: per-run memo only. Its checkpoint
+        // chain replays through the scan reference.
+        let mut chain: Vec<GbrCheckpoint> = Vec::new();
+        let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
+        let reference = ReductionSession::new(&program, &oracle)
+            .cost_per_call(COST_SECS)
+            .checkpoint(&mut record)
+            .run()
+            .expect("default session");
         check_against(fixture, "default", &reference);
+        lbr_reference::check_input_chain(&program, &chain)
+            .unwrap_or_else(|e| panic!("seed {} scan reference: {e}", fixture.seed));
         let reference_bytes = write_program(&reference.reduced);
         assert!(
             reference.cache_hits() + reference.cache_misses() == reference.predicate_calls,
@@ -119,13 +129,6 @@ fn every_layer_ordering_matches_the_pinned_fixtures() {
         let stacked_cache = MemoryCache::new();
 
         let matrix: Vec<(&str, ReductionReport)> = vec![
-            // Legacy options: scan propagation, no memo.
-            ("legacy", session().legacy().run().expect("legacy")),
-            // Memo off, modern propagation.
-            (
-                "memo-off",
-                session().memoize(false).run().expect("memo-off"),
-            ),
             // Speculative parallel probing.
             (
                 "probe-threads-2",

@@ -41,63 +41,14 @@ pub fn count_models(cnf: &Cnf) -> u128 {
     core.checked_mul(pow2(free)).expect("model count overflow")
 }
 
-/// Counts the satisfying assignments among *subsets of a restricted
-/// universe*: variables outside `keep` are fixed to false first.
-pub fn count_models_restricted(cnf: &Cnf, keep: &crate::VarSet) -> u128 {
-    let empty = crate::VarSet::empty(cnf.num_vars());
-    let restricted = cnf.restrict(keep, &empty);
-    // The restricted formula still ranges over num_vars; only `keep` vars
-    // are meaningful, the rest are fixed.
-    let mut counter = Counter::default();
-    let clauses: Vec<Clause> = restricted.clauses().to_vec();
-    if clauses.iter().any(|c| c.is_empty()) {
-        return 0;
-    }
-    let mut vars: Vec<Var> = restricted.occurring_vars().iter().collect();
-    vars.sort();
-    let mentioned = vars.len();
-    let free = keep.len().saturating_sub(mentioned);
-    let core = counter.count(clauses, vars);
-    core.checked_mul(pow2(free)).expect("model count overflow")
-}
-
 fn pow2(n: usize) -> u128 {
     assert!(n < 128, "model count overflow: 2^{n}");
     1u128 << n
 }
 
-/// Statistics from a counting run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingStats {
-    /// Cache hits on previously counted components.
-    pub cache_hits: u64,
-    /// Components entered (cache misses).
-    pub components: u64,
-    /// Branching decisions.
-    pub branches: u64,
-}
-
-/// Counts models and also reports search statistics.
-pub fn count_models_with_stats(cnf: &Cnf) -> (u128, CountingStats) {
-    let mut counter = Counter::default();
-    let clauses: Vec<Clause> = cnf.clauses().to_vec();
-    if clauses.iter().any(|c| c.is_empty()) {
-        return (0, counter.stats);
-    }
-    let mut vars: Vec<Var> = cnf.occurring_vars().iter().collect();
-    vars.sort();
-    let free = cnf.num_vars() - vars.len();
-    let core = counter.count(clauses, vars);
-    (
-        core.checked_mul(pow2(free)).expect("model count overflow"),
-        counter.stats,
-    )
-}
-
 #[derive(Default)]
 struct Counter {
     cache: HashMap<Vec<u64>, u128>,
-    stats: CountingStats,
 }
 
 impl Counter {
@@ -143,10 +94,8 @@ impl Counter {
     fn count_component(&mut self, clauses: Vec<Clause>, vars: Vec<Var>) -> u128 {
         let key = canonical_key(&clauses, &vars);
         if let Some(&c) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
             return c;
         }
-        self.stats.components += 1;
         // Branch on the most frequent variable.
         let mut freq: HashMap<Var, usize> = HashMap::new();
         for c in &clauses {
@@ -159,7 +108,6 @@ impl Counter {
             .max_by_key(|&(v, n)| (*n, std::cmp::Reverse(v.index())))
             .map(|(v, _)| v)
             .expect("component has variables");
-        self.stats.branches += 1;
         let mut total = 0u128;
         for polarity in [true, false] {
             let lit = Lit::with_polarity(branch, polarity);
@@ -391,9 +339,8 @@ mod tests {
         let mut cnf = Cnf::new(4);
         cnf.add_clause(Clause::implication([], [v(0), v(1)])); // 3 models
         cnf.add_clause(Clause::implication([], [v(2), v(3)])); // 3 models
-        let (count, stats) = count_models_with_stats(&cnf);
-        assert_eq!(count, 9);
-        assert!(stats.components >= 1);
+        assert_eq!(count_models(&cnf), 9);
+        assert_eq!(count_models(&cnf), brute(&cnf));
     }
 
     #[test]
@@ -436,25 +383,13 @@ mod tests {
     }
 
     #[test]
-    fn restricted_counting() {
-        // 0=>1 over 3 vars; restrict universe to {0,1}: models {}, {1}, {0,1} = 3.
-        let mut cnf = Cnf::new(3);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        let keep = crate::VarSet::from_iter_with_universe(3, [v(0), v(1)]);
-        assert_eq!(count_models_restricted(&cnf, &keep), 3);
-        // Full universe: 3 * 2 = 6.
-        assert_eq!(count_models(&cnf), 6);
-    }
-
-    #[test]
-    fn cache_hits_on_isomorphic_components() {
-        // Two isomorphic chains; the second should hit the cache.
+    fn isomorphic_components_count_alike() {
+        // Two isomorphic chains share one cache entry.
         let mut cnf = Cnf::new(4);
         cnf.add_clause(Clause::edge(v(0), v(1)));
         cnf.add_clause(Clause::edge(v(2), v(3)));
-        let (count, stats) = count_models_with_stats(&cnf);
-        assert_eq!(count, 9);
-        assert!(stats.cache_hits >= 1, "expected cache reuse, got {stats:?}");
+        assert_eq!(count_models(&cnf), 9);
+        assert_eq!(count_models(&cnf), brute(&cnf));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental propagation engine: two-watched-literal BCP with an
 //! assignment trail and decision levels.
 //!
-//! The legacy [`propagate`](crate::propagate) rescans the whole clause
+//! The scanning [`propagate`](crate::propagate) rescans the whole clause
 //! list to a fixpoint on every call, and the reduction algorithms built on
 //! it (MSA, DPLL, GBR's progression construction) re-clone and re-restrict
 //! the CNF at every conditioning step. This module replaces both costs
@@ -54,10 +54,10 @@
 //! reaches the same fixpoint (or a conflict) regardless of the order
 //! implications are discovered in. All higher-level procedures here
 //! ([`msa_from_state`], [`solve_from_state`]) only inspect the fixpoint,
-//! so they return exactly the results of the scan-based
-//! [`msa_scan`](crate::msa_scan) / [`dpll::solve`](crate::dpll::solve) on
-//! the correspondingly conditioned formula; `tests/engine_differential.rs`
-//! checks this on randomized inputs.
+//! so they return exactly the results of the scan-based `msa_scan` (in
+//! the dev-only `lbr-reference` crate) / [`dpll::solve`](crate::dpll::solve)
+//! on the correspondingly conditioned formula;
+//! `tests/engine_differential.rs` checks this on randomized inputs.
 
 use crate::{Cnf, Lit, Var, VarOrder, VarSet};
 
@@ -395,7 +395,8 @@ impl Engine {
 /// propagation has already made its positive literal true (or, with no
 /// positive literal, reported a conflict). So skipping those clauses
 /// changes neither the picks nor their order, and the result equals the
-/// scan-based [`msa_scan`](crate::msa_scan) on the conditioned formula.
+/// scan-based reference `lbr_reference::msa_scan` on the conditioned
+/// formula.
 pub fn msa_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
     let mark = engine.decision_level();
     loop {
@@ -598,43 +599,6 @@ mod tests {
         assert_eq!(engine.value(v(1)), Some(true));
         assert_eq!(engine.value(v(2)), None);
         assert_eq!(engine.value(v(3)), None);
-    }
-
-    #[test]
-    fn msa_from_state_matches_msa_on_unconditioned_formula() {
-        let mut cnf = chain(6);
-        cnf.add_clause(Clause::unit(Lit::pos(v(2))));
-        let order = VarOrder::natural(6);
-        let legacy = crate::msa_scan(&cnf, &order).expect("sat");
-        let mut engine = Engine::new(&cnf, 6);
-        let got = msa_from_state(&mut engine, &order).expect("sat");
-        assert_eq!(got, legacy);
-        assert_eq!(engine.decision_level(), 0, "state restored");
-    }
-
-    #[test]
-    fn msa_from_state_under_assumptions_matches_conditioned_scan() {
-        // Conditioning by assumption must equal restricting the formula.
-        let mut cnf = Cnf::new(5);
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::edge(v(2), v(3)));
-        cnf.add_clause(Clause::implication([v(0)], [v(2), v(4)]));
-        let order = VarOrder::natural(5);
-        let universe = 5;
-        let keep = VarSet::from_iter_with_universe(universe, (0..4).map(v));
-        let mut seed = VarSet::empty(universe);
-        seed.insert(v(0));
-        let conditioned = cnf.restrict(&keep, &seed);
-        let legacy = crate::msa_scan(&conditioned, &order).expect("sat");
-        let mut engine = Engine::new(&cnf, universe);
-        assert!(engine.assume_all(&[Lit::neg(v(4)), Lit::pos(v(0))]));
-        let got = msa_from_state(&mut engine, &order).expect("sat");
-        // The scan on the conditioned formula excludes the conditioned
-        // variable; the engine reports absolute trues.
-        let mut expected = legacy;
-        expected.insert(v(0));
-        assert_eq!(got, expected);
-        assert_eq!(engine.decision_level(), 1, "state restored");
     }
 
     #[test]

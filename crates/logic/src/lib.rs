@@ -60,11 +60,11 @@ mod var;
 
 pub use clause::{Clause, ClauseShape};
 pub use cnf::{Cnf, ShapeHistogram};
-pub use counting::{count_models, count_models_restricted, count_models_with_stats, CountingStats};
+pub use counting::count_models;
 pub use engine::{msa_from_state, solve_from_state, Engine};
 pub use formula::Formula;
 pub use lit::Lit;
-pub use msa::{msa, msa_scan};
+pub use msa::msa;
 pub use order::VarOrder;
 pub use propagate::{propagate, PartialAssignment, Propagation};
 pub use set::VarSet;

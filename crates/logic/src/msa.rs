@@ -15,15 +15,15 @@
 //! argument of Algorithm 1 relies on. A complete DPLL fallback handles the
 //! rare clause mixes where the greedy choice dead-ends.
 
-use crate::{dpll, Cnf, Lit, PartialAssignment, VarOrder, VarSet};
+use crate::{Cnf, VarOrder, VarSet};
 
 /// Computes an approximate minimal satisfying assignment of `cnf`, returned
 /// as its set of true variables, or `None` if `cnf` is unsatisfiable.
 ///
-/// Backed by the incremental watched-literal [`Engine`](crate::Engine);
-/// [`msa_scan`] is the original rescan-based implementation, kept as the
-/// differential-testing reference and the measurable baseline. Both return
-/// identical sets.
+/// Backed by the incremental watched-literal [`Engine`](crate::Engine).
+/// The original rescan-based implementation, `msa_scan`, lives in the
+/// dev-only `lbr-reference` crate as the differential-testing reference;
+/// both return identical sets.
 ///
 /// # Examples
 ///
@@ -52,84 +52,10 @@ pub fn msa(cnf: &Cnf, order: &VarOrder) -> Option<VarSet> {
     result
 }
 
-/// The original scan-based MSA: rescans the whole clause list to a
-/// propagation fixpoint at every step.
-///
-/// Kept as the reference implementation [`msa`] is differentially tested
-/// against, and as the measurable scan-BCP baseline (GBR's
-/// `PropagationMode::LegacyScan` routes here).
-pub fn msa_scan(cnf: &Cnf, order: &VarOrder) -> Option<VarSet> {
-    let universe = order.len().max(cnf.num_vars());
-    let result = greedy_closure(cnf, order, universe);
-    debug_assert!(
-        result.as_ref().is_none_or(|s| cnf.eval(s)),
-        "msa returned a non-model"
-    );
-    result
-}
-
-/// Re-universes a set to `universe` (the DPLL solver may use a smaller one).
-fn widen(s: VarSet, universe: usize) -> VarSet {
-    if s.universe() == universe {
-        s
-    } else {
-        VarSet::from_iter_with_universe(universe, s.iter())
-    }
-}
-
-fn greedy_closure(cnf: &Cnf, order: &VarOrder, universe: usize) -> Option<VarSet> {
-    let mut pa = PartialAssignment::new(universe);
-    // A BCP conflict from the empty assignment means unsatisfiable.
-    propagate_or_conflict(cnf, &mut pa)?;
-    loop {
-        let mut fixed_any = false;
-        let mut dead_end = false;
-        'scan: for clause in cnf.clauses() {
-            // Violated under "unassigned = false"?
-            for &l in clause.lits() {
-                let val = pa.eval_lit(l).unwrap_or(!l.is_positive());
-                if val {
-                    continue 'scan;
-                }
-            }
-            // Satisfy with the <-smallest positive literal not forced false.
-            let pick = order.min(clause.positives().filter(|&v| pa.value(v) != Some(false)));
-            match pick {
-                Some(v) => {
-                    pa.assign(Lit::pos(v));
-                    if propagate_or_conflict(cnf, &mut pa).is_none() {
-                        dead_end = true;
-                        break 'scan;
-                    }
-                    fixed_any = true;
-                }
-                None => {
-                    dead_end = true;
-                    break 'scan;
-                }
-            }
-        }
-        if dead_end {
-            // The greedy choice painted us into a corner (or the formula is
-            // unsatisfiable). Let the complete solver decide.
-            return dpll::solve(cnf, order).map(|s| widen(s, universe));
-        }
-        if !fixed_any {
-            let s = pa.true_set();
-            debug_assert!(cnf.eval(&s));
-            return Some(s);
-        }
-    }
-}
-
-fn propagate_or_conflict(cnf: &Cnf, pa: &mut PartialAssignment) -> Option<()> {
-    (!crate::propagate(cnf, pa).is_conflict()).then_some(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Clause, Var};
+    use crate::{Clause, Lit, Var};
 
     fn v(i: u32) -> Var {
         Var::new(i)
@@ -171,7 +97,6 @@ mod tests {
         cnf.add_clause(Clause::unit(Lit::pos(v(0))));
         cnf.add_clause(Clause::unit(Lit::neg(v(0))));
         assert!(msa(&cnf, &VarOrder::natural(1)).is_none());
-        assert!(msa_scan(&cnf, &VarOrder::natural(1)).is_none());
     }
 
     #[test]
@@ -182,14 +107,9 @@ mod tests {
         cnf.add_clause(Clause::unit(Lit::pos(v(2))));
         cnf.add_clause(Clause::new(vec![Lit::neg(v(0)), Lit::neg(v(2))]));
         cnf.add_clause(Clause::implication([], [v(0), v(1)]));
-        for m in [
-            msa(&cnf, &VarOrder::natural(3)),
-            msa_scan(&cnf, &VarOrder::natural(3)),
-        ] {
-            let m = m.expect("sat");
-            assert!(cnf.eval(&m));
-            assert!(m.contains(v(1)) && m.contains(v(2)) && !m.contains(v(0)));
-        }
+        let m = msa(&cnf, &VarOrder::natural(3)).expect("sat");
+        assert!(cnf.eval(&m));
+        assert!(m.contains(v(1)) && m.contains(v(2)) && !m.contains(v(0)));
     }
 
     #[test]
@@ -205,19 +125,5 @@ mod tests {
         let m = msa(&cnf, &VarOrder::natural(3)).unwrap();
         assert!(cnf.eval(&m));
         assert!(m.contains(v(1)));
-    }
-
-    #[test]
-    fn engine_and_scan_agree_on_a_structured_formula() {
-        let mut cnf = Cnf::new(6);
-        cnf.add_clause(Clause::unit(Lit::pos(v(0))));
-        cnf.add_clause(Clause::edge(v(0), v(1)));
-        cnf.add_clause(Clause::implication([v(1)], [v(2), v(3)]));
-        cnf.add_clause(Clause::implication([v(2), v(3)], [v(4)]));
-        cnf.add_clause(Clause::new(vec![Lit::neg(v(5))]));
-        let m = msa(&cnf, &VarOrder::natural(6)).expect("sat");
-        assert_eq!(msa_scan(&cnf, &VarOrder::natural(6)), Some(m.clone()));
-        assert!(cnf.eval(&m));
-        assert!(!m.contains(v(5)));
     }
 }

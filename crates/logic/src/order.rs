@@ -7,7 +7,7 @@
 //! that picking the order well yields locally minimal solutions for graph
 //! constraints.
 
-use crate::{Var, VarSet};
+use crate::Var;
 
 /// A total order over the variables `0..n`.
 ///
@@ -87,14 +87,6 @@ impl VarOrder {
         vars.into_iter().min_by_key(|&v| self.rank(v))
     }
 
-    /// The `<`-smallest member of `set \ excluded`, scanning in order.
-    pub fn min_in_difference(&self, set: &VarSet, excluded: &VarSet) -> Option<Var> {
-        self.perm
-            .iter()
-            .copied()
-            .find(|&v| set.contains(v) && !excluded.contains(v))
-    }
-
     /// Iterates all variables in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
         self.perm.iter().copied()
@@ -138,16 +130,6 @@ mod tests {
         let mut vars = vec![v(1), v(2), v(0)];
         o.sort(&mut vars);
         assert_eq!(vars, vec![v(2), v(0), v(1)]);
-    }
-
-    #[test]
-    fn min_in_difference() {
-        let o = VarOrder::from_permutation(vec![v(2), v(0), v(1)]);
-        let set = VarSet::from_iter_with_universe(3, [v(0), v(1), v(2)]);
-        let excl = VarSet::from_iter_with_universe(3, [v(2)]);
-        assert_eq!(o.min_in_difference(&set, &excl), Some(v(0)));
-        let all = VarSet::full(3);
-        assert_eq!(o.min_in_difference(&set, &all), None);
     }
 
     #[test]

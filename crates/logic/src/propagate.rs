@@ -111,8 +111,8 @@ impl Propagation {
 /// assignment in place with every implied literal.
 ///
 /// This is the `BCP` building block of the *reference* implementations:
-/// the scan-based [`dpll`](crate::dpll) solver and
-/// [`msa_scan`](crate::msa_scan). It rescans the whole clause list to a
+/// the scan-based [`dpll`](crate::dpll) solver and the dev-only
+/// `lbr_reference::msa_scan`. It rescans the whole clause list to a
 /// fixpoint, which is `O(clauses · implied)` per call — fine for one-shot
 /// queries, but quadratic when an algorithm re-propagates after every
 /// conditioning step. The production path ([`msa`](crate::msa) and GBR's

@@ -4,10 +4,11 @@
 //! conditioning and under random assumption sets.
 
 use lbr_logic::{
-    dpll, engine, msa, msa_scan, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation, Var,
-    VarOrder, VarSet,
+    dpll, engine, msa, msa_from_state, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation,
+    Var, VarOrder, VarSet,
 };
 use lbr_prng::{SliceChoose, SplitMix64};
+use lbr_reference::msa_scan;
 
 fn v(i: u32) -> Var {
     Var::new(i)
@@ -245,4 +246,85 @@ fn assume_backtrack_roundtrip_preserves_state() {
         let fast = engine::msa_from_state(&mut eng, &order);
         assert_eq!(fast, scan, "seed {seed}");
     }
+}
+
+/// The chain `0 ⇒ 1 ⇒ … ⇒ n-1`.
+fn chain(n: usize) -> Cnf {
+    let mut cnf = Cnf::new(n);
+    for i in 0..n - 1 {
+        cnf.add_clause(Clause::edge(v(i as u32), v(i as u32 + 1)));
+    }
+    cnf
+}
+
+#[test]
+fn msa_from_state_matches_msa_on_unconditioned_formula() {
+    let mut cnf = chain(6);
+    cnf.add_clause(Clause::unit(Lit::pos(v(2))));
+    let order = VarOrder::natural(6);
+    let scan = msa_scan(&cnf, &order).expect("sat");
+    let mut engine = Engine::new(&cnf, 6);
+    let got = msa_from_state(&mut engine, &order).expect("sat");
+    assert_eq!(got, scan);
+    assert_eq!(engine.decision_level(), 0, "state restored");
+}
+
+#[test]
+fn msa_from_state_under_assumptions_matches_conditioned_scan() {
+    // Conditioning by assumption must equal restricting the formula.
+    let mut cnf = Cnf::new(5);
+    cnf.add_clause(Clause::edge(v(0), v(1)));
+    cnf.add_clause(Clause::edge(v(2), v(3)));
+    cnf.add_clause(Clause::implication([v(0)], [v(2), v(4)]));
+    let order = VarOrder::natural(5);
+    let universe = 5;
+    let keep = VarSet::from_iter_with_universe(universe, (0..4).map(v));
+    let mut seed = VarSet::empty(universe);
+    seed.insert(v(0));
+    let conditioned = cnf.restrict(&keep, &seed);
+    let scan = msa_scan(&conditioned, &order).expect("sat");
+    let mut engine = Engine::new(&cnf, universe);
+    assert!(engine.assume_all(&[Lit::neg(v(4)), Lit::pos(v(0))]));
+    let got = msa_from_state(&mut engine, &order).expect("sat");
+    // The scan on the conditioned formula excludes the conditioned
+    // variable; the engine reports absolute trues.
+    let mut expected = scan;
+    expected.insert(v(0));
+    assert_eq!(got, expected);
+    assert_eq!(engine.decision_level(), 1, "state restored");
+}
+
+#[test]
+fn engine_and_scan_agree_on_unsat_and_dead_end_formulas() {
+    let mut unsat = Cnf::new(1);
+    unsat.add_clause(Clause::unit(Lit::pos(v(0))));
+    unsat.add_clause(Clause::unit(Lit::neg(v(0))));
+    assert!(msa_scan(&unsat, &VarOrder::natural(1)).is_none());
+    assert!(msa(&unsat, &VarOrder::natural(1)).is_none());
+
+    // (0 | 1) with 0 forbidden via a negative binary clause that only
+    // bites after choosing 0: (!0 | !2) and 2 required. The greedy pick
+    // dead-ends and both fall back to DPLL.
+    let mut cnf = Cnf::new(3);
+    cnf.add_clause(Clause::unit(Lit::pos(v(2))));
+    cnf.add_clause(Clause::new(vec![Lit::neg(v(0)), Lit::neg(v(2))]));
+    cnf.add_clause(Clause::implication([], [v(0), v(1)]));
+    let order = VarOrder::natural(3);
+    let m = msa_scan(&cnf, &order).expect("sat");
+    assert!(m.contains(v(1)) && m.contains(v(2)) && !m.contains(v(0)));
+    assert_eq!(msa(&cnf, &order), Some(m));
+}
+
+#[test]
+fn engine_and_scan_agree_on_a_structured_formula() {
+    let mut cnf = Cnf::new(6);
+    cnf.add_clause(Clause::unit(Lit::pos(v(0))));
+    cnf.add_clause(Clause::edge(v(0), v(1)));
+    cnf.add_clause(Clause::implication([v(1)], [v(2), v(3)]));
+    cnf.add_clause(Clause::implication([v(2), v(3)], [v(4)]));
+    cnf.add_clause(Clause::new(vec![Lit::neg(v(5))]));
+    let m = msa(&cnf, &VarOrder::natural(6)).expect("sat");
+    assert_eq!(msa_scan(&cnf, &VarOrder::natural(6)), Some(m.clone()));
+    assert!(cnf.eval(&m));
+    assert!(!m.contains(v(5)));
 }

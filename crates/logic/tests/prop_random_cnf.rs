@@ -3,8 +3,9 @@
 //! Every formula is small enough to brute-force, so the fast paths are
 //! checked against exhaustive or reference implementations:
 //!
-//! - `msa` (incremental engine) and `msa_scan` (rescan reference) return
-//!   identical sets for every order — the documented contract.
+//! - `msa` (incremental engine) and `lbr_reference::msa_scan` (rescan
+//!   reference) return identical sets for every order — the documented
+//!   contract.
 //! - Any returned assignment is a genuine model (member of the exhaustive
 //!   `all_models` enumeration), and `msa` finds one iff the formula is
 //!   satisfiable.
@@ -12,10 +13,11 @@
 //!   full-rescan `propagate`, both from scratch and under random assumptions.
 
 use lbr_logic::{
-    dpll, msa, msa_scan, propagate, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation, Var,
-    VarOrder, VarSet,
+    dpll, msa, propagate, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation, Var, VarOrder,
+    VarSet,
 };
 use lbr_prng::SplitMix64;
+use lbr_reference::msa_scan;
 
 /// A random CNF with `1..=12` variables and short mixed-polarity clauses.
 fn random_cnf(rng: &mut SplitMix64) -> Cnf {

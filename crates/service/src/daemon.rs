@@ -1374,7 +1374,6 @@ fn run_reduction<I: Input, O: InputOracle<I>>(
     let options = RunOptions {
         probe_threads: spec.probe_threads,
         probe_latency_micros: spec.probe_latency_micros,
-        ..RunOptions::default()
     };
     let deadline = (spec.deadline_secs > 0.0).then(|| Duration::from_secs_f64(spec.deadline_secs));
     // The registry's capability flags decide the service path: resumable

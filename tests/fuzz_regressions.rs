@@ -143,13 +143,15 @@ fn v1_regression_files_parse_as_classfile() {
 }
 
 /// The Input-trait equivalence leg: each pinned case's program, driven
-/// by a reducer written against nothing but the trait, replays
-/// bit-identically under the legacy scan — same reduced bytes, same
-/// predicate calls, same probe-trace digest. This re-proves the classfile port on
-/// exactly the inputs fuzzing once found interesting.
+/// by a reducer written against nothing but the trait, builds exactly the
+/// progressions of the scan reference (replayed from the run's
+/// checkpoint chain), and replays bit-identically with speculative
+/// probing — same reduced bytes, same predicate calls, same probe-trace
+/// digest. This re-proves the classfile port on exactly the inputs
+/// fuzzing once found interesting.
 #[test]
 fn regression_programs_replay_identically_through_the_input_trait() {
-    use lbr_core::{Input, InputOracle};
+    use lbr_core::{GbrCheckpoint, Input, InputOracle};
     use lbr_decompiler::DecompilerOracle;
     use lbr_jreduce::{ReductionReport, ReductionSession, RunOptions};
 
@@ -157,10 +159,13 @@ fn regression_programs_replay_identically_through_the_input_trait() {
         input: &I,
         oracle: &O,
         options: RunOptions,
+        chain: &mut Vec<GbrCheckpoint>,
     ) -> ReductionReport<I> {
+        let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
         ReductionSession::new(input, oracle)
             .cost_per_call(33.0)
             .options(options)
+            .checkpoint(&mut record)
             .run()
             .expect("trait-driven reduction")
     }
@@ -174,21 +179,40 @@ fn regression_programs_replay_identically_through_the_input_trait() {
             FuzzCase::load(&regression_dir().join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         let program = case.program();
         let oracle = DecompilerOracle::new(&program, case.bugs());
-        let reference = reduce_via_trait(&program, &oracle, RunOptions::default());
-        let report = reduce_via_trait(&program, &oracle, RunOptions::legacy());
+        let mut chain = Vec::new();
+        let reference = reduce_via_trait(&program, &oracle, RunOptions::default(), &mut chain);
+        lbr_reference::check_input_chain(&program, &chain)
+            .unwrap_or_else(|e| panic!("{name} scan reference: {e}"));
+        let threaded = RunOptions {
+            probe_threads: 2,
+            ..RunOptions::default()
+        };
+        let mut threaded_chain = Vec::new();
+        let report = reduce_via_trait(&program, &oracle, threaded, &mut threaded_chain);
+        let pairs = |chain: &[GbrCheckpoint]| {
+            chain
+                .iter()
+                .map(|ck| (ck.learned.clone(), ck.search_space.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            pairs(&threaded_chain),
+            pairs(&chain),
+            "{name} probe-threads-2: progressions built from other (learned, J) pairs"
+        );
         assert_eq!(
             report.reduced.to_bytes(),
             reference.reduced.to_bytes(),
-            "{name} legacy-scan: reduced bytes diverge"
+            "{name} probe-threads-2: reduced bytes diverge"
         );
         assert_eq!(
             report.predicate_calls, reference.predicate_calls,
-            "{name} legacy-scan: predicate calls diverge"
+            "{name} probe-threads-2: predicate calls diverge"
         );
         assert_eq!(
             report.trace.digest(),
             reference.trace.digest(),
-            "{name} legacy-scan: trace digest diverges"
+            "{name} probe-threads-2: trace digest diverges"
         );
     }
 }

@@ -6,7 +6,10 @@
 //! optimal 11-item solution of Figure 1b with a handful of predicate
 //! invocations (the paper's run uses 11).
 
-use lbr::core::{closure_size_order, generalized_binary_reduction, GbrConfig, Instance, Oracle};
+use lbr::core::{
+    closure_size_order, generalized_binary_reduction, GbrConfig, Instance, Oracle,
+    ProgressionBuilder,
+};
 use lbr::fji::{
     figure1_program, figure1b_solution, figure2_cnf, figure2_dependency_cnf, figure2_var, pretty,
     reduce, typecheck_decls, typechecks, ItemRegistry,
@@ -126,7 +129,8 @@ fn progression_walkthrough_matches_section_4_5_shape() {
     let reg = ItemRegistry::from_program(&program);
     let cnf = figure2_cnf(&reg);
     let order = closure_size_order(&cnf);
-    let progression = lbr::core::build_progression(&cnf, &order, &[], &VarSet::full(reg.len()))
+    let progression = ProgressionBuilder::new(&cnf, reg.len())
+        .progression(&order, &[], &VarSet::full(reg.len()))
         .expect("progression builds");
     // D0 is the closure of [M.main()!code]: M's items plus [A], [A<I], [I]
     // and [I.m()]'s obligations — the paper's D0 has 11 entries… ours
@@ -152,10 +156,12 @@ fn progression_walkthrough_matches_section_4_5_shape() {
 fn figure1a_engine_and_scan_propagation_are_identical() {
     // The incremental watched-literal engine is a pure performance change:
     // on the paper's running example it must find the same MSAs as the
-    // scan-based reference and drive GBR to the same Figure 1b optimum
-    // with exactly the same predicate-call count.
-    use lbr::core::PropagationMode;
-    use lbr::logic::{msa, msa_scan, VarOrder};
+    // scan-based reference, and every progression GBR builds on its way
+    // to the Figure 1b optimum — replayed from the run's checkpoint chain
+    // — must equal the scan reference's.
+    use lbr::core::{generalized_binary_reduction_controlled, GbrCheckpoint, GbrControl};
+    use lbr::logic::{msa, VarOrder};
+    use lbr_reference::{check_chain, msa_scan};
 
     let program = figure1_program();
     let reg = ItemRegistry::from_program(&program);
@@ -176,20 +182,26 @@ fn figure1a_engine_and_scan_propagation_are_identical() {
         figure2_var(&reg, "M.x()!code"),
         figure2_var(&reg, "M.main()!code"),
     ];
-    let mut outcomes = Vec::new();
-    for propagation in [PropagationMode::Incremental, PropagationMode::LegacyScan] {
-        let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
-        let mut oracle = Oracle::new(&mut bug, 0.0);
-        let config = GbrConfig {
-            propagation,
-            ..GbrConfig::default()
-        };
-        let out = generalized_binary_reduction(&instance, &order, &mut oracle, &config)
-            .expect("the example reduces");
-        outcomes.push((out.solution, out.learned, oracle.calls()));
-    }
-    assert_eq!(outcomes[0], outcomes[1]);
-    assert_eq!(outcomes[0].0, figure1b_solution(&reg));
+    let mut chain: Vec<GbrCheckpoint> = Vec::new();
+    let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
+    let mut control = GbrControl {
+        checkpoint: Some(&mut record),
+        ..GbrControl::default()
+    };
+    let mut bug = |s: &VarSet| needed.iter().all(|v| s.contains(*v));
+    let out = generalized_binary_reduction_controlled(
+        &instance,
+        &order,
+        &mut bug,
+        &GbrConfig::default(),
+        &mut control,
+    )
+    .expect("the example reduces");
+    assert_eq!(out.solution, figure1b_solution(&reg));
+    assert_eq!(chain.len(), out.iterations, "one checkpoint per rebuild");
+    let entries = check_chain(&instance.cnf, &order, &instance.vars, &chain)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(entries, out.progression_lengths.iter().sum::<usize>());
 }
 
 #[test]
