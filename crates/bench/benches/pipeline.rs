@@ -2,9 +2,11 @@
 //! small NJR-like benchmark (this is the expensive, headline comparison).
 
 use lbr_bench::microbench::bench;
+use lbr_classfile::verify_program;
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{build_model, run_reduction};
-use lbr_workload::{generate, WorkloadConfig};
+use lbr_stackvm::{build_stack_model, verify_module, StackBugKind};
+use lbr_workload::{generate, generate_stack, StackWorkloadConfig, WorkloadConfig};
 
 fn bench_pipeline() {
     let program = generate(&WorkloadConfig {
@@ -37,6 +39,24 @@ fn bench_model_generation() {
     });
     bench("build-model-48-classes", || {
         build_model(&program).expect("valid").cnf.len()
+    });
+    bench("verify-program-48-classes", || {
+        verify_program(&program).len()
+    });
+
+    // One `stackvm-large` module: 300 functions, 12 globals.
+    let module = generate_stack(&StackWorkloadConfig {
+        seed: 1,
+        functions: 300,
+        globals: 12,
+        plant: StackBugKind::ALL.to_vec(),
+        ..StackWorkloadConfig::default()
+    });
+    bench("build-stack-model-300-functions", || {
+        build_stack_model(&module).expect("valid").cnf.len()
+    });
+    bench("verify-stack-module-300-functions", || {
+        verify_module(&module).len()
     });
 }
 

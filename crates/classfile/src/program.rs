@@ -10,7 +10,7 @@
 use crate::{ClassFile, FieldInfo, MethodDescriptor, MethodInfo, OBJECT};
 use lbr_core::Scope;
 use std::any::Any;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, LazyLock};
 
@@ -46,6 +46,29 @@ impl fmt::Display for Step {
             Step::Extends { sub, sup } => write!(f, "{sub} extends {sup}"),
             Step::Implements { class, iface } => write!(f, "{class} implements {iface}"),
             Step::IfaceExtends { sub, sup } => write!(f, "{sub} extends(i) {sup}"),
+        }
+    }
+}
+
+/// The kind of one supertype edge, as [`Program::subtype_path`] walks it.
+#[derive(Clone, Copy)]
+enum Edge {
+    Extends,
+    Implements,
+    IfaceExtends,
+}
+
+impl Edge {
+    /// The step this edge from `sub` to `sup` stands for.
+    fn step(self, sub: &str, sup: &str) -> Step {
+        let (sub, sup) = (sub.to_owned(), sup.to_owned());
+        match self {
+            Edge::Extends => Step::Extends { sub, sup },
+            Edge::Implements => Step::Implements {
+                class: sub,
+                iface: sup,
+            },
+            Edge::IfaceExtends => Step::IfaceExtends { sub, sup },
         }
     }
 }
@@ -312,57 +335,39 @@ impl Program {
         if sub == sup {
             return Some(Vec::new());
         }
-        // BFS over supertype edges.
-        let mut queue = VecDeque::new();
-        let mut pred: BTreeMap<String, (String, Step)> = BTreeMap::new();
-        queue.push_back(sub.to_owned());
-        let mut seen = HashSet::new();
-        seen.insert(sub.to_owned());
+        // BFS over supertype edges on borrowed names. Each reached name
+        // records the name and edge it was reached by; steps are built
+        // only along the path found.
+        let mut queue = VecDeque::from([sub]);
+        let mut seen = HashSet::from([sub]);
+        let mut pred: HashMap<&str, (&str, Edge)> = HashMap::new();
         while let Some(cur) = queue.pop_front() {
-            let Some(c) = self.get(&cur) else { continue };
-            let mut edges: Vec<(String, Step)> = Vec::new();
-            if let Some(s) = &c.superclass {
-                if !c.is_interface() {
-                    edges.push((
-                        s.clone(),
-                        Step::Extends {
-                            sub: cur.clone(),
-                            sup: s.clone(),
-                        },
-                    ));
+            let Some(c) = self.get(cur) else { continue };
+            let (superclass, iface_edge) = if c.is_interface() {
+                (None, Edge::IfaceExtends)
+            } else {
+                (c.superclass.as_deref(), Edge::Implements)
+            };
+            let edges = (superclass.map(|s| (s, Edge::Extends)))
+                .into_iter()
+                .chain(c.interfaces.iter().map(|i| (i.as_str(), iface_edge)));
+            for (next, edge) in edges {
+                if !seen.insert(next) {
+                    continue;
                 }
-            }
-            for i in &c.interfaces {
-                let step = if c.is_interface() {
-                    Step::IfaceExtends {
-                        sub: cur.clone(),
-                        sup: i.clone(),
+                pred.insert(next, (cur, edge));
+                if next == sup {
+                    let mut path = Vec::new();
+                    let mut node = sup;
+                    while node != sub {
+                        let (prev, edge) = pred[node];
+                        path.push(edge.step(prev, node));
+                        node = prev;
                     }
-                } else {
-                    Step::Implements {
-                        class: cur.clone(),
-                        iface: i.clone(),
-                    }
-                };
-                edges.push((i.clone(), step));
-            }
-            for (next, step) in edges {
-                if seen.insert(next.clone()) {
-                    pred.insert(next.clone(), (cur.clone(), step));
-                    if next == sup {
-                        // Reconstruct.
-                        let mut path = Vec::new();
-                        let mut node = sup.to_owned();
-                        while node != sub {
-                            let (prev, step) = pred[&node].clone();
-                            path.push(step);
-                            node = prev;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(next);
+                    path.reverse();
+                    return Some(path);
                 }
+                queue.push_back(next);
             }
         }
         None
@@ -371,16 +376,6 @@ impl Program {
     /// Whether `sub` is a subtype of `sup`.
     pub fn is_subtype(&self, sub: &str, sup: &str) -> bool {
         self.subtype_path(sub, sup).is_some()
-    }
-
-    /// The least upper bound used by the verifier's merge: the common type
-    /// if equal, otherwise `Object`.
-    pub fn merge_types(&self, a: &str, b: &str) -> String {
-        if a == b {
-            a.to_owned()
-        } else {
-            OBJECT.to_owned()
-        }
     }
 
     /// All interfaces transitively reachable from `name` (via implements,
@@ -639,13 +634,6 @@ mod tests {
         assert!(!sample().has_hierarchy_cycle("B"));
         // superclass_chain terminates on cycles.
         assert!(p.superclass_chain("A").len() <= 2);
-    }
-
-    #[test]
-    fn merge_types() {
-        let p = sample();
-        assert_eq!(p.merge_types("A", "A"), "A");
-        assert_eq!(p.merge_types("A", "B"), "Object");
     }
 
     #[test]

@@ -309,27 +309,29 @@ pub fn verify_class_structure(
     }
 }
 
-/// The abstract value types tracked by the stack verifier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Abs {
+/// The abstract value types tracked by the stack verifier. A reference
+/// borrows its class name from the verified program, so copying a value or
+/// a state copies no string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Abs<'a> {
     Int,
     Null,
-    Ref(String),
+    Ref(&'a str),
 }
 
-impl Abs {
-    fn from_type(t: &Type) -> Abs {
+impl<'a> Abs<'a> {
+    fn from_type(t: &'a Type) -> Abs<'a> {
         match t {
             Type::Int => Abs::Int,
-            Type::Reference(c) => Abs::Ref(c.clone()),
+            Type::Reference(c) => Abs::Ref(c),
         }
     }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    stack: Vec<Abs>,
-    locals: Vec<Option<Abs>>,
+struct State<'a> {
+    stack: Vec<Abs<'a>>,
+    locals: Vec<Option<Abs<'a>>>,
 }
 
 /// Verifies one method body by abstract interpretation, reporting used
@@ -345,16 +347,18 @@ pub fn verify_method_code(
     code: &Code,
     hooks: &mut dyn VerifyHooks,
 ) -> Result<(), VerifyError> {
-    let mname = format!("{}{}", method.name, method.desc);
-    let fail = |detail: String| VerifyError::new(&class.name, Some(mname.clone()), detail);
+    let fail = |detail: String| {
+        let member = format!("{}{}", method.name, method.desc);
+        VerifyError::new(&class.name, Some(member), detail)
+    };
 
     if code.insns.is_empty() {
         return Err(fail("empty code".into()));
     }
     // Initial locals: `this` (unless static), then parameters.
-    let mut init_locals: Vec<Option<Abs>> = Vec::new();
+    let mut init_locals: Vec<Option<Abs<'_>>> = Vec::new();
     if !method.flags.is_static() {
-        init_locals.push(Some(Abs::Ref(class.name.clone())));
+        init_locals.push(Some(Abs::Ref(&class.name)));
     }
     for p in &method.desc.params {
         init_locals.push(Some(Abs::from_type(p)));
@@ -368,7 +372,7 @@ pub fn verify_method_code(
     }
     init_locals.resize(code.max_locals as usize, None);
 
-    let mut states: Vec<Option<State>> = vec![None; code.insns.len()];
+    let mut states: Vec<Option<State<'_>>> = vec![None; code.insns.len()];
     states[0] = Some(State {
         stack: Vec::new(),
         locals: init_locals,
@@ -412,7 +416,7 @@ pub fn verify_method_code(
                 match (&got, want) {
                     (Abs::Int, Type::Int) => {}
                     (Abs::Null, Type::Reference(_)) => {}
-                    (Abs::Ref(s), Type::Reference(t)) => match program.subtype_path(s, t) {
+                    (&Abs::Ref(s), Type::Reference(t)) => match program.subtype_path(s, t) {
                         Some(steps) => hooks.on_subtype(s, t, &steps),
                         None => return Err(fail(format!("{s} is not assignable to {t} at {pc}"))),
                     },
@@ -435,7 +439,7 @@ pub fn verify_method_code(
                 _ => return Err(fail(format!("iload of non-int slot {s} at {pc}"))),
             },
             Insn::ALoad(s) => match state.locals.get(*s as usize) {
-                Some(Some(v @ (Abs::Ref(_) | Abs::Null))) => state.stack.push(v.clone()),
+                Some(&Some(v @ (Abs::Ref(_) | Abs::Null))) => state.stack.push(v),
                 _ => return Err(fail(format!("aload of non-reference slot {s} at {pc}"))),
             },
             Insn::IStore(s) => {
@@ -453,7 +457,7 @@ pub fn verify_method_code(
                 let v = state
                     .stack
                     .last()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| fail(format!("dup on empty stack at {pc}")))?;
                 state.stack.push(v);
             }
@@ -468,7 +472,7 @@ pub fn verify_method_code(
                 }
                 hooks.on_type_use(c);
                 hooks.on_reflection(c);
-                state.stack.push(Abs::Ref(OBJECT.to_owned()));
+                state.stack.push(Abs::Ref(OBJECT));
             }
             Insn::New(c) => {
                 match program.get(c) {
@@ -480,15 +484,14 @@ pub fn verify_method_code(
                 }
                 hooks.on_type_use(c);
                 hooks.on_new(c);
-                state.stack.push(Abs::Ref(c.clone()));
+                state.stack.push(Abs::Ref(c));
             }
             Insn::GetField(f) | Insn::PutField(f) => {
                 let put = matches!(insn, Insn::PutField(_));
                 if put {
                     pop_assignable!(&f.ty);
                 }
-                let recv = pop_ref!();
-                if let Abs::Ref(s) = &recv {
+                if let Abs::Ref(s) = pop_ref!() {
                     match program.subtype_path(s, &f.class) {
                         Some(steps) => hooks.on_subtype(s, &f.class, &steps),
                         None => {
@@ -562,8 +565,7 @@ pub fn verify_method_code(
                     if info.flags.is_static() {
                         return Err(fail(format!("instance invoke of static method {m}")));
                     }
-                    let recv = pop_ref!();
-                    if let Abs::Ref(s) = &recv {
+                    if let Abs::Ref(s) = pop_ref!() {
                         match program.subtype_path(s, &m.class) {
                             Some(steps) => hooks.on_subtype(s, &m.class, &steps),
                             None => {
@@ -585,8 +587,7 @@ pub fn verify_method_code(
                     return Err(fail(format!("checkcast to missing class {t}")));
                 }
                 hooks.on_type_use(t);
-                let v = pop_ref!();
-                if let Abs::Ref(s) = &v {
+                if let Abs::Ref(s) = pop_ref!() {
                     // Source-level plausibility: up- or downcast only.
                     if let Some(steps) = program.subtype_path(s, t) {
                         hooks.on_subtype(s, t, &steps);
@@ -596,7 +597,7 @@ pub fn verify_method_code(
                         return Err(fail(format!("impossible cast {s} to {t} at {pc}")));
                     }
                 }
-                state.stack.push(Abs::Ref(t.clone()));
+                state.stack.push(Abs::Ref(t));
             }
             Insn::InstanceOf(t) => {
                 if program.get(t).is_none() {
@@ -618,10 +619,10 @@ pub fn verify_method_code(
             }
             Insn::AReturn => {
                 let want = match &method.desc.ret {
-                    Some(t @ Type::Reference(_)) => t.clone(),
+                    Some(t @ Type::Reference(_)) => t,
                     _ => return Err(fail("areturn in non-reference method".into())),
                 };
-                pop_assignable!(&want);
+                pop_assignable!(want);
             }
             Insn::IReturn => {
                 if method.desc.ret != Some(Type::Int) {
@@ -653,7 +654,7 @@ pub fn verify_method_code(
                     work.push_back(t);
                 }
                 Some(existing) => {
-                    let merged = merge_states(program, existing, &state)
+                    let merged = merge_states(existing, &state)
                         .map_err(|m| fail(format!("merge at {t}: {m}")))?;
                     if merged != *existing {
                         states[t] = Some(merged);
@@ -666,7 +667,7 @@ pub fn verify_method_code(
     Ok(())
 }
 
-fn set_local(state: &mut State, slot: u16, v: Abs) -> Result<(), String> {
+fn set_local<'a>(state: &mut State<'a>, slot: u16, v: Abs<'a>) -> Result<(), String> {
     let slot = slot as usize;
     if slot >= state.locals.len() {
         return Err(format!("store to out-of-range slot {slot}"));
@@ -675,7 +676,7 @@ fn set_local(state: &mut State, slot: u16, v: Abs) -> Result<(), String> {
     Ok(())
 }
 
-fn merge_states(program: &Program, a: &State, b: &State) -> Result<State, String> {
+fn merge_states<'a>(a: &State<'a>, b: &State<'a>) -> Result<State<'a>, String> {
     if a.stack.len() != b.stack.len() {
         return Err(format!(
             "stack depth mismatch ({} vs {})",
@@ -687,14 +688,14 @@ fn merge_states(program: &Program, a: &State, b: &State) -> Result<State, String
         .stack
         .iter()
         .zip(&b.stack)
-        .map(|(x, y)| merge_abs(program, x, y).ok_or_else(|| "int/ref merge".to_owned()))
+        .map(|(&x, &y)| merge_abs(x, y).ok_or_else(|| "int/ref merge".to_owned()))
         .collect::<Result<Vec<_>, _>>()?;
     let locals = a
         .locals
         .iter()
         .zip(&b.locals)
         .map(|(x, y)| match (x, y) {
-            (Some(x), Some(y)) => merge_abs(program, x, y),
+            (&Some(x), &Some(y)) => merge_abs(x, y),
             _ => None,
         })
         .map(Some)
@@ -705,12 +706,15 @@ fn merge_states(program: &Program, a: &State, b: &State) -> Result<State, String
     Ok(State { stack, locals })
 }
 
-fn merge_abs(program: &Program, a: &Abs, b: &Abs) -> Option<Abs> {
+/// The least upper bound of two values at a merge point: a reference
+/// merges to the common class if both name the same one, otherwise to
+/// `Object`; an int and a reference do not merge.
+fn merge_abs<'a>(a: Abs<'a>, b: Abs<'a>) -> Option<Abs<'a>> {
     match (a, b) {
         (Abs::Int, Abs::Int) => Some(Abs::Int),
         (Abs::Null, Abs::Null) => Some(Abs::Null),
-        (Abs::Null, r @ Abs::Ref(_)) | (r @ Abs::Ref(_), Abs::Null) => Some(r.clone()),
-        (Abs::Ref(x), Abs::Ref(y)) => Some(Abs::Ref(program.merge_types(x, y))),
+        (Abs::Null, r @ Abs::Ref(_)) | (r @ Abs::Ref(_), Abs::Null) => Some(r),
+        (Abs::Ref(x), Abs::Ref(y)) => Some(Abs::Ref(if x == y { x } else { OBJECT })),
         _ => None,
     }
 }

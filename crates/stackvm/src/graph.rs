@@ -8,6 +8,7 @@
 //! Or-constraint. That over-approximation is exactly the imprecision
 //! the logical model removes.
 
+use crate::index::NameIndex;
 use crate::module::{Module, Op};
 use lbr_core::{DepGraph, Scope};
 use lbr_logic::{Var, VarSet};
@@ -28,27 +29,24 @@ impl UnitGraph {
         let nf = module.functions.len();
         let n = nf + module.globals.len();
         let mut graph = DepGraph::new(n);
-        let function_index = |name: &str| module.functions.iter().position(|f| f.name == name);
-        let global_index = |name: &str| module.globals.iter().position(|g| g.name == name);
+        let index = NameIndex::new(module);
         for (i, f) in module.functions.iter().enumerate() {
             let from = Var::new(i as u32);
             for op in &f.body {
                 match op {
                     Op::Call(name) => {
-                        if let Some(j) = function_index(name) {
+                        if let Some(j) = index.function(name) {
                             graph.add_edge(from, Var::new(j as u32));
                         }
                     }
                     Op::GlobalGet(name) | Op::GlobalSet(name) => {
-                        if let Some(j) = global_index(name) {
+                        if let Some(j) = index.global(name) {
                             graph.add_edge(from, Var::new((nf + j) as u32));
                         }
                     }
                     Op::CallIndirect(sig) => {
-                        for (j, g) in module.functions.iter().enumerate() {
-                            if g.sig() == *sig {
-                                graph.add_edge(from, Var::new(j as u32));
-                            }
+                        for &j in index.candidates(sig) {
+                            graph.add_edge(from, Var::new(j as u32));
                         }
                     }
                     _ => {}

@@ -132,7 +132,7 @@ mod tests {
         let sub = (coarse.materialize)(&closure);
         assert!(sub.function("main").is_none());
         assert!(sub.function("helper").is_some());
-        assert!(sub.global("g").is_some());
+        assert_eq!(sub.globals, m.globals);
         assert!(sub.validate().is_empty());
     }
 }

@@ -24,6 +24,7 @@
 mod bugs;
 mod facts;
 mod graph;
+mod index;
 mod input;
 mod io;
 mod item;

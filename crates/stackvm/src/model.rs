@@ -8,12 +8,17 @@
 //! (a body belongs to its function) are added directly; `call_indirect`
 //! resolutions become Or-constraints over the candidate set, the
 //! beyond-graph clause shape that motivates the logical reducer.
+//!
+//! The verifier and the collector share one name index, and every
+//! constraint is written as its clause directly, so the build is linear
+//! in the module.
 
+use crate::index::NameIndex;
 use crate::item::StackRegistry;
 use crate::module::{Module, Sig};
-use crate::verify::{verify_module_with, VerifyError, VerifyHooks};
+use crate::verify::{verify_indexed, VerifyError, VerifyHooks};
 use lbr_core::ModelStats;
-use lbr_logic::{Cnf, Formula, Var};
+use lbr_logic::{Clause, Cnf, Var};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -62,54 +67,45 @@ impl StackModel {
 /// The verifier hook that records resolutions as dependency edges.
 /// Edges are deduplicated and sorted, so clause order is deterministic
 /// regardless of how many times a body mentions the same name.
-struct Collector<'m> {
-    module: &'m Module,
-    registry: &'m StackRegistry,
+///
+/// Every function is named by the position its name resolves to: a later
+/// function that repeats an earlier one's name stands for the earlier one.
+struct Collector<'a, 'm> {
+    index: &'a NameIndex<'m>,
+    registry: &'a StackRegistry,
     /// `a ⇒ b` edges.
     implications: BTreeSet<(Var, Var)>,
     /// `a ⇒ b₁ ∨ … ∨ bₙ` edges (the R0010 candidate sets).
     any: BTreeSet<(Var, Vec<Var>)>,
 }
 
-impl Collector<'_> {
-    fn function_index(&self, name: &str) -> Option<usize> {
-        self.module.functions.iter().position(|f| f.name == name)
-    }
-
-    fn global_index(&self, name: &str) -> Option<usize> {
-        self.module.globals.iter().position(|g| g.name == name)
+impl Collector<'_, '_> {
+    fn body_var(&self, function: usize) -> Var {
+        self.registry.body_var(self.index.resolved(function))
     }
 }
 
-impl VerifyHooks for Collector<'_> {
-    fn on_call(&mut self, caller: &str, callee: &str) {
-        let (Some(c), Some(t)) = (self.function_index(caller), self.function_index(callee)) else {
-            return;
-        };
-        self.implications
-            .insert((self.registry.body_var(c), self.registry.function_var(t)));
+impl VerifyHooks for Collector<'_, '_> {
+    fn on_call(&mut self, caller: usize, callee: usize) {
+        let edge = (self.body_var(caller), self.registry.function_var(callee));
+        self.implications.insert(edge);
     }
 
-    fn on_global(&mut self, function: &str, global: &str) {
-        let (Some(f), Some(g)) = (self.function_index(function), self.global_index(global)) else {
-            return;
-        };
-        self.implications.insert((
-            self.registry.body_var(f),
-            self.registry.global_var(self.module, g),
-        ));
+    fn on_global(&mut self, function: usize, global: usize) {
+        let module = self.index.module();
+        let edge = (
+            self.body_var(function),
+            self.registry.global_var(module, global),
+        );
+        self.implications.insert(edge);
     }
 
-    fn on_call_indirect(&mut self, caller: &str, _sig: &Sig, candidates: &[String]) {
-        let Some(c) = self.function_index(caller) else {
-            return;
-        };
+    fn on_call_indirect(&mut self, caller: usize, _sig: &Sig, candidates: &[usize]) {
         let vars: Vec<Var> = candidates
             .iter()
-            .filter_map(|name| self.function_index(name))
-            .map(|i| self.registry.function_var(i))
+            .map(|&i| self.registry.function_var(self.index.resolved(i)))
             .collect();
-        self.any.insert((self.registry.body_var(c), vars));
+        self.any.insert((self.body_var(caller), vars));
     }
 }
 
@@ -122,32 +118,27 @@ impl VerifyHooks for Collector<'_> {
 /// reduction preserves validity, so it must start from a valid input.
 pub fn build_stack_model(module: &Module) -> Result<StackModel, StackModelError> {
     let registry = StackRegistry::from_module(module);
+    let index = NameIndex::new(module);
     let mut collector = Collector {
-        module,
+        index: &index,
         registry: &registry,
         implications: BTreeSet::new(),
         any: BTreeSet::new(),
     };
-    let errors = verify_module_with(module, &mut collector);
+    let errors = verify_indexed(&index, &mut collector);
     if !errors.is_empty() {
         return Err(StackModelError { errors });
     }
     let mut cnf = Cnf::new(registry.len());
     // Structural: a body belongs to its function.
     for i in 0..module.functions.len() {
-        Formula::var(registry.body_var(i))
-            .implies(Formula::var(registry.function_var(i)))
-            .to_cnf_into(&mut cnf);
+        cnf.add_clause(Clause::edge(registry.body_var(i), registry.function_var(i)));
     }
-    for (from, to) in &collector.implications {
-        Formula::var(*from)
-            .implies(Formula::var(*to))
-            .to_cnf_into(&mut cnf);
+    for &(from, to) in &collector.implications {
+        cnf.add_clause(Clause::edge(from, to));
     }
     for (from, candidates) in &collector.any {
-        Formula::var(*from)
-            .implies(Formula::or(candidates.iter().map(|v| Formula::var(*v))))
-            .to_cnf_into(&mut cnf);
+        cnf.add_clause(Clause::implication([*from], candidates.iter().copied()));
     }
     Ok(StackModel { registry, cnf })
 }

@@ -155,11 +155,6 @@ impl Function {
         }
     }
 
-    /// The function's signature (what `CallIndirect` matches on).
-    pub fn sig(&self) -> Sig {
-        Sig::new(self.params.clone(), self.ret)
-    }
-
     /// Total number of local slots (params + extra locals).
     pub fn local_count(&self) -> usize {
         self.params.len() + self.locals.len()
@@ -237,11 +232,6 @@ impl Module {
     /// Look up a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().map(|f| &**f).find(|f| f.name == name)
-    }
-
-    /// Look up a global by name.
-    pub fn global(&self, name: &str) -> Option<&Global> {
-        self.globals.iter().find(|g| g.name == name)
     }
 
     /// Number of top-level units (functions + globals); the stackvm

@@ -16,7 +16,11 @@
 //! each resolution into exactly one implication — so the constraint
 //! generator *is* the verifier, per the paper's thesis that reduction
 //! validity and verification are the same judgment.
+//!
+//! Names resolve through one index built per call, to their first
+//! occurrence in module order, so verification is linear in the module.
 
+use crate::index::NameIndex;
 use crate::module::{Function, Module, Op, Sig, Ty};
 use std::fmt;
 
@@ -150,18 +154,23 @@ impl std::error::Error for VerifyError {}
 /// performs is reported here, once per reachable instruction, in body
 /// order. [`NoHooks`] ignores them; the model builder turns each into a
 /// dependency constraint.
+///
+/// Functions and globals are given by their position in
+/// `module.functions` and `module.globals`. The caller is the function
+/// being verified; a resolved name is the first function or global of
+/// that name.
 pub trait VerifyHooks {
     /// `caller`'s body calls `callee` directly (rule R0006).
-    fn on_call(&mut self, caller: &str, callee: &str) {
+    fn on_call(&mut self, caller: usize, callee: usize) {
         let _ = (caller, callee);
     }
     /// `function`'s body reads or writes `global` (rule R0009).
-    fn on_global(&mut self, function: &str, global: &str) {
+    fn on_global(&mut self, function: usize, global: usize) {
         let _ = (function, global);
     }
     /// `caller`'s body dispatches indirectly on `sig`; `candidates` are
     /// the functions with that signature, in module order (rule R0010).
-    fn on_call_indirect(&mut self, caller: &str, sig: &Sig, candidates: &[String]) {
+    fn on_call_indirect(&mut self, caller: usize, sig: &Sig, candidates: &[usize]) {
         let _ = (caller, sig, candidates);
     }
 }
@@ -180,9 +189,17 @@ pub fn verify_module(module: &Module) -> Vec<VerifyError> {
 /// Verifies every function, reporting each successful resolution to
 /// `hooks` (in function order, then body order — deterministically).
 pub fn verify_module_with(module: &Module, hooks: &mut dyn VerifyHooks) -> Vec<VerifyError> {
+    verify_indexed(&NameIndex::new(module), hooks)
+}
+
+/// [`verify_module_with`] over a prebuilt index of the module.
+pub(crate) fn verify_indexed(
+    index: &NameIndex<'_>,
+    hooks: &mut dyn VerifyHooks,
+) -> Vec<VerifyError> {
     let mut errors = Vec::new();
-    for f in &module.functions {
-        verify_function(module, f, hooks, &mut errors);
+    for (i, f) in index.module().functions.iter().enumerate() {
+        verify_function(index, i, f, hooks, &mut errors);
     }
     errors
 }
@@ -208,7 +225,8 @@ enum Flow {
 /// then a single in-order reporting pass re-checks each reachable
 /// instruction, emitting errors and firing hooks deterministically.
 fn verify_function(
-    module: &Module,
+    index: &NameIndex<'_>,
+    position: usize,
     f: &Function,
     hooks: &mut dyn VerifyHooks,
     errors: &mut Vec<VerifyError>,
@@ -241,7 +259,7 @@ fn verify_function(
             let mut stack = stack;
             // Interpretation errors stop propagation here; the reporting
             // pass will surface them.
-            let Ok(flow) = interpret(module, f, pc, &mut stack, &mut Silent) else {
+            let Ok(flow) = interpret(index, f, pc, &mut stack, &mut Silent) else {
                 continue;
             };
             let mut merge = |target: usize, incoming: &AbstractStack| {
@@ -289,13 +307,13 @@ fn verify_function(
         }
         let mut stack = stack.clone();
         let mut reporter = Reporter {
-            module,
             function: &f.name,
+            position,
             pc,
             hooks,
             errors,
         };
-        match interpret(module, f, pc, &mut stack, &mut reporter) {
+        match interpret(index, f, pc, &mut stack, &mut reporter) {
             Ok(Flow::Fall) | Ok(Flow::Branch(_)) if pc + 1 == n => {
                 errors.push(VerifyError::new(
                     "R0011",
@@ -314,23 +332,24 @@ fn verify_function(
 /// reporting pass uses [`Reporter`] (exactly once per instruction).
 trait Sink {
     fn error(&mut self, rule: &'static str, detail: String);
-    fn call(&mut self, callee: &str);
-    fn global(&mut self, global: &str);
-    fn call_indirect(&mut self, sig: &Sig, candidates: &[String]);
+    fn call(&mut self, callee: usize);
+    fn global(&mut self, global: usize);
+    fn call_indirect(&mut self, sig: &Sig, candidates: &[usize]);
 }
 
 struct Silent;
 
 impl Sink for Silent {
     fn error(&mut self, _rule: &'static str, _detail: String) {}
-    fn call(&mut self, _callee: &str) {}
-    fn global(&mut self, _global: &str) {}
-    fn call_indirect(&mut self, _sig: &Sig, _candidates: &[String]) {}
+    fn call(&mut self, _callee: usize) {}
+    fn global(&mut self, _global: usize) {}
+    fn call_indirect(&mut self, _sig: &Sig, _candidates: &[usize]) {}
 }
 
 struct Reporter<'a, 'e> {
-    module: &'a Module,
     function: &'a str,
+    /// The function's position in the module.
+    position: usize,
     pc: usize,
     hooks: &'a mut dyn VerifyHooks,
     errors: &'e mut Vec<VerifyError>,
@@ -341,15 +360,14 @@ impl Sink for Reporter<'_, '_> {
         self.errors
             .push(VerifyError::new(rule, self.function, Some(self.pc), detail));
     }
-    fn call(&mut self, callee: &str) {
-        self.hooks.on_call(self.function, callee);
+    fn call(&mut self, callee: usize) {
+        self.hooks.on_call(self.position, callee);
     }
-    fn global(&mut self, global: &str) {
-        self.hooks.on_global(self.function, global);
+    fn global(&mut self, global: usize) {
+        self.hooks.on_global(self.position, global);
     }
-    fn call_indirect(&mut self, sig: &Sig, candidates: &[String]) {
-        let _ = self.module;
-        self.hooks.on_call_indirect(self.function, sig, candidates);
+    fn call_indirect(&mut self, sig: &Sig, candidates: &[usize]) {
+        self.hooks.on_call_indirect(self.position, sig, candidates);
     }
 }
 
@@ -357,7 +375,7 @@ impl Sink for Reporter<'_, '_> {
 /// stack is updated in place and the control flow returned; on failure
 /// the error has been reported to `sink` and `Err` stops propagation.
 fn interpret(
-    module: &Module,
+    index: &NameIndex<'_>,
     f: &Function,
     pc: usize,
     stack: &mut AbstractStack,
@@ -452,28 +470,27 @@ fn interpret(
             ),
             Some(t) => pop(stack, t, sink, "local.set")?,
         },
-        Op::GlobalGet(name) => match module.global(name) {
+        Op::GlobalGet(name) => match index.global(name) {
             None => fail!("R0009", "unknown global `{name}`"),
             Some(g) => {
-                sink.global(name);
-                push(stack, g.ty, sink)?;
+                sink.global(g);
+                push(stack, index.module().globals[g].ty, sink)?;
             }
         },
-        Op::GlobalSet(name) => match module.global(name) {
+        Op::GlobalSet(name) => match index.global(name) {
             None => fail!("R0009", "unknown global `{name}`"),
             Some(g) => {
-                let ty = g.ty;
-                sink.global(name);
-                pop(stack, ty, sink, "global.set")?;
+                sink.global(g);
+                pop(stack, index.module().globals[g].ty, sink, "global.set")?;
             }
         },
-        Op::Call(name) => match module.function(name) {
+        Op::Call(name) => match index.function(name) {
             None => fail!("R0006", "unknown function `{name}`"),
-            Some(callee) => {
-                let sig = callee.sig();
-                sink.call(name);
+            Some(j) => {
+                let callee = &index.module().functions[j];
+                sink.call(j);
                 // Args are popped last-parameter-first.
-                for (i, want) in sig.params.iter().enumerate().rev() {
+                for (i, want) in callee.params.iter().enumerate().rev() {
                     match stack.pop() {
                         None => fail!("R0007", "call `{name}`: missing argument {i}"),
                         Some(got) if got != *want => fail!(
@@ -483,22 +500,17 @@ fn interpret(
                         Some(_) => {}
                     }
                 }
-                if let Some(ret) = sig.ret {
+                if let Some(ret) = callee.ret {
                     push(stack, ret, sink)?;
                 }
             }
         },
         Op::CallIndirect(sig) => {
-            let candidates: Vec<String> = module
-                .functions
-                .iter()
-                .filter(|g| g.sig() == *sig)
-                .map(|g| g.name.clone())
-                .collect();
+            let candidates = index.candidates(sig);
             if candidates.is_empty() {
                 fail!("R0010", "no function with signature {sig}");
             }
-            sink.call_indirect(sig, &candidates);
+            sink.call_indirect(sig, candidates);
             pop(stack, Ty::Int, sink, "call_indirect index")?;
             for (i, want) in sig.params.iter().enumerate().rev() {
                 match stack.pop() {
@@ -583,15 +595,14 @@ mod tests {
         #[derive(Default)]
         struct Log(Vec<String>);
         impl VerifyHooks for Log {
-            fn on_call(&mut self, caller: &str, callee: &str) {
+            fn on_call(&mut self, caller: usize, callee: usize) {
                 self.0.push(format!("call {caller}->{callee}"));
             }
-            fn on_global(&mut self, function: &str, global: &str) {
+            fn on_global(&mut self, function: usize, global: usize) {
                 self.0.push(format!("global {function}->{global}"));
             }
-            fn on_call_indirect(&mut self, caller: &str, _sig: &Sig, candidates: &[String]) {
-                self.0
-                    .push(format!("indirect {caller}->{}", candidates.join(",")));
+            fn on_call_indirect(&mut self, caller: usize, _sig: &Sig, candidates: &[usize]) {
+                self.0.push(format!("indirect {caller}->{candidates:?}"));
             }
         }
         let mut m = Module::new();
@@ -613,11 +624,7 @@ mod tests {
         assert!(verify_module_with(&m, &mut log).is_empty());
         assert_eq!(
             log.0,
-            vec![
-                "global main->g",
-                "call main->helper",
-                "indirect main->main,helper",
-            ]
+            vec!["global 0->0", "call 0->1", "indirect 0->[0, 1]"]
         );
     }
 
