@@ -1,8 +1,9 @@
 //! Incremental propagation engine vs the scan reference.
 //!
-//! Two levels: one progression (`ProgressionBuilder` vs
-//! `lbr_reference::build_progression`) and raw MSA (engine-backed `msa`
-//! vs `lbr_reference::msa_scan`). Then the cost of one probe by part,
+//! Two levels: progressions (`ProgressionBuilder` vs
+//! `lbr_reference::build_progression` on one progression, and the builder
+//! alone over every rebuild of one real GBR run) and raw MSA
+//! (engine-backed `msa` vs `lbr_reference::msa_scan`). Then the cost of one probe by part,
 //! with the decompiler oracle both cold (`probe/decompile-errors`) and
 //! over a recorded greedy probe sequence of one reduction scope
 //! (`probe/decompile-errors-sequence`). The speedup ratios back the
@@ -10,12 +11,13 @@
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
-    closure_size_order, generalized_binary_reduction, GbrConfig, Input, Instance,
+    closure_size_order, generalized_binary_reduction, GbrCheckpoint, GbrConfig, Input, Instance,
     ProgressionBuilder,
 };
-use lbr_jreduce::build_model;
+use lbr_jreduce::{build_model, ReductionSession};
 use lbr_logic::{msa, VarSet};
 use lbr_reference::{build_progression, msa_scan};
+use lbr_stackvm::{StackBugSet, StackOracle};
 use lbr_workload::{generate, generate_stack, StackShape, StackWorkloadConfig, WorkloadConfig};
 
 fn main() {
@@ -122,5 +124,38 @@ fn progressions() {
         "  -> {entries} entries: {} per entry (engine), {} per entry (scan)",
         per_entry(engine),
         per_entry(scan)
+    );
+
+    // Every progression one `logical/greedy` run over the module builds:
+    // its checkpoint chain of `(learned, search_space)` pairs, replayed
+    // from the whole module through one builder, as
+    // `lbr_reference::check_chain` replays it.
+    let oracle = StackOracle::new(&module, StackBugSet::all());
+    let mut chain: Vec<GbrCheckpoint> = Vec::new();
+    let mut record = |ck: &GbrCheckpoint| chain.push(ck.clone());
+    ReductionSession::new(&module, &oracle)
+        .strategy("logical/greedy")
+        .checkpoint(&mut record)
+        .run()
+        .expect("reduces");
+    let calls: Vec<(&[VarSet], &VarSet)> = std::iter::once((&[][..], &all))
+        .chain(chain.iter().map(|ck| (&ck.learned[..], &ck.search_space)))
+        .collect();
+    let mut rebuilt = 0;
+    let rebuilds = bench("progression/gbr-rebuilds", || {
+        let mut builder = ProgressionBuilder::new(cnf, n);
+        rebuilt = calls
+            .iter()
+            .map(|&(learned, search_space)| {
+                let progression = builder.progression(&order, learned, search_space);
+                progression.expect("satisfiable").len()
+            })
+            .sum::<usize>();
+        rebuilt
+    });
+    println!(
+        "  -> {} progressions, {rebuilt} entries: {} per entry",
+        calls.len(),
+        fmt_duration(rebuilds / rebuilt as u32)
     );
 }

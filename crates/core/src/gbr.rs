@@ -17,7 +17,7 @@ use crate::concurrent::{ConcurrentPredicate, DemandKind, ProbeScheduler};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
 use crate::{Instance, Predicate};
-use lbr_logic::{engine, Cnf, Engine, Lit, Var, VarOrder, VarSet};
+use lbr_logic::{engine, Cnf, Engine, Lit, Msa, Var, VarOrder, VarSet};
 use std::time::Instant;
 
 /// How GBR's main loop finds the minimal failing prefix of a progression.
@@ -256,7 +256,7 @@ trait ProbeDriver {
     /// driver leaves `next` to the demanding thread itself (it pays the
     /// probe's latency either way) and spends every worker on the probes
     /// *after* it.
-    fn retarget(&mut self, _prefix_unions: &[VarSet], _bracket: &Bracket, _next: usize) {}
+    fn retarget(&mut self, _prefixes: &mut Prefixes<'_>, _bracket: &Bracket, _next: usize) {}
     /// This iteration's search is over (learning and rebuilding follow).
     fn search_done(&mut self) {}
 }
@@ -297,21 +297,15 @@ fn gbr_loop<D: ProbeDriver>(
         if cancelled(control) {
             return Err(GbrError::Cancelled);
         }
-        // Prefix unions D^∪_r for r in 0..len, computed *before* the D₀
-        // probe so a speculative driver can dispatch boundary-search probes
-        // while D₀ itself is still running (`prefix_unions[0]` == `D₀`).
-        let mut prefix_unions: Vec<VarSet> = Vec::with_capacity(progression.len());
-        let mut acc = VarSet::empty(universe);
-        for d in &progression {
-            acc.union_with(d);
-            prefix_unions.push(acc.clone());
-        }
         let last = progression.len() - 1;
+        let mut prefixes = Prefixes::new(&progression, &search_space);
         let mut bracket = Bracket::new(last, config.boundary, gap);
-        driver.retarget(&prefix_unions, &bracket, 0);
+        // Retarget *before* the D₀ probe, so a speculative driver can
+        // dispatch boundary-search probes while D₀ itself is running.
+        driver.retarget(&mut prefixes, &bracket, 0);
         // Anytime stop: the current search space is itself a valid failing
         // input (invariant), so a best-so-far answer always exists.
-        let Some(d0_fails) = driver.test(&prefix_unions[0]) else {
+        let Some(d0_fails) = driver.test(&progression[0]) else {
             return Ok(anytime_outcome(
                 driver,
                 search_space,
@@ -323,7 +317,7 @@ fn gbr_loop<D: ProbeDriver>(
         if d0_fails {
             driver.search_done();
             return Ok(GbrOutcome {
-                solution: prefix_unions[0].clone(),
+                solution: progression[0].clone(),
                 iterations: iteration,
                 learned,
                 progression_lengths,
@@ -342,7 +336,7 @@ fn gbr_loop<D: ProbeDriver>(
                 driver.search_done();
                 return Err(GbrError::Cancelled);
             }
-            let Some(fails) = driver.test(&prefix_unions[index]) else {
+            let Some(fails) = driver.test(prefixes.at(index)) else {
                 return Ok(anytime_outcome(
                     driver,
                     search_space,
@@ -356,14 +350,14 @@ fn gbr_loop<D: ProbeDriver>(
                 return Err(GbrError::PredicateNotMonotone);
             }
             if let Some(next) = bracket.next() {
-                driver.retarget(&prefix_unions, &bracket, next);
+                driver.retarget(&mut prefixes, &bracket, next);
             }
         }
         driver.search_done();
         let r = bracket.hi;
         gap = (last - r).max(1);
+        search_space = prefixes.into_union(r);
         learned.push(progression[r].clone());
-        search_space = prefix_unions[r].clone();
         iteration += 1;
         progression = builder.progression(order, &learned, &search_space)?;
         progression_lengths.push(progression.len());
@@ -395,6 +389,47 @@ fn check_resume(ck: &GbrCheckpoint, instance: &Instance) -> Result<(), GbrError>
         return Err(GbrError::CheckpointMismatch);
     }
     Ok(())
+}
+
+/// The prefix unions `D^∪_0..=D^∪_last` of one progression, walked on
+/// demand: one accumulator starts at `D^∪_last = J` and steps to each
+/// index asked for. Entries are disjoint, so a step down removes one entry
+/// and a step up adds one back; a boundary search walks O(len) steps in
+/// all, and no union is stored.
+struct Prefixes<'p> {
+    progression: &'p [VarSet],
+    index: usize,
+    union: VarSet,
+}
+
+impl<'p> Prefixes<'p> {
+    /// The walker over `progression`, whose entries partition `search_space`.
+    fn new(progression: &'p [VarSet], search_space: &VarSet) -> Self {
+        Prefixes {
+            progression,
+            index: progression.len() - 1,
+            union: search_space.clone(),
+        }
+    }
+
+    /// `D^∪_r`, the union of entries `0..=r`.
+    fn at(&mut self, r: usize) -> &VarSet {
+        while self.index > r {
+            self.union.difference_with(&self.progression[self.index]);
+            self.index -= 1;
+        }
+        while self.index < r {
+            self.index += 1;
+            self.union.union_with(&self.progression[self.index]);
+        }
+        &self.union
+    }
+
+    /// `D^∪_r`, by value.
+    fn into_union(mut self, r: usize) -> VarSet {
+        self.at(r);
+        self.union
+    }
 }
 
 /// One iteration's boundary search over the prefix unions
@@ -747,7 +782,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
         self.best = Some(best);
     }
 
-    fn retarget(&mut self, prefix_unions: &[VarSet], bracket: &Bracket, next: usize) {
+    fn retarget(&mut self, prefixes: &mut Prefixes<'_>, bracket: &Bracket, next: usize) {
         // Skip `next`: this thread demands it immediately and computes it
         // inline if nobody beat it to it, so a worker claiming it would
         // only duplicate the wait — every worker goes one level deeper
@@ -759,7 +794,7 @@ impl ProbeDriver for SpeculativeDriver<'_> {
                 .frontier(self.width)
                 .into_iter()
                 .filter(|&i| i != next)
-                .map(|i| prefix_unions[i].clone())
+                .map(|i| prefixes.at(i).clone())
                 .collect(),
         );
     }
@@ -882,11 +917,15 @@ impl ProgressionBuilder {
 /// The incremental `PROGRESSION_{R_I,<}(L, J)`: the scan reference's
 /// result, but no formula is ever cloned. Newly learned sets
 /// become permanent level-0 clauses; the restriction to `J` is one
-/// assumption level of negated out-of-`J` literals; each progression prefix
-/// is asserted as a further assumption level (by the progression invariant
-/// a prefix union is a model of the restricted formula, so asserting it
-/// never conflicts and never implies new true variables); and each entry is
-/// `MSA` run from the engine's current state.
+/// assumption level of negated out-of-`J` literals; `D₀` is `MSA` run from
+/// that state and asserted as a further assumption level. Each later entry
+/// assumes its `x` on top of the prefix and runs [`engine::msa_above`]
+/// from the prefix's trail height: the prefix union is a model, so only
+/// clauses the new trues touch need checking. A greedy closure's state
+/// stays on the trail as the next prefix and the entry is read off the
+/// trail above that height; a DPLL model is asserted by its trues instead.
+/// By the progression invariant asserting a prefix never conflicts and
+/// never implies new true variables.
 ///
 /// Unit propagation is confluent, so every step sees exactly the state the
 /// scan reference's rebuild would recompute, and the produced progressions
@@ -949,18 +988,31 @@ fn incremental_progression(
         // remainder closes the progression.
         cursor = k + 1;
         let before = engine.decision_level();
-        let entry = if engine.assume(Lit::pos(x)) {
-            engine::msa_from_state(engine, order).map(|s_abs| {
-                // `s_abs` is the absolute true-set; strip the prefix that is
-                // already covered to get this progression entry (⊇ {x}).
-                s_abs.difference(&covered)
-            })
+        // The prefix union is a model, so no clause is violated at this
+        // height, and its true variables are exactly `covered`.
+        let clean = engine.trail().len();
+        let found = if engine.assume(Lit::pos(x)) {
+            engine::msa_above(engine, order, clean)
         } else {
             None
         };
-        engine.backtrack(before);
-        match entry {
-            Some(entry) => {
+        match found {
+            Some(Msa::Kept) => {
+                // The closure's state is the next prefix (propagating it
+                // from the entry's trues would reach the same state), and
+                // the entry is what it made true.
+                let mut entry = VarSet::empty(covered.universe());
+                for l in engine.trail()[clean..].iter().filter(|l| l.is_positive()) {
+                    entry.insert(l.var());
+                    covered.insert(l.var());
+                }
+                progression.push(entry);
+            }
+            Some(Msa::Solved(model)) => {
+                // A DPLL model: its state holds negative decisions, so
+                // assert only its new trues as the next prefix.
+                engine.backtrack(before);
+                let entry = model.difference(&covered);
                 let lits: Vec<Lit> = entry.iter().map(Lit::pos).collect();
                 let ok = engine.assume_all(&lits);
                 debug_assert!(ok, "asserting a progression prefix must not conflict");
@@ -971,6 +1023,7 @@ fn incremental_progression(
                 // `x` cannot be made true inside this search space. Close
                 // the progression with the whole remainder: its prefix is
                 // the full search space, which is valid by assumption.
+                engine.backtrack(before);
                 let rest = search_space.difference(&covered);
                 covered.union_with(&rest);
                 progression.push(rest);

@@ -23,7 +23,19 @@
 //! * **Violable-clause list.** [`Engine::add_clause`] records which stored
 //!   clauses have ≥ 2 positive literals. Only those can be violated under
 //!   "unassigned = false" in a propagated state, so the greedy closure of
-//!   [`msa_from_state`] scans only them.
+//!   [`msa_from_state`] checks only them.
+//! * **Pending-set closure.** [`Engine::add_clause`] also records, per
+//!   variable, the violable clauses holding its negative literal. Inside a
+//!   closure nothing is undone, so under "unassigned = false" a value only
+//!   ever changes from false to true, and a clause can only become violated
+//!   when the variable of one of its negative literals becomes true. The
+//!   closure therefore checks, after each pick, only the clauses the
+//!   pick's new trues touch: one dirtied ahead of the pass's cursor is
+//!   checked in the same pass, one at or behind it in the next pass, and
+//!   the picks are exactly those of a full rescan. [`msa_above`] seeds the
+//!   first pass from the trues above a trail height at which no clause was
+//!   violated, and on success leaves the closure's state on the trail, so
+//!   a progression entry costs work proportional to that entry.
 //!
 //! # Invariants
 //!
@@ -58,8 +70,13 @@
 //! the dev-only `lbr-reference` crate) / [`dpll::solve`](crate::dpll::solve)
 //! on the correspondingly conditioned formula;
 //! `tests/engine_differential.rs` checks this on randomized inputs.
+//! Confluence is also why [`msa_above`] may keep its state: propagating
+//! the prefix and the entry's true set reaches the same assignment as
+//! propagating the prefix and the closure's picks.
 
 use crate::{Cnf, Lit, Var, VarOrder, VarSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An incremental unit-propagation engine over a CNF.
 ///
@@ -102,6 +119,14 @@ pub struct Engine {
     /// literals: the only clauses the greedy closure can find violated
     /// (see [`msa_from_state`]).
     violable: Vec<u32>,
+    /// `neg_occurs[v]` = indices, ascending, of the violable clauses
+    /// holding `¬v`: the clauses `v` becoming true can violate.
+    neg_occurs: Vec<Vec<u32>>,
+    /// The greedy closure's clauses to check in the current pass (a
+    /// min-heap: index order) and in the next one; kept between calls so
+    /// a closure allocates nothing.
+    pending: BinaryHeap<Reverse<u32>>,
+    deferred: Vec<u32>,
     /// `cnf.num_vars()` of the base formula — the DPLL branching bound.
     num_vars: usize,
     /// Size of the variable universe (`≥ num_vars`; extra variables are
@@ -129,6 +154,9 @@ impl Engine {
             qhead: 0,
             trues: VarSet::empty(universe),
             violable: Vec::new(),
+            neg_occurs: vec![Vec::new(); universe],
+            pending: BinaryHeap::new(),
+            deferred: Vec::new(),
             num_vars: cnf.num_vars(),
             universe,
             ok: true,
@@ -253,6 +281,9 @@ impl Engine {
                 self.watches[kept[1].code()].push(ci);
                 if kept.iter().filter(|l| l.is_positive()).count() >= 2 {
                     self.violable.push(ci);
+                    for l in kept.iter().filter(|l| !l.is_positive()) {
+                        self.neg_occurs[l.var().index()].push(ci);
+                    }
                 }
                 self.clauses.push(kept);
                 true
@@ -368,6 +399,28 @@ impl Engine {
         }
         true
     }
+
+    /// Queues the violable clauses holding the negation of a variable made
+    /// true above trail height `height`: into this pass if they lie after
+    /// `cursor` (the clause being checked; `None` before the first), into
+    /// the next pass otherwise.
+    fn touch(
+        &self,
+        height: usize,
+        cursor: Option<u32>,
+        pending: &mut BinaryHeap<Reverse<u32>>,
+        deferred: &mut Vec<u32>,
+    ) {
+        for l in self.trail[height..].iter().filter(|l| l.is_positive()) {
+            for &ci in &self.neg_occurs[l.var().index()] {
+                if cursor.is_some_and(|c| ci <= c) {
+                    deferred.push(ci);
+                } else {
+                    pending.push(Reverse(ci));
+                }
+            }
+        }
+    }
 }
 
 /// Runs the MSA procedure of [`msa`](crate::msa) *from the engine's
@@ -388,50 +441,157 @@ impl Engine {
 /// by assuming its `<`-least eligible positive literal, falling back to
 /// [`solve_from_state`] on a dead end.
 ///
-/// A pass visits only the clauses with ≥ 2 positive literals, in index
-/// order. Every pass starts from a propagated, conflict-free state, and
-/// in such a state a clause with ≤ 1 positive literal is never violated:
-/// violating it needs all its negative literals false, and then unit
-/// propagation has already made its positive literal true (or, with no
-/// positive literal, reported a conflict). So skipping those clauses
-/// changes neither the picks nor their order, and the result equals the
-/// scan-based reference `lbr_reference::msa_scan` on the conditioned
-/// formula.
+/// The closure checks only the clauses with ≥ 2 positive literals. Every
+/// pick leaves a propagated, conflict-free state, and in such a state a
+/// clause with ≤ 1 positive literal is never violated: violating it needs
+/// all its negative literals false, and then unit propagation has already
+/// made its positive literal true (or, with no positive literal, reported
+/// a conflict). The first pass checks all of them, because the entry state
+/// may violate any (a learned set, say); later checks go only to the
+/// clauses a pick's new trues touch (see the module docs). Neither changes
+/// the picks or their order, so the result equals the scan-based reference
+/// `lbr_reference::msa_scan` on the conditioned formula.
 pub fn msa_from_state(engine: &mut Engine, order: &VarOrder) -> Option<VarSet> {
     let mark = engine.decision_level();
-    loop {
-        let mut fixed_any = false;
-        let mut dead_end = false;
-        let mut k = 0;
-        while k < engine.violable.len() {
-            let ci = engine.violable[k] as usize;
-            if let Some(pick) = violated_pick(engine, order, ci) {
-                match pick {
-                    Some(v) => {
-                        if !engine.assume(Lit::pos(v)) {
-                            dead_end = true;
-                            break;
-                        }
-                        fixed_any = true;
+    if greedy_closure(engine, order, FirstPass::All) {
+        let model = engine.true_set();
+        engine.backtrack(mark);
+        return Some(model);
+    }
+    // Greedy painted itself into a corner (or no model exists): discard
+    // the greedy picks and let the complete search decide.
+    engine.backtrack(mark);
+    solve_from_state(engine, order)
+}
+
+/// How [`msa_above`] found its model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Msa {
+    /// The greedy closure succeeded and its state stays on the trail: the
+    /// model's true variables are the engine's true variables.
+    Kept,
+    /// The greedy closure dead-ended and the complete search found this
+    /// model (its full true set, whose assignment also holds negative
+    /// decisions); the engine is back at its entry state.
+    Solved(VarSet),
+}
+
+/// [`msa_from_state`] for a state that extends a clean one, keeping the
+/// closure's state.
+///
+/// `clean` is a trail height (at most the current one) at which no stored
+/// clause was violated under "unassigned = false" — a propagated state
+/// whose true set is a model, such as a progression prefix. Only a
+/// variable made true above it can violate a clause, so the first pass
+/// checks only the clauses holding the negation of a true variable pushed
+/// since `clean`; the picks are those of [`msa_from_state`].
+///
+/// Returns `None` if no model extends the current assignment (the engine
+/// is then back at its entry state). On [`Msa::Kept`] the picks stay on
+/// the trail, one decision level each above the entry level, and the
+/// state is itself clean.
+pub fn msa_above(engine: &mut Engine, order: &VarOrder, clean: usize) -> Option<Msa> {
+    debug_assert!(clean <= engine.trail.len(), "clean height above the trail");
+    let mark = engine.decision_level();
+    if greedy_closure(engine, order, FirstPass::TouchedAbove(clean)) {
+        return Some(Msa::Kept);
+    }
+    engine.backtrack(mark);
+    solve_from_state(engine, order).map(Msa::Solved)
+}
+
+/// Which clauses the greedy closure's first pass checks.
+#[derive(Debug, Clone, Copy)]
+enum FirstPass {
+    /// Every violable clause.
+    All,
+    /// The violable clauses touched by the trues above this trail height.
+    TouchedAbove(usize),
+}
+
+/// The greedy closure from the engine's current state: passes over the
+/// pending clauses in index order, each violated one satisfied by
+/// assuming its pick (one decision level per pick), until a pass leaves
+/// nothing for the next. Returns false on a dead end. Either way the
+/// picks stay on the trail; the caller backtracks.
+///
+/// A pick's new trues can only violate the clauses holding their
+/// negations. Those ahead of the current clause join this pass; those at
+/// or behind it wait for the next pass, where a full rescan would next
+/// reach them. Every clause left out was satisfied when last checked (or
+/// at the clean start) and has not been touched since, so it still is,
+/// and checking it would pick nothing.
+fn greedy_closure(engine: &mut Engine, order: &VarOrder, first: FirstPass) -> bool {
+    let mut pending = std::mem::take(&mut engine.pending);
+    let mut deferred = std::mem::take(&mut engine.deferred);
+    pending.clear();
+    deferred.clear();
+    let closed = 'closure: {
+        match first {
+            FirstPass::All => {
+                for k in 0..engine.violable.len() {
+                    let ci = engine.violable[k];
+                    if !check(engine, order, ci, &mut pending, &mut deferred) {
+                        break 'closure false;
                     }
-                    None => {
-                        dead_end = true;
-                        break;
+                }
+                // The walk reached every clause queued ahead of it after
+                // the clause was queued.
+                pending.clear();
+            }
+            FirstPass::TouchedAbove(height) => {
+                engine.touch(height, None, &mut pending, &mut deferred)
+            }
+        }
+        loop {
+            // A clause may be queued twice; the heap hands the copies out
+            // back to back.
+            let mut last = None;
+            while let Some(Reverse(ci)) = pending.pop() {
+                if last != Some(ci) {
+                    last = Some(ci);
+                    if !check(engine, order, ci, &mut pending, &mut deferred) {
+                        break 'closure false;
                     }
                 }
             }
-            k += 1;
+            if deferred.is_empty() {
+                break true;
+            }
+            pending.extend(deferred.drain(..).map(Reverse));
         }
-        if dead_end {
-            // Greedy painted itself into a corner (or no model exists):
-            // discard the greedy picks and let the complete search decide.
-            engine.backtrack(mark);
-            return solve_from_state(engine, order);
-        }
-        if !fixed_any {
-            let s = engine.true_set();
-            engine.backtrack(mark);
-            return Some(s);
+    };
+    debug_assert!(
+        !closed
+            || (engine.violable.iter())
+                .all(|&ci| violated_pick(engine, order, ci as usize).is_none()),
+        "the pending-set closure left a violated clause"
+    );
+    engine.pending = pending;
+    engine.deferred = deferred;
+    closed
+}
+
+/// Checks clause `ci` for the greedy closure: if it is violated, assumes
+/// its pick and queues the clauses the pick's new trues touch. Returns
+/// false on a dead end (no eligible pick, or the pick conflicts).
+fn check(
+    engine: &mut Engine,
+    order: &VarOrder,
+    ci: u32,
+    pending: &mut BinaryHeap<Reverse<u32>>,
+    deferred: &mut Vec<u32>,
+) -> bool {
+    match violated_pick(engine, order, ci as usize) {
+        None => true,
+        Some(None) => false,
+        Some(Some(v)) => {
+            let height = engine.trail.len();
+            let ok = engine.assume(Lit::pos(v));
+            if ok {
+                engine.touch(height, Some(ci), pending, deferred);
+            }
+            ok
         }
     }
 }

@@ -61,7 +61,7 @@ mod var;
 pub use clause::{Clause, ClauseShape};
 pub use cnf::{Cnf, ShapeHistogram};
 pub use counting::count_models;
-pub use engine::{msa_from_state, solve_from_state, Engine};
+pub use engine::{msa_above, msa_from_state, solve_from_state, Engine, Msa};
 pub use formula::Formula;
 pub use lit::Lit;
 pub use msa::msa;

@@ -1,11 +1,12 @@
 //! Differential tests: the incremental watched-literal engine must agree
 //! exactly with the scan-based reference implementations on randomized
 //! CNFs — same BCP fixpoints, same MSA sets, same DPLL verdicts, under no
-//! conditioning and under random assumption sets.
+//! conditioning and under random assumption sets — and the pending-set
+//! closure above a clean prefix must pick what a full rescan picks.
 
 use lbr_logic::{
-    dpll, engine, msa, msa_from_state, Clause, Cnf, Engine, Lit, PartialAssignment, Propagation,
-    Var, VarOrder, VarSet,
+    dpll, engine, msa, msa_above, msa_from_state, Clause, Cnf, Engine, Lit, Msa, PartialAssignment,
+    Propagation, Var, VarOrder, VarSet,
 };
 use lbr_prng::{SliceChoose, SplitMix64};
 use lbr_reference::msa_scan;
@@ -327,4 +328,199 @@ fn engine_and_scan_agree_on_a_structured_formula() {
     assert_eq!(msa_scan(&cnf, &VarOrder::natural(6)), Some(m.clone()));
     assert!(cnf.eval(&m));
     assert!(!m.contains(v(5)));
+}
+
+/// [`random_cnf`] plus clauses with several negative and several positive
+/// literals (`¬a ∨ ¬b [∨ ¬c] ∨ p ∨ q`): violable clauses that more than
+/// one variable becoming true can violate.
+fn random_cnf_multi_neg(rng: &mut SplitMix64, nvars: usize) -> Cnf {
+    let mut cnf = random_cnf(rng, nvars);
+    for _ in 0..rng.gen_range(1..=nvars) {
+        let negs = rng.gen_range(2..=3usize);
+        let poss = rng.gen_range(2..=3usize);
+        let lits: Vec<Lit> = (0..negs + poss)
+            .map(|i| Lit::with_polarity(v(rng.gen_range(0..nvars as u32)), i >= negs))
+            .collect();
+        cnf.add_clause(Clause::new(lits));
+    }
+    cnf
+}
+
+fn values(eng: &Engine) -> Vec<Option<bool>> {
+    (0..eng.universe() as u32)
+        .map(|i| eng.value(v(i)))
+        .collect()
+}
+
+/// The progression step: a random model asserted as a clean prefix, then
+/// `x` assumed and [`msa_above`] run from the prefix's height. Its result
+/// must equal the scan on the conditioned formula, and a kept state must
+/// assign every variable as backtracking and asserting the entry's trues
+/// does.
+#[test]
+fn msa_above_a_clean_prefix_matches_the_conditioned_scan() {
+    let mut kept = 0;
+    for seed in 0..2000u64 {
+        let mut rng = SplitMix64::seed_from_u64(10_000 + seed);
+        let nvars = rng.gen_range(4..20usize);
+        let cnf = random_cnf_multi_neg(&mut rng, nvars);
+        let order = random_order(&mut rng, nvars);
+        let mut eng = Engine::new(&cnf, nvars);
+        if !eng.is_ok() {
+            continue;
+        }
+        // A restriction keeping ~3/4 of the variables.
+        let keep = VarSet::from_iter_with_universe(
+            nvars,
+            (0..nvars as u32).map(v).filter(|_| rng.gen_bool(0.75)),
+        );
+        let restriction: Vec<Lit> = (0..nvars as u32)
+            .map(v)
+            .filter(|x| !keep.contains(*x))
+            .map(Lit::neg)
+            .collect();
+        if !eng.assume_all(&restriction) {
+            continue;
+        }
+        // A random model: the MSA above a few random seeds.
+        let level = eng.decision_level();
+        let seeds: Vec<Lit> = keep
+            .iter()
+            .filter(|_| rng.gen_bool(0.2))
+            .map(Lit::pos)
+            .collect();
+        let model = if eng.assume_all(&seeds) {
+            msa_from_state(&mut eng, &order)
+        } else {
+            None
+        };
+        eng.backtrack(level);
+        let Some(model) = model else { continue };
+        let asserted: Vec<Lit> = model.iter().map(Lit::pos).collect();
+        assert!(eng.assume_all(&asserted), "seed {seed}: a model conflicts");
+        assert_eq!(eng.true_set(), model, "seed {seed}: a model implies more");
+        let Some(&x) = keep
+            .iter()
+            .filter(|&x| eng.value(x).is_none())
+            .collect::<Vec<_>>()
+            .choose(&mut rng)
+        else {
+            continue;
+        };
+        let before = eng.decision_level();
+        let clean = eng.trail().len();
+        if !eng.assume(Lit::pos(x)) {
+            continue;
+        }
+        let mut forced = model.clone();
+        forced.insert(x);
+        let want = msa_scan(&cnf.restrict(&keep, &forced), &order).map(|mut s| {
+            s.union_with(&forced);
+            s
+        });
+        match msa_above(&mut eng, &order, clean) {
+            Some(Msa::Kept) => {
+                kept += 1;
+                assert_eq!(Some(eng.true_set()), want, "seed {seed}: kept state");
+                let entry: Vec<Lit> = eng.trail()[clean..]
+                    .iter()
+                    .copied()
+                    .filter(|l| l.is_positive())
+                    .collect();
+                let kept_values = values(&eng);
+                eng.backtrack(before);
+                assert!(eng.assume_all(&entry), "seed {seed}: the entry conflicts");
+                assert_eq!(
+                    values(&eng),
+                    kept_values,
+                    "seed {seed}: the kept state is not the asserted entry's"
+                );
+            }
+            Some(Msa::Solved(m)) => {
+                assert_eq!(Some(m), want, "seed {seed}: DPLL fallback");
+                assert_eq!(
+                    eng.decision_level(),
+                    before + 1,
+                    "seed {seed}: state restored"
+                );
+            }
+            None => {
+                assert_eq!(want, None, "seed {seed}: unsat");
+                assert_eq!(
+                    eng.decision_level(),
+                    before + 1,
+                    "seed {seed}: state restored"
+                );
+            }
+        }
+    }
+    assert!(kept >= 400, "only {kept} kept closures");
+}
+
+/// Runs [`msa_above`] from an empty prefix with `x` assumed and checks it
+/// against the scan on the formula with `x` forced.
+fn assert_msa_above_matches_scan(cnf: &Cnf, x: Var, want: &[u32]) {
+    let n = cnf.num_vars();
+    let order = VarOrder::natural(n);
+    let mut forced = VarSet::empty(n);
+    forced.insert(x);
+    let mut scan = msa_scan(&cnf.restrict(&VarSet::full(n), &forced), &order).expect("sat");
+    scan.insert(x);
+    let mut eng = Engine::new(cnf, n);
+    let clean = eng.trail().len();
+    assert!(eng.assume(Lit::pos(x)));
+    assert_eq!(msa_above(&mut eng, &order, clean), Some(Msa::Kept));
+    assert_eq!(eng.true_set(), scan);
+    assert_eq!(
+        scan.iter().map(|v| v.index() as u32).collect::<Vec<_>>(),
+        want
+    );
+}
+
+#[test]
+fn a_pick_violating_an_earlier_clause_is_checked_next_pass() {
+    let (x, b, c, d, e) = (v(0), v(2), v(3), v(4), v(5));
+    let mut cnf = Cnf::new(6);
+    // Clause 0, `b ⇒ c ∨ d`, is behind the cursor when clause 1 picks `b`.
+    cnf.add_clause(Clause::implication([b], [c, d]));
+    cnf.add_clause(Clause::implication([x], [b, e]));
+    assert_msa_above_matches_scan(&cnf, x, &[0, 2, 3]);
+}
+
+#[test]
+fn a_pick_violating_a_later_clause_is_checked_this_pass() {
+    let (x, a, b, c, d, e) = (v(0), v(1), v(2), v(3), v(4), v(5));
+    let mut cnf = Cnf::new(6);
+    // Clause 0 picks `b`, which violates clause 1, ahead of the cursor: it
+    // picks `c` in the same pass, and `c` satisfies clause 2 before that
+    // clause is checked. Deferring clause 1 would make clause 2 pick `a`.
+    cnf.add_clause(Clause::implication([x], [b, e]));
+    cnf.add_clause(Clause::implication([b], [c, d]));
+    cnf.add_clause(Clause::implication([x], [a, c]));
+    assert_msa_above_matches_scan(&cnf, x, &[0, 2, 3]);
+}
+
+#[test]
+fn a_dead_end_above_a_prefix_falls_back_to_dpll_and_restores_the_state() {
+    let (x, p, r, t, u) = (v(0), v(1), v(2), v(3), v(4));
+    let mut cnf = Cnf::new(5);
+    // `x` asks for `p ∨ r`; picking `p` forces `u` (with the fact `t`),
+    // which `p` forbids — a conflict propagation alone does not foresee.
+    cnf.add_clause(Clause::unit(Lit::pos(t)));
+    cnf.add_clause(Clause::implication([x], [p, r]));
+    cnf.add_clause(Clause::implication([p, t], [u]));
+    cnf.add_clause(Clause::implication([p, u], []));
+    let order = VarOrder::natural(5);
+    let mut forced = VarSet::empty(5);
+    forced.insert(x);
+    let mut want = msa_scan(&cnf.restrict(&VarSet::full(5), &forced), &order).expect("sat");
+    want.insert(x);
+    assert_eq!(want.iter().collect::<Vec<_>>(), vec![x, r, t]);
+    let mut eng = Engine::new(&cnf, 5);
+    let clean = eng.trail().len();
+    assert!(eng.assume(Lit::pos(x)));
+    let entry_values = values(&eng);
+    assert_eq!(msa_above(&mut eng, &order, clean), Some(Msa::Solved(want)));
+    assert_eq!(eng.decision_level(), 1, "state restored");
+    assert_eq!(values(&eng), entry_values, "state restored");
 }

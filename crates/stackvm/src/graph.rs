@@ -59,15 +59,6 @@ impl UnitGraph {
         }
     }
 
-    /// The node of the named function.
-    pub fn function_node(&self, module: &Module, name: &str) -> Option<Var> {
-        module
-            .functions
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| Var::new(i as u32))
-    }
-
     /// Materializes the sub-module keeping exactly the units in `keep`
     /// (whole functions with their bodies — the coarse path has no
     /// body-stubbing), as a candidate of `scope`'s reduction sharing

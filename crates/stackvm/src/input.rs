@@ -126,8 +126,9 @@ mod tests {
         let m = sample();
         let coarse = m.coarse_model();
         assert_eq!(coarse.graph.len(), 3);
-        let ug = UnitGraph::new(&m);
-        let node = ug.function_node(&m, "helper").unwrap();
+        // Functions come first in the unit graph, in module order.
+        let helper = m.functions.iter().position(|f| f.name == "helper");
+        let node = lbr_logic::Var::new(helper.unwrap() as u32);
         let closure = coarse.graph.closure_of([node]);
         let sub = (coarse.materialize)(&closure);
         assert!(sub.function("main").is_none());
