@@ -1,6 +1,6 @@
 //! The classfile frontend behind the format-agnostic [`Input`] trait.
 //!
-//! This is a thin adapter: the logical model is [`build_model`]'s CNF
+//! This is a thin adapter: the logical model is [`build_model`](crate::build_model)'s CNF
 //! with [`reduce_program`] as the solution applier, the coarse model is
 //! [`ClassGraph`]'s class-mention graph with its subset materializer,
 //! and serialization/validation delegate to the existing binary format
@@ -9,7 +9,8 @@
 //! classfile path.
 
 use crate::classgraph::ClassGraph;
-use crate::model::build_model;
+use crate::item::ItemIndex;
+use crate::model::{model_stats, write_model};
 use crate::reducer::Materializer;
 use crate::{program_byte_size, read_program, verify_program, write_program, Program};
 use lbr_core::{CoarseModel, Input, InputModel};
@@ -20,24 +21,22 @@ impl Input for Program {
     const FORMAT: &'static str = "classfile";
 
     fn model(&self) -> Result<InputModel<'_, Self>, String> {
-        let model = build_model(self).map_err(|e| e.to_string())?;
-        let stats = model.stats();
-        let registry = model.registry;
+        let index = ItemIndex::new(self);
+        let cnf = write_model(self, &index).map_err(|e| e.to_string())?;
         // Containment depth: class/interface files, then the members and
         // relations they declare, then the method/constructor bodies
         // nested inside those members.
-        let levels = registry
-            .items()
-            .iter()
-            .map(|item| match item {
-                crate::Item::Class(_) | crate::Item::Interface(_) => 0,
-                crate::Item::MethodCode(..) | crate::Item::ConstructorCode(..) => 2,
-                _ => 1,
-            })
-            .collect();
-        let materializer = Materializer::new(self, &registry);
+        let mut levels = vec![1; index.len()];
+        for class in index.classes() {
+            levels[class.var.index()] = 0;
+            for body in class.methods.iter().filter_map(|&(_, body)| body) {
+                levels[body.index()] = 2;
+            }
+        }
+        let stats = model_stats(index.len(), &cnf);
+        let materializer = Materializer::new(self, index);
         Ok(InputModel {
-            cnf: model.cnf,
+            cnf,
             stats,
             levels,
             materialize: Box::new(move |keep: &VarSet| materializer.materialize(keep)),
@@ -81,7 +80,7 @@ impl Input for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reduce_program, ClassFile, Code, Insn, MethodDescriptor, MethodInfo};
+    use crate::{build_model, reduce_program, ClassFile, Code, Insn, MethodDescriptor, MethodInfo};
 
     fn sample() -> Program {
         let mut a = ClassFile::new_class("A");

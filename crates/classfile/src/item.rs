@@ -18,10 +18,12 @@
 //! | 10 | `ConstructorCode(C, d)` | replace the body with the trivial one |
 //! | 11 | `Signature(T, m, d)` | drop the abstract method |
 
-use crate::Program;
-use lbr_logic::{Formula, Var, VarSet};
+use crate::program::Edge;
+use crate::{MethodInfo, Program, Step};
+use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A reducible construct; see the module docs for the catalog.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,69 +108,43 @@ impl fmt::Display for Item {
 /// Maps the items of a program to dense logic variables.
 ///
 /// Built-in or foreign names ([`crate::OBJECT`], or a superclass of
-/// `Object`) are not registered; [`ItemRegistry::formula`] returns `true`
-/// for them so constraint generation can treat them uniformly.
+/// `Object`) are not registered; constraint generation treats them as
+/// always kept.
 #[derive(Debug, Clone, Default)]
 pub struct ItemRegistry {
     items: Vec<Item>,
-    index: HashMap<Item, Var>,
+    /// Item → variable, built by the first [`ItemRegistry::var`] call.
+    /// Model generation and reduction look items up through the
+    /// borrowed [`ItemIndex`] instead.
+    index: OnceLock<HashMap<Item, Var>>,
 }
 
 impl ItemRegistry {
     /// Collects the items of a program in deterministic (class-name, then
     /// declaration) order.
     pub fn from_program(program: &Program) -> Self {
-        let mut reg = ItemRegistry::default();
-        for class in program.classes() {
-            let name = class.name.clone();
-            if class.is_interface() {
-                reg.add(Item::Interface(name.clone()));
-                for sup in &class.interfaces {
-                    reg.add(Item::InterfaceExtends(name.clone(), sup.clone()));
-                }
-            } else {
-                reg.add(Item::Class(name.clone()));
-                if let Some(sup) = &class.superclass {
-                    if sup != crate::OBJECT {
-                        reg.add(Item::SuperClass(name.clone(), sup.clone()));
-                    }
-                }
-                for iface in &class.interfaces {
-                    reg.add(Item::Implements(name.clone(), iface.clone()));
-                }
-            }
-            for field in &class.fields {
-                reg.add(Item::Field(name.clone(), field.name.clone()));
-            }
-            for m in &class.methods {
-                let desc = m.desc.descriptor();
-                if m.is_init() {
-                    reg.add(Item::Constructor(name.clone(), desc.clone()));
-                    reg.add(Item::ConstructorCode(name.clone(), desc));
-                } else if m.code.is_some() {
-                    reg.add(Item::Method(name.clone(), m.name.clone(), desc.clone()));
-                    reg.add(Item::MethodCode(name.clone(), m.name.clone(), desc));
-                } else {
-                    reg.add(Item::Signature(name.clone(), m.name.clone(), desc));
-                }
-            }
-        }
-        reg
+        Self::indexed(program).0
     }
 
-    fn add(&mut self, item: Item) -> Var {
-        if let Some(&v) = self.index.get(&item) {
-            return v;
-        }
-        let v = Var::new(self.items.len() as u32);
-        self.items.push(item.clone());
-        self.index.insert(item, v);
-        v
+    /// The registry of `program` and the [`ItemIndex`] of the same
+    /// variables, filled in one class walk.
+    pub(crate) fn indexed(program: &Program) -> (Self, ItemIndex<'_>) {
+        let mut items = Vec::new();
+        let index = ItemIndex::walk(program, Some(&mut items));
+        let registry = ItemRegistry {
+            items,
+            index: OnceLock::new(),
+        };
+        (registry, index)
     }
 
     /// The variable of an item, `None` if unregistered.
     pub fn var(&self, item: &Item) -> Option<Var> {
-        self.index.get(item).copied()
+        let index = self.index.get_or_init(|| {
+            let vars = (0..self.items.len() as u32).map(Var::new);
+            self.items.iter().cloned().zip(vars).collect()
+        });
+        index.get(item).copied()
     }
 
     /// The item of a variable.
@@ -195,27 +171,6 @@ impl ItemRegistry {
         &self.items
     }
 
-    /// The formula of an item: its variable, or `true` for unregistered
-    /// (built-in) items.
-    pub fn formula(&self, item: &Item) -> Formula {
-        match self.var(item) {
-            Some(v) => Formula::var(v),
-            None => Formula::tt(),
-        }
-    }
-
-    /// The formula of a type name (class or interface item, `true` for
-    /// `Object` and unknown names).
-    pub fn type_formula(&self, name: &str) -> Formula {
-        if let Some(v) = self.var(&Item::Class(name.to_owned())) {
-            return Formula::var(v);
-        }
-        if let Some(v) = self.var(&Item::Interface(name.to_owned())) {
-            return Formula::var(v);
-        }
-        Formula::tt()
-    }
-
     /// Whether an item is kept by a solution (unregistered items always
     /// are).
     pub fn kept(&self, item: &Item, keep: &VarSet) -> bool {
@@ -236,6 +191,235 @@ impl ItemRegistry {
             *h.entry(i.kind()).or_insert(0) += 1;
         }
         h
+    }
+}
+
+/// The variables of one program's items, keyed by names borrowed from
+/// the program: the lookups of one model build and of its materializer,
+/// with no string copied per lookup. [`ItemIndex::new`] and
+/// [`ItemRegistry::indexed`] fill it.
+/// Every key resolves to the variable [`ItemRegistry::var`] gives the same
+/// item; an unregistered item (a built-in such as `Object`, or a name the
+/// program does not declare) has none.
+#[derive(Debug, Default)]
+pub(crate) struct ItemIndex<'p> {
+    types: HashMap<&'p str, TypeVars>,
+    relations: HashMap<(Edge, &'p str, &'p str), Var>,
+    fields: HashMap<(&'p str, &'p str), Var>,
+    /// Per (class, member name), the registered declarations in order.
+    members: HashMap<(&'p str, &'p str), Vec<MemberVars>>,
+    classes: Vec<ClassVars>,
+    len: usize,
+}
+
+/// The class item and the interface item of one name (at most one of
+/// them unless two class files share the name).
+#[derive(Debug, Default)]
+struct TypeVars {
+    class: Option<Var>,
+    interface: Option<Var>,
+}
+
+/// Which item a method declares: a constructor, a concrete method, or an
+/// abstract signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Member {
+    Constructor,
+    Method,
+    Signature,
+}
+
+impl Member {
+    /// The kind of item `m` is registered as.
+    pub(crate) fn of(m: &MethodInfo) -> Self {
+        if m.is_init() {
+            Member::Constructor
+        } else if m.code.is_some() {
+            Member::Method
+        } else {
+            Member::Signature
+        }
+    }
+}
+
+#[derive(Debug)]
+struct MemberVars {
+    kind: Member,
+    desc: String,
+    decl: Var,
+    body: Option<Var>,
+}
+
+/// One class's variables in declaration order: what a model build writes
+/// the class's syntactic constraints over, and what a reduction applies a
+/// keep-set with.
+#[derive(Debug, Clone)]
+pub(crate) struct ClassVars {
+    /// The class or interface item.
+    pub(crate) var: Var,
+    /// The superclass relation, absent for interfaces and `Object`.
+    pub(crate) superclass: Option<Var>,
+    /// Per listed interface, the implements (or interface-extends)
+    /// relation.
+    pub(crate) interfaces: Vec<Var>,
+    pub(crate) fields: Vec<Var>,
+    /// Per method: the declaration, then the body (`None` for abstract
+    /// methods, whose signature is the only item).
+    pub(crate) methods: Vec<(Var, Option<Var>)>,
+}
+
+impl<'p> ItemIndex<'p> {
+    /// The index of `program`'s items, numbered as
+    /// [`ItemRegistry::from_program`] numbers them.
+    pub(crate) fn new(program: &'p Program) -> Self {
+        Self::walk(program, None)
+    }
+
+    /// Numbers the items of `program` in class-name, then declaration
+    /// order, also pushing each onto `items` when given. An item that
+    /// repeats (a duplicated member or relation) is numbered once: its
+    /// first occurrence wins.
+    fn walk(program: &'p Program, mut items: Option<&mut Vec<Item>>) -> Self {
+        let mut len = 0;
+        let mut add = |item: &dyn Fn() -> Item| {
+            if let Some(items) = items.as_deref_mut() {
+                items.push(item());
+            }
+            len += 1;
+            Var::new(len - 1)
+        };
+        let mut index = ItemIndex::default();
+        for class in program.classes() {
+            let name = class.name.as_str();
+            let interface = class.is_interface();
+            let ty = index.types.entry(name).or_default();
+            let var = *if interface {
+                (ty.interface).get_or_insert_with(|| add(&|| Item::Interface(name.to_owned())))
+            } else {
+                (ty.class).get_or_insert_with(|| add(&|| Item::Class(name.to_owned())))
+            };
+            let superclass = match &class.superclass {
+                Some(sup) if !interface && sup != crate::OBJECT => Some(
+                    *(index.relations.entry((Edge::Extends, name, sup)))
+                        .or_insert_with(|| add(&|| Item::SuperClass(name.to_owned(), sup.clone()))),
+                ),
+                _ => None,
+            };
+            let edge = if interface {
+                Edge::IfaceExtends
+            } else {
+                Edge::Implements
+            };
+            let interfaces = (class.interfaces.iter())
+                .map(|sup| {
+                    *(index.relations.entry((edge, name, sup))).or_insert_with(|| {
+                        add(&|| {
+                            let (sub, sup) = (name.to_owned(), sup.clone());
+                            if interface {
+                                Item::InterfaceExtends(sub, sup)
+                            } else {
+                                Item::Implements(sub, sup)
+                            }
+                        })
+                    })
+                })
+                .collect();
+            let fields = (class.fields.iter())
+                .map(|f| {
+                    *(index.fields.entry((name, &f.name)))
+                        .or_insert_with(|| add(&|| Item::Field(name.to_owned(), f.name.clone())))
+                })
+                .collect();
+            let methods = (class.methods.iter())
+                .map(|m| {
+                    let kind = Member::of(m);
+                    let desc = m.desc.descriptor();
+                    let entries = index.members.entry((name, &m.name)).or_default();
+                    if let Some(e) = entries.iter().find(|e| e.kind == kind && e.desc == desc) {
+                        return (e.decl, e.body);
+                    }
+                    let owner = || name.to_owned();
+                    let (mname, d) = (|| m.name.clone(), || desc.clone());
+                    let (decl, body) = match kind {
+                        Member::Constructor => (
+                            add(&|| Item::Constructor(owner(), d())),
+                            Some(add(&|| Item::ConstructorCode(owner(), d()))),
+                        ),
+                        Member::Method => (
+                            add(&|| Item::Method(owner(), mname(), d())),
+                            Some(add(&|| Item::MethodCode(owner(), mname(), d()))),
+                        ),
+                        Member::Signature => {
+                            (add(&|| Item::Signature(owner(), mname(), d())), None)
+                        }
+                    };
+                    entries.push(MemberVars {
+                        kind,
+                        desc,
+                        decl,
+                        body,
+                    });
+                    (decl, body)
+                })
+                .collect();
+            index.classes.push(ClassVars {
+                var,
+                superclass,
+                interfaces,
+                fields,
+                methods,
+            });
+        }
+        index.len = len as usize;
+        index
+    }
+
+    /// The number of items.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The variables of each class, in program order.
+    pub(crate) fn classes(&self) -> &[ClassVars] {
+        &self.classes
+    }
+
+    /// Gives up the per-class variables.
+    pub(crate) fn into_classes(self) -> Vec<ClassVars> {
+        self.classes
+    }
+
+    /// The class item of `name`, else its interface item.
+    pub(crate) fn ty(&self, name: &str) -> Option<Var> {
+        let t = self.types.get(name)?;
+        t.class.or(t.interface)
+    }
+
+    /// The relation of kind `edge` from `sub` to `sup`.
+    pub(crate) fn relation(&self, edge: Edge, sub: &str, sup: &str) -> Option<Var> {
+        self.relations.get(&(edge, sub, sup)).copied()
+    }
+
+    /// The relation a derivation step uses.
+    pub(crate) fn step(&self, step: &Step) -> Option<Var> {
+        match step {
+            Step::Extends { sub, sup } => self.relation(Edge::Extends, sub, sup),
+            Step::Implements { class, iface } => self.relation(Edge::Implements, class, iface),
+            Step::IfaceExtends { sub, sup } => self.relation(Edge::IfaceExtends, sub, sup),
+        }
+    }
+
+    /// The field `class.name`.
+    pub(crate) fn field(&self, class: &str, name: &str) -> Option<Var> {
+        self.fields.get(&(class, name)).copied()
+    }
+
+    /// The declaration of kind `kind` of `class.name` with descriptor
+    /// `desc` (a constructor's name is `<init>`).
+    pub(crate) fn member(&self, kind: Member, class: &str, name: &str, desc: &str) -> Option<Var> {
+        let entries = self.members.get(&(class, name))?;
+        let e = entries.iter().find(|e| e.kind == kind && e.desc == desc)?;
+        Some(e.decl)
     }
 }
 
@@ -293,12 +477,60 @@ mod tests {
     }
 
     #[test]
-    fn formula_true_for_builtins() {
+    fn index_agrees_with_the_registry() {
         let p = sample_program();
-        let reg = ItemRegistry::from_program(&p);
-        assert_eq!(reg.type_formula("Object"), Formula::tt());
-        assert!(matches!(reg.type_formula("A"), Formula::Var(_)));
-        assert!(matches!(reg.type_formula("I"), Formula::Var(_)));
+        let (reg, index) = ItemRegistry::indexed(&p);
+        let var = |item: Item| reg.var(&item);
+        assert_eq!(index.ty("Object"), None);
+        assert_eq!(index.ty("A"), var(Item::Class("A".into())));
+        assert_eq!(index.ty("I"), var(Item::Interface("I".into())));
+        assert_eq!(
+            index.relation(Edge::Extends, "B", "A"),
+            var(Item::SuperClass("B".into(), "A".into()))
+        );
+        assert_eq!(index.relation(Edge::Implements, "B", "A"), None);
+        assert_eq!(
+            index.relation(Edge::IfaceExtends, "I", "J"),
+            var(Item::InterfaceExtends("I".into(), "J".into()))
+        );
+        assert_eq!(
+            index.field("A", "f"),
+            var(Item::Field("A".into(), "f".into()))
+        );
+        assert_eq!(
+            index.member(Member::Method, "A", "m", "()V"),
+            var(Item::Method("A".into(), "m".into(), "()V".into()))
+        );
+        assert_eq!(index.member(Member::Signature, "A", "m", "()V"), None);
+        assert_eq!(
+            index.member(Member::Constructor, "B", "<init>", "()V"),
+            var(Item::Constructor("B".into(), "()V".into()))
+        );
+        let a = &index.classes()[0];
+        assert_eq!(Some(a.var), index.ty("A"));
+        assert_eq!(
+            (Some(a.methods[1].0), a.methods[1].1),
+            (
+                index.member(Member::Method, "A", "m", "()V"),
+                var(Item::MethodCode("A".into(), "m".into(), "()V".into()))
+            )
+        );
+    }
+
+    #[test]
+    fn repeated_items_resolve_to_the_first() {
+        let mut p = sample_program();
+        let a = p.get_mut("A").unwrap();
+        a.interfaces.push("I".into());
+        a.fields.push(FieldInfo::new("f", Type::Int));
+        let m = a.methods[1].clone();
+        a.methods.push(m);
+        let (reg, index) = ItemRegistry::indexed(&p);
+        assert_eq!(reg.len(), 15, "no repeat is a new item");
+        let a = &index.classes()[0];
+        assert_eq!(a.interfaces[0], a.interfaces[1]);
+        assert_eq!(a.fields[0], a.fields[1]);
+        assert_eq!(a.methods[1], a.methods[2]);
     }
 
     #[test]

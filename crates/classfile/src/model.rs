@@ -1,7 +1,7 @@
 //! Logical dependency-model generation for bytecode programs.
 //!
 //! This is the bytecode-scale version of the FJI constraint generator
-//! (Section 3 of the paper): every verification fact becomes a formula
+//! (Section 3 of the paper): every verification fact becomes a constraint
 //! over the item variables, so that *every satisfying assignment reduces
 //! to a program that still verifies*.
 //!
@@ -20,15 +20,29 @@
 //!   ("some method of this name must remain reachable"), and interface /
 //!   abstract-method obligations become `(class ∧ path ∧ signature) ⇒
 //!   implAny` constraints, which need full propositional logic.
+//!
+//! The constraints are written as clauses straight into the [`Cnf`],
+//! class by class in program order, through one [`ItemIndex`] per build.
+//! The two non-Horn shapes are a [`Requirement`]: a conjunction of
+//! positive clauses, whose disjunction is the ordered product of its
+//! parts. An unregistered item (a built-in such as `Object`) is true, and
+//! an empty disjunction is false.
 
-use crate::item::{Item, ItemRegistry};
+use crate::item::{ClassVars, ItemIndex, ItemRegistry, Member};
+use crate::program::Edge;
 use crate::{
     verify_method_code, ClassFile, FieldRef, InvokeKind, MethodDescriptor, MethodRef, Program,
-    Resolution, Step, VerifyError, VerifyHooks, OBJECT,
+    Resolution, Step, VerifyError, VerifyHooks,
 };
 use lbr_core::ModelStats;
-use lbr_logic::{Cnf, Formula};
-use std::collections::HashSet;
+use lbr_logic::{Clause, Cnf, Lit, Var};
+use std::collections::HashMap;
+
+/// The most derivation paths from a class to one abstract source that get
+/// an obligation clause each. Past it, one path-free clause
+/// `class ∧ signature ⇒ implAny` stands for all of them: it implies every
+/// per-path clause, so the model stays sound and forbids more.
+const PATH_CAP: usize = 16;
 
 /// A generated dependency model.
 #[derive(Debug, Clone)]
@@ -43,11 +57,16 @@ impl LogicalModel {
     /// Handy statistics for reports (the paper's "2.9k reducible items,
     /// 8.7k clauses, 97.5% edges").
     pub fn stats(&self) -> ModelStats {
-        ModelStats {
-            items: self.registry.len(),
-            clauses: self.cnf.len(),
-            graph_fraction: self.cnf.graph_fraction(),
-        }
+        model_stats(self.registry.len(), &self.cnf)
+    }
+}
+
+/// The statistics of a model of `items` items.
+pub(crate) fn model_stats(items: usize, cnf: &Cnf) -> ModelStats {
+    ModelStats {
+        items,
+        clauses: cnf.len(),
+        graph_fraction: cnf.graph_fraction(),
     }
 }
 
@@ -79,109 +98,202 @@ impl From<ModelError> for lbr_core::PipelineError {
 /// Returns [`ModelError`] if a method body fails verification — like the
 /// paper, which dropped the benchmarks that did not type check.
 pub fn build_model(program: &Program) -> Result<LogicalModel, ModelError> {
-    let registry = ItemRegistry::from_program(program);
-    let mut formula_parts: Vec<Formula> = Vec::new();
-    let gen = Generator {
-        program,
-        reg: &registry,
-    };
-
-    for class in program.classes() {
-        gen.syntactic(class, &mut formula_parts);
-        gen.code_constraints(class, &mut formula_parts)?;
-        gen.obligations(class, &mut formula_parts);
-    }
-
-    let mut cnf = Cnf::new(registry.len());
-    for part in formula_parts {
-        part.to_cnf_into(&mut cnf);
-    }
-    cnf.ensure_vars(registry.len());
-    cnf.dedup_clauses();
+    let (registry, index) = ItemRegistry::indexed(program);
+    let cnf = write_model(program, &index)?;
     Ok(LogicalModel { registry, cnf })
 }
 
-struct Generator<'p> {
-    program: &'p Program,
-    reg: &'p ItemRegistry,
+/// The model's clauses over the variables of `index`, `program`'s index.
+pub(crate) fn write_model(program: &Program, index: &ItemIndex<'_>) -> Result<Cnf, ModelError> {
+    let mut writer = Writer {
+        program,
+        index,
+        cnf: Cnf::new(index.len()),
+        body: Requirement::default(),
+        required: vec![0; index.len()],
+        bodies: 0,
+        many: HashMap::new(),
+        desc: String::new(),
+    };
+    for (class, vars) in program.classes().zip(index.classes()) {
+        writer.syntactic(class, vars);
+        writer.code_constraints(class, vars)?;
+        writer.obligations(class, vars);
+    }
+    let mut cnf = writer.cnf;
+    cnf.dedup_clauses();
+    Ok(cnf)
 }
 
-impl Generator<'_> {
-    fn class_item(&self, class: &ClassFile) -> Item {
-        if class.is_interface() {
-            Item::Interface(class.name.clone())
-        } else {
-            Item::Class(class.name.clone())
+/// A conjunction of positive clauses over item variables: the CNF of a
+/// formula built from items by `∧` and `∨`, such as a method body's
+/// requirements, `mAny` or `implAny`. No clause and not `falsified` is
+/// true.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Requirement {
+    /// The clauses' variables, one clause after another.
+    vars: Vec<Var>,
+    /// Where each clause ends in `vars`.
+    ends: Vec<usize>,
+    /// Whether the conjunction holds a false part (an empty disjunction);
+    /// it is then false whatever its clauses.
+    falsified: bool,
+}
+
+impl Requirement {
+    fn falsity() -> Self {
+        Requirement {
+            falsified: true,
+            ..Requirement::default()
+        }
+    }
+
+    fn clear(&mut self) {
+        self.vars.clear();
+        self.ends.clear();
+        self.falsified = false;
+    }
+
+    fn is_true(&self) -> bool {
+        !self.falsified && self.ends.is_empty()
+    }
+
+    fn clauses(&self) -> impl Iterator<Item = &[Var]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.vars[s..e])
+    }
+
+    fn push_clause(&mut self, parts: &[&[Var]]) {
+        for part in parts {
+            self.vars.extend_from_slice(part);
+        }
+        self.ends.push(self.vars.len());
+    }
+
+    /// `self ∧ item`; an unregistered item is true.
+    fn require(&mut self, item: Option<Var>) {
+        if let Some(v) = item {
+            self.push_clause(&[&[v]]);
+        }
+    }
+
+    /// `self ∧ other`.
+    fn and(&mut self, other: &Requirement) {
+        self.falsified |= other.falsified;
+        for c in other.clauses() {
+            self.push_clause(&[c]);
+        }
+    }
+
+    /// The disjunction of `parts`: true if a part is true, false if no
+    /// part is left after dropping the false ones, else the product of
+    /// the parts' clauses (earlier parts vary slowest).
+    fn any(parts: Vec<Requirement>) -> Requirement {
+        let mut live = parts.into_iter().filter(|p| !p.falsified);
+        let Some(first) = live.next() else {
+            return Requirement::falsity();
+        };
+        let mut acc = first;
+        for part in live {
+            if acc.is_true() || part.is_true() {
+                return Requirement::default();
+            }
+            let mut next = Requirement::default();
+            for base in acc.clauses() {
+                for c in part.clauses() {
+                    next.push_clause(&[base, c]);
+                }
+            }
+            acc = next;
+        }
+        acc
+    }
+
+    /// Writes `(∧ ante) ⇒ self` into `cnf`: one clause per clause of
+    /// `self`, or the clause `¬ante` alone when `self` is false.
+    fn implied_by(&self, ante: &[Var], cnf: &mut Cnf) {
+        let negated = ante.iter().map(|&v| Lit::neg(v));
+        if self.falsified {
+            cnf.add_clause(Clause::new(negated.collect()));
+            return;
+        }
+        for c in self.clauses() {
+            let lits = negated.clone().chain(c.iter().map(|&v| Lit::pos(v)));
+            cnf.add_clause(Clause::new(lits.collect()));
+        }
+    }
+}
+
+struct Writer<'a, 'p> {
+    program: &'p Program,
+    index: &'a ItemIndex<'p>,
+    cnf: Cnf,
+    /// The requirements of the body being replayed.
+    body: Requirement,
+    /// Per variable, the number of the last body that required it alone,
+    /// so a body writes each such clause once (the final dedup would drop
+    /// the repeats anyway).
+    required: Vec<u32>,
+    /// The number of bodies replayed so far.
+    bodies: u32,
+    /// The `mAny`s computed so far, by the type's item.
+    many: HashMap<Var, Vec<Many>>,
+    /// A descriptor buffer for member lookups.
+    desc: String,
+}
+
+/// One `mAny(T, m, d)` of this build (it depends on nothing else).
+struct Many {
+    name: String,
+    desc: MethodDescriptor,
+    any: Requirement,
+}
+
+impl Writer<'_, '_> {
+    /// `from ⇒ to`; an unregistered `to` is true.
+    fn edge(&mut self, from: Var, to: Option<Var>) {
+        if let Some(to) = to {
+            self.cnf.add_clause(Clause::edge(from, to));
         }
     }
 
     // ------------------------------------------------------------------
     // Syntactic constraints.
     // ------------------------------------------------------------------
-    fn syntactic(&self, class: &ClassFile, out: &mut Vec<Formula>) {
-        let reg = self.reg;
-        let name = &class.name;
-        let class_var = reg.formula(&self.class_item(class));
-
+    fn syntactic(&mut self, class: &ClassFile, vars: &ClassVars) {
+        let index = self.index;
+        let c = Some(vars.var);
+        if let (Some(sup), Some(rel)) = (&class.superclass, vars.superclass) {
+            self.edge(rel, c);
+            self.edge(rel, index.ty(sup));
+        }
+        for (iface, &rel) in class.interfaces.iter().zip(&vars.interfaces) {
+            self.edge(rel, c);
+            self.edge(rel, index.ty(iface));
+        }
         if !class.is_interface() {
-            if let Some(sup) = &class.superclass {
-                if sup != OBJECT {
-                    let rel = reg.formula(&Item::SuperClass(name.clone(), sup.clone()));
-                    out.push(rel.implies(Formula::and([class_var.clone(), reg.type_formula(sup)])));
-                }
-            }
-            for iface in &class.interfaces {
-                let rel = reg.formula(&Item::Implements(name.clone(), iface.clone()));
-                out.push(rel.implies(Formula::and([class_var.clone(), reg.type_formula(iface)])));
-            }
             // A kept class keeps at least one constructor.
-            let ctors: Vec<Formula> = class
-                .constructors()
-                .map(|m| reg.formula(&Item::Constructor(name.clone(), m.desc.descriptor())))
+            let ctors: Vec<Var> = (class.methods.iter().zip(&vars.methods))
+                .filter(|(m, _)| m.is_init())
+                .map(|(_, &(decl, _))| decl)
                 .collect();
             if !ctors.is_empty() {
-                out.push(class_var.clone().implies(Formula::or(ctors)));
-            }
-        } else {
-            for sup in &class.interfaces {
-                let rel = reg.formula(&Item::InterfaceExtends(name.clone(), sup.clone()));
-                out.push(rel.implies(Formula::and([class_var.clone(), reg.type_formula(sup)])));
+                self.cnf.add_clause(Clause::implication([vars.var], ctors));
             }
         }
-        for field in &class.fields {
-            let fv = reg.formula(&Item::Field(name.clone(), field.name.clone()));
-            let mut need = vec![class_var.clone()];
-            if let Some(c) = field.ty.class_name() {
-                need.push(reg.type_formula(c));
+        for (field, &fv) in class.fields.iter().zip(&vars.fields) {
+            self.edge(fv, c);
+            if let Some(t) = field.ty.class_name() {
+                self.edge(fv, index.ty(t));
             }
-            out.push(fv.implies(Formula::and(need)));
         }
-        for m in &class.methods {
-            let desc = m.desc.descriptor();
-            let desc_classes: Vec<Formula> = m
-                .desc
-                .referenced_classes()
-                .map(|c| reg.type_formula(c))
-                .collect();
-            if m.is_init() {
-                let ctor = reg.formula(&Item::Constructor(name.clone(), desc.clone()));
-                let code = reg.formula(&Item::ConstructorCode(name.clone(), desc));
-                out.push(ctor.clone().implies(Formula::and(
-                    std::iter::once(class_var.clone()).chain(desc_classes),
-                )));
-                out.push(code.implies(ctor));
-            } else if m.code.is_some() {
-                let mv = reg.formula(&Item::Method(name.clone(), m.name.clone(), desc.clone()));
-                let code = reg.formula(&Item::MethodCode(name.clone(), m.name.clone(), desc));
-                out.push(mv.clone().implies(Formula::and(
-                    std::iter::once(class_var.clone()).chain(desc_classes),
-                )));
-                out.push(code.implies(mv));
-            } else {
-                let sv = reg.formula(&Item::Signature(name.clone(), m.name.clone(), desc));
-                out.push(sv.implies(Formula::and(
-                    std::iter::once(class_var.clone()).chain(desc_classes),
-                )));
+        for (m, &(decl, body)) in class.methods.iter().zip(&vars.methods) {
+            self.edge(decl, c);
+            for t in m.desc.referenced_classes() {
+                self.edge(decl, index.ty(t));
+            }
+            if let Some(body) = body {
+                self.edge(body, Some(decl));
             }
         }
     }
@@ -189,27 +301,24 @@ impl Generator<'_> {
     // ------------------------------------------------------------------
     // Referential constraints (replay the verifier over each body).
     // ------------------------------------------------------------------
-    fn code_constraints(
-        &self,
-        class: &ClassFile,
-        out: &mut Vec<Formula>,
-    ) -> Result<(), ModelError> {
-        for m in &class.methods {
+    fn code_constraints(&mut self, class: &ClassFile, vars: &ClassVars) -> Result<(), ModelError> {
+        for (m, &(_, body)) in class.methods.iter().zip(&vars.methods) {
             let Some(code) = &m.code else { continue };
+            self.body.clear();
+            self.bodies += 1;
             let mut hooks = Collector {
-                gen: self,
-                parts: Vec::new(),
+                program: self.program,
+                index: self.index,
+                body: &mut self.body,
+                required: &mut self.required,
+                stamp: self.bodies,
+                many: &mut self.many,
+                desc: &mut self.desc,
             };
             verify_method_code(self.program, class, m, code, &mut hooks)
                 .map_err(|cause| ModelError { cause })?;
-            let desc = m.desc.descriptor();
-            let code_item = if m.is_init() {
-                Item::ConstructorCode(class.name.clone(), desc)
-            } else {
-                Item::MethodCode(class.name.clone(), m.name.clone(), desc)
-            };
-            let body = Formula::and(hooks.parts);
-            out.push(self.reg.formula(&code_item).implies(body));
+            let body = body.expect("a method with code has a body item");
+            self.body.implied_by(&[body], &mut self.cnf);
         }
         Ok(())
     }
@@ -217,649 +326,407 @@ impl Generator<'_> {
     // ------------------------------------------------------------------
     // Non-referential constraints: interface / abstract obligations.
     // ------------------------------------------------------------------
-    fn obligations(&self, class: &ClassFile, out: &mut Vec<Formula>) {
+    fn obligations(&mut self, class: &ClassFile, vars: &ClassVars) {
         if !class.is_instantiable() {
             return;
         }
-        let class_var = self.reg.formula(&self.class_item(class));
+        let (program, index) = (self.program, self.index);
         // Every supertype that declares abstract methods.
-        let mut sources: Vec<String> = Vec::new();
-        for sup in self.program.superclass_chain(&class.name) {
-            sources.push(sup);
-        }
-        for (iface, _) in self.program.interface_closure(&class.name) {
-            sources.push(iface);
-        }
+        let mut sources = program.superclass_chain(&class.name);
+        let ifaces = program.interface_closure(&class.name).into_iter();
+        sources.extend(ifaces.map(|(iface, _)| iface));
         sources.sort();
         sources.dedup();
-        for source in sources {
-            let Some(decl) = self.program.get(&source) else {
+        let mut ante = Vec::new();
+        for source in &sources {
+            let Some(decl) = program.get(source) else {
                 continue;
             };
-            let abstracts: Vec<&crate::MethodInfo> = decl
-                .methods
-                .iter()
-                .filter(|m| m.flags.is_abstract())
-                .collect();
-            if abstracts.is_empty() {
+            if !decl.methods.iter().any(|m| m.flags.is_abstract()) {
                 continue;
             }
-            let paths = supertype_paths(self.program, &class.name, &source, 16);
-            for m in abstracts {
-                let sig = self.reg.formula(&Item::Signature(
-                    source.clone(),
-                    m.name.clone(),
-                    m.desc.descriptor(),
-                ));
+            let mut paths = Vec::new();
+            supertype_paths_with(program, &class.name, source, PATH_CAP + 1, &mut |path| {
+                let steps = path
+                    .iter()
+                    .map(|&(edge, sub, sup)| index.relation(edge, sub, sup));
+                paths.push(steps.flatten().collect::<Vec<Var>>());
+            });
+            if paths.len() > PATH_CAP {
+                paths = vec![Vec::new()];
+            }
+            for m in decl.methods.iter().filter(|m| m.flags.is_abstract()) {
+                self.desc.clear();
+                m.desc.write_descriptor(&mut self.desc);
+                let sig = index.member(Member::Signature, source, &m.name, &self.desc);
                 let impl_any = self.impl_any(&class.name, &m.name, &m.desc);
                 for path in &paths {
-                    let cond =
-                        Formula::and([class_var.clone(), self.steps_formula(path), sig.clone()]);
-                    out.push(cond.implies(impl_any.clone()));
+                    ante.clear();
+                    ante.push(vars.var);
+                    ante.extend_from_slice(path);
+                    ante.extend(sig);
+                    impl_any.implied_by(&ante, &mut self.cnf);
                 }
             }
         }
     }
 
     /// `implAny(C, m, d)`: some *concrete* method `m` remains reachable on
-    /// `C`'s superclass chain.
-    fn impl_any(&self, class: &str, name: &str, desc: &MethodDescriptor) -> Formula {
+    /// `C`'s superclass chain. `self.desc` holds `d`'s descriptor.
+    fn impl_any(&self, class: &str, name: &str, desc: &MethodDescriptor) -> Requirement {
+        let (program, index) = (self.program, self.index);
         let mut parts = Vec::new();
-        let mut steps: Vec<Step> = Vec::new();
-        let mut cur = class.to_owned();
+        let mut steps = Requirement::default();
+        let mut cur = class;
         let mut guard = 0;
-        while let Some(decl) = self.program.get(&cur) {
+        while let Some(decl) = program.get(cur) {
             if let Some(m) = decl.method(name, desc) {
                 if m.code.is_some() && !m.is_init() {
-                    parts.push(Formula::and([
-                        self.steps_formula(&steps),
-                        self.reg.formula(&Item::Method(
-                            cur.clone(),
-                            name.to_owned(),
-                            desc.descriptor(),
-                        )),
-                    ]));
+                    let mut part = steps.clone();
+                    part.require(index.member(Member::Method, cur, name, &self.desc));
+                    parts.push(part);
                 }
             }
-            match decl.superclass.clone() {
-                Some(sup) => {
-                    steps.push(Step::Extends {
-                        sub: cur.clone(),
-                        sup: sup.clone(),
-                    });
-                    cur = sup;
-                }
-                None => break,
-            }
+            let Some(sup) = &decl.superclass else { break };
+            steps.require(index.relation(Edge::Extends, cur, sup));
+            cur = sup;
             guard += 1;
-            if guard > self.program.len() + 2 {
+            if guard > program.len() + 2 {
                 break;
             }
         }
-        Formula::or(parts)
+        Requirement::any(parts)
+    }
+}
+
+/// One edge of a derivation path: its kind, the subtype, the supertype.
+type PathEdge<'a> = (Edge, &'a str, &'a str);
+
+/// Calls `visit` with each simple supertype derivation path from `from`
+/// to `to`, as (edge, subtype, supertype) triples, depth first (the
+/// superclass edge, then the interfaces in declaration order), up to
+/// `cap` paths.
+fn supertype_paths_with<'a>(
+    program: &'a Program,
+    from: &'a str,
+    to: &str,
+    cap: usize,
+    visit: &mut dyn FnMut(&[PathEdge<'a>]),
+) {
+    struct Walk<'a, 'v> {
+        program: &'a Program,
+        to: &'v str,
+        cap: usize,
+        found: usize,
+        path: Vec<PathEdge<'a>>,
+        on_path: Vec<&'a str>,
+        visit: &'v mut dyn FnMut(&[PathEdge<'a>]),
     }
 
-    /// `mAny(T, m, d)`: some method or signature `m` remains *resolvable*
-    /// on `T` (concrete or abstract — resolution only needs existence).
-    fn many(&self, ty: &str, name: &str, desc: &MethodDescriptor) -> Formula {
-        let mut visited = HashSet::new();
-        self.many_rec(ty, name, desc, &mut visited)
-    }
-
-    fn many_rec(
-        &self,
-        ty: &str,
-        name: &str,
-        desc: &MethodDescriptor,
-        visited: &mut HashSet<String>,
-    ) -> Formula {
-        if !visited.insert(ty.to_owned()) {
-            return Formula::ff();
-        }
-        let Some(decl) = self.program.get(ty) else {
-            return Formula::ff();
-        };
-        let mut parts = Vec::new();
-        if let Some(m) = decl.method(name, desc) {
-            let item = if m.is_init() {
-                Item::Constructor(ty.to_owned(), desc.descriptor())
-            } else if m.code.is_some() {
-                Item::Method(ty.to_owned(), name.to_owned(), desc.descriptor())
-            } else {
-                Item::Signature(ty.to_owned(), name.to_owned(), desc.descriptor())
-            };
-            parts.push(self.reg.formula(&item));
-        }
-        if decl.is_interface() {
-            for sup in &decl.interfaces {
-                let rel = self
-                    .reg
-                    .formula(&Item::InterfaceExtends(ty.to_owned(), sup.clone()));
-                parts.push(Formula::and([rel, self.many_rec(sup, name, desc, visited)]));
+    impl<'a> Walk<'a, '_> {
+        fn from(&mut self, cur: &'a str) {
+            if self.found >= self.cap {
+                return;
             }
-        } else {
-            if let Some(sup) = &decl.superclass {
-                let rel = if sup == OBJECT {
-                    Formula::tt()
-                } else {
-                    self.reg
-                        .formula(&Item::SuperClass(ty.to_owned(), sup.clone()))
-                };
-                parts.push(Formula::and([rel, self.many_rec(sup, name, desc, visited)]));
+            if cur == self.to {
+                self.found += 1;
+                (self.visit)(&self.path);
+                return;
             }
-            for iface in &decl.interfaces {
-                let rel = self
-                    .reg
-                    .formula(&Item::Implements(ty.to_owned(), iface.clone()));
-                parts.push(Formula::and([
-                    rel,
-                    self.many_rec(iface, name, desc, visited),
-                ]));
+            if self.on_path.contains(&cur) {
+                return;
             }
-        }
-        Formula::or(parts)
-    }
-
-    /// The conjunction of relation items along a derivation path.
-    fn steps_formula(&self, steps: &[Step]) -> Formula {
-        Formula::and(steps.iter().map(|s| self.step_formula(s)))
-    }
-
-    fn step_formula(&self, step: &Step) -> Formula {
-        match step {
-            Step::Extends { sub, sup } => {
-                if sup == OBJECT {
-                    Formula::tt()
-                } else {
-                    self.reg
-                        .formula(&Item::SuperClass(sub.clone(), sup.clone()))
-                }
-            }
-            Step::Implements { class, iface } => self
-                .reg
-                .formula(&Item::Implements(class.clone(), iface.clone())),
-            Step::IfaceExtends { sub, sup } => self
-                .reg
-                .formula(&Item::InterfaceExtends(sub.clone(), sup.clone())),
-        }
-    }
-
-    /// The paper's generics/reflection approximation: a body reflecting on
-    /// `C` depends on every supertype relation of `C`.
-    fn reflection_formula(&self, class: &str) -> Formula {
-        let mut parts = vec![self.reg.type_formula(class)];
-        let mut queue = vec![class.to_owned()];
-        let mut seen: HashSet<String> = queue.iter().cloned().collect();
-        while let Some(cur) = queue.pop() {
-            let Some(decl) = self.program.get(&cur) else {
-                continue;
-            };
-            if !decl.is_interface() {
-                if let Some(sup) = &decl.superclass {
-                    if sup != OBJECT {
-                        parts.push(
-                            self.reg
-                                .formula(&Item::SuperClass(cur.clone(), sup.clone())),
-                        );
-                    }
-                    if seen.insert(sup.clone()) {
-                        queue.push(sup.clone());
+            self.on_path.push(cur);
+            if let Some(decl) = self.program.get(cur) {
+                if !decl.is_interface() {
+                    if let Some(sup) = &decl.superclass {
+                        self.step(Edge::Extends, cur, sup);
                     }
                 }
-            }
-            for iface in &decl.interfaces {
-                let item = if decl.is_interface() {
-                    Item::InterfaceExtends(cur.clone(), iface.clone())
+                let edge = if decl.is_interface() {
+                    Edge::IfaceExtends
                 } else {
-                    Item::Implements(cur.clone(), iface.clone())
+                    Edge::Implements
                 };
-                parts.push(self.reg.formula(&item));
-                if seen.insert(iface.clone()) {
-                    queue.push(iface.clone());
+                for iface in &decl.interfaces {
+                    self.step(edge, cur, iface);
                 }
             }
+            self.on_path.pop();
         }
-        Formula::and(parts)
+
+        fn step(&mut self, edge: Edge, sub: &'a str, sup: &'a str) {
+            self.path.push((edge, sub, sup));
+            self.from(sup);
+            self.path.pop();
+        }
     }
+
+    Walk {
+        program,
+        to,
+        cap,
+        found: 0,
+        path: Vec::new(),
+        on_path: Vec::new(),
+        visit,
+    }
+    .from(from);
 }
 
 /// Enumerates all simple supertype derivation paths from `from` to `to`,
 /// up to `cap` paths.
 pub fn supertype_paths(program: &Program, from: &str, to: &str, cap: usize) -> Vec<Vec<Step>> {
     let mut out = Vec::new();
-    let mut path = Vec::new();
-    let mut on_path = HashSet::new();
-    dfs_paths(program, from, to, &mut path, &mut on_path, &mut out, cap);
+    supertype_paths_with(program, from, to, cap, &mut |path| {
+        let steps = path.iter().map(|&(edge, sub, sup)| edge.step(sub, sup));
+        out.push(steps.collect());
+    });
     out
 }
 
-fn dfs_paths(
-    program: &Program,
-    cur: &str,
-    to: &str,
-    path: &mut Vec<Step>,
-    on_path: &mut HashSet<String>,
-    out: &mut Vec<Vec<Step>>,
-    cap: usize,
-) {
-    if out.len() >= cap {
-        return;
-    }
-    if cur == to {
-        out.push(path.clone());
-        return;
-    }
-    if !on_path.insert(cur.to_owned()) {
-        return;
-    }
-    if let Some(decl) = program.get(cur) {
-        if !decl.is_interface() {
-            if let Some(sup) = decl.superclass.clone() {
-                path.push(Step::Extends {
-                    sub: cur.to_owned(),
-                    sup: sup.clone(),
-                });
-                dfs_paths(program, &sup, to, path, on_path, out, cap);
-                path.pop();
-            }
-        }
-        for iface in decl.interfaces.clone() {
-            let step = if decl.is_interface() {
-                Step::IfaceExtends {
-                    sub: cur.to_owned(),
-                    sup: iface.clone(),
-                }
-            } else {
-                Step::Implements {
-                    class: cur.to_owned(),
-                    iface: iface.clone(),
-                }
-            };
-            path.push(step);
-            dfs_paths(program, &iface, to, path, on_path, out, cap);
-            path.pop();
-        }
-    }
-    on_path.remove(cur);
+/// The hook collector: adds each fact of one method body to its
+/// requirements.
+struct Collector<'w, 'p> {
+    program: &'p Program,
+    index: &'w ItemIndex<'p>,
+    body: &'w mut Requirement,
+    required: &'w mut [u32],
+    /// This body's number in `required`.
+    stamp: u32,
+    many: &'w mut HashMap<Var, Vec<Many>>,
+    desc: &'w mut String,
 }
 
-/// The hook collector: accumulates the formula parts of one method body.
-struct Collector<'g, 'p> {
-    gen: &'g Generator<'p>,
-    parts: Vec<Formula>,
+impl<'p> Collector<'_, 'p> {
+    /// Adds `item` to the body's requirements, unless it already is one.
+    fn require(&mut self, item: Option<Var>) {
+        if let Some(v) = item {
+            if std::mem::replace(&mut self.required[v.index()], self.stamp) != self.stamp {
+                self.body.require(item);
+            }
+        }
+    }
+
+    fn steps(&mut self, steps: &[Step]) {
+        for s in steps {
+            self.require(self.index.step(s));
+        }
+    }
+
+    /// Adds `mAny(T, m, d)` for the method `named` to the body: some
+    /// method or signature `m` remains *resolvable* on `T` (concrete or
+    /// abstract — resolution only needs existence). `self.desc` holds
+    /// `d`'s descriptor.
+    fn require_many(&mut self, named: &MethodRef) {
+        let (ty, name, desc) = (&named.class, &named.name, &named.desc);
+        let Some(t) = self.index.ty(ty) else {
+            let any = self.many_from(ty, name, desc, &mut Vec::new());
+            self.body.and(&any);
+            return;
+        };
+        let mut known = self.many.get(&t).into_iter().flatten();
+        if let Some(m) = known.find(|m| m.name == *name && m.desc == *desc) {
+            self.body.and(&m.any);
+            return;
+        }
+        let any = self.many_from(ty, name, desc, &mut Vec::new());
+        self.body.and(&any);
+        self.many.entry(t).or_default().push(Many {
+            name: name.clone(),
+            desc: desc.clone(),
+            any,
+        });
+    }
+
+    fn many_from<'a>(
+        &self,
+        ty: &'a str,
+        name: &str,
+        desc: &MethodDescriptor,
+        visited: &mut Vec<&'a str>,
+    ) -> Requirement
+    where
+        'p: 'a,
+    {
+        if visited.contains(&ty) {
+            return Requirement::falsity();
+        }
+        visited.push(ty);
+        let (program, index) = (self.program, self.index);
+        let Some(decl) = program.get(ty) else {
+            return Requirement::falsity();
+        };
+        let mut parts = Vec::new();
+        if let Some(m) = decl.method(name, desc) {
+            let mut part = Requirement::default();
+            part.require(index.member(Member::of(m), ty, name, self.desc));
+            parts.push(part);
+        }
+        let (superclass, edge) = if decl.is_interface() {
+            (None, Edge::IfaceExtends)
+        } else {
+            (decl.superclass.as_deref(), Edge::Implements)
+        };
+        let supers = (superclass.map(|s| (Edge::Extends, s)).into_iter())
+            .chain(decl.interfaces.iter().map(|i| (edge, i.as_str())));
+        for (edge, sup) in supers {
+            let above = self.many_from(sup, name, desc, visited);
+            if above.falsified {
+                continue; // `rel ∧ false` is a false part: `any` drops it
+            }
+            let mut part = Requirement::default();
+            part.require(index.relation(edge, ty, sup));
+            part.and(&above);
+            parts.push(part);
+        }
+        Requirement::any(parts)
+    }
+
+    /// The paper's generics/reflection approximation: a body reflecting on
+    /// `C` depends on every supertype relation of `C`.
+    fn reflection(&mut self, class: &str) {
+        let (program, index) = (self.program, self.index);
+        self.require(index.ty(class));
+        let mut stack = vec![class];
+        let mut seen = vec![class];
+        while let Some(cur) = stack.pop() {
+            let Some(decl) = program.get(cur) else {
+                continue;
+            };
+            let (superclass, edge) = if decl.is_interface() {
+                (None, Edge::IfaceExtends)
+            } else {
+                (decl.superclass.as_deref(), Edge::Implements)
+            };
+            let supers = (superclass.map(|s| (Edge::Extends, s)).into_iter())
+                .chain(decl.interfaces.iter().map(|i| (edge, i.as_str())));
+            for (edge, sup) in supers {
+                self.require(index.relation(edge, cur, sup));
+                if !seen.contains(&sup) {
+                    seen.push(sup);
+                    stack.push(sup);
+                }
+            }
+        }
+    }
 }
 
 impl VerifyHooks for Collector<'_, '_> {
     fn on_subtype(&mut self, _sub: &str, _sup: &str, steps: &[Step]) {
-        self.parts.push(self.gen.steps_formula(steps));
+        self.steps(steps);
     }
 
     fn on_field(&mut self, named: &FieldRef, resolution: &Resolution) {
-        self.parts.push(Formula::and([
-            self.gen.steps_formula(&resolution.steps),
-            self.gen.reg.formula(&Item::Field(
-                resolution.declaring.clone(),
-                named.name.clone(),
-            )),
-        ]));
+        self.steps(&resolution.steps);
+        let field = self.index.field(&resolution.declaring, &named.name);
+        self.require(field);
         if let Some(c) = named.ty.class_name() {
-            self.parts.push(self.gen.reg.type_formula(c));
+            self.require(self.index.ty(c));
         }
     }
 
     fn on_method(&mut self, named: &MethodRef, resolution: &Resolution, kind: InvokeKind) {
-        let reg = self.gen.reg;
-        self.parts.push(reg.type_formula(&named.class));
+        let index = self.index;
+        self.require(index.ty(&named.class));
+        self.desc.clear();
+        named.desc.write_descriptor(self.desc);
         match kind {
             InvokeKind::Virtual | InvokeKind::Interface => {
                 // Dispatch needs *some* resolvable method: the mAny
                 // disjunction, the constraint a dependency graph cannot
                 // express.
-                self.parts
-                    .push(self.gen.many(&named.class, &named.name, &named.desc));
+                self.require_many(named);
             }
             InvokeKind::Special if named.is_init() => {
-                self.parts.push(reg.formula(&Item::Constructor(
-                    named.class.clone(),
-                    named.desc.descriptor(),
-                )));
+                let ctor = index.member(Member::Constructor, &named.class, &named.name, self.desc);
+                self.require(ctor);
             }
             InvokeKind::Special | InvokeKind::Static => {
                 // Exact resolution: pin the declaring item and the steps.
-                let target = self
-                    .gen
-                    .program
-                    .get(&resolution.declaring)
+                self.steps(&resolution.steps);
+                let target = (self.program.get(&resolution.declaring))
                     .and_then(|c| c.method(&named.name, &named.desc));
-                let item = match target {
-                    Some(m) if m.code.is_some() => Item::Method(
-                        resolution.declaring.clone(),
-                        named.name.clone(),
-                        named.desc.descriptor(),
-                    ),
-                    _ => Item::Signature(
-                        resolution.declaring.clone(),
-                        named.name.clone(),
-                        named.desc.descriptor(),
-                    ),
+                let kind = match target {
+                    Some(m) if m.code.is_some() => Member::Method,
+                    _ => Member::Signature,
                 };
-                self.parts.push(Formula::and([
-                    self.gen.steps_formula(&resolution.steps),
-                    reg.formula(&item),
-                ]));
+                let item = index.member(kind, &resolution.declaring, &named.name, self.desc);
+                self.require(item);
             }
         }
     }
 
     fn on_new(&mut self, class: &str) {
-        self.parts.push(self.gen.reg.type_formula(class));
+        self.require(self.index.ty(class));
     }
 
     fn on_reflection(&mut self, class: &str) {
-        self.parts.push(self.gen.reflection_formula(class));
+        self.reflection(class);
     }
 
     fn on_type_use(&mut self, class: &str) {
-        self.parts.push(self.gen.reg.type_formula(class));
+        self.require(self.index.ty(class));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reducer::reduce_program;
-    use crate::{Code, Insn, MethodInfo, Type};
-    use lbr_logic::{dpll, Lit, VarOrder, VarSet};
 
-    fn ctor() -> MethodInfo {
-        MethodInfo::new(
-            "<init>",
-            MethodDescriptor::void(),
-            Code::new(1, 1, vec![Insn::Return]),
-        )
+    fn v(i: u32) -> Var {
+        Var::new(i)
     }
 
-    /// interface I { m() }  class A implements I { m() }  class B extends A
-    /// class M { x(I): calls m; main: new A, checkcast I }
-    fn paperish_program() -> Program {
-        let mut i = ClassFile::new_interface("I");
-        i.methods
-            .push(MethodInfo::new_abstract("m", MethodDescriptor::void()));
-        let mut a = ClassFile::new_class("A");
-        a.interfaces.push("I".into());
-        a.methods.push(ctor());
-        a.methods.push(MethodInfo::new(
-            "m",
-            MethodDescriptor::void(),
-            Code::new(1, 1, vec![Insn::Return]),
-        ));
-        let mut b = ClassFile::new_class("B");
-        b.superclass = Some("A".into());
-        b.methods.push(ctor());
-        let mut m = ClassFile::new_class("M");
-        m.methods.push(ctor());
-        m.methods.push(MethodInfo::new(
-            "x",
-            MethodDescriptor::new(vec![Type::reference("I")], None),
-            Code::new(
-                1,
-                2,
-                vec![
-                    Insn::ALoad(1),
-                    Insn::InvokeInterface(MethodRef::new("I", "m", MethodDescriptor::void())),
-                    Insn::Return,
-                ],
-            ),
-        ));
-        m.methods.push(MethodInfo::new(
-            "main",
-            MethodDescriptor::void(),
-            Code::new(
-                3,
-                1,
-                vec![
-                    Insn::ALoad(0),
-                    Insn::New("A".into()),
-                    Insn::Dup,
-                    Insn::InvokeSpecial(MethodRef::new("A", "<init>", MethodDescriptor::void())),
-                    Insn::CheckCast("I".into()),
-                    Insn::InvokeVirtual(MethodRef::new(
-                        "M",
-                        "x",
-                        MethodDescriptor::new(vec![Type::reference("I")], None),
-                    )),
-                    Insn::Return,
-                ],
-            ),
-        ));
-        [i, a, b, m].into_iter().collect()
+    fn clauses(r: &Requirement) -> Vec<Vec<u32>> {
+        let index = |c: &[Var]| c.iter().map(|v| v.index() as u32).collect();
+        r.clauses().map(index).collect()
     }
 
-    #[test]
-    fn model_builds_on_valid_program() {
-        let p = paperish_program();
-        assert!(crate::verify_program(&p).is_empty());
-        let model = build_model(&p).expect("model builds");
-        let stats = model.stats();
-        assert!(stats.items > 10);
-        assert!(stats.clauses > stats.items / 2);
-        assert!(stats.graph_fraction > 0.5 && stats.graph_fraction <= 1.0);
-    }
-
-    #[test]
-    fn full_keep_satisfies_model() {
-        let p = paperish_program();
-        let model = build_model(&p).expect("model builds");
-        let all = VarSet::full(model.registry.len());
-        assert!(
-            model.cnf.eval(&all),
-            "the whole input must be a model (R_I(I) holds)"
-        );
-    }
-
-    #[test]
-    fn models_reduce_to_verifying_programs() {
-        // The bytecode Theorem 3.1: every satisfying assignment reduces to
-        // a verifying program. Check a spread of models found by DPLL with
-        // different orders and assumptions.
-        let p = paperish_program();
-        let model = build_model(&p).expect("model builds");
-        let n = model.registry.len();
-        let mut checked = 0;
-        for flip in 0..n {
-            let order = VarOrder::from_permutation(
-                (0..n as u32)
-                    .map(|i| lbr_logic::Var::new((i + flip as u32) % n as u32))
-                    .collect(),
-            );
-            let assumption = Lit::pos(lbr_logic::Var::new(flip as u32));
-            if let Some((solution, _)) =
-                dpll::solve_with_assumptions(&model.cnf, &order, &[assumption])
-            {
-                let reduced = reduce_program(&p, &model.registry, &solution);
-                let errors = crate::verify_program(&reduced);
-                assert!(
-                    errors.is_empty(),
-                    "model {} reduced to invalid program: {errors:?}",
-                    model.registry.render_solution(&solution)
-                );
-                checked += 1;
-            }
+    fn conj(vars: &[u32]) -> Requirement {
+        let mut r = Requirement::default();
+        for &i in vars {
+            r.require(Some(v(i)));
         }
-        assert!(checked > 5, "expected several satisfiable probes");
+        r
     }
 
     #[test]
-    fn obligation_requires_implementation() {
-        // Keeping A, A<I and I.m must force keeping A.m.
-        let p = paperish_program();
-        let model = build_model(&p).expect("model builds");
-        let reg = &model.registry;
-        let v = |item: &Item| reg.var(item).expect("registered");
-        let assumptions = [
-            Lit::pos(v(&Item::Class("A".into()))),
-            Lit::pos(v(&Item::Implements("A".into(), "I".into()))),
-            Lit::pos(v(&Item::Signature("I".into(), "m".into(), "()V".into()))),
-            Lit::neg(v(&Item::Method("A".into(), "m".into(), "()V".into()))),
-        ];
-        let order = VarOrder::natural(reg.len());
-        assert!(
-            dpll::solve_with_assumptions(&model.cnf, &order, &assumptions).is_none(),
-            "dropping A.m while keeping A<I and I.m must be unsatisfiable"
+    fn disjunction_is_the_ordered_product() {
+        let any = Requirement::any(vec![conj(&[0]), conj(&[1, 2]), conj(&[3, 4])]);
+        assert_eq!(clauses(&any), [[0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 4]]);
+    }
+
+    #[test]
+    fn constants_fold() {
+        let t = Requirement::default();
+        let f = Requirement::falsity();
+        assert_eq!(Requirement::any(vec![]), f);
+        assert_eq!(Requirement::any(vec![f.clone(), f.clone()]), f);
+        assert_eq!(Requirement::any(vec![conj(&[0]), t.clone()]), t);
+        assert_eq!(
+            Requirement::any(vec![f.clone(), conj(&[0, 1])]),
+            conj(&[0, 1])
         );
+        let mut body = conj(&[0]);
+        body.and(&f);
+        let mut cnf = Cnf::new(3);
+        body.implied_by(&[v(2)], &mut cnf);
+        assert_eq!(cnf.clauses(), [Clause::unit(Lit::neg(v(2)))]);
+        let mut cnf = Cnf::new(3);
+        t.implied_by(&[v(2)], &mut cnf);
+        assert!(cnf.is_empty());
     }
 
     #[test]
-    fn cast_requires_relation() {
-        // M.main!code casts A to I: keeping it must force A<I.
-        let p = paperish_program();
-        let model = build_model(&p).expect("model builds");
-        let reg = &model.registry;
-        let v = |item: &Item| reg.var(item).expect("registered");
-        let assumptions = [
-            Lit::pos(v(&Item::MethodCode(
-                "M".into(),
-                "main".into(),
-                "()V".into(),
-            ))),
-            Lit::neg(v(&Item::Implements("A".into(), "I".into()))),
-        ];
-        let order = VarOrder::natural(reg.len());
-        assert!(
-            dpll::solve_with_assumptions(&model.cnf, &order, &assumptions).is_none(),
-            "the cast dependency [M.main!code] ⇒ [A<I] must hold"
+    fn implication_writes_one_clause_per_clause() {
+        let mut cnf = Cnf::new(4);
+        let any = Requirement::any(vec![conj(&[0]), conj(&[1, 3])]);
+        any.implied_by(&[v(2), v(3)], &mut cnf);
+        // [¬2 ∨ ¬3 ∨ 0 ∨ 3] is a tautology and is dropped.
+        assert_eq!(
+            cnf.clauses(),
+            [Clause::implication([v(2), v(3)], [v(0), v(1)])]
         );
-    }
-
-    #[test]
-    fn class_requires_a_constructor() {
-        let p = paperish_program();
-        let model = build_model(&p).expect("model builds");
-        let reg = &model.registry;
-        let v = |item: &Item| reg.var(item).expect("registered");
-        let assumptions = [
-            Lit::pos(v(&Item::Class("A".into()))),
-            Lit::neg(v(&Item::Constructor("A".into(), "()V".into()))),
-        ];
-        let order = VarOrder::natural(reg.len());
-        assert!(
-            dpll::solve_with_assumptions(&model.cnf, &order, &assumptions).is_none(),
-            "a kept class must keep a constructor"
-        );
-    }
-
-    #[test]
-    fn diamond_obligations_constrain_every_path() {
-        // J declares p; I1 and I2 both extend J; C implements I1 and I2.
-        // Dropping either implements-edge alone must still obligate C.p
-        // through the surviving path.
-        let mut j = ClassFile::new_interface("J");
-        j.methods
-            .push(MethodInfo::new_abstract("p", MethodDescriptor::void()));
-        let mut i1 = ClassFile::new_interface("I1");
-        i1.interfaces.push("J".into());
-        let mut i2 = ClassFile::new_interface("I2");
-        i2.interfaces.push("J".into());
-        let mut c = ClassFile::new_class("C");
-        c.interfaces.push("I1".into());
-        c.interfaces.push("I2".into());
-        c.methods.push(ctor());
-        c.methods.push(MethodInfo::new(
-            "p",
-            MethodDescriptor::void(),
-            Code::new(1, 1, vec![Insn::Return]),
-        ));
-        let p: Program = [j, i1, i2, c].into_iter().collect();
-        assert!(crate::verify_program(&p).is_empty());
-        assert_eq!(supertype_paths(&p, "C", "J", 16).len(), 2);
-        let model = build_model(&p).expect("model builds");
-        let reg = &model.registry;
-        let v = |item: &Item| reg.var(item).expect("registered");
-        let order = VarOrder::natural(reg.len());
-        // Drop the I1 path entirely, keep the I2 path and the signature —
-        // C.p must still be forced.
-        let assumptions = [
-            Lit::pos(v(&Item::Class("C".into()))),
-            Lit::neg(v(&Item::Implements("C".into(), "I1".into()))),
-            Lit::pos(v(&Item::Implements("C".into(), "I2".into()))),
-            Lit::pos(v(&Item::InterfaceExtends("I2".into(), "J".into()))),
-            Lit::pos(v(&Item::Signature("J".into(), "p".into(), "()V".into()))),
-            Lit::neg(v(&Item::Method("C".into(), "p".into(), "()V".into()))),
-        ];
-        assert!(
-            dpll::solve_with_assumptions(&model.cnf, &order, &assumptions).is_none(),
-            "the I2 path must keep the obligation alive"
-        );
-        // With both implements-edges dropped, C.p becomes removable.
-        let relaxed = [
-            Lit::pos(v(&Item::Class("C".into()))),
-            Lit::neg(v(&Item::Implements("C".into(), "I1".into()))),
-            Lit::neg(v(&Item::Implements("C".into(), "I2".into()))),
-            Lit::pos(v(&Item::Signature("J".into(), "p".into(), "()V".into()))),
-            Lit::neg(v(&Item::Method("C".into(), "p".into(), "()V".into()))),
-        ];
-        assert!(
-            dpll::solve_with_assumptions(&model.cnf, &order, &relaxed).is_some(),
-            "with no path, no obligation"
-        );
-    }
-
-    #[test]
-    fn superclass_paths_enumerated() {
-        let p = paperish_program();
-        let paths = supertype_paths(&p, "B", "I", 16);
-        assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].len(), 2); // B extends A, A implements I
-        let self_paths = supertype_paths(&p, "A", "A", 16);
-        assert_eq!(self_paths, vec![Vec::new()]);
-        assert!(supertype_paths(&p, "I", "B", 16).is_empty());
-    }
-
-    #[test]
-    fn reflection_pins_supertypes() {
-        let mut p = paperish_program();
-        let mut r = ClassFile::new_class("R");
-        r.methods.push(ctor());
-        r.methods.push(MethodInfo::new(
-            "reflect",
-            MethodDescriptor::void(),
-            Code::new(
-                1,
-                1,
-                vec![Insn::LdcClass("B".into()), Insn::Pop, Insn::Return],
-            ),
-        ));
-        p.insert(r);
-        let model = build_model(&p).expect("model builds");
-        let reg = &model.registry;
-        let v = |item: &Item| reg.var(item).expect("registered");
-        let order = VarOrder::natural(reg.len());
-        // Keeping the reflective body must force B's whole supertype web.
-        let assumptions = [
-            Lit::pos(v(&Item::MethodCode(
-                "R".into(),
-                "reflect".into(),
-                "()V".into(),
-            ))),
-            Lit::neg(v(&Item::Implements("A".into(), "I".into()))),
-        ];
-        assert!(
-            dpll::solve_with_assumptions(&model.cnf, &order, &assumptions).is_none(),
-            "reflection approximation must pin A<I"
-        );
-    }
-
-    #[test]
-    fn invalid_program_is_rejected() {
-        let mut p = Program::new();
-        let mut a = ClassFile::new_class("A");
-        a.methods.push(ctor());
-        a.methods.push(MethodInfo::new(
-            "bad",
-            MethodDescriptor::void(),
-            Code::new(1, 1, vec![Insn::Pop, Insn::Return]),
-        ));
-        p.insert(a);
-        assert!(build_model(&p).is_err());
     }
 }

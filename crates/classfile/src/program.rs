@@ -50,9 +50,10 @@ impl fmt::Display for Step {
     }
 }
 
-/// The kind of one supertype edge, as [`Program::subtype_path`] walks it.
-#[derive(Clone, Copy)]
-enum Edge {
+/// The kind of one supertype edge, as [`Program::subtype_path`] walks it
+/// and as the item index keys relations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Edge {
     Extends,
     Implements,
     IfaceExtends,
@@ -60,7 +61,7 @@ enum Edge {
 
 impl Edge {
     /// The step this edge from `sub` to `sup` stands for.
-    fn step(self, sub: &str, sup: &str) -> Step {
+    pub(crate) fn step(self, sub: &str, sup: &str) -> Step {
         let (sub, sup) = (sub.to_owned(), sup.to_owned());
         match self {
             Edge::Extends => Step::Extends { sub, sup },

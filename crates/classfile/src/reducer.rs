@@ -2,15 +2,15 @@
 //!
 //! A reduced class depends only on the keep-set's bits over the items its
 //! class owns, and [`ItemRegistry::from_program`] gives those items one
-//! contiguous variable range per class. [`ClassPlan`] resolves each
-//! member's variable once; [`Materializer`] memoizes every reduced class
-//! and its exact byte size by (class, bits over its range), so the probes
-//! of one reduction, which keep re-deriving the same few class shapes,
-//! rebuild and re-measure only the shapes they have not seen. Every
-//! candidate carries the reduction's scope (see [`Program::scoped`]), so
-//! the oracle can memoize per reduction too.
+//! contiguous variable range per class. [`ClassPlan`] holds each member's
+//! variable, as the model's item index resolved it; [`Materializer`]
+//! memoizes every reduced class and its exact byte size by (class, bits
+//! over its range), so the probes of one reduction, which keep re-deriving
+//! the same few class shapes, rebuild and re-measure only the shapes they
+//! have not seen. Every candidate carries the reduction's scope (see
+//! [`Program::scoped`]), so the oracle can memoize per reduction too.
 
-use crate::item::{Item, ItemRegistry};
+use crate::item::{ClassVars, ItemIndex, ItemRegistry};
 use crate::{class_byte_size, ClassFile, Code, MethodInfo, Program, OBJECT};
 use lbr_core::Scope;
 use lbr_logic::{Var, VarSet};
@@ -19,7 +19,8 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Applies a solution: keeps exactly the items in `keep` (plus built-ins),
-/// rewiring removed relations and stubbing removed bodies.
+/// rewiring removed relations and stubbing removed bodies. `reg` must be
+/// `program`'s registry, which numbers the variables of `keep`.
 ///
 /// If `keep` satisfies the dependency model of
 /// [`LogicalModel`](crate::LogicalModel), the result verifies — the
@@ -28,8 +29,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// This is the memo-free reference for the reduction materializer behind
 /// [`Input::model`](lbr_core::Input::model), which runs the same plans.
 pub fn reduce_program(program: &Program, reg: &ItemRegistry, keep: &VarSet) -> Program {
+    let index = ItemIndex::new(program);
+    debug_assert_eq!(
+        index.len(),
+        reg.len(),
+        "`reg` is not the program's registry"
+    );
     let mut out = Program::new();
-    for plan in ClassPlan::all(program, reg) {
+    for plan in ClassPlan::all(program, index) {
         if plan.kept(keep) {
             out.insert(plan.reduce(keep));
         }
@@ -37,90 +44,27 @@ pub fn reduce_program(program: &Program, reg: &ItemRegistry, keep: &VarSet) -> P
     out
 }
 
-/// One class's reduction with every item resolved to its variable. A
-/// `None` variable is an unregistered item, which is always kept.
+/// One class's reduction with every item resolved to its variable.
 struct ClassPlan<'p> {
     name: Arc<str>,
     class: &'p ClassFile,
-    var: Option<Var>,
-    /// The superclass relation, absent for interfaces and `Object`.
-    superclass: Option<Var>,
-    interfaces: Vec<Option<Var>>,
-    fields: Vec<Option<Var>>,
-    /// Per method: the declaration, then the body (`None` for abstract
-    /// methods, whose signature is the only item).
-    methods: Vec<(Option<Var>, Option<Var>)>,
+    vars: ClassVars,
     /// The variables the plan reads lie in this range: the memo key.
     span: Range<usize>,
 }
 
 impl<'p> ClassPlan<'p> {
-    fn all(program: &'p Program, reg: &ItemRegistry) -> Vec<Self> {
-        program
-            .shared_classes()
-            .map(|(name, class)| Self::new(name, class, reg))
+    fn all(program: &'p Program, index: ItemIndex<'_>) -> Vec<Self> {
+        (program.shared_classes().zip(index.into_classes()))
+            .map(|((name, class), vars)| Self::new(name, class, vars))
             .collect()
     }
 
-    fn new(name: &Arc<str>, class: &'p ClassFile, reg: &ItemRegistry) -> Self {
-        let owner = &class.name;
-        let interface = class.is_interface();
-        let var = reg.var(&if interface {
-            Item::Interface(owner.clone())
-        } else {
-            Item::Class(owner.clone())
-        });
-        let superclass = match &class.superclass {
-            Some(sup) if !interface && sup != OBJECT => {
-                reg.var(&Item::SuperClass(owner.clone(), sup.clone()))
-            }
-            _ => None,
-        };
-        let interfaces = class
-            .interfaces
-            .iter()
-            .map(|iface| {
-                reg.var(&if interface {
-                    Item::InterfaceExtends(owner.clone(), iface.clone())
-                } else {
-                    Item::Implements(owner.clone(), iface.clone())
-                })
-            })
-            .collect();
-        let fields = class
-            .fields
-            .iter()
-            .map(|f| reg.var(&Item::Field(owner.clone(), f.name.clone())))
-            .collect();
-        let methods: Vec<_> = class
-            .methods
-            .iter()
-            .map(|m| {
-                let desc = m.desc.descriptor();
-                if m.is_init() {
-                    (
-                        reg.var(&Item::Constructor(owner.clone(), desc.clone())),
-                        reg.var(&Item::ConstructorCode(owner.clone(), desc)),
-                    )
-                } else if m.code.is_some() {
-                    (
-                        reg.var(&Item::Method(owner.clone(), m.name.clone(), desc.clone())),
-                        reg.var(&Item::MethodCode(owner.clone(), m.name.clone(), desc)),
-                    )
-                } else {
-                    let sig = Item::Signature(owner.clone(), m.name.clone(), desc);
-                    (reg.var(&sig), None)
-                }
-            })
-            .collect();
+    fn new(name: &Arc<str>, class: &'p ClassFile, vars: ClassVars) -> Self {
         let mut plan = ClassPlan {
             name: Arc::clone(name),
             class,
-            var,
-            superclass,
-            interfaces,
-            fields,
-            methods,
+            vars,
             span: 0..0,
         };
         let lo = plan.read_vars().map(Var::index).min();
@@ -132,18 +76,22 @@ impl<'p> ClassPlan<'p> {
     }
 
     fn read_vars(&self) -> impl Iterator<Item = Var> + '_ {
-        let methods = self.methods.iter().flat_map(|&(decl, body)| [decl, body]);
-        [self.var, self.superclass]
+        let v = &self.vars;
+        let methods = v
+            .methods
+            .iter()
+            .flat_map(|&(decl, body)| [Some(decl), body]);
+        [Some(v.var), v.superclass]
             .into_iter()
-            .chain(self.interfaces.iter().copied())
-            .chain(self.fields.iter().copied())
+            .chain(v.interfaces.iter().copied().map(Some))
+            .chain(v.fields.iter().copied().map(Some))
             .chain(methods)
             .flatten()
     }
 
     /// Whether the class itself survives `keep`.
     fn kept(&self, keep: &VarSet) -> bool {
-        kept(self.var, keep)
+        keep.contains(self.vars.var)
     }
 
     /// The keep-set's bits over [`ClassPlan::span`], packed into `key`.
@@ -159,8 +107,8 @@ impl<'p> ClassPlan<'p> {
 
     /// The class with the items outside `keep` removed.
     fn reduce(&self, keep: &VarSet) -> ClassFile {
-        let class = self.class;
-        let superclass = if kept(self.superclass, keep) {
+        let (class, vars) = (self.class, &self.vars);
+        let superclass = if kept(vars.superclass, keep) {
             class.superclass.clone()
         } else {
             Some(OBJECT.to_owned())
@@ -168,22 +116,22 @@ impl<'p> ClassPlan<'p> {
         let interfaces = class
             .interfaces
             .iter()
-            .zip(&self.interfaces)
-            .filter(|&(_, &v)| kept(v, keep))
+            .zip(&vars.interfaces)
+            .filter(|&(_, &v)| keep.contains(v))
             .map(|(iface, _)| iface.clone())
             .collect();
         let fields = class
             .fields
             .iter()
-            .zip(&self.fields)
-            .filter(|&(_, &v)| kept(v, keep))
+            .zip(&vars.fields)
+            .filter(|&(_, &v)| keep.contains(v))
             .map(|(f, _)| f.clone())
             .collect();
         let methods = class
             .methods
             .iter()
-            .zip(&self.methods)
-            .filter(|&(_, &(decl, _))| kept(decl, keep))
+            .zip(&vars.methods)
+            .filter(|&(_, &(decl, _))| keep.contains(decl))
             .map(|(m, &(_, body))| {
                 if kept(body, keep) {
                     m.clone()
@@ -208,6 +156,7 @@ impl<'p> ClassPlan<'p> {
     }
 }
 
+/// Whether an optional item survives `keep`; an absent one always does.
 fn kept(var: Option<Var>, keep: &VarSet) -> bool {
     var.is_none_or(|v| keep.contains(v))
 }
@@ -234,8 +183,8 @@ pub(crate) struct Materializer<'p> {
 }
 
 impl<'p> Materializer<'p> {
-    pub(crate) fn new(program: &'p Program, reg: &ItemRegistry) -> Self {
-        let plans = ClassPlan::all(program, reg);
+    pub(crate) fn new(program: &'p Program, index: ItemIndex<'_>) -> Self {
+        let plans = ClassPlan::all(program, index);
         let memo = plans.iter().map(|_| Mutex::default()).collect();
         Materializer {
             plans,
@@ -274,7 +223,7 @@ impl<'p> Materializer<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FieldInfo, Insn, MethodDescriptor, MethodInfo, Type};
+    use crate::{FieldInfo, Insn, Item, MethodDescriptor, MethodInfo, Type};
 
     fn sample() -> (Program, ItemRegistry) {
         let mut i = ClassFile::new_interface("I");

@@ -45,9 +45,20 @@ impl Type {
 
     /// The JVM descriptor of this type.
     pub fn descriptor(&self) -> String {
+        let mut out = String::new();
+        self.write_descriptor(&mut out);
+        out
+    }
+
+    /// Appends [`Type::descriptor`] to `out`.
+    fn write_descriptor(&self, out: &mut String) {
         match self {
-            Type::Int => "I".to_owned(),
-            Type::Reference(n) => format!("L{n};"),
+            Type::Int => out.push('I'),
+            Type::Reference(n) => {
+                out.push('L');
+                out.push_str(n);
+                out.push(';');
+            }
         }
     }
 
@@ -110,12 +121,23 @@ impl MethodDescriptor {
 
     /// The JVM descriptor string.
     pub fn descriptor(&self) -> String {
-        let params: String = self.params.iter().map(Type::descriptor).collect();
-        let ret = self
-            .ret
-            .as_ref()
-            .map_or_else(|| "V".to_owned(), Type::descriptor);
-        format!("({params}){ret}")
+        let mut out = String::new();
+        self.write_descriptor(&mut out);
+        out
+    }
+
+    /// Appends [`MethodDescriptor::descriptor`] to `out`, so a caller
+    /// that renders many descriptors can reuse one buffer.
+    pub(crate) fn write_descriptor(&self, out: &mut String) {
+        out.push('(');
+        for p in &self.params {
+            p.write_descriptor(out);
+        }
+        out.push(')');
+        match &self.ret {
+            Some(t) => t.write_descriptor(out),
+            None => out.push('V'),
+        }
     }
 
     /// Parses a method descriptor string.

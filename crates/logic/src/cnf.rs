@@ -187,9 +187,12 @@ impl Cnf {
     /// literal sets), preserving first-occurrence order. Returns the number
     /// of clauses removed.
     pub fn dedup_clauses(&mut self) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::HashSet::with_capacity(self.clauses.len());
+        let first: Vec<bool> = self.clauses.iter().map(|c| seen.insert(c)).collect();
+        drop(seen);
         let before = self.clauses.len();
-        self.clauses.retain(|c| seen.insert(c.clone()));
+        let mut first = first.into_iter();
+        self.clauses.retain(|_| first.next() == Some(true));
         before - self.clauses.len()
     }
 }
@@ -327,6 +330,16 @@ mod tests {
         cnf.add_clause(Clause::edge(v(0), v(1)));
         assert_eq!(cnf.dedup_clauses(), 1);
         assert_eq!(cnf.len(), 1);
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrences_in_order() {
+        let a = Clause::edge(v(0), v(1));
+        let b = Clause::unit(Lit::pos(v(2)));
+        let c = Clause::implication([v(1)], [v(0), v(2)]);
+        let mut cnf: Cnf = [&b, &a, &b, &c, &a, &a, &c].into_iter().cloned().collect();
+        assert_eq!(cnf.dedup_clauses(), 4);
+        assert_eq!(cnf.clauses(), [b, a, c]);
     }
 
     #[test]

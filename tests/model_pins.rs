@@ -6,17 +6,27 @@
 //!
 //! - stackvm: 12 `generate_stack` modules of 300 functions, four of each
 //!   `StackShape` (the `stackvm-large` geometry).
-//! - classfile: the 12 programs a scale-1.2 `suite` draws.
+//! - classfile: the 12 programs a scale-1.2 `suite` draws, the
+//!   hand-built programs of `tests/common` (one per constraint family:
+//!   the §2-like program, diamond obligations, reflection), and two
+//!   interface-heavy `WorkloadConfig`s. The `tests/common` and
+//!   interface-heavy pins were recorded at the commit before the classfile
+//!   model wrote its clauses directly; the obligation path-cap program is
+//!   pinned after its soundness fix (see `classfile_path_cap_model_is_pinned`).
 //! - `validate()` on mutated copies: a removed callee, a renamed global, a
 //!   callee whose signature changed, a duplicated function name, a
 //!   `call_indirect` with no candidate, and classfile programs with a
 //!   class removed.
 
+mod common;
+
 use lbr::classfile::Program;
 use lbr::core::{Input, ModelStats};
 use lbr::decompiler::BugKind;
 use lbr::logic::Cnf;
-use lbr::workload::{generate, generate_stack, StackShape, StackWorkloadConfig, WorkloadConfig};
+use lbr::workload::{
+    generate, generate_stack, AdversarialShape, StackShape, StackWorkloadConfig, WorkloadConfig,
+};
 use lbr_stackvm::{build_stack_model, Function, Module, Op, Sig, StackBugKind, Ty};
 use std::sync::Arc;
 
@@ -185,6 +195,73 @@ fn classfile_models_are_pinned() {
         })
         .collect();
     assert_eq!(got, CLASSFILE_MODELS);
+}
+
+/// The pin of a classfile program's model through `Input::model`.
+fn classfile_pin(p: &Program) -> ModelPin {
+    let model = p.model().expect("the program verifies");
+    model_pin(&model.cnf, &model.stats)
+}
+
+/// Two interface-heavy programs: the `ConstraintDense` preset (most
+/// classes implement an interface, most interfaces extend another) and a
+/// geometry with twice as many interfaces per cluster, every class
+/// implementing one.
+fn interface_heavy_programs() -> [Program; 2] {
+    [
+        generate(&WorkloadConfig {
+            plant: BugKind::ALL.to_vec(),
+            ..WorkloadConfig::adversarial(AdversarialShape::ConstraintDense, 77)
+        }),
+        generate(&WorkloadConfig {
+            seed: 78,
+            classes: 24,
+            interfaces: 16,
+            cluster_size: 6,
+            implements_prob: 1.0,
+            iface_extends_prob: 0.9,
+            plant: BugKind::ALL.to_vec(),
+            ..WorkloadConfig::default()
+        }),
+    ]
+}
+
+const CLASSFILE_FIXTURE_MODELS: &[ModelPin] = &[
+    (14997490877861143594, 19, 19, 31, 4606601309170679279),
+    (1398871318652761451, 13, 13, 16, 4606056518893174784),
+    (8620963051099811246, 24, 24, 39, 4606720511145928126),
+    (5195957601540909398, 272, 272, 944, 4606466804452447944),
+    (10039127527327716760, 519, 519, 2016, 4606123536744772559),
+];
+
+#[test]
+fn classfile_fixture_models_are_pinned() {
+    let [dense, wide] = interface_heavy_programs();
+    let got: Vec<ModelPin> = [
+        common::paperish_program(),
+        common::diamond_program(),
+        common::reflection_program(),
+        dense,
+        wide,
+    ]
+    .iter()
+    .map(classfile_pin)
+    .collect();
+    assert_eq!(got, CLASSFILE_FIXTURE_MODELS);
+}
+
+/// Recorded after the obligation path cap became sound: `C` has 20
+/// paths to `J`, more than the 16 the model writes one clause each for,
+/// so its obligation on `J.p` is the path-free clause
+/// `[C] ∧ [J.p()V] ⇒ [C.p()V]`.
+const CLASSFILE_PATH_CAP_MODEL: ModelPin = (5267724626532100268, 45, 45, 65, 4607043846503790624);
+
+#[test]
+fn classfile_path_cap_model_is_pinned() {
+    assert_eq!(
+        classfile_pin(&common::path_cap_program()),
+        CLASSFILE_PATH_CAP_MODEL
+    );
 }
 
 /// A module where a later function repeats the first one (name, signature
