@@ -241,12 +241,17 @@ fuzz_out=$(./target/release/fuzz --budget-secs 60 --seed 0xC0FFEE --min-cases 20
 echo "$fuzz_out"
 [ "$fuzz_status" -eq 0 ] || exit "$fuzz_status"
 # Both oracles' memos must stay in the campaign: I9 has to have checked
-# candidates of each format. Likewise the I4 chain check, which replays
-# the progressions of the reference and trace-guided runs through the scan
-# reference; it counts only chains that recorded at least one checkpoint.
+# candidates of each format, and their byte sizes against the writers.
+# Likewise the I4 chain check, which replays the progressions of the
+# reference and trace-guided runs through the scan reference; it counts
+# only chains that recorded at least one checkpoint.
 for format in classfile stackvm; do
     if ! echo "$fuzz_out" | grep -Eq "I9 checks:.*$format [1-9]"; then
         echo "fuzz campaign ran no I9 check on $format cases" >&2
+        exit 1
+    fi
+    if ! echo "$fuzz_out" | grep -Eq "I9 size checks:.*$format [1-9]"; then
+        echo "fuzz campaign ran no I9 size check on $format cases" >&2
         exit 1
     fi
     if ! echo "$fuzz_out" | grep -Eq "I4 chain checks:.*$format [1-9]"; then

@@ -6,8 +6,10 @@
 //! (engine-backed `msa` vs `lbr_reference::msa_scan`). Then the cost of one probe by part,
 //! with the decompiler oracle both cold (`probe/decompile-errors`) and
 //! over a recorded greedy probe sequence of one reduction scope
-//! (`probe/decompile-errors-sequence`). The speedup ratios back the
-//! numbers quoted in `EXPERIMENTS.md`.
+//! (`probe/decompile-errors-sequence`), and the materializer plus the size
+//! metric over recorded greedy probe sequences of a classfile program and
+//! a 300-function stackvm module (`probe/materialize-size-sequence/*`).
+//! The speedup ratios back the numbers quoted in `EXPERIMENTS.md`.
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
@@ -55,9 +57,6 @@ fn main() {
         lbr_jreduce::reduce_program(&program, registry, &keep).len()
     });
     let candidate = lbr_jreduce::reduce_program(&program, registry, &keep);
-    bench("probe/byte-size", || {
-        lbr_classfile::program_byte_size(&candidate)
-    });
     let cold = bench("probe/decompile-errors", || {
         probe_oracle.errors(&candidate).len()
     });
@@ -86,6 +85,49 @@ fn main() {
         probes.len(),
         fmt_duration(sequence / probes.len() as u32),
         fmt_duration(cold)
+    );
+    materialize_size_sequence("classfile-36", &program, &probes);
+
+    // The same over a 300-function stackvm module.
+    let module = generate_stack(&StackWorkloadConfig {
+        seed: 1,
+        functions: 300,
+        globals: 12,
+        shape: StackShape::ConstraintDense,
+        ..StackWorkloadConfig::default()
+    });
+    let oracle = StackOracle::new(&module, StackBugSet::all());
+    let stack_model = module.model().expect("generated modules verify");
+    let order = closure_size_order(&stack_model.cnf);
+    let instance = Instance::over_all_vars(stack_model.cnf.clone());
+    let mut probes: Vec<VarSet> = Vec::new();
+    let mut record = |keep: &VarSet| {
+        probes.push(keep.clone());
+        oracle.preserves_failure(&(stack_model.materialize)(keep))
+    };
+    generalized_binary_reduction(&instance, &order, &mut record, &GbrConfig::default())
+        .expect("reduces");
+    materialize_size_sequence("stackvm-300", &module, &probes);
+}
+
+/// What the size metric costs a reduction: `probes`, a recorded greedy
+/// probe sequence, replayed through materialization and `byte_size` with
+/// a fresh model (so a fresh reduction scope) per iteration. The model
+/// build is timed alone too, and the per-probe figure excludes it.
+fn materialize_size_sequence<I: Input>(label: &str, input: &I, probes: &[VarSet]) {
+    let build = bench(&format!("probe/model-build/{label}"), || {
+        input.model().expect("valid input").cnf.num_vars()
+    });
+    let sequence = bench(&format!("probe/materialize-size-sequence/{label}"), || {
+        let model = input.model().expect("valid input");
+        (probes.iter())
+            .map(|keep| (model.materialize)(keep).byte_size())
+            .sum::<usize>()
+    });
+    println!(
+        "  -> {} probes: {} per probe after the model build",
+        probes.len(),
+        fmt_duration(sequence.saturating_sub(build) / probes.len() as u32)
     );
 }
 

@@ -162,6 +162,10 @@ fn main() {
         summary.oracle_checks_classfile, summary.oracle_checks_stackvm
     );
     println!(
+        "fuzz: I9 size checks: classfile {}, stackvm {}",
+        summary.size_checks_classfile, summary.size_checks_stackvm
+    );
+    println!(
         "fuzz: I4 chain checks: classfile {}, stackvm {}",
         summary.chain_checks_classfile, summary.chain_checks_stackvm
     );

@@ -7,7 +7,7 @@
 //! items *within* classes — the motivation for the paper's finer-grained
 //! model.
 
-use crate::Program;
+use crate::{class_byte_size, Program};
 use lbr_core::{DepGraph, Scope};
 use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
@@ -76,17 +76,28 @@ impl ClassGraph {
         self.index.get(name).copied()
     }
 
+    /// The serialized size of each node's class, by node: what a subset
+    /// of the classes measures is the sum over its nodes.
+    pub(crate) fn class_sizes(&self, program: &Program) -> Vec<usize> {
+        (self.names.iter())
+            .map(|name| program.get(name).map_or(0, class_byte_size))
+            .collect()
+    }
+
     /// Materializes the sub-program keeping exactly the classes in `keep`
     /// as a candidate of `scope`'s reduction, sharing `program`'s class
-    /// handles.
+    /// handles, with its byte size summed from `sizes`
+    /// ([`ClassGraph::class_sizes`]).
     pub(crate) fn subset_program(
         &self,
         program: &Program,
         keep: &VarSet,
+        sizes: &[usize],
         scope: &Arc<Scope>,
     ) -> Program {
         let names = keep.iter().map(|v| self.names[v.index()].as_str());
-        program.share_subset(names, scope)
+        let byte_size = keep.iter().map(|v| sizes[v.index()]).sum();
+        program.share_subset(names, byte_size, scope)
     }
 }
 
@@ -143,7 +154,7 @@ mod tests {
         let mut keep = VarSet::empty(cg.names.len());
         keep.insert(cg.node("B").unwrap());
         keep.insert(cg.node("C").unwrap());
-        let sub = cg.subset_program(&p, &keep, &Arc::default());
+        let sub = cg.subset_program(&p, &keep, &cg.class_sizes(&p), &Arc::default());
         assert_eq!(sub.len(), 2);
         assert!(sub.get("B").is_some() && sub.get("C").is_some());
         assert!(sub.get("A").is_none());
@@ -155,6 +166,23 @@ mod tests {
                 Arc::ptr_eq(&handle(&p, name), &handle(&sub, name)),
                 "{name} is shared"
             );
+        }
+    }
+
+    #[test]
+    fn subset_program_carries_its_size() {
+        let p = program();
+        let cg = ClassGraph::new(&p);
+        let sizes = cg.class_sizes(&p);
+        let n = cg.names.len();
+        for bits in 0..1u32 << n {
+            let mut keep = VarSet::empty(n);
+            for i in (0..n).filter(|i| bits & 1 << i != 0) {
+                keep.insert(Var::new(i as u32));
+            }
+            let sub = cg.subset_program(&p, &keep, &sizes, &Arc::default());
+            let cached = sub.cached_byte_size();
+            assert_eq!(cached, Some(crate::program_byte_size(&sub)), "{bits:b}");
         }
     }
 

@@ -57,8 +57,8 @@ pub struct ConstantPool {
     entries: Vec<Constant>,
     index: HashMap<Constant, u16>,
     // UTF-8 entries get their own index so lookups can borrow a &str
-    // instead of allocating a Constant key — interning is on the hot path
-    // of the per-probe size metric.
+    // instead of allocating a Constant key: a repeated name (most names
+    // in a class repeat) is interned without a copy.
     utf8_index: HashMap<String, u16>,
 }
 

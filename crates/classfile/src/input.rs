@@ -45,10 +45,13 @@ impl Input for Program {
 
     fn coarse_model(&self) -> CoarseModel<'_, Self> {
         let cg = ClassGraph::new(self);
+        let sizes = cg.class_sizes(self);
         let scope = Arc::default();
         CoarseModel {
             graph: cg.graph.clone(),
-            materialize: Box::new(move |keep: &VarSet| cg.subset_program(self, keep, &scope)),
+            materialize: Box::new(move |keep: &VarSet| {
+                cg.subset_program(self, keep, &sizes, &scope)
+            }),
         }
     }
 

@@ -110,8 +110,8 @@ pub struct Program {
     classes: BTreeMap<Arc<str>, Arc<ClassFile>>,
     object: Arc<ClassFile>,
     /// `program_byte_size` of this program when already known: the
-    /// reduction materializer fills it from its per-class sizes, and every
-    /// mutation clears it.
+    /// reduction materializers (the logical and the coarse model's) fill
+    /// it from per-class sizes, and every mutation clears it.
     byte_size: Option<usize>,
     /// The reduction scope, when a reduction's materializer built this
     /// program. Edits keep it: the scope's memos key on class handles, and
@@ -159,32 +159,34 @@ impl Program {
     }
 
     /// A candidate of the reduction `scope` belongs to, made of
-    /// already-shared classes, with its total byte size when known.
+    /// already-shared classes, whose `program_byte_size` is `byte_size`.
     pub(crate) fn from_shared(
         classes: impl IntoIterator<Item = (Arc<str>, Arc<ClassFile>)>,
-        byte_size: Option<usize>,
+        byte_size: usize,
         scope: &Arc<Scope>,
     ) -> Self {
         Program {
             classes: classes.into_iter().collect(),
-            byte_size,
+            byte_size: Some(byte_size),
             scope: Some(Arc::clone(scope)),
             ..Program::new()
         }
     }
 
     /// The classes named by `names` (unknown names skipped), sharing this
-    /// program's handles, as a candidate of `scope`'s reduction.
+    /// program's handles, as a candidate of `scope`'s reduction whose
+    /// `program_byte_size` is `byte_size`.
     pub(crate) fn share_subset<'n>(
         &self,
         names: impl IntoIterator<Item = &'n str>,
+        byte_size: usize,
         scope: &Arc<Scope>,
     ) -> Program {
         let classes = names.into_iter().filter_map(|name| {
             let (name, class) = self.classes.get_key_value(name)?;
             Some((Arc::clone(name), Arc::clone(class)))
         });
-        Program::from_shared(classes, None, scope)
+        Program::from_shared(classes, byte_size, scope)
     }
 
     /// This program's table of type `T` in its reduction scope (see
@@ -652,7 +654,7 @@ mod tests {
             .iter()
             .map(|(name, class)| (Arc::clone(name), Arc::clone(class)))
             .collect();
-        Program::from_shared(shared, Some(size), &Arc::default())
+        Program::from_shared(shared, size, &Arc::default())
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! variable, as the model's item index resolved it; [`Materializer`]
 //! memoizes every reduced class and its exact byte size by (class, bits
 //! over its range), so the probes of one reduction, which keep re-deriving
-//! the same few class shapes, rebuild and re-measure only the shapes they
-//! have not seen. Every candidate carries the reduction's scope (see
-//! [`Program::scoped`]), so the oracle can memoize per reduction too.
+//! the same few class shapes, rebuild only the shapes they have not seen.
+//! A new shape's size is a sum over the members it keeps, from its class's
+//! [`SizePlan`], made once per model: no probe interns a constant pool.
+//! Every candidate carries the reduction's scope (see [`Program::scoped`]),
+//! so the oracle can memoize per reduction too.
 
 use crate::item::{ClassVars, ItemIndex, ItemRegistry};
-use crate::{class_byte_size, ClassFile, Code, MethodInfo, Program, OBJECT};
+use crate::write::{Part, SizePlan};
+use crate::{ClassFile, Code, MethodInfo, Program, OBJECT};
 use lbr_core::Scope;
 use lbr_logic::{Var, VarSet};
 use std::collections::HashMap;
@@ -105,35 +108,39 @@ impl<'p> ClassPlan<'p> {
         }
     }
 
+    /// Whether `part` of the class survives `keep`.
+    fn keeps(&self, part: Part, keep: &VarSet) -> bool {
+        let v = &self.vars;
+        match part {
+            Part::Superclass => kept(v.superclass, keep),
+            Part::Interface(i) => keep.contains(v.interfaces[i]),
+            Part::Field(i) => keep.contains(v.fields[i]),
+            Part::Method(i) => keep.contains(v.methods[i].0),
+            Part::Body(i) => kept(v.methods[i].1, keep),
+        }
+    }
+
     /// The class with the items outside `keep` removed.
     fn reduce(&self, keep: &VarSet) -> ClassFile {
-        let (class, vars) = (self.class, &self.vars);
-        let superclass = if kept(vars.superclass, keep) {
+        let class = self.class;
+        let keeps = |part| self.keeps(part, keep);
+        let superclass = if keeps(Part::Superclass) {
             class.superclass.clone()
         } else {
             Some(OBJECT.to_owned())
         };
-        let interfaces = class
-            .interfaces
-            .iter()
-            .zip(&vars.interfaces)
-            .filter(|&(_, &v)| keep.contains(v))
-            .map(|(iface, _)| iface.clone())
+        let interfaces = (class.interfaces.iter().enumerate())
+            .filter(|&(i, _)| keeps(Part::Interface(i)))
+            .map(|(_, iface)| iface.clone())
             .collect();
-        let fields = class
-            .fields
-            .iter()
-            .zip(&vars.fields)
-            .filter(|&(_, &v)| keep.contains(v))
-            .map(|(f, _)| f.clone())
+        let fields = (class.fields.iter().enumerate())
+            .filter(|&(i, _)| keeps(Part::Field(i)))
+            .map(|(_, f)| f.clone())
             .collect();
-        let methods = class
-            .methods
-            .iter()
-            .zip(&vars.methods)
-            .filter(|&(_, &(decl, _))| keep.contains(decl))
-            .map(|(m, &(_, body))| {
-                if kept(body, keep) {
+        let methods = (class.methods.iter().enumerate())
+            .filter(|&(i, _)| keeps(Part::Method(i)))
+            .map(|(i, m)| {
+                if keeps(Part::Body(i)) {
                     m.clone()
                 } else {
                     MethodInfo {
@@ -166,7 +173,7 @@ fn locals_for(m: &MethodInfo) -> u16 {
     this + m.desc.params.len() as u16
 }
 
-/// A reduced class and its exact [`class_byte_size`].
+/// A reduced class and its exact [`class_byte_size`](crate::class_byte_size).
 type Reduced = (Arc<ClassFile>, usize);
 
 /// The memoizing keep-set → program map of one reduction.
@@ -177,6 +184,8 @@ type Reduced = (Arc<ClassFile>, usize);
 /// shares one copy).
 pub(crate) struct Materializer<'p> {
     plans: Vec<ClassPlan<'p>>,
+    /// Each class's size by member, in plan order.
+    sizes: Vec<SizePlan>,
     memo: Vec<Mutex<HashMap<Box<[u64]>, Reduced>>>,
     /// The reduction scope stamped on every candidate.
     scope: Arc<Scope>,
@@ -185,9 +194,11 @@ pub(crate) struct Materializer<'p> {
 impl<'p> Materializer<'p> {
     pub(crate) fn new(program: &'p Program, index: ItemIndex<'_>) -> Self {
         let plans = ClassPlan::all(program, index);
+        let sizes = plans.iter().map(|plan| SizePlan::new(plan.class)).collect();
         let memo = plans.iter().map(|_| Mutex::default()).collect();
         Materializer {
             plans,
+            sizes,
             memo,
             scope: Arc::default(),
         }
@@ -198,7 +209,7 @@ impl<'p> Materializer<'p> {
         let mut key = Vec::new();
         let mut total = 0;
         let mut classes = Vec::new();
-        for (plan, memo) in self.plans.iter().zip(&self.memo) {
+        for ((plan, sizes), memo) in self.plans.iter().zip(&self.sizes).zip(&self.memo) {
             if !plan.kept(keep) {
                 continue;
             }
@@ -207,7 +218,7 @@ impl<'p> Materializer<'p> {
             let hit = lock().get(&key[..]).cloned();
             let (class, size) = hit.unwrap_or_else(|| {
                 let class = plan.reduce(keep);
-                let size = class_byte_size(&class);
+                let size = sizes.size(|part| plan.keeps(part, keep));
                 lock()
                     .entry(key.as_slice().into())
                     .or_insert((Arc::new(class), size))
@@ -216,7 +227,7 @@ impl<'p> Materializer<'p> {
             total += size;
             classes.push((Arc::clone(&plan.name), class));
         }
-        Program::from_shared(classes, Some(total), &self.scope)
+        Program::from_shared(classes, total, &self.scope)
     }
 }
 

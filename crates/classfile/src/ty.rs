@@ -51,7 +51,7 @@ impl Type {
     }
 
     /// Appends [`Type::descriptor`] to `out`.
-    fn write_descriptor(&self, out: &mut String) {
+    pub(crate) fn write_descriptor(&self, out: &mut String) {
         match self {
             Type::Int => out.push('I'),
             Type::Reference(n) => {

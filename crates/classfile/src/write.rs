@@ -192,78 +192,280 @@ pub fn write_program(program: &Program) -> Vec<u8> {
 /// The serialized size of a program in bytes — the paper's primary size
 /// metric ("Final Relative Size (Bytes)").
 ///
-/// Computed without materializing the bytes ([`class_byte_size`]): the
-/// reduction pipeline measures every oracle probe, so this is hot.
+/// Computed without materializing the bytes ([`class_byte_size`]). A
+/// reduction's candidates carry their size instead: the materializer sums
+/// per-class sizes from each class's size plan, so this memo-free path
+/// measures only programs no reduction built.
 pub fn program_byte_size(program: &Program) -> usize {
     program.classes().map(class_byte_size).sum()
 }
 
-/// Computes `write_class(class).len()` without producing the bytes.
-///
-/// Replicates the writer's constant-pool interning (the pool's *contents*
-/// determine its size; entry order does not) and sums fixed field widths
-/// plus [`Insn::encoded_len`] for code, skipping all byte emission.
+/// Computes `write_class(class).len()` without producing the bytes: the
+/// size of the class's size plan with every member kept.
 pub fn class_byte_size(class: &ClassFile) -> usize {
-    let mut pool = ConstantPool::new();
-    pool.class(&class.name);
-    if let Some(s) = &class.superclass {
-        pool.class(s);
-    }
-    for i in &class.interfaces {
-        pool.class(i);
-    }
-    pool.utf8("Code");
-
-    let mut body = 2 + 2 * class.interfaces.len(); // interface table
-    body += 2 + 8 * class.fields.len(); // field table: flags/name/desc/attrs
-    for f in &class.fields {
-        pool.utf8(&f.name);
-        pool.utf8(&f.ty.descriptor());
-    }
-    body += 2; // method count
-    for m in &class.methods {
-        pool.utf8(&m.name);
-        pool.utf8(&m.desc.descriptor());
-        body += 8; // flags/name/desc/attribute count
-        if let Some(code) = &m.code {
-            intern_code_refs(code, &mut pool);
-            let code_len: usize = code.insns.iter().map(Insn::encoded_len).sum();
-            // attribute name + length + (stack/locals/len + code + exc + attrs)
-            body += 2 + 4 + (2 + 2 + 4 + code_len + 2 + 2);
-        }
-    }
-    body += 2; // class attributes
-
-    let pool_bytes: usize = pool.entries().iter().map(constant_size).sum();
-    // magic + version + pool count + pool + flags + this + super.
-    4 + 4 + 2 + pool_bytes + 2 + 2 + 2 + body
+    SizePlan::new(class).size(|_| true)
 }
 
-/// Interns exactly the pool entries [`encode_code`] would.
-fn intern_code_refs(code: &Code, pool: &mut ConstantPool) {
-    for insn in &code.insns {
-        match insn {
-            Insn::LdcClass(c) | Insn::New(c) | Insn::CheckCast(c) | Insn::InstanceOf(c) => {
-                pool.class(c);
-            }
-            Insn::GetField(f) | Insn::PutField(f) => {
-                pool.fieldref(&f.class, &f.name, &f.ty.descriptor());
-            }
-            Insn::InvokeVirtual(m) | Insn::InvokeSpecial(m) | Insn::InvokeStatic(m) => {
-                pool.methodref(&m.class, &m.name, &m.desc.descriptor());
-            }
-            Insn::InvokeInterface(m) => {
-                pool.interface_methodref(&m.class, &m.name, &m.desc.descriptor());
+/// A member of a class whose removal changes the class's size.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Part {
+    /// The superclass relation; when dropped the class extends `Object`.
+    Superclass,
+    /// The interface listed at this position.
+    Interface(usize),
+    /// The field at this position.
+    Field(usize),
+    /// The declaration of the method at this position.
+    Method(usize),
+    /// The body of the method at this position; when dropped (and the
+    /// declaration kept) the method gets the stub [`Code::trivial`].
+    Body(usize),
+}
+
+/// The byte size of one class by member, so that the size of any of its
+/// reductions is a sum over the members it keeps.
+///
+/// The plan interns the class once, with its `Object` fallback, and
+/// records per member the pool entries that member needs, nested ones
+/// included (a `Methodref` brings its `Class`, its `NameAndType` and
+/// their `Utf8`s), plus the member's fixed table and code bytes. A
+/// reduced class's size is the kept members' fixed bytes plus the sizes of
+/// the union of their entries: the pool's *contents* determine its size
+/// (entry order does not), so the sum is exact.
+#[derive(Debug)]
+pub(crate) struct SizePlan {
+    /// The serialized size of each entry of the class's pool, by id (the
+    /// entry's pool index less one).
+    entries: Box<[u32]>,
+    /// The entry ids of every footprint, back to back, each footprint's
+    /// without repeats.
+    ids: Box<[u16]>,
+    /// The header, the class's own name and the `Code` attribute name.
+    base: Footprint,
+    superclass: Footprint,
+    /// `extends Object`, what a dropped superclass relation leaves.
+    object: Footprint,
+    interfaces: Box<[Footprint]>,
+    fields: Box<[Footprint]>,
+    /// Per method: the declaration, the body and the stub.
+    methods: Box<[[Footprint; 3]]>,
+}
+
+/// What one member adds: its fixed bytes and a range of
+/// [`SizePlan::ids`].
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    bytes: u32,
+    start: u32,
+    end: u32,
+}
+
+/// Fills a [`SizePlan`]'s footprints from the class's pool.
+struct PlanBuilder {
+    pool: ConstantPool,
+    ids: Vec<u16>,
+    /// Where the open footprint's ids start in `ids`.
+    start: usize,
+    /// The number of the open footprint, counting from 1.
+    member: u32,
+    /// Per entry id, the last footprint that recorded it.
+    recorded: Vec<u32>,
+    /// A descriptor being rendered.
+    desc: String,
+}
+
+impl PlanBuilder {
+    /// Records the entry at `index` and every entry it refers to,
+    /// transitively, in the open footprint.
+    fn need(&mut self, index: u16) {
+        let id = usize::from(index - 1);
+        if self.recorded.len() <= id {
+            self.recorded.resize(id + 1, 0);
+        }
+        if self.recorded[id] == self.member {
+            return; // and so is everything it refers to
+        }
+        self.recorded[id] = self.member;
+        self.ids.push(index - 1);
+        match self.pool.get(index) {
+            Some(&Constant::Class(n)) => self.need(n),
+            Some(
+                &(Constant::Fieldref(a, b)
+                | Constant::Methodref(a, b)
+                | Constant::InterfaceMethodref(a, b)
+                | Constant::NameAndType(a, b)),
+            ) => {
+                self.need(a);
+                self.need(b);
             }
             _ => {}
         }
     }
+
+    /// Closes the open footprint, which adds `bytes` of its own.
+    fn footprint(&mut self, bytes: usize) -> Footprint {
+        let footprint = Footprint {
+            bytes: bytes as u32,
+            start: self.start as u32,
+            end: self.ids.len() as u32,
+        };
+        self.start = self.ids.len();
+        self.member += 1;
+        footprint
+    }
+
+    /// Records a class entry in the open footprint.
+    fn class(&mut self, name: &str) {
+        let index = self.pool.class(name);
+        self.need(index);
+    }
+
+    /// Records a name and a descriptor in the open footprint; `render`
+    /// writes the descriptor.
+    fn name_and_desc(&mut self, name: &str, render: impl FnOnce(&mut String)) {
+        self.desc.clear();
+        render(&mut self.desc);
+        let (name, desc) = (self.pool.utf8(name), self.pool.utf8(&self.desc));
+        self.need(name);
+        self.need(desc);
+    }
+
+    /// A method's code attribute: its fixed bytes, with the entries its
+    /// instructions need (as [`encode_code`] interns them) recorded.
+    fn code(&mut self, code: &Code) -> usize {
+        for insn in &code.insns {
+            let (pool, desc) = (&mut self.pool, &mut self.desc);
+            desc.clear();
+            let index = match insn {
+                Insn::LdcClass(c) | Insn::New(c) | Insn::CheckCast(c) | Insn::InstanceOf(c) => {
+                    pool.class(c)
+                }
+                Insn::GetField(f) | Insn::PutField(f) => {
+                    f.ty.write_descriptor(desc);
+                    pool.fieldref(&f.class, &f.name, desc)
+                }
+                Insn::InvokeVirtual(m) | Insn::InvokeSpecial(m) | Insn::InvokeStatic(m) => {
+                    m.desc.write_descriptor(desc);
+                    pool.methodref(&m.class, &m.name, desc)
+                }
+                Insn::InvokeInterface(m) => {
+                    m.desc.write_descriptor(desc);
+                    pool.interface_methodref(&m.class, &m.name, desc)
+                }
+                _ => continue,
+            };
+            self.need(index);
+        }
+        let code_len: usize = code.insns.iter().map(Insn::encoded_len).sum();
+        // attribute name + length + (stack/locals/len + code + exc + attrs)
+        2 + 4 + (2 + 2 + 4 + code_len + 2 + 2)
+    }
+}
+
+impl SizePlan {
+    /// The plan of `class`.
+    pub(crate) fn new(class: &ClassFile) -> Self {
+        let mut b = PlanBuilder {
+            pool: ConstantPool::new(),
+            ids: Vec::new(),
+            start: 0,
+            member: 1,
+            recorded: Vec::new(),
+            desc: String::new(),
+        };
+        b.class(&class.name);
+        let code = b.pool.utf8("Code");
+        b.need(code);
+        // magic + version + pool count + flags + this + super, then the
+        // interface, field and method counts and the class attributes.
+        let base = b.footprint(4 + 4 + 2 + 2 + 2 + 2 + 2 + 2 + 2 + 2);
+        if let Some(s) = &class.superclass {
+            b.class(s);
+        }
+        let superclass = b.footprint(0);
+        b.class(crate::OBJECT);
+        let object = b.footprint(0);
+        let interfaces = (class.interfaces.iter())
+            .map(|i| {
+                b.class(i);
+                b.footprint(2)
+            })
+            .collect();
+        // Each field and method: flags, name, descriptor, attribute count.
+        let fields = (class.fields.iter())
+            .map(|f| {
+                b.name_and_desc(&f.name, |out| f.ty.write_descriptor(out));
+                b.footprint(8)
+            })
+            .collect();
+        let stub = b.code(&Code::trivial(0));
+        let methods = (class.methods.iter())
+            .map(|m| {
+                b.name_and_desc(&m.name, |out| m.desc.write_descriptor(out));
+                let decl = b.footprint(8);
+                let body = m.code.as_ref().map_or(0, |code| b.code(code));
+                let body = b.footprint(body);
+                [decl, body, b.footprint(stub)]
+            })
+            .collect();
+        SizePlan {
+            entries: b.pool.entries().iter().map(constant_size).collect(),
+            ids: b.ids.into(),
+            base,
+            superclass,
+            object,
+            interfaces,
+            fields,
+            methods,
+        }
+    }
+
+    /// `write_class(..).len()` of the class with only the members `kept`
+    /// accepts: a dropped superclass becomes `Object`, and a dropped body
+    /// of a kept method the stub.
+    pub(crate) fn size(&self, kept: impl Fn(Part) -> bool) -> usize {
+        let mut seen = vec![0u64; self.entries.len().div_ceil(64)];
+        let mut total = 0;
+        let mut add = |f: &Footprint| {
+            total += f.bytes as usize;
+            for &id in &self.ids[f.start as usize..f.end as usize] {
+                let (word, bit) = (id as usize / 64, 1 << (id % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    total += self.entries[id as usize] as usize;
+                }
+            }
+        };
+        add(&self.base);
+        add(if kept(Part::Superclass) {
+            &self.superclass
+        } else {
+            &self.object
+        });
+        for (i, f) in self.interfaces.iter().enumerate() {
+            if kept(Part::Interface(i)) {
+                add(f);
+            }
+        }
+        for (i, f) in self.fields.iter().enumerate() {
+            if kept(Part::Field(i)) {
+                add(f);
+            }
+        }
+        for (i, [decl, body, stub]) in self.methods.iter().enumerate() {
+            if kept(Part::Method(i)) {
+                add(decl);
+                add(if kept(Part::Body(i)) { body } else { stub });
+            }
+        }
+        total
+    }
 }
 
 /// Serialized size of one constant-pool entry (tag byte included).
-fn constant_size(c: &Constant) -> usize {
+fn constant_size(c: &Constant) -> u32 {
     1 + match c {
-        Constant::Utf8(s) => 2 + s.len(),
+        Constant::Utf8(s) => 2 + s.len() as u32,
         Constant::Integer(_) => 4,
         Constant::Class(_) => 2,
         Constant::Fieldref(..)

@@ -27,7 +27,8 @@
 //! * [`HittingSet`] — the constructive NP-completeness mapping of
 //!   Theorem 4.2,
 //! * [`Scope`] — the reduction scope both frontends stamp on their
-//!   candidates, in which an oracle memoizes across one reduction's probes.
+//!   candidates, in which an oracle or a size metric memoizes across one
+//!   reduction's probes, keyed by handle address in an [`AddressMap`].
 //!
 //! # Quick example
 //!
@@ -91,7 +92,7 @@ pub use orders::{
     closure_size_order, closure_sizes, closure_sizes_of_graph, history_order, natural_order,
 };
 pub use problem::{Instance, Oracle, Predicate};
-pub use scope::Scope;
+pub use scope::{AddressHasher, AddressMap, Scope};
 pub use stack::{
     CacheLayer, CoverageTrace, FaultyCache, LatencyLayer, MemoryCache, OracleLayer, OracleStack,
     TraceLayer,

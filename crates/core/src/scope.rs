@@ -7,9 +7,16 @@
 //! per-reduction memos in it, so a memo can hold item handles and derived
 //! data without outliving the reduction: it is dropped with the
 //! materializer and the last candidate.
+//!
+//! Such memos key on the address of a shared handle (an `Arc`) and hold
+//! the handle, so no other value can take that address while the entry
+//! lives, and `Arc::make_mut` on a candidate copies instead of editing
+//! the shared value. [`AddressMap`] is that map.
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One table per type, created on first use.
@@ -40,6 +47,36 @@ impl Scope {
 impl fmt::Debug for Scope {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scope").finish_non_exhaustive()
+    }
+}
+
+/// A map keyed by the address of a shared handle
+/// (`Arc::as_ptr(handle) as usize`), hashed by [`AddressHasher`].
+pub type AddressMap<V> = HashMap<usize, V, BuildHasherDefault<AddressHasher>>;
+
+/// Hashes a handle address with one folded multiply: a probe looks up
+/// every unit it keeps, and SipHash would cost more than the fold.
+#[derive(Debug, Default)]
+pub struct AddressHasher(u64);
+
+// Inlined into the maps of other crates, which hash on every lookup.
+impl Hasher for AddressHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(self.0 as usize ^ b as usize);
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        let product = u128::from(n as u64) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
     }
 }
 

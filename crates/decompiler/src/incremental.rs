@@ -31,6 +31,7 @@ use crate::compile::{check_class, ClassIndex};
 use crate::decompile::decompile_class_with;
 use crate::source::{SourceClass, Stmt};
 use lbr_classfile::{ClassFile, Program};
+use lbr_core::AddressMap;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -62,7 +63,7 @@ pub(crate) struct OracleMemo {
     bugs: BugSet,
     /// Keyed by the handle's address; the entry holds the handle, so no
     /// other class can take that address while the entry lives.
-    classes: Mutex<HashMap<usize, Arc<ClassEntry>>>,
+    classes: Mutex<AddressMap<Arc<ClassEntry>>>,
     /// Every signature seen, so that equal signatures share one `Arc` and
     /// compare by address.
     signatures: Mutex<HashSet<Arc<SourceClass>>>,

@@ -77,6 +77,10 @@ pub struct CampaignSummary {
     pub oracle_checks_classfile: u64,
     /// Candidates I9 checked on stackvm cases.
     pub oracle_checks_stackvm: u64,
+    /// Candidate byte sizes I9 checked on classfile cases.
+    pub size_checks_classfile: u64,
+    /// Candidate byte sizes I9 checked on stackvm cases.
+    pub size_checks_stackvm: u64,
     /// I4 chain checks passed over non-empty checkpoint chains on
     /// classfile cases.
     pub chain_checks_classfile: u64,
@@ -124,9 +128,11 @@ pub fn run_campaign(config: &CampaignConfig, harness: &Harness) -> io::Result<Ca
         summary.predicate_calls += outcome.predicate_calls;
         if case.format == "stackvm" {
             summary.oracle_checks_stackvm += outcome.oracle_checks;
+            summary.size_checks_stackvm += outcome.size_checks;
             summary.chain_checks_stackvm += outcome.chain_checks;
         } else {
             summary.oracle_checks_classfile += outcome.oracle_checks;
+            summary.size_checks_classfile += outcome.size_checks;
             summary.chain_checks_classfile += outcome.chain_checks;
         }
         if !outcome.violations.is_empty() {

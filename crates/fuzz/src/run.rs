@@ -32,7 +32,9 @@
 //!   reduction scope or computed outside any scope, is exactly the
 //!   memo-free reference (progression P16): the decompiler's
 //!   `error_messages(&decompile_program(..))` on classfile cases, the
-//!   lowering pass's `StackBugSet::error_messages` on stackvm cases.
+//!   lowering pass's `StackBugSet::error_messages` on stackvm cases. The
+//!   same walk checks the size metric: a scoped candidate's `byte_size`
+//!   is exactly the writer's length of its unscoped rebuild.
 //!
 //! The progression suite itself is generic over [`Input`], so the stackvm
 //! frontend (progression P12) runs the exact same body — only the
@@ -40,7 +42,7 @@
 //! broken-oracle self-test (P9) stays classfile-only.
 
 use crate::case::FuzzCase;
-use lbr_classfile::{verify_program, Program};
+use lbr_classfile::{verify_program, write_class, Program};
 use lbr_core::{GbrCheckpoint, Input, InputOracle, TestOutcome};
 use lbr_decompiler::{decompile_program, error_messages, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
@@ -49,7 +51,7 @@ use lbr_prng::SplitMix64;
 use lbr_service::{
     namespace_digest, Client, Daemon, DaemonConfig, FaultPlan, Json, PersistentOracleCache,
 };
-use lbr_stackvm::{Module, StackOracle};
+use lbr_stackvm::{write_module, Module, StackOracle};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
@@ -87,6 +89,8 @@ pub struct CaseOutcome {
     pub predicate_calls: u64,
     /// Candidates whose oracle answers I9 compared with the reference.
     pub oracle_checks: u64,
+    /// Candidates whose byte size I9 compared with the writer's.
+    pub size_checks: u64,
     /// I4 chain checks passed over a non-empty checkpoint chain (one per
     /// GBR run that learned at least once: the reference and
     /// trace-guided).
@@ -177,6 +181,7 @@ impl Harness {
                     plain
                 },
                 |candidate| bugs.error_messages(candidate),
+                |plain| write_module(plain).len() - MODULE_HEADER,
                 &mut out,
             );
             return out;
@@ -200,6 +205,7 @@ impl Harness {
             &oracle,
             |candidate| candidate.classes().cloned().collect(),
             |candidate| error_messages(&decompile_program(candidate, &bugs)),
+            |plain| plain.classes().map(|c| write_class(c).len()).sum(),
             &mut out,
         );
 
@@ -650,16 +656,23 @@ fn broken_oracle_reduce(program: &Program) -> Program {
 /// How many random candidates P16 probes per case.
 const ORACLE_CANDIDATES: usize = 12;
 
+/// The stackvm container header (magic, version, unit counts), which the
+/// size metric excludes.
+const MODULE_HEADER: usize = 13;
+
 /// P16 (I9): walks random candidates of one reduction scope, a few items
 /// toggled per step so that most units repeat, and checks the oracle's
 /// answer for each, inside the scope and outside it (`unscoped` rebuilds a
 /// candidate that no reduction built), against the memo-free `reference`.
+/// It also checks each scoped candidate's byte size against `written`, the
+/// writer's length of the unscoped rebuild.
 fn incremental_oracle<I: Input, O: InputOracle<I>>(
     case: &FuzzCase,
     input: &I,
     oracle: &O,
     unscoped: impl Fn(&I) -> I,
     reference: impl Fn(&I) -> BTreeSet<String>,
+    written: impl Fn(&I) -> usize,
     out: &mut CaseOutcome,
 ) {
     out.progressions += 1;
@@ -676,15 +689,24 @@ fn incremental_oracle<I: Input, O: InputOracle<I>>(
     let mut keep = VarSet::full(vars);
     for i in 0..ORACLE_CANDIDATES {
         let candidate = (model.materialize)(&keep);
+        let plain = unscoped(&candidate);
         let expected = reference(&candidate);
         out.oracle_checks += 1;
-        for (tag, probe) in [("scoped", &candidate), ("unscoped", &unscoped(&candidate))] {
+        for (tag, probe) in [("scoped", &candidate), ("unscoped", &plain)] {
             if oracle.errors(probe) != expected {
                 return out.violations.push(format!(
                     "I9 {tag}: candidate {i} ({} units) differs from the reference oracle",
                     candidate.unit_count()
                 ));
             }
+        }
+        out.size_checks += 1;
+        let (measured, bytes) = (candidate.byte_size(), written(&plain));
+        if measured != bytes {
+            return out.violations.push(format!(
+                "I9 size: candidate {i} ({} units) measures {measured} bytes, the writer gives {bytes}",
+                candidate.unit_count()
+            ));
         }
         for _ in 0..rng.gen_range(1..=3usize).min(vars) {
             let v = Var::new(rng.gen_range(0..vars) as u32);

@@ -28,8 +28,8 @@
 
 use crate::bugs::{StackBugKind, StackBugSet};
 use crate::module::{Function, Module, Op};
+use lbr_core::AddressMap;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The oracle memo of one reduction scope.
@@ -43,7 +43,7 @@ struct Inner {
     /// Keyed by the handle's address; the record holds the handle, so no
     /// other function can take that address while the record lives, and
     /// `Arc::make_mut` on a candidate copies instead of editing it.
-    functions: HashMap<usize, Arc<Facts>, BuildHasherDefault<AddressHasher>>,
+    functions: AddressMap<Arc<Facts>>,
     /// Every function and global name seen, by id.
     names: HashMap<Box<str>, u32>,
 }
@@ -245,33 +245,11 @@ fn fold(
     errors
 }
 
-/// Hashes a handle address with one folded multiply: a probe looks up
-/// every function it keeps, and SipHash would cost more than the fold.
-#[derive(Default)]
-struct AddressHasher(u64);
-
-impl Hasher for AddressHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(self.0 as usize ^ b as usize);
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        let product = u128::from(n as u64) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (product as u64) ^ (product >> 64) as u64;
-    }
-}
-
 /// The memo key of a function handle: its address.
-fn key(handle: &Arc<Function>) -> usize {
+pub(crate) fn key(handle: &Arc<Function>) -> usize {
     Arc::as_ptr(handle) as usize
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

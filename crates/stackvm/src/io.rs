@@ -6,8 +6,10 @@
 //! round-trip exactly (`read_module(write_module(m)) == m`), which the
 //! format-agnostic `check_report` validation relies on.
 
+use crate::facts::{key, lock};
 use crate::module::{Function, Global, Module, Op, Sig, Ty};
-use std::sync::Arc;
+use lbr_core::AddressMap;
+use std::sync::{Arc, Mutex};
 
 const MAGIC: &[u8; 4] = b"LBRS";
 const VERSION: u8 = 1;
@@ -195,11 +197,67 @@ fn write_units(out: &mut impl ByteSink, module: &Module) {
 /// the classfile frontend's `program_byte_size`, so cross-format size
 /// tables compare unit payloads, not framing.
 ///
-/// Runs the writer into a byte counter, so no bytes are produced.
+/// Globals are counted directly; each function's size comes from the
+/// size table (`SizeMemo`) of the module's reduction scope, so a probe
+/// encodes only the function handles no earlier probe of its reduction
+/// measured. A module no reduction built gets a fresh table, so it is
+/// measured whole through the same path.
 pub fn module_byte_size(module: &Module) -> usize {
+    let globals: usize = (module.globals.iter())
+        .map(|g| encoded_len(|out| write_global(out, g)))
+        .sum();
+    let functions = module
+        .scoped::<SizeMemo>()
+        .functions_size(&module.functions);
+    globals + functions
+}
+
+/// The length of what `write` puts, counted without producing it.
+fn encoded_len(write: impl FnOnce(&mut ByteCount)) -> usize {
     let mut out = ByteCount(0);
-    write_units(&mut out, module);
+    write(&mut out);
     out.0
+}
+
+/// The encoded size of every function handle one reduction measured.
+///
+/// Keyed by the handle's address; the entry holds the handle, so no other
+/// function can take that address while the entry lives, and
+/// `Arc::make_mut` on a candidate copies instead of editing it. Locking
+/// follows the oracle's memo: look up under the lock, measure misses
+/// outside it, first insert wins.
+#[derive(Default)]
+pub(crate) struct SizeMemo {
+    functions: Mutex<AddressMap<(Arc<Function>, usize)>>,
+}
+
+impl SizeMemo {
+    /// The summed encoded size of `functions`.
+    fn functions_size(&self, functions: &[Arc<Function>]) -> usize {
+        let mut total = 0;
+        let mut misses = Vec::new();
+        {
+            let sizes = lock(&self.functions);
+            for f in functions {
+                match sizes.get(&key(f)) {
+                    Some(&(_, size)) => total += size,
+                    None => misses.push(f),
+                }
+            }
+        }
+        if misses.is_empty() {
+            return total;
+        }
+        let measured: Vec<usize> = (misses.iter())
+            .map(|f| encoded_len(|out| write_function(out, f)))
+            .collect();
+        let mut sizes = lock(&self.functions);
+        for (f, size) in misses.into_iter().zip(measured) {
+            sizes.entry(key(f)).or_insert_with(|| (Arc::clone(f), size));
+            total += size;
+        }
+        total
+    }
 }
 
 struct Cursor<'b> {

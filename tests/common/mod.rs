@@ -144,3 +144,67 @@ pub fn path_cap_program() -> Program {
     classes.push(c);
     classes.into_iter().collect()
 }
+
+/// Every member geometry a class's size plan distinguishes: a method
+/// declared twice, an interface listed twice, an abstract class with an
+/// abstract method, an interface method, a superclass relation that a
+/// reduction rewires to `Object`, a constructor without code, and bodies
+/// that share pool entries with each other and with the declarations.
+pub fn member_geometry_program() -> Program {
+    use lbr::classfile::{FieldInfo, FieldRef, Flags};
+    let mut i = ClassFile::new_interface("I");
+    i.methods
+        .push(MethodInfo::new_abstract("m", MethodDescriptor::void()));
+    let mut base = ClassFile::new_class("Base");
+    base.flags |= Flags::ABSTRACT;
+    base.methods.push(ctor());
+    base.methods
+        .push(MethodInfo::new_abstract("run", MethodDescriptor::void()));
+    base.fields.push(FieldInfo::new("count", Type::Int));
+    let mut a = ClassFile::new_class("A");
+    a.superclass = Some("Base".into());
+    a.interfaces = vec!["I".into(), "I".into()];
+    a.fields.push(FieldInfo::new("next", Type::reference("A")));
+    a.methods.push(MethodInfo::new(
+        "<init>",
+        MethodDescriptor::void(),
+        Code::new(
+            1,
+            1,
+            vec![
+                Insn::ALoad(0),
+                Insn::InvokeSpecial(MethodRef::new("Base", "<init>", MethodDescriptor::void())),
+                Insn::Return,
+            ],
+        ),
+    ));
+    let mut ctor_without_code =
+        MethodInfo::new_abstract("<init>", MethodDescriptor::new(vec![Type::Int], None));
+    ctor_without_code.flags = Flags::PUBLIC;
+    a.methods.push(ctor_without_code);
+    let touch = || {
+        Code::new(
+            2,
+            1,
+            vec![
+                Insn::ALoad(0),
+                Insn::ALoad(0),
+                Insn::GetField(FieldRef::new("A", "next", Type::reference("A"))),
+                Insn::PutField(FieldRef::new("A", "next", Type::reference("A"))),
+                Insn::ALoad(0),
+                Insn::InvokeVirtual(MethodRef::new("A", "m", MethodDescriptor::void())),
+                Insn::New("A".into()),
+                Insn::CheckCast("I".into()),
+                Insn::InvokeInterface(MethodRef::new("I", "m", MethodDescriptor::void())),
+                Insn::Return,
+            ],
+        )
+    };
+    a.methods
+        .push(MethodInfo::new("m", MethodDescriptor::void(), touch()));
+    a.methods
+        .push(MethodInfo::new("m", MethodDescriptor::void(), touch()));
+    a.methods
+        .push(MethodInfo::new("run", MethodDescriptor::void(), touch()));
+    [i, base, a].into_iter().collect()
+}
