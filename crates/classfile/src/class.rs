@@ -2,6 +2,7 @@
 
 use crate::{Flags, Insn, MethodDescriptor, Type};
 use std::fmt;
+use std::sync::Arc;
 
 /// The built-in root class name.
 pub const OBJECT: &str = "Object";
@@ -143,8 +144,11 @@ pub struct MethodInfo {
     pub name: String,
     /// Descriptor.
     pub desc: MethodDescriptor,
-    /// The body; `None` for abstract and interface methods.
-    pub code: Option<Code>,
+    /// The body; `None` for abstract and interface methods. Bodies are
+    /// shared: cloning a method, or keeping it in a reduced class, shares
+    /// the body, and `Arc::make_mut` copies it only when another method
+    /// still holds it.
+    pub code: Option<Arc<Code>>,
 }
 
 impl MethodInfo {
@@ -154,7 +158,7 @@ impl MethodInfo {
             flags: Flags::PUBLIC,
             name: name.into(),
             desc,
-            code: Some(code),
+            code: Some(Arc::new(code)),
         }
     }
 

@@ -6,6 +6,7 @@ use crate::{
     MethodInfo, MethodRef, Program, Type,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// An error produced while decoding a class file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,11 +184,7 @@ pub fn read_class(bytes: &[u8]) -> Result<ClassFile, ReadError> {
                 let insns = decode_code(raw, &pool).map_err(|m| c.err(m))?;
                 let _ex = c.u16()?; // exception table (always empty)
                 let _attrs = c.u16()?; // nested attributes (always empty)
-                code = Some(Code {
-                    max_stack,
-                    max_locals,
-                    insns,
-                });
+                code = Some(Arc::new(Code::new(max_stack, max_locals, insns)));
             } else {
                 c.take(attr_len)?;
             }

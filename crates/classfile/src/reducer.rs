@@ -48,10 +48,17 @@ pub fn reduce_program(program: &Program, reg: &ItemRegistry, keep: &VarSet) -> P
 }
 
 /// One class's reduction with every item resolved to its variable.
+///
+/// A reduced class shares its kept bodies with the input (a body is an
+/// `Arc<Code>`), and every shape that stubs a method shares the plan's one
+/// stub for it, so the oracle's per-body memo meets each body once.
 struct ClassPlan<'p> {
     name: Arc<str>,
     class: &'p ClassFile,
     vars: ClassVars,
+    /// The stub a dropped body leaves, per method; `None` for a method
+    /// without a body item.
+    stubs: Box<[Option<Arc<Code>>]>,
     /// The variables the plan reads lie in this range: the memo key.
     span: Range<usize>,
 }
@@ -64,10 +71,14 @@ impl<'p> ClassPlan<'p> {
     }
 
     fn new(name: &Arc<str>, class: &'p ClassFile, vars: ClassVars) -> Self {
+        let stubs = (class.methods.iter().zip(&vars.methods))
+            .map(|(m, &(_, body))| body.map(|_| Arc::new(Code::trivial(locals_for(m)))))
+            .collect();
         let mut plan = ClassPlan {
             name: Arc::clone(name),
             class,
             vars,
+            stubs,
             span: 0..0,
         };
         let lo = plan.read_vars().map(Var::index).min();
@@ -140,16 +151,11 @@ impl<'p> ClassPlan<'p> {
         let methods = (class.methods.iter().enumerate())
             .filter(|&(i, _)| keeps(Part::Method(i)))
             .map(|(i, m)| {
-                if keeps(Part::Body(i)) {
-                    m.clone()
-                } else {
-                    MethodInfo {
-                        flags: m.flags,
-                        name: m.name.clone(),
-                        desc: m.desc.clone(),
-                        code: Some(Code::trivial(locals_for(m))),
-                    }
+                let mut m = m.clone();
+                if !keeps(Part::Body(i)) {
+                    m.code.clone_from(&self.stubs[i]);
                 }
+                m
             })
             .collect();
         ClassFile {
@@ -234,7 +240,7 @@ impl<'p> Materializer<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FieldInfo, Insn, Item, MethodDescriptor, MethodInfo, Type};
+    use crate::{write_program, FieldInfo, Insn, Item, MethodDescriptor, MethodInfo, Type};
 
     fn sample() -> (Program, ItemRegistry) {
         let mut i = ClassFile::new_interface("I");
@@ -365,6 +371,69 @@ mod tests {
         let r = reduce_program(&p, &reg, &keep);
         assert!(r.get("A").unwrap().fields.is_empty());
         assert!(r.get("I").unwrap().methods.is_empty());
+    }
+
+    /// `program` with every body copied out of its shared handle.
+    fn deep_copy(program: &Program) -> Program {
+        let copy = |class: &ClassFile| {
+            let mut class = class.clone();
+            for m in &mut class.methods {
+                m.code = m.code.as_deref().cloned().map(Arc::new);
+            }
+            class
+        };
+        program.classes().map(copy).collect()
+    }
+
+    #[test]
+    fn kept_bodies_and_stubs_are_shared_handles() {
+        let (p, reg) = sample();
+        let materializer = Materializer::new(&p, ItemIndex::new(&p));
+        let mut stubs: HashMap<(String, String), Arc<Code>> = HashMap::new();
+        let mut stubbed = 0;
+        // Every keep-set over the sample's items.
+        let n = reg.len();
+        assert!(n < 16, "{n} items");
+        for bits in 0..1u32 << n {
+            let keep = VarSet::from_iter_with_universe(
+                n,
+                (0..n as u32).filter(|i| bits & 1 << i != 0).map(Var::new),
+            );
+            let reduced = reduce_program(&p, &reg, &keep);
+            let candidate = materializer.materialize(&keep);
+            assert_eq!(candidate, reduced);
+            // Sharing changes no byte.
+            let bytes = write_program(&reduced);
+            assert_eq!(bytes, write_program(&deep_copy(&reduced)));
+            assert_eq!(bytes, write_program(&candidate));
+            for class in candidate.classes() {
+                let input = p.get(&class.name).expect("an input class");
+                for m in &class.methods {
+                    let Some(code) = &m.code else { continue };
+                    let original = input.method(&m.name, &m.desc).expect("an input method");
+                    let original = original.code.as_ref().expect("an input body");
+                    if Arc::ptr_eq(code, original) {
+                        continue;
+                    }
+                    // Not the input's body: the method's one stub.
+                    assert_eq!(code.insns, vec![Insn::AConstNull, Insn::AThrow]);
+                    let key = (class.name.clone(), m.name.clone());
+                    let stub = stubs.entry(key).or_insert_with(|| Arc::clone(code));
+                    assert!(
+                        Arc::ptr_eq(code, stub),
+                        "{}.{}: a second stub",
+                        class.name,
+                        m.name
+                    );
+                    stubbed += 1;
+                }
+            }
+        }
+        // Three bodies, each stubbed by some shapes.
+        assert_eq!(stubs.len(), 3);
+        assert!(stubbed > 3 * stubs.len());
+        let distinct: Vec<&Arc<Code>> = stubs.values().collect();
+        assert!(!Arc::ptr_eq(distinct[0], distinct[1]) && !Arc::ptr_eq(distinct[1], distinct[2]));
     }
 
     #[test]

@@ -150,6 +150,10 @@ impl<I, O: InputOracle<I> + ?Sized> InputOracle<I> for &O {
     fn errors(&self, input: &I) -> BTreeSet<String> {
         (**self).errors(input)
     }
+
+    fn preserves_failure(&self, input: &I) -> bool {
+        (**self).preserves_failure(input)
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::bugs::{BugKind, BugSet};
 use crate::source::{SExpr, SourceClass, SourceMethod, SourceSet, SrcType, Stmt};
 use lbr_classfile::{ClassFile, Code, Insn, MethodInfo, Program, Type};
+use std::sync::Arc;
 
 /// Decompiles a whole program with the given decompiler's bugs.
 pub fn decompile_program(program: &Program, bugs: &BugSet) -> SourceSet {
@@ -21,20 +22,24 @@ pub fn decompile_program(program: &Program, bugs: &BugSet) -> SourceSet {
 
 /// Decompiles one class.
 pub fn decompile_class(program: &Program, class: &ClassFile, bugs: &BugSet) -> SourceClass {
-    decompile_class_with(class, bugs, &mut |target| {
-        program.get(target).is_some_and(ClassFile::is_interface)
+    let mut is_interface = |target: &str| program.get(target).is_some_and(ClassFile::is_interface);
+    decompile_class_with(class, bugs, &mut |method, code| {
+        let eaten = eats(bugs, code);
+        (!eaten).then(|| decompile_code(&class.name, method, code, bugs, &mut is_interface))
     })
 }
 
-/// [`decompile_class`] with the one question it asks about the rest of the
-/// program — is this `checkcast` target a present interface? — answered
-/// by `is_interface`. The question is asked only where the answer changes
-/// the output, and which targets are asked about depends on the class and
-/// the bugs alone.
+/// What becomes of a method's body: its statements, or `None` when the
+/// decompiler eats the method (see [`eats`]).
+pub(crate) type BodyFn<'f> = dyn FnMut(&MethodInfo, &Arc<Code>) -> Option<Vec<Stmt>> + 'f;
+
+/// The class walk behind [`decompile_class`], with each method body's fate
+/// left to `body`. Everything else in the class's source is a function of
+/// the class and the bugs alone.
 pub(crate) fn decompile_class_with(
     class: &ClassFile,
     bugs: &BugSet,
-    is_interface: &mut dyn FnMut(&str) -> bool,
+    body: &mut BodyFn<'_>,
 ) -> SourceClass {
     let mut interfaces = class.interfaces.clone();
     if bugs.contains(BugKind::SuperInterfaceAmnesia) && class.is_interface() {
@@ -42,14 +47,14 @@ pub(crate) fn decompile_class_with(
     }
     let mut methods = Vec::new();
     for m in &class.methods {
-        if bugs.contains(BugKind::EatPatternMatch) {
-            if let Some(code) = &m.code {
-                if code.insns.iter().any(|i| matches!(i, Insn::InstanceOf(_))) {
-                    continue; // the decompiler silently eats this method
-                }
-            }
-        }
-        methods.push(decompile_method(class, m, bugs, is_interface));
+        let statements = match &m.code {
+            Some(code) => match body(m, code) {
+                Some(statements) => Some(statements),
+                None => continue, // the decompiler silently eats this method
+            },
+            None => None,
+        };
+        methods.push(decompile_method(class, m, statements));
     }
     SourceClass {
         name: class.name.clone(),
@@ -70,6 +75,13 @@ pub(crate) fn decompile_class_with(
     }
 }
 
+/// Whether the decompiler eats a method with this body (pattern matches
+/// under [`BugKind::EatPatternMatch`]).
+pub(crate) fn eats(bugs: &BugSet, code: &Code) -> bool {
+    bugs.contains(BugKind::EatPatternMatch)
+        && code.insns.iter().any(|i| matches!(i, Insn::InstanceOf(_)))
+}
+
 fn src_type(t: &Type) -> SrcType {
     match t {
         Type::Int => SrcType::Int,
@@ -84,8 +96,7 @@ fn ret_type(t: &Option<Type>) -> SrcType {
 fn decompile_method(
     class: &ClassFile,
     method: &MethodInfo,
-    bugs: &BugSet,
-    is_interface: &mut dyn FnMut(&str) -> bool,
+    body: Option<Vec<Stmt>>,
 ) -> SourceMethod {
     let is_ctor = method.is_init();
     let name = if is_ctor {
@@ -97,10 +108,6 @@ fn decompile_method(
     for (i, p) in method.desc.params.iter().enumerate() {
         params.push((src_type(p), format!("p{i}")));
     }
-    let body = method
-        .code
-        .as_ref()
-        .map(|code| decompile_code(class, method, code, bugs, is_interface));
     SourceMethod {
         name,
         is_ctor,
@@ -117,8 +124,12 @@ fn decompile_method(
 /// One stack entry: the rebuilt expression and its static type.
 type Entry = (SExpr, SrcType);
 
-fn decompile_code(
-    class: &ClassFile,
+/// Decompiles the body `code` of `method`, declared in the class named
+/// `class`. Of the method it reads the flags and the descriptor. It asks
+/// `is_interface` only where the answer changes the output, and which
+/// targets it asks about depends on the body and the bugs alone.
+pub(crate) fn decompile_code(
+    class: &str,
     method: &MethodInfo,
     code: &Code,
     bugs: &BugSet,
@@ -131,7 +142,7 @@ fn decompile_code(
     let mut slot = 0usize;
     if !method.flags.is_static() {
         if slot < locals.len() {
-            locals[slot] = Some(("this".to_owned(), SrcType::Class(class.name.clone())));
+            locals[slot] = Some(("this".to_owned(), SrcType::Class(class.to_owned())));
         }
         slot += 1;
     }

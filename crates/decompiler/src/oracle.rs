@@ -15,9 +15,10 @@
 use crate::bugs::BugSet;
 use crate::compile::error_messages;
 use crate::decompile::decompile_program;
-use crate::incremental::ScopeMemo;
+use crate::incremental::{OracleMemo, ScopeMemo};
 use lbr_classfile::Program;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A decompile-and-recompile oracle for one (buggy) decompiler and one
 /// original input program.
@@ -26,8 +27,9 @@ use std::collections::BTreeSet;
 /// probe's answer is `error_messages(&decompile_program(p, bugs))` for the
 /// candidate `p` alone, bit for bit. The oracle itself holds nothing
 /// mutable. What it memoizes lives in the candidate's reduction scope
-/// ([`Program::scoped`]): each class is decompiled once per reduction, and
-/// a class is type-checked again only when a class it looked up changed.
+/// ([`Program::scoped`]): each method body is decompiled once per
+/// reduction (and cast context), and a class is type-checked again only
+/// when a class it looked up changed.
 /// The memo is dropped with the reduction's last candidate; a program no
 /// reduction built gets a fresh one. That makes one oracle instance safely
 /// shareable across the speculative probe workers of `lbr-core`'s
@@ -77,17 +79,18 @@ impl DecompilerOracle {
     /// `error_messages(&decompile_program(program, bugs))`, through the
     /// memo in `program`'s reduction scope.
     pub fn errors(&self, program: &Program) -> BTreeSet<String> {
-        program
-            .scoped::<ScopeMemo>()
-            .for_bugs(&self.bugs)
-            .errors(program)
+        self.memo(program).errors(program)
     }
 
     /// The black-box predicate `P`: does the sub-program still produce
-    /// every baseline error message?
+    /// every baseline error message? Answered from the memo's messages,
+    /// without collecting them into a set.
     pub fn preserves_failure(&self, program: &Program) -> bool {
-        let errors = self.errors(program);
-        self.baseline.iter().all(|e| errors.contains(e))
+        self.memo(program).preserves(program, &self.baseline)
+    }
+
+    fn memo(&self, program: &Program) -> Arc<OracleMemo> {
+        program.scoped::<ScopeMemo>().for_bugs(&self.bugs)
     }
 }
 
@@ -101,6 +104,10 @@ impl lbr_core::InputOracle<Program> for DecompilerOracle {
 
     fn errors(&self, program: &Program) -> BTreeSet<String> {
         self.errors(program)
+    }
+
+    fn preserves_failure(&self, program: &Program) -> bool {
+        self.preserves_failure(program)
     }
 }
 

@@ -74,21 +74,6 @@ impl Hash for SourceClass {
     }
 }
 
-impl SourceClass {
-    /// Splits the class into its signature — the class with every method
-    /// body emptied (abstract methods stay bodiless), all that checking
-    /// *another* class reads of it — and the bodies, one per method (empty
-    /// for abstract methods).
-    pub(crate) fn into_signature(mut self) -> (SourceClass, Vec<Vec<Stmt>>) {
-        let bodies = self
-            .methods
-            .iter_mut()
-            .map(|m| m.body.as_mut().map(std::mem::take).unwrap_or_default())
-            .collect();
-        (self, bodies)
-    }
-}
-
 /// A source method.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceMethod {

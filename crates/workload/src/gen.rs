@@ -20,6 +20,7 @@ use lbr_classfile::{
 };
 use lbr_decompiler::BugKind;
 use lbr_prng::{SliceChoose, SplitMix64};
+use std::sync::Arc;
 
 /// Adversarial program shapes for the classfile generator: each preset
 /// steers the dependency profile toward a different strategy's worst
@@ -966,6 +967,7 @@ fn inject(
             continue;
         };
         let code = class.methods[idx].code.as_mut().expect("filtered on code");
+        let code = Arc::make_mut(code);
         let mut insns = pattern.clone();
         insns.extend(code.insns.iter().cloned());
         code.insns = insns;

@@ -10,6 +10,7 @@ use lbr_classfile::{
     MethodInfo, MethodRef, Type,
 };
 use lbr_prng::{SliceChoose, SplitMix64};
+use std::sync::Arc;
 
 const NAME_FIRST: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$";
 const NAME_REST: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$";
@@ -126,7 +127,7 @@ fn rand_class(rng: &mut SplitMix64) -> ClassFile {
             name: rand_name(rng),
             desc: rand_desc(rng),
             code: if rng.gen_bool(0.5) {
-                Some(rand_code(rng))
+                Some(Arc::new(rand_code(rng)))
             } else {
                 None
             },
