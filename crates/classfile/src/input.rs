@@ -35,6 +35,9 @@ impl Input for Program {
         }
         let stats = model_stats(index.len(), &cnf);
         let materializer = Materializer::new(self, index);
+        // The size plans give this program's own size as a sum: measuring
+        // the input later costs nothing and plans no class a second time.
+        self.record_byte_size(|| materializer.full_size());
         Ok(InputModel {
             cnf,
             stats,

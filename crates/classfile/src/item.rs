@@ -401,7 +401,7 @@ impl<'p> ItemIndex<'p> {
     }
 
     /// The relation a derivation step uses.
-    pub(crate) fn step(&self, step: &Step) -> Option<Var> {
+    pub(crate) fn step(&self, step: &Step<'_>) -> Option<Var> {
         match step {
             Step::Extends { sub, sup } => self.relation(Edge::Extends, sub, sup),
             Step::Implements { class, iface } => self.relation(Edge::Implements, class, iface),

@@ -333,8 +333,7 @@ impl Writer<'_, '_> {
         let (program, index) = (self.program, self.index);
         // Every supertype that declares abstract methods.
         let mut sources = program.superclass_chain(&class.name);
-        let ifaces = program.interface_closure(&class.name).into_iter();
-        sources.extend(ifaces.map(|(iface, _)| iface));
+        sources.extend(program.interface_names(&class.name));
         sources.sort();
         sources.dedup();
         let mut ante = Vec::new();
@@ -476,7 +475,12 @@ fn supertype_paths_with<'a>(
 
 /// Enumerates all simple supertype derivation paths from `from` to `to`,
 /// up to `cap` paths.
-pub fn supertype_paths(program: &Program, from: &str, to: &str, cap: usize) -> Vec<Vec<Step>> {
+pub fn supertype_paths<'a>(
+    program: &'a Program,
+    from: &'a str,
+    to: &str,
+    cap: usize,
+) -> Vec<Vec<Step<'a>>> {
     let mut out = Vec::new();
     supertype_paths_with(program, from, to, cap, &mut |path| {
         let steps = path.iter().map(|&(edge, sub, sup)| edge.step(sub, sup));
@@ -508,7 +512,7 @@ impl<'p> Collector<'_, 'p> {
         }
     }
 
-    fn steps(&mut self, steps: &[Step]) {
+    fn steps(&mut self, steps: &[Step<'_>]) {
         for s in steps {
             self.require(self.index.step(s));
         }
@@ -613,20 +617,20 @@ impl<'p> Collector<'_, 'p> {
 }
 
 impl VerifyHooks for Collector<'_, '_> {
-    fn on_subtype(&mut self, _sub: &str, _sup: &str, steps: &[Step]) {
+    fn on_subtype(&mut self, _sub: &str, _sup: &str, steps: &[Step<'_>]) {
         self.steps(steps);
     }
 
-    fn on_field(&mut self, named: &FieldRef, resolution: &Resolution) {
+    fn on_field(&mut self, named: &FieldRef, resolution: &Resolution<'_>) {
         self.steps(&resolution.steps);
-        let field = self.index.field(&resolution.declaring, &named.name);
+        let field = self.index.field(resolution.declaring, &named.name);
         self.require(field);
         if let Some(c) = named.ty.class_name() {
             self.require(self.index.ty(c));
         }
     }
 
-    fn on_method(&mut self, named: &MethodRef, resolution: &Resolution, kind: InvokeKind) {
+    fn on_method(&mut self, named: &MethodRef, resolution: &Resolution<'_>, kind: InvokeKind) {
         let index = self.index;
         self.require(index.ty(&named.class));
         self.desc.clear();
@@ -645,13 +649,13 @@ impl VerifyHooks for Collector<'_, '_> {
             InvokeKind::Special | InvokeKind::Static => {
                 // Exact resolution: pin the declaring item and the steps.
                 self.steps(&resolution.steps);
-                let target = (self.program.get(&resolution.declaring))
+                let target = (self.program.get(resolution.declaring))
                     .and_then(|c| c.method(&named.name, &named.desc));
                 let kind = match target {
                     Some(m) if m.code.is_some() => Member::Method,
                     _ => Member::Signature,
                 };
-                let item = index.member(kind, &resolution.declaring, &named.name, self.desc);
+                let item = index.member(kind, resolution.declaring, &named.name, self.desc);
                 self.require(item);
             }
         }

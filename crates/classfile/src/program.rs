@@ -8,39 +8,41 @@
 //! keeping every relation on its derivation path.
 
 use crate::{ClassFile, FieldInfo, MethodDescriptor, MethodInfo, OBJECT};
-use lbr_core::Scope;
+use lbr_core::{AddressHasher, Scope};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, LazyLock};
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, LazyLock, OnceLock};
 
-/// One step of a subtype derivation or member resolution.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Step {
+/// One step of a subtype derivation or member resolution, naming its
+/// types by the names the program declares them under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Step<'p> {
     /// `sub extends sup` (a class superclass edge).
     Extends {
         /// Subclass.
-        sub: String,
+        sub: &'p str,
         /// Superclass.
-        sup: String,
+        sup: &'p str,
     },
     /// `class implements iface`.
     Implements {
         /// The class.
-        class: String,
+        class: &'p str,
         /// The interface.
-        iface: String,
+        iface: &'p str,
     },
     /// `sub extends sup` between interfaces.
     IfaceExtends {
         /// The sub-interface.
-        sub: String,
+        sub: &'p str,
         /// The super-interface.
-        sup: String,
+        sup: &'p str,
     },
 }
 
-impl fmt::Display for Step {
+impl fmt::Display for Step<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Step::Extends { sub, sup } => write!(f, "{sub} extends {sup}"),
@@ -61,8 +63,7 @@ pub(crate) enum Edge {
 
 impl Edge {
     /// The step this edge from `sub` to `sup` stands for.
-    pub(crate) fn step(self, sub: &str, sup: &str) -> Step {
-        let (sub, sup) = (sub.to_owned(), sup.to_owned());
+    pub(crate) fn step<'p>(self, sub: &'p str, sup: &'p str) -> Step<'p> {
         match self {
             Edge::Extends => Step::Extends { sub, sup },
             Edge::Implements => Step::Implements {
@@ -76,11 +77,50 @@ impl Edge {
 
 /// The result of resolving a field or method from a starting class.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resolution {
+pub struct Resolution<'p> {
     /// The class or interface that declares the member.
-    pub declaring: String,
+    pub declaring: &'p str,
     /// The hierarchy steps walked from the named class to `declaring`.
-    pub steps: Vec<Step>,
+    pub steps: Vec<Step<'p>>,
+}
+
+/// One type a hierarchy walk reached: its name, and the type and the step
+/// it was reached from (`None` for the start). The walk's paths share
+/// their prefixes through these links.
+struct Reached<'p> {
+    name: &'p str,
+    from: Option<(usize, Step<'p>)>,
+}
+
+/// The supertype edges out of `class`: its superclass (a class's only),
+/// then its interfaces.
+fn supertypes(class: &ClassFile) -> impl Iterator<Item = (&str, Edge)> {
+    let (superclass, iface_edge) = if class.is_interface() {
+        (None, Edge::IfaceExtends)
+    } else {
+        (class.superclass.as_deref(), Edge::Implements)
+    };
+    let superclass = superclass.map(|s| (s, Edge::Extends));
+    let interfaces = class
+        .interfaces
+        .iter()
+        .map(move |i| (i.as_str(), iface_edge));
+    superclass.into_iter().chain(interfaces)
+}
+
+/// The names a hierarchy walk has met, hashed by one folded multiply per
+/// word instead of SipHash.
+type NameSet<'p> = HashSet<&'p str, BuildHasherDefault<AddressHasher>>;
+
+/// The steps from the start of a walk to `reached[at]`.
+fn path<'p>(reached: &[Reached<'p>], mut at: usize) -> Vec<Step<'p>> {
+    let mut steps = Vec::new();
+    while let Some((prev, step)) = reached[at].from {
+        steps.push(step);
+        at = prev;
+    }
+    steps.reverse();
+    steps
 }
 
 /// A program: a named set of class files with an implicit built-in
@@ -111,8 +151,9 @@ pub struct Program {
     object: Arc<ClassFile>,
     /// `program_byte_size` of this program when already known: the
     /// reduction materializers (the logical and the coarse model's) fill
-    /// it from per-class sizes, and every mutation clears it.
-    byte_size: Option<usize>,
+    /// it from per-class sizes, building the logical model of a program
+    /// fills it from the model's size plans, and every mutation clears it.
+    byte_size: OnceLock<usize>,
     /// The reduction scope, when a reduction's materializer built this
     /// program. Edits keep it: the scope's memos key on class handles, and
     /// an edited class is a new handle.
@@ -153,7 +194,7 @@ impl Program {
         Program {
             classes: BTreeMap::new(),
             object: Arc::clone(&BUILTIN_OBJECT),
-            byte_size: None,
+            byte_size: OnceLock::new(),
             scope: None,
         }
     }
@@ -167,7 +208,7 @@ impl Program {
     ) -> Self {
         Program {
             classes: classes.into_iter().collect(),
-            byte_size: Some(byte_size),
+            byte_size: OnceLock::from(byte_size),
             scope: Some(Arc::clone(scope)),
             ..Program::new()
         }
@@ -211,9 +252,15 @@ impl Program {
         self.classes.iter().map(|(name, class)| (name, &**class))
     }
 
-    /// The cached serialized size, if a materializer recorded one.
+    /// The cached serialized size, if a materializer or a model build
+    /// recorded one.
     pub(crate) fn cached_byte_size(&self) -> Option<usize> {
-        self.byte_size
+        self.byte_size.get().copied()
+    }
+
+    /// Records `program_byte_size` of this program, unless known already.
+    pub(crate) fn record_byte_size(&self, size: impl FnOnce() -> usize) {
+        self.byte_size.get_or_init(size);
     }
 
     /// Inserts (or replaces) a class. Returns the previous one, if any.
@@ -223,7 +270,7 @@ impl Program {
     /// Panics on an attempt to redefine `Object`.
     pub fn insert(&mut self, class: ClassFile) -> Option<ClassFile> {
         assert_ne!(class.name, OBJECT, "Object is built in");
-        self.byte_size = None;
+        self.byte_size = OnceLock::new();
         self.classes
             .insert(Arc::from(class.name.as_str()), Arc::new(class))
             .map(Arc::unwrap_or_clone)
@@ -231,7 +278,7 @@ impl Program {
 
     /// Removes a class by name.
     pub fn remove(&mut self, name: &str) -> Option<ClassFile> {
-        self.byte_size = None;
+        self.byte_size = OnceLock::new();
         self.classes.remove(name).map(Arc::unwrap_or_clone)
     }
 
@@ -247,7 +294,7 @@ impl Program {
     /// Mutable lookup of a user class. The class is copied first if
     /// another program shares it, so the edit stays local to `self`.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut ClassFile> {
-        self.byte_size = None;
+        self.byte_size = OnceLock::new();
         self.classes.get_mut(name).map(Arc::make_mut)
     }
 
@@ -282,16 +329,14 @@ impl Program {
 
     /// The superclass chain starting at `name` (exclusive) up to and
     /// including `Object`. Stops early at an undefined or cyclic class.
-    pub fn superclass_chain(&self, name: &str) -> Vec<String> {
+    pub fn superclass_chain(&self, name: &str) -> Vec<&str> {
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        let mut cur = name.to_owned();
-        seen.insert(cur.clone());
-        while let Some(c) = self.get(&cur) {
-            match &c.superclass {
-                Some(s) if seen.insert(s.clone()) => {
-                    out.push(s.clone());
-                    cur = s.clone();
+        let mut cur = self.get(name);
+        while let Some(c) = cur {
+            match c.superclass.as_deref() {
+                Some(s) if s != name && !out.contains(&s) => {
+                    out.push(s);
+                    cur = self.get(s);
                 }
                 _ => break,
             }
@@ -299,24 +344,33 @@ impl Program {
         out
     }
 
+    /// A declared (or built-in) class with the name the program keys it by.
+    fn entry(&self, name: &str) -> Option<(&str, &ClassFile)> {
+        if name == OBJECT {
+            Some((OBJECT, &self.object))
+        } else {
+            let (key, class) = self.classes.get_key_value(name)?;
+            Some((key, class))
+        }
+    }
+
     /// Whether the hierarchy contains an extends/implements cycle through
     /// `name`.
     pub fn has_hierarchy_cycle(&self, name: &str) -> bool {
         // DFS over all supertype edges.
-        let mut visiting = HashSet::new();
-        self.cycle_dfs(name, &mut visiting, &mut HashSet::new())
+        self.cycle_dfs(name, &mut NameSet::default(), &mut NameSet::default())
     }
 
-    fn cycle_dfs(
-        &self,
-        name: &str,
-        visiting: &mut HashSet<String>,
-        done: &mut HashSet<String>,
+    fn cycle_dfs<'a>(
+        &'a self,
+        name: &'a str,
+        visiting: &mut NameSet<'a>,
+        done: &mut NameSet<'a>,
     ) -> bool {
         if done.contains(name) {
             return false;
         }
-        if !visiting.insert(name.to_owned()) {
+        if !visiting.insert(name) {
             return true;
         }
         if let Some(c) = self.get(name) {
@@ -328,50 +382,40 @@ impl Program {
             }
         }
         visiting.remove(name);
-        done.insert(name.to_owned());
+        done.insert(name);
         false
     }
 
     /// Finds the shortest subtype derivation from `sub` to `sup`, as the
     /// list of hierarchy steps used. `Some(vec![])` when `sub == sup`.
-    pub fn subtype_path(&self, sub: &str, sup: &str) -> Option<Vec<Step>> {
+    pub fn subtype_path(&self, sub: &str, sup: &str) -> Option<Vec<Step<'_>>> {
         if sub == sup {
             return Some(Vec::new());
         }
-        // BFS over supertype edges on borrowed names. Each reached name
-        // records the name and edge it was reached by; steps are built
-        // only along the path found.
-        let mut queue = VecDeque::from([sub]);
-        let mut seen = HashSet::from([sub]);
-        let mut pred: HashMap<&str, (&str, Edge)> = HashMap::new();
-        while let Some(cur) = queue.pop_front() {
-            let Some(c) = self.get(cur) else { continue };
-            let (superclass, iface_edge) = if c.is_interface() {
-                (None, Edge::IfaceExtends)
-            } else {
-                (c.superclass.as_deref(), Edge::Implements)
-            };
-            let edges = (superclass.map(|s| (s, Edge::Extends)))
-                .into_iter()
-                .chain(c.interfaces.iter().map(|i| (i.as_str(), iface_edge)));
-            for (next, edge) in edges {
+        // A type that is not declared reaches nothing.
+        let (sub, _) = self.entry(sub)?;
+        // BFS over supertype edges on borrowed names. Each type reached
+        // links to the type and step it was reached by, so only the path
+        // found becomes a list of steps.
+        let mut reached = vec![Reached {
+            name: sub,
+            from: None,
+        }];
+        let mut seen = NameSet::from_iter([sub]);
+        let mut at = 0;
+        while at < reached.len() {
+            let cur = reached[at].name;
+            for (next, edge) in self.get(cur).into_iter().flat_map(supertypes) {
                 if !seen.insert(next) {
                     continue;
                 }
-                pred.insert(next, (cur, edge));
+                let from = Some((at, edge.step(cur, next)));
+                reached.push(Reached { name: next, from });
                 if next == sup {
-                    let mut path = Vec::new();
-                    let mut node = sup;
-                    while node != sub {
-                        let (prev, edge) = pred[node];
-                        path.push(edge.step(prev, node));
-                        node = prev;
-                    }
-                    path.reverse();
-                    return Some(path);
+                    return Some(path(&reached, reached.len() - 1));
                 }
-                queue.push_back(next);
             }
+            at += 1;
         }
         None
     }
@@ -382,71 +426,69 @@ impl Program {
     }
 
     /// All interfaces transitively reachable from `name` (via implements,
-    /// interface-extends and superclasses), with the step path to each.
-    pub fn interface_closure(&self, name: &str) -> Vec<(String, Vec<Step>)> {
-        let mut out = Vec::new();
-        let mut queue = VecDeque::new();
-        let mut seen = HashSet::new();
-        queue.push_back((name.to_owned(), Vec::new()));
-        seen.insert(name.to_owned());
-        while let Some((cur, path)) = queue.pop_front() {
-            let Some(c) = self.get(&cur) else { continue };
-            if c.is_interface() && cur != name {
-                out.push((cur.clone(), path.clone()));
-            }
-            if let Some(s) = &c.superclass {
-                if !c.is_interface() && seen.insert(s.clone()) {
-                    let mut p = path.clone();
-                    p.push(Step::Extends {
-                        sub: cur.clone(),
-                        sup: s.clone(),
-                    });
-                    queue.push_back((s.clone(), p));
+    /// interface-extends and superclasses), with the step path to each, in
+    /// breadth-first order.
+    pub fn interface_closure(&self, name: &str) -> Vec<(&str, Vec<Step<'_>>)> {
+        let (reached, interfaces) = self.closure_walk(name);
+        let path = |at: usize| (reached[at].name, path(&reached, at));
+        interfaces.into_iter().map(path).collect()
+    }
+
+    /// The names of [`Program::interface_closure`], without the paths.
+    pub(crate) fn interface_names(&self, name: &str) -> impl Iterator<Item = &str> {
+        let (reached, interfaces) = self.closure_walk(name);
+        interfaces.into_iter().map(move |at| reached[at].name)
+    }
+
+    /// The breadth-first walk behind [`Program::interface_closure`]: every
+    /// type reached, in order, and which of them are the interfaces.
+    fn closure_walk(&self, name: &str) -> (Vec<Reached<'_>>, Vec<usize>) {
+        let Some((start, _)) = self.entry(name) else {
+            return (Vec::new(), Vec::new());
+        };
+        let mut reached = vec![Reached {
+            name: start,
+            from: None,
+        }];
+        let mut seen = NameSet::from_iter([start]);
+        let mut interfaces = Vec::new();
+        let mut at = 0;
+        while at < reached.len() {
+            let cur = reached[at].name;
+            if let Some(c) = self.get(cur) {
+                if c.is_interface() && at != 0 {
+                    interfaces.push(at);
+                }
+                for (sup, edge) in supertypes(c) {
+                    if seen.insert(sup) {
+                        let from = Some((at, edge.step(cur, sup)));
+                        reached.push(Reached { name: sup, from });
+                    }
                 }
             }
-            for i in &c.interfaces {
-                if seen.insert(i.clone()) {
-                    let mut p = path.clone();
-                    p.push(if c.is_interface() {
-                        Step::IfaceExtends {
-                            sub: cur.clone(),
-                            sup: i.clone(),
-                        }
-                    } else {
-                        Step::Implements {
-                            class: cur.clone(),
-                            iface: i.clone(),
-                        }
-                    });
-                    queue.push_back((i.clone(), p));
-                }
-            }
+            at += 1;
         }
-        out
+        (reached, interfaces)
     }
 
     /// Resolves a field named on `class`, walking the superclass chain.
-    pub fn resolve_field(&self, class: &str, field: &str) -> Option<(Resolution, &FieldInfo)> {
+    pub fn resolve_field(&self, class: &str, field: &str) -> Option<(Resolution<'_>, &FieldInfo)> {
         let mut steps = Vec::new();
-        let mut cur = class.to_owned();
+        let (mut cur, mut c) = self.entry(class)?;
         let mut guard = 0;
         loop {
-            let c = self.get(&cur)?;
             if let Some(f) = c.field(field) {
                 return Some((
                     Resolution {
-                        declaring: cur.clone(),
+                        declaring: cur,
                         steps,
                     },
                     f,
                 ));
             }
-            let sup = c.superclass.clone()?;
-            steps.push(Step::Extends {
-                sub: cur.clone(),
-                sup: sup.clone(),
-            });
-            cur = sup;
+            let sup = c.superclass.as_deref()?;
+            steps.push(Step::Extends { sub: cur, sup });
+            (cur, c) = self.entry(sup)?;
             guard += 1;
             if guard > self.len() + 2 {
                 return None; // cycle
@@ -461,54 +503,39 @@ impl Program {
         class: &str,
         name: &str,
         desc: &MethodDescriptor,
-    ) -> Option<(Resolution, &MethodInfo)> {
+    ) -> Option<(Resolution<'_>, &MethodInfo)> {
         // Class chain.
         let mut steps = Vec::new();
-        let mut cur = class.to_owned();
+        let mut cur = self.entry(class);
         let mut guard = 0;
-        while let Some(c) = self.get(&cur) {
+        while let Some((declaring, c)) = cur {
             if let Some(m) = c.method(name, desc) {
-                return Some((
-                    Resolution {
-                        declaring: cur.clone(),
-                        steps,
-                    },
-                    m,
-                ));
+                return Some((Resolution { declaring, steps }, m));
             }
             if c.is_interface() {
                 break; // interfaces handled below
             }
-            match c.superclass.clone() {
-                Some(sup) => {
-                    steps.push(Step::Extends {
-                        sub: cur.clone(),
-                        sup: sup.clone(),
-                    });
-                    cur = sup;
-                }
-                None => break,
-            }
+            let Some(sup) = c.superclass.as_deref() else {
+                break;
+            };
+            steps.push(Step::Extends {
+                sub: declaring,
+                sup,
+            });
+            cur = self.entry(sup);
             guard += 1;
             if guard > self.len() + 2 {
                 return None;
             }
         }
-        // Interface closure.
-        for (iface, path) in self.interface_closure(class) {
-            if let Some(c) = self.get(&iface) {
-                if let Some(m) = c.method(name, desc) {
-                    return Some((
-                        Resolution {
-                            declaring: iface.clone(),
-                            steps: path,
-                        },
-                        m,
-                    ));
-                }
-            }
-        }
-        None
+        // Interface closure: the path only to the interface that declares it.
+        let (reached, interfaces) = self.closure_walk(class);
+        interfaces.into_iter().find_map(|at| {
+            let declaring = reached[at].name;
+            let m = self.get(declaring)?.method(name, desc)?;
+            let steps = path(&reached, at);
+            Some((Resolution { declaring, steps }, m))
+        })
     }
 }
 
@@ -570,18 +597,12 @@ mod tests {
         assert_eq!(
             path,
             vec![
-                Step::Extends {
-                    sub: "B".into(),
-                    sup: "A".into()
-                },
+                Step::Extends { sub: "B", sup: "A" },
                 Step::Implements {
-                    class: "A".into(),
-                    iface: "I".into()
+                    class: "A",
+                    iface: "I"
                 },
-                Step::IfaceExtends {
-                    sub: "I".into(),
-                    sup: "J".into()
-                },
+                Step::IfaceExtends { sub: "I", sup: "J" },
             ]
         );
         assert_eq!(p.subtype_path("A", "A"), Some(vec![]));
@@ -618,7 +639,7 @@ mod tests {
     fn interface_closure_with_paths() {
         let p = sample();
         let closure = p.interface_closure("B");
-        let names: Vec<&str> = closure.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = closure.iter().map(|&(n, _)| n).collect();
         assert_eq!(names, vec!["I", "J"]);
         let (_, path_j) = &closure[1];
         assert_eq!(path_j.len(), 3);

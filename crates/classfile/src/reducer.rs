@@ -210,6 +210,11 @@ impl<'p> Materializer<'p> {
         }
     }
 
+    /// `program_byte_size` of the program the plans are of.
+    pub(crate) fn full_size(&self) -> usize {
+        self.sizes.iter().map(|plan| plan.size(|_| true)).sum()
+    }
+
     /// `reduce_program(program, reg, keep)`, with its byte size cached.
     pub(crate) fn materialize(&self, keep: &VarSet) -> Program {
         let mut key = Vec::new();

@@ -72,15 +72,15 @@ pub enum InvokeKind {
 /// default to no-ops; implement the ones you need.
 pub trait VerifyHooks {
     /// A subtype relation `sub ≤ sup` was used, derived via `steps`.
-    fn on_subtype(&mut self, sub: &str, sup: &str, steps: &[Step]) {
+    fn on_subtype(&mut self, sub: &str, sup: &str, steps: &[Step<'_>]) {
         let _ = (sub, sup, steps);
     }
     /// A field reference resolved.
-    fn on_field(&mut self, named: &FieldRef, resolution: &Resolution) {
+    fn on_field(&mut self, named: &FieldRef, resolution: &Resolution<'_>) {
         let _ = (named, resolution);
     }
     /// A method reference resolved.
-    fn on_method(&mut self, named: &MethodRef, resolution: &Resolution, kind: InvokeKind) {
+    fn on_method(&mut self, named: &MethodRef, resolution: &Resolution<'_>, kind: InvokeKind) {
         let _ = (named, resolution, kind);
     }
     /// A class was instantiated.
@@ -253,7 +253,7 @@ pub fn verify_class_structure(
         // anywhere up the chain is a clash (source-level rule).
         if !m.is_init() {
             for sup in program.superclass_chain(&class.name) {
-                if let Some(sc) = program.get(&sup) {
+                if let Some(sc) = program.get(sup) {
                     for other in &sc.methods {
                         if other.name == m.name
                             && other.desc.params == m.desc.params
@@ -276,28 +276,20 @@ pub fn verify_class_structure(
     // Abstract-method obligations: every abstract method visible on a
     // concrete class must resolve to a concrete implementation.
     if class.is_instantiable() {
-        let mut obligations: Vec<(String, MethodDescriptor, String)> = Vec::new();
-        for sup in std::iter::once(class.name.clone()).chain(program.superclass_chain(&class.name))
-        {
-            if let Some(sc) = program.get(&sup) {
+        let mut obligations: Vec<(&str, &MethodDescriptor, &str)> = Vec::new();
+        let chain = program.superclass_chain(&class.name);
+        let supers = std::iter::once(class.name.as_str()).chain(chain);
+        for sup in supers.chain(program.interface_names(&class.name)) {
+            if let Some(sc) = program.get(sup) {
                 for m in &sc.methods {
                     if m.flags.is_abstract() {
-                        obligations.push((m.name.clone(), m.desc.clone(), sup.clone()));
-                    }
-                }
-            }
-        }
-        for (iface, _path) in program.interface_closure(&class.name) {
-            if let Some(ic) = program.get(&iface) {
-                for m in &ic.methods {
-                    if m.flags.is_abstract() {
-                        obligations.push((m.name.clone(), m.desc.clone(), iface.clone()));
+                        obligations.push((&m.name, &m.desc, sup));
                     }
                 }
             }
         }
         for (name, desc, origin) in obligations {
-            match program.resolve_method(&class.name, &name, &desc) {
+            match program.resolve_method(&class.name, name, desc) {
                 Some((_res, m)) if m.code.is_some() => {}
                 _ => err(
                     errors,
@@ -547,7 +539,7 @@ pub fn verify_method_code(
                         .ok_or_else(|| fail(format!("cannot resolve constructor {m}")))?;
                     (
                         Resolution {
-                            declaring: m.class.clone(),
+                            declaring: &m.class,
                             steps: Vec::new(),
                         },
                         info,
@@ -982,7 +974,7 @@ mod tests {
     fn upcast_records_subtype_path() {
         struct Record(Vec<(String, String, usize)>);
         impl VerifyHooks for Record {
-            fn on_subtype(&mut self, sub: &str, sup: &str, steps: &[Step]) {
+            fn on_subtype(&mut self, sub: &str, sup: &str, steps: &[Step<'_>]) {
                 self.0.push((sub.to_owned(), sup.to_owned(), steps.len()));
             }
         }

@@ -194,8 +194,10 @@ pub fn write_program(program: &Program) -> Vec<u8> {
 ///
 /// Computed without materializing the bytes ([`class_byte_size`]). A
 /// reduction's candidates carry their size instead: the materializer sums
-/// per-class sizes from each class's size plan, so this memo-free path
-/// measures only programs no reduction built.
+/// per-class sizes from each class's size plan, and building a program's
+/// model records the program's own size from the same plans, so this
+/// memo-free path measures only programs no reduction built and no model
+/// was built of.
 pub fn program_byte_size(program: &Program) -> usize {
     program.classes().map(class_byte_size).sum()
 }

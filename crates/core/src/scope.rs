@@ -55,9 +55,19 @@ impl fmt::Debug for Scope {
 pub type AddressMap<V> = HashMap<usize, V, BuildHasherDefault<AddressHasher>>;
 
 /// Hashes a handle address with one folded multiply: a probe looks up
-/// every unit it keeps, and SipHash would cost more than the fold.
+/// every unit it keeps, and SipHash would cost more than the fold. Other
+/// keys (names, declarations) fold one multiply per 8 bytes written, each
+/// word mixed into the state so far.
 #[derive(Debug, Default)]
 pub struct AddressHasher(u64);
+
+impl AddressHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+}
 
 // Inlined into the maps of other crates, which hash on every lookup.
 impl Hasher for AddressHasher {
@@ -68,22 +78,52 @@ impl Hasher for AddressHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(self.0 as usize ^ b as usize);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(word));
         }
     }
 
     #[inline]
     fn write_usize(&mut self, n: usize) {
-        let product = u128::from(n as u64) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (product as u64) ^ (product >> 64) as u64;
+        self.fold(n as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn the_hasher_folds_each_word_into_the_state() {
+        let hash = |key: &dyn Fn(&mut AddressHasher)| {
+            let mut h = AddressHasher::default();
+            key(&mut h);
+            h.finish()
+        };
+        // An address is one fold from the empty state.
+        let product = u128::from(0x1234_u64) * 0x9E37_79B9_7F4A_7C15;
+        let folded = (product as u64) ^ (product >> 64) as u64;
+        assert_eq!(hash(&|h| h.write_usize(0x1234)), folded);
+        // Later words mix with earlier ones, in order.
+        assert_ne!(hash(&|h| "ab".hash(h)), hash(&|h| "ba".hash(h)));
+        assert_ne!(
+            hash(&|h| (1usize, 2usize).hash(h)),
+            hash(&|h| (2usize, 1usize).hash(h))
+        );
+        assert_ne!(
+            hash(&|h| "a long class name".hash(h)),
+            hash(&|h| "a long class_name".hash(h))
+        );
+    }
 
     #[test]
     fn one_table_per_type() {

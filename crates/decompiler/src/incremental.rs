@@ -12,7 +12,10 @@
 //!   its method's declaration (flags, name and descriptor) and one question
 //!   about the rest of the program: whether some `checkcast` targets are
 //!   present interfaces. The answers are the body's *cast context*.
-//! * The rest of a class's source is a function of the class alone.
+//! * The rest of a class's source, its *signature*, is a function of its
+//!   declarations alone: its name, flags, supertypes and fields, each
+//!   method's name, descriptor and whether it has a body, and which bodies
+//!   the decompiler eats.
 //! * Checking a class reads its own source and, for each name it looks up,
 //!   only the *signature* of the class found there (the class with its
 //!   bodies emptied).
@@ -22,31 +25,38 @@
 //! class's interned signature, its bodies and the union of their targets;
 //! and per (class handle, cast context), each check already run: its
 //! messages and the signature every looked-up name resolved to, misses
-//! included. A new class handle assembles its signature from memoized
-//! bodies and decompiles only bodies never seen; a check is reused when
-//! each looked-up name resolves to the same interned signature in the
-//! probe at hand, and a re-check takes its statements from the memo.
+//! included. A new class handle takes its bodies from the memo and
+//! decompiles only bodies never seen; it takes the signature interned for
+//! an earlier handle with the same declarations (compared in place, by
+//! that handle), and builds and interns a signature only for declarations
+//! never seen. A check is reused when each looked-up name resolves to the
+//! same interned signature in the probe at hand, and a re-check takes its
+//! statements from the memo.
 //!
 //! Names — of classes, cast targets and looked-up names — are interned to
 //! ids of the memo, as the stackvm oracle's facts are. Each probe fills a
 //! flat table from id to the signature under that name and to whether the
 //! program's class of that name is an interface; cast contexts and reuse
-//! tests read only that table. The compiler's [`ClassIndex`] is built only
-//! on a probe that re-checks a class.
+//! tests read only that table. The compiler's [`Hierarchy`], the probe's
+//! signatures by name with the supertype walks of each class looked up, is
+//! built only on a probe that re-checks a class, and serves every re-check
+//! of that probe: a walk reads only the probe's signatures, and a check
+//! that takes a walk made for another still records every name the walk
+//! looked up, so its reuse test stays exact.
 //!
 //! Locking follows the materializer: look up under the lock, build outside
 //! it, first insert wins. What is built is a pure function of the inputs,
 //! so the thread that wins changes nothing observable.
 
 use crate::bugs::BugSet;
-use crate::compile::{check_class, ClassIndex};
+use crate::compile::{check_class, Hierarchy};
 use crate::decompile::{decompile_class_with, decompile_code, eats};
 use crate::source::{SourceClass, Stmt};
-use lbr_classfile::{ClassFile, Code, MethodInfo, Program};
-use lbr_core::AddressMap;
+use lbr_classfile::{ClassFile, Code, FieldInfo, MethodInfo, Program};
+use lbr_core::{AddressHasher, AddressMap};
 use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::ptr;
+use std::hash::{Hash, Hasher};
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -83,11 +93,25 @@ pub(crate) struct OracleMemo {
     /// Every signature seen, so that equal signatures share one `Arc` and
     /// compare by address.
     signatures: Mutex<HashSet<Arc<SourceClass>>>,
+    /// The interned signature of each set of declarations met, keyed by
+    /// [`declarations_hash`] (collisions share the key's list).
+    shapes: Mutex<AddressMap<Vec<Shape>>>,
     /// How many bodies were decompiled, and how many classes checked.
     #[cfg(test)]
     decompiled: AtomicUsize,
     #[cfg(test)]
     checked: AtomicUsize,
+    #[cfg(test)]
+    built: AtomicUsize,
+}
+
+/// One set of declarations and the signature they give: the class handle
+/// that first had them, compared in place, and which of its bodies the
+/// decompiler eats.
+struct Shape {
+    class: Arc<ClassFile>,
+    eaten: Box<[bool]>,
+    signature: Arc<SourceClass>,
 }
 
 struct ClassEntry {
@@ -215,10 +239,13 @@ impl OracleMemo {
             bodies: Mutex::default(),
             names: Mutex::default(),
             signatures: Mutex::default(),
+            shapes: Mutex::default(),
             #[cfg(test)]
             decompiled: AtomicUsize::new(0),
             #[cfg(test)]
             checked: AtomicUsize::new(0),
+            #[cfg(test)]
+            built: AtomicUsize::new(0),
         }
     }
 
@@ -269,20 +296,14 @@ impl OracleMemo {
             table.interfaces[key as usize] = entry.handle.is_interface();
         }
         let built = OnceCell::new();
-        let index = || {
-            built.get_or_init(|| {
-                let signatures = entries.iter().map(|e| &*e.signature);
-                signatures
-                    .map(|s| (s.name.as_str(), s))
-                    .collect::<ClassIndex<'_>>()
-            })
-        };
+        let hierarchy =
+            || built.get_or_init(|| Hierarchy::new(entries.iter().map(|e| &*e.signature)));
         let checks = entries.iter().map(|entry| {
             let context = table.context(&entry.casts);
             if let Some(check) = find(&lock(&entry.checks), &context, &table) {
                 return check;
             }
-            let check = Arc::new(self.check(entry, index(), &table, program));
+            let check = Arc::new(self.check(entry, hierarchy(), &entries, &table, program));
             let mut checks = lock(&entry.checks);
             if let Some(recorded) = find(&checks, &context, &table) {
                 return recorded;
@@ -297,11 +318,13 @@ impl OracleMemo {
     }
 
     /// Type-checks `entry`'s class in the probe `table` describes, with
-    /// statements from the body memo.
-    fn check(
+    /// statements from the body memo. `hierarchy` holds the signatures of
+    /// `entries`, in order.
+    fn check<'s>(
         &self,
-        entry: &ClassEntry,
-        index: &ClassIndex<'_>,
+        entry: &'s ClassEntry,
+        hierarchy: &Hierarchy<'s>,
+        entries: &[Arc<ClassEntry>],
         table: &Table<'_>,
         program: &Program,
     ) -> Check {
@@ -317,18 +340,19 @@ impl OracleMemo {
             .iter()
             .map(|s| s.as_deref().unwrap_or_default())
             .collect();
-        let checked = check_class(index, &entry.signature, &bodies);
-        let mut names = lock(&self.names);
+        let checked = check_class(hierarchy, &entry.signature, &bodies);
         let found = (checked.found.iter())
-            .map(|&name| {
-                let id = names.id(name);
-                let signature = table
-                    .signature(id)
-                    .expect("a found name is a class of the probe");
-                (id, Arc::clone(signature))
+            .map(|&at| {
+                let found = &entries[at as usize];
+                (found.name, Arc::clone(&found.signature))
             })
             .collect();
-        let missing = checked.missing.iter().map(|name| names.id(name)).collect();
+        let missing = if checked.missing.is_empty() {
+            Box::default()
+        } else {
+            let mut names = lock(&self.names);
+            checked.missing.iter().map(|name| names.id(name)).collect()
+        };
         Check {
             found,
             missing,
@@ -363,36 +387,71 @@ impl OracleMemo {
     fn entry(&self, handle: &Arc<ClassFile>, program: &Program) -> Arc<ClassEntry> {
         let class = &**handle;
         let name = lock(&self.names).id(&class.name);
+        // Per method of the signature, its body; per body of the class,
+        // whether the decompiler eats it.
         let mut bodies = Vec::new();
+        let mut eaten = Vec::new();
         let mut casts: Vec<u32> = Vec::new();
-        let signature = decompile_class_with(class, &self.bugs, &mut |method, code| {
-            let index = class.methods.iter().position(|m| ptr::eq(m, method));
-            let index = index.expect("the walk passes the class's own methods");
+        for (index, method) in class.methods.iter().enumerate() {
+            let Some(code) = &method.code else {
+                bodies.push(None);
+                continue;
+            };
             let body = self.body(name, handle, index, code, program);
+            eaten.push(body.eaten);
             if body.eaten {
-                return None;
+                continue;
             }
             for &target in body.casts.iter() {
                 if !casts.contains(&target) {
                     casts.push(target);
                 }
             }
-            bodies.push(body);
-            Some(Vec::new())
-        });
-        let mut bodies = bodies.into_iter();
-        let bodies = (signature.methods.iter())
-            .map(|m| m.body.as_ref().and_then(|_| bodies.next()))
-            .collect();
+            bodies.push(Some(body));
+        }
         let entry = Arc::new(ClassEntry {
             handle: Arc::clone(handle),
             name,
-            signature: self.intern(signature),
-            bodies,
+            signature: self.signature(handle, &eaten),
+            bodies: bodies.into(),
             casts: casts.into(),
             checks: Mutex::default(),
         });
         Arc::clone(lock(&self.classes).entry(address(handle)).or_insert(entry))
+    }
+
+    /// The interned signature of `class` when the decompiler eats the
+    /// bodies `eaten` marks (one flag per method with a body): that of an
+    /// earlier class with the same declarations, or built and interned.
+    fn signature(&self, class: &Arc<ClassFile>, eaten: &[bool]) -> Arc<SourceClass> {
+        let key = declarations_hash(class, eaten);
+        let same =
+            |shape: &&Shape| *shape.eaten == *eaten && same_declarations(&shape.class, class);
+        if let Some(shape) = lock(&self.shapes)
+            .get(&key)
+            .and_then(|s| s.iter().find(same))
+        {
+            return Arc::clone(&shape.signature);
+        }
+        #[cfg(test)]
+        self.built.fetch_add(1, Ordering::Relaxed);
+        let mut eats = eaten.iter();
+        let signature = decompile_class_with(class, &self.bugs, &mut |_, _| {
+            let eaten = *eats.next().expect("one flag per body");
+            (!eaten).then(Vec::new)
+        });
+        let signature = self.intern(signature);
+        let mut shapes = lock(&self.shapes);
+        let shapes = shapes.entry(key).or_default();
+        if let Some(raced) = shapes.iter().find(same) {
+            return Arc::clone(&raced.signature);
+        }
+        shapes.push(Shape {
+            class: Arc::clone(class),
+            eaten: eaten.into(),
+            signature: Arc::clone(&signature),
+        });
+        signature
     }
 
     /// The memo entry of the body `code` of the `index`-th method of
@@ -473,6 +532,48 @@ impl OracleMemo {
     }
 }
 
+/// Hashes what a class's signature reads of the class (see
+/// [`same_declarations`]) and which of its bodies are eaten.
+fn declarations_hash(class: &ClassFile, eaten: &[bool]) -> usize {
+    let mut h = AddressHasher::default();
+    class.name.hash(&mut h);
+    class.flags.hash(&mut h);
+    class.superclass.hash(&mut h);
+    class.interfaces.hash(&mut h);
+    h.write_usize(class.fields.len());
+    for f in &class.fields {
+        f.name.hash(&mut h);
+        f.ty.hash(&mut h);
+    }
+    h.write_usize(class.methods.len());
+    for m in &class.methods {
+        m.name.hash(&mut h);
+        m.desc.hash(&mut h);
+        m.code.is_some().hash(&mut h);
+    }
+    eaten.hash(&mut h);
+    h.finish() as usize
+}
+
+/// Whether two classes declare the same for their signatures: the name,
+/// flags and supertypes, each field's name and type, and each method's
+/// name, descriptor and whether it has a body. A method's flags and its
+/// body's contents are not read (the bodies' fates come separately).
+fn same_declarations(a: &ClassFile, b: &ClassFile) -> bool {
+    let field = |(x, y): (&FieldInfo, &FieldInfo)| x.name == y.name && x.ty == y.ty;
+    let method = |(x, y): (&MethodInfo, &MethodInfo)| {
+        x.name == y.name && x.desc == y.desc && x.code.is_some() == y.code.is_some()
+    };
+    a.name == b.name
+        && a.flags == b.flags
+        && a.superclass == b.superclass
+        && a.interfaces == b.interfaces
+        && a.fields.len() == b.fields.len()
+        && a.methods.len() == b.methods.len()
+        && a.fields.iter().zip(&b.fields).all(field)
+        && a.methods.iter().zip(&b.methods).all(method)
+}
+
 /// A recorded check for `context` that still holds under `table`.
 fn find(
     checks: &PerContext<Vec<Arc<Check>>>,
@@ -551,6 +652,57 @@ mod tests {
         c.methods.push(method("is", matches.to_vec()));
         classes.extend([a, b, c]);
         classes.into_iter().collect()
+    }
+
+    #[test]
+    fn a_new_handle_with_known_declarations_takes_their_signature() {
+        let program = program();
+        let model = program.model().expect("the program verifies");
+        let full = (model.materialize)(&VarSet::full(model.cnf.num_vars()));
+        let bugs = BugSet::of(&[BugKind::CastToObject]);
+        let memo = full.scoped::<ScopeMemo>().for_bugs(&bugs);
+        assert_eq!(
+            memo.errors(&full),
+            error_messages(&decompile_program(&full, &bugs))
+        );
+        let signature = |memo: &OracleMemo, p: &Program| {
+            let handle = p.handles().find(|h| h.name == "A").expect("A");
+            Arc::clone(&lock(&memo.classes)[&address(handle)].signature)
+        };
+        let built = memo.built.load(Ordering::Relaxed);
+        // `A.go` gets another body: a new handle, the same declarations.
+        let mut rebodied = full.clone();
+        let go = &mut rebodied.get_mut("A").expect("present").methods[2];
+        Arc::make_mut(go.code.as_mut().expect("a body")).insns = vec![Insn::Return];
+        let expected = error_messages(&decompile_program(&rebodied, &bugs));
+        assert_eq!(memo.errors(&rebodied), expected);
+        assert_eq!(
+            memo.built.load(Ordering::Relaxed),
+            built,
+            "no signature built"
+        );
+        assert!(Arc::ptr_eq(
+            &signature(&memo, &full),
+            &signature(&memo, &rebodied)
+        ));
+        // A new field is a new declaration: its signature is built once.
+        let mut widened = rebodied.clone();
+        let a = widened.get_mut("A").expect("present");
+        a.fields.push(FieldInfo::new("g", Type::Int));
+        let expected = error_messages(&decompile_program(&widened, &bugs));
+        assert_eq!(memo.errors(&widened), expected);
+        assert_eq!(memo.built.load(Ordering::Relaxed), built + 1);
+        // ...and taken by the next handle that declares the same.
+        let mut again = widened.clone();
+        let go = &mut again.get_mut("A").expect("present").methods[2];
+        Arc::make_mut(go.code.as_mut().expect("a body")).insns = vec![Insn::Nop, Insn::Return];
+        let expected = error_messages(&decompile_program(&again, &bugs));
+        assert_eq!(memo.errors(&again), expected);
+        assert_eq!(memo.built.load(Ordering::Relaxed), built + 1);
+        assert!(Arc::ptr_eq(
+            &signature(&memo, &widened),
+            &signature(&memo, &again)
+        ));
     }
 
     /// What decompiling a body reads: its handle, its class's name, its

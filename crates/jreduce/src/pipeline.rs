@@ -214,7 +214,6 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
         return Err(PipelineError::NotFailing);
     }
     let start = Instant::now();
-    let initial = SizeMetrics::of(input);
     let cost = cost_per_call_secs;
     let oracle_dyn: &dyn InputOracle<I> = &oracle;
     let StrategyOutput {
@@ -224,6 +223,9 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
         model_stats,
         probe_stats,
     } = strat.run(input, oracle_dyn, cost, options, hooks)?;
+    // Measured after the run: a strategy that builds the input's model
+    // leaves the input's size known from the model's size plans.
+    let initial = SizeMetrics::of(input);
     let errors_preserved = oracle.preserves_failure(&reduced);
     let still_valid = reduced.validate().is_empty();
     Ok(ReductionReport {

@@ -15,8 +15,8 @@
 //! bodies in each of those ways.
 
 use lbr::classfile::{
-    build_model, ClassFile, Code, Flags, Insn, Item, MethodDescriptor, MethodInfo, MethodRef,
-    Program, Type,
+    build_model, ClassFile, Code, FieldInfo, FieldRef, Flags, Insn, Item, MethodDescriptor,
+    MethodInfo, MethodRef, Program, Type,
 };
 use lbr::core::{Input, InputOracle};
 use lbr::decompiler::{decompile_program, error_messages, BugKind, BugSet, DecompilerOracle};
@@ -644,4 +644,118 @@ fn a_class_renamed_in_place_is_cast_to_by_key_and_looked_up_by_name() {
         errors.iter().any(|e| e.contains("in Object")),
         "the cast still sees an interface under I: {errors:?}"
     );
+}
+
+/// `B extends C extends D implements K`, `K extends L`, with `D.m()` and
+/// the field `D.f`. Classes `X` and `Y` read `p0.f` in `go(B)`, which walks
+/// `B`'s superclass chain alone; classes `U` and `V` call `p0.m()` and
+/// `Z.take(p0)`, where `take` takes an `L`, which walk `B`'s superclass
+/// chain and interface closure.
+fn deep_hierarchy_program() -> Program {
+    let l = ClassFile::new_interface("L");
+    let mut k = ClassFile::new_interface("K");
+    k.interfaces.push("L".into());
+    let mut d = ClassFile::new_class("D");
+    d.interfaces.push("K".into());
+    d.fields.push(FieldInfo::new("f", Type::Int));
+    d.methods.push(ctor());
+    d.methods.push(MethodInfo::new(
+        "m",
+        MethodDescriptor::void(),
+        Code::new(1, 1, vec![Insn::Return]),
+    ));
+    let mut classes = vec![l, k, d];
+    for (name, superclass) in [("C", "D"), ("B", "C")] {
+        let mut class = ClassFile::new_class(name);
+        class.superclass = Some(superclass.into());
+        class.methods.push(ctor());
+        classes.push(class);
+    }
+    let mut z = ClassFile::new_class("Z");
+    z.methods.push(ctor());
+    let takes_l = MethodDescriptor::new(vec![Type::reference("L")], None);
+    let code = Code::new(1, 1, vec![Insn::Return]);
+    let mut take = MethodInfo::new("take", takes_l.clone(), code);
+    take.flags = Flags::PUBLIC | Flags::STATIC;
+    z.methods.push(take);
+    classes.push(z);
+    let reads = vec![
+        Insn::ALoad(1),
+        Insn::GetField(FieldRef::new("B", "f", Type::Int)),
+        Insn::Pop,
+        Insn::Return,
+    ];
+    let calls = vec![
+        Insn::ALoad(1),
+        Insn::InvokeVirtual(MethodRef::new("B", "m", MethodDescriptor::void())),
+        Insn::ALoad(1),
+        Insn::InvokeStatic(MethodRef::new("Z", "take", takes_l)),
+        Insn::Return,
+    ];
+    for (name, insns) in [("X", &reads), ("Y", &reads), ("U", &calls), ("V", &calls)] {
+        let mut class = ClassFile::new_class(name);
+        class.methods.push(ctor());
+        class.methods.push(MethodInfo::new(
+            "go",
+            MethodDescriptor::new(vec![Type::reference("B")], None),
+            Code::new(1, 2, insns.clone()),
+        ));
+        classes.push(class);
+    }
+    classes.into_iter().collect()
+}
+
+#[test]
+fn a_check_that_took_another_checks_supertype_walk_sees_the_walk_change() {
+    // Within one probe the compiler walks `B`'s supertypes once: `B`'s own
+    // check walks its interface closure and `U`'s its superclass chain;
+    // `V`, `X` and `Y` take those walks. Each must still depend on every
+    // class the walk looked up, so that when `D` deep in the chain gains a
+    // field or a method, or `K` deep in the closure a supertype, the
+    // classes that read it are checked again with their handles unchanged.
+    let program = deep_hierarchy_program();
+    let oracles = oracles(&program);
+    let full = in_scope(&program);
+    let edit = |from: &Program, class: &str, edit: &dyn Fn(&mut ClassFile)| {
+        let mut edited = from.clone();
+        edit(edited.get_mut(class).expect("present"));
+        edited
+    };
+    let k_gains_l = full;
+    let d_gains_k = edit(&k_gains_l, "K", &|k| k.interfaces.clear());
+    let d_gains_m = edit(&d_gains_k, "D", &|d| d.interfaces.clear());
+    let d_gains_f = edit(&d_gains_m, "D", &|d| d.methods.retain(|m| m.name != "m"));
+    let bare = edit(&d_gains_f, "D", &|d| d.fields.clear());
+    // Each step, and whether it changes what the reading classes report.
+    let sequence = [
+        ("bare", &bare, true),
+        ("D gains f", &d_gains_f, true),
+        ("D gains m", &d_gains_m, true),
+        ("D gains K", &d_gains_k, false),
+        ("K gains L", &k_gains_l, true),
+        ("bare again", &bare, true),
+    ];
+    let readers = |errors: &BTreeSet<String>| -> Vec<String> {
+        let read = ["[U", "[V", "[X", "[Y"];
+        let read = errors.iter().filter(|e| read.iter().any(|r| e.contains(r)));
+        read.cloned().collect()
+    };
+    for (bugs, oracle) in &oracles {
+        let mut before: Option<Vec<String>> = None;
+        for (what, candidate, changes) in sequence {
+            let expected = reference(candidate, bugs);
+            let errors = oracle.errors(candidate);
+            assert_eq!(errors, expected, "{what}, {bugs:?}");
+            // With the bug-free decompiler, which emits the reads and calls
+            // as written, a step that changes the readers' messages shows
+            // they were checked again.
+            let now = readers(&errors);
+            if *bugs == BugSet::none() {
+                if let Some(before) = &before {
+                    assert_eq!(before != &now, changes, "{what}: {before:?} then {now:?}");
+                }
+            }
+            before = Some(now);
+        }
+    }
 }
