@@ -259,6 +259,13 @@ for format in classfile stackvm; do
         exit 1
     fi
 done
+# The classfile predicate checks only the classes that can print a
+# baseline message; I9 has to have compared it with the reference on
+# candidates it accepts and on candidates it rejects.
+if ! echo "$fuzz_out" | grep -Eq "I9 predicate checks: classfile [1-9][0-9]* accepted [1-9][0-9]* rejected"; then
+    echo "fuzz campaign compared no accepted or no rejected classfile predicate answer" >&2
+    exit 1
+fi
 
 echo "== fuzzing self-test (broken oracle must be caught and shrunk) =="
 # Prove the harness can still catch bugs: with the deliberately lying

@@ -6,8 +6,10 @@
 //! (one-shot engine-backed `msa`, engine build included, next to
 //! `lbr_reference::msa_scan`). Then the cost of one probe by part,
 //! with the decompiler oracle both cold (`probe/decompile-errors`) and
-//! over a recorded greedy probe sequence of one reduction scope
-//! (`probe/decompile-errors-sequence`), and the materializer plus the size
+//! over a recorded greedy probe sequence of one reduction scope, replayed
+//! through the whole message set (`probe/decompile-errors-sequence`) and
+//! through the predicate reductions call
+//! (`probe/decompile-preserves-sequence`), and the materializer plus the size
 //! metric over recorded greedy probe sequences of a classfile program and
 //! a 300-function stackvm module (`probe/materialize-size-sequence/*`).
 //! The timings back the numbers quoted in `EXPERIMENTS.md`.
@@ -82,10 +84,21 @@ fn main() {
             .map(|keep| probe_oracle.errors(&(model.materialize)(keep)).len())
             .sum::<usize>()
     });
+    // The same sequence through the predicate a reduction's probes call,
+    // which checks only the classes that can print a baseline message.
+    let preserves = bench("probe/decompile-preserves-sequence", || {
+        let model = program.model().expect("valid input");
+        probes
+            .iter()
+            .filter(|keep| probe_oracle.preserves_failure(&(model.materialize)(keep)))
+            .count()
+    });
     println!(
-        "  -> {} probes: {} per probe in sequence, {} cold",
+        "  -> {} probes: {} per probe in sequence through `errors`, {} through \
+         `preserves_failure`, {} cold",
         probes.len(),
         fmt_duration(sequence / probes.len() as u32),
+        fmt_duration(preserves / probes.len() as u32),
         fmt_duration(cold)
     );
     materialize_size_sequence("classfile-36", &program, &probes);

@@ -166,6 +166,13 @@ fn main() {
         summary.size_checks_classfile, summary.size_checks_stackvm
     );
     println!(
+        "fuzz: I9 predicate checks: classfile {} accepted {} rejected, stackvm {} accepted {} rejected",
+        summary.predicate_accepted_classfile,
+        summary.predicate_rejected_classfile,
+        summary.predicate_accepted_stackvm,
+        summary.predicate_rejected_stackvm
+    );
+    println!(
         "fuzz: I4 chain checks: classfile {}, stackvm {}",
         summary.chain_checks_classfile, summary.chain_checks_stackvm
     );

@@ -45,22 +45,26 @@ impl fmt::Display for Diagnostic {
 
 /// Compiles a source set, returning all diagnostics (empty = compiles).
 pub fn compile(set: &SourceSet) -> Vec<Diagnostic> {
-    let hierarchy = Hierarchy::new(set.classes.iter());
-    let mut diags: Vec<Diagnostic> = set
-        .classes
-        .iter()
-        .flat_map(|class| {
-            let bodies: Vec<&[Stmt]> = class
-                .methods
-                .iter()
+    let mut diags: Vec<Diagnostic> = compile_each(set).into_iter().flatten().collect();
+    diags.sort();
+    diags.dedup();
+    diags
+}
+
+/// Each class's diagnostics, in the order of `set`, as checking it against
+/// the whole set gives them: [`compile`] before sorting and deduplication.
+/// Every diagnostic of a class names that class ([`Diagnostic::class`]).
+pub fn compile_each(set: &SourceSet) -> Vec<Vec<Diagnostic>> {
+    let listed = Listed::new(&set.classes);
+    let hierarchy = Hierarchy::new(&listed);
+    (set.classes.iter())
+        .map(|class| {
+            let bodies: Vec<&[Stmt]> = (class.methods.iter())
                 .map(|m| m.body.as_deref().unwrap_or_default())
                 .collect();
             check_class(&hierarchy, class, &bodies).diags
         })
-        .collect();
-    diags.sort();
-    diags.dedup();
-    diags
+        .collect()
 }
 
 /// The rendered, deduplicated, sorted error messages — the oracle compares
@@ -69,19 +73,84 @@ pub fn error_messages(set: &SourceSet) -> BTreeSet<String> {
     compile(set).into_iter().map(|d| d.to_string()).collect()
 }
 
-/// The classes a check resolves names against, by name, and the
-/// supertypes of each class looked up.
+/// The names of the classes that can print `message`, a rendered
+/// [`Diagnostic`]: its class is the text between `error: [` and a `]` or
+/// `::` that follows, and any of those may end it, since class and member
+/// names may contain either. Empty if `message` is not a diagnostic.
+pub(crate) fn producers(message: &str) -> impl Iterator<Item = &str> {
+    let rest = message.strip_prefix("error: [").unwrap_or_default();
+    let bytes = rest.as_bytes();
+    // Both ends are ASCII, so each `end` is a character boundary.
+    (0..bytes.len())
+        .filter(move |&end| bytes[end] == b']' || bytes[end..].starts_with(b"::"))
+        .map(move |end| &rest[..end])
+}
+
+/// The classes a [`Hierarchy`] resolves names against, at positions
+/// `0..len()`.
+pub(crate) trait Classes<'s> {
+    /// How many classes there are.
+    fn len(&self) -> usize;
+    /// The position of the class named `name`; of two classes with one
+    /// name, the later.
+    fn position(&self, name: &str) -> Option<u32>;
+    /// The class at `at`.
+    fn class(&'s self, at: u32) -> &'s SourceClass;
+}
+
+/// Class positions by name.
+pub(crate) type NameIndex<'s> = HashMap<&'s str, u32, BuildHasherDefault<AddressHasher>>;
+
+/// The position of each of `names` in order; of two equal names, the
+/// later, as [`Classes::position`] resolves them.
+pub(crate) fn index_names<'s>(names: impl ExactSizeIterator<Item = &'s str>) -> NameIndex<'s> {
+    let mut index = HashMap::with_capacity_and_hasher(names.len(), Default::default());
+    for (at, name) in names.enumerate() {
+        index.insert(name, at as u32);
+    }
+    index
+}
+
+/// A source set's classes, indexed by name.
+struct Listed<'s> {
+    classes: &'s [SourceClass],
+    index: NameIndex<'s>,
+}
+
+impl<'s> Listed<'s> {
+    fn new(classes: &'s [SourceClass]) -> Self {
+        let index = index_names(classes.iter().map(|c| c.name.as_str()));
+        Listed { classes, index }
+    }
+}
+
+impl<'s> Classes<'s> for Listed<'s> {
+    fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    fn position(&self, name: &str) -> Option<u32> {
+        self.index.get(name).copied()
+    }
+
+    fn class(&'s self, at: u32) -> &'s SourceClass {
+        &self.classes[at as usize]
+    }
+}
+
+/// The classes a check resolves names against, and the supertypes of each
+/// class looked up.
 ///
 /// A class's superclass chain and interface closure are walked on first
 /// use and kept: a walk reads only the hierarchy's classes, so its record
 /// serves every later check against the same hierarchy. A check that
 /// takes a record is charged with every name the walk looked up, found or
-/// missing, once, as if it had walked the hierarchy itself.
+/// missing, once, as if it had walked the hierarchy itself. A class is
+/// read only when a check or a walk looks it up.
 pub(crate) struct Hierarchy<'s> {
-    /// Each class's position in `classes` by name; of two classes with one
-    /// name, the later.
-    index: HashMap<&'s str, u32, BuildHasherDefault<AddressHasher>>,
-    classes: Vec<Resolved<'s>>,
+    classes: &'s dyn Classes<'s>,
+    /// The walks, per position.
+    walks: Vec<Walks<'s>>,
     /// Where `Object` resolves: a chain that ends without a superclass
     /// names `Object` last, and a check looks that name up only if it
     /// visits the chain to its end.
@@ -90,9 +159,9 @@ pub(crate) struct Hierarchy<'s> {
     checks: Cell<u32>,
 }
 
-/// One class and the records of its supertype walks.
-struct Resolved<'s> {
-    class: &'s SourceClass,
+/// The records of one class's supertype walks.
+#[derive(Default)]
+struct Walks<'s> {
     chain: OnceCell<Chain<'s>>,
     closure: OnceCell<Closure<'s>>,
     /// The last check each walk was charged to.
@@ -122,40 +191,26 @@ struct Closure<'s> {
 }
 
 impl<'s> Hierarchy<'s> {
-    pub(crate) fn new(classes: impl ExactSizeIterator<Item = &'s SourceClass>) -> Self {
-        let mut index = HashMap::with_capacity_and_hasher(classes.len(), Default::default());
-        let classes: Vec<Resolved<'s>> = (classes.enumerate())
-            .map(|(at, class)| {
-                index.insert(class.name.as_str(), at as u32);
-                Resolved {
-                    class,
-                    chain: OnceCell::new(),
-                    closure: OnceCell::new(),
-                    chain_charged: Cell::new(0),
-                    closure_charged: Cell::new(0),
-                }
-            })
-            .collect();
-        let object = index.get("Object").copied();
+    pub(crate) fn new(classes: &'s dyn Classes<'s>) -> Self {
         Hierarchy {
-            index,
             classes,
-            object,
+            walks: (0..classes.len()).map(|_| Walks::default()).collect(),
+            object: classes.position("Object"),
             checks: Cell::new(0),
         }
     }
 
     fn position(&self, name: &str) -> Option<u32> {
-        self.index.get(name).copied()
+        self.classes.position(name)
     }
 
     fn class(&self, at: u32) -> &'s SourceClass {
-        self.classes[at as usize].class
+        self.classes.class(at)
     }
 
     /// The superclass chain of the class at `at`, walked once.
     fn chain(&self, at: u32) -> &Chain<'s> {
-        self.classes[at as usize].chain.get_or_init(|| {
+        self.walks[at as usize].chain.get_or_init(|| {
             let mut walked = Vec::new();
             let mut cur = (self.class(at).name.as_str(), Some(at));
             loop {
@@ -178,7 +233,7 @@ impl<'s> Hierarchy<'s> {
 
     /// The interface closure of the class at `at`, walked once.
     fn closure(&self, at: u32) -> &Closure<'s> {
-        self.classes[at as usize].closure.get_or_init(|| {
+        self.walks[at as usize].closure.get_or_init(|| {
             let start = self.class(at).name.as_str();
             let mut seen = vec![start];
             let mut queue = vec![(start, Some(at))];
@@ -362,7 +417,7 @@ impl<'h, 's: 'b, 'b> Compiler<'h, 's, 'b> {
     /// The superclass chain of the class at `at`, its walk recorded.
     fn chain(&self, at: u32) -> &'h Chain<'s> {
         let chain = self.hierarchy.chain(at);
-        let charged = &self.hierarchy.classes[at as usize].chain_charged;
+        let charged = &self.hierarchy.walks[at as usize].chain_charged;
         if charged.replace(self.check) != self.check {
             for &(name, at) in &chain.walked {
                 self.note(name, at);
@@ -374,7 +429,7 @@ impl<'h, 's: 'b, 'b> Compiler<'h, 's, 'b> {
     /// The interface closure of the class at `at`, its walk recorded.
     fn closure(&self, at: u32) -> &'h Closure<'s> {
         let closure = self.hierarchy.closure(at);
-        let charged = &self.hierarchy.classes[at as usize].closure_charged;
+        let charged = &self.hierarchy.walks[at as usize].closure_charged;
         if charged.replace(self.check) != self.check {
             self.found.borrow_mut().extend(&closure.found);
             for &name in &closure.missing {
@@ -907,6 +962,29 @@ mod tests {
             params: vec![],
             body: Some(body),
         }
+    }
+
+    #[test]
+    fn producers_are_every_prefix_a_rendering_can_end_at() {
+        let rendered = |class: &str, member: Option<&str>| {
+            let d = Diagnostic {
+                class: class.into(),
+                member: member.map(Into::into),
+                message: "m".into(),
+            };
+            d.to_string()
+        };
+        fn of(m: &str) -> Vec<&str> {
+            producers(m).collect()
+        }
+        assert_eq!(of(&rendered("A", None)), ["A"]);
+        assert_eq!(of(&rendered("A", Some("f"))), ["A", "A::f"]);
+        // A class `A::f` prints what `A`'s member `f` prints.
+        assert_eq!(rendered("A::f", None), rendered("A", Some("f")));
+        let odd = rendered("x]:", Some("::y"));
+        // The class `x]:` with the member `::y`.
+        assert_eq!(of(&odd), ["x", "x]", "x]:", "x]::", "x]:::", "x]:::::y"]);
+        assert!(of("warning: [A] m").is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The oracle's per-reduction memo: decompile each method body once, and
-//! check a class again only when a class it looked up changed.
+//! The oracle's per-reduction memo: decompile each method body once, check
+//! a class again only when a class it looked up changed, and check for the
+//! predicate only the classes that can print a baseline message.
 //!
 //! The candidates of one reduction share most class handles (the
 //! materializer reuses every reduced class), and a new class handle shares
@@ -22,44 +23,54 @@
 //!
 //! So the memo keeps, per body handle and declaration, the targets the body
 //! asks about and its statements per cast context; per class handle, the
-//! class's interned signature, its bodies and the union of their targets;
-//! and per (class handle, cast context), each check already run: its
-//! messages and the signature every looked-up name resolved to, misses
-//! included. A new class handle takes its bodies from the memo and
-//! decompiles only bodies never seen; it takes the signature interned for
-//! an earlier handle with the same declarations (compared in place, by
-//! that handle), and builds and interns a signature only for declarations
-//! never seen. A check is reused when each looked-up name resolves to the
-//! same interned signature in the probe at hand, and a re-check takes its
-//! statements from the memo.
+//! class's interned signature and, once the class is checked, its bodies,
+//! the union of their targets and, per cast context, each check already
+//! run: its messages and the signature every looked-up name resolved to,
+//! misses included. A new class handle takes the signature interned for an
+//! earlier handle with the same declarations (compared in place, by that
+//! handle), and builds and interns a signature only for declarations never
+//! seen; when the class is first checked, it takes its bodies from the
+//! memo and decompiles only bodies never seen. A check is reused when each
+//! looked-up name resolves to the same interned signature in the probe at
+//! hand, and a re-check takes its statements from the memo.
 //!
-//! Names — of classes, cast targets and looked-up names — are interned to
-//! ids of the memo, as the stackvm oracle's facts are. Each probe fills a
-//! flat table from id to the signature under that name and to whether the
-//! program's class of that name is an interface; cast contexts and reuse
-//! tests read only that table. The compiler's [`Hierarchy`], the probe's
-//! signatures by name with the supertype walks of each class looked up, is
-//! built only on a probe that re-checks a class, and serves every re-check
-//! of that probe: a walk reads only the probe's signatures, and a check
-//! that takes a walk made for another still records every name the walk
-//! looked up, so its reuse test stays exact.
+//! Each probe resolves names as the compiler does: a class by its own
+//! name, which differs from its key in the program after a rename through
+//! `Program::get_mut`, and of two classes with one name the later in key
+//! order. A class's entry is looked up only when the probe reads it. The
+//! compiler's [`Hierarchy`] reads the probe's signatures, with the
+//! supertype walks of each class looked up; it is built only on a probe
+//! that re-checks a class, and serves every re-check of that probe: a walk
+//! reads only the probe's signatures, and a check that takes a walk made
+//! for another still records every name the walk looked up, so its reuse
+//! test stays exact. A cast context asks `Program::get`, by key.
+//!
+//! [`OracleMemo::errors`] checks every class: it is
+//! `error_messages(&decompile_program(p, bugs))` bit for bit.
+//! [`OracleMemo::preserves`] answers the predicate, "every baseline message
+//! is among those messages", exactly, and checks only the *producers*: every
+//! diagnostic names the class being checked, so only a class whose own name
+//! can begin a baseline message can print it ([`Baseline`]). Any other
+//! class contributes its signature alone, and only when a producer's check
+//! or reuse test looks it up: none of its bodies is decompiled, and it is
+//! not checked.
 //!
 //! Locking follows the materializer: look up under the lock, build outside
 //! it, first insert wins. What is built is a pure function of the inputs,
 //! so the thread that wins changes nothing observable.
 
 use crate::bugs::BugSet;
-use crate::compile::{check_class, Hierarchy};
+use crate::compile::{check_class, index_names, producers, Classes, Hierarchy, NameIndex};
 use crate::decompile::{decompile_class_with, decompile_code, eats};
 use crate::source::{SourceClass, Stmt};
 use lbr_classfile::{ClassFile, Code, FieldInfo, MethodInfo, Program};
 use lbr_core::{AddressHasher, AddressMap};
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The oracle memos of one reduction scope, one per bug set.
 #[derive(Default)]
@@ -80,6 +91,29 @@ impl ScopeMemo {
     }
 }
 
+/// The baseline messages, each with the classes that can print it, in the
+/// baseline's order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Baseline(Box<[Printed]>);
+
+/// A baseline message and the names of the classes that can print it (see
+/// [`producers`]).
+#[derive(Debug, Clone)]
+struct Printed {
+    message: String,
+    producers: Box<[Box<str>]>,
+}
+
+impl Baseline {
+    pub(crate) fn new(messages: &BTreeSet<String>) -> Self {
+        let printed = |message: &String| Printed {
+            message: message.clone(),
+            producers: producers(message).map(Box::from).collect(),
+        };
+        Baseline(messages.iter().map(printed).collect())
+    }
+}
+
 /// One decompiler's memo over the candidates of one reduction.
 pub(crate) struct OracleMemo {
     bugs: BugSet,
@@ -89,14 +123,14 @@ pub(crate) struct OracleMemo {
     /// Keyed by the body handle's address, which the entries hold; one
     /// handle may serve several declarations, each with its own entry.
     bodies: Mutex<AddressMap<Vec<Arc<Body>>>>,
-    names: Mutex<Names>,
     /// Every signature seen, so that equal signatures share one `Arc` and
     /// compare by address.
     signatures: Mutex<HashSet<Arc<SourceClass>>>,
     /// The interned signature of each set of declarations met, keyed by
     /// [`declarations_hash`] (collisions share the key's list).
     shapes: Mutex<AddressMap<Vec<Shape>>>,
-    /// How many bodies were decompiled, and how many classes checked.
+    /// How many bodies were decompiled, classes checked and signatures
+    /// built.
     #[cfg(test)]
     decompiled: AtomicUsize,
     #[cfg(test)]
@@ -116,14 +150,19 @@ struct Shape {
 
 struct ClassEntry {
     handle: Arc<ClassFile>,
-    /// The id of the class's name.
-    name: u32,
     signature: Arc<SourceClass>,
+    /// What checking the class takes, made when it is first checked: a
+    /// class that is only looked up needs its signature alone.
+    checking: OnceLock<Checking>,
+}
+
+/// A class's bodies, cast targets and checks.
+struct Checking {
     /// Per method of the signature, its body; `None` when abstract.
     bodies: Box<[Option<Arc<Body>>]>,
-    /// The ids of the `checkcast` targets the bodies ask about, each once:
-    /// a cast context has one answer per target.
-    casts: Box<[u32]>,
+    /// The `checkcast` targets the bodies ask about, each once: a cast
+    /// context has one answer per target.
+    casts: Box<[Box<str>]>,
     /// The checks run so far, per cast context.
     checks: Mutex<PerContext<Vec<Arc<Check>>>>,
 }
@@ -134,8 +173,6 @@ type PerContext<T> = Vec<(Box<[bool]>, T)>;
 /// One method body, as decompiled in one declaration.
 struct Body {
     handle: Arc<Code>,
-    /// The id of the declaring class's name.
-    class: u32,
     /// The class that declared the body when it was first met, and the
     /// declaring method's index in it: the class's name and the method's
     /// declaration are all that decompiling the body reads besides it.
@@ -144,9 +181,9 @@ struct Body {
     /// Whether the decompiler eats the method; such a body is never
     /// decompiled.
     eaten: bool,
-    /// The ids of the `checkcast` targets the body asks about, in the order
-    /// first asked.
-    casts: Box<[u32]>,
+    /// The `checkcast` targets the body asks about, in the order first
+    /// asked.
+    casts: Box<[Box<str>]>,
     /// The statements per cast context decompiled so far.
     statements: Mutex<PerContext<Arc<[Stmt]>>>,
 }
@@ -157,9 +194,9 @@ impl Body {
     }
 
     /// Whether this entry is `method`'s body in the class named `class`.
-    fn declares(&self, class: u32, method: &MethodInfo) -> bool {
+    fn declares(&self, class: &str, method: &MethodInfo) -> bool {
         let d = self.declaration();
-        self.class == class
+        self.owner.name == class
             && d.flags == method.flags
             && d.name == method.name
             && d.desc == method.desc
@@ -168,66 +205,119 @@ impl Body {
 
 /// One type-check of a class and the signatures it depended on.
 struct Check {
-    /// The id and the signature of each name the check looked up and found.
-    found: Box<[(u32, Arc<SourceClass>)]>,
-    /// The ids of the names the check looked up and did not find.
-    missing: Box<[u32]>,
+    /// The signature of each class the check looked up and found, which
+    /// names it.
+    found: Box<[Arc<SourceClass>]>,
+    /// The names the check looked up and did not find.
+    missing: Box<[Box<str>]>,
     /// The rendered diagnostics.
     messages: Box<[String]>,
 }
 
 impl Check {
-    /// Whether every name the check looked up resolves as it did then, so
-    /// that checking again would give the same messages.
-    fn holds(&self, table: &Table<'_>) -> bool {
-        let same = |(id, seen): &(u32, Arc<SourceClass>)| {
-            table
-                .signature(*id)
-                .is_some_and(|now| Arc::ptr_eq(now, seen))
+    /// Whether every name the check looked up resolves as it did then in
+    /// `probe`, so that checking again would give the same messages.
+    fn holds(&self, probe: &Probe<'_>) -> bool {
+        let same = |seen: &Arc<SourceClass>| {
+            (probe.position(&seen.name)).is_some_and(|at| Arc::ptr_eq(probe.signature(at), seen))
         };
-        self.found.iter().all(same) && self.missing.iter().all(|&id| table.signature(id).is_none())
+        self.found.iter().all(same) && self.missing.iter().all(|n| probe.position(n).is_none())
     }
 }
 
-/// The names the memo has seen, by id.
-#[derive(Default)]
-struct Names(HashMap<Box<str>, u32>);
+/// One probe's program as the memo sees it: its classes in key order, each
+/// found by its own name, as the compiler finds them; each class's memo
+/// entry once looked up and its check once run.
+struct Probe<'p> {
+    memo: &'p OracleMemo,
+    program: &'p Program,
+    handles: Vec<&'p Arc<ClassFile>>,
+    /// Each class's position by its own name.
+    index: NameIndex<'p>,
+    entries: Vec<OnceCell<Arc<ClassEntry>>>,
+    checks: Vec<OnceCell<Arc<Check>>>,
+}
 
-impl Names {
-    fn id(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.0.get(name) {
-            return id;
+impl<'p> Probe<'p> {
+    fn new(memo: &'p OracleMemo, program: &'p Program) -> Self {
+        let handles: Vec<&Arc<ClassFile>> = program.handles().collect();
+        let index = index_names(handles.iter().map(|h| h.name.as_str()));
+        Probe {
+            memo,
+            program,
+            entries: handles.iter().map(|_| OnceCell::new()).collect(),
+            checks: handles.iter().map(|_| OnceCell::new()).collect(),
+            handles,
+            index,
         }
-        let id = self.0.len() as u32;
-        self.0.insert(name.into(), id);
-        id
+    }
+
+    /// The positions of the classes named by any of `names`.
+    fn any_named<'a>(&'a self, names: &'a [Box<str>]) -> impl Iterator<Item = u32> + 'a {
+        names.iter().flat_map(|name| self.named(name))
+    }
+
+    /// The positions of the classes named `name`.
+    fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = u32> + 'a {
+        // Two classes share a name only after a rename through
+        // `Program::get_mut`; otherwise the index holds every class.
+        let shared = self.index.len() < self.handles.len();
+        let all = (0..self.handles.len() as u32)
+            .filter(move |&at| self.handles[at as usize].name == name);
+        let (only, all) = if shared {
+            (None, Some(all))
+        } else {
+            (self.index.get(name).copied(), None)
+        };
+        only.into_iter().chain(all.into_iter().flatten())
+    }
+
+    fn entry(&self, at: u32) -> &Arc<ClassEntry> {
+        let at = at as usize;
+        self.entries[at].get_or_init(|| self.memo.entry(self.handles[at]))
+    }
+
+    fn signature(&self, at: u32) -> &Arc<SourceClass> {
+        &self.entry(at).signature
+    }
+
+    /// The check of the class at `at`: one recorded under this probe's
+    /// cast context that still holds, or a new one against `hierarchy`.
+    fn check<'s>(&'s self, at: u32, hierarchy: &OnceCell<Hierarchy<'s>>) -> &'s Check {
+        self.checks[at as usize].get_or_init(|| {
+            let entry = self.entry(at);
+            let checking =
+                (entry.checking).get_or_init(|| self.memo.checking(&entry.handle, self.program));
+            let context = context(&checking.casts, self.program);
+            if let Some(check) = find(&lock(&checking.checks), &context, self) {
+                return check;
+            }
+            let hierarchy = hierarchy.get_or_init(|| Hierarchy::new(self));
+            let check = Arc::new(self.memo.check(entry, checking, hierarchy, self));
+            let mut checks = lock(&checking.checks);
+            if let Some(recorded) = find(&checks, &context, self) {
+                return recorded;
+            }
+            match checks.iter_mut().find(|(c, _)| *c == context) {
+                Some((_, recorded)) => recorded.push(Arc::clone(&check)),
+                None => checks.push((context, vec![Arc::clone(&check)])),
+            }
+            check
+        })
     }
 }
 
-/// One probe's classes, by name id.
-struct Table<'e> {
-    /// The signature under each name, as the compiler's index resolves it
-    /// (by the class's own name).
-    signatures: Vec<Option<&'e Arc<SourceClass>>>,
-    /// Whether the program's class of each name is an interface, as
-    /// `Program::get` finds it (by the program's key, which differs from
-    /// the class's own name only after a rename through
-    /// `Program::get_mut`).
-    interfaces: Vec<bool>,
-}
-
-impl Table<'_> {
-    fn signature(&self, id: u32) -> Option<&Arc<SourceClass>> {
-        self.signatures.get(id as usize).copied().flatten()
+impl<'s> Classes<'s> for Probe<'_> {
+    fn len(&self) -> usize {
+        self.handles.len()
     }
 
-    /// The answers to the cast questions about `casts`.
-    fn context(&self, casts: &[u32]) -> Box<[bool]> {
-        let is_interface = |&id: &u32| self.interfaces.get(id as usize).copied();
-        casts
-            .iter()
-            .map(|id| is_interface(id).unwrap_or(false))
-            .collect()
+    fn position(&self, name: &str) -> Option<u32> {
+        self.index.get(name).copied()
+    }
+
+    fn class(&'s self, at: u32) -> &'s SourceClass {
+        self.signature(at)
     }
 }
 
@@ -237,7 +327,6 @@ impl OracleMemo {
             bugs: bugs.clone(),
             classes: Mutex::default(),
             bodies: Mutex::default(),
-            names: Mutex::default(),
             signatures: Mutex::default(),
             shapes: Mutex::default(),
             #[cfg(test)]
@@ -252,89 +341,43 @@ impl OracleMemo {
     /// `error_messages(&decompile_program(program, bugs))`, reusing every
     /// decompile and check an earlier probe of the reduction already did.
     pub(crate) fn errors(&self, program: &Program) -> BTreeSet<String> {
-        let checks = self.checks(program);
-        let messages = checks.iter().flat_map(|c| c.messages.iter());
+        let probe = Probe::new(self, program);
+        let hierarchy = OnceCell::new();
+        let checks = (0..probe.handles.len() as u32).map(|at| probe.check(at, &hierarchy));
+        let messages = checks.flat_map(|c| c.messages.iter());
         messages.cloned().collect()
     }
 
     /// Whether [`OracleMemo::errors`] of `program` holds every message of
-    /// `baseline`, without collecting the messages.
-    pub(crate) fn preserves(&self, program: &Program, baseline: &BTreeSet<String>) -> bool {
-        let checks = self.checks(program);
-        let produced = |e: &String| checks.iter().any(|c| c.messages.contains(e));
-        baseline.iter().all(produced)
-    }
-
-    /// The check of every class of `program`, in name order.
-    fn checks(&self, program: &Program) -> Vec<Arc<Check>> {
-        let keyed: Vec<(&str, &Arc<ClassFile>)> = program.names().zip(program.handles()).collect();
-        let known: Vec<Option<Arc<ClassEntry>>> = {
-            let classes = lock(&self.classes);
-            let known = |handle: &Arc<ClassFile>| classes.get(&address(handle)).cloned();
-            keyed.iter().map(|&(_, handle)| known(handle)).collect()
-        };
-        let entries: Vec<Arc<ClassEntry>> = (keyed.iter().zip(known))
-            .map(|(&(_, handle), known)| known.unwrap_or_else(|| self.entry(handle, program)))
-            .collect();
-        // The id each class is found under by `Program::get`.
-        let keys: Vec<u32> = (keyed.iter().zip(&entries))
-            .map(|(&(key, _), entry)| {
-                if key == entry.signature.name {
-                    entry.name
-                } else {
-                    lock(&self.names).id(key)
-                }
-            })
-            .collect();
-        let len = lock(&self.names).0.len();
-        let mut table = Table {
-            signatures: vec![None; len],
-            interfaces: vec![false; len],
-        };
-        for (entry, &key) in entries.iter().zip(&keys) {
-            table.signatures[entry.name as usize] = Some(&entry.signature);
-            table.interfaces[key as usize] = entry.handle.is_interface();
+    /// `baseline`. Only a class whose own name can begin a baseline
+    /// message is checked, message by message until one is missing.
+    pub(crate) fn preserves(&self, program: &Program, baseline: &Baseline) -> bool {
+        let probe = Probe::new(self, program);
+        let absent = |p: &Printed| probe.any_named(&p.producers).next().is_none();
+        if baseline.0.iter().any(absent) {
+            return false;
         }
-        let built = OnceCell::new();
-        let hierarchy =
-            || built.get_or_init(|| Hierarchy::new(entries.iter().map(|e| &*e.signature)));
-        let checks = entries.iter().map(|entry| {
-            let context = table.context(&entry.casts);
-            if let Some(check) = find(&lock(&entry.checks), &context, &table) {
-                return check;
-            }
-            let check = Arc::new(self.check(entry, hierarchy(), &entries, &table, program));
-            let mut checks = lock(&entry.checks);
-            if let Some(recorded) = find(&checks, &context, &table) {
-                return recorded;
-            }
-            match checks.iter_mut().find(|(c, _)| *c == context) {
-                Some((_, recorded)) => recorded.push(Arc::clone(&check)),
-                None => checks.push((context, vec![Arc::clone(&check)])),
-            }
-            check
-        });
-        checks.collect()
+        let hierarchy = OnceCell::new();
+        let printed = |p: &Printed| {
+            (probe.any_named(&p.producers))
+                .any(|at| probe.check(at, &hierarchy).messages.contains(&p.message))
+        };
+        baseline.0.iter().all(printed)
     }
 
-    /// Type-checks `entry`'s class in the probe `table` describes, with
-    /// statements from the body memo. `hierarchy` holds the signatures of
-    /// `entries`, in order.
+    /// Type-checks `entry`'s class in `probe`, with statements from the
+    /// body memo.
     fn check<'s>(
         &self,
         entry: &'s ClassEntry,
+        checking: &Checking,
         hierarchy: &Hierarchy<'s>,
-        entries: &[Arc<ClassEntry>],
-        table: &Table<'_>,
-        program: &Program,
+        probe: &'s Probe<'_>,
     ) -> Check {
         #[cfg(test)]
         self.checked.fetch_add(1, Ordering::Relaxed);
-        let statements: Vec<Option<Arc<[Stmt]>>> = (entry.bodies.iter())
-            .map(|body| {
-                let body = body.as_ref()?;
-                Some(self.statements(body, table, program))
-            })
+        let statements: Vec<Option<Arc<[Stmt]>>> = (checking.bodies.iter())
+            .map(|body| Some(self.statements(body.as_ref()?, probe.program)))
             .collect();
         let bodies: Vec<&[Stmt]> = statements
             .iter()
@@ -342,28 +385,18 @@ impl OracleMemo {
             .collect();
         let checked = check_class(hierarchy, &entry.signature, &bodies);
         let found = (checked.found.iter())
-            .map(|&at| {
-                let found = &entries[at as usize];
-                (found.name, Arc::clone(&found.signature))
-            })
+            .map(|&at| Arc::clone(probe.signature(at)))
             .collect();
-        let missing = if checked.missing.is_empty() {
-            Box::default()
-        } else {
-            let mut names = lock(&self.names);
-            checked.missing.iter().map(|name| names.id(name)).collect()
-        };
         Check {
             found,
-            missing,
+            missing: checked.missing.iter().map(|&name| name.into()).collect(),
             messages: checked.diags.iter().map(ToString::to_string).collect(),
         }
     }
 
-    /// `body`'s statements under the cast context of the probe `table`
-    /// describes.
-    fn statements(&self, body: &Body, table: &Table<'_>, program: &Program) -> Arc<[Stmt]> {
-        let context = table.context(&body.casts);
+    /// `body`'s statements under its cast context in `program`.
+    fn statements(&self, body: &Body, program: &Program) -> Arc<[Stmt]> {
+        let context = context(&body.casts, program);
         let find = |statements: &PerContext<Arc<[Stmt]>>| {
             let found = statements.iter().find(|(c, _)| *c == context);
             found.map(|(_, s)| Arc::clone(s))
@@ -383,41 +416,48 @@ impl OracleMemo {
         })
     }
 
-    /// The memo entry of a class handle no probe has met yet.
-    fn entry(&self, handle: &Arc<ClassFile>, program: &Program) -> Arc<ClassEntry> {
-        let class = &**handle;
-        let name = lock(&self.names).id(&class.name);
-        // Per method of the signature, its body; per body of the class,
-        // whether the decompiler eats it.
+    /// The memo entry of a class handle: its signature, from the bodies'
+    /// fates alone.
+    fn entry(&self, handle: &Arc<ClassFile>) -> Arc<ClassEntry> {
+        if let Some(entry) = lock(&self.classes).get(&address(handle)) {
+            return Arc::clone(entry);
+        }
+        let codes = handle.methods.iter().filter_map(|m| m.code.as_ref());
+        let eaten: Vec<bool> = codes.map(|code| eats(&self.bugs, code)).collect();
+        let entry = Arc::new(ClassEntry {
+            handle: Arc::clone(handle),
+            signature: self.signature(handle, &eaten),
+            checking: OnceLock::new(),
+        });
+        Arc::clone(lock(&self.classes).entry(address(handle)).or_insert(entry))
+    }
+
+    /// What checking `handle`'s class takes: its bodies, each decompiled
+    /// in `program`'s cast context if new, and their cast targets.
+    fn checking(&self, handle: &Arc<ClassFile>, program: &Program) -> Checking {
         let mut bodies = Vec::new();
-        let mut eaten = Vec::new();
-        let mut casts: Vec<u32> = Vec::new();
-        for (index, method) in class.methods.iter().enumerate() {
+        let mut casts: Vec<Box<str>> = Vec::new();
+        for (index, method) in handle.methods.iter().enumerate() {
             let Some(code) = &method.code else {
                 bodies.push(None);
                 continue;
             };
-            let body = self.body(name, handle, index, code, program);
-            eaten.push(body.eaten);
+            let body = self.body(handle, index, code, program);
             if body.eaten {
                 continue;
             }
-            for &target in body.casts.iter() {
-                if !casts.contains(&target) {
-                    casts.push(target);
+            for target in body.casts.iter() {
+                if !casts.contains(target) {
+                    casts.push(target.clone());
                 }
             }
             bodies.push(Some(body));
         }
-        let entry = Arc::new(ClassEntry {
-            handle: Arc::clone(handle),
-            name,
-            signature: self.signature(handle, &eaten),
+        Checking {
             bodies: bodies.into(),
             casts: casts.into(),
             checks: Mutex::default(),
-        });
-        Arc::clone(lock(&self.classes).entry(address(handle)).or_insert(entry))
+        }
     }
 
     /// The interned signature of `class` when the decompiler eats the
@@ -455,11 +495,9 @@ impl OracleMemo {
     }
 
     /// The memo entry of the body `code` of the `index`-th method of
-    /// `owner`, whose name has the id `class`; decompiled in `program`'s
-    /// cast context if new.
+    /// `owner`; decompiled in `program`'s cast context if new.
     fn body(
         &self,
-        class: u32,
         owner: &Arc<ClassFile>,
         index: usize,
         code: &Arc<Code>,
@@ -468,37 +506,32 @@ impl OracleMemo {
         let method = &owner.methods[index];
         let key = address(code);
         let declared = |bodies: &AddressMap<Vec<Arc<Body>>>| {
-            let found = bodies.get(&key)?.iter().find(|b| b.declares(class, method));
+            let found = (bodies.get(&key)?.iter()).find(|b| b.declares(&owner.name, method));
             found.cloned()
         };
         if let Some(body) = declared(&lock(&self.bodies)) {
             return body;
         }
         let eaten = eats(&self.bugs, code);
-        let mut targets: Vec<String> = Vec::new();
+        let mut casts: Vec<Box<str>> = Vec::new();
         let mut context: Vec<bool> = Vec::new();
         let statements = (!eaten).then(|| {
             self.decompile(&owner.name, method, code, &mut |target| {
                 let answer = program.get(target).is_some_and(ClassFile::is_interface);
-                if !targets.iter().any(|t| t == target) {
-                    targets.push(target.to_owned());
+                if !casts.iter().any(|t| **t == *target) {
+                    casts.push(target.into());
                     context.push(answer);
                 }
                 answer
             })
         });
-        let casts = {
-            let mut names = lock(&self.names);
-            targets.iter().map(|t| names.id(t)).collect()
-        };
         let statements = statements.map(|s| (context.into(), s.into()));
         let body = Arc::new(Body {
             handle: Arc::clone(code),
-            class,
             owner: Arc::clone(owner),
             method: index,
             eaten,
-            casts,
+            casts: casts.into(),
             statements: Mutex::new(statements.into_iter().collect()),
         });
         let mut bodies = lock(&self.bodies);
@@ -530,6 +563,13 @@ impl OracleMemo {
         signatures.insert(Arc::clone(&interned));
         interned
     }
+}
+
+/// The answers to the cast questions about `casts` in `program`: whether
+/// the class `Program::get` finds under each is an interface.
+fn context(casts: &[Box<str>], program: &Program) -> Box<[bool]> {
+    let is_interface = |target: &str| program.get(target).is_some_and(ClassFile::is_interface);
+    casts.iter().map(|target| is_interface(target)).collect()
 }
 
 /// Hashes what a class's signature reads of the class (see
@@ -574,14 +614,14 @@ fn same_declarations(a: &ClassFile, b: &ClassFile) -> bool {
         && a.methods.iter().zip(&b.methods).all(method)
 }
 
-/// A recorded check for `context` that still holds under `table`.
+/// A recorded check for `context` that still holds in `probe`.
 fn find(
     checks: &PerContext<Vec<Arc<Check>>>,
     context: &[bool],
-    table: &Table<'_>,
+    probe: &Probe<'_>,
 ) -> Option<Arc<Check>> {
     let (_, recorded) = checks.iter().find(|(c, _)| **c == *context)?;
-    recorded.iter().find(|c| c.holds(table)).cloned()
+    recorded.iter().find(|c| c.holds(probe)).cloned()
 }
 
 fn address<T>(handle: &Arc<T>) -> usize {
@@ -602,6 +642,7 @@ mod tests {
     use lbr_core::Input;
     use lbr_logic::{Var, VarSet};
     use lbr_prng::SplitMix64;
+    use std::collections::HashMap;
 
     fn method(name: &str, insns: Vec<Insn>) -> MethodInfo {
         MethodInfo::new(name, MethodDescriptor::void(), Code::new(2, 2, insns))
@@ -786,5 +827,48 @@ mod tests {
             "A, B and C rechecked"
         );
         assert_eq!(memo.decompiled.load(Ordering::Relaxed), seen.len());
+    }
+
+    #[test]
+    fn a_probe_checks_and_decompiles_only_the_classes_that_can_print_the_baseline() {
+        let program = program();
+        let bugs = BugSet::of(&[BugKind::CastToObject]);
+        let messages = error_messages(&decompile_program(&program, &bugs));
+        let baseline = Baseline::new(&messages);
+        let prints = |class: &ClassFile| {
+            let (whole, member) = (format!("[{}]", class.name), format!("[{}::", class.name));
+            messages
+                .iter()
+                .any(|m| m.contains(&whole) || m.contains(&member))
+        };
+        let printers: Vec<&ClassFile> = program.classes().filter(|c| prints(c)).collect();
+        assert_eq!(printers.len(), 2, "A and B print, I, J and C do not");
+        let bodies = |classes: &[&ClassFile]| {
+            let methods = classes.iter().flat_map(|c| &c.methods);
+            methods.filter(|m| m.code.is_some()).count()
+        };
+        let memo = OracleMemo::new(&bugs);
+        assert!(memo.preserves(&program, &baseline));
+        assert_eq!(memo.checked.load(Ordering::Relaxed), printers.len());
+        assert_eq!(memo.decompiled.load(Ordering::Relaxed), bodies(&printers));
+        for handle in program.handles() {
+            let entry = lock(&memo.classes).get(&address(handle)).cloned();
+            let checking = entry.is_some_and(|e| e.checking.get().is_some());
+            assert_eq!(checking, prints(handle), "{}", handle.name);
+        }
+        // Without a printer of some message, nothing is checked at all.
+        let mut without = program.clone();
+        without.remove(&printers[0].name);
+        let memo = OracleMemo::new(&bugs);
+        assert!(!memo.preserves(&without, &baseline));
+        assert_eq!(memo.checked.load(Ordering::Relaxed), 0);
+        assert_eq!(memo.decompiled.load(Ordering::Relaxed), 0);
+        // `errors` checks every class, and decompiles every body once.
+        let memo = OracleMemo::new(&bugs);
+        assert!(memo.preserves(&program, &baseline));
+        assert_eq!(memo.errors(&program), messages);
+        assert_eq!(memo.checked.load(Ordering::Relaxed), program.len());
+        let all: Vec<&ClassFile> = program.classes().collect();
+        assert_eq!(memo.decompiled.load(Ordering::Relaxed), bodies(&all));
     }
 }

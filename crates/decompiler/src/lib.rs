@@ -44,7 +44,7 @@ mod oracle;
 mod source;
 
 pub use bugs::{BugKind, BugSet};
-pub use compile::{compile, error_messages, Diagnostic};
+pub use compile::{compile, compile_each, error_messages, Diagnostic};
 pub use decompile::{decompile_class, decompile_program};
 pub use oracle::DecompilerOracle;
 pub use source::{render_class, SExpr, SourceClass, SourceMethod, SourceSet, SrcType, Stmt};

@@ -7,6 +7,11 @@
 //! baseline error messages of the original program and accepts a
 //! sub-program iff every baseline message is still produced.
 //!
+//! The predicate needs only the baseline messages, so it type-checks only
+//! the classes whose names can begin one (see
+//! [`DecompilerOracle::preserves_failure`]); [`DecompilerOracle::errors`]
+//! stays the whole-program run, for callers that need every message.
+//!
 //! The predicate is monotone on valid sub-inputs because each injected bug
 //! fires on the *presence* of a bytecode/source pattern: any valid
 //! superset of a failing input retains the patterns and therefore the
@@ -15,7 +20,7 @@
 use crate::bugs::BugSet;
 use crate::compile::error_messages;
 use crate::decompile::decompile_program;
-use crate::incremental::{OracleMemo, ScopeMemo};
+use crate::incremental::{Baseline, OracleMemo, ScopeMemo};
 use lbr_classfile::Program;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -24,12 +29,14 @@ use std::sync::Arc;
 /// original input program.
 ///
 /// The oracle is *pure per probe*: every method takes `&self`, and a
-/// probe's answer is `error_messages(&decompile_program(p, bugs))` for the
-/// candidate `p` alone, bit for bit. The oracle itself holds nothing
-/// mutable. What it memoizes lives in the candidate's reduction scope
-/// ([`Program::scoped`]): each method body is decompiled once per
-/// reduction (and cast context), and a class is type-checked again only
-/// when a class it looked up changed.
+/// probe's answers are functions of the candidate `p` alone:
+/// [`DecompilerOracle::errors`] is `error_messages(&decompile_program(p,
+/// bugs))` bit for bit, and [`DecompilerOracle::preserves_failure`] is
+/// exactly "the baseline is a subset of those messages". The oracle itself
+/// holds nothing mutable. What it memoizes lives in the candidate's
+/// reduction scope ([`Program::scoped`]): each method body is decompiled
+/// once per reduction (and cast context), and a class is type-checked
+/// again only when a class it looked up changed.
 /// The memo is dropped with the reduction's last candidate; a program no
 /// reduction built gets a fresh one. That makes one oracle instance safely
 /// shareable across the speculative probe workers of `lbr-core`'s
@@ -41,6 +48,8 @@ use std::sync::Arc;
 pub struct DecompilerOracle {
     bugs: BugSet,
     baseline: BTreeSet<String>,
+    /// The baseline messages with the classes that can print each.
+    producers: Baseline,
 }
 
 /// Compile-time proof that the oracle can be shared across probe threads.
@@ -55,7 +64,11 @@ impl DecompilerOracle {
     /// reference: nothing in a reduction scope is gained from it.
     pub fn new(original: &Program, bugs: BugSet) -> Self {
         let baseline = error_messages(&decompile_program(original, &bugs));
-        DecompilerOracle { bugs, baseline }
+        DecompilerOracle {
+            bugs,
+            producers: Baseline::new(&baseline),
+            baseline,
+        }
     }
 
     /// The error messages of the original input. Empty means the
@@ -83,10 +96,15 @@ impl DecompilerOracle {
     }
 
     /// The black-box predicate `P`: does the sub-program still produce
-    /// every baseline error message? Answered from the memo's messages,
-    /// without collecting them into a set.
+    /// every baseline error message? Exactly "the baseline is a subset of
+    /// `error_messages(&decompile_program(program, bugs))`", but only the
+    /// classes that can print a baseline message are checked: a diagnostic
+    /// names the class being checked, so only a class whose own name can
+    /// begin a baseline message can print it. The answer is `false` at
+    /// once when some baseline message has no such class in `program`,
+    /// and at the first message none of its classes printed.
     pub fn preserves_failure(&self, program: &Program) -> bool {
-        self.memo(program).preserves(program, &self.baseline)
+        self.memo(program).preserves(program, &self.producers)
     }
 
     fn memo(&self, program: &Program) -> Arc<OracleMemo> {

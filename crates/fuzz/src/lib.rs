@@ -81,6 +81,18 @@ pub struct CampaignSummary {
     pub size_checks_classfile: u64,
     /// Candidate byte sizes I9 checked on stackvm cases.
     pub size_checks_stackvm: u64,
+    /// Candidates whose predicate answer I9 checked on classfile cases
+    /// and that keep every baseline message.
+    pub predicate_accepted_classfile: u64,
+    /// Candidates whose predicate answer I9 checked on classfile cases
+    /// and that lose a baseline message.
+    pub predicate_rejected_classfile: u64,
+    /// Candidates whose predicate answer I9 checked on stackvm cases and
+    /// that keep every baseline message.
+    pub predicate_accepted_stackvm: u64,
+    /// Candidates whose predicate answer I9 checked on stackvm cases and
+    /// that lose a baseline message.
+    pub predicate_rejected_stackvm: u64,
     /// I4 chain checks passed over non-empty checkpoint chains on
     /// classfile cases.
     pub chain_checks_classfile: u64,
@@ -129,10 +141,14 @@ pub fn run_campaign(config: &CampaignConfig, harness: &Harness) -> io::Result<Ca
         if case.format == "stackvm" {
             summary.oracle_checks_stackvm += outcome.oracle_checks;
             summary.size_checks_stackvm += outcome.size_checks;
+            summary.predicate_accepted_stackvm += outcome.predicate_accepted;
+            summary.predicate_rejected_stackvm += outcome.predicate_rejected;
             summary.chain_checks_stackvm += outcome.chain_checks;
         } else {
             summary.oracle_checks_classfile += outcome.oracle_checks;
             summary.size_checks_classfile += outcome.size_checks;
+            summary.predicate_accepted_classfile += outcome.predicate_accepted;
+            summary.predicate_rejected_classfile += outcome.predicate_rejected;
             summary.chain_checks_classfile += outcome.chain_checks;
         }
         if !outcome.violations.is_empty() {

@@ -32,9 +32,13 @@
 //!   reduction scope or computed outside any scope, is exactly the
 //!   memo-free reference (progression P16): the decompiler's
 //!   `error_messages(&decompile_program(..))` on classfile cases, the
-//!   lowering pass's `StackBugSet::error_messages` on stackvm cases. The
-//!   same walk checks the size metric: a scoped candidate's `byte_size`
-//!   is exactly the writer's length of its unscoped rebuild.
+//!   lowering pass's `StackBugSet::error_messages` on stackvm cases; and
+//!   the oracle's predicate (`preserves_failure`, which the classfile
+//!   oracle answers by checking only the classes that can print a
+//!   baseline message) is exactly "the baseline is a subset of the
+//!   reference's messages". The same walk checks the size metric: a
+//!   scoped candidate's `byte_size` is exactly the writer's length of its
+//!   unscoped rebuild.
 //!
 //! The progression suite itself is generic over [`Input`], so the stackvm
 //! frontend (progression P12) runs the exact same body — only the
@@ -91,6 +95,12 @@ pub struct CaseOutcome {
     pub oracle_checks: u64,
     /// Candidates whose byte size I9 compared with the writer's.
     pub size_checks: u64,
+    /// Candidates whose predicate answer I9 compared with the reference
+    /// and that keep every baseline message.
+    pub predicate_accepted: u64,
+    /// Candidates whose predicate answer I9 compared with the reference
+    /// and that lose a baseline message.
+    pub predicate_rejected: u64,
     /// I4 chain checks passed over a non-empty checkpoint chain (one per
     /// GBR run that learned at least once: the reference and
     /// trace-guided).
@@ -662,8 +672,9 @@ const MODULE_HEADER: usize = 13;
 
 /// P16 (I9): walks random candidates of one reduction scope, a few items
 /// toggled per step so that most units repeat, and checks the oracle's
-/// answer for each, inside the scope and outside it (`unscoped` rebuilds a
-/// candidate that no reduction built), against the memo-free `reference`.
+/// answers for each, inside the scope and outside it (`unscoped` rebuilds a
+/// candidate that no reduction built), against the memo-free `reference`:
+/// the messages, and whether every baseline message is kept.
 /// It also checks each scoped candidate's byte size against `written`, the
 /// writer's length of the unscoped rebuild.
 fn incremental_oracle<I: Input, O: InputOracle<I>>(
@@ -691,14 +702,27 @@ fn incremental_oracle<I: Input, O: InputOracle<I>>(
         let candidate = (model.materialize)(&keep);
         let plain = unscoped(&candidate);
         let expected = reference(&candidate);
+        let preserved = oracle.baseline().is_subset(&expected);
         out.oracle_checks += 1;
         for (tag, probe) in [("scoped", &candidate), ("unscoped", &plain)] {
+            if oracle.preserves_failure(probe) != preserved {
+                return out.violations.push(format!(
+                    "I9 {tag}: candidate {i} ({} units) gets the predicate answer {}, the reference {preserved}",
+                    candidate.unit_count(),
+                    !preserved
+                ));
+            }
             if oracle.errors(probe) != expected {
                 return out.violations.push(format!(
                     "I9 {tag}: candidate {i} ({} units) differs from the reference oracle",
                     candidate.unit_count()
                 ));
             }
+        }
+        if preserved {
+            out.predicate_accepted += 1;
+        } else {
+            out.predicate_rejected += 1;
         }
         out.size_checks += 1;
         let (measured, bytes) = (candidate.byte_size(), written(&plain));

@@ -14,12 +14,16 @@
 //!   interface named as superclass, a class named as interface, and a user
 //!   class named `Object`. Each comes with a probe class that types every
 //!   kind of expression against every class of the set.
+//!
+//! Over the same sources, every diagnostic names the class whose check
+//! printed it. The oracle's predicate rests on that: it checks only the
+//! classes whose names can begin a baseline message.
 
 use lbr::classfile::Program;
 use lbr::core::Input;
 use lbr::decompiler::{
-    compile, decompile_program, error_messages, BugKind, BugSet, SExpr, SourceClass, SourceMethod,
-    SourceSet, SrcType, Stmt,
+    compile, compile_each, decompile_program, error_messages, BugKind, BugSet, SExpr, SourceClass,
+    SourceMethod, SourceSet, SrcType, Stmt,
 };
 use lbr::logic::{Var, VarSet};
 use lbr::workload::{generate, AdversarialShape, WorkloadConfig};
@@ -53,9 +57,8 @@ fn presets() -> [BugSet; 3] {
     ]
 }
 
-/// The pin of every decompiler's messages on `program` and on `draws`
-/// random candidates of it, all folded into one.
-fn program_pin(program: &Program, rng: &mut SplitMix64, draws: usize) -> Pin {
+/// `program` and `draws` random candidates of it.
+fn candidates(program: &Program, rng: &mut SplitMix64, draws: usize) -> Vec<Program> {
     let model = program.model().expect("generated programs verify");
     let vars = model.cnf.num_vars();
     let mut candidates = vec![program.clone()];
@@ -68,6 +71,13 @@ fn program_pin(program: &Program, rng: &mut SplitMix64, draws: usize) -> Pin {
             vars, keep,
         )));
     }
+    candidates
+}
+
+/// The pin of every decompiler's messages on `program` and on `draws`
+/// random candidates of it, all folded into one.
+fn program_pin(program: &Program, rng: &mut SplitMix64, draws: usize) -> Pin {
+    let candidates = candidates(program, rng, draws);
     let mut all = BTreeSet::new();
     let mut count = 0;
     for (k, candidate) in candidates.iter().enumerate() {
@@ -336,4 +346,35 @@ fn hierarchy_edge_cases_are_pinned() {
         })
         .collect();
     assert_eq!(got, EDGE_CASE_PINS);
+}
+
+#[test]
+fn every_diagnostic_names_the_class_being_checked() {
+    let mut sets: Vec<SourceSet> = Vec::new();
+    // The candidates of the two pins above, drawn the same way.
+    let corpora: [(u64, usize, Vec<Program>); 2] = [
+        (0xD1A6, 9, (0..12).map(suite_program).collect()),
+        (0x1F4CE, 12, interface_heavy_programs().into()),
+    ];
+    for (seed, draws, programs) in corpora {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        for program in &programs {
+            for candidate in candidates(program, &mut rng, draws) {
+                sets.extend(presets().iter().map(|b| decompile_program(&candidate, b)));
+            }
+        }
+    }
+    sets.extend(edge_cases().into_iter().map(|(_, set)| set));
+    let mut diagnostics = 0;
+    for set in &sets {
+        let each = compile_each(set);
+        assert_eq!(each.len(), set.classes.len());
+        for (class, diags) in set.classes.iter().zip(&each) {
+            for d in diags {
+                assert_eq!(d.class, class.name, "{d} printed by {}", class.name);
+            }
+            diagnostics += diags.len();
+        }
+    }
+    assert!(diagnostics > 10_000, "only {diagnostics} diagnostics");
 }

@@ -13,6 +13,13 @@
 //! `Arc<Code>` can serve methods of different classes and declarations,
 //! under different cast contexts: the second half of this file shares
 //! bodies in each of those ways.
+//!
+//! `DecompilerOracle::preserves_failure` checks only the classes whose own
+//! names can begin a baseline message. Wherever an answer is checked, it
+//! must equal "the baseline is a subset of the reference's messages",
+//! including for candidates that rename classes into and out of those
+//! names, hold two classes with one name, or print a baseline message from
+//! a class whose name collides with a member's rendering.
 
 use lbr::classfile::{
     build_model, ClassFile, Code, FieldInfo, FieldRef, Flags, Insn, Item, MethodDescriptor,
@@ -51,9 +58,17 @@ fn reference(program: &Program, bugs: &BugSet) -> BTreeSet<String> {
     error_messages(&decompile_program(program, bugs))
 }
 
-/// The same classes in a program no reduction built.
+/// The same classes under the same keys in a program no reduction built.
 fn unscoped(program: &Program) -> Program {
-    program.classes().cloned().collect()
+    let mut plain = Program::new();
+    for (key, class) in program.names().zip(program.classes()) {
+        // Under its key, then renamed as in `program`.
+        let mut keyed = class.clone();
+        keyed.name = key.into();
+        plain.insert(keyed);
+        plain.get_mut(key).expect("inserted").name = class.name.clone();
+    }
+    plain
 }
 
 /// A GBR-like walk: mostly a few items toggled from the previous
@@ -126,21 +141,21 @@ fn edits(candidate: &Program, interfaces: &BTreeSet<String>) -> Vec<Program> {
     out
 }
 
-/// Checks every oracle's answer on `candidate`, scoped and unscoped.
+/// Checks every oracle's answers on `candidate`, scoped and unscoped:
+/// whether it keeps every baseline message, then its messages.
 fn check(oracles: &[(BugSet, DecompilerOracle)], candidate: &Program, what: &str) {
     let plain = unscoped(candidate);
     for (bugs, oracle) in oracles {
         let expected = reference(candidate, bugs);
-        assert_eq!(
-            oracle.errors(candidate),
-            expected,
-            "{what}, scoped, {bugs:?}"
-        );
-        assert_eq!(
-            oracle.errors(&plain),
-            expected,
-            "{what}, unscoped, {bugs:?}"
-        );
+        let preserved = oracle.baseline().is_subset(&expected);
+        for (scope, probe) in [("scoped", candidate), ("unscoped", &plain)] {
+            assert_eq!(
+                oracle.preserves_failure(probe),
+                preserved,
+                "{what}, {scope}, predicate, {bugs:?}"
+            );
+            assert_eq!(oracle.errors(probe), expected, "{what}, {scope}, {bugs:?}");
+        }
     }
 }
 
@@ -634,6 +649,9 @@ fn a_class_renamed_in_place_is_cast_to_by_key_and_looked_up_by_name() {
     for (what, candidate) in sequence {
         for (bugs, oracle) in &oracles {
             let expected = reference(candidate, bugs);
+            let preserved = oracle.baseline().is_subset(&expected);
+            let predicate = oracle.preserves_failure(candidate);
+            assert_eq!(predicate, preserved, "{what}, predicate, {bugs:?}");
             assert_eq!(oracle.errors(candidate), expected, "{what}, {bugs:?}");
         }
     }
@@ -757,5 +775,114 @@ fn a_check_that_took_another_checks_supertype_walk_sees_the_walk_change() {
             }
             before = Some(now);
         }
+    }
+}
+
+/// A class with a constructor and the field `f` of type `ty`.
+fn with_field(name: &str, ty: &str) -> ClassFile {
+    let mut class = ClassFile::new_class(name);
+    class.methods.push(ctor());
+    class.fields.push(FieldInfo::new("f", Type::reference(ty)));
+    class
+}
+
+/// Renames the class under `key` in place.
+fn rename(program: &Program, key: &str, name: &str) -> Program {
+    let mut renamed = program.clone();
+    renamed.get_mut(key).expect("present").name = name.into();
+    renamed
+}
+
+#[test]
+fn the_predicate_checks_producers_by_their_own_names() {
+    // `A` and `B` hold an `f` of the missing `G`, `C` extends the missing
+    // `E` and `D` extends the interface `K`: each prints one message.
+    let mut base: Vec<ClassFile> = vec![with_field("A", "G"), with_field("B", "G")];
+    for (name, superclass) in [("C", "E"), ("D", "K")] {
+        let mut class = ClassFile::new_class(name);
+        class.superclass = Some(superclass.into());
+        class.methods.push(ctor());
+        base.push(class);
+    }
+    for name in ["E", "G", "K"] {
+        let mut class = ClassFile::new_class(name);
+        class.methods.push(ctor());
+        base.push(class);
+    }
+    let mut original = in_scope(&base.into_iter().collect());
+    original.remove("E");
+    original.remove("G");
+    original.get_mut("K").expect("present").flags = ClassFile::new_interface("K").flags;
+    let oracles = oracles(&unscoped(&original));
+    let (bugs, oracle) = &oracles[5];
+    assert_eq!(*bugs, BugSet::none());
+    for message in [
+        "error: [A::f] cannot find symbol: class G",
+        "error: [B::f] cannot find symbol: class G",
+        "error: [C] cannot find symbol: class E",
+        "error: [D] no interface expected here: K",
+    ] {
+        assert!(oracle.baseline().contains(message), "{message}");
+    }
+    let with = |program: &Program, class: ClassFile| {
+        let mut with = program.clone();
+        with.insert(class);
+        with
+    };
+    let without_f = |program: &Program, key: &str| {
+        let mut without = program.clone();
+        without.get_mut(key).expect("present").fields.clear();
+        without
+    };
+    let without = |program: &Program, key: &str| {
+        let mut without = program.clone();
+        without.remove(key);
+        without
+    };
+    let a_renamed_z = rename(&original, "A", "Z");
+    // `N`, a class no baseline message names, renamed `A` prints `A`'s
+    // message.
+    let n_renamed_a = rename(&with(&a_renamed_z, with_field("N", "G")), "N", "A");
+    let n_renamed_back = rename(&n_renamed_a, "N", "N");
+    // Two classes named `A`: either prints the message.
+    let two_a = rename(&with(&original, with_field("N", "G")), "N", "A");
+    let later_prints = without_f(&two_a, "A");
+    let earlier_prints = without_f(&two_a, "N");
+    // Two classes named `K`: `D` resolves the later, under key `L` a class
+    // and under key `J` the interface.
+    let mut k = ClassFile::new_class("L");
+    k.methods.push(ctor());
+    let later_k_class = rename(&with(&original, k.clone()), "L", "K");
+    k.name = "J".into();
+    let earlier_k_class = rename(&with(&original, k), "J", "K");
+    // A class named `A::f` prints what `A`'s member `f` printed.
+    let mut collides = ClassFile::new_class("A::f");
+    collides.superclass = Some("G".into());
+    collides.methods.push(ctor());
+    let a_lost_f = without_f(&original, "A");
+    let collision = with(&a_lost_f, collides);
+    let sequence = [
+        ("original", &original, true),
+        ("A renamed Z", &a_renamed_z, false),
+        ("N renamed A", &n_renamed_a, true),
+        ("N renamed back", &n_renamed_back, false),
+        ("two named A", &two_a, true),
+        ("the later A prints", &later_prints, true),
+        ("the earlier A prints", &earlier_prints, true),
+        ("the later K a class", &later_k_class, false),
+        ("the earlier K a class", &earlier_k_class, true),
+        ("A lost f", &a_lost_f, false),
+        ("A::f beside A", &collision, true),
+        ("no C", &without(&original, "C"), false),
+        (
+            "no A::f, no A",
+            &without(&without(&collision, "A::f"), "A"),
+            false,
+        ),
+        ("original again", &original, true),
+    ];
+    for (what, candidate, preserved) in sequence {
+        assert_eq!(oracle.preserves_failure(candidate), preserved, "{what}");
+        check(&oracles, candidate, what);
     }
 }
