@@ -132,6 +132,14 @@ wait_daemon() {
 ./target/release/gen --seed 7 --decompiler a --out "$smoke_dir/daemon.lbrc" 2>/dev/null
 ./target/release/reduce --input "$smoke_dir/daemon.lbrc" --decompiler a \
     --out "$smoke_dir/ref.lbrc" --json "$smoke_dir/ref.json" >/dev/null 2>&1
+# The connection plane has no shard count and the daemon no result store.
+svc_help=$(./target/release/lbr-serviced --help)
+for gone in --shards --memoize; do
+    if echo "$svc_help" | grep -q -- "$gone"; then
+        echo "lbr-serviced --help still lists $gone" >&2
+        exit 1
+    fi
+done
 
 ./target/release/lbr-serviced --state-dir "$svc" --workers 2 >/dev/null &
 svc_pid=$!
@@ -160,6 +168,21 @@ cmp "$smoke_dir/svm-ref.lbrs" "$smoke_dir/svm-daemon.lbrs"
 svm_daemon=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-daemon.json")
 [ "$svm_digest" = "$svm_daemon" ]
 grep -q '"format":"stackvm"' "$smoke_dir/svm-daemon.json"
+
+# A hostile line nested 100,000 deep must draw an error on its own
+# connection and leave the daemon serving.
+svc_addr=$(cat "$svc/daemon.addr")
+hostile_reply=$(bash -c '
+    exec 3<>"/dev/tcp/${1%:*}/${1##*:}" || exit 1
+    head -c 100000 /dev/zero | tr "\0" "[" >&3
+    printf "\n" >&3
+    IFS= read -r -t 10 reply <&3 && printf "%s\n" "$reply"
+' hostile "$svc_addr")
+echo "$hostile_reply" | grep -q '"ok":false' || {
+    echo "hostile line drew no error reply: $hostile_reply" >&2
+    exit 1
+}
+./target/release/reduce-client --state-dir "$svc" ping >/dev/null
 
 # Kill -9 mid-job: a fresh container (cold cache, so probes really sleep),
 # slowed-down probes, wait for the first checkpoint, then SIGKILL the daemon

@@ -25,6 +25,8 @@
 //! subset our own renderer emits (objects, arrays, strings, numbers,
 //! booleans); the harness stays dependency-free.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

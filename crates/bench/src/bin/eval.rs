@@ -19,6 +19,8 @@
 //! `compare` experiment runs the strategy zoo over both formats — the
 //! source of the committed `BENCH_baseline.json`.
 
+#![forbid(unsafe_code)]
+
 use lbr_bench::{
     compare_strategies, compute_stats, headline_strategies, lossy_strategies, render_ablation,
     render_compare, render_csv, render_fig8a, render_fig8b, render_json, render_lossy,

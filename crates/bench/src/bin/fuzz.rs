@@ -17,6 +17,8 @@
 //! violated (campaign) or the violation reproduces (replay), `2` on usage
 //! errors.
 
+#![forbid(unsafe_code)]
+
 use lbr_fuzz::{run_campaign, CampaignConfig, FuzzCase, Harness};
 use std::path::PathBuf;
 use std::time::Duration;

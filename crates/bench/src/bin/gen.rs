@@ -7,6 +7,8 @@
 //!     [--decompiler a|b|c|all] [--disasm]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use lbr_classfile::{disassemble_program, program_byte_size, write_program};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_stackvm::{module_byte_size, write_module, StackBugSet, StackOracle};

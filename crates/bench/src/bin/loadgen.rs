@@ -30,6 +30,8 @@
 //! — exit status is the verdict. Results land in `--out` (default
 //! `BENCH_service.json`), written atomically.
 
+#![forbid(unsafe_code)]
+
 use lbr_classfile::write_program;
 use lbr_decompiler::BugSet;
 use lbr_service::{atomic_write_str, Client, Connection, Daemon, DaemonConfig, Json};
@@ -68,7 +70,6 @@ struct RoundStats {
     p95_ms: f64,
     p99_ms: f64,
     hit_rate: f64,
-    replayed: u64,
     all_done: bool,
 }
 
@@ -134,10 +135,6 @@ fn run_round(client: &Client, addr: &str, binary: bool, specs: Vec<Json>) -> Rou
             .unwrap_or(0)
     };
     let (hits0, misses0) = (cache_before("hits"), cache_before("misses"));
-    let replayed0 = before
-        .get("jobs")
-        .and_then(|j| j.u64_field("replayed"))
-        .unwrap_or(0);
 
     let total = specs.len();
     let conns = total.div_ceil(PER_CONN).max(1);
@@ -184,11 +181,6 @@ fn run_round(client: &Client, addr: &str, binary: bool, specs: Vec<Json>) -> Rou
         } else {
             0.0
         },
-        replayed: after
-            .get("jobs")
-            .and_then(|j| j.u64_field("replayed"))
-            .unwrap_or(0)
-            - replayed0,
         all_done,
     }
 }
@@ -380,7 +372,6 @@ fn round_doc(r: &RoundStats) -> Json {
         ("p95_ms", Json::Num(r.p95_ms)),
         ("p99_ms", Json::Num(r.p99_ms)),
         ("cache_hit_rate", Json::Num(r.hit_rate)),
-        ("replayed", Json::count(r.replayed)),
     ])
 }
 
@@ -569,9 +560,6 @@ fn main() {
         // the rounds measure throughput, not admission control (the sweep
         // and --smoke exercise shedding).
         config.queue_capacity = (warm_jobs + 16).max(64);
-        // The production configuration for a fleet front door: identical
-        // resubmissions replay from the result store.
-        config.memoize_results = true;
         let daemon = Daemon::start(config).unwrap_or_else(|e| fail(format!("start daemon: {e}")));
         let addr = daemon.local_addr().to_string();
         let client = Client::connect(addr.clone());

@@ -28,6 +28,8 @@
 //! not trigger the selected decompiler's bugs, or the reduction itself
 //! fails, `2` on usage errors.
 
+#![forbid(unsafe_code)]
+
 use lbr_classfile::{disassemble_program, read_program, write_class_directory};
 use lbr_core::{Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};

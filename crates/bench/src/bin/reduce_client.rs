@@ -28,6 +28,8 @@
 //! hint; `--retry-shed` sleeps the hinted delay and retries once before
 //! giving up).
 
+#![forbid(unsafe_code)]
+
 use lbr_service::{Client, Connection, Json, Submitted};
 use std::path::Path;
 use std::time::Duration;

@@ -10,6 +10,7 @@
 //! * `lossy` — the two lossy encodings vs the full reducer,
 //! * `ablate-order`, `ddmin` — ablations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -32,6 +32,7 @@
 //! # Ok::<(), lbr_classfile::ReadError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

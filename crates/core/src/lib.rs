@@ -47,6 +47,7 @@
 //! # Ok::<(), lbr_core::GbrError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

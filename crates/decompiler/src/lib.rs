@@ -33,6 +33,7 @@
 //! assert!(!oracle.is_failing());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -35,6 +35,7 @@
 //! # Ok::<(), lbr_fji::TypeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,6 +21,7 @@
 //! line and `--replay`s case files; ci.sh runs a bounded campaign as a
 //! deterministic gate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

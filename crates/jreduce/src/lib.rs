@@ -34,6 +34,7 @@
 //! # Ok::<(), lbr_jreduce::PipelineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

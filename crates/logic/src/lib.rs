@@ -42,6 +42,7 @@
 //! assert!(solution.contains(a_m)); // A.m() must be kept
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

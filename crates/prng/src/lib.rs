@@ -21,6 +21,7 @@
 //! assert!(pick.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -16,6 +16,7 @@
 //! [`ProgressionBuilder`] and through [`build_progression`], and requires
 //! identical results and errors.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

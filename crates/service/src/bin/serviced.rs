@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lbr-serviced --state-dir state/ [--workers N] [--queue-capacity N]
-//!              [--shards N] [--idle-timeout-secs N] [--max-frame-kb N]
+//!              [--idle-timeout-secs N] [--max-frame-kb N]
 //!              [--max-inflight N] [--checkpoint-interval-ms N]
 //! ```
 //!
@@ -12,6 +12,8 @@
 //! like — every state file is written atomically, so a restart resumes
 //! checkpointed jobs with a warm oracle cache.
 
+#![forbid(unsafe_code)]
+
 use lbr_service::{Daemon, DaemonConfig};
 use std::time::Duration;
 
@@ -20,12 +22,10 @@ fn main() {
     let mut state_dir: Option<String> = None;
     let mut workers = 4usize;
     let mut queue_capacity = 64usize;
-    let mut shards: Option<usize> = None;
     let mut idle_timeout_secs: Option<u64> = None;
     let mut max_frame_kb: Option<usize> = None;
     let mut max_inflight: Option<usize> = None;
     let mut checkpoint_interval_ms: Option<u64> = None;
-    let mut memoize = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -47,17 +47,15 @@ fn main() {
             "--state-dir" => state_dir = Some(value()),
             "--workers" => workers = parse(flag, value()) as usize,
             "--queue-capacity" => queue_capacity = parse(flag, value()) as usize,
-            "--shards" => shards = Some(parse(flag, value()) as usize),
             "--idle-timeout-secs" => idle_timeout_secs = Some(parse(flag, value())),
             "--max-frame-kb" => max_frame_kb = Some(parse(flag, value()) as usize),
             "--max-inflight" => max_inflight = Some(parse(flag, value()) as usize),
             "--checkpoint-interval-ms" => checkpoint_interval_ms = Some(parse(flag, value())),
-            "--memoize" => memoize = true,
             "--help" | "-h" => {
                 println!(
                     "usage: lbr-serviced --state-dir DIR [--workers N] [--queue-capacity N]\n\
-                     \x20                   [--shards N] [--idle-timeout-secs N] [--max-frame-kb N]\n\
-                     \x20                   [--max-inflight N] [--checkpoint-interval-ms N] [--memoize]"
+                     \x20                   [--idle-timeout-secs N] [--max-frame-kb N]\n\
+                     \x20                   [--max-inflight N] [--checkpoint-interval-ms N]"
                 );
                 return;
             }
@@ -74,9 +72,6 @@ fn main() {
     };
     let mut config = DaemonConfig::new(state_dir, workers);
     config.queue_capacity = queue_capacity.max(1);
-    if let Some(n) = shards {
-        config.shards = n.max(1);
-    }
     if let Some(secs) = idle_timeout_secs {
         config.idle_timeout = Duration::from_secs(secs.max(1));
     }
@@ -89,7 +84,6 @@ fn main() {
     if let Some(ms) = checkpoint_interval_ms {
         config.checkpoint_interval = Duration::from_millis(ms);
     }
-    config.memoize_results = memoize;
     let daemon = match Daemon::start(config) {
         Ok(d) => d,
         Err(e) => {

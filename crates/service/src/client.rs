@@ -240,7 +240,8 @@ impl Connection {
     /// Opens a connection and negotiates capabilities: sends `hello` as a
     /// JSON line and, if `binary` is requested and the daemon offers it,
     /// switches all subsequent frames to binary framing. A daemon that
-    /// answers `hello` with an error is treated as v1 (JSON only).
+    /// answers `hello` with an error is treated as v1 (JSON only); one
+    /// that sheds the connection (at its connection cap) is an error.
     pub fn negotiate(addr: &str, binary: bool) -> io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -252,6 +253,13 @@ impl Connection {
             pending_events: VecDeque::new(),
         };
         let hello = conn.request(&Json::obj([("op", Json::str("hello"))]))?;
+        if hello.bool_field("shed") == Some(true) {
+            // The daemon is at its connection cap and has closed this one.
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                format!("daemon shed the connection: {}", hello.render()),
+            ));
+        }
         if hello.bool_field("ok") == Some(true) {
             let offers_binary = matches!(hello.get("framings"), Some(Json::Arr(fs))
                 if fs.iter().any(|f| matches!(f, Json::Str(s) if s == "binary")));

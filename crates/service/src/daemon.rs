@@ -1,4 +1,4 @@
-//! The reduction daemon: an event-loop TCP service running GBR jobs.
+//! The reduction daemon: a localhost TCP service running GBR jobs.
 //!
 //! One daemon owns a *state directory* holding everything it needs to
 //! survive a crash:
@@ -23,10 +23,11 @@
 //!
 //! # I/O architecture
 //!
-//! The connection plane is a single acceptor plus N event-loop *shards*
-//! (the private `shard` and `reactor` modules): every connection is
-//! non-blocking and owned by one shard, so thousands of clients cost no
-//! per-connection threads. Job execution stays on a separate worker pool
+//! The connection plane (the private `conn` module) is a single acceptor
+//! plus two blocking threads per connection: a reader that decodes and
+//! answers frames, and a writer that drains the connection's outbox. The
+//! acceptor serves at most a fixed number of connections at once and
+//! sheds the next one. Job execution stays on a separate worker pool
 //! draining the bounded priority [`JobQueue`].
 //!
 //! The wire protocol carries one [`Json`] document per frame in either
@@ -34,8 +35,8 @@
 //! binary, interleavable per frame on one connection. Responses that
 //! cannot be answered immediately (`result` with `wait`, streamed
 //! progress events) are *deferred*: the handler registers the connection
-//! and the completing worker pushes the encoded frame back through the
-//! owning shard's mailbox — no thread ever parks on a client's behalf.
+//! and the completing worker appends the encoded frame to the
+//! connection's outbox — no worker ever waits on a client.
 //!
 //! Admission control sheds load instead of stalling it: a full queue or
 //! a client over its in-flight cap gets `{"ok":false,"shed":true,
@@ -44,12 +45,12 @@
 
 use crate::cache::{namespace_digest, PersistentOracleCache};
 use crate::checkpoint::{load_checkpoint, save_checkpoint};
+use crate::conn::{serve, shed, Conn, MAX_CONNECTIONS};
 use crate::frame::{encode_doc, encode_event, Framing, WireFrame, OP_DOC};
 use crate::fsio::{atomic_write, atomic_write_str};
 use crate::job::{JobPhase, JobSpec};
 use crate::json::Json;
 use crate::queue::JobQueue;
-use crate::shard::{run_shard, ShardHandle, ShardMsg};
 use lbr_classfile::read_program;
 use lbr_core::{GbrError, Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};
@@ -80,8 +81,6 @@ pub struct DaemonConfig {
     /// Bound of the pending-job queue; submits beyond it are shed with a
     /// `retry_after_ms` hint.
     pub queue_capacity: usize,
-    /// Event-loop shards multiplexing connections.
-    pub shards: usize,
     /// Connections idle longer than this are closed (connections parked
     /// on a deferred reply — `result --wait`, event streams — are exempt).
     pub idle_timeout: Duration,
@@ -96,32 +95,21 @@ pub struct DaemonConfig {
     /// after that, saving is throttled to this interval — a crash can
     /// lose at most this much progress, never correctness.
     pub checkpoint_interval: Duration,
-    /// Replay finished jobs from the content-addressed result store:
-    /// a submit whose (input bytes, oracle, strategy, cost, probe
-    /// configuration) digest matches an earlier *done* job is answered
-    /// with that job's stored result and reduced container instead of
-    /// re-running the search. Determinism makes this sound — an identical
-    /// job can only ever produce the identical result — and replayed
-    /// results carry `"replayed": true`. Off by default so cache-metric
-    /// semantics (probe hit counters) stay those of a real run.
-    pub memoize_results: bool,
 }
 
 impl DaemonConfig {
     /// A config with `workers` threads over `state_dir` and defaults for
-    /// everything else: 64 queued jobs, 2 shards, 300 s idle timeout,
+    /// everything else: 64 queued jobs, 300 s idle timeout,
     /// 1 MiB frames, 64 in-flight jobs per client, 100 ms checkpoints.
     pub fn new(state_dir: impl Into<PathBuf>, workers: usize) -> Self {
         DaemonConfig {
             state_dir: state_dir.into(),
             workers: workers.max(1),
             queue_capacity: 64,
-            shards: 2,
             idle_timeout: Duration::from_secs(300),
             max_frame_bytes: 1 << 20,
             max_inflight_per_client: 64,
             checkpoint_interval: Duration::from_millis(100),
-            memoize_results: false,
         }
     }
 }
@@ -129,23 +117,36 @@ impl DaemonConfig {
 /// One connection endpoint a deferred reply or event stream goes back to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Peer {
-    shard: usize,
+    /// The daemon-wide connection id.
     conn: u64,
     framing: Framing,
 }
 
-/// Connection-plane state shared between handlers, workers, and shards.
+/// Connection-plane state shared between handlers, workers, and
+/// connection threads.
 pub(crate) struct NetState {
-    shards: Vec<Arc<ShardHandle>>,
+    /// Connection id → the open connection.
+    pub(crate) conns: Mutex<HashMap<u64, Arc<Conn>>>,
     /// Job id → connections blocked in `result --wait`.
     waiters: Mutex<HashMap<u64, Vec<Peer>>>,
     /// Job id → connections streaming progress events.
     subscribers: Mutex<HashMap<u64, Vec<Peer>>>,
-    /// (shard, conn) → unfinished jobs submitted over that connection.
-    clients: Mutex<HashMap<(usize, u64), u64>>,
+    /// Connection id → unfinished jobs submitted over that connection.
+    clients: Mutex<HashMap<u64, u64>>,
     shed_queue_full: AtomicU64,
     shed_client_cap: AtomicU64,
+    /// Complete frames decoded from peers.
+    pub(crate) frames_in: AtomicU64,
+    /// Frames queued to peers (responses and events).
+    pub(crate) frames_out: AtomicU64,
     events_sent: AtomicU64,
+    /// Progress events dropped on backlogged connections.
+    pub(crate) events_dropped: AtomicU64,
+    /// Connections closed for idling past the timeout.
+    pub(crate) closed_idle: AtomicU64,
+    /// Connections closed for protocol violations (unframeable input,
+    /// write backlog overflow).
+    pub(crate) closed_protocol: AtomicU64,
     queue_wait_nanos: AtomicU64,
     queue_wait_count: AtomicU64,
     queue_wait_max_nanos: AtomicU64,
@@ -166,10 +167,11 @@ struct JobRecord {
     cancel: Arc<AtomicBool>,
     /// The connection the job was submitted over, for the in-flight cap;
     /// taken (once) when the job reaches a terminal phase.
-    client: Option<(usize, u64)>,
+    client: Option<u64>,
 }
 
-/// Shared daemon state: everything workers, handlers, and shards touch.
+/// Shared daemon state: everything workers, handlers, and connection
+/// threads touch.
 pub(crate) struct ServiceState {
     pub(crate) config: DaemonConfig,
     cache: Arc<PersistentOracleCache>,
@@ -179,13 +181,11 @@ pub(crate) struct ServiceState {
     shutdown: AtomicBool,
     /// Nanoseconds workers have spent inside jobs (utilization numerator).
     busy_nanos: AtomicU64,
-    /// Jobs answered from the result store instead of a fresh search.
-    memo_replays: AtomicU64,
     started: Instant,
     submitted: AtomicU64,
     /// The bound address, for the shutdown self-connect.
     addr: SocketAddr,
-    net: NetState,
+    pub(crate) net: NetState,
 }
 
 impl ServiceState {
@@ -197,18 +197,19 @@ impl ServiceState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn shard(&self, id: usize) -> Arc<ShardHandle> {
-        Arc::clone(&self.net.shards[id])
-    }
-
-    /// Pushes pre-encoded bytes back to a peer through its shard.
-    fn deliver(&self, peer: &Peer, bytes: Vec<u8>, ends_wait: bool, droppable: bool) {
-        self.net.shards[peer.shard].send(ShardMsg::Deliver {
-            conn: peer.conn,
-            bytes,
-            ends_wait,
-            droppable,
-        });
+    /// Queues pre-encoded bytes on a peer's outbox (dropped silently if
+    /// the peer is gone).
+    fn deliver(&self, peer: &Peer, bytes: &[u8], ends_wait: bool, droppable: bool) {
+        let conn = self
+            .net
+            .conns
+            .lock()
+            .expect("conns lock")
+            .get(&peer.conn)
+            .cloned();
+        if let Some(conn) = conn {
+            conn.deliver(self, bytes, ends_wait, droppable);
+        }
     }
 
     /// How long a shed client should back off: roughly the time for the
@@ -321,9 +322,6 @@ impl Daemon {
             }
         }
         let submitted = jobs.len() as u64;
-        let shards = (0..config.shards.max(1))
-            .map(|_| ShardHandle::new().map(Arc::new))
-            .collect::<io::Result<Vec<_>>>()?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         atomic_write_str(&config.state_dir.join("daemon.addr"), &format!("{addr}\n"))?;
@@ -336,18 +334,22 @@ impl Daemon {
                 next_id: AtomicU64::new(max_id + 1),
                 shutdown: AtomicBool::new(false),
                 busy_nanos: AtomicU64::new(0),
-                memo_replays: AtomicU64::new(0),
                 started: Instant::now(),
                 submitted: AtomicU64::new(submitted),
                 addr,
                 net: NetState {
-                    shards,
+                    conns: Mutex::new(HashMap::new()),
                     waiters: Mutex::new(HashMap::new()),
                     subscribers: Mutex::new(HashMap::new()),
                     clients: Mutex::new(HashMap::new()),
                     shed_queue_full: AtomicU64::new(0),
                     shed_client_cap: AtomicU64::new(0),
+                    frames_in: AtomicU64::new(0),
+                    frames_out: AtomicU64::new(0),
                     events_sent: AtomicU64::new(0),
+                    events_dropped: AtomicU64::new(0),
+                    closed_idle: AtomicU64::new(0),
+                    closed_protocol: AtomicU64::new(0),
                     queue_wait_nanos: AtomicU64::new(0),
                     queue_wait_count: AtomicU64::new(0),
                     queue_wait_max_nanos: AtomicU64::new(0),
@@ -365,21 +367,15 @@ impl Daemon {
         self.addr
     }
 
-    /// Serves until a `shutdown` request: the acceptor hands connections
-    /// to event-loop shards round-robin, workers drain the job queue.
-    /// Running jobs are asked to cancel (they checkpoint first, so a
-    /// restart resumes them), the cache is saved, and `daemon.addr` is
-    /// removed.
+    /// Serves until a `shutdown` request: the acceptor starts a reader
+    /// and a writer thread per connection, workers drain the job queue.
+    /// On shutdown every connection flushes what it has queued (the
+    /// `shutdown` ack among it) and closes, running jobs are asked to
+    /// cancel (they checkpoint first, so a restart resumes them), the
+    /// cache is saved, and `daemon.addr` is removed.
     pub fn run(self) -> io::Result<()> {
         let state = &self.state;
         std::thread::scope(|scope| {
-            for shard_id in 0..state.net.shards.len() {
-                let state = Arc::clone(state);
-                std::thread::Builder::new()
-                    .name(format!("lbr-shard-{shard_id}"))
-                    .spawn_scoped(scope, move || run_shard(&state, shard_id))
-                    .expect("spawn shard");
-            }
             for worker in 0..state.config.workers {
                 let state = Arc::clone(state);
                 std::thread::Builder::new()
@@ -401,21 +397,38 @@ impl Daemon {
                     })
                     .expect("spawn worker");
             }
-            let mut next_shard = 0usize;
+            let mut next_conn = 0u64;
             for stream in self.listener.incoming() {
                 if state.shutting_down() {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                if stream.set_nonblocking(true).is_err() {
+                let _ = stream.set_nodelay(true);
+                let mut conns = state.net.conns.lock().expect("conns lock");
+                if conns.len() >= MAX_CONNECTIONS {
+                    drop(conns);
+                    shed(state, stream);
                     continue;
                 }
-                let _ = stream.set_nodelay(true);
-                state.net.shards[next_shard].send(ShardMsg::Conn(stream));
-                next_shard = (next_shard + 1) % state.net.shards.len();
+                next_conn += 1;
+                let id = next_conn;
+                let conn = Arc::new(Conn::new(stream));
+                conns.insert(id, Arc::clone(&conn));
+                drop(conns);
+                let served = Arc::clone(state);
+                let spawned = std::thread::Builder::new()
+                    .name(format!("lbr-conn-{id}"))
+                    .spawn_scoped(scope, move || serve(&served, id, conn));
+                if spawned.is_err() {
+                    state.net.conns.lock().expect("conns lock").remove(&id);
+                }
             }
-            // Wake workers; running jobs observe the shutdown flag through
+            // End every reader (each writer then flushes and closes); wake
+            // workers, whose running jobs observe the shutdown flag through
             // their cancel hook and checkpoint out.
+            for conn in state.net.conns.lock().expect("conns lock").values() {
+                conn.stop_reading();
+            }
             state.queue.close();
         });
         state.cache.save()?;
@@ -425,13 +438,13 @@ impl Daemon {
 }
 
 // ----------------------------------------------------------------------
-// Request dispatch (runs on shard threads).
+// Request dispatch (runs on connection reader threads).
 // ----------------------------------------------------------------------
 
 /// What a request handler decided, before encoding.
 struct Handled {
     /// The immediate response, if any; `None` means the reply is
-    /// deferred and will arrive through the shard mailbox.
+    /// deferred and a worker will deliver it to the connection's outbox.
     response: Option<Json>,
     /// Deferred replies this request registered on the connection.
     defer: u32,
@@ -453,7 +466,7 @@ impl Handled {
     }
 }
 
-/// What the shard should do with one decoded frame.
+/// What the reader should do with one decoded frame.
 pub(crate) struct Outcome {
     /// Encoded response bytes to queue on the connection, if any.
     pub reply: Option<Vec<u8>>,
@@ -461,15 +474,9 @@ pub(crate) struct Outcome {
     pub defer: u32,
 }
 
-/// Handles one frame from connection `conn` of shard `shard`: decodes the
-/// request, runs the handler, encodes the response in the frame's own
-/// framing.
-pub(crate) fn dispatch_frame(
-    state: &ServiceState,
-    shard: usize,
-    conn: u64,
-    frame: WireFrame,
-) -> Outcome {
+/// Handles one frame from connection `conn`: decodes the request, runs
+/// the handler, encodes the response in the frame's own framing.
+pub(crate) fn dispatch_frame(state: &ServiceState, conn: u64, frame: WireFrame) -> Outcome {
     let framing = frame.framing();
     let request = match frame {
         WireFrame::JsonLine(line) => match Json::parse(&line) {
@@ -495,11 +502,7 @@ pub(crate) fn dispatch_frame(
             }
         }
     };
-    let ctx = ReqCtx {
-        shard,
-        conn,
-        framing,
-    };
+    let ctx = ReqCtx { conn, framing };
     let handled = handle_request(state, &request, &ctx);
     Outcome {
         reply: handled.response.map(|doc| encode_doc(framing, &doc)),
@@ -510,7 +513,6 @@ pub(crate) fn dispatch_frame(
 /// Where a request came from, for deferred replies and fairness caps.
 #[derive(Clone, Copy)]
 struct ReqCtx {
-    shard: usize,
     conn: u64,
     framing: Framing,
 }
@@ -518,7 +520,6 @@ struct ReqCtx {
 impl ReqCtx {
     fn peer(&self) -> Peer {
         Peer {
-            shard: self.shard,
             conn: self.conn,
             framing: self.framing,
         }
@@ -583,7 +584,7 @@ fn handle_hello(state: &ServiceState) -> Json {
 
 /// A load-shed rejection: not a protocol error, an explicit "come back
 /// in `retry_after_ms`".
-fn shed_response(state: &ServiceState, message: &str) -> Json {
+pub(crate) fn shed_response(state: &ServiceState, message: &str) -> Json {
     Json::obj([
         ("ok", Json::Bool(false)),
         ("error", Json::str(message)),
@@ -596,7 +597,7 @@ fn handle_submit(state: &ServiceState, request: &Json, ctx: &ReqCtx) -> Handled 
     if state.shutting_down() {
         return Handled::reply(error_response("daemon is shutting down"));
     }
-    let key = (ctx.shard, ctx.conn);
+    let key = ctx.conn;
     let over_cap = {
         let clients = state.net.clients.lock().expect("clients lock");
         clients.get(&key).copied().unwrap_or(0) >= state.config.max_inflight_per_client as u64
@@ -760,7 +761,7 @@ fn result_payload(state: &ServiceState, id: u64) -> Json {
 
 /// `result`: immediate if terminal; with `"wait": true` the connection is
 /// parked as a *waiter* — no thread sleeps, the completing worker pushes
-/// the encoded response through the owning shard's mailbox.
+/// the encoded response to the connection's outbox.
 fn handle_result(state: &ServiceState, request: &Json, ctx: &ReqCtx) -> Handled {
     let Some(id) = request.u64_field("id") else {
         return Handled::reply(error_response("result needs an \"id\""));
@@ -907,38 +908,8 @@ fn handle_stats(state: &ServiceState) -> Json {
         state.net.queue_wait_nanos.load(Ordering::Relaxed) as f64 / wait_count as f64 / 1e6
     };
     let max_wait_ms = state.net.queue_wait_max_nanos.load(Ordering::Relaxed) as f64 / 1e6;
-    let shards = Json::Arr(
-        state
-            .net
-            .shards
-            .iter()
-            .map(|s| {
-                let shard_busy = s.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-                Json::obj([
-                    (
-                        "connections",
-                        Json::count(s.open_conns.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "utilization",
-                        Json::Num(if uptime > 0.0 {
-                            (shard_busy / uptime).min(1.0)
-                        } else {
-                            0.0
-                        }),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let sum = |f: fn(&ShardHandle) -> &AtomicU64| {
-        state
-            .net
-            .shards
-            .iter()
-            .map(|s| f(s).load(Ordering::Relaxed))
-            .sum::<u64>()
-    };
+    let open_connections = state.net.conns.lock().expect("conns lock").len() as u64;
+    let count = |counter: &AtomicU64| Json::count(counter.load(Ordering::Relaxed));
     ok_response([
         ("uptime_secs", Json::Num(uptime)),
         ("workers", Json::count(state.config.workers as u64)),
@@ -956,10 +927,6 @@ fn handle_stats(state: &ServiceState) -> Json {
                 ("done", Json::count(counts[2])),
                 ("failed", Json::count(counts[3])),
                 ("cancelled", Json::count(counts[4])),
-                (
-                    "replayed",
-                    Json::count(state.memo_replays.load(Ordering::Relaxed)),
-                ),
             ]),
         ),
         (
@@ -982,17 +949,13 @@ fn handle_stats(state: &ServiceState) -> Json {
         (
             "net",
             Json::obj([
-                ("open_connections", Json::count(sum(|s| &s.open_conns))),
-                ("frames_in", Json::count(sum(|s| &s.frames_in))),
-                ("frames_out", Json::count(sum(|s| &s.frames_out))),
-                (
-                    "events_sent",
-                    Json::count(state.net.events_sent.load(Ordering::Relaxed)),
-                ),
-                ("events_dropped", Json::count(sum(|s| &s.events_dropped))),
-                ("closed_idle", Json::count(sum(|s| &s.closed_idle))),
-                ("closed_protocol", Json::count(sum(|s| &s.closed_protocol))),
-                ("shards", shards),
+                ("open_connections", Json::count(open_connections)),
+                ("frames_in", count(&state.net.frames_in)),
+                ("frames_out", count(&state.net.frames_out)),
+                ("events_sent", count(&state.net.events_sent)),
+                ("events_dropped", count(&state.net.events_dropped)),
+                ("closed_idle", count(&state.net.closed_idle)),
+                ("closed_protocol", count(&state.net.closed_protocol)),
             ]),
         ),
         (
@@ -1058,7 +1021,7 @@ fn notify_terminal(state: &ServiceState, id: u64, doc: &Json) {
         .unwrap_or_default();
     for peer in waiters {
         let response = ok_response([("result", doc.clone())]);
-        state.deliver(&peer, encode_doc(peer.framing, &response), true, false);
+        state.deliver(&peer, &encode_doc(peer.framing, &response), true, false);
     }
     let subscribers = state
         .net
@@ -1074,7 +1037,7 @@ fn notify_terminal(state: &ServiceState, id: u64, doc: &Json) {
             ("result", doc.clone()),
         ]);
         for peer in &subscribers {
-            state.deliver(peer, encode_event(peer.framing, &event), true, false);
+            state.deliver(peer, &encode_event(peer.framing, &event), true, false);
         }
         state
             .net
@@ -1112,7 +1075,7 @@ fn publish_event(state: &ServiceState, id: u64, event: &Json) {
         None => return,
     };
     for peer in &peers {
-        state.deliver(peer, encode_event(peer.framing, event), false, true);
+        state.deliver(peer, &encode_event(peer.framing, event), false, true);
     }
     state
         .net
@@ -1138,7 +1101,7 @@ fn publish_progress(state: &ServiceState, id: u64, ck: &lbr_core::GbrCheckpoint)
 
 /// On shutdown, every parked waiter gets an error response and every
 /// subscriber an error event — nothing is left hanging on a connection
-/// the shards are about to drop.
+/// the daemon is about to close.
 fn drain_deferred_on_shutdown(state: &ServiceState) {
     let waiters: Vec<Peer> = state
         .net
@@ -1150,7 +1113,7 @@ fn drain_deferred_on_shutdown(state: &ServiceState) {
         .collect();
     let doc = error_response("daemon is shutting down");
     for peer in waiters {
-        state.deliver(&peer, encode_doc(peer.framing, &doc), true, false);
+        state.deliver(&peer, &encode_doc(peer.framing, &doc), true, false);
     }
     let subscribers: Vec<(u64, Vec<Peer>)> = state
         .net
@@ -1166,11 +1129,8 @@ fn drain_deferred_on_shutdown(state: &ServiceState) {
             ("error", Json::str("daemon is shutting down")),
         ]);
         for peer in peers {
-            state.deliver(&peer, encode_event(peer.framing, &event), true, false);
+            state.deliver(&peer, &encode_event(peer.framing, &event), true, false);
         }
-    }
-    for shard in &state.net.shards {
-        shard.wake();
     }
 }
 
@@ -1226,31 +1186,6 @@ fn run_job(state: &ServiceState, id: u64, execute: Execute) {
         &Json::obj([("event", Json::str("running")), ("id", Json::count(id))]),
     );
     let started = Instant::now();
-    let memo = state
-        .config
-        .memoize_results
-        .then(|| std::fs::read(&spec.input).ok())
-        .flatten()
-        .map(|bytes| job_memo_digest(&spec, &bytes));
-    if let Some(digest) = memo {
-        if let Some(doc) = try_replay(state, &spec, digest, started) {
-            let elapsed = started.elapsed().as_nanos() as u64;
-            state.busy_nanos.fetch_add(elapsed, Ordering::Relaxed);
-            state.memo_replays.fetch_add(1, Ordering::Relaxed);
-            state.net.job_nanos.fetch_add(elapsed, Ordering::Relaxed);
-            state.net.jobs_finished.fetch_add(1, Ordering::Relaxed);
-            let _ = atomic_write_str(&state.job_file(id, "result.json"), &doc.render());
-            {
-                let mut jobs = state.jobs.lock().expect("jobs lock");
-                if let Some(job) = jobs.get_mut(&id) {
-                    job.phase = JobPhase::Done;
-                    job.predicate_calls = doc.u64_field("predicate_calls").unwrap_or(0);
-                }
-            }
-            notify_terminal(state, id, &doc);
-            return;
-        }
-    }
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(state, &spec, &cancel, started)))
         .unwrap_or_else(|payload| {
             let what = (payload.downcast_ref::<&str>().copied())
@@ -1266,9 +1201,6 @@ fn run_job(state: &ServiceState, id: u64, execute: Execute) {
             state.net.job_nanos.fetch_add(elapsed, Ordering::Relaxed);
             state.net.jobs_finished.fetch_add(1, Ordering::Relaxed);
             let doc = success_result_doc(&spec, &report, resumed);
-            if let Some(digest) = memo {
-                store_memo(state, digest, &doc, &report);
-            }
             let _ = atomic_write_str(&state.job_file(id, "result.json"), &doc.render());
             let _ = std::fs::remove_file(state.job_file(id, "ckpt"));
             {
@@ -1487,79 +1419,6 @@ fn map_pipeline_error(e: PipelineError) -> JobStop {
 /// comparing it against an in-process run proves the daemon produced a
 /// bit-identical reduction (JSON numbers cannot carry a full u64 exactly,
 /// hence the string).
-/// The content address of a job for the result store: a digest of the
-/// input bytes and every spec field that can influence the reduction
-/// (oracle, strategy, cost model, probe configuration). Scheduling-only
-/// fields — priority, deadline, output path — are deliberately excluded.
-fn job_memo_digest(spec: &JobSpec, input: &[u8]) -> u64 {
-    let meta = format!(
-        "{}|{}|{}|{}|{}|{}",
-        spec.format,
-        spec.decompiler,
-        spec.strategy,
-        spec.cost.to_bits(),
-        spec.probe_threads,
-        spec.probe_latency_micros
-    );
-    namespace_digest(&meta, input)
-}
-
-fn memo_file(state: &ServiceState, digest: u64, suffix: &str) -> PathBuf {
-    state
-        .config
-        .state_dir
-        .join("memo")
-        .join(format!("{digest:016x}.{suffix}"))
-}
-
-/// Answers a job from the result store, if an identical job already ran:
-/// writes the requested output from the stored reduced container and
-/// returns the stored result document with this job's identity patched
-/// in. Any missing or unreadable store file simply means "run it".
-fn try_replay(state: &ServiceState, spec: &JobSpec, digest: u64, started: Instant) -> Option<Json> {
-    let text = std::fs::read_to_string(memo_file(state, digest, "json")).ok()?;
-    let Json::Obj(mut fields) = Json::parse(&text).ok()? else {
-        return None;
-    };
-    let reduced = std::fs::read(memo_file(state, digest, "lbrc")).ok()?;
-    if let Some(out) = &spec.output {
-        atomic_write(Path::new(out), &reduced).ok()?;
-        fields.insert("output".to_owned(), Json::str(out));
-    }
-    fields.insert("id".to_owned(), Json::count(spec.id));
-    fields.insert("resumed".to_owned(), Json::Bool(false));
-    fields.insert("replayed".to_owned(), Json::Bool(true));
-    fields.insert(
-        "wall_secs".to_owned(),
-        Json::Num(started.elapsed().as_secs_f64()),
-    );
-    Some(Json::Obj(fields))
-}
-
-/// Persists a finished job into the result store: the reduced container
-/// first, then the result document (so a present document always finds
-/// its bytes), both atomically. Per-run fields are stripped; they are
-/// re-stamped at replay time.
-fn store_memo(state: &ServiceState, digest: u64, doc: &Json, report: &ReductionReport<Vec<u8>>) {
-    let Json::Obj(mut fields) = doc.clone() else {
-        return;
-    };
-    for per_run in ["id", "output", "wall_secs", "resumed", "replayed"] {
-        fields.remove(per_run);
-    }
-    let dir = state.config.state_dir.join("memo");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    if atomic_write(&memo_file(state, digest, "lbrc"), &report.reduced).is_err() {
-        return;
-    }
-    let _ = atomic_write_str(
-        &memo_file(state, digest, "json"),
-        &Json::Obj(fields).render(),
-    );
-}
-
 fn success_result_doc(spec: &JobSpec, report: &ReductionReport<Vec<u8>>, resumed: bool) -> Json {
     let mut fields = vec![
         ("id", Json::count(spec.id)),
@@ -1648,6 +1507,46 @@ mod tests {
             runs: AtomicUsize::new(0),
         };
         run_reduction(state, spec, cancel, started, &bytes, &program, &oracle)
+    }
+
+    /// A peer that never reads: its progress events are dropped past the
+    /// event backlog cap, and a backlog past the hard cap closes it — the
+    /// delivering worker never blocks either way.
+    #[test]
+    fn a_peer_that_never_reads_loses_events_then_its_connection() {
+        let dir = std::env::temp_dir().join(format!("lbr-daemon-backlog-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig::new(&dir, 1)).expect("daemon starts");
+        let state = &daemon.state;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        // No writer drains this outbox.
+        let conn = Conn::new(server);
+        let frame = vec![b'x'; 64 << 10];
+        for _ in 0..32 {
+            conn.deliver(state, &frame, false, true);
+        }
+        let dropped = state.net.events_dropped.load(Ordering::Relaxed);
+        assert!(
+            dropped > 0 && dropped < 32,
+            "{dropped} of 32 events dropped"
+        );
+        assert_eq!(state.net.closed_protocol.load(Ordering::Relaxed), 0);
+
+        for _ in 0..256 {
+            conn.deliver(state, &frame, false, false);
+        }
+        assert_eq!(state.net.closed_protocol.load(Ordering::Relaxed), 1);
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut buf = [0u8; 16];
+        match std::io::Read::read(&mut peer, &mut buf) {
+            Ok(n) => assert_eq!(n, 0, "the closed connection sent bytes"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset, "{e}"),
+        }
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn result(state: &ServiceState, id: u64) -> Json {

@@ -36,7 +36,7 @@
 //! yields complete frames, enforcing a maximum frame/line size so a
 //! malicious client cannot grow the buffer without bound.
 
-use crate::json::Json;
+use crate::json::{Json, MAX_DEPTH};
 
 /// First byte of every binary frame.
 pub const MAGIC: u8 = 0xBF;
@@ -44,8 +44,6 @@ pub const MAGIC: u8 = 0xBF;
 pub const OP_DOC: u8 = 0x01;
 /// Binary opcode: a server-pushed event document.
 pub const OP_EVENT: u8 = 0x02;
-/// Nesting ceiling for decoded values (stack-overflow guard).
-const MAX_DEPTH: u32 = 64;
 
 /// Which framing a peer used for a frame (and thus what it gets back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,6 +8,12 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest nesting either wire decoder accepts (the JSON parser here and
+/// the binary decoder in [`crate::frame`]): the root value is at depth 0,
+/// and a value deeper than this is an error, so a hostile document can
+/// never recurse a connection thread off its stack.
+pub(crate) const MAX_DEPTH: u32 = 64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -119,11 +125,12 @@ impl Json {
     /// Parses a JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
@@ -193,6 +200,7 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -230,20 +238,23 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: u32) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("value nests too deep at byte {}", self.pos));
+        }
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: u32) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -253,7 +264,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -266,7 +277,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: u32) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -280,7 +291,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            map.insert(key, self.value()?);
+            map.insert(key, self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -333,11 +344,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so any
-                    // multi-byte sequence is well-formed).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // past ASCII bytes or whole chars, so it is on a char
+                    // boundary of the source text.
+                    let c = (self.text.get(self.pos..))
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -387,6 +399,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("tru").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH as usize + 1)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH as usize + 2)).is_err());
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

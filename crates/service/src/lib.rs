@@ -6,8 +6,10 @@
 //! run of ≈33 s probes. This crate wraps that pipeline the way a fuzzing
 //! or CI fleet would deploy it —
 //!
-//! * [`Daemon`] listens on localhost TCP and runs jobs from a bounded
-//!   priority [`JobQueue`](queue::JobQueue) on a pool of worker threads;
+//! * [`Daemon`] listens on localhost TCP, serves each connection with a
+//!   blocking reader and writer thread (at most [`MAX_CONNECTIONS`] at
+//!   once), and runs jobs from a bounded priority
+//!   [`JobQueue`](queue::JobQueue) on a pool of worker threads;
 //! * a [`PersistentOracleCache`] shares probe verdicts across jobs *and
 //!   across restarts*: entries are content-addressed by a digest of the
 //!   input container and oracle configuration plus the candidate keep-set,
@@ -33,24 +35,25 @@
 //! [`Json`] document model in [`json`], persistence is plain files under
 //! a state directory written crash-safely by [`fsio`] and the cache log.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
 pub mod checkpoint;
 pub mod client;
+mod conn;
 pub mod daemon;
 pub mod frame;
 pub mod fsio;
 pub mod job;
 pub mod json;
 pub mod queue;
-mod reactor;
-mod shard;
 
 pub use cache::{namespace_digest, FaultPlan, PersistentOracleCache};
 pub use checkpoint::{load_checkpoint, MAX_UNIVERSE};
 pub use client::{Client, Connection, Submitted};
+pub use conn::MAX_CONNECTIONS;
 pub use daemon::{Daemon, DaemonConfig};
 pub use frame::{FrameDecoder, Framing, WireFrame};
 pub use fsio::{atomic_write, atomic_write_str};

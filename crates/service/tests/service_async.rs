@@ -1,8 +1,8 @@
-//! Tests of the event-loop front door: binary framing (including torn,
+//! Tests of the daemon's front door: binary framing (including torn,
 //! interleaved, and oversize frames), batching with coalescing, admission
 //! control (queue-full and per-client sheds with `retry_after_ms`), idle
-//! timeouts that spare parked connections, streaming progress events
-//! racing cancellation, and the content-addressed result store.
+//! timeouts that spare parked connections, and streaming progress events
+//! racing cancellation.
 
 use lbr_classfile::write_program;
 use lbr_decompiler::BugSet;
@@ -404,75 +404,6 @@ fn idle_timeout_closes_quiet_but_spares_parked_connections() {
 
     let result = parked.join().expect("parked thread");
     assert_eq!(result.str_field("status"), Some("done"));
-
-    shutdown(&client, handle);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// With `memoize_results`, an identical resubmission replays the stored
-/// result: identical deterministic fields, identical reduced bytes,
-/// `"replayed": true`, and a `jobs.replayed` count in stats.
-#[test]
-fn result_store_replays_identical_jobs() {
-    let dir = scratch("memo");
-    let input = make_container(&dir, 17, 12);
-    let mut config = DaemonConfig::new(dir.join("state"), 1);
-    config.memoize_results = true;
-    let (client, handle) = start_daemon(config);
-
-    let out1 = dir.join("out1.lbrc");
-    let out2 = dir.join("out2.lbrc");
-    let spec = |out: &Path| {
-        Json::obj([
-            ("input", Json::str(input.display().to_string())),
-            ("decompiler", Json::str("a")),
-            ("output", Json::str(out.display().to_string())),
-        ])
-    };
-    let id1 = client.submit(&spec(&out1)).expect("first submit");
-    let first = client.wait_result(id1).expect("first result");
-    assert_eq!(first.str_field("status"), Some("done"));
-    assert_eq!(first.bool_field("replayed"), None);
-
-    let id2 = client.submit(&spec(&out2)).expect("second submit");
-    let second = client.wait_result(id2).expect("second result");
-    assert_eq!(second.bool_field("replayed"), Some(true));
-    for key in ["status", "trace_digest", "predicate_calls", "final_bytes"] {
-        assert_eq!(
-            first.get(key).map(Json::render),
-            second.get(key).map(Json::render),
-            "replayed field {key} differs from the original run"
-        );
-    }
-    assert_eq!(
-        std::fs::read(&out1).expect("first output"),
-        std::fs::read(&out2).expect("replayed output")
-    );
-    let stats = client.stats().expect("stats");
-    assert_eq!(
-        stats.get("jobs").and_then(|j| j.u64_field("replayed")),
-        Some(1)
-    );
-
-    // A different probe configuration is a different content address —
-    // it must run, not replay.
-    let out3 = dir.join("out3.lbrc");
-    let id3 = client
-        .submit(&{
-            let Json::Obj(mut fields) = spec(&out3) else {
-                unreachable!()
-            };
-            fields.insert("probe_latency_micros".to_owned(), Json::count(1));
-            Json::Obj(fields)
-        })
-        .expect("third submit");
-    let third = client.wait_result(id3).expect("third result");
-    assert_eq!(third.bool_field("replayed"), None);
-    assert_eq!(
-        first.str_field("trace_digest"),
-        third.str_field("trace_digest"),
-        "determinism across probe configs"
-    );
 
     shutdown(&client, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -21,6 +21,8 @@
 //! `lbr_core::Scope` on the candidates of one reduction, and both oracles
 //! memoize per reduction in it.
 
+#![forbid(unsafe_code)]
+
 mod bugs;
 mod facts;
 mod graph;

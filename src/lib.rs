@@ -23,6 +23,7 @@
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for the reproduced tables and figures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use lbr_classfile as classfile;
